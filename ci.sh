@@ -16,12 +16,10 @@ go vet ./...
 # Project-specific analyzers (determinism, zero-alloc hot paths, arena
 # discipline, exhaustive enum switches, and the interprocedural
 # hotcall/detflow/barrierproto suite) — see DESIGN.md "Static analysis
-# layer" and internal/analysis. The check driver runs the whole suite
-# over every package, fails on any finding not in the checked-in
-# baseline and on any //odbgc:*-ok suppression that no longer
-# suppresses anything, and leaves a SARIF artifact for CI viewers.
+# layer" and internal/analysis. Any finding fails the build, and so does
+# any //odbgc:*-ok suppression that no longer suppresses anything.
 go build -o bin/odbgc-vet ./cmd/odbgc-vet
-bin/odbgc-vet check -stale -baseline .odbgc-vet-baseline.json -sarif bin/odbgc-vet.sarif ./...
+go vet -vettool="$PWD/bin/odbgc-vet" ./...
 go build ./...
 go test ./...
 go test -race ./internal/sim ./internal/gc ./internal/shard
@@ -29,10 +27,9 @@ go test -race ./internal/sim ./internal/gc ./internal/shard
 # orchestration (worker pool + shared cache) and the cache's concurrent
 # generation paths.
 go test -race -run 'Suite|Scheduler|TraceCache|RunRecorded|RecordRegenerates' ./internal/experiments ./internal/workload
-# Codec fuzz smoke: the packed decoder, the columnar freeze, and the
-# chunked codec must error, never panic, on truncated or corrupted input.
+# Codec fuzz smoke: the packed event decoder and the chunked codec must
+# error, never panic, on truncated or corrupted input.
 go test -run '^$' -fuzz '^FuzzDecodeEvent$' -fuzztime 5s ./internal/trace
-go test -run '^$' -fuzz '^FuzzFreeze$' -fuzztime 5s ./internal/trace
 go test -run '^$' -fuzz '^FuzzChunkCodec$' -fuzztime 5s ./internal/trace
 # Audited-simulator fuzz smoke: random valid event streams through a
 # simulator running the full invariant catalog after every collection.
@@ -42,9 +39,8 @@ go test -run '^$' -fuzz '^FuzzAuditedSim$' -fuzztime 5s ./internal/check
 # consistent, erroring (never panicking) on malformed streams.
 go test -run '^$' -fuzz '^FuzzShardRouter$' -fuzztime 5s ./internal/shard
 # Differential self-check: every policy audited and re-run through the
-# slow reference paths (packed/frozen, streamed/frozen, cached/fresh,
-# serial/parallel, eager/buffered barrier); any divergence or invariant
-# violation fails.
+# reference paths (streamed/in-memory, recorded/live, serial/parallel,
+# sharded serial/parallel); any divergence or invariant violation fails.
 go run ./cmd/experiments -selfcheck -short -q
 # Streaming smoke: generate a ~5M-event chunked trace and replay it into
 # a full simulation under a hard memory ceiling far below the decoded
@@ -53,7 +49,7 @@ go run ./cmd/experiments -selfcheck -short -q
 # object table fit comfortably; a whole-trace load would not.)
 stream_tmp=$(mktemp -d)
 trap 'rm -rf "$stream_tmp"' EXIT
-go run ./cmd/tracegen -o "$stream_tmp/stream.odbgcck" -format chunked -alloc 50000000
+go run ./cmd/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
 GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck"
 GOMEMLIMIT=64MiB go run ./cmd/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shard
@@ -61,7 +57,7 @@ GOMEMLIMIT=64MiB go run ./cmd/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # detector on a cross-tree trace (the exchange protocol is the one place
 # goroutines share data), once under the memory ceiling to show the
 # sharded path inherits the streaming pipeline's constant-memory bound.
-go run ./cmd/tracegen -o "$stream_tmp/cross.odbgcck" -format chunked -alloc 10000000 -cross 0.2
+go run ./cmd/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
 GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured

@@ -18,7 +18,7 @@
 // -label, -bench, -benchtime, -count, -pkg, and -out still override.
 //
 // -pagebuf is a preset for the page-buffer / trace-replay fast paths: it
-// runs the pagebuf and frozen-trace micro benchmarks at a fixed iteration
+// runs the pagebuf and buffer-replay micro benchmarks at a fixed iteration
 // count and the end-to-end Table2Throughput/CollectorOnly benchmarks at
 // the usual -benchtime 2x, merging both into
 // results/bench/BENCH_<label>.json (label defaults to "pagebuf"); only
@@ -111,7 +111,7 @@ func main() {
 	pkg := flag.String("pkg", ".", "package pattern(s, space-separated) to benchmark")
 	out := flag.String("out", ".", "directory for the output file")
 	suite := flag.Bool("suite", false, "preset: record the suite wall-clock benchmark to results/bench/BENCH_suite.json")
-	pagebuf := flag.Bool("pagebuf", false, "preset: record the page-buffer and frozen-replay fast-path benchmarks plus Table2/CollectorOnly to results/bench/BENCH_<label>.json")
+	pagebuf := flag.Bool("pagebuf", false, "preset: record the page-buffer and buffer-replay fast-path benchmarks plus Table2/CollectorOnly to results/bench/BENCH_<label>.json")
 	stream := flag.Bool("stream", false, "preset: record the chunked streaming pipeline (generate, drain, simulate a 100M+ event trace) to results/bench/BENCH_stream.json")
 	streamEvents := flag.Int64("stream-events", 110_000_000, "target event count for the -stream preset")
 	sharded := flag.Bool("sharded", false, "preset: record the sharded replay of one 500M+ event trace at 1/2/4/8 shards to results/bench/BENCH_sharded.json")
@@ -189,7 +189,7 @@ func main() {
 		groups = []group{
 			{
 				pkgs:      "./internal/pagebuf ./internal/trace",
-				bench:     "BenchmarkPageBufHit$|BenchmarkPageBufMiss$|BenchmarkBufferReplay$|BenchmarkFrozenReplay$",
+				bench:     "BenchmarkPageBufHit$|BenchmarkPageBufMiss$|BenchmarkBufferReplay$",
 				benchtime: "300000x",
 			},
 			{

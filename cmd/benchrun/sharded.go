@@ -22,7 +22,7 @@ import (
 // The -sharded preset measures the partition-sharded replay engine on
 // one large cross-tree trace at 1, 2, 4, and 8 shards:
 //
-//   - generate: cmd/tracegen -format chunked -cross, so a fixed fraction
+//   - generate: cmd/tracegen -cross, so a fixed fraction
 //     of dense edges target another tree and become cross-shard traffic;
 //   - shard legs: each shard count re-exec's this binary as a worker
 //     (-sharded-worker) that streams the trace through shard.Engine with

@@ -17,7 +17,7 @@ import (
 // The -stream preset measures the three legs of the chunked streaming
 // pipeline on one large trace:
 //
-//   - generate: cmd/tracegen -format chunked, chunk encoding pipelined
+//   - generate: cmd/tracegen, chunk encoding pipelined
 //     with file I/O on a background writer;
 //   - drain: in-process ChunkStream replay (read, CRC, columnar decode
 //     on the prefetch goroutine; zero-alloc drain on this one) — the
@@ -146,7 +146,7 @@ func calibratedTrace(tracegenBin, path string, target int64, env []string, extra
 	)
 	const maxAttempts = 6
 	for attempt := 1; ; attempt++ {
-		args := []string{"-o", path, "-format", "chunked",
+		args := []string{"-o", path,
 			"-live", fmt.Sprint(streamLiveBytes), "-alloc", fmt.Sprint(alloc),
 			"-max-events", fmt.Sprint(max(4*target, 40_000_000))}
 		args = append(args, extra...)

@@ -20,9 +20,9 @@
 // regenerate the figure CSVs from it bit-identically, with odbgc-query.
 //
 // -selfcheck runs the differential validation harness instead of the
-// suite: small audited runs of every policy, replayed through the slow
-// reference paths (packed vs frozen trace, cached vs fresh, serial vs
-// parallel, eager vs buffered barrier), failing loudly on the first
+// suite: small audited runs of every policy, replayed through independent
+// reference paths (streamed vs in-memory trace, recorded vs live, serial
+// vs parallel, sharded parallel vs serial), failing loudly on the first
 // divergence or invariant violation.
 package main
 

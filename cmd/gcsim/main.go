@@ -5,7 +5,7 @@
 //	gcsim [-policy NAME] [-seeds N] [-live BYTES] [-alloc BYTES]
 //	      [-partition-pages N] [-buffer-pages N] [-trigger N]
 //	      [-dense F] [-cross F] [-trees N] [-series FILE] [-audit]
-//	      [-record FILE] [-trace FILE] [-format auto|binary|jsonl|chunked]
+//	      [-record FILE] [-trace FILE]
 //	      [-shards N] [-shard-assign roundrobin|range] [-epoch-events N]
 //
 // With -seeds > 1 it reports mean ± stddev over seeded runs; with -series
@@ -16,12 +16,10 @@
 // time-series sample; sharded replays tag rows with their shard and
 // epoch) for offline analysis with odbgc-query.
 //
-// With -trace the simulation replays a tracegen file instead of running
-// the generator live. The format is detected from the file's leading
-// bytes; -format other than auto asserts the expectation and errors if
-// the file disagrees. Chunked traces replay through a prefetching
-// pipeline at two chunks of resident memory, so traces far larger than
-// RAM simulate fine.
+// With -trace the simulation replays a tracegen file (a chunked trace)
+// instead of running the generator live. The file streams through a
+// prefetching pipeline at two chunks of resident memory, so traces far
+// larger than RAM simulate fine.
 //
 // With -shards N the replay runs through the partition-sharded engine
 // (internal/shard): N goroutines, each owning a private heap, buffer,
@@ -31,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -44,7 +41,6 @@ import (
 	"odbgc/internal/shard"
 	"odbgc/internal/sim"
 	"odbgc/internal/stats"
-	"odbgc/internal/trace"
 	"odbgc/internal/workload"
 )
 
@@ -77,7 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		warm      = fs.Bool("warm", false, "warm start: exclude the build phase from measurement")
 		audit     = fs.Bool("audit", false, "run the full invariant audit after every collection (slow)")
 		traceFile = fs.String("trace", "", "replay a tracegen trace file instead of generating the workload")
-		format    = fs.String("format", "auto", "trace file format: auto, binary, jsonl, or chunked")
 		shards    = fs.Int("shards", 0, "replay -trace through the sharded engine with this many shards (0 = unsharded)")
 		shAssign  = fs.String("shard-assign", "roundrobin", "tree-to-shard assignment for -shards: roundrobin or range")
 		epochEv   = fs.Int64("epoch-events", 0, "epoch length in events for -shards (0 = default)")
@@ -88,10 +83,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *seeds < 1:
 		return fmt.Errorf("-seeds %d: need at least 1 seeded run", *seeds)
-	case *format != "auto" && *format != trace.FormatBinary && *format != trace.FormatJSONL && *format != trace.FormatChunked:
-		return fmt.Errorf("-format %q: unknown format (auto, binary, jsonl, or chunked)", *format)
-	case *format != "auto" && *traceFile == "":
-		return fmt.Errorf("-format only applies to -trace replay")
 	case *partPages < 0:
 		return fmt.Errorf("-partition-pages %d: page count cannot be negative", *partPages)
 	case *bufPages < 0:
@@ -158,9 +149,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("-shard-assign: %w", err)
 			}
-			return replaySharded(stdout, *traceFile, *format, *policy, *partPages, *bufPages, *trigger, *shards, assign, *epochEv, *recPath)
+			return replaySharded(stdout, *traceFile, *policy, *partPages, *bufPages, *trigger, *shards, assign, *epochEv, *recPath)
 		}
-		return replayTrace(stdout, *traceFile, *format, *policy, *partPages, *bufPages, *trigger, *series, *inspect, *audit, *recPath)
+		return replayTrace(stdout, *traceFile, *policy, *partPages, *bufPages, *trigger, *series, *inspect, *audit, *recPath)
 	}
 
 	wl := workload.DefaultConfig()
@@ -257,25 +248,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// replayTrace runs one simulation fed by a trace file instead of a live
-// generator. The file's format is detected from its magic bytes; a
-// non-auto -format that disagrees with the detection is an error naming
-// both, so a flag never causes a file to be mis-decoded.
-func replayTrace(stdout io.Writer, path, expectFormat, policy string, partPages, bufPages int, trigger int64, series string, inspect, audit bool, recPath string) error {
-	f, err := os.Open(path)
+// replayTrace runs one simulation fed by a chunked trace file instead of
+// a live generator. The streamed replay prefetches chunk N+1 while the
+// simulator drains chunk N.
+func replayTrace(stdout io.Writer, path, policy string, partPages, bufPages int, trigger int64, series string, inspect, audit bool, recPath string) error {
+	rt, err := workload.OpenStreamed(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	detected, err := trace.SniffFormat(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if expectFormat != "auto" && expectFormat != detected {
-		return fmt.Errorf("-format %s: %s is a %s trace (detected from its magic bytes); use -format %s or -format auto",
-			expectFormat, path, detected, detected)
-	}
-
 	cfg := sim.DefaultConfig(policy)
 	if partPages > 0 {
 		cfg.Heap.PartitionPages = partPages
@@ -297,28 +277,9 @@ func replayTrace(stdout io.Writer, path, expectFormat, policy string, partPages,
 	if err != nil {
 		return err
 	}
-
-	switch detected {
-	case trace.FormatChunked:
-		// The streamed replay opens its own descriptor and prefetches
-		// chunk N+1 while the simulator drains chunk N.
-		rt, err := workload.OpenStreamed(path)
-		if err != nil {
-			return err
-		}
-		if err := rt.Replay(s, nil); err != nil {
-			return err
-		}
-	case trace.FormatBinary:
-		if _, err := trace.CopyFrom(s, trace.NewReader(bufio.NewReaderSize(f, 1<<20))); err != nil {
-			return err
-		}
-	default:
-		if _, err := trace.CopyFrom(s, trace.NewJSONLReader(bufio.NewReaderSize(f, 1<<20))); err != nil {
-			return err
-		}
+	if err := rt.Replay(s, nil); err != nil {
+		return err
 	}
-
 	if audit {
 		if err := s.Audit(); err != nil {
 			return err

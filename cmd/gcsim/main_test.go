@@ -2,11 +2,14 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"odbgc/internal/core"
+	"odbgc/internal/sim"
 	"odbgc/internal/trace"
 	"odbgc/internal/workload"
 )
@@ -127,15 +130,22 @@ func firstLine(b []byte) string {
 	return string(b)
 }
 
-// writeTestTrace generates a small trace file via tracegen's workload
-// settings, in the given format, and returns its path.
-func writeTestTrace(t *testing.T, format string) string {
-	t.Helper()
+// testTraceWorkload is the workload writeTestTrace records.
+func testTraceWorkload() workload.Config {
 	cfg := workload.DefaultConfig()
 	cfg.TargetLiveBytes = 60_000
 	cfg.TotalAllocBytes = 180_000
 	cfg.MeanTreeNodes = 40
-	path := filepath.Join(t.TempDir(), "t."+format)
+	return cfg
+}
+
+// writeTestTrace generates a small chunked trace file from
+// testTraceWorkload and returns its path. 4 KB chunks make even this
+// small trace cross many chunk boundaries.
+func writeTestTrace(t *testing.T) string {
+	t.Helper()
+	cfg := testTraceWorkload()
+	path := filepath.Join(t.TempDir(), "t.odbgcck")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -145,24 +155,11 @@ func writeTestTrace(t *testing.T, format string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sink trace.Sink
-	var flush func() error
-	switch format {
-	case trace.FormatChunked:
-		// 4 KB chunks so even this small trace crosses many boundaries.
-		cw := trace.NewChunkWriter(f, cfg.Fingerprint(), 4096)
-		sink, flush = cw, cw.Flush
-	case trace.FormatBinary:
-		w := trace.NewWriter(f)
-		sink, flush = w, w.Flush
-	default:
-		w := trace.NewJSONLWriter(f)
-		sink, flush = w, w.Flush
-	}
-	if _, err := g.Run(sink); err != nil {
+	cw := trace.NewChunkWriter(f, cfg.Fingerprint(), 4096)
+	if _, err := g.Run(cw); err != nil {
 		t.Fatal(err)
 	}
-	if err := flush(); err != nil {
+	if err := cw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -171,52 +168,60 @@ func writeTestTrace(t *testing.T, format string) string {
 	return path
 }
 
-// TestTraceReplayAllFormats replays the same workload from each on-disk
-// format and checks all three runs report the identical result table.
-func TestTraceReplayAllFormats(t *testing.T) {
-	outputs := map[string]string{}
-	for _, format := range []string{trace.FormatBinary, trace.FormatJSONL, trace.FormatChunked} {
-		path := writeTestTrace(t, format)
-		var stdout, stderr bytes.Buffer
-		args := []string{"-trace", path, "-partition-pages", "8", "-trigger", "40"}
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("%s: %v", format, err)
-		}
-		if !strings.Contains(stdout.String(), "Simulation result") {
-			t.Fatalf("%s: no result table:\n%s", format, stdout.String())
-		}
-		outputs[format] = stdout.String()
+// TestTraceReplayMatchesInMemory replays a trace file through gcsim and
+// checks it reports the result table of the same workload replayed from
+// memory.
+func TestTraceReplayMatchesInMemory(t *testing.T) {
+	path := writeTestTrace(t)
+	var stdout, stderr bytes.Buffer
+	args := []string{"-trace", path, "-partition-pages", "8", "-trigger", "40"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatal(err)
 	}
-	if outputs[trace.FormatBinary] != outputs[trace.FormatChunked] || outputs[trace.FormatBinary] != outputs[trace.FormatJSONL] {
-		t.Errorf("replay results differ across formats:\nbinary:\n%s\njsonl:\n%s\nchunked:\n%s",
-			outputs[trace.FormatBinary], outputs[trace.FormatJSONL], outputs[trace.FormatChunked])
+	rt, err := workload.Record(testTraceWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(core.NameUpdatedPointer)
+	cfg.Heap.PartitionPages = 8
+	cfg.TriggerOverwrites = 40
+	res, err := sim.RunRecorded(cfg, rt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	printResult(&want, res, workload.Stats{})
+	if stdout.String() != want.String() {
+		t.Errorf("file replay differs from in-memory replay:\nfile:\n%s\nmemory:\n%s", stdout.String(), want.String())
 	}
 }
 
-// TestTraceFormatMismatchNamed pins the format-detection contract: a
-// -format assertion that contradicts the file's magic bytes is a named
-// one-line error, not a mis-decode.
+// TestTraceFormatMismatchNamed pins the trace-file contract: a file that
+// is not a chunked trace is a named one-line error, not a mis-decode.
 func TestTraceFormatMismatchNamed(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatChunked)
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-trace", path, "-format", "binary"}, &stdout, &stderr)
-	if err == nil {
-		t.Fatal("mismatched -format accepted")
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, []byte(`{"k":"read","oid":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"-format binary", "chunked"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
+	for _, args := range [][]string{{"-trace", path}, {"-trace", path, "-shards", "2"}} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if !errors.Is(err, trace.ErrBadChunkMagic) {
+			t.Fatalf("run(%v): err = %v, want ErrBadChunkMagic", args, err)
 		}
-	}
-	if strings.Contains(err.Error(), "\n") {
-		t.Errorf("error %q spans multiple lines", err)
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("error %q does not name %s", err, path)
+		}
+		if strings.Contains(err.Error(), "\n") {
+			t.Errorf("error %q spans multiple lines", err)
+		}
 	}
 }
 
 // TestTraceFlagConflictsNamed checks workload-shaping flags are rejected
 // by name in replay mode.
 func TestTraceFlagConflictsNamed(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatBinary)
+	path := writeTestTrace(t)
 	cases := [][]string{
 		{"-trace", path, "-seeds", "2"},
 		{"-trace", path, "-live", "1000"},
@@ -235,10 +240,6 @@ func TestTraceFlagConflictsNamed(t *testing.T) {
 		if !strings.Contains(err.Error(), args[2]) {
 			t.Errorf("run(%v) error %q does not name %s", args, err, args[2])
 		}
-	}
-	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-format", "binary"}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "-format") {
-		t.Errorf("-format without -trace: err = %v, want named error", err)
 	}
 }
 
@@ -277,7 +278,7 @@ func writeCrossTrace(t *testing.T) string {
 // TestShardFlagValidation pins every named rejection of the sharded
 // replay flags as a one-line error.
 func TestShardFlagValidation(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatChunked)
+	path := writeTestTrace(t)
 	cases := []struct {
 		name string
 		args []string
@@ -351,10 +352,10 @@ func TestShardedReplayDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedReplayRangeAssignment exercises the range assignment and a
-// binary-format trace through the sharded path.
+// TestShardedReplayRangeAssignment exercises the range assignment
+// through the sharded path.
 func TestShardedReplayRangeAssignment(t *testing.T) {
-	path := writeTestTrace(t, trace.FormatBinary)
+	path := writeTestTrace(t)
 	var stdout, stderr bytes.Buffer
 	args := []string{"-trace", path, "-shards", "2", "-shard-assign", "range", "-partition-pages", "8", "-trigger", "40"}
 	if err := run(args, &stdout, &stderr); err != nil {

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 
 	"odbgc/internal/record"
 	"odbgc/internal/shard"
@@ -14,13 +12,13 @@ import (
 	"odbgc/internal/workload"
 )
 
-// replaySharded replays a trace file through the partition-sharded
-// engine: the stream is demultiplexed onto shards goroutines, each
-// running a private simulator, with cross-shard references exchanged at
-// epoch barriers. Chunked traces stream through the prefetch pipeline;
-// binary and JSONL traces are decoded on the fly.
-func replaySharded(stdout io.Writer, path, expectFormat, policy string, partPages, bufPages int, trigger int64, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
-	detected, err := sniffFile(path, expectFormat)
+// replaySharded replays a chunked trace file through the
+// partition-sharded engine: the stream is demultiplexed onto shards
+// goroutines, each running a private simulator, with cross-shard
+// references exchanged at epoch barriers. The file streams through the
+// prefetch pipeline.
+func replaySharded(stdout io.Writer, path, policy string, partPages, bufPages int, trigger int64, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
+	rt, err := workload.OpenStreamed(path)
 	if err != nil {
 		return err
 	}
@@ -59,37 +57,7 @@ func replaySharded(stdout io.Writer, path, expectFormat, policy string, partPage
 		return err
 	}
 
-	var replay func(trace.Sink) error
-	switch detected {
-	case trace.FormatChunked:
-		rt, err := workload.OpenStreamed(path)
-		if err != nil {
-			return err
-		}
-		replay = func(s trace.Sink) error { return rt.Replay(s, nil) }
-	case trace.FormatBinary:
-		replay = func(s trace.Sink) error {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, err = trace.CopyFrom(s, trace.NewReader(bufio.NewReaderSize(f, 1<<20)))
-			return err
-		}
-	default:
-		replay = func(s trace.Sink) error {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			_, err = trace.CopyFrom(s, trace.NewJSONLReader(bufio.NewReaderSize(f, 1<<20)))
-			return err
-		}
-	}
-
-	res, err := eng.Run(replay)
+	res, err := eng.Run(func(s trace.Sink) error { return rt.Replay(s, nil) })
 	if err != nil {
 		return err
 	}
@@ -100,25 +68,6 @@ func replaySharded(stdout io.Writer, path, expectFormat, policy string, partPage
 		}
 	}
 	return nil
-}
-
-// sniffFile detects a trace file's format from its magic bytes and, when
-// the -format flag asserts an expectation, errors if the file disagrees.
-func sniffFile(path, expectFormat string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	detected, err := trace.SniffFormat(f)
-	if err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	if expectFormat != "auto" && expectFormat != detected {
-		return "", fmt.Errorf("-format %s: %s is a %s trace (detected from its magic bytes); use -format %s or -format auto",
-			expectFormat, path, detected, detected)
-	}
-	return detected, nil
 }
 
 // printShardedResult renders the aggregate and per-shard tables of a

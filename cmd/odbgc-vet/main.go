@@ -8,11 +8,6 @@
 //	go build -o bin/odbgc-vet ./cmd/odbgc-vet
 //	go vet -vettool="$(pwd)/bin/odbgc-vet" ./...
 //
-// or let the tool drive go vet itself, adding SARIF output, baseline
-// diffing, and stale-suppression detection:
-//
-//	bin/odbgc-vet check -stale -baseline .odbgc-vet-baseline.json ./...
-//
 // The protocol (the contract go's cmd/go expects from a vet tool, the
 // same one golang.org/x/tools/go/analysis/unitchecker implements) is:
 //
@@ -28,6 +23,11 @@
 // exiting nonzero if there were any. The module deliberately has no
 // dependencies, so the driver speaks the protocol itself instead of
 // importing unitchecker.
+//
+// A //odbgc:*-ok suppression comment in the unit's files that no
+// analyzer's diagnostic probe matched is a finding too, reported as
+// "stale": it suppresses nothing and should be deleted. The stale check
+// depends only on the unit, so go vet's result cache stays correct.
 //
 // Cross-package facts ride the same protocol: each unit's function
 // summaries are serialized as JSON into the VetxOutput file the go
@@ -50,7 +50,6 @@ import (
 	"go/types"
 	"io"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -101,9 +100,6 @@ func main() {
 // separately from driver errors, so main can exit 1 for the former and
 // 2 for the latter.
 func run(args []string, stdout, stderr io.Writer) (findings bool, err error) {
-	if len(args) >= 1 && args[0] == "check" {
-		return runCheck(args[1:], stdout, stderr)
-	}
 	if len(args) == 1 {
 		switch {
 		case args[0] == "-V=full" || args[0] == "--V=full":
@@ -115,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) (findings bool, err error) {
 		}
 	}
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		return false, errors.New("usage: odbgc-vet unit.cfg | odbgc-vet check [flags] [packages] (unit mode is normally invoked via go vet -vettool=odbgc-vet)")
+		return false, errors.New("usage: odbgc-vet unit.cfg (normally invoked via go vet -vettool=odbgc-vet)")
 	}
 	return runUnit(args[0], stderr)
 }
@@ -137,13 +133,6 @@ func printVersion(stdout io.Writer) error {
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
 		return fmt.Errorf("-V=full: hashing %s: %w", exe, err)
-	}
-	// ODBGCVET_SALT folds into the buildID so a fresh salt invalidates
-	// every cached vet result: `odbgc-vet check` sets one per run to make
-	// all units actually execute (the stale-suppression sweep needs every
-	// suppression probed, and a cache hit probes nothing).
-	if salt := os.Getenv("ODBGCVET_SALT"); salt != "" {
-		io.WriteString(h, salt)
 	}
 	fmt.Fprintf(stdout, "odbgc-vet version devel analyzers buildID=%x\n", h.Sum(nil))
 	return nil
@@ -207,7 +196,8 @@ func runUnit(cfgFile string, stderr io.Writer) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("%s: %w", cfg.ImportPath, err)
 	}
-	used := newUsedRecorder()
+	// used holds every suppression comment a diagnostic probe matched.
+	used := map[suppression]bool{}
 
 	findings := false
 	for _, a := range analysis.All() {
@@ -222,8 +212,8 @@ func runUnit(cfgFile string, stderr io.Writer) (bool, error) {
 			TypesInfo: info,
 			Facts:     facts,
 		}
-		if used != nil {
-			pass.OnSuppressed = used.record
+		pass.OnSuppressed = func(file string, line int, marker string) {
+			used[suppression{file, line, marker}] = true
 		}
 		if cfg.VetxOnly {
 			// Dependents re-run the suite on their own units; only the
@@ -242,15 +232,45 @@ func runUnit(cfgFile string, stderr io.Writer) (bool, error) {
 			findings = true
 		}
 	}
+	if !cfg.VetxOnly {
+		for _, s := range staleSuppressions(fset, files, used) {
+			fmt.Fprintf(stderr, "%s:%d: stale: //odbgc:%s suppresses no finding; delete it\n", s.file, s.line, s.marker)
+			findings = true
+		}
+	}
 	if err := writeVetx(cfg, facts); err != nil {
 		return false, fmt.Errorf("%s: %w", cfg.ImportPath, err)
 	}
-	if used != nil {
-		if err := used.flush(cfg); err != nil {
-			return false, fmt.Errorf("%s: %w", cfg.ImportPath, err)
+	return findings, nil
+}
+
+// A suppression is one //odbgc:<marker> comment's position.
+type suppression struct {
+	file   string
+	line   int
+	marker string
+}
+
+// staleSuppressions returns, in file and line order, every //odbgc:*-ok
+// comment in files that is not in used. Run after every analyzer has
+// run on the unit, so each suppression has had its chance to be probed.
+func staleSuppressions(fset *token.FileSet, files []*ast.File, used map[suppression]bool) []suppression {
+	var stale []suppression
+	for file, lines := range analysis.Suppressions(fset, files) {
+		for line, marker := range lines {
+			s := suppression{file, line, marker}
+			if strings.HasSuffix(marker, "-ok") && !used[s] {
+				stale = append(stale, s)
+			}
 		}
 	}
-	return findings, nil
+	sort.Slice(stale, func(i, j int) bool {
+		if stale[i].file != stale[j].file {
+			return stale[i].file < stale[j].file
+		}
+		return stale[i].line < stale[j].line
+	})
+	return stale
 }
 
 // loadDepFacts rebuilds the fact store from the dependencies' vetx
@@ -335,54 +355,6 @@ func writeVetx(cfg *vetConfig, facts *analysis.FactStore) error {
 	}
 	if err := os.WriteFile(cfg.VetxOutput, data, 0o666); err != nil {
 		return fmt.Errorf("writing facts file: %w", err)
-	}
-	return nil
-}
-
-// A usedRecorder accumulates the suppression comments that matched a
-// diagnostic probe during this unit's analysis. `odbgc-vet check -stale`
-// points ODBGCVET_USED_DIR at a scratch directory, runs go vet over
-// every package, then diffs the recorded lines against all
-// //odbgc:*-ok comments in the tree: a comment no probe ever matched is
-// a stale suppression.
-type usedRecorder struct {
-	dir  string
-	seen map[string]bool
-}
-
-// newUsedRecorder returns a recorder bound to ODBGCVET_USED_DIR, or nil
-// when the environment does not ask for recording.
-func newUsedRecorder() *usedRecorder {
-	dir := os.Getenv("ODBGCVET_USED_DIR")
-	if dir == "" {
-		return nil
-	}
-	return &usedRecorder{dir: dir, seen: map[string]bool{}}
-}
-
-func (r *usedRecorder) record(file string, line int, marker string) {
-	r.seen[fmt.Sprintf("%s:%d:%s", file, line, marker)] = true
-}
-
-// flush writes the unit's record to a file named after the import path:
-// one `covered <file>` line per analyzed source file, one
-// `used <file>:<line>:<marker>` line per matched suppression, sorted.
-// The covered lines let the stale sweep judge only files a unit
-// actually analyzed, so a narrow target pattern cannot make untouched
-// suppressions look stale. Each import path is analyzed at most once
-// per vet invocation, so the name cannot collide within a run.
-func (r *usedRecorder) flush(cfg *vetConfig) error {
-	var lines []string
-	for _, f := range cfg.GoFiles {
-		lines = append(lines, "covered "+f)
-	}
-	for l := range r.seen {
-		lines = append(lines, "used "+l)
-	}
-	sort.Strings(lines)
-	name := strings.ReplaceAll(cfg.ImportPath, "/", "__") + ".used"
-	if err := os.WriteFile(filepath.Join(r.dir, name), []byte(strings.Join(lines, "\n")+"\n"), 0o666); err != nil {
-		return fmt.Errorf("recording used suppressions: %w", err)
 	}
 	return nil
 }

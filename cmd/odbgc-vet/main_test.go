@@ -92,3 +92,52 @@ func TestVetxOnly(t *testing.T) {
 		t.Errorf("facts file not written: %v", err)
 	}
 }
+
+// writeUnit writes src as the one file of package example.com/p plus the
+// unit.cfg describing it, and returns the cfg path and the source path.
+// The package imports nothing, so the unit needs no export data.
+func writeUnit(t *testing.T, src string) (cfg, file string) {
+	t.Helper()
+	dir := t.TempDir()
+	file = filepath.Join(dir, "p.go")
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg = filepath.Join(dir, "unit.cfg")
+	body := `{"ImportPath":"example.com/p","Compiler":"gc","GoFiles":["` + filepath.ToSlash(file) + `"],"VetxOutput":"` + filepath.ToSlash(filepath.Join(dir, "out.vetx")) + `"}`
+	if err := os.WriteFile(cfg, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cfg, file
+}
+
+// TestStaleSuppressionReported plants an //odbgc:alloc-ok that no
+// diagnostic needs beside one that suppresses a real hot-path
+// allocation: only the planted one is reported, naming its line.
+func TestStaleSuppressionReported(t *testing.T) {
+	cfg, file := writeUnit(t, `package p
+
+// grow is a hot path with one vetted allocation.
+//
+//odbgc:hotpath
+func grow(xs []int) []int {
+	return append(xs, 1) //odbgc:alloc-ok amortized growth
+}
+
+func plain() int {
+	return 1 //odbgc:alloc-ok planted: nothing here allocates
+}
+`)
+	var stdout, stderr bytes.Buffer
+	findings, err := run([]string{cfg}, &stdout, &stderr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !findings {
+		t.Fatalf("planted stale suppression not reported; stderr:\n%s", stderr.String())
+	}
+	want := file + ":11: stale: //odbgc:alloc-ok"
+	if got := stderr.String(); !strings.Contains(got, want) || strings.Count(got, "\n") != 1 {
+		t.Errorf("stderr = %q, want exactly one finding containing %q", got, want)
+	}
+}

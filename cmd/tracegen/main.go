@@ -4,19 +4,17 @@
 //
 // Usage:
 //
-//	tracegen -o trace.bin [-format binary|jsonl|chunked] [-chunk-bytes N]
-//	         [-seed N] [-live BYTES] [-alloc BYTES] [-dense F] [-cross F]
-//	         [-trees N]
+//	tracegen -o trace.odbgcck [-chunk-bytes N] [-seed N] [-live BYTES]
+//	         [-alloc BYTES] [-dense F] [-cross F] [-trees N]
 //
-// The chunked format streams fixed-size CRC-guarded chunks to disk as
-// they fill, so the encoded trace never resides in memory (the
+// The file is a chunked trace: fixed-size CRC-guarded chunks streamed to
+// disk as they fill, so the encoded trace never resides in memory (the
 // generator's own state still scales with its workload model); gcsim
-// replays chunked traces through a prefetching pipeline at a fixed
-// two-chunk memory budget no matter how long the trace is.
+// replays it through a prefetching pipeline at a fixed two-chunk memory
+// budget no matter how long the trace is.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -40,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		out        = fs.String("o", "", "output trace file (required)")
-		format     = fs.String("format", "binary", "trace format: binary, jsonl, or chunked")
-		chunkBytes = fs.Int("chunk-bytes", 0, "chunk payload target for -format chunked (0 = 4 MiB default)")
+		chunkBytes = fs.Int("chunk-bytes", 0, "chunk payload target in bytes (0 = 4 MiB default)")
 		seed       = fs.Int64("seed", 1, "workload seed")
 		live       = fs.Int64("live", 0, "live-data setpoint in bytes (0 = default)")
 		alloc      = fs.Int64("alloc", 0, "total allocation target in bytes (0 = default)")
@@ -56,12 +53,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	switch {
 	case *out == "":
 		return fmt.Errorf("-o is required")
-	case *format != trace.FormatBinary && *format != trace.FormatJSONL && *format != trace.FormatChunked:
-		return fmt.Errorf("-format %q: unknown format (binary, jsonl, or chunked)", *format)
 	case *chunkBytes < 0:
 		return fmt.Errorf("-chunk-bytes %d: byte count cannot be negative", *chunkBytes)
-	case *chunkBytes > 0 && *format != trace.FormatChunked:
-		return fmt.Errorf("-chunk-bytes only applies to -format chunked, not %q", *format)
 	case *live < 0:
 		return fmt.Errorf("-live %d: byte count cannot be negative", *live)
 	case *alloc < 0:
@@ -102,45 +95,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	var (
-		sink  trace.Sink
-		flush func() error
-		bw    *bufio.Writer
-		aw    *trace.AsyncWriter
-	)
-	switch *format {
-	case trace.FormatChunked:
-		// Chunk encoding is pipelined with file I/O: full chunks queue on
-		// a background writer goroutine while the generator fills the
-		// next one, so generation streams at constant memory.
-		aw = trace.NewAsyncWriter(f, 2)
-		cw := trace.NewChunkWriter(aw, cfg.Fingerprint(), *chunkBytes)
-		sink, flush = cw, cw.Flush
-	case trace.FormatBinary:
-		bw = bufio.NewWriter(f)
-		w := trace.NewWriter(bw)
-		sink, flush = w, w.Flush
-	default:
-		bw = bufio.NewWriter(f)
-		w := trace.NewJSONLWriter(bw)
-		sink, flush = w, w.Flush
-	}
-	st, err := g.Run(sink)
+	// Chunk encoding is pipelined with file I/O: full chunks queue on a
+	// background writer goroutine while the generator fills the next
+	// one, so generation streams at constant memory.
+	aw := trace.NewAsyncWriter(f, 2)
+	cw := trace.NewChunkWriter(aw, cfg.Fingerprint(), *chunkBytes)
+	st, err := g.Run(cw)
 	if err != nil {
 		return err
 	}
-	if err := flush(); err != nil {
+	if err := cw.Flush(); err != nil {
 		return err
 	}
-	if bw != nil {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
-	if aw != nil {
-		if err := aw.Close(); err != nil {
-			return err
-		}
+	if err := aw.Close(); err != nil {
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err

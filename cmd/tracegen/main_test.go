@@ -1,15 +1,14 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"odbgc/internal/trace"
+	"odbgc/internal/workload"
 )
 
 func TestFlagValidationErrors(t *testing.T) {
@@ -22,9 +21,7 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"negative live", []string{"-o", "x.bin", "-live", "-1"}, "-live"},
 		{"negative alloc", []string{"-o", "x.bin", "-alloc", "-1"}, "-alloc"},
 		{"negative trees", []string{"-o", "x.bin", "-trees", "-1"}, "-trees"},
-		{"bad format", []string{"-o", "x.bin", "-format", "xml"}, "format"},
-		{"negative chunk bytes", []string{"-o", "x.bin", "-format", "chunked", "-chunk-bytes", "-1"}, "-chunk-bytes"},
-		{"chunk bytes without chunked", []string{"-o", "x.bin", "-chunk-bytes", "4096"}, "-chunk-bytes"},
+		{"negative chunk bytes", []string{"-o", "x.bin", "-chunk-bytes", "-1"}, "-chunk-bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,75 +37,60 @@ func TestFlagValidationErrors(t *testing.T) {
 	}
 }
 
-// TestGenerateAndInspect round-trips a tiny trace through tracegen's
-// writer in every format, asserting the summary line renders.
+// TestGenerateAndInspect writes a tiny trace through tracegen, asserting
+// the summary line renders and the file opens as a chunked trace.
 func TestGenerateAndInspect(t *testing.T) {
-	for _, format := range []string{"binary", "jsonl", "chunked"} {
-		path := filepath.Join(t.TempDir(), "t."+format)
-		var stdout, stderr bytes.Buffer
-		args := []string{"-o", path, "-format", format,
-			"-live", "50000", "-alloc", "150000", "-trees", "30"}
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatalf("%s: run: %v", format, err)
-		}
-		if !strings.Contains(stdout.String(), "events") {
-			t.Errorf("%s: summary line missing:\n%s", format, stdout.String())
-		}
+	path := filepath.Join(t.TempDir(), "t.odbgcck")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-o", path, "-live", "50000", "-alloc", "150000", "-trees", "30"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !strings.Contains(stdout.String(), "events") {
+		t.Errorf("summary line missing:\n%s", stdout.String())
+	}
+	if _, err := trace.OpenChunkStream(path); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestChunkedOutputStreamsIdentically pins the chunked writer path to
-// the flat binary path: the same seed generates files whose replayed
-// event streams are identical, whatever the chunk size.
+// TestChunkedOutputStreamsIdentically pins tracegen's file to the
+// in-memory recording of the same workload: whatever the chunk size, the
+// file replays the identical event stream.
 func TestChunkedOutputStreamsIdentically(t *testing.T) {
-	dir := t.TempDir()
-	binPath := filepath.Join(dir, "t.bin")
-	args := []string{"-live", "50000", "-alloc", "150000", "-trees", "30"}
-	var stdout, stderr bytes.Buffer
-	if err := run(append([]string{"-o", binPath}, args...), &stdout, &stderr); err != nil {
+	cfg := workload.DefaultConfig()
+	cfg.TargetLiveBytes = 50_000
+	cfg.TotalAllocBytes = 150_000
+	cfg.MeanTreeNodes = 30
+	rt, err := workload.Record(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	binEvents := readAll(t, binPath)
+	var want []trace.Event
+	if err := rt.Replay(sinkFunc(func(e trace.Event) { want = append(want, e) }), nil); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	args := []string{"-live", "50000", "-alloc", "150000", "-trees", "30"}
 	for _, chunkBytes := range []string{"0", "4096"} {
 		path := filepath.Join(dir, "t.ck"+chunkBytes)
-		if err := run(append([]string{"-o", path, "-format", "chunked", "-chunk-bytes", chunkBytes}, args...), &stdout, &stderr); err != nil {
+		var stdout, stderr bytes.Buffer
+		if err := run(append([]string{"-o", path, "-chunk-bytes", chunkBytes}, args...), &stdout, &stderr); err != nil {
 			t.Fatal(err)
 		}
-		if got := readAll(t, path); !reflect.DeepEqual(got, binEvents) {
-			t.Fatalf("chunk-bytes %s: chunked stream diverges from flat binary (%d vs %d events)",
-				chunkBytes, len(got), len(binEvents))
-		}
-	}
-}
-
-// readAll decodes every event of a trace file in either format.
-func readAll(t *testing.T, path string) []trace.Event {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	format, err := trace.SniffFormat(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var events []trace.Event
-	sink := sinkFunc(func(e trace.Event) { events = append(events, e) })
-	if format == trace.FormatChunked {
 		s, err := trace.OpenChunkStream(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Replay(sink); err != nil {
+		var got []trace.Event
+		if err := s.Replay(sinkFunc(func(e trace.Event) { got = append(got, e) })); err != nil {
 			t.Fatal(err)
 		}
-		return events
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk-bytes %s: file diverges from the in-memory recording (%d vs %d events)",
+				chunkBytes, len(got), len(want))
+		}
 	}
-	if _, err := trace.CopyFrom(sink, trace.NewReader(bufio.NewReader(f))); err != nil {
-		t.Fatal(err)
-	}
-	return events
 }
 
 type sinkFunc func(trace.Event)

@@ -1,8 +1,7 @@
-// Command traceinfo inspects a trace file produced by tracegen — binary,
-// JSON Lines, or chunked, detected automatically: event counts by kind,
-// allocation volume, object-size distribution, and the edge read/write
-// ratio. Chunked traces additionally get a per-chunk summary table
-// (events, payload bytes, kind histogram, CRC status); -chunk N drills
+// Command traceinfo inspects a chunked trace file produced by tracegen:
+// event counts by kind, allocation volume, object-size distribution, and
+// the edge read/write ratio, followed by a per-chunk summary table
+// (events, payload bytes, kind histogram, CRC status). -chunk N drills
 // into a single chunk without reading the rest of the file, and -chunk
 // LO-HI drills into a contiguous range. -shards N previews how the
 // sharded engine would split the trace: a per-chunk histogram of events
@@ -12,7 +11,7 @@
 // Usage:
 //
 //	traceinfo [-replay POLICY] [-chunk N|LO-HI] [-shards N]
-//	          [-shard-assign roundrobin|range] trace.bin
+//	          [-shard-assign roundrobin|range] trace.odbgcck
 package main
 
 import (
@@ -45,14 +44,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	replay := fs.String("replay", "", "also replay the trace under this selection policy")
-	chunkSpec := fs.String("chunk", "", "show chunk N, or chunks LO-HI, of a chunked trace (skips the others)")
+	chunkSpec := fs.String("chunk", "", "show chunk N, or chunks LO-HI (skips the others)")
 	shards := fs.Int("shards", 0, "print a per-chunk histogram of events by shard for N shards")
 	shAssign := fs.String("shard-assign", "", "tree-to-shard assignment for -shards: roundrobin or range")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("usage: traceinfo [-replay POLICY] [-chunk N|LO-HI] [-shards N] trace.bin")
+		return errors.New("usage: traceinfo [-replay POLICY] [-chunk N|LO-HI] [-shards N] trace.odbgcck")
 	}
 	path := fs.Arg(0)
 
@@ -80,147 +79,83 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
+	// Opening the stream checks the magic and every chunk header, with
+	// errors naming the path.
+	stream, err := trace.OpenChunkStream(path)
+	if err != nil {
+		return err
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	format, err := trace.SniffFormat(f)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
 	if *shards > 0 {
-		if format != trace.FormatChunked {
-			return fmt.Errorf("-shards %d only applies to chunked traces; %s is a %s trace", *shards, path, format)
-		}
 		return showShardHistogram(stdout, f, path, *shards, assign, chunkLo, chunkHi)
 	}
 	if chunkLo >= 0 {
-		if format != trace.FormatChunked {
-			return fmt.Errorf("-chunk %s only applies to chunked traces; %s is a %s trace", *chunkSpec, path, format)
-		}
 		return showChunks(stdout, f, path, chunkLo, chunkHi)
 	}
 
+	cr := trace.NewChunkReader(bufio.NewReaderSize(f, 1<<20))
 	var (
-		r  eventSource
-		cs *chunkEvents
-	)
-	br := bufio.NewReaderSize(f, 1<<20)
-	switch format {
-	case trace.FormatChunked:
-		cs = &chunkEvents{cr: trace.NewChunkReader(br)}
-		r = cs
-	case trace.FormatBinary:
-		r = trace.NewReader(br)
-	default:
-		r = trace.NewJSONLReader(br)
-	}
-	var (
-		counts      = map[trace.Kind]int64{}
-		allocBytes  int64
-		minSize     = int64(1 << 62)
-		maxSize     int64
-		overwrites  int64
-		fields      = map[heap.OID]int{}
-		valueByLoc  = map[[2]int64]heap.OID{} // (oid, field) -> last value
-		largeCount  int64
-		largeCutoff = int64(4096)
+		st   = traceStats{minSize: 1 << 62, valueByLoc: map[[2]int64]heap.OID{}}
+		c    trace.Chunk
+		sums []chunkSummary
 	)
 	for {
-		e, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
+		if err := cr.Next(&c); err != nil {
+			if errors.Is(err, io.EOF) {
+				break
+			}
 			return err
 		}
-		counts[e.Kind]++
-		switch e.Kind {
-		case trace.KindCreate:
-			allocBytes += e.Size
-			if e.Size < minSize {
-				minSize = e.Size
-			}
-			if e.Size > maxSize {
-				maxSize = e.Size
-			}
-			if e.Size >= largeCutoff {
-				largeCount++
-			}
-			fields[e.OID] = e.NFields
-			if e.Parent != heap.NilOID {
-				valueByLoc[[2]int64{int64(e.Parent), int64(e.ParentField)}] = e.OID
-			}
-		case trace.KindWrite:
-			loc := [2]int64{int64(e.OID), int64(e.Field)}
-			if valueByLoc[loc] != heap.NilOID {
-				overwrites++
-			}
-			valueByLoc[loc] = e.Target
-		case trace.KindRoot, trace.KindRead, trace.KindModify:
-			// Counted in the per-kind totals above; no size or
-			// overwrite bookkeeping applies.
+		before := st.kinds
+		if err := c.Replay(&st); err != nil {
+			return err
 		}
+		sum := chunkSummary{index: c.Index, events: c.Len(), bytes: c.PayloadBytes()}
+		for k := range sum.kinds {
+			sum.kinds[k] = st.kinds[k] - before[k]
+		}
+		sums = append(sums, sum)
 	}
 
-	t := stats.NewTable("Trace: "+path+" ("+format+")", "Metric", "Value")
-	t.AddRow("Events", fmt.Sprint(r.Count()))
-	t.AddRow("Creates", fmt.Sprint(counts[trace.KindCreate]))
-	t.AddRow("Roots", fmt.Sprint(counts[trace.KindRoot]))
-	t.AddRow("Reads", fmt.Sprint(counts[trace.KindRead]))
-	t.AddRow("Writes", fmt.Sprint(counts[trace.KindWrite]))
-	t.AddRow("Modifies", fmt.Sprint(counts[trace.KindModify]))
-	t.AddRow("Pointer overwrites", fmt.Sprint(overwrites))
-	t.AddRow("Allocated bytes", fmt.Sprint(allocBytes))
-	t.AddRow("Object size range", fmt.Sprintf("%d-%d", minSize, maxSize))
-	t.AddRow(fmt.Sprintf("Objects >= %d B", largeCutoff), fmt.Sprint(largeCount))
-	if w := counts[trace.KindWrite] + counts[trace.KindCreate]; w > 0 {
-		t.AddRow("Read/write ratio", fmt.Sprintf("%.1f", float64(counts[trace.KindRead])/float64(w)))
+	t := stats.NewTable("Trace: "+path, "Metric", "Value")
+	t.AddRow("Events", fmt.Sprint(cr.Count()))
+	t.AddRow("Creates", fmt.Sprint(st.kinds[trace.KindCreate]))
+	t.AddRow("Roots", fmt.Sprint(st.kinds[trace.KindRoot]))
+	t.AddRow("Reads", fmt.Sprint(st.kinds[trace.KindRead]))
+	t.AddRow("Writes", fmt.Sprint(st.kinds[trace.KindWrite]))
+	t.AddRow("Modifies", fmt.Sprint(st.kinds[trace.KindModify]))
+	t.AddRow("Pointer overwrites", fmt.Sprint(st.overwrites))
+	t.AddRow("Allocated bytes", fmt.Sprint(st.allocBytes))
+	t.AddRow("Object size range", fmt.Sprintf("%d-%d", st.minSize, st.maxSize))
+	t.AddRow(fmt.Sprintf("Objects >= %d B", largeCutoff), fmt.Sprint(st.large))
+	if w := st.kinds[trace.KindWrite] + st.kinds[trace.KindCreate]; w > 0 {
+		t.AddRow("Read/write ratio", fmt.Sprintf("%.1f", float64(st.kinds[trace.KindRead])/float64(w)))
 	}
 	fmt.Fprintln(stdout, t)
 
-	if cs != nil {
-		// Every chunk that reached the summary survived its CRC check; a
-		// mismatch aborts the scan above with an error naming the chunk.
-		ct := stats.NewTable(fmt.Sprintf("Chunks: %d, fingerprint %#016x", len(cs.sums), cs.cr.Fingerprint()),
-			"Chunk", "Events", "Payload B", "Creates", "Roots", "Reads", "Writes", "Modifies", "CRC")
-		for _, s := range cs.sums {
-			ct.AddRow(fmt.Sprint(s.index), fmt.Sprint(s.events), fmt.Sprint(s.bytes),
-				fmt.Sprint(s.kinds[trace.KindCreate]), fmt.Sprint(s.kinds[trace.KindRoot]),
-				fmt.Sprint(s.kinds[trace.KindRead]), fmt.Sprint(s.kinds[trace.KindWrite]),
-				fmt.Sprint(s.kinds[trace.KindModify]), "ok")
-		}
-		fmt.Fprintln(stdout, ct)
+	// Every chunk that reached the summary survived its CRC check; a
+	// mismatch aborts the scan above with an error naming the chunk.
+	ct := stats.NewTable(fmt.Sprintf("Chunks: %d, fingerprint %#016x", len(sums), cr.Fingerprint()),
+		"Chunk", "Events", "Payload B", "Creates", "Roots", "Reads", "Writes", "Modifies", "CRC")
+	for _, s := range sums {
+		ct.AddRow(fmt.Sprint(s.index), fmt.Sprint(s.events), fmt.Sprint(s.bytes),
+			fmt.Sprint(s.kinds[trace.KindCreate]), fmt.Sprint(s.kinds[trace.KindRoot]),
+			fmt.Sprint(s.kinds[trace.KindRead]), fmt.Sprint(s.kinds[trace.KindWrite]),
+			fmt.Sprint(s.kinds[trace.KindModify]), "ok")
 	}
+	fmt.Fprintln(stdout, ct)
 
 	if *replay != "" {
 		s, err := sim.New(sim.DefaultConfig(*replay))
 		if err != nil {
 			return err
 		}
-		if format == trace.FormatChunked {
-			stream, err := trace.OpenChunkStream(path)
-			if err != nil {
-				return err
-			}
-			if err := stream.Replay(s); err != nil {
-				return err
-			}
-		} else {
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				return err
-			}
-			br := bufio.NewReaderSize(f, 1<<20)
-			var r2 eventSource
-			if format == trace.FormatBinary {
-				r2 = trace.NewReader(br)
-			} else {
-				r2 = trace.NewJSONLReader(br)
-			}
-			if _, err := trace.CopyFrom(s, r2); err != nil {
-				return err
-			}
+		if err := stream.Replay(s); err != nil {
+			return err
 		}
 		res := s.Finish()
 		rt := stats.NewTable("Replay under "+res.Policy, "Metric", "Value")
@@ -230,6 +165,49 @@ func run(args []string, stdout, stderr io.Writer) error {
 		rt.AddRow("Fraction reclaimed %", fmt.Sprintf("%.1f", 100*res.FractionReclaimed()))
 		rt.AddRow("Max storage KB", fmt.Sprint(res.MaxOccupiedBytes/1024))
 		fmt.Fprintln(stdout, rt)
+	}
+	return nil
+}
+
+// largeCutoff is the object size the summary counts as large.
+const largeCutoff = 4096
+
+// traceStats accumulates the whole-trace summary as events stream by.
+type traceStats struct {
+	kinds            [trace.KindModify + 1]int64
+	allocBytes       int64
+	minSize, maxSize int64
+	large            int64
+	overwrites       int64
+	valueByLoc       map[[2]int64]heap.OID // (oid, field) -> last value
+}
+
+func (s *traceStats) Emit(e trace.Event) error {
+	s.kinds[e.Kind]++
+	switch e.Kind {
+	case trace.KindCreate:
+		s.allocBytes += e.Size
+		if e.Size < s.minSize {
+			s.minSize = e.Size
+		}
+		if e.Size > s.maxSize {
+			s.maxSize = e.Size
+		}
+		if e.Size >= largeCutoff {
+			s.large++
+		}
+		if e.Parent != heap.NilOID {
+			s.valueByLoc[[2]int64{int64(e.Parent), int64(e.ParentField)}] = e.OID
+		}
+	case trace.KindWrite:
+		loc := [2]int64{int64(e.OID), int64(e.Field)}
+		if s.valueByLoc[loc] != heap.NilOID {
+			s.overwrites++
+		}
+		s.valueByLoc[loc] = e.Target
+	case trace.KindRoot, trace.KindRead, trace.KindModify:
+		// Counted in the per-kind totals above; no size or overwrite
+		// bookkeeping applies.
 	}
 	return nil
 }
@@ -389,20 +367,11 @@ func showShardHistogram(stdout io.Writer, f *os.File, path string, shards int, a
 }
 
 // kindCountSink tallies replayed events by kind.
-type kindCountSink struct{ kinds map[trace.Kind]int64 }
+type kindCountSink struct{ kinds [trace.KindModify + 1]int64 }
 
 func (s *kindCountSink) Emit(e trace.Event) error {
-	if s.kinds == nil {
-		s.kinds = map[trace.Kind]int64{}
-	}
 	s.kinds[e.Kind]++
 	return nil
-}
-
-// eventSource unifies the binary, JSONL, and chunked readers.
-type eventSource interface {
-	Next() (trace.Event, error)
-	Count() int64
 }
 
 // chunkSummary is one chunk's row of the per-chunk table.
@@ -410,44 +379,8 @@ type chunkSummary struct {
 	index  int
 	events int
 	bytes  int
-	kinds  map[trace.Kind]int64
+	kinds  [trace.KindModify + 1]int64
 }
-
-// chunkEvents adapts a ChunkReader to the per-event eventSource
-// interface, buffering one decoded chunk at a time and recording a
-// summary of each chunk it crosses.
-type chunkEvents struct {
-	cr    *trace.ChunkReader
-	c     trace.Chunk
-	buf   []trace.Event
-	pos   int
-	count int64
-	sums  []chunkSummary
-}
-
-func (s *chunkEvents) Next() (trace.Event, error) {
-	for s.pos >= len(s.buf) {
-		if err := s.cr.Next(&s.c); err != nil {
-			return trace.Event{}, err
-		}
-		s.buf = s.buf[:0]
-		if err := s.c.Replay(collectFunc(func(e trace.Event) { s.buf = append(s.buf, e) })); err != nil {
-			return trace.Event{}, err
-		}
-		s.pos = 0
-		sum := chunkSummary{index: s.c.Index, events: len(s.buf), bytes: s.c.PayloadBytes(), kinds: map[trace.Kind]int64{}}
-		for _, e := range s.buf {
-			sum.kinds[e.Kind]++
-		}
-		s.sums = append(s.sums, sum)
-	}
-	e := s.buf[s.pos]
-	s.pos++
-	s.count++
-	return e, nil
-}
-
-func (s *chunkEvents) Count() int64 { return s.count }
 
 // collectFunc adapts a function to the trace.Sink interface.
 type collectFunc func(trace.Event)

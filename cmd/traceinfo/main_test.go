@@ -1,8 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,43 +13,21 @@ import (
 	"odbgc/internal/workload"
 )
 
-// writeTinyTrace generates a small binary trace for the tests to inspect.
+// writeTinyTrace generates a small workload into a chunked trace file
+// with the default chunk size: a single chunk.
 func writeTinyTrace(t *testing.T) string {
 	t.Helper()
-	cfg := workload.DefaultConfig()
-	cfg.TargetLiveBytes = 50_000
-	cfg.TotalAllocBytes = 150_000
-	cfg.MeanTreeNodes = 30
-	g, err := workload.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "tiny.bin")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw := bufio.NewWriter(f)
-	w := trace.NewWriter(bw)
-	if _, err := g.Run(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
+	return writeTinyTraceChunks(t, 0)
 }
 
 // writeTinyChunkedTrace generates the same workload as writeTinyTrace
-// into a chunked file with small chunks, so the per-chunk table has
-// several rows.
+// with small chunks, so the per-chunk table has several rows.
 func writeTinyChunkedTrace(t *testing.T) string {
+	t.Helper()
+	return writeTinyTraceChunks(t, 4096)
+}
+
+func writeTinyTraceChunks(t *testing.T, chunkBytes int) string {
 	t.Helper()
 	cfg := workload.DefaultConfig()
 	cfg.TargetLiveBytes = 50_000
@@ -64,7 +42,7 @@ func writeTinyChunkedTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw := trace.NewChunkWriter(f, cfg.Fingerprint(), 4096)
+	cw := trace.NewChunkWriter(f, cfg.Fingerprint(), chunkBytes)
 	if _, err := g.Run(cw); err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +50,16 @@ func writeTinyChunkedTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeNotATrace writes a file that is not a chunked trace.
+func writeNotATrace(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, []byte(`{"k":"read","oid":1}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -106,10 +94,10 @@ func TestInspectAndReplay(t *testing.T) {
 	}
 }
 
-// TestInspectChunked checks a chunked trace gets the global summary, the
-// per-chunk table, the -chunk drill-down, and a streamed -replay, and
-// that the event totals agree with the flat binary inspection of the
-// same workload.
+// TestInspectChunked checks a many-chunk trace gets the global summary,
+// the per-chunk table, the -chunk drill-down, and a streamed -replay,
+// and that the event totals agree with the single-chunk inspection of
+// the same workload.
 func TestInspectChunked(t *testing.T) {
 	path := writeTinyChunkedTrace(t)
 
@@ -118,14 +106,15 @@ func TestInspectChunked(t *testing.T) {
 		t.Fatalf("inspect: %v", err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"(chunked)", "Creates", "Chunks:", "fingerprint", "ok"} {
+	for _, want := range []string{"Trace: ", "Creates", "Chunks:", "fingerprint", "ok"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("chunked inspect output missing %q:\n%s", want, out)
 		}
 	}
 
-	// The flat binary of the same workload must report identical totals.
-	binOut := func() string {
+	// The single-chunk file of the same workload must report identical
+	// totals.
+	oneOut := func() string {
 		var b bytes.Buffer
 		if err := run([]string{writeTinyTrace(t)}, &b, &stderr); err != nil {
 			t.Fatal(err)
@@ -133,8 +122,8 @@ func TestInspectChunked(t *testing.T) {
 		return b.String()
 	}()
 	chunkTotals := out[:strings.Index(out, "Chunks:")]
-	if got, want := tableBody(chunkTotals), tableBody(binOut); got != want {
-		t.Errorf("chunked totals diverge from binary totals:\n%s\nvs:\n%s", got, want)
+	if got, want := tableBody(chunkTotals), tableBody(oneOut[:strings.Index(oneOut, "Chunks:")]); got != want {
+		t.Errorf("many-chunk totals diverge from single-chunk totals:\n%s\nvs:\n%s", got, want)
 	}
 
 	stdout.Reset()
@@ -157,16 +146,16 @@ func TestInspectChunked(t *testing.T) {
 }
 
 // TestChunkFlagErrors covers the -chunk drill-down's error paths: out of
-// range for a chunked trace, and any use on a non-chunked trace.
+// range for a chunked trace, and any use on a file that is not one.
 func TestChunkFlagErrors(t *testing.T) {
 	chunked := writeTinyChunkedTrace(t)
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-chunk", "100000", chunked}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "only") {
 		t.Errorf("-chunk past the end: err = %v, want chunk-count error", err)
 	}
-	flat := writeTinyTrace(t)
-	if err := run([]string{"-chunk", "0", flat}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "-chunk") {
-		t.Errorf("-chunk on binary trace: err = %v, want named-flag error", err)
+	other := writeNotATrace(t)
+	if err := run([]string{"-chunk", "0", other}, &stdout, &stderr); !errors.Is(err, trace.ErrBadChunkMagic) || !strings.Contains(err.Error(), other) {
+		t.Errorf("-chunk on a non-trace file: err = %v, want ErrBadChunkMagic naming the path", err)
 	}
 }
 
@@ -320,8 +309,8 @@ func TestShardHistogram(t *testing.T) {
 		})
 	}
 
-	flat := writeTinyTrace(t)
-	if err := run([]string{"-shards", "2", flat}, &stdout, &stderr); err == nil || !strings.Contains(err.Error(), "chunked") {
-		t.Errorf("-shards on binary trace: err = %v, want chunked-only error", err)
+	other := writeNotATrace(t)
+	if err := run([]string{"-shards", "2", other}, &stdout, &stderr); !errors.Is(err, trace.ErrBadChunkMagic) || !strings.Contains(err.Error(), other) {
+		t.Errorf("-shards on a non-trace file: err = %v, want ErrBadChunkMagic naming the path", err)
 	}
 }

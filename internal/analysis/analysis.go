@@ -104,26 +104,7 @@ const suppressionPrefix = "odbgc:"
 // immediately above it, carries an //odbgc:<marker> comment.
 func (p *Pass) Suppressed(pos token.Pos, marker string) bool {
 	if p.suppressions == nil {
-		p.suppressions = map[string]map[int]string{}
-		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			lines := map[int]string{}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, suppressionPrefix) {
-						continue
-					}
-					word := strings.TrimPrefix(text, suppressionPrefix)
-					if i := strings.IndexAny(word, " \t"); i >= 0 {
-						word = word[:i]
-					}
-					lines[p.Fset.Position(c.Pos()).Line] = word
-				}
-			}
-			p.suppressions[name] = lines
-		}
+		p.suppressions = Suppressions(p.Fset, p.Files)
 	}
 	posn := p.Fset.Position(pos)
 	lines := p.suppressions[posn.Filename]
@@ -139,6 +120,31 @@ func (p *Pass) Suppressed(pos token.Pos, marker string) bool {
 		}
 	}
 	return false
+}
+
+// Suppressions maps file -> line -> marker for every //odbgc:<marker>
+// comment in files.
+func Suppressions(fset *token.FileSet, files []*ast.File) map[string]map[int]string {
+	out := map[string]map[int]string{}
+	for _, f := range files {
+		lines := map[int]string{}
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				text := strings.TrimPrefix(c.Text, "//")
+				text = strings.TrimSpace(text)
+				if !strings.HasPrefix(text, suppressionPrefix) {
+					continue
+				}
+				word := strings.TrimPrefix(text, suppressionPrefix)
+				if i := strings.IndexAny(word, " \t"); i >= 0 {
+					word = word[:i]
+				}
+				lines[fset.Position(c.Pos()).Line] = word
+			}
+		}
+		out[fset.Position(f.Pos()).Filename] = lines
+	}
+	return out
 }
 
 // InTestFile reports whether pos lies in a _test.go file. The analyzers

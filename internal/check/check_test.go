@@ -67,18 +67,6 @@ func TestCatalogPassesOnCleanRuns(t *testing.T) {
 	}
 }
 
-// TestCatalogPassesBufferedBarrier exercises the DrainBarrier-before-audit
-// path: the SSB leaves remembered sets stale between stores, and the
-// audit must observe the drained state.
-func TestCatalogPassesBufferedBarrier(t *testing.T) {
-	cfg := testSim(core.NameMutatedPartition)
-	cfg.BufferedBarrier = true
-	cfg.Audit = check.Audited(1, 1024)
-	if _, _, err := sim.RunWorkload(cfg, testWorkload()); err != nil {
-		t.Fatalf("audited buffered-barrier run failed: %v", err)
-	}
-}
-
 // TestFaultInjectionDetected corrupts one remembered-set entry and
 // demands the audit name the specific invariant that broke, through both
 // the direct catalog call and the simulator's Audit wrapper.

@@ -11,8 +11,9 @@ import (
 // DiffResults compares two runs that must be bit-identical and reports
 // every field that diverges, first field first — a readable account of
 // where two supposedly equivalent paths came apart, instead of a bare
-// DeepEqual verdict. labelA and labelB name the two paths (e.g. "frozen
-// replay" / "packed replay"). It returns nil when the results agree.
+// DeepEqual verdict. labelA and labelB name the two paths (e.g.
+// "in-memory replay" / "streamed chunked replay"). It returns nil when
+// the results agree.
 func DiffResults(labelA, labelB string, a, b sim.Result) error {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	t := va.Type()

@@ -34,10 +34,8 @@ type Options struct {
 // agree bit-for-bit:
 //
 //   - audited vs unaudited (auditing must not perturb results);
-//   - frozen columnar replay vs packed varint replay;
-//   - streamed chunked-file replay vs the in-memory frozen replay;
+//   - streamed chunked-file replay vs the in-memory replay;
 //   - recorded-trace replay vs a live generator run;
-//   - eager write barrier vs the buffered (SSB) barrier;
 //   - serial loop vs the parallel scheduler with a shared trace cache;
 //   - trigger parity across all policies (TriggerParity);
 //   - the sharded engine's goroutine-per-shard mode vs its serial mode
@@ -118,21 +116,7 @@ func SelfCheck(opts Options) error {
 		}
 		ref := byPolicy[policy][i]
 
-		// Frozen columnar replay vs decoding the packed buffer per event.
-		if rt.Frozen == nil {
-			return fmt.Errorf("selfcheck: workload seed %d did not freeze — packed-vs-frozen path untestable", wl.Seed)
-		}
-		packed := *rt
-		packed.Frozen = nil
-		resPacked, err := sim.RunRecorded(cfg, &packed)
-		if err != nil {
-			return fmt.Errorf("selfcheck: packed replay (seed %d): %w", wl.Seed, err)
-		}
-		if err := DiffResults("frozen replay", "packed replay", ref, resPacked); err != nil {
-			return fmt.Errorf("selfcheck: seed %d: %w", wl.Seed, err)
-		}
-
-		// Streamed chunked-file replay vs the in-memory frozen replay.
+		// Streamed chunked-file replay vs the in-memory replay.
 		// Small chunks force many boundaries through the prefetch
 		// pipeline; the build/churn boundary carries over from the
 		// in-memory recording since the file does not store it.
@@ -158,7 +142,7 @@ func SelfCheck(opts Options) error {
 		if serr != nil {
 			return fmt.Errorf("selfcheck: streamed replay (seed %d): %w", wl.Seed, serr)
 		}
-		if err := DiffResults("frozen replay", "streamed chunked replay", ref, resStreamed); err != nil {
+		if err := DiffResults("in-memory replay", "streamed chunked replay", ref, resStreamed); err != nil {
 			return fmt.Errorf("selfcheck: seed %d: %w", wl.Seed, err)
 		}
 
@@ -168,18 +152,6 @@ func SelfCheck(opts Options) error {
 			return fmt.Errorf("selfcheck: live generator run (seed %d): %w", wl.Seed, err)
 		}
 		if err := DiffResults("recorded replay", "live generator", ref, resFresh); err != nil {
-			return fmt.Errorf("selfcheck: seed %d: %w", wl.Seed, err)
-		}
-
-		// Eager barrier vs the sequential store buffer.
-		ssb := cfg
-		ssb.BufferedBarrier = true
-		ssb.Audit = Audited(1, everyEvents)
-		resSSB, err := sim.RunRecorded(ssb, rt)
-		if err != nil {
-			return fmt.Errorf("selfcheck: buffered-barrier run (seed %d): %w", wl.Seed, err)
-		}
-		if err := DiffResults("eager barrier", "buffered barrier", ref, resSSB); err != nil {
 			return fmt.Errorf("selfcheck: seed %d: %w", wl.Seed, err)
 		}
 	}

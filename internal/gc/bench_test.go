@@ -27,7 +27,7 @@ func benchRig(b *testing.B, pol core.Policy) *rig {
 	return &rig{
 		h: h, buf: buf, rem: rem, pol: pol, env: env,
 		mut: NewMutator(h, buf, rem, pol),
-		col: NewCollector(h, buf, rem, pol, env),
+		col: auditedCollector{Collector: NewCollector(h, buf, rem, pol, env)},
 	}
 }
 

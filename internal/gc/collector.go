@@ -51,7 +51,6 @@ type Collector struct {
 	env       *core.Env
 	stats     CollectorStats
 	lifetime  CollectorStats
-	paranoid  bool
 	traversal Traversal
 
 	// externalRoots and onDiscard are the sharded engine's hooks; see
@@ -113,10 +112,6 @@ func NewCollector(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core
 	return &Collector{h: h, buf: buf, rem: rem, pol: pol, env: env}
 }
 
-// SetParanoid enables a remembered-set audit after every collection.
-// Tests use it; it is far too slow for full experiment runs.
-func (c *Collector) SetParanoid(on bool) { c.paranoid = on }
-
 // SetTraversal selects the copy traversal order (default BreadthFirst).
 func (c *Collector) SetTraversal(t Traversal) { c.traversal = t }
 
@@ -164,11 +159,6 @@ func (c *Collector) Collect() CollectionResult {
 	}
 	res := c.evacuate(victim)
 	c.pol.Collected(victim, res.Dest)
-	if c.paranoid {
-		if msg := c.rem.Audit(); msg != "" {
-			panic("gc: remembered sets inconsistent after collection: " + msg) //odbgc:alloc-ok panic path
-		}
-	}
 	return res
 }
 

@@ -73,11 +73,5 @@ func (c *Collector) GlobalSweep() GlobalSweepResult {
 			obj.Fields[f] = heap.NilOID
 		}
 	}
-
-	if c.paranoid {
-		if msg := c.rem.Audit(); msg != "" {
-			panic("gc: remembered sets inconsistent after global sweep: " + msg)
-		}
-	}
 	return res
 }

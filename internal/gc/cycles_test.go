@@ -178,7 +178,7 @@ func TestGlobalSweepUnderChurn(t *testing.T) {
 		}
 	}
 	r.col.GlobalSweep()
-	// Collect every partition twice; paranoid mode audits remsets.
+	// Collect every partition twice; the rig audits remsets after each.
 	for round := 0; round < 2; round++ {
 		for p := 0; p < r.h.NumPartitions(); p++ {
 			r.col.Collect()

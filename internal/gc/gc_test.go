@@ -18,7 +18,36 @@ type rig struct {
 	pol core.Policy
 	env *core.Env
 	mut *Mutator
-	col *Collector
+	col auditedCollector
+}
+
+// auditedCollector is a rig's collector. With a non-nil tb, every
+// Collect and GlobalSweep is followed by a brute-force audit of the
+// remembered sets, failing the test on any disagreement.
+type auditedCollector struct {
+	*Collector
+	tb testing.TB
+}
+
+func (c auditedCollector) Collect() CollectionResult {
+	res := c.Collector.Collect()
+	c.audit("collection")
+	return res
+}
+
+func (c auditedCollector) GlobalSweep() GlobalSweepResult {
+	res := c.Collector.GlobalSweep()
+	c.audit("global sweep")
+	return res
+}
+
+func (c auditedCollector) audit(after string) {
+	if c.tb == nil {
+		return
+	}
+	if msg := c.rem.Audit(); msg != "" {
+		c.tb.Fatalf("remembered sets inconsistent after %s: %s", after, msg)
+	}
 }
 
 // newRig builds a rig with small partitions (pageSize 512 × 8 pages =
@@ -35,12 +64,10 @@ func newRig(t *testing.T, pol core.Policy) *rig {
 	}
 	rem := remset.New(h)
 	env := &core.Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(1))}
-	col := NewCollector(h, buf, rem, pol, env)
-	col.SetParanoid(true)
 	return &rig{
 		h: h, buf: buf, rem: rem, pol: pol, env: env,
 		mut: NewMutator(h, buf, rem, pol),
-		col: col,
+		col: auditedCollector{Collector: NewCollector(h, buf, rem, pol, env), tb: t},
 	}
 }
 

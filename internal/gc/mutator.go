@@ -24,11 +24,6 @@ type Mutator struct {
 	rem *remset.Table
 	pol core.Policy
 
-	// ssb and buffered implement the sequential-store-buffer barrier
-	// variant; see ssb.go.
-	ssb      []storeRecord
-	buffered bool
-
 	overwrites      int64 // pointer overwrites since the last collection
 	totalOverwrites int64
 	pointerStores   int64
@@ -128,11 +123,7 @@ func (m *Mutator) store(src heap.OID, field int, target heap.OID, creation bool)
 		}
 	}
 
-	if m.buffered {
-		m.ssb = append(m.ssb, storeRecord{src: src, field: field, old: old, target: target})
-	} else {
-		m.rem.PointerWrite(src, field, old, target)
-	}
+	m.rem.PointerWrite(src, field, old, target)
 	core.PropagateStore(m.h, src, target)
 	m.pol.PointerStore(ctx)
 

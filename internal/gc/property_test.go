@@ -13,7 +13,7 @@ import (
 // property test: random allocation/store/deletion churn interleaved with
 // collections under every policy must (1) preserve exactly the reachable
 // object set, (2) never dangle a pointer in a live object, (3) keep the
-// remembered sets exact (paranoid audit inside Collect), and (4) reclaim
+// remembered sets exact (the rig audits after every Collect), and (4) reclaim
 // only unreachable bytes.
 func TestCollectionPreservesReachabilityUnderChurn(t *testing.T) {
 	policies := []string{
@@ -139,7 +139,7 @@ func collectAndCheck(t *testing.T, r *rig) bool {
 	}
 	occupiedBefore := r.h.OccupiedBytes()
 
-	res := r.col.Collect() // paranoid mode audits remsets internally
+	res := r.col.Collect() // the rig audits remsets after every Collect
 	if !res.Collected {
 		return true
 	}

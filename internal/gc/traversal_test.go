@@ -110,7 +110,7 @@ func TestPageFirstReducesReReads(t *testing.T) {
 		r := &rig{
 			h: h, buf: buf, rem: rem, pol: pol, env: env,
 			mut: NewMutator(h, buf, rem, pol),
-			col: NewCollector(h, buf, rem, pol, env),
+			col: auditedCollector{Collector: NewCollector(h, buf, rem, pol, env)},
 		}
 		r.col.SetTraversal(traversal)
 

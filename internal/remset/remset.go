@@ -392,7 +392,7 @@ func (t *Table) CorruptFirstEntryForTesting(p heap.PartitionID) bool {
 
 // Audit verifies the table against a brute-force scan of the heap,
 // returning a description of the first inconsistency found, or "" if the
-// table is exact. Tests and the simulator's paranoid mode use it.
+// table is exact. Tests and the invariant audit use it.
 func (t *Table) Audit() string {
 	type rec struct {
 		target  heap.OID

@@ -58,23 +58,6 @@ func TestAllocationTriggerExtension(t *testing.T) {
 	}
 }
 
-func TestBufferedBarrierSimEquivalence(t *testing.T) {
-	eager := smallSim(core.NameUpdatedPointer)
-	buffered := eager
-	buffered.BufferedBarrier = true
-	a, _, err := RunWorkload(eager, smallWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := RunWorkload(buffered, smallWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("buffered barrier changed results:\n eager    %+v\n buffered %+v", a, b)
-	}
-}
-
 func TestClockBufferExtension(t *testing.T) {
 	cfg := smallSim(core.NameUpdatedPointer)
 	cfg.Replacement = pagebuf.Clock

@@ -117,19 +117,15 @@ func TestGoldenCachedReplay(t *testing.T) {
 }
 
 // TestGoldenStreamedReplay pins the streaming pipeline's bit-identity
-// claim: one fixed-seed trace replayed through every delivery path — the
-// decode-once frozen columns, the packed per-event decoder, and the
-// chunked on-disk stream (with small chunks, so the prefetch pipeline
-// crosses many chunk boundaries) — produces byte-identical Results under
-// every paper policy. Combined with TestGoldenDeterminism, the streamed
+// claim: one fixed-seed trace replayed through both delivery paths — the
+// in-memory columns and the chunked on-disk stream (with small chunks,
+// so the prefetch pipeline crosses many chunk boundaries) — produces
+// byte-identical Results under every paper policy. Combined with TestGoldenDeterminism, the streamed
 // path is thereby pinned to the same golden results as a live run.
 func TestGoldenStreamedReplay(t *testing.T) {
 	rt, err := workload.Record(goldenWorkload())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rt.Frozen == nil {
-		t.Fatal("golden workload did not freeze")
 	}
 	path := filepath.Join(t.TempDir(), "golden.odbgcck")
 	if err := rt.WriteChunked(path, 64<<10); err != nil {
@@ -148,28 +144,18 @@ func TestGoldenStreamedReplay(t *testing.T) {
 	streamed.Stats = rt.Stats
 	streamed.BuildEvents = rt.BuildEvents
 
-	packed := *rt
-	packed.Frozen = nil
-
 	for _, policy := range core.PaperNames() {
-		frozenRes, err := sim.RunRecorded(goldenSim(policy), rt)
+		memRes, err := sim.RunRecorded(goldenSim(policy), rt)
 		if err != nil {
-			t.Fatalf("%s: frozen replay: %v", policy, err)
-		}
-		packedRes, err := sim.RunRecorded(goldenSim(policy), &packed)
-		if err != nil {
-			t.Fatalf("%s: packed replay: %v", policy, err)
+			t.Fatalf("%s: in-memory replay: %v", policy, err)
 		}
 		streamedRes, err := sim.RunRecorded(goldenSim(policy), streamed)
 		if err != nil {
 			t.Fatalf("%s: streamed replay: %v", policy, err)
 		}
-		if !reflect.DeepEqual(packedRes, frozenRes) {
-			t.Errorf("%s: packed replay diverged from frozen replay", policy)
-		}
-		if !reflect.DeepEqual(streamedRes, frozenRes) {
-			t.Errorf("%s: streamed chunked replay diverged from frozen replay\n got: %+v\nwant: %+v",
-				policy, streamedRes, frozenRes)
+		if !reflect.DeepEqual(streamedRes, memRes) {
+			t.Errorf("%s: streamed chunked replay diverged from in-memory replay\n got: %+v\nwant: %+v",
+				policy, streamedRes, memRes)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestOO1Paranoid(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallSim(core.NameMostGarbage)
-	cfg.Paranoid = true // audits remsets after every collection
+	cfg.Audit = remsetAudit()
 	if _, _, err := RunSource(cfg, g); err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,6 @@ type Config struct {
 	// SampleEvery records a time-series sample every N application events
 	// (0 disables sampling). Samples power Figures 4 and 5.
 	SampleEvery int64
-	// Paranoid audits the remembered sets after every collection. Orders
-	// of magnitude slower; for tests.
-	Paranoid bool
 	// CollectPartitions is how many partitions one activation collects
 	// (the paper's algorithms collect exactly 1; >1 is the multi-partition
 	// extension). 0 means 1.
@@ -80,11 +77,6 @@ type Config struct {
 	// sources are dead so cross-partition cyclic garbage becomes
 	// collectable — the paper's Section 6.5 future work. 0 disables it.
 	GlobalSweepEvery int
-	// BufferedBarrier maintains the remembered sets through a sequential
-	// store buffer drained at collection time instead of eagerly at each
-	// store (the paper's Table 1 alternative barrier implementation).
-	// Results are identical under the I/O cost model.
-	BufferedBarrier bool
 	// WarmStart discards the build phase from the measurement: counters,
 	// I/O statistics, high-water marks, and time series restart when the
 	// workload's initial forest is complete. The paper measures cold
@@ -268,9 +260,7 @@ func New(cfg Config) (*Sim, error) {
 		trig:   trig,
 		oracle: oracle,
 	}
-	s.col.SetParanoid(cfg.Paranoid)
 	s.col.SetTraversal(cfg.Traversal)
-	s.mut.SetBufferedBarrier(cfg.BufferedBarrier)
 	if cfg.SampleEvery > 0 {
 		s.series = stats.NewSeries("events",
 			"occupied_kb", "live_kb", "unreclaimed_garbage_kb", "footprint_kb")
@@ -411,14 +401,11 @@ func (s *Sim) auditTick() error {
 }
 
 // Audit runs the configured invariant check immediately, regardless of
-// cadence. The buffered write barrier is drained first so the remembered
-// sets reflect every store applied so far (a no-op under the eager
-// barrier). Returns nil when no check is configured.
+// cadence. Returns nil when no check is configured.
 func (s *Sim) Audit() error {
 	if s.cfg.Audit.Check == nil {
 		return nil
 	}
-	s.mut.DrainBarrier()
 	if err := s.cfg.Audit.Check(s); err != nil {
 		return fmt.Errorf("sim: audit after %d events (policy %s, seed %d): %w",
 			s.events, s.cfg.Policy, s.cfg.Seed, err)
@@ -430,7 +417,6 @@ func (s *Sim) Audit() error {
 // the extension) and resets the trigger. cause is the trigger that
 // fired, threaded through to the activation records.
 func (s *Sim) collect(cause TriggerCause) {
-	s.mut.DrainBarrier()
 	n := s.cfg.CollectPartitions
 	if n <= 0 {
 		n = 1

@@ -1,7 +1,9 @@
 package sim
 
 import (
-	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"odbgc/internal/core"
@@ -33,12 +35,26 @@ func smallSim(policy string) Config {
 	}
 }
 
+// remsetAudit fails a run when, after any collection, the remembered
+// sets disagree with a brute-force rescan of the heap.
+func remsetAudit() AuditConfig {
+	return AuditConfig{
+		Check: func(s *Sim) error {
+			if msg := s.Remset().Audit(); msg != "" {
+				return fmt.Errorf("remembered sets inconsistent: %s", msg)
+			}
+			return nil
+		},
+		EveryCollections: 1,
+	}
+}
+
 func TestRunAllPoliciesSmall(t *testing.T) {
 	for _, policy := range core.Names() {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			cfg := smallSim(policy)
-			cfg.Paranoid = true
+			cfg.Audit = remsetAudit()
 			res, wl, err := RunWorkload(cfg, smallWorkload())
 			if err != nil {
 				t.Fatal(err)
@@ -123,8 +139,12 @@ func TestTraceFileReplayMatchesDirectStreaming(t *testing.T) {
 	// Write the workload to a trace file, then replay; the result must be
 	// identical to streaming the generator straight into the simulator.
 	wlCfg := smallWorkload()
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
+	path := filepath.Join(t.TempDir(), "small.odbgcck")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := trace.NewChunkWriter(f, wlCfg.Fingerprint(), 4096)
 	g, err := workload.New(wlCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,12 +155,19 @@ func TestTraceFileReplayMatchesDirectStreaming(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := New(smallSim(core.NameUpdatedPointer))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trace.Copy(s, trace.NewReader(&buf)); err != nil {
+	stream, err := trace.OpenChunkStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stream.Replay(s); err != nil {
 		t.Fatal(err)
 	}
 	replayed := s.Finish()

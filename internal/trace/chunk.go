@@ -12,15 +12,14 @@ import (
 // memory. The file is the chunk magic followed by any number of
 // self-describing chunks; each chunk is a fixed-size header (event
 // count, payload length, chunk index, payload CRC-32, and the generating
-// configuration's fingerprint) followed by a payload in the same packed
-// opcode+uvarint encoding the in-memory Buffer uses. A reader decodes
-// each payload exactly once into the columnar layout Frozen replays
-// from, so streamed replay drains the same zero-alloc fast path as the
-// in-memory cache while only ever holding a bounded number of chunks.
+// configuration's fingerprint) followed by a payload in the packed
+// opcode+uvarint encoding (codec.go). A reader decodes each payload
+// exactly once into the columnar layout Buffer holds, so streamed replay
+// drains the same zero-alloc fast path as the in-memory cache while only
+// ever holding a bounded number of chunks.
 
 // chunkMagic identifies chunked odbgc trace files; the trailing byte is
-// the format version. It deliberately differs from the flat binary
-// stream's magic so readers can sniff which decoder a file needs.
+// the format version.
 var chunkMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'c', 'k', 1}
 
 // ErrBadChunkMagic is returned when a stream is not a chunked odbgc
@@ -56,7 +55,9 @@ const (
 // ChunkWriter encodes events into fixed-size chunks on an underlying
 // stream. It implements Sink, so a workload generator can stream an
 // arbitrarily long trace through it at constant memory. Call Flush once
-// after the last event to write the final short chunk.
+// after the last event to write the final short chunk. Like Buffer.Emit,
+// Emit rejects an operand above 2^32-1 by name, so every file it writes
+// decodes into the 32-bit columns.
 type ChunkWriter struct {
 	w           io.Writer
 	fingerprint uint64
@@ -107,6 +108,9 @@ func (w *ChunkWriter) start() error {
 func (w *ChunkWriter) Emit(e Event) error {
 	if err := e.Validate(); err != nil { //odbgc:alloc-ok error path formats its report
 		return err
+	}
+	if err := checkOperands(e); err != nil {
+		return fmt.Errorf("trace: event %d: %w", w.total, err) //odbgc:alloc-ok error path formats its report
 	}
 	w.payload = appendEvent(w.payload, e) //odbgc:alloc-ok amortized payload growth, reused across chunks
 	w.events++
@@ -159,7 +163,7 @@ func (w *ChunkWriter) Count() int64 { return w.total }
 // Chunks reports the number of complete chunks written so far.
 func (w *ChunkWriter) Chunks() int { return w.chunks }
 
-// Chunk is one decoded chunk: the columnar (Frozen-layout) form of its
+// Chunk is one decoded chunk: the columnar (Buffer-layout) form of its
 // events plus the packed payload it was decoded from. A Chunk is reused
 // across ChunkReader.Next calls — its buffers are recycled, so steady-
 // state streaming performs no per-chunk allocation once the buffers have
@@ -174,15 +178,10 @@ type Chunk struct {
 	payload []byte
 	kinds   []Kind
 	args    []uint32
-	events  int
-	// wide marks a chunk whose operands exceed the 32-bit columns;
-	// replay then decodes the packed payload per event, exactly like the
-	// Buffer fallback for unfreezable traces.
-	wide bool
 }
 
 // Len reports the number of events in the chunk.
-func (c *Chunk) Len() int { return c.events }
+func (c *Chunk) Len() int { return len(c.kinds) }
 
 // PayloadBytes reports the packed payload size of the chunk.
 func (c *Chunk) PayloadBytes() int { return len(c.payload) }
@@ -195,40 +194,24 @@ func (c *Chunk) SizeBytes() int64 {
 }
 
 // decode rebuilds the chunk's columns from its payload, verifying that
-// the payload holds exactly the header's event count. Chunks with >32-bit
-// operands keep only the packed payload and replay through the per-event
-// decoder instead.
+// the payload holds exactly the header's event count and that every
+// operand fits the 32-bit columns.
 func (c *Chunk) decode(events int) error {
 	c.kinds = c.kinds[:0]
 	c.args = c.args[:0]
-	c.events = events
-	c.wide = false
 	data := c.payload
-	n := 0
 	for pos := 0; pos < len(data); {
 		e, sz, err := decodeEvent(data[pos:])
 		if err != nil {
-			return fmt.Errorf("corrupt payload at event %d: %w", n, err)
+			return fmt.Errorf("corrupt payload at event %d: %w", len(c.kinds), err)
 		}
 		pos += sz
-		if !c.wide {
-			var perr error
-			c.kinds, c.args, perr = pushColumns(c.kinds, c.args, e)
-			if perr != nil {
-				if !errors.Is(perr, ErrOperandRange) {
-					return fmt.Errorf("at event %d: %w", n, perr)
-				}
-				c.wide = true
-			}
+		if c.kinds, c.args, err = pushColumns(c.kinds, c.args, e); err != nil {
+			return fmt.Errorf("event %d: %w", len(c.kinds), err)
 		}
-		n++
 	}
-	if n != events {
-		return fmt.Errorf("header declares %d events, payload holds %d", events, n)
-	}
-	if c.wide {
-		c.kinds = c.kinds[:0]
-		c.args = c.args[:0]
+	if len(c.kinds) != events {
+		return fmt.Errorf("header declares %d events, payload holds %d", events, len(c.kinds))
 	}
 	return nil
 }
@@ -239,23 +222,12 @@ func (c *Chunk) Replay(sink Sink) error { return c.ReplayHook(sink, -1, nil) }
 // ReplayHook streams the chunk's events into sink, invoking hook once
 // after exactly `at` events (relative to the start of this chunk) have
 // been delivered; a negative at or nil hook disables the callback. The
-// columnar path performs no decoding and no heap allocation (pinned by
-// the chunk-replay AllocsPerRun guard); wide chunks fall back to packed
-// per-event decoding.
+// replay performs no decoding and no heap allocation (pinned by the
+// chunk-replay AllocsPerRun guard).
 //
 //odbgc:hotpath
 func (c *Chunk) ReplayHook(sink Sink, at int64, hook func()) error {
-	if c.wide {
-		return c.replayPacked(sink, at, hook)
-	}
 	return replayColumns(c.kinds, c.args, sink, at, hook)
-}
-
-// replayPacked replays the packed payload per event, for chunks whose
-// operands exceed the 32-bit columns.
-func (c *Chunk) replayPacked(sink Sink, at int64, hook func()) error {
-	b := Buffer{data: c.payload, events: int64(c.events)}
-	return b.ReplayHook(sink, at, hook)
 }
 
 // ChunkReader decodes chunks from a stream produced by ChunkWriter. It

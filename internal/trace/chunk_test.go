@@ -139,10 +139,10 @@ func TestChunkTruncationRejected(t *testing.T) {
 			t.Errorf("truncation at %d of %d bytes not detected", cut, len(data))
 		}
 	}
-	// Not-a-chunked-file magic.
-	cr := NewChunkReader(bytes.NewReader([]byte("odbgctr1junk")))
+	// Another version of the magic.
+	cr := NewChunkReader(bytes.NewReader([]byte("odbgcck\x02junk")))
 	if err := cr.Next(new(Chunk)); !errors.Is(err, ErrBadChunkMagic) {
-		t.Errorf("flat binary magic accepted by chunk reader: %v", err)
+		t.Errorf("foreign magic accepted by chunk reader: %v", err)
 	}
 }
 
@@ -180,22 +180,68 @@ func TestChunkReaderSkip(t *testing.T) {
 	}
 }
 
-func TestChunkWideOperandFallback(t *testing.T) {
-	var b Buffer
+// TestChunkRejectsWideOperands checks both ends of the 32-bit operand
+// bound: ChunkWriter.Emit refuses a >32-bit OID naming the event and the
+// operand, and a hand-built payload holding one fails decode naming the
+// chunk.
+func TestChunkRejectsWideOperands(t *testing.T) {
 	wide := Event{Kind: KindRead, OID: 1 << 40}
-	events := append(bufferTestEvents(), wide)
-	for _, e := range events {
-		if err := b.Emit(e); err != nil {
+	cw := NewChunkWriter(io.Discard, 3, 0)
+	for _, e := range bufferTestEvents() {
+		if err := cw.Emit(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.Freeze(); !errors.Is(err, ErrOperandRange) {
-		t.Fatal("buffer unexpectedly froze; wide-operand fixture broken")
+	err := cw.Emit(wide)
+	if err == nil {
+		t.Fatal("ChunkWriter.Emit accepted a >32-bit OID")
 	}
-	data := writeChunked(t, &b, 3, 0)
-	got, _ := readAllChunks(t, data)
-	if !reflect.DeepEqual(got, events) {
-		t.Fatalf("wide-operand chunk replay diverged:\n got %+v\nwant %+v", got, events)
+	for _, want := range []string{"event 8", "OID", "1099511627776"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Emit error %q does not name %q", err, want)
+		}
+	}
+	if cw.Count() != int64(len(bufferTestEvents())) {
+		t.Fatalf("rejected event counted: Count = %d", cw.Count())
+	}
+
+	var payload []byte
+	for _, e := range bufferTestEvents() {
+		payload = appendEvent(payload, e)
+	}
+	payload = appendEvent(payload, wide)
+	cr := NewChunkReader(bytes.NewReader(hdrChunk(len(bufferTestEvents())+1, payload)))
+	err = cr.Next(new(Chunk))
+	if err == nil {
+		t.Fatal("chunk holding a >32-bit OID decoded")
+	}
+	for _, want := range []string{"chunk 0", "event 8", "OID", "1099511627776"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("decode error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestWriterPropagatesHeaderError checks that a failed magic write
+// surfaces from Flush of an empty trace.
+func TestWriterPropagatesHeaderError(t *testing.T) {
+	w := NewChunkWriter(&failWriter{left: 0}, 0, 0)
+	if err := w.Flush(); !errors.Is(err, errFailWriter) {
+		t.Fatalf("header write error swallowed: %v", err)
+	}
+}
+
+// TestWriterPropagatesFlushError checks that a failed write of the final
+// short chunk surfaces from Flush.
+func TestWriterPropagatesFlushError(t *testing.T) {
+	w := NewChunkWriter(&failWriter{left: len(chunkMagic)}, 0, 0)
+	for i := 0; i < 10; i++ {
+		if err := w.Emit(Event{Kind: KindRead, OID: 1}); err != nil {
+			t.Fatal(err) // the open chunk is far below its flush target
+		}
+	}
+	if err := w.Flush(); !errors.Is(err, errFailWriter) {
+		t.Fatalf("flush error swallowed: %v", err)
 	}
 }
 
@@ -327,29 +373,6 @@ func TestChunkStreamSinkErrorStopsPipeline(t *testing.T) {
 	}
 }
 
-func TestSniffFormat(t *testing.T) {
-	cases := []struct {
-		name, want string
-		data       []byte
-	}{
-		{"chunked", FormatChunked, append(append([]byte{}, chunkMagic[:]...), 0, 0)},
-		{"binary", FormatBinary, magic[:]},
-		{"jsonl", FormatJSONL, []byte(`{"k":"read","oid":1}` + "\n")},
-		{"short jsonl", FormatJSONL, []byte(`{`)},
-	}
-	for _, tc := range cases {
-		got, err := SniffFormat(bytes.NewReader(tc.data))
-		if err != nil || got != tc.want {
-			t.Errorf("%s: SniffFormat = %q, %v; want %q", tc.name, got, err, tc.want)
-		}
-	}
-	for _, bad := range [][]byte{{}, []byte("not a trace"), []byte("odbgct")} {
-		if got, err := SniffFormat(bytes.NewReader(bad)); err == nil {
-			t.Errorf("SniffFormat(%q) = %q, want error", bad, got)
-		}
-	}
-}
-
 func TestAsyncWriter(t *testing.T) {
 	var out bytes.Buffer
 	aw := NewAsyncWriter(&out, 2)
@@ -453,7 +476,7 @@ func TestChunkReplayZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkChunkReplay measures one replay step of a decoded chunk —
-// the streamed counterpart of BenchmarkFrozenReplay.
+// the streamed counterpart of BenchmarkBufferReplay.
 func BenchmarkChunkReplay(b *testing.B) {
 	const events = 4096
 	data := writeChunked(b, benchBuffer(b, events), 0, 0)

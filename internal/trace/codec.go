@@ -1,49 +1,20 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 
 	"odbgc/internal/heap"
 )
 
-// magic identifies odbgc trace files; the trailing byte is the format
-// version.
-var magic = [8]byte{'o', 'd', 'b', 'g', 'c', 't', 'r', 1}
+// The packed event encoding is a one-byte opcode (the Kind) followed by
+// the event's operands as unsigned varints, in the operand order Buffer
+// documents: typically 2-10 bytes per event. It is the payload codec of
+// the chunked trace file; in memory, traces live in Buffer's columns.
 
-// ErrBadMagic is returned when a stream is not an odbgc trace.
-var ErrBadMagic = errors.New("trace: bad magic (not an odbgc trace file)")
-
-// Writer encodes events to an underlying stream using a per-event opcode
-// followed by unsigned varints. Call Flush before closing the underlying
-// stream.
-type Writer struct {
-	bw      *bufio.Writer
-	scratch []byte
-	count   int64
-	started bool
-}
-
-// NewWriter returns a Writer over w. The file header is written lazily on
-// the first event (or by Flush).
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{bw: bufio.NewWriter(w), scratch: make([]byte, 0, 64)}
-}
-
-func (w *Writer) start() error {
-	if w.started {
-		return nil
-	}
-	w.started = true
-	_, err := w.bw.Write(magic[:])
-	return err
-}
-
-// appendEvent appends the packed opcode+varint encoding of e to b. It is
-// the single encoder shared by the file Writer and the in-memory Buffer.
+// appendEvent appends the packed opcode+varint encoding of e to b: the
+// chunk payload encoding ChunkWriter writes.
 func appendEvent(b []byte, e Event) []byte {
 	b = append(b, byte(e.Kind))
 	switch e.Kind {
@@ -66,10 +37,10 @@ func appendEvent(b []byte, e Event) []byte {
 }
 
 // decodeEvent decodes one packed event from the front of data, returning
-// the event and the number of bytes consumed. It is the slice-based
-// counterpart of Reader.Next used by Buffer replay; it checks structure
-// (opcodes, truncation) but not Validate — buffers only hold events that
-// were validated on the way in.
+// the event and the number of bytes consumed. It checks structure
+// (opcodes, truncation) but not Validate — chunk payloads only hold
+// events that were validated on the way in, and the payload CRC guards
+// them on disk.
 func decodeEvent(data []byte) (Event, int, error) {
 	if len(data) == 0 {
 		return Event{}, 0, io.ErrUnexpectedEOF
@@ -108,145 +79,4 @@ func decodeEvent(data []byte) (Event, int, error) {
 		return Event{}, 0, io.ErrUnexpectedEOF
 	}
 	return e, pos, nil
-}
-
-// Emit encodes one event. It implements Sink.
-func (w *Writer) Emit(e Event) error {
-	if err := e.Validate(); err != nil {
-		return err
-	}
-	if err := w.start(); err != nil {
-		return err
-	}
-	b := appendEvent(w.scratch[:0], e)
-	w.scratch = b[:0]
-	if _, err := w.bw.Write(b); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Count reports the number of events emitted so far.
-func (w *Writer) Count() int64 { return w.count }
-
-// Flush writes any buffered data (and the header, for an empty trace) to
-// the underlying stream.
-func (w *Writer) Flush() error {
-	if err := w.start(); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-// Reader decodes events from a stream produced by Writer.
-type Reader struct {
-	br      *bufio.Reader
-	started bool
-	count   int64
-}
-
-// NewReader returns a Reader over r. The header is checked on the first
-// Next call.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReader(r)}
-}
-
-func (r *Reader) start() error {
-	if r.started {
-		return nil
-	}
-	r.started = true
-	var got [8]byte
-	if _, err := io.ReadFull(r.br, got[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: truncated header", ErrBadMagic)
-		}
-		return err
-	}
-	if got != magic {
-		return ErrBadMagic
-	}
-	return nil
-}
-
-// Next decodes the next event. It returns io.EOF at a clean end of trace
-// and io.ErrUnexpectedEOF on truncation.
-func (r *Reader) Next() (Event, error) {
-	if err := r.start(); err != nil {
-		return Event{}, err
-	}
-	op, err := r.br.ReadByte()
-	if err != nil {
-		return Event{}, err // io.EOF: clean end
-	}
-	e := Event{Kind: Kind(op)}
-	uv := func() uint64 { //odbgc:alloc-ok non-escaping closure, stack-allocated
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = binary.ReadUvarint(r.br)
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return v
-	}
-	switch e.Kind {
-	case KindCreate:
-		e.OID = heap.OID(uv())
-		e.Size = int64(uv())
-		e.NFields = int(uv())
-		e.Parent = heap.OID(uv())
-		if err == nil && e.Parent != heap.NilOID {
-			e.ParentField = int(uv())
-		}
-	case KindRoot, KindRead, KindModify:
-		e.OID = heap.OID(uv())
-	case KindWrite:
-		e.OID = heap.OID(uv())
-		e.Field = int(uv())
-		e.Target = heap.OID(uv())
-	default:
-		return Event{}, fmt.Errorf("trace: unknown opcode %d at event %d", op, r.count)
-	}
-	if err != nil {
-		return Event{}, err
-	}
-	if err := e.Validate(); err != nil {
-		return Event{}, err
-	}
-	r.count++
-	return e, nil
-}
-
-// Count reports the number of events decoded so far.
-func (r *Reader) Count() int64 { return r.count }
-
-// An EventSource yields events one at a time until io.EOF — the reader
-// half of every trace codec (Reader, JSONLReader).
-type EventSource interface {
-	Next() (Event, error)
-}
-
-// Copy streams every event from r into sink, returning the number copied.
-func Copy(sink Sink, r *Reader) (int64, error) { return CopyFrom(sink, r) }
-
-// CopyFrom streams every event from src into sink, returning the number
-// copied.
-func CopyFrom(sink Sink, src EventSource) (int64, error) {
-	var n int64
-	for {
-		e, err := src.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		if err := sink.Emit(e); err != nil {
-			return n, err
-		}
-		n++
-	}
 }

@@ -1,6 +1,8 @@
 // Package trace defines the application event stream that drives the
-// simulation ("trace-driven simulation", Section 4.2), together with a
-// compact binary codec so traces can be stored in files and replayed.
+// simulation ("trace-driven simulation", Section 4.2) and its two
+// representations: Buffer, the columnar in-memory form every cached
+// replay reads, and the chunked file (ChunkWriter, ChunkReader,
+// ChunkStream), the CRC-guarded on-disk form streamed replay reads.
 //
 // A trace records what the application did — object creations, visits,
 // data modifications, and pointer stores — and nothing about how the
@@ -113,9 +115,9 @@ func (e Event) Validate() error {
 	return nil
 }
 
-// Sink consumes a stream of events. Both the file Writer and the simulator
-// implement Sink, so the workload generator can stream into either without
-// materializing the whole trace.
+// Sink consumes a stream of events. Buffer, ChunkWriter, and the
+// simulator all implement Sink, so the workload generator can stream into
+// any of them.
 type Sink interface {
 	Emit(Event) error
 }

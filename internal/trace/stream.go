@@ -9,41 +9,6 @@ import (
 	"os"
 )
 
-// Format names for the three on-disk trace encodings, as reported by
-// SniffFormat and accepted by the CLI -format flags.
-const (
-	FormatBinary  = "binary"
-	FormatJSONL   = "jsonl"
-	FormatChunked = "chunked"
-)
-
-// SniffFormat reports which codec wrote the stream by examining its
-// leading bytes — the chunked magic, the flat binary magic, or a JSONL
-// '{' — leaving r positioned back at the start. Unrecognized content is
-// an error, so callers never mis-decode a file based on a flag.
-func SniffFormat(r io.ReadSeeker) (string, error) {
-	var first [8]byte
-	n, err := io.ReadFull(r, first[:])
-	if err != nil && !errors.Is(err, io.ErrUnexpectedEOF) {
-		if errors.Is(err, io.EOF) {
-			return "", fmt.Errorf("trace: empty trace file")
-		}
-		return "", err
-	}
-	if _, err := r.Seek(0, io.SeekStart); err != nil {
-		return "", err
-	}
-	switch {
-	case n >= 8 && first == chunkMagic:
-		return FormatChunked, nil
-	case n >= 8 && first == magic:
-		return FormatBinary, nil
-	case n >= 1 && first[0] == '{':
-		return FormatJSONL, nil
-	}
-	return "", fmt.Errorf("trace: unrecognized trace file (no odbgc magic and not JSONL)")
-}
-
 // ChunkStream is a replayable handle on a chunked trace file. Opening
 // one scans only the chunk headers (seeking over payloads), so the
 // handle knows the trace's totals without reading the data; each Replay
@@ -67,7 +32,8 @@ type ChunkStream struct {
 // OpenChunkStream opens path as a chunked trace, validating the magic
 // and every chunk header (index order, payload bounds, fingerprint
 // consistency, no truncation). Payload CRCs are verified during replay,
-// when the data is read anyway.
+// when the data is read anyway. Errors name the path; a file that is not
+// a chunked trace fails with ErrBadChunkMagic.
 func OpenChunkStream(path string) (*ChunkStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -79,36 +45,44 @@ func OpenChunkStream(path string) (*ChunkStream, error) {
 		return nil, err
 	}
 	s := &ChunkStream{path: path, sizeBytes: st.Size()}
+	if err := s.scan(f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
 
+// scan checks the magic and walks every chunk header of f, seeking over
+// the payloads, to fill in the stream's totals.
+func (s *ChunkStream) scan(f *os.File) error {
 	var got [8]byte
 	if _, err := io.ReadFull(f, got[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrBadChunkMagic)
+		return fmt.Errorf("%w: truncated header", ErrBadChunkMagic)
 	}
 	if got != chunkMagic {
-		return nil, ErrBadChunkMagic
+		return ErrBadChunkMagic
 	}
 	offset := int64(len(chunkMagic))
 	var hdr [chunkHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
-				return s, nil // clean end
+				return nil // clean end
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return nil, fmt.Errorf("trace: chunk %d: truncated header: %w", s.chunks, io.ErrUnexpectedEOF)
+				return fmt.Errorf("trace: chunk %d: truncated header: %w", s.chunks, io.ErrUnexpectedEOF)
 			}
-			return nil, err
+			return err
 		}
 		h, err := parseChunkHeader(hdr, s.chunks, s.fingerprint)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		offset += chunkHeaderSize + int64(h.plen)
 		if offset > s.sizeBytes {
-			return nil, fmt.Errorf("trace: chunk %d: truncated payload (file ends %d bytes short)", s.chunks, offset-s.sizeBytes)
+			return fmt.Errorf("trace: chunk %d: truncated payload (file ends %d bytes short)", s.chunks, offset-s.sizeBytes)
 		}
 		if _, err := f.Seek(offset, io.SeekStart); err != nil {
-			return nil, err
+			return err
 		}
 		if s.chunks == 0 {
 			s.fingerprint = h.fp

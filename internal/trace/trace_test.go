@@ -2,9 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -23,9 +29,22 @@ func sampleEvents() []Event {
 	}
 }
 
+// hdrChunk builds a chunked stream holding one chunk whose payload is
+// given verbatim, with a header (event count, length, CRC) that matches
+// it, so decode errors are reached past the CRC check.
+func hdrChunk(events int, payload []byte) []byte {
+	out := append([]byte{}, chunkMagic[:]...)
+	var hdr [chunkHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(events))
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
+	out = append(out, hdr[:]...)
+	return append(out, payload...)
+}
+
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewChunkWriter(&buf, 1, 0)
 	events := sampleEvents()
 	for _, e := range events {
 		if err := w.Emit(e); err != nil {
@@ -38,19 +57,9 @@ func TestRoundTrip(t *testing.T) {
 	if w.Count() != int64(len(events)) {
 		t.Fatalf("writer Count = %d, want %d", w.Count(), len(events))
 	}
-
-	r := NewReader(&buf)
-	for i, want := range events {
-		got, err := r.Next()
-		if err != nil {
-			t.Fatalf("Next #%d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("event %d = %+v, want %+v", i, got, want)
-		}
-	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("after end: err = %v, want io.EOF", err)
+	got, r := readAllChunks(t, buf.Bytes())
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, events)
 	}
 	if r.Count() != int64(len(events)) {
 		t.Fatalf("reader Count = %d, want %d", r.Count(), len(events))
@@ -58,57 +67,60 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
+	var b Buffer
+	if b.Len() != 0 || b.SizeBytes() != 0 {
+		t.Fatalf("empty buffer: Len %d, SizeBytes %d", b.Len(), b.SizeBytes())
+	}
+	fired := false
+	var sink collectSink
+	if err := b.ReplayHook(&sink, 0, func() { fired = true }); err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(&buf)
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("err = %v, want io.EOF", err)
+	if len(sink.events) != 0 || !fired {
+		t.Fatalf("empty buffer replayed %d events, at-start hook fired %v", len(sink.events), fired)
 	}
 }
 
+// TestBadMagic checks that a file which is not a chunked trace fails
+// with ErrBadChunkMagic, from the reader and from OpenChunkStream, whose
+// error also names the path.
 func TestBadMagic(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("not a trace file")))
-	if _, err := r.Next(); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	r := NewChunkReader(bytes.NewReader([]byte("not a trace file")))
+	if err := r.Next(new(Chunk)); !errors.Is(err, ErrBadChunkMagic) {
+		t.Fatalf("err = %v, want ErrBadChunkMagic", err)
+	}
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := os.WriteFile(path, []byte(`{"k":"read","oid":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenChunkStream(path)
+	if !errors.Is(err, ErrBadChunkMagic) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("OpenChunkStream: err = %v, want ErrBadChunkMagic naming %s", err, path)
 	}
 }
 
 func TestTruncatedHeader(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte("odb")))
-	if _, err := r.Next(); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("err = %v, want ErrBadMagic", err)
+	r := NewChunkReader(bytes.NewReader([]byte("odb")))
+	if err := r.Next(new(Chunk)); !errors.Is(err, ErrBadChunkMagic) {
+		t.Fatalf("err = %v, want ErrBadChunkMagic", err)
 	}
 }
 
+// TestTruncatedEvent checks that a payload whose last event is cut short
+// fails decode even when the CRC matches, naming the chunk.
 func TestTruncatedEvent(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Emit(Event{Kind: KindCreate, OID: 300, Size: 100, NFields: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	r := NewReader(bytes.NewReader(data[:len(data)-1]))
-	if _, err := r.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
+	enc := appendEvent(nil, Event{Kind: KindCreate, OID: 300, Size: 100, NFields: 2})
+	r := NewChunkReader(bytes.NewReader(hdrChunk(1, enc[:len(enc)-1])))
+	err := r.Next(new(Chunk))
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "chunk 0") {
+		t.Fatalf("err = %v, want io.ErrUnexpectedEOF naming chunk 0", err)
 	}
 }
 
 func TestUnknownOpcode(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteByte(99)
-	r := NewReader(&buf)
-	if _, err := r.Next(); err == nil {
-		t.Fatal("unknown opcode decoded without error")
+	r := NewChunkReader(bytes.NewReader(hdrChunk(1, []byte{99})))
+	if err := r.Next(new(Chunk)); err == nil || !strings.Contains(err.Error(), "opcode 99") {
+		t.Fatalf("err = %v, want unknown-opcode error", err)
 	}
 }
 
@@ -126,14 +138,18 @@ func TestEmitRejectsInvalidEvents(t *testing.T) {
 		{Kind: Kind(0), OID: 1},
 		{Kind: Kind(42), OID: 1},
 	}
-	w := NewWriter(io.Discard)
+	var b Buffer
+	w := NewChunkWriter(io.Discard, 0, 0)
 	for _, e := range bad {
+		if err := b.Emit(e); err == nil {
+			t.Errorf("Buffer.Emit(%+v): want error", e)
+		}
 		if err := w.Emit(e); err == nil {
-			t.Errorf("Emit(%+v): want error", e)
+			t.Errorf("ChunkWriter.Emit(%+v): want error", e)
 		}
 	}
-	if w.Count() != 0 {
-		t.Fatalf("invalid events counted: %d", w.Count())
+	if b.Len() != 0 || w.Count() != 0 {
+		t.Fatalf("invalid events recorded: buffer %d, writer %d", b.Len(), w.Count())
 	}
 }
 
@@ -159,27 +175,6 @@ type collectSink struct{ events []Event }
 func (c *collectSink) Emit(e Event) error {
 	c.events = append(c.events, e)
 	return nil
-}
-
-func TestCopy(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, e := range sampleEvents() {
-		if err := w.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var sink collectSink
-	n, err := Copy(&sink, NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(sampleEvents())) || len(sink.events) != len(sampleEvents()) {
-		t.Fatalf("copied %d events, want %d", n, len(sampleEvents()))
-	}
 }
 
 // randomEvent builds a valid random event.
@@ -214,38 +209,33 @@ func randomEvent(rng *rand.Rand) Event {
 }
 
 // TestRoundTripProperty checks encode/decode identity on random event
-// sequences.
+// sequences through small chunks, and that a Buffer fed the same events
+// replays them identically.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		events := make([]Event, int(n)+1)
+		var b Buffer
+		var buf bytes.Buffer
+		w := NewChunkWriter(&buf, uint64(seed), 64)
 		for i := range events {
 			events[i] = randomEvent(rng)
-		}
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		for _, e := range events {
-			if err := w.Emit(e); err != nil {
-				t.Fatalf("Emit: %v", err)
+			if err := w.Emit(events[i]); err != nil {
+				t.Fatalf("ChunkWriter.Emit: %v", err)
+			}
+			if err := b.Emit(events[i]); err != nil {
+				t.Fatalf("Buffer.Emit: %v", err)
 			}
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		r := NewReader(&buf)
-		for i, want := range events {
-			got, err := r.Next()
-			if err != nil {
-				t.Errorf("Next #%d: %v", i, err)
-				return false
-			}
-			if got != want {
-				t.Errorf("event %d: got %+v want %+v", i, got, want)
-				return false
-			}
+		got, _ := readAllChunks(t, buf.Bytes())
+		var fromBuf collectSink
+		if err := b.Replay(&fromBuf); err != nil {
+			t.Fatal(err)
 		}
-		_, err := r.Next()
-		return errors.Is(err, io.EOF)
+		return reflect.DeepEqual(got, events) && reflect.DeepEqual(fromBuf.events, events)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

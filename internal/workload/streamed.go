@@ -17,7 +17,7 @@ import (
 // RecordStreamed generates cfg's full event stream directly into a
 // chunked trace file at path, never holding more than one chunk of
 // events in memory. chunkBytes <= 0 selects trace.DefaultChunkBytes.
-// The returned trace replays from the file (Buffer and Frozen are nil);
+// The returned trace replays from the file (Buffer is nil);
 // it is bit-identical to the trace Record returns for the same cfg,
 // including the build/churn boundary.
 func RecordStreamed(cfg Config, path string, chunkBytes int) (*RecordedTrace, error) {

@@ -18,7 +18,7 @@ func TestRecordStreamedMatchesRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.Buffer != nil || streamed.Frozen != nil || streamed.Stream == nil {
+	if streamed.Buffer != nil || streamed.Stream == nil {
 		t.Fatal("streamed trace should be backed by Stream only")
 	}
 	if !reflect.DeepEqual(streamed.Stats, mem.Stats) {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -21,25 +20,18 @@ import (
 // are bit-identical to running the generator live: same events, same
 // order, same build-phase boundary.
 //
-// An in-memory trace (Record) holds the stream twice: Buffer is the
-// packed opcode+uvarint encoding (compact, archival — what the file
-// codec writes), and Frozen is its decode-once columnar form. Record
-// freezes the buffer a single time; every Replay then reads the frozen
-// columns, so no varint decoding happens per (seed, policy) pair. A
-// streamed trace (RecordStreamed, OpenStreamed) holds neither: Stream
-// replays a chunked file through the prefetch pipeline at two chunks of
-// resident memory.
+// An in-memory trace (Record) holds the stream once, in Buffer's
+// columns, which every Replay reads with no decoding per (seed, policy)
+// pair. A streamed trace (RecordStreamed, OpenStreamed) has no Buffer:
+// Stream replays a chunked file through the prefetch pipeline at two
+// chunks of resident memory.
 type RecordedTrace struct {
 	// Config is the generating configuration (including the seed).
 	Config Config
 	// Stats is the generator's trace summary.
 	Stats Stats
-	// Buffer holds the packed events; nil for a streamed trace.
+	// Buffer holds the events in columns; nil for a streamed trace.
 	Buffer *trace.Buffer
-	// Frozen is the decode-once columnar form of Buffer, nil for a
-	// streamed trace and for traces whose operands exceed its 32-bit
-	// columns (replay then falls back to decoding the packed form).
-	Frozen *trace.Frozen
 	// Stream replays a chunked on-disk trace; nil for an in-memory
 	// trace. Exactly one of Buffer and Stream is non-nil.
 	Stream *trace.ChunkStream
@@ -50,8 +42,9 @@ type RecordedTrace struct {
 	BuildEvents int64
 }
 
-// Record generates cfg's full event stream into a packed in-memory
-// buffer and freezes it into columnar form.
+// Record generates cfg's full event stream into an in-memory columnar
+// buffer. An operand too large for the buffer's 32-bit columns fails
+// generation with an error naming the event and the operand.
 func Record(cfg Config) (*RecordedTrace, error) {
 	g, err := New(cfg)
 	if err != nil {
@@ -65,15 +58,6 @@ func Record(cfg Config) (*RecordedTrace, error) {
 	}
 	rt.Stats = st
 	rt.Buffer.Compact()
-	frozen, err := rt.Buffer.Freeze()
-	switch {
-	case err == nil:
-		rt.Frozen = frozen
-	case errors.Is(err, trace.ErrOperandRange):
-		// Keep the packed form only; Replay decodes per event.
-	default:
-		return nil, err
-	}
 	return rt, nil
 }
 
@@ -88,29 +72,22 @@ func (rt *RecordedTrace) Replay(sink trace.Sink, buildDone func()) error {
 	} else {
 		buildDone = nil
 	}
-	switch {
-	case rt.Frozen != nil:
-		return rt.Frozen.ReplayHook(sink, at, buildDone)
-	case rt.Stream != nil:
+	if rt.Stream != nil {
 		return rt.Stream.ReplayHook(sink, at, buildDone)
 	}
 	return rt.Buffer.ReplayHook(sink, at, buildDone)
 }
 
 // SizeBytes is the trace's memory footprint for cache accounting: the
-// packed encoding plus the frozen columns for an in-memory trace, or the
-// replay pipeline's resident bytes — not the on-disk size — for a
+// buffer's columns for an in-memory trace, or the replay pipeline's
+// resident bytes — not the on-disk size — for a
 // streamed one. That difference is the point of spilling: a 100-million-
 // event trace charges the cache two chunks, not gigabytes.
 func (rt *RecordedTrace) SizeBytes() int64 {
 	if rt.Stream != nil {
 		return rt.Stream.ResidentBytes()
 	}
-	n := rt.Buffer.SizeBytes()
-	if rt.Frozen != nil {
-		n += rt.Frozen.SizeBytes()
-	}
-	return n
+	return rt.Buffer.SizeBytes()
 }
 
 // DefaultTraceCacheBytes is the suite harness's default cache budget. It

@@ -23,6 +23,7 @@
 package odbgc
 
 import (
+	"errors"
 	"io"
 	"math/rand"
 
@@ -151,30 +152,43 @@ func Aggregates(results []Result) Aggregate { return sim.Aggregates(results) }
 // replay custom traces or drive the simulator from your own generator.
 func NewSim(cfg SimConfig) (*sim.Sim, error) { return sim.New(cfg) }
 
-// WriteTrace generates the workload into w in the binary trace format.
+// WriteTrace generates the workload into w as a chunked trace file, the
+// format cmd/tracegen writes and cmd/gcsim -trace replays.
 func WriteTrace(w io.Writer, cfg WorkloadConfig) (WorkloadStats, error) {
 	g, err := workload.New(cfg)
 	if err != nil {
 		return WorkloadStats{}, err
 	}
-	tw := trace.NewWriter(w)
-	st, err := g.Run(tw)
+	cw := trace.NewChunkWriter(w, cfg.Fingerprint(), 0)
+	st, err := g.Run(cw)
 	if err != nil {
 		return st, err
 	}
-	return st, tw.Flush()
+	return st, cw.Flush()
 }
 
-// ReplayTrace streams a stored trace from r through one simulation.
+// ReplayTrace streams a stored chunked trace from r through one
+// simulation. Input that is not a chunked trace fails with an error
+// wrapping trace.ErrBadChunkMagic.
 func ReplayTrace(r io.Reader, simCfg SimConfig) (Result, error) {
 	s, err := sim.New(simCfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if _, err := trace.Copy(s, trace.NewReader(r)); err != nil {
-		return Result{}, err
+	cr := trace.NewChunkReader(r)
+	var c trace.Chunk
+	for {
+		err := cr.Next(&c)
+		if errors.Is(err, io.EOF) {
+			return s.Finish(), nil
+		}
+		if err != nil {
+			return Result{}, err
+		}
+		if err := c.Replay(s); err != nil {
+			return Result{}, err
+		}
 	}
-	return s.Finish(), nil
 }
 
 // NewPolicy constructs a selection policy by name; rng is used only by

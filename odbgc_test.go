@@ -2,11 +2,14 @@ package odbgc
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"odbgc/internal/core"
 	"odbgc/internal/heap"
+	"odbgc/internal/trace"
 )
 
 // fastWorkload keeps facade tests quick.
@@ -84,6 +87,9 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	}
 	if res.Events != st.Events {
 		t.Fatalf("replayed %d events, trace has %d", res.Events, st.Events)
+	}
+	if _, err := ReplayTrace(strings.NewReader("not a trace"), fastSim(MostGarbage)); !errors.Is(err, trace.ErrBadChunkMagic) {
+		t.Fatalf("ReplayTrace of a non-trace: err = %v, want ErrBadChunkMagic", err)
 	}
 }
 
