@@ -6,7 +6,7 @@
 # shared state.
 set -eux
 
-gofmt_dirty=$(gofmt -l cmd internal)
+gofmt_dirty=$(gofmt -l ./*.go cmd examples internal perfbench)
 if [ -n "$gofmt_dirty" ]; then
     echo "gofmt: needs formatting:" >&2
     echo "$gofmt_dirty" >&2
@@ -22,6 +22,9 @@ go build -o bin/odbgc-vet ./cmd/odbgc-vet
 go vet -vettool="$PWD/bin/odbgc-vet" ./...
 go build ./...
 go test ./...
+# The benchmark's own tests: all three workloads, at tiny scale, traced
+# and untraced, through perfbench's correctness gate. No timing is gated.
+(cd perfbench && go test ./...)
 go test -race ./internal/sim ./internal/gc ./internal/shard
 # Scheduler / trace-cache smoke under the race detector: the suite-wide
 # orchestration (worker pool + shared cache) and the cache's concurrent

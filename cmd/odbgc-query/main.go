@@ -1,6 +1,6 @@
 // Command odbgc-query filters, aggregates, and re-renders structured
-// run recordings (.odbgcrec files written by experiments, gcsim
-// -record, or benchrun).
+// run recordings (.odbgcrec files written by experiments or gcsim
+// -record).
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
 // Package analysis is the repository's static-analysis layer: a small
-// go/analysis-compatible framework plus eight project-specific analyzers
+// go/analysis-compatible framework plus six project-specific analyzers
 // that turn the codebase's determinism and zero-allocation conventions
 // into compile-time errors.
 //
@@ -7,20 +7,20 @@
 // bit-identical trace-driven event stream (Section 4); the runtime audit
 // layer (internal/check) verifies that property after the fact, while
 // this package prevents the classes of code that break it from being
-// written at all: map-iteration-ordered results (detmap), unseeded or
-// ambient randomness and clocks (simclock), allocation on the measured
-// fast paths (hotalloc), dangling pointers into the intrusive frame
-// arenas (arenaindex), and silently non-exhaustive switches over the
-// event-kind and policy enumerations (kindswitch).
+// written at all: map-iteration-ordered results (detmap), dangling
+// pointers into the intrusive frame arenas (arenaindex), and silently
+// non-exhaustive switches over the event-kind and policy enumerations
+// (kindswitch).
 //
 // Three analyzers see across function and package boundaries through a
 // per-package call graph (callgraph.go) and serialized modular facts
-// (facts.go): hotcall propagates //odbgc:hotpath allocation-freedom
-// through callees, detflow tracks nondeterminism taint from sources
-// (wall clock, global rand, environment, map order) to result and
-// recording sinks, and barrierproto machine-checks the shard engine's
-// epoch-barrier channel protocol against its //odbgc:barrier
-// annotations.
+// (facts.go): hotcall forbids allocation in //odbgc:hotpath functions,
+// in their own bodies and through their callees; detflow forbids
+// ambient clocks, global randomness, and environment reads in the
+// result packages and tracks nondeterminism taint from those sources
+// and map order to result and recording sinks; and barrierproto
+// machine-checks the shard engine's epoch-barrier channel protocol
+// against its //odbgc:barrier annotations.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic carry the same meaning — but is built on
@@ -155,10 +155,10 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 }
 
 // resultPackages names the packages whose code can influence simulation
-// results or rendered output. detmap and simclock scope themselves to
-// these; matching is by package name so analysistest fixtures (package
-// sim, package core, ...) exercise the same predicate the real tree
-// does.
+// results or rendered output. detmap and detflow's direct-use rule scope
+// themselves to these; matching is by package name so analysistest
+// fixtures (package sim, package core, ...) exercise the same predicate
+// the real tree does.
 var resultPackages = map[string]bool{
 	"core":        true,
 	"gc":          true,
@@ -187,8 +187,6 @@ func isResultPackage(pass *Pass) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetMap,
-		SimClock,
-		HotAlloc,
 		ArenaIndex,
 		KindSwitch,
 		HotCall,

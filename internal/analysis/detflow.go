@@ -7,33 +7,61 @@ import (
 	"strings"
 )
 
-// DetFlow upgrades the syntactic nondeterminism checks (simclock,
-// detmap) to an interprocedural taint analysis. Sources are the
+// DetFlow keeps nondeterminism out of results. Sources are the
 // constructs that differ between two runs on identical input: wall-clock
 // reads, the global math/rand generator, environment reads, and values
 // produced by iterating a map (a return executed inside a map range).
-// Sinks are the places results become results: fields of the module's
-// Result / ActivationRecord / SampleRecord types and anything handed to
-// internal/record. A value that flows from a source to a sink — possibly
-// through calls into other packages, tracked by per-function taint facts
-// — would make the paper's paired-run tables differ between executions,
-// so it is a finding that names the full chain back to the source.
+// All randomness must instead flow through a seeded *rand.Rand threaded
+// from the configuration (workload.Config.Seed, sim.Config), so that the
+// same seed produces the same trace and the same results on any
+// machine; constructing a seeded source (rand.New, rand.NewSource,
+// rand.NewZipf) is allowed.
+//
+// The analyzer enforces two rules. Inside the result packages, every
+// direct use of a clock, global-rand, or environment source is a
+// finding, wherever its value goes. Across functions and packages, a
+// value that flows from any source to a sink is a finding that names
+// the full chain back to the source. Sinks are the places results
+// become results: fields of the module's Result / ActivationRecord /
+// SampleRecord types and anything handed to internal/record. Such a flow
+// — possibly through calls into other packages, tracked by per-function
+// taint facts — would make the paper's paired-run tables differ between
+// executions.
 //
 // The taint tracking is deliberately simple: function summaries are
 // all-or-nothing (a function that touches a source is tainted), local
 // variables pick up taint through assignments, and unresolvable calls
-// (interface methods, function values) are untainted. simclock remains
-// the belt-and-suspenders rule inside the simulation packages; detflow
-// adds the cross-function, cross-package leg. Deliberate exceptions —
-// wall-clock perf metrics that never feed simulation results — carry
-// //odbgc:nondet-ok <reason> at the source, which both silences the
-// local rule and stops the taint from propagating.
+// (interface methods, function values) are untainted. Deliberate
+// exceptions — wall-clock perf metrics that never feed simulation
+// results — carry //odbgc:nondet-ok <reason> at the source, which both
+// silences the direct-use rule and stops the taint from propagating.
 var DetFlow = &Analyzer{
 	Name: "detflow",
-	Doc: "tracks nondeterminism taint (clock, global rand, env, map order) " +
-		"through calls into result and recording sinks",
+	Doc: "forbids clock, global rand, and environment reads in result packages, " +
+		"and tracks nondeterminism taint (those and map order) through calls " +
+		"into result and recording sinks",
 	Run:   runDetFlow,
 	Facts: true,
+}
+
+// nondetBanned maps import path -> top-level functions whose results
+// differ between runs.
+var nondetBanned = map[string]map[string]bool{
+	"time": {
+		"Now": true, "Since": true, "Until": true, "Sleep": true,
+		"Tick": true, "After": true, "AfterFunc": true,
+		"NewTimer": true, "NewTicker": true,
+	},
+	"os": {
+		"Getenv": true, "LookupEnv": true, "Environ": true, "ExpandEnv": true,
+	},
+}
+
+// nondetRandAllowed are the math/rand package-level names that do not
+// touch the global generator: constructors for explicitly seeded
+// sources.
+var nondetRandAllowed = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true,
 }
 
 // detflowSinkTypes are the named struct types whose fields are results:
@@ -59,9 +87,12 @@ func runDetFlow(pass *Pass) error {
 			pass.Facts.Ensure(fn).Detflow = fact
 		}
 	}
-	// Sink checking is scoped like detmap/simclock: only the packages
-	// whose values become results or rendered output.
-	if !isResultPackage(pass) && pass.Pkg.Name() != "record" {
+	// The direct-use rule, like detmap, covers only the packages whose
+	// values become results or rendered output; sink checking adds the
+	// recording package.
+	if isResultPackage(pass) {
+		reportDirectSources(pass)
+	} else if pass.Pkg.Name() != "record" {
 		return nil
 	}
 	for _, fn := range g.Nodes {
@@ -74,6 +105,25 @@ func runDetFlow(pass *Pass) error {
 	return nil
 }
 
+// reportDirectSources reports every use of a clock, global-rand, or
+// environment source in the package's non-test files, package-level
+// declarations included.
+func reportDirectSources(pass *Pass) {
+	for _, file := range pass.Files {
+		if pass.InTestFile(file.Pos()) {
+			continue
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if desc := nondetSource(pass, n); desc != "" {
+				pass.Reportf(n.Pos(), detflowMarker,
+					"use of %s is nondeterministic between runs; derive the value from the configuration (a seeded *rand.Rand for randomness) or annotate //odbgc:nondet-ok <reason>", desc)
+				return false
+			}
+			return true
+		})
+	}
+}
+
 type detflowComputer struct {
 	pass  *Pass
 	g     *CallGraph
@@ -81,10 +131,11 @@ type detflowComputer struct {
 	facts map[*types.Func]*DetflowFact
 }
 
-// nondetSource recognizes one direct nondeterminism source expression,
-// returning its description ("" if n is not a source). The banned-call
-// tables are shared with simclock so the two rules can never disagree on
-// what counts as ambient nondeterminism.
+// nondetSource recognizes one direct clock, global-rand, or environment
+// source expression, returning its description ("" if n is not a
+// source). Methods on a seeded *rand.Rand come through a value, not the
+// package name, so any other package-level math/rand function or
+// variable consults the global generator.
 func nondetSource(pass *Pass, n ast.Node) string {
 	sel, ok := n.(*ast.SelectorExpr)
 	if !ok {
@@ -102,13 +153,13 @@ func nondetSource(pass *Pass, n ast.Node) string {
 	name := sel.Sel.Name
 	switch path {
 	case "math/rand", "math/rand/v2":
-		if obj := pass.TypesInfo.Uses[sel.Sel]; obj != nil && !simclockRandAllowed[name] {
+		if obj := pass.TypesInfo.Uses[sel.Sel]; obj != nil && !nondetRandAllowed[name] {
 			if _, isType := obj.(*types.TypeName); !isType {
 				return "global " + pn.Imported().Name() + "." + name
 			}
 		}
 	default:
-		if banned, ok := simclockBanned[path]; ok && banned[name] {
+		if banned, ok := nondetBanned[path]; ok && banned[name] {
 			return pn.Imported().Name() + "." + name
 		}
 	}
@@ -184,9 +235,8 @@ func (c *detflowComputer) summary(fn *types.Func) *DetflowFact {
 	return fact
 }
 
-// detflowMarker is shared with simclock/detmap: one suppression
-// vocabulary for all nondeterminism rules.
-// (const detmapMarker = "nondet-ok" is declared in detmap.go.)
+// detflowMarker is shared with detmap: one suppression vocabulary for
+// all nondeterminism rules.
 const detflowMarker = detmapMarker
 
 // reportSinks flags tainted values flowing into result fields or record

@@ -15,7 +15,7 @@ import (
 
 // TestHotpathAnnotationsMatchGuards walks the whole repository and checks
 // that the set of functions annotated //odbgc:hotpath (enforced by the
-// hotalloc analyzer) equals the set declared by //odbgc:allocguard lines
+// hotcall analyzer) equals the set declared by //odbgc:allocguard lines
 // in the AllocsPerRun guard tests. An annotation without a guard means the
 // static rule runs against a function whose runtime behavior nothing
 // pins; a guard without an annotation means a zero-alloc contract the

@@ -103,7 +103,7 @@ func TestFaultInjectionDetected(t *testing.T) {
 
 // TestAuditOffZeroAllocs proves the audit wiring costs nothing when off:
 // steady-state read and modify events must not allocate. Sim.Emit carries
-// the //odbgc:hotpath annotation checked by the hotalloc analyzer;
+// the //odbgc:hotpath annotation checked by the hotcall analyzer;
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotation and this guard in sync via the declaration below.
 //

@@ -8,7 +8,7 @@ import "testing"
 // failure rather than a silent slowdown.
 //
 // The functions these guards exercise carry //odbgc:hotpath annotations
-// checked by the hotalloc analyzer; TestHotpathAnnotationsMatchGuards in
+// checked by the hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard heap.Heap.Alloc heap.Heap.newObject heap.Heap.growTable heap.Heap.placeFor

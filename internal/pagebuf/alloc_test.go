@@ -8,7 +8,7 @@ import "testing"
 // cover the address space — neither hits nor misses may allocate.
 //
 // The functions these guards exercise carry //odbgc:hotpath annotations
-// checked by the hotalloc analyzer; TestHotpathAnnotationsMatchGuards in
+// checked by the hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard pagebuf.Buffer.touch pagebuf.Buffer.evict pagebuf.Buffer.clockEvict

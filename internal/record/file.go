@@ -1,10 +1,14 @@
 package record
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
+
+	"odbgc/internal/segfile"
 )
 
 // Column is one decoded column: I always holds the raw values (for
@@ -100,9 +104,6 @@ func newTable(kind segKind) Table {
 // offending segment; hostile inputs can never panic or allocate beyond
 // the claimed (and capped) segment sizes.
 func Read(data []byte) (*File, error) {
-	if len(data) < len(fileMagic) || string(data[:len(fileMagic)]) != string(fileMagic[:]) {
-		return nil, fmt.Errorf("record: bad magic (not a record file)")
-	}
 	f := &File{
 		Runs:        newTable(kindRuns),
 		Activations: newTable(kindActivations),
@@ -113,38 +114,25 @@ func Read(data []byte) (*File, error) {
 		kindActivations: &f.Activations,
 		kindSamples:     &f.Samples,
 	}
+	sr := segfile.NewReader(bytes.NewReader(data), &fileFormat)
 	var observed []indexEntry
-	off := int64(len(fileMagic))
+	var payload []byte
 	for seg := 0; ; seg++ {
-		rest := data[off:]
-		if len(rest) < segHeaderSize {
-			return nil, fmt.Errorf("record: segment %d: truncated header (%d bytes left, missing index segment)", seg, len(rest))
+		h, err := sr.Next()
+		if errors.Is(err, io.EOF) {
+			return nil, fmt.Errorf("record: segment %d: missing index segment", seg)
 		}
-		rows := int(binary.LittleEndian.Uint32(rest[0:4]))
-		plen := int64(binary.LittleEndian.Uint32(rest[4:8]))
-		idx := binary.LittleEndian.Uint32(rest[8:12])
-		wantCRC := binary.LittleEndian.Uint32(rest[12:16])
-		kind := segKind(binary.LittleEndian.Uint32(rest[16:20]))
-		reserved := binary.LittleEndian.Uint32(rest[20:24])
-		if idx != uint32(seg) {
-			return nil, fmt.Errorf("record: segment %d: header claims index %d", seg, idx)
+		if err != nil {
+			return nil, err
 		}
-		if reserved != 0 {
+		segOff := sr.Offset() - segfile.HeaderSize
+		if payload, err = sr.Payload(payload); err != nil {
+			return nil, err
+		}
+		if reserved := h.Tag >> 32; reserved != 0 {
 			return nil, fmt.Errorf("record: segment %d: nonzero reserved field %#x", seg, reserved)
 		}
-		if plen > maxSegPayload {
-			return nil, fmt.Errorf("record: segment %d: payload length %d exceeds %d", seg, plen, maxSegPayload)
-		}
-		if int64(len(rest))-segHeaderSize < plen {
-			return nil, fmt.Errorf("record: segment %d: truncated payload (want %d bytes, have %d)", seg, plen, int64(len(rest))-segHeaderSize)
-		}
-		payload := rest[segHeaderSize : segHeaderSize+plen]
-		if got := crc32.ChecksumIEEE(payload); got != wantCRC {
-			return nil, fmt.Errorf("record: segment %d: crc mismatch (header %#08x, payload %#08x)", seg, wantCRC, got)
-		}
-		segOff := off
-		off += segHeaderSize + plen
-
+		kind, rows := segKind(h.Tag), int(h.Count)
 		if kind != kindIndex && rows > maxSegRows {
 			return nil, fmt.Errorf("record: segment %d: row count %d exceeds %d", seg, rows, maxSegRows)
 		}
@@ -156,7 +144,7 @@ func Read(data []byte) (*File, error) {
 			if err := verifyIndex(payload, rows, observed, seg); err != nil {
 				return nil, err
 			}
-			trailer := data[off:]
+			trailer := data[sr.Offset():]
 			if len(trailer) != trailerSize {
 				return nil, fmt.Errorf("record: segment %d: %d trailing bytes after index (want a %d-byte trailer)", seg, len(trailer), trailerSize)
 			}

@@ -6,23 +6,17 @@
 //
 // # File format
 //
-// A recording is a flat sequence of CRC-guarded segments, reusing the
-// chunk discipline of internal/trace (fixed little-endian headers, a
-// CRC-32/IEEE over every payload, errors that name the bad segment):
+// A recording is an internal/segfile container: CRC-guarded segments
+// after an 8-byte magic, with errors that name the bad segment. After
+// the last segment comes a trailer:
 //
 //	[8-byte magic "odbgcrc"+version]
 //	[segment]... (dictionary first, then runs/activations/samples)
 //	[index segment]
 //	[16-byte trailer: index offset (u64 LE) + "odbgcix"+version]
 //
-// Each segment is a 24-byte header followed by its payload:
-//
-//	[0:4]   row count (u32)
-//	[4:8]   payload length (u32)
-//	[8:12]  segment index (u32, consecutive from 0)
-//	[12:16] CRC-32 (IEEE) of the payload (u32)
-//	[16:20] segment kind (u32)
-//	[20:24] reserved, zero (u32)
+// A segment's count is its row count. The low 32 bits of its tag hold
+// its kind; the high 32 bits are reserved and zero.
 //
 // Payloads are column-major zigzag-varint integers: a table segment
 // holds up to maxSegRows rows of its fixed schema, each column's values
@@ -36,24 +30,25 @@ package record
 
 import (
 	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
+	"errors"
+
+	"odbgc/internal/segfile"
 )
 
 var (
 	fileMagic    = [8]byte{'o', 'd', 'b', 'g', 'c', 'r', 'c', 1}
 	trailerMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'i', 'x', 1}
+
+	fileFormat = segfile.Format{
+		Magic:    fileMagic,
+		BadMagic: errors.New("record: bad magic (not a record file)"),
+		Segment:  "record: segment",
+	}
 )
 
 const (
-	segHeaderSize = 24
-	trailerSize   = 16
+	trailerSize = 16
 
-	// maxSegPayload caps a single segment payload; headers claiming more
-	// are rejected before any allocation, so a corrupt or hostile length
-	// cannot balloon memory.
-	maxSegPayload = 1 << 28
 	// maxSegRows is the flush granularity: tables are split into
 	// fixed-size segments of at most this many rows.
 	maxSegRows = 8192
@@ -95,57 +90,4 @@ func decodeZigzag(p []byte) (int64, int) {
 		return 0, n
 	}
 	return int64(uv>>1) ^ -int64(uv&1), n
-}
-
-// segWriter emits the segment sequence onto one writer, tracking
-// offsets for the index.
-type segWriter struct {
-	w    io.Writer
-	off  int64
-	segs []indexEntry
-}
-
-func (sw *segWriter) writeRaw(p []byte) error {
-	n, err := sw.w.Write(p)
-	sw.off += int64(n)
-	return err
-}
-
-// writeSegment emits one segment with the next consecutive index and
-// records it for the file index (the index segment itself included, so
-// callers slice it off).
-func (sw *segWriter) writeSegment(kind segKind, rows int, payload []byte) error {
-	if len(payload) > maxSegPayload {
-		return fmt.Errorf("record: segment %d: payload %d bytes exceeds %d", len(sw.segs), len(payload), maxSegPayload)
-	}
-	var hdr [segHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(rows))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(sw.segs)))
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(hdr[16:20], uint32(kind))
-	sw.segs = append(sw.segs, indexEntry{kind: kind, offset: sw.off, rows: rows})
-	if err := sw.writeRaw(hdr[:]); err != nil {
-		return err
-	}
-	return sw.writeRaw(payload)
-}
-
-// finish writes the index segment and trailer.
-func (sw *segWriter) finish() error {
-	entries := sw.segs // everything written so far
-	payload := binary.AppendUvarint(nil, uint64(len(entries)))
-	for _, e := range entries {
-		payload = binary.AppendUvarint(payload, uint64(e.kind))
-		payload = binary.AppendUvarint(payload, uint64(e.offset))
-		payload = binary.AppendUvarint(payload, uint64(e.rows))
-	}
-	indexOff := sw.off
-	if err := sw.writeSegment(kindIndex, len(entries), payload); err != nil {
-		return err
-	}
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(indexOff))
-	copy(trailer[8:], trailerMagic[:])
-	return sw.writeRaw(trailer[:])
 }

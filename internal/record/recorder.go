@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"odbgc/internal/segfile"
 	"odbgc/internal/sim"
 )
 
@@ -176,7 +177,7 @@ func (b *tableBuilder) rows() int {
 
 // writeSegments splits the table into maxSegRows segments. A table
 // with zero rows writes nothing.
-func (b *tableBuilder) writeSegments(sw *segWriter) error {
+func (b *tableBuilder) writeSegments(write func(segKind, int, []byte) error) error {
 	for lo := 0; lo < b.rows(); lo += maxSegRows {
 		hi := min(lo+maxSegRows, b.rows())
 		var payload []byte
@@ -185,7 +186,7 @@ func (b *tableBuilder) writeSegments(sw *segWriter) error {
 				payload = appendZigzag(payload, v)
 			}
 		}
-		if err := sw.writeSegment(b.kind, hi-lo, payload); err != nil {
+		if err := write(b.kind, hi-lo, payload); err != nil {
 			return err
 		}
 	}
@@ -246,9 +247,12 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 
-	sw := &segWriter{w: w}
-	if err := sw.writeRaw(fileMagic[:]); err != nil {
-		return sw.off, err
+	sw := segfile.NewWriter(w, &fileFormat)
+	var index []indexEntry
+	write := func(kind segKind, rows int, payload []byte) error {
+		off, err := sw.Write(uint32(rows), uint64(kind), payload)
+		index = append(index, indexEntry{kind: kind, offset: off, rows: rows})
+		return err
 	}
 	for lo := 0; lo < len(in.strs); lo += maxSegRows {
 		hi := min(lo+maxSegRows, len(in.strs))
@@ -257,16 +261,33 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 			payload = binary.AppendUvarint(payload, uint64(len(s)))
 			payload = append(payload, s...)
 		}
-		if err := sw.writeSegment(kindDict, hi-lo, payload); err != nil {
-			return sw.off, err
+		if err := write(kindDict, hi-lo, payload); err != nil {
+			return sw.Offset(), err
 		}
 	}
 	for _, tb := range []*tableBuilder{runs, acts, samps} {
-		if err := tb.writeSegments(sw); err != nil {
-			return sw.off, err
+		if err := tb.writeSegments(write); err != nil {
+			return sw.Offset(), err
 		}
 	}
-	return sw.off, sw.finish()
+
+	// The index lists every segment before it; the trailer pins the
+	// index's own offset.
+	payload := binary.AppendUvarint(nil, uint64(len(index)))
+	for _, e := range index {
+		payload = binary.AppendUvarint(payload, uint64(e.kind))
+		payload = binary.AppendUvarint(payload, uint64(e.offset))
+		payload = binary.AppendUvarint(payload, uint64(e.rows))
+	}
+	indexOff, err := sw.Write(uint32(len(index)), uint64(kindIndex), payload)
+	if err != nil {
+		return sw.Offset(), err
+	}
+	var trailer [trailerSize]byte
+	binary.LittleEndian.PutUint64(trailer[0:8], uint64(indexOff))
+	copy(trailer[8:], trailerMagic[:])
+	n, err := w.Write(trailer[:])
+	return sw.Offset() + int64(n), err
 }
 
 // WriteFile persists the recording to path.

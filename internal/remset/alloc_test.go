@@ -10,7 +10,7 @@ import (
 // store the simulator replays — so in steady state it must not allocate.
 //
 // The functions this guard exercises carry //odbgc:hotpath annotations
-// checked by the hotalloc analyzer; TestHotpathAnnotationsMatchGuards in
+// checked by the hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard remset.Table.PointerWrite remset.Table.add remset.Table.remove

@@ -13,7 +13,7 @@ import (
 // cross-shard traffic (empty fout, no foreign marks), replaying a
 // steady-state batch of reads, modifies, and writes must not allocate.
 // drainBatch carries the //odbgc:hotpath annotation checked by the
-// hotalloc analyzer; TestHotpathAnnotationsMatchGuards in
+// hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the annotation and this guard in sync via the
 // declaration below.
 //

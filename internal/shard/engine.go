@@ -409,7 +409,7 @@ func (r *shardRunner) exchange(epoch int64) error {
 // drainBatch applies one epoch batch to the shard's simulator,
 // interposing the cross-shard half of the write barrier on writes. This
 // is the shard-local phase: the loop the busy counters time, and the
-// zero-alloc fast path the AllocsPerRun guard and hotalloc pin — a
+// zero-alloc fast path the AllocsPerRun guard and hotcall pin — a
 // shard with no cross-traffic (empty fout, no marks) pays one length
 // check per write over a plain replay.
 //

@@ -193,7 +193,7 @@ func TestBufferSizeBytes(t *testing.T) {
 
 // Buffer replay is the per-event fast path of every cached-trace
 // simulation; a replay step must not allocate. ReplayHook carries the
-// //odbgc:hotpath annotation checked by the hotalloc analyzer;
+// //odbgc:hotpath annotation checked by the hotcall analyzer;
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotation and this guard in sync via the declaration below.
 //

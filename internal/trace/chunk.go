@@ -1,22 +1,22 @@
 package trace
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"odbgc/internal/segfile"
 )
 
 // Chunked trace format: the on-disk form for traces too large to hold in
-// memory. The file is the chunk magic followed by any number of
-// self-describing chunks; each chunk is a fixed-size header (event
-// count, payload length, chunk index, payload CRC-32, and the generating
-// configuration's fingerprint) followed by a payload in the packed
-// opcode+uvarint encoding (codec.go). A reader decodes each payload
-// exactly once into the columnar layout Buffer holds, so streamed replay
-// drains the same zero-alloc fast path as the in-memory cache while only
-// ever holding a bounded number of chunks.
+// memory. The file is an internal/segfile container: the chunk magic
+// followed by any number of self-describing chunks, each a segment whose
+// count is the chunk's event count and whose tag is the generating
+// configuration's fingerprint. A payload is the packed opcode+uvarint
+// encoding (codec.go). A reader decodes each payload exactly once into
+// the columnar layout Buffer holds, so streamed replay drains the same
+// zero-alloc fast path as the in-memory cache while only ever holding a
+// bounded number of chunks.
 
 // chunkMagic identifies chunked odbgc trace files; the trailing byte is
 // the format version.
@@ -26,6 +26,10 @@ var chunkMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'c', 'k', 1}
 // trace.
 var ErrBadChunkMagic = errors.New("trace: bad magic (not a chunked odbgc trace file)")
 
+// chunkFormat frames chunk files; a framing error reads
+// "trace: chunk N: ...".
+var chunkFormat = segfile.Format{Magic: chunkMagic, BadMagic: ErrBadChunkMagic, Segment: "trace: chunk"}
+
 const (
 	// DefaultChunkBytes is the payload-size target a ChunkWriter flushes
 	// at when the caller does not choose one: large enough that header,
@@ -33,18 +37,6 @@ const (
 	// a double-buffered reader stays tens of megabytes resident no
 	// matter how large the trace is.
 	DefaultChunkBytes = 4 << 20
-
-	// maxChunkPayload bounds a single chunk's payload. The writer clamps
-	// its target to it and the reader rejects headers claiming more, so
-	// a corrupt or hostile length field cannot demand an absurd
-	// allocation.
-	maxChunkPayload = 1 << 28
-
-	// chunkHeaderSize is the fixed header preceding every payload:
-	// event count (uint32), payload length (uint32), chunk index
-	// (uint32), payload CRC-32/IEEE (uint32), fingerprint (uint64), all
-	// little-endian.
-	chunkHeaderSize = 24
 
 	// maxEventBytes bounds one packed event (opcode plus at most five
 	// 10-byte uvarints); the writer keeps this much slack in its payload
@@ -59,43 +51,30 @@ const (
 // Emit rejects an operand above 2^32-1 by name, so every file it writes
 // decodes into the 32-bit columns.
 type ChunkWriter struct {
-	w           io.Writer
+	seg         *segfile.Writer
 	fingerprint uint64
 	target      int
 	payload     []byte
 	events      int64 // events in the open chunk
 	total       int64
-	chunks      int
-	started     bool
-	hdr         [chunkHeaderSize]byte
 }
 
 // NewChunkWriter returns a ChunkWriter over w. fingerprint identifies
 // the generating seed/configuration and is stamped into every chunk
 // header so replay can refuse mixed or mislabeled files. chunkBytes is
-// the payload-size flush target; values <= 0 select DefaultChunkBytes.
+// the payload-size flush target; values <= 0 select DefaultChunkBytes,
+// and targets are clamped so a chunk never exceeds segfile.MaxPayload.
 func NewChunkWriter(w io.Writer, fingerprint uint64, chunkBytes int) *ChunkWriter {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
-	if chunkBytes > maxChunkPayload {
-		chunkBytes = maxChunkPayload
-	}
+	chunkBytes = min(chunkBytes, segfile.MaxPayload-maxEventBytes)
 	return &ChunkWriter{
-		w:           w,
+		seg:         segfile.NewWriter(w, &chunkFormat),
 		fingerprint: fingerprint,
 		target:      chunkBytes,
 		payload:     make([]byte, 0, chunkBytes+maxEventBytes),
 	}
-}
-
-func (w *ChunkWriter) start() error {
-	if w.started {
-		return nil
-	}
-	w.started = true
-	_, err := w.w.Write(chunkMagic[:])
-	return err
 }
 
 // Emit appends one event to the open chunk, flushing a finished chunk to
@@ -121,24 +100,12 @@ func (w *ChunkWriter) Emit(e Event) error {
 	return nil
 }
 
-// flushChunk writes the open chunk's header and payload and resets the
-// payload buffer for the next chunk.
+// flushChunk writes the open chunk and resets the payload buffer for
+// the next chunk.
 func (w *ChunkWriter) flushChunk() error {
-	if err := w.start(); err != nil {
+	if _, err := w.seg.Write(uint32(w.events), w.fingerprint, w.payload); err != nil {
 		return err
 	}
-	binary.LittleEndian.PutUint32(w.hdr[0:4], uint32(w.events))
-	binary.LittleEndian.PutUint32(w.hdr[4:8], uint32(len(w.payload)))
-	binary.LittleEndian.PutUint32(w.hdr[8:12], uint32(w.chunks))
-	binary.LittleEndian.PutUint32(w.hdr[12:16], crc32.ChecksumIEEE(w.payload))
-	binary.LittleEndian.PutUint64(w.hdr[16:24], w.fingerprint)
-	if _, err := w.w.Write(w.hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(w.payload); err != nil {
-		return err
-	}
-	w.chunks++
 	w.events = 0
 	w.payload = w.payload[:0]
 	return nil
@@ -148,20 +115,17 @@ func (w *ChunkWriter) flushChunk() error {
 // trace). The underlying stream is not flushed or closed; callers owning
 // a bufio.Writer or file still flush/close it themselves.
 func (w *ChunkWriter) Flush() error {
-	if err := w.start(); err != nil {
-		return err
-	}
 	if w.events > 0 {
 		return w.flushChunk()
 	}
-	return nil
+	return w.seg.Start()
 }
 
 // Count reports the number of events emitted so far.
 func (w *ChunkWriter) Count() int64 { return w.total }
 
 // Chunks reports the number of complete chunks written so far.
-func (w *ChunkWriter) Chunks() int { return w.chunks }
+func (w *ChunkWriter) Chunks() int { return w.seg.Segments() }
 
 // Chunk is one decoded chunk: the columnar (Buffer-layout) form of its
 // events plus the packed payload it was decoded from. A Chunk is reused
@@ -236,71 +200,53 @@ func (c *Chunk) ReplayHook(sink Sink, at int64, hook func()) error {
 // fingerprint consistency across the file. Every error names the chunk
 // index it was detected in.
 type ChunkReader struct {
-	r           io.Reader
-	started     bool
+	seg         *segfile.Reader
 	chunks      int
 	events      int64
 	fingerprint uint64
-	hdr         [chunkHeaderSize]byte
 }
 
 // NewChunkReader returns a ChunkReader over r. The magic is checked on
 // the first Next call.
-func NewChunkReader(r io.Reader) *ChunkReader { return &ChunkReader{r: r} }
+func NewChunkReader(r io.Reader) *ChunkReader {
+	return &ChunkReader{seg: segfile.NewReader(r, &chunkFormat)}
+}
 
-func (r *ChunkReader) start() error {
-	if r.started {
-		return nil
+// header reads the next chunk header, refusing a fingerprint that
+// differs from chunk 0's. It returns io.EOF at a clean end of trace.
+func (r *ChunkReader) header() (segfile.Header, error) {
+	h, err := r.seg.Next()
+	if err == nil && r.chunks > 0 && h.Tag != r.fingerprint {
+		err = fmt.Errorf("trace: chunk %d: fingerprint %#016x differs from chunk 0's %#016x (mixed trace files?)", r.chunks, h.Tag, r.fingerprint)
 	}
-	r.started = true
-	var got [8]byte
-	if _, err := io.ReadFull(r.r, got[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("%w: truncated header", ErrBadChunkMagic)
-		}
-		return err
+	return h, err
+}
+
+// advance counts a chunk whose payload has been consumed.
+func (r *ChunkReader) advance(h segfile.Header) {
+	if r.chunks == 0 {
+		r.fingerprint = h.Tag
 	}
-	if got != chunkMagic {
-		return ErrBadChunkMagic
-	}
-	return nil
+	r.chunks++
+	r.events += int64(h.Count)
 }
 
 // Next reads, verifies, and decodes the next chunk into c, reusing c's
 // buffers. It returns io.EOF at a clean end of trace.
 func (r *ChunkReader) Next(c *Chunk) error {
-	if err := r.start(); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF // clean end: no partial header
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("trace: chunk %d: truncated header: %w", r.chunks, io.ErrUnexpectedEOF)
-		}
-		return err
-	}
-	h, err := parseChunkHeader(r.hdr, r.chunks, r.fingerprint)
+	h, err := r.header()
 	if err != nil {
 		return err
 	}
-	if c.payload, err = readPayload(r.r, c.payload, int(h.plen)); err != nil {
-		return fmt.Errorf("trace: chunk %d: truncated payload: %w", r.chunks, err)
+	if c.payload, err = r.seg.Payload(c.payload); err != nil {
+		return err
 	}
-	if got := crc32.ChecksumIEEE(c.payload); got != h.crc {
-		return fmt.Errorf("trace: chunk %d: crc mismatch (header %#08x, payload %#08x)", r.chunks, h.crc, got)
-	}
-	if err := c.decode(int(h.events)); err != nil {
+	if err := c.decode(int(h.Count)); err != nil {
 		return fmt.Errorf("trace: chunk %d: %w", r.chunks, err)
 	}
 	c.Index = r.chunks
-	c.Fingerprint = h.fp
-	if r.chunks == 0 {
-		r.fingerprint = h.fp
-	}
-	r.chunks++
-	r.events += int64(h.events)
+	c.Fingerprint = h.Tag
+	r.advance(h)
 	return nil
 }
 
@@ -309,33 +255,14 @@ func (r *ChunkReader) Next(c *Chunk) error {
 // without paying for chunks 0..N-1. It returns io.EOF at a clean end of
 // trace.
 func (r *ChunkReader) SkipChunk() error {
-	if err := r.start(); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return fmt.Errorf("trace: chunk %d: truncated header: %w", r.chunks, io.ErrUnexpectedEOF)
-		}
-		return err
-	}
-	h, err := parseChunkHeader(r.hdr, r.chunks, r.fingerprint)
+	h, err := r.header()
 	if err != nil {
 		return err
 	}
-	if _, err := io.CopyN(io.Discard, r.r, int64(h.plen)); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("trace: chunk %d: truncated payload: %w", r.chunks, err)
+	if err := r.seg.Skip(); err != nil {
+		return err
 	}
-	if r.chunks == 0 {
-		r.fingerprint = h.fp
-	}
-	r.chunks++
-	r.events += int64(h.events)
+	r.advance(h)
 	return nil
 }
 
@@ -348,29 +275,3 @@ func (r *ChunkReader) Count() int64 { return r.events }
 // Fingerprint reports the file's fingerprint; valid after the first
 // successful Next.
 func (r *ChunkReader) Fingerprint() uint64 { return r.fingerprint }
-
-// readPayload fills buf to exactly n bytes from r, reusing buf's
-// capacity. Growth happens in bounded steps interleaved with reads, so a
-// corrupt header length is detected by truncation before committing a
-// large allocation.
-func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
-	const step = 1 << 20
-	if cap(buf) >= n {
-		buf = buf[:n]
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		take := n - len(buf)
-		if take > step {
-			take = step
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, take)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return buf[:start], err
-		}
-	}
-	return buf, nil
-}

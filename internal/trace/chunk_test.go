@@ -425,7 +425,7 @@ func TestAsyncWriterPropagatesError(t *testing.T) {
 // Chunk replay is the per-event fast path of streamed simulation; a
 // replay step must not allocate, and emitting into a chunk writer must
 // not allocate in steady state. ReplayHook and Emit carry the
-// //odbgc:hotpath annotation checked by the hotalloc analyzer;
+// //odbgc:hotpath annotation checked by the hotcall analyzer;
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotations and these guards in sync via the declaration below.
 //

@@ -1,0 +1,91 @@
+package trace
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"odbgc/internal/segfile"
+)
+
+// chunkHeaderSize is the segment header preceding every chunk payload,
+// for tests that locate payloads or build chunks by hand.
+const chunkHeaderSize = segfile.HeaderSize
+
+// TestChunkFingerprintMismatch splices a chunk stamped with another
+// fingerprint after chunk 0: reading, skipping, and opening the file as
+// a stream must each refuse it, naming chunk 1.
+func TestChunkFingerprintMismatch(t *testing.T) {
+	var payload []byte
+	for _, e := range bufferTestEvents() {
+		payload = appendEvent(payload, e)
+	}
+	var buf bytes.Buffer
+	sw := segfile.NewWriter(&buf, &chunkFormat)
+	for _, fp := range []uint64{0xaaaa, 0xbbbb} {
+		if _, err := sw.Write(uint32(len(bufferTestEvents())), fp, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+	const want = "trace: chunk 1: fingerprint 0x000000000000bbbb differs from chunk 0's 0x000000000000aaaa (mixed trace files?)"
+
+	cr := NewChunkReader(bytes.NewReader(data))
+	var c Chunk
+	if err := cr.Next(&c); err != nil {
+		t.Fatal(err)
+	}
+	if err := cr.Next(&c); err == nil || err.Error() != want {
+		t.Errorf("Next: err = %v, want %q", err, want)
+	}
+	cr = NewChunkReader(bytes.NewReader(data))
+	if err := cr.SkipChunk(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cr.SkipChunk(); err == nil || err.Error() != want {
+		t.Errorf("SkipChunk: err = %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "mixed.odbgcck")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenChunkStream(path); err == nil || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("OpenChunkStream: err = %v, want %q", err, want)
+	}
+}
+
+// TestChunkStreamTruncatedPayload cuts the file inside its last payload:
+// the header scan, which seeks over payloads, must still name the chunk.
+func TestChunkStreamTruncatedPayload(t *testing.T) {
+	data := writeChunked(t, benchBuffer(t, 600), 1, 512)
+	_, cr := readAllChunks(t, data)
+	path := filepath.Join(t.TempDir(), "cut.odbgcck")
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("trace: chunk %d: truncated payload", cr.Chunks()-1)
+	if _, err := OpenChunkStream(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenChunkStream of a cut file: err = %v, want %q", err, want)
+	}
+}
+
+// TestOpenChunkStreamReadError opens a directory: the read of the magic
+// fails with an I/O error, which must surface as itself rather than as
+// a bad magic.
+func TestOpenChunkStreamReadError(t *testing.T) {
+	dir := t.TempDir()
+	_, err := OpenChunkStream(dir)
+	if err == nil {
+		t.Fatal("OpenChunkStream of a directory succeeded")
+	}
+	if errors.Is(err, ErrBadChunkMagic) {
+		t.Fatalf("I/O error reported as a bad magic: %v", err)
+	}
+	if !strings.Contains(err.Error(), dir) {
+		t.Fatalf("error %q does not name the path", err)
+	}
+}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -54,45 +53,23 @@ func OpenChunkStream(path string) (*ChunkStream, error) {
 // scan checks the magic and walks every chunk header of f, seeking over
 // the payloads, to fill in the stream's totals.
 func (s *ChunkStream) scan(f *os.File) error {
-	var got [8]byte
-	if _, err := io.ReadFull(f, got[:]); err != nil {
-		return fmt.Errorf("%w: truncated header", ErrBadChunkMagic)
-	}
-	if got != chunkMagic {
-		return ErrBadChunkMagic
-	}
-	offset := int64(len(chunkMagic))
-	var hdr [chunkHeaderSize]byte
+	cr := NewChunkReader(f)
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil // clean end
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return fmt.Errorf("trace: chunk %d: truncated header: %w", s.chunks, io.ErrUnexpectedEOF)
-			}
-			return err
+		h, err := cr.header()
+		if errors.Is(err, io.EOF) {
+			break
 		}
-		h, err := parseChunkHeader(hdr, s.chunks, s.fingerprint)
 		if err != nil {
 			return err
 		}
-		offset += chunkHeaderSize + int64(h.plen)
-		if offset > s.sizeBytes {
-			return fmt.Errorf("trace: chunk %d: truncated payload (file ends %d bytes short)", s.chunks, offset-s.sizeBytes)
-		}
-		if _, err := f.Seek(offset, io.SeekStart); err != nil {
+		if err := cr.seg.Skip(); err != nil { // seeks: f is an io.Seeker
 			return err
 		}
-		if s.chunks == 0 {
-			s.fingerprint = h.fp
-		}
-		s.chunks++
-		s.events += int64(h.events)
-		if int(h.plen) > s.maxPayload {
-			s.maxPayload = int(h.plen)
-		}
+		cr.advance(h)
+		s.maxPayload = max(s.maxPayload, int(h.Len))
 	}
+	s.chunks, s.events, s.fingerprint = cr.chunks, cr.events, cr.fingerprint
+	return nil
 }
 
 // Path reports the file the stream replays from.
@@ -262,30 +239,4 @@ func (a *AsyncWriter) Close() error {
 	close(a.queue)
 	<-a.done
 	return a.err
-}
-
-// parseChunkHeader decodes and validates one chunk header against the
-// expected index and (for chunks past the first) fingerprint.
-type chunkHeader struct {
-	events, plen, index, crc uint32
-	fp                       uint64
-}
-
-func parseChunkHeader(hdr [chunkHeaderSize]byte, expectIndex int, expectFP uint64) (chunkHeader, error) {
-	h := chunkHeader{
-		events: binary.LittleEndian.Uint32(hdr[0:4]),
-		plen:   binary.LittleEndian.Uint32(hdr[4:8]),
-		index:  binary.LittleEndian.Uint32(hdr[8:12]),
-		crc:    binary.LittleEndian.Uint32(hdr[12:16]),
-		fp:     binary.LittleEndian.Uint64(hdr[16:24]),
-	}
-	switch {
-	case h.index != uint32(expectIndex):
-		return h, fmt.Errorf("trace: chunk %d: header names chunk %d (missing or reordered chunk)", expectIndex, h.index)
-	case h.plen > maxChunkPayload:
-		return h, fmt.Errorf("trace: chunk %d: implausible payload length %d", expectIndex, h.plen)
-	case expectIndex > 0 && h.fp != expectFP:
-		return h, fmt.Errorf("trace: chunk %d: fingerprint %#016x differs from chunk 0's %#016x (mixed trace files?)", expectIndex, h.fp, expectFP)
-	}
-	return h, nil
 }
