@@ -46,23 +46,32 @@ go test -run '^$' -fuzz '^FuzzShardRouter$' -fuzztime 5s ./internal/shard
 # sharded serial/parallel); any divergence or invariant violation fails.
 go run ./cmd/experiments -selfcheck -short -q
 # Streaming smoke: generate a ~5M-event chunked trace and replay it into
-# a full simulation under a hard memory ceiling far below the decoded
-# trace's in-memory footprint — proof the streamed path holds its
-# constant-memory claim end to end. (The generator and the simulator's
-# object table fit comfortably; a whole-trace load would not.)
+# a full simulation under a memory ceiling — proof the streamed path
+# holds its constant-memory claim end to end. Each ceilinged run is a
+# built binary under scripts/rss_ceiling.py, which fails when the
+# process's peak RSS passes the ceiling in MB. (GOMEMLIMIT cannot do
+# this: it is a soft limit, and the Go runtime grows past it rather
+# than fail.) Each ceiling is about twice the peak measured when it was
+# set, so a change that keeps a whole trace in memory, or keeps
+# generator state for every object ever created, fails here.
 stream_tmp=$(mktemp -d)
 trap 'rm -rf "$stream_tmp"' EXIT
-go run ./cmd/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
-GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck"
-GOMEMLIMIT=64MiB go run ./cmd/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
+go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
+ceiling() { python3 scripts/rss_ceiling.py "$@"; }
+# The generator's state follows the alive nodes, not the run length.
+ceiling 96 bin/tracegen -o "$stream_tmp/long.odbgcck" -alloc 200000000
+rm "$stream_tmp/long.odbgcck"
+bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
+ceiling 128 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
+ceiling 64 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shard
 # goroutines with cross-shard remset exchange — once under the race
 # detector on a cross-tree trace (the exchange protocol is the one place
-# goroutines share data), once under the memory ceiling to show the
+# goroutines share data), once under a memory ceiling to show the
 # sharded path inherits the streaming pipeline's constant-memory bound.
-go run ./cmd/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
+bin/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
-GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
+ceiling 320 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured
 # .odbgcrec recording; odbgc-query must answer an aggregate query over
 # it and regenerate the figure CSVs byte-identically to the direct emit.

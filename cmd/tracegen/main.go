@@ -5,13 +5,14 @@
 // Usage:
 //
 //	tracegen -o trace.odbgcck [-chunk-bytes N] [-seed N] [-live BYTES]
-//	         [-alloc BYTES] [-dense F] [-cross F] [-trees N]
+//	         [-alloc BYTES] [-dense F] [-cross F] [-trees N] [-max-events N]
 //
 // The file is a chunked trace: fixed-size CRC-guarded chunks streamed to
 // disk as they fill, so the encoded trace never resides in memory (the
-// generator's own state still scales with its workload model); gcsim
-// replays it through a prefetching pipeline at a fixed two-chunk memory
-// budget no matter how long the trace is.
+// generator keeps state for its alive nodes plus under 8 bytes per
+// object created); gcsim replays it through a prefetching pipeline at a
+// fixed two-chunk memory budget no matter how long the trace is. A
+// failed run leaves no file behind.
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"io"
 	"os"
 
-	"odbgc/internal/trace"
 	"odbgc/internal/workload"
 )
 
@@ -86,33 +86,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.MaxEvents = *maxEvents
 	}
 
-	g, err := workload.New(cfg)
+	// A failed generation removes the partial file: its chunks would pass
+	// every CRC check and replay as a complete, shorter trace.
+	rt, err := workload.RecordStreamed(cfg, *out, *chunkBytes)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// Chunk encoding is pipelined with file I/O: full chunks queue on a
-	// background writer goroutine while the generator fills the next
-	// one, so generation streams at constant memory.
-	aw := trace.NewAsyncWriter(f, 2)
-	cw := trace.NewChunkWriter(aw, cfg.Fingerprint(), *chunkBytes)
-	st, err := g.Run(cw)
-	if err != nil {
-		return err
-	}
-	if err := cw.Flush(); err != nil {
-		return err
-	}
-	if err := aw.Close(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
+	st := rt.Stats
 	fmt.Fprintf(stdout, "%s: %d events (%d creates, %d reads, %d writes, %d modifies), %d deletions, %.1f MB allocated, r/w ratio %.1f\n",
 		*out, st.Events, st.Creates, st.Reads, st.Writes, st.Modifies,
 		st.Deletions, float64(st.AllocatedBytes)/(1<<20), st.EdgeReadWriteRatio)

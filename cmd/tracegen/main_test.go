@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -51,6 +52,22 @@ func TestGenerateAndInspect(t *testing.T) {
 	}
 	if _, err := trace.OpenChunkStream(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFailedRunRemovesFile hits the event cap mid-generation, after
+// several chunks have reached the disk. Those chunks would pass every CRC
+// check and replay as a complete trace, so the file must be gone.
+func TestFailedRunRemovesFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.odbgcck")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-o", path, "-max-events", "200000", "-chunk-bytes", "65536"}
+	err := run(args, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "event cap 200000") {
+		t.Fatalf("run(%v) = %v, want the event-cap error", args, err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("failed run left %s behind (stat: %v)", path, err)
 	}
 }
 
