@@ -37,6 +37,10 @@ go test -run '^$' -fuzz '^FuzzChunkCodec$' -fuzztime 5s ./internal/trace
 # Audited-simulator fuzz smoke: random valid event streams through a
 # simulator running the full invariant catalog after every collection.
 go test -run '^$' -fuzz '^FuzzAuditedSim$' -fuzztime 5s ./internal/check
+# Heap slot fuzz smoke: random Alloc/WriteField/Move/Discard/Reset
+# sequences against a map model; the heap's invariants (OID index
+# round-trip, free list, field arena) must hold after every operation.
+go test -run '^$' -fuzz '^FuzzHeapSlots$' -fuzztime 5s ./internal/heap
 # Shard-router fuzz smoke: random create/lookup streams through both
 # assignment policies must keep per-shard OID spaces dense and totals
 # consistent, erroring (never panicking) on malformed streams.
@@ -58,11 +62,14 @@ stream_tmp=$(mktemp -d)
 trap 'rm -rf "$stream_tmp"' EXIT
 go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
 ceiling() { python3 scripts/rss_ceiling.py "$@"; }
-# The generator's state follows the alive nodes, not the run length.
+# The generator's state follows the alive nodes, not the run length, and
+# so does the replay's: the heap keeps 4 bytes per OID issued and the
+# rest per resident object.
 ceiling 96 bin/tracegen -o "$stream_tmp/long.odbgcck" -alloc 200000000
+ceiling 200 bin/gcsim -trace "$stream_tmp/long.odbgcck"
 rm "$stream_tmp/long.odbgcck"
 bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
-ceiling 128 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
+ceiling 120 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
 ceiling 64 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shard
 # goroutines with cross-shard remset exchange — once under the race

@@ -8,13 +8,14 @@
 // layer (internal/check) verifies that property after the fact, while
 // this package prevents the classes of code that break it from being
 // written at all: map-iteration-ordered results (detmap), dangling
-// pointers into the intrusive frame arenas (arenaindex), and silently
-// non-exhaustive switches over the event-kind and policy enumerations
-// (kindswitch).
+// pointers into the arenas (arenaindex), and silently non-exhaustive
+// switches over the event-kind and policy enumerations (kindswitch).
 //
-// Three analyzers see across function and package boundaries through a
+// Four analyzers see across function and package boundaries through a
 // per-package call graph (callgraph.go) and serialized modular facts
-// (facts.go): hotcall forbids allocation in //odbgc:hotpath functions,
+// (facts.go): arenaindex follows which functions can move an arena and
+// which return views into one; hotcall forbids allocation in
+// //odbgc:hotpath functions,
 // in their own bodies and through their callees; detflow forbids
 // ambient clocks, global randomness, and environment reads in the
 // result packages and tracks nondeterminism taint from those sources
@@ -187,8 +188,8 @@ func isResultPackage(pass *Pass) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetMap,
-		ArenaIndex,
 		KindSwitch,
+		ArenaIndex,
 		HotCall,
 		DetFlow,
 		BarrierProto,

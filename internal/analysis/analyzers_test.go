@@ -31,6 +31,13 @@ func TestArenaIndex(t *testing.T) {
 	atest.Run(t, "testdata/arenaindex/pagebuf", analysis.ArenaIndex)
 }
 
+// The flat arenas: pointers into and views of //odbgc:arena fields held
+// across calls that grow them, within the package and, through facts,
+// from a dependent package.
+func TestArenaIndexSlots(t *testing.T) {
+	atest.RunMulti(t, "testdata/arenaindex", analysis.ArenaIndex, "slotheap", "slotuser")
+}
+
 func TestKindSwitch(t *testing.T) {
 	atest.Run(t, "testdata/kindswitch/core", analysis.KindSwitch)
 }

@@ -4,20 +4,26 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 )
 
-// ArenaIndex guards the intrusive index-linked arenas (the page buffer's
-// []frame, the trace cache's []cacheNode): slices of structs chained by
-// int32 prev/next indices, where -1 is the nil sentinel because 0 is a
-// valid slot.
+// ArenaIndex guards the repository's arenas: the intrusive index-linked
+// arenas (the page buffer's []frame, the trace cache's []cacheNode),
+// slices of structs chained by int32 prev/next indices where -1 is the
+// nil sentinel because 0 is a valid slot, and the flat arenas a struct
+// field marks with //odbgc:arena (the heap's slot storage and field
+// arena), whose backing arrays grow or are compacted in place.
 //
 // Two mistakes are easy to make and survive every test until the arena
 // happens to grow or slot 0 happens to be involved:
 //
-//   - taking &arena[i] and holding the pointer across a statement that
-//     can grow the arena's backing slice (an append to the same slice,
-//     or a call to a same-package function that appends to the same
-//     field) — the pointer then mutates the stale array; and
+//   - holding a pointer into an arena (&arena[i]) or a view of it
+//     (arena[i:j], or the result of a function returning one) across a
+//     call that can move the arena's contents — a function that
+//     reassigns the arena field, directly or through its callees, in
+//     this package or, through facts, in another — or across a direct
+//     reassignment of the slice: the pointer then reads a stale array;
 //   - treating 0 as the "no frame" value: comparing a link field to 0,
 //     assigning 0 to one, or building an arena element literal that
 //     leaves the link fields to their zero value.
@@ -25,10 +31,14 @@ import (
 // Intentional exceptions carry //odbgc:arena-ok <reason>.
 var ArenaIndex = &Analyzer{
 	Name: "arenaindex",
-	Doc: "flags stale pointers into index-linked arenas and 0-vs-(-1) " +
-		"sentinel confusion in their link fields",
-	Run: runArenaIndex,
+	Doc: "flags stale pointers into arenas and 0-vs-(-1) " +
+		"sentinel confusion in intrusive arenas' link fields",
+	Run:   runArenaIndex,
+	Facts: true,
 }
+
+// arenaDirective marks a struct field as a flat arena.
+const arenaDirective = "//odbgc:arena"
 
 const arenaMarker = "arena-ok"
 
@@ -67,7 +77,7 @@ func isInt32(t types.Type) bool {
 }
 
 func runArenaIndex(pass *Pass) error {
-	growers := collectGrowers(pass)
+	ai := newArenaInfo(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -75,7 +85,7 @@ func runArenaIndex(pass *Pass) error {
 				continue
 			}
 			checkSentinels(pass, fn)
-			checkHeldPointers(pass, fn, growers)
+			checkHeldPointers(pass, fn, ai)
 		}
 	}
 	return nil
@@ -197,64 +207,199 @@ func isKeyed(lit *ast.CompositeLit) bool {
 	return false
 }
 
-// collectGrowers maps each function in the package to the set of field
-// names whose arena slice it can reallocate (assignments like
-// `c.nodes = append(c.nodes, ...)`).
-func collectGrowers(pass *Pass) map[*types.Func]map[string]bool {
-	growers := map[*types.Func]map[string]bool{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+// arenaInfo is one package's view of its arenas: the fields marked
+// //odbgc:arena, and per function the arenas it can move and the arena
+// its result is a view of. Both summaries are exported as facts.
+type arenaInfo struct {
+	pass      *Pass
+	annotated map[*types.Var]bool
+	g         *CallGraph
+	moves     map[*types.Func]map[string]bool
+	views     map[*types.Func]string
+}
+
+func newArenaInfo(pass *Pass) *arenaInfo {
+	ai := &arenaInfo{
+		pass:      pass,
+		annotated: annotatedArenaFields(pass),
+		g:         BuildCallGraph(pass),
+		moves:     map[*types.Func]map[string]bool{},
+		views:     map[*types.Func]string{},
+	}
+	for _, fn := range ai.g.Nodes {
+		body := ai.g.Decls[fn].Body
+		moved := map[string]bool{}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if key := ai.fieldKey(lhs); key != "" {
+						moved[key] = true
+					}
+				}
+			case *ast.ReturnStmt:
+				for _, r := range n.Results {
+					if key, _ := ai.derivedKey(r); key != "" {
+						ai.views[fn] = key
+					}
+				}
 			}
-			obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			grown := growthFields(pass, fn.Body, token.NoPos)
-			if len(grown) > 0 {
-				growers[obj] = grown
+			return true
+		})
+		ai.moves[fn] = moved
+	}
+	// Moving propagates from callees to callers; iterate to a fixpoint.
+	for changed := true; changed; {
+		changed = false
+		for _, fn := range ai.g.Nodes {
+			for _, e := range ai.g.Edges[fn] {
+				for key := range ai.calleeMoves(e.Callee) {
+					if !ai.moves[fn][key] {
+						ai.moves[fn][key] = true
+						changed = true
+					}
+				}
 			}
 		}
 	}
-	return growers
-}
-
-// growthFields returns the names of struct fields of arena slice type
-// assigned (reallocated) in body at positions after from.
-func growthFields(pass *Pass, body *ast.BlockStmt, from token.Pos) map[string]bool {
-	grown := map[string]bool{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		as, ok := n.(*ast.AssignStmt)
-		if !ok || as.Pos() < from {
-			return true
-		}
-		for _, lhs := range as.Lhs {
-			sel, ok := lhs.(*ast.SelectorExpr)
-			if !ok {
+	if pass.Facts != nil {
+		for _, fn := range ai.g.Nodes {
+			if pass.InTestFile(ai.g.Decls[fn].Pos()) || (len(ai.moves[fn]) == 0 && ai.views[fn] == "") {
 				continue
 			}
-			if t := pass.TypesInfo.TypeOf(sel); t != nil && isArenaSlice(t) {
-				grown[sel.Sel.Name] = true
+			fact := &ArenaFact{View: ai.views[fn]}
+			for key := range ai.moves[fn] {
+				fact.Moves = append(fact.Moves, key)
 			}
+			sort.Strings(fact.Moves)
+			pass.Facts.Ensure(fn).Arena = fact
 		}
-		return true
-	})
-	return grown
+	}
+	return ai
 }
 
-// heldPointer records one `p := &arena[i]` binding.
+// annotatedArenaFields returns the struct fields of this package whose
+// doc or line comment carries //odbgc:arena.
+func annotatedArenaFields(pass *Pass) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, f := range st.Fields.List {
+				if !hasMarker(f.Doc, arenaDirective) && !hasMarker(f.Comment, arenaDirective) {
+					continue
+				}
+				for _, name := range f.Names {
+					if v, ok := pass.TypesInfo.Defs[name].(*types.Var); ok {
+						out[v] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// fieldKey returns the identity of the arena field e selects — one of
+// an intrusive arena slice type, or one marked //odbgc:arena — as
+// pkgpath.Owner.field, or "" when e selects no arena field.
+func (ai *arenaInfo) fieldKey(e ast.Expr) string {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	selection, ok := ai.pass.TypesInfo.Selections[sel]
+	if !ok || selection.Kind() != types.FieldVal {
+		return ""
+	}
+	v, ok := selection.Obj().(*types.Var)
+	if !ok || (!ai.annotated[v] && !isArenaSlice(v.Type())) {
+		return ""
+	}
+	recv := selection.Recv()
+	if ptr, ok := recv.Underlying().(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	owner := "?"
+	if named, ok := recv.(*types.Named); ok {
+		owner = named.Obj().Name()
+	}
+	pkg := ""
+	if v.Pkg() != nil {
+		pkg = v.Pkg().Path()
+	}
+	return pkg + "." + owner + "." + v.Name()
+}
+
+// derivedKey reports whether e points into or views an arena: &a[i] or
+// a[i:j] for an arena field a, or a call to a function whose result is a
+// view of one. It returns the arena's key and, for the first two forms,
+// the printed arena expression, which a direct reassignment must match.
+func (ai *arenaInfo) derivedKey(e ast.Expr) (key, slice string) {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.UnaryExpr:
+		if idx, ok := e.X.(*ast.IndexExpr); ok && e.Op == token.AND {
+			if key := ai.fieldKey(idx.X); key != "" {
+				return key, types.ExprString(idx.X)
+			}
+		}
+	case *ast.SliceExpr:
+		if key := ai.fieldKey(e.X); key != "" {
+			return key, types.ExprString(e.X)
+		}
+	case *ast.CallExpr:
+		if callee := StaticCallee(ai.pass.TypesInfo, e); callee != nil {
+			return ai.calleeView(callee), ""
+		}
+	}
+	return "", ""
+}
+
+// calleeMoves returns the arenas a callee can move: computed here for
+// this package's functions, imported from facts otherwise.
+func (ai *arenaInfo) calleeMoves(fn *types.Func) map[string]bool {
+	if m, ok := ai.moves[fn]; ok {
+		return m
+	}
+	out := map[string]bool{}
+	if f := ai.pass.Facts.Func(fn); f != nil && f.Arena != nil {
+		for _, key := range f.Arena.Moves {
+			out[key] = true
+		}
+	}
+	return out
+}
+
+// calleeView returns the arena a callee's result is a view of, or "".
+func (ai *arenaInfo) calleeView(fn *types.Func) string {
+	if _, ok := ai.g.Decls[fn]; ok {
+		return ai.views[fn]
+	}
+	if f := ai.pass.Facts.Func(fn); f != nil && f.Arena != nil {
+		return f.Arena.View
+	}
+	return ""
+}
+
+// heldPointer records one binding of a pointer into, or a view of, an
+// arena.
 type heldPointer struct {
-	obj   *types.Var // the pointer variable
-	field string     // arena field name ("" when the slice is a plain variable)
-	slice string     // printed slice expression, for direct-reassignment matching
+	obj   *types.Var // the pointer or view variable
+	key   string     // the arena's identity ("" for a plain slice variable)
+	slice string     // printed arena expression, for direct-reassignment matching
 	pos   token.Pos
 }
 
-// checkHeldPointers flags uses of an arena element pointer after a
-// statement that can grow the arena it points into.
-func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, growers map[*types.Func]map[string]bool) {
+// arenaName is the field name ending an arena key, for diagnostics.
+func arenaName(key string) string { return key[strings.LastIndex(key, ".")+1:] }
+
+// checkHeldPointers flags uses of an arena pointer or view after a
+// statement that can move the arena it points into.
+func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, ai *arenaInfo) {
 	var held []heldPointer
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -262,16 +407,24 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, growers map[*types.Func]map
 			return true
 		}
 		for i, rhs := range as.Rhs {
-			un, ok := rhs.(*ast.UnaryExpr)
-			if !ok || un.Op != token.AND {
-				continue
+			key, slice := ai.derivedKey(rhs)
+			if key == "" && slice == "" {
+				// A pointer into an intrusive arena held in a plain
+				// variable: only direct reassignment can move it.
+				un, ok := rhs.(*ast.UnaryExpr)
+				if !ok || un.Op != token.AND {
+					continue
+				}
+				idx, ok := un.X.(*ast.IndexExpr)
+				if !ok {
+					continue
+				}
+				if t := pass.TypesInfo.TypeOf(idx.X); t == nil || !isArenaSlice(t) {
+					continue
+				}
+				slice = types.ExprString(idx.X)
 			}
-			idx, ok := un.X.(*ast.IndexExpr)
-			if !ok {
-				continue
-			}
-			t := pass.TypesInfo.TypeOf(idx.X)
-			if t == nil || !isArenaSlice(t) {
+			if key == "" && slice == "" {
 				continue
 			}
 			id, ok := as.Lhs[i].(*ast.Ident)
@@ -287,20 +440,14 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, growers map[*types.Func]map
 			if v == nil {
 				continue
 			}
-			hp := heldPointer{obj: v, slice: types.ExprString(idx.X), pos: as.Pos()}
-			if sel, ok := idx.X.(*ast.SelectorExpr); ok {
-				hp.field = sel.Sel.Name
-			}
-			held = append(held, hp)
+			held = append(held, heldPointer{obj: v, key: key, slice: slice, pos: as.Pos()})
 		}
 		return true
 	})
-	if len(held) == 0 {
-		return
-	}
 
-	// Find growth events after each binding; report pointer uses after
-	// the earliest one.
+	// Find the first statement after each binding that can move its
+	// arena; report the pointer's uses after it. Uses inside the moving
+	// call or assignment itself are evaluated before the move.
 	for _, hp := range held {
 		growPos := token.NoPos
 		var growDesc string
@@ -310,27 +457,20 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, growers map[*types.Func]map
 			}
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				if n.Pos() <= hp.pos {
+				if n.Pos() <= hp.pos || hp.slice == "" {
 					return true
 				}
 				for _, lhs := range n.Lhs {
 					if types.ExprString(lhs) == hp.slice {
-						growPos, growDesc = n.Pos(), "reassignment of "+hp.slice
+						growPos, growDesc = n.End(), "reassignment of "+hp.slice
 					}
 				}
 			case *ast.CallExpr:
-				if n.Pos() <= hp.pos || hp.field == "" {
+				if n.Pos() <= hp.pos || hp.key == "" {
 					return true
 				}
-				var callee *types.Func
-				switch f := n.Fun.(type) {
-				case *ast.Ident:
-					callee, _ = pass.TypesInfo.Uses[f].(*types.Func)
-				case *ast.SelectorExpr:
-					callee, _ = pass.TypesInfo.Uses[f.Sel].(*types.Func)
-				}
-				if callee != nil && growers[callee][hp.field] {
-					growPos, growDesc = n.Pos(), "call to "+callee.Name()+", which grows "+hp.field
+				if callee := StaticCallee(pass.TypesInfo, n); callee != nil && ai.calleeMoves(callee)[hp.key] {
+					growPos, growDesc = n.End(), "call to "+callee.Name()+", which grows "+arenaName(hp.key)
 				}
 			}
 			return true
@@ -338,15 +478,33 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, growers map[*types.Func]map
 		if !growPos.IsValid() {
 			continue
 		}
+		// A reassignment of the variable after the move re-derives it.
+		rebind := token.NoPos
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			as, ok := n.(*ast.AssignStmt)
+			if !ok || as.Pos() <= growPos || rebind.IsValid() {
+				return !rebind.IsValid()
+			}
+			for _, lhs := range as.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == hp.obj {
+					rebind = as.Pos()
+				}
+			}
+			return true
+		})
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
-			if !ok || id.Pos() <= growPos {
+			if !ok || id.Pos() <= growPos || (rebind.IsValid() && id.Pos() >= rebind) {
 				return true
 			}
 			if pass.TypesInfo.Uses[id] == hp.obj {
+				arena := hp.slice
+				if arena == "" {
+					arena = arenaName(hp.key)
+				}
 				pass.Reportf(id.Pos(), arenaMarker,
 					"%s points into arena %s but is used after %s; re-index the arena instead",
-					id.Name, hp.slice, growDesc)
+					id.Name, arena, growDesc)
 				return false
 			}
 			return true

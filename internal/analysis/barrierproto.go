@@ -57,7 +57,7 @@ const (
 // the //odbgc:barrier marker (exact word: //odbgc:barrier-ok is the
 // line-suppression, not the annotation).
 func IsBarrierFunc(fn *ast.FuncDecl) bool {
-	return hasDocMarker(fn, BarrierMarker)
+	return hasMarker(fn.Doc, BarrierMarker)
 }
 
 // A barrierOp is one barrier-channel operation a function performs on

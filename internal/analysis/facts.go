@@ -8,8 +8,9 @@ import (
 )
 
 // Modular facts: the interprocedural analyzers (hotcall, detflow,
-// barrierproto) summarize every function of a package once and publish
-// the summaries as facts, in the spirit of go/analysis modular facts.
+// barrierproto, and arenaindex's stale-pointer rule) summarize every
+// function of a package once and publish the summaries as facts, in the
+// spirit of go/analysis modular facts.
 // When a later package calls into an already-analyzed one, the analyzer
 // consults the callee's fact instead of its body — which it cannot see:
 // the vet protocol hands each invocation exactly one package's source.
@@ -29,6 +30,15 @@ type FuncFacts struct {
 	Hotcall *HotcallFact `json:"hotcall,omitempty"`
 	Detflow *DetflowFact `json:"detflow,omitempty"`
 	Barrier *BarrierFact `json:"barrierproto,omitempty"`
+	Arena   *ArenaFact   `json:"arenaindex,omitempty"`
+}
+
+// ArenaFact summarizes a function for arenaindex's stale-pointer rule:
+// the arenas (pkgpath.Owner.field) it can move, directly or through its
+// callees, and the arena its result points into or views, if any.
+type ArenaFact struct {
+	Moves []string `json:"moves,omitempty"`
+	View  string   `json:"view,omitempty"`
 }
 
 // HotcallFact summarizes a function for interprocedural allocation

@@ -58,17 +58,18 @@ const (
 // IsHotPath reports whether the function declaration's doc comment
 // carries the //odbgc:hotpath marker.
 func IsHotPath(fn *ast.FuncDecl) bool {
-	return hasDocMarker(fn, HotPathMarker)
+	return hasMarker(fn.Doc, HotPathMarker)
 }
 
-// hasDocMarker reports whether fn's doc comment contains a line carrying
-// exactly the given //odbgc:* marker word (so //odbgc:barrier never
-// matches //odbgc:barrier-ok).
-func hasDocMarker(fn *ast.FuncDecl, marker string) bool {
-	if fn.Doc == nil {
+// hasMarker reports whether a comment group (a function's or a field's
+// doc, or a field's line comment) has a line carrying exactly the given
+// //odbgc:* marker word (so //odbgc:barrier never matches
+// //odbgc:barrier-ok).
+func hasMarker(cg *ast.CommentGroup, marker string) bool {
+	if cg == nil {
 		return false
 	}
-	for _, c := range fn.Doc.List {
+	for _, c := range cg.List {
 		text := strings.TrimSpace(c.Text)
 		if text == marker || strings.HasPrefix(text, marker+" ") {
 			return true

@@ -78,44 +78,36 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 	wantIn := make(map[heap.PartitionID]map[pointerLoc]heap.OID)
 	wantOutMembers := make(map[heap.PartitionID]map[heap.OID]bool)
 	wantOutCount := make(map[heap.OID]int)
-	var scanErr error
 	for pid := 0; pid < h.NumPartitions(); pid++ {
 		p := heap.PartitionID(pid)
-		h.Partition(p).Objects(func(oid heap.OID) {
-			if scanErr != nil {
-				return
-			}
-			obj := h.Get(oid)
-			for f, target := range obj.Fields {
-				if target == heap.NilOID {
+		for _, src := range h.Partition(p).Slots() {
+			oid := h.OID(src)
+			for f, ts := range h.Fields(src) {
+				if ts == heap.NilSlot {
 					continue
 				}
-				tObj := h.Get(target)
-				if tObj == nil {
-					scanErr = fmt.Errorf("check: object %d field %d points to non-resident object %d (dangling pointer)", oid, f, target)
-					return
+				if !h.Resident(ts) {
+					return fmt.Errorf("check: object %d field %d points to freed slot %d (dangling pointer)", oid, f, ts)
 				}
-				if tObj.Partition == obj.Partition {
+				tp := h.PartitionOf(ts)
+				if tp == p {
 					continue
 				}
-				set := wantIn[tObj.Partition]
+				set := wantIn[tp]
 				if set == nil {
 					set = make(map[pointerLoc]heap.OID)
-					wantIn[tObj.Partition] = set
+					wantIn[tp] = set
 				}
-				set[pointerLoc{oid, f}] = target
-				members := wantOutMembers[obj.Partition]
+				set[pointerLoc{oid, f}] = h.OID(ts)
+				members := wantOutMembers[p]
 				if members == nil {
 					members = make(map[heap.OID]bool)
-					wantOutMembers[obj.Partition] = members
+					wantOutMembers[p] = members
 				}
 				members[oid] = true
 				wantOutCount[oid]++
 			}
-		})
-	}
-	if scanErr != nil {
-		return scanErr
+		}
 	}
 
 	// In-sets, both directions. RootsInto yields every recorded entry of a
@@ -157,12 +149,12 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 		members := wantOutMembers[p]
 		var firstErr error
 		seen := 0
-		rem.OutSet(p, func(oid heap.OID) {
+		rem.OutSet(p, func(s heap.Slot) {
 			if firstErr != nil {
 				return
 			}
 			seen++
-			if !members[oid] {
+			if oid := h.OID(s); !members[oid] {
 				firstErr = fmt.Errorf("check: out-set of partition %d lists object %d, which has no out-of-partition pointer", p, oid)
 			}
 		})
@@ -173,12 +165,12 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 			return fmt.Errorf("check: out-set of partition %d lists %d objects, heap has %d with out-pointers", p, seen, len(members))
 		}
 	}
-	for oid := heap.OID(1); oid < h.OIDBound(); oid++ {
-		if h.Get(oid) == nil {
-			continue
-		}
-		if got, want := rem.OutCount(oid), wantOutCount[oid]; got != want {
-			return fmt.Errorf("check: object %d out-count %d, heap has %d out-of-partition fields", oid, got, want)
+	for pid := 0; pid < h.NumPartitions(); pid++ {
+		for _, s := range h.Partition(heap.PartitionID(pid)).Slots() {
+			oid := h.OID(s)
+			if got, want := rem.OutCount(s), wantOutCount[oid]; got != want {
+				return fmt.Errorf("check: object %d out-count %d, heap has %d out-of-partition fields", oid, got, want)
+			}
 		}
 	}
 	return nil
@@ -190,16 +182,15 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 // weight exactly 1 — roots are relaxed to 1 when rooted and weights only
 // decrease.
 func Weights(h *heap.Heap) error {
-	for oid := heap.OID(1); oid < h.OIDBound(); oid++ {
-		obj := h.Get(oid)
-		if obj == nil {
-			continue
-		}
-		if obj.Weight < 1 || obj.Weight > heap.MaxWeight {
-			return fmt.Errorf("check: object %d weight %d outside [1,%d]", oid, obj.Weight, heap.MaxWeight)
-		}
-		if h.IsRoot(oid) && obj.Weight != 1 {
-			return fmt.Errorf("check: root object %d has weight %d, want 1", oid, obj.Weight)
+	for pid := 0; pid < h.NumPartitions(); pid++ {
+		for _, s := range h.Partition(heap.PartitionID(pid)).Slots() {
+			w := h.Weight(s)
+			if w < 1 || w > heap.MaxWeight {
+				return fmt.Errorf("check: object %d weight %d outside [1,%d]", h.OID(s), w, heap.MaxWeight)
+			}
+			if h.IsRoot(s) && w != 1 {
+				return fmt.Errorf("check: root object %d has weight %d, want 1", h.OID(s), w)
+			}
 		}
 	}
 	return nil

@@ -111,9 +111,9 @@ func TestFaultInjectionDetected(t *testing.T) {
 func TestAuditOffZeroAllocs(t *testing.T) {
 	s := runInto(t, testSim(core.NameMutatedPartition), testWorkload())
 	var oid heap.OID
-	s.Heap().Roots(func(o heap.OID) {
+	s.Heap().Roots(func(r heap.Slot) {
 		if oid == heap.NilOID {
-			oid = o
+			oid = s.Heap().OID(r)
 		}
 	})
 	if oid == heap.NilOID {
@@ -147,9 +147,9 @@ func TestRecordOffZeroAllocs(t *testing.T) {
 	}
 	s := runInto(t, cfg, testWorkload())
 	var oid heap.OID
-	s.Heap().Roots(func(o heap.OID) {
+	s.Heap().Roots(func(r heap.Slot) {
 		if oid == heap.NilOID {
-			oid = o
+			oid = s.Heap().OID(r)
 		}
 	})
 	if oid == heap.NilOID {

@@ -16,22 +16,22 @@ func BenchmarkPropagateStore(b *testing.B) {
 	}
 	const n = 1000
 	for i := 1; i <= n; i++ {
-		if _, _, err := h.Alloc(heap.OID(i), 100, 2, heap.NilOID); err != nil {
+		if _, _, err := h.Alloc(heap.OID(i), 100, 2, heap.NilSlot); err != nil {
 			b.Fatal(err)
 		}
 	}
 	for i := 1; i < n; i++ {
-		h.WriteField(heap.OID(i), 0, heap.OID(i+1))
+		h.WriteField(h.Lookup(heap.OID(i)), 0, h.Lookup(heap.OID(i+1)))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Reset weights, then trigger a full-chain relaxation.
 		b.StopTimer()
 		for j := 1; j <= n; j++ {
-			h.Get(heap.OID(j)).Weight = heap.MaxWeight
+			h.SetWeight(h.Lookup(heap.OID(j)), heap.MaxWeight)
 		}
 		b.StartTimer()
-		PropagateRoot(h, 1)
+		PropagateRoot(h, h.Lookup(1))
 	}
 }
 
@@ -44,13 +44,13 @@ func BenchmarkPolicySelect(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 1; i <= 2000; i++ {
-		if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilOID); err != nil {
+		if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilSlot); err != nil {
 			b.Fatal(err)
 		}
 	}
-	h.AddRoot(1)
+	h.AddRoot(h.Lookup(1))
 	for i := 2; i <= 2000; i++ {
-		h.WriteField(heap.OID(rng.Intn(i-1)+1), rng.Intn(4), heap.OID(i))
+		h.WriteField(h.Lookup(heap.OID(rng.Intn(i-1)+1)), rng.Intn(4), h.Lookup(heap.OID(i)))
 	}
 	env := &Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(2))}
 

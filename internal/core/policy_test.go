@@ -23,7 +23,7 @@ func testEnv(t *testing.T, nParts int) (*Env, []heap.OID) {
 		oid := heap.OID(i + 1)
 		// Each object consumes most of a partition, forcing one per
 		// partition.
-		if _, _, err := h.Alloc(oid, cfg.PartitionBytes()-50, 4, heap.NilOID); err != nil {
+		if _, _, err := h.Alloc(oid, cfg.PartitionBytes()-50, 4, heap.NilSlot); err != nil {
 			t.Fatal(err)
 		}
 		oids = append(oids, oid)
@@ -34,7 +34,7 @@ func testEnv(t *testing.T, nParts int) (*Env, []heap.OID) {
 
 func part(t *testing.T, env *Env, oid heap.OID) heap.PartitionID {
 	t.Helper()
-	return env.Heap.Get(oid).Partition
+	return env.Heap.PartitionOf(env.Heap.Lookup(oid))
 }
 
 func TestCandidatesExcludeEmptyAndUnused(t *testing.T) {
@@ -205,8 +205,8 @@ func TestRandomIsDeterministicPerSeed(t *testing.T) {
 func TestMostGarbageUsesOracle(t *testing.T) {
 	env, oids := testEnv(t, 3)
 	// Root the first two objects; the third is garbage.
-	env.Heap.AddRoot(oids[0])
-	env.Heap.AddRoot(oids[1])
+	env.Heap.AddRoot(env.Heap.Lookup(oids[0]))
+	env.Heap.AddRoot(env.Heap.Lookup(oids[1]))
 	m := NewMostGarbage()
 	got, ok := m.Select(env)
 	if !ok || got != part(t, env, oids[2]) {

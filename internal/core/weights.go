@@ -14,56 +14,49 @@ import "odbgc/internal/heap"
 // the simulation's cost model. The simulator maintains weights under every
 // policy so that runs differ only in partition selection.
 
-// PropagateStore updates weights after the pointer store src→target: if
-// reaching target through src gives it a smaller weight, the improvement is
-// applied and propagated breadth-first through target's out-edges.
-func PropagateStore(h *heap.Heap, src, target heap.OID) {
-	if target == heap.NilOID {
+// PropagateStore updates weights after the pointer store src→target (both
+// slots): if reaching target through src gives it a smaller weight, the
+// improvement is applied and propagated breadth-first through target's
+// out-edges.
+func PropagateStore(h *heap.Heap, src, target heap.Slot) {
+	if target == heap.NilSlot || !h.Resident(src) || !h.Resident(target) {
 		return
 	}
-	srcObj := h.Get(src)
-	tgtObj := h.Get(target)
-	if srcObj == nil || tgtObj == nil {
-		return
-	}
-	w := srcObj.Weight
+	w := h.Weight(src)
 	if w >= heap.MaxWeight {
 		return // cannot improve anything below the cap
 	}
-	relax(h, tgtObj, w+1)
+	relax(h, target, w+1)
 }
 
 // PropagateRoot gives a newly rooted object weight 1 and propagates.
-func PropagateRoot(h *heap.Heap, oid heap.OID) {
-	if obj := h.Get(oid); obj != nil {
-		relax(h, obj, 1)
+func PropagateRoot(h *heap.Heap, s heap.Slot) {
+	if h.Resident(s) {
+		relax(h, s, 1)
 	}
 }
 
-// relax lowers obj's weight to at most w and propagates the improvement.
-func relax(h *heap.Heap, obj *heap.Object, w uint8) {
-	if w >= obj.Weight {
+// relax lowers the weight of the object in slot s to at most w and
+// propagates the improvement.
+func relax(h *heap.Heap, s heap.Slot, w uint8) {
+	if w >= h.Weight(s) {
 		return
 	}
-	obj.Weight = w
-	queue := []*heap.Object{obj}
+	h.SetWeight(s, w)
+	queue := []heap.Slot{s}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		next := cur.Weight + 1
+		next := h.Weight(cur) + 1
 		if next > heap.MaxWeight {
 			continue
 		}
-		for _, f := range cur.Fields {
-			if f == heap.NilOID {
+		for _, f := range h.Fields(cur) {
+			if f == heap.NilSlot || !h.Resident(f) || h.Weight(f) <= next {
 				continue
 			}
-			child := h.Get(f)
-			if child == nil || child.Weight <= next {
-				continue
-			}
-			child.Weight = next
-			queue = append(queue, child)
+			h.SetWeight(f, next)
+			queue = append(queue, f)
 		}
 	}
 }

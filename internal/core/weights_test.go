@@ -15,7 +15,7 @@ func newWeightHeap(t *testing.T, n int) *heap.Heap {
 		t.Fatal(err)
 	}
 	for i := 1; i <= n; i++ {
-		if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilOID); err != nil {
+		if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilSlot); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -25,8 +25,9 @@ func newWeightHeap(t *testing.T, n int) *heap.Heap {
 // link stores target into src's field and runs weight propagation, the way
 // the mutator's write barrier does.
 func link(h *heap.Heap, src heap.OID, f int, target heap.OID) {
-	h.WriteField(src, f, target)
-	PropagateStore(h, src, target)
+	s, ts := h.Lookup(src), h.Lookup(target)
+	h.WriteField(s, f, ts)
+	PropagateStore(h, s, ts)
 }
 
 func TestPaperFigure3Weights(t *testing.T) {
@@ -43,8 +44,8 @@ func TestPaperFigure3Weights(t *testing.T) {
 		E heap.OID = 5
 		F heap.OID = 6
 	)
-	h.AddRoot(A)
-	PropagateRoot(h, A)
+	h.AddRoot(h.Lookup(A))
+	PropagateRoot(h, h.Lookup(A))
 	link(h, A, 0, B)
 	link(h, A, 1, E)
 	link(h, B, 0, C)
@@ -53,7 +54,7 @@ func TestPaperFigure3Weights(t *testing.T) {
 
 	want := map[heap.OID]uint8{A: 1, B: 2, E: 2, C: 3, D: 3, F: 3}
 	for oid, w := range want {
-		if got := h.Get(oid).Weight; got != w {
+		if got := h.Weight(h.Lookup(oid)); got != w {
 			t.Errorf("weight(%d) = %d, want %d", oid, got, w)
 		}
 	}
@@ -67,14 +68,14 @@ func TestWeightImprovementPropagatesTransitively(t *testing.T) {
 	link(h, 2, 0, 3)
 	link(h, 1, 0, 2)
 	for oid := heap.OID(1); oid <= 4; oid++ {
-		if got := h.Get(oid).Weight; got != heap.MaxWeight {
+		if got := h.Weight(h.Lookup(oid)); got != heap.MaxWeight {
 			t.Fatalf("pre-root weight(%d) = %d, want %d", oid, got, heap.MaxWeight)
 		}
 	}
-	h.AddRoot(1)
-	PropagateRoot(h, 1)
+	h.AddRoot(h.Lookup(1))
+	PropagateRoot(h, h.Lookup(1))
 	for i, want := range []uint8{1, 2, 3, 4} {
-		if got := h.Get(heap.OID(i + 1)).Weight; got != want {
+		if got := h.Weight(h.Lookup(heap.OID(i + 1))); got != want {
 			t.Errorf("weight(%d) = %d, want %d", i+1, got, want)
 		}
 	}
@@ -82,17 +83,17 @@ func TestWeightImprovementPropagatesTransitively(t *testing.T) {
 
 func TestWeightNeverIncreasesOnEdgeDeletion(t *testing.T) {
 	h := newWeightHeap(t, 3)
-	h.AddRoot(1)
-	PropagateRoot(h, 1)
+	h.AddRoot(h.Lookup(1))
+	PropagateRoot(h, h.Lookup(1))
 	link(h, 1, 0, 2)
 	link(h, 2, 0, 3)
-	if h.Get(3).Weight != 3 {
-		t.Fatalf("setup: weight(3) = %d", h.Get(3).Weight)
+	if h.Weight(h.Lookup(3)) != 3 {
+		t.Fatalf("setup: weight(3) = %d", h.Weight(h.Lookup(3)))
 	}
 	// Deleting the only path to 3 leaves its weight untouched (heuristic).
-	h.WriteField(2, 0, heap.NilOID)
-	PropagateStore(h, 2, heap.NilOID)
-	if got := h.Get(3).Weight; got != 3 {
+	h.WriteField(h.Lookup(2), 0, heap.NilSlot)
+	PropagateStore(h, h.Lookup(2), h.Lookup(heap.NilOID))
+	if got := h.Weight(h.Lookup(3)); got != 3 {
 		t.Errorf("weight(3) after deletion = %d, want 3 (weights never rise)", got)
 	}
 }
@@ -100,12 +101,12 @@ func TestWeightNeverIncreasesOnEdgeDeletion(t *testing.T) {
 func TestWeightCapsAtMaxWeight(t *testing.T) {
 	n := heap.MaxWeight + 5
 	h := newWeightHeap(t, n)
-	h.AddRoot(1)
-	PropagateRoot(h, 1)
+	h.AddRoot(h.Lookup(1))
+	PropagateRoot(h, h.Lookup(1))
 	for i := 1; i < n; i++ {
 		link(h, heap.OID(i), 0, heap.OID(i+1))
 	}
-	if got := h.Get(heap.OID(n)).Weight; got != heap.MaxWeight {
+	if got := h.Weight(h.Lookup(heap.OID(n))); got != heap.MaxWeight {
 		t.Errorf("deep object weight = %d, want cap %d", got, heap.MaxWeight)
 	}
 	// Every weight along the chain is min(depth+1, MaxWeight).
@@ -114,7 +115,7 @@ func TestWeightCapsAtMaxWeight(t *testing.T) {
 		if i > heap.MaxWeight {
 			want = heap.MaxWeight
 		}
-		if got := h.Get(heap.OID(i)).Weight; got != want {
+		if got := h.Weight(h.Lookup(heap.OID(i))); got != want {
 			t.Errorf("weight(%d) = %d, want %d", i, got, want)
 		}
 	}
@@ -122,25 +123,25 @@ func TestWeightCapsAtMaxWeight(t *testing.T) {
 
 func TestWeightCycleTerminates(t *testing.T) {
 	h := newWeightHeap(t, 3)
-	h.AddRoot(1)
-	PropagateRoot(h, 1)
+	h.AddRoot(h.Lookup(1))
+	PropagateRoot(h, h.Lookup(1))
 	link(h, 1, 0, 2)
 	link(h, 2, 0, 3)
 	link(h, 3, 0, 1) // cycle back to the root
-	if got := h.Get(1).Weight; got != 1 {
+	if got := h.Weight(h.Lookup(1)); got != 1 {
 		t.Errorf("root weight raised by cycle: %d", got)
 	}
-	if got := h.Get(3).Weight; got != 3 {
+	if got := h.Weight(h.Lookup(3)); got != 3 {
 		t.Errorf("weight(3) = %d, want 3", got)
 	}
 }
 
 func TestPropagateStoreNilAndMissingTargets(t *testing.T) {
 	h := newWeightHeap(t, 1)
-	PropagateStore(h, 1, heap.NilOID) // must not panic
-	PropagateStore(h, 1, 99)          // missing target: ignored
-	PropagateStore(h, 99, 1)          // missing source: ignored
-	PropagateRoot(h, 99)              // missing root: ignored
+	PropagateStore(h, h.Lookup(1), h.Lookup(heap.NilOID)) // must not panic
+	PropagateStore(h, h.Lookup(1), h.Lookup(99))          // missing target: ignored
+	PropagateStore(h, h.Lookup(99), h.Lookup(1))          // missing source: ignored
+	PropagateRoot(h, h.Lookup(99))                        // missing root: ignored
 }
 
 // TestWeightsEqualBFSDepthUnderMonotoneConstruction: when a graph is built
@@ -156,12 +157,12 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 1; i <= count; i++ {
-			if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilOID); err != nil {
+			if _, _, err := h.Alloc(heap.OID(i), 100, 4, heap.NilSlot); err != nil {
 				t.Fatal(err)
 			}
 		}
-		h.AddRoot(1)
-		PropagateRoot(h, 1)
+		h.AddRoot(h.Lookup(1))
+		PropagateRoot(h, h.Lookup(1))
 		// Attach each object i (2..count) to a random already-attached
 		// object with a free field; also add extra random edges among
 		// attached objects (still monotone: sources are attached).
@@ -169,7 +170,7 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 		for i := 2; i <= count; i++ {
 			src := attached[rng.Intn(len(attached))]
 			f := rng.Intn(4)
-			if h.Get(src).Fields[f] != heap.NilOID {
+			if h.Fields(h.Lookup(src))[f] != heap.NilSlot {
 				continue // field occupied; object stays detached (fine)
 			}
 			link(h, src, f, heap.OID(i))
@@ -179,7 +180,7 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 			src := attached[rng.Intn(len(attached))]
 			dst := attached[rng.Intn(len(attached))]
 			f := rng.Intn(4)
-			if h.Get(src).Fields[f] != heap.NilOID {
+			if h.Fields(h.Lookup(src))[f] != heap.NilSlot {
 				continue
 			}
 			link(h, src, f, dst)
@@ -191,7 +192,8 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for _, fld := range h.Get(cur).Fields {
+			for _, fs := range h.Fields(h.Lookup(cur)) {
+				fld := h.OID(fs)
 				if fld == heap.NilOID {
 					continue
 				}
@@ -204,7 +206,7 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 		}
 		for oid, d := range depth {
 			want := uint8(min(d, heap.MaxWeight))
-			if got := h.Get(oid).Weight; got != want {
+			if got := h.Weight(h.Lookup(oid)); got != want {
 				t.Errorf("seed %d: weight(%d) = %d, want %d", seed, oid, got, want)
 				return false
 			}

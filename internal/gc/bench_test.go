@@ -53,7 +53,7 @@ func BenchmarkEvacuatePartition(b *testing.B) {
 		field := 0
 		if rng.Intn(2) == 0 { // half the objects are reachable
 			parent, field = prev, rng.Intn(4)
-			if r.h.Get(prev).Fields[field] != heap.NilOID {
+			if r.field(prev, field) != heap.NilOID {
 				field = -1
 			}
 		}
@@ -140,7 +140,7 @@ func BenchmarkGlobalSweepBench(b *testing.B) {
 		oid++
 		parent := heap.OID(rng.Intn(int(oid)-1) + 1)
 		field := rng.Intn(4)
-		if r.h.Get(parent).Fields[field] != heap.NilOID {
+		if r.field(parent, field) != heap.NilOID {
 			parent, field = heap.NilOID, 0
 		}
 		if err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {

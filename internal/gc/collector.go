@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -58,14 +59,19 @@ type Collector struct {
 	externalRoots func(victim heap.PartitionID, add func(heap.OID))
 	onDiscard     func(oid heap.OID)
 
-	// Per-evacuation scratch, reused across collections. seen is an
-	// epoch-stamped visited mark per OID: seen[oid] == seenEpoch means
-	// the object was enqueued (or found dead) this evacuation.
-	seen      []uint32
-	seenEpoch uint32
-	roots     []heap.OID
-	dead      []heap.OID
-	queue     copyQueue
+	// Per-evacuation scratch, reused across collections. The visited
+	// marks are the heap's own mark stamps (heap.Heap.Mark), so the
+	// scratch follows the victim's resident objects.
+	roots []heap.Slot
+	dead  []heap.Slot
+	keys  []oidSlot // sortByOID scratch
+	queue copyQueue
+}
+
+// oidSlot pairs a slot with its object's OID, the sort key.
+type oidSlot struct {
+	oid heap.OID
+	s   heap.Slot
 }
 
 // CollectorStats aggregates collection activity.
@@ -142,6 +148,19 @@ func (c *Collector) Stats() CollectorStats { return c.stats }
 // across warm-start measurement resets.
 func (c *Collector) Lifetime() CollectorStats { return c.lifetime }
 
+// Footprint reports the memory the collector's evacuation scratch holds.
+func (c *Collector) Footprint() heap.Footprint {
+	q := &c.queue
+	f := heap.Footprint{
+		Bytes: 4*int64(cap(c.roots)+cap(c.dead)+cap(q.fifo)) + 16*int64(cap(c.keys)),
+		Slots: max(cap(c.roots), cap(c.dead), cap(q.fifo), cap(c.keys)),
+	}
+	for _, list := range q.byPage {
+		f.Bytes += 8 + 24 + 4*int64(cap(list))
+	}
+	return f
+}
+
 // ResetStats zeroes the collector counters (warm-start measurement).
 func (c *Collector) ResetStats() { c.stats = CollectorStats{} }
 
@@ -178,40 +197,30 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 		panic("gc: evacuate of the empty partition") //odbgc:alloc-ok panic path
 	}
 	res := CollectionResult{Collected: true, Victim: victim, Dest: dest}
+	h := c.h
 
-	// Roots: database roots resident in the victim plus the targets of
-	// its remembered set, in deterministic order.
-	c.seenEpoch++
-	if c.seenEpoch == 0 { // uint32 wraparound: old stamps become ambiguous
-		clear(c.seen)
-		c.seenEpoch = 1
-	}
-	if n := int(c.h.OIDBound()); n > len(c.seen) {
-		c.seen = append(c.seen, make([]uint32, n-len(c.seen))...)
-	}
+	// Roots: database roots resident in the victim, found by scanning
+	// its resident list for the root bit, plus the targets of its
+	// remembered set, in deterministic order. A mark means the object
+	// was enqueued this evacuation.
+	h.BeginMark()
 	roots := c.roots[:0]
-	c.h.Roots(func(oid heap.OID) {
-		if c.h.Get(oid).Partition == victim && c.seen[oid] != c.seenEpoch {
-			c.seen[oid] = c.seenEpoch
-			roots = append(roots, oid)
+	for _, s := range h.Partition(victim).Slots() {
+		if h.IsRoot(s) {
+			h.Mark(s)
+			roots = append(roots, s)
 		}
-	})
-	slices.Sort(roots)
+	}
+	c.sortByOID(roots)
 	c.rem.RootsInto(victim, func(_ remset.Entry, target heap.OID) {
-		if c.seen[target] != c.seenEpoch {
-			if obj := c.h.Get(target); obj != nil && obj.Partition == victim {
-				c.seen[target] = c.seenEpoch
-				roots = append(roots, target)
-			}
+		if s := h.Lookup(target); h.PartitionOf(s) == victim && h.Mark(s) {
+			roots = append(roots, s)
 		}
 	})
 	if c.externalRoots != nil {
 		c.externalRoots(victim, func(target heap.OID) {
-			if target < heap.OID(len(c.seen)) && c.seen[target] != c.seenEpoch {
-				if obj := c.h.Get(target); obj != nil && obj.Partition == victim {
-					c.seen[target] = c.seenEpoch
-					roots = append(roots, target)
-				}
+			if s := h.Lookup(target); h.PartitionOf(s) == victim && h.Mark(s) {
+				roots = append(roots, s)
 			}
 		})
 	}
@@ -226,36 +235,30 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	// pending objects on the page just read are preferred, minimizing
 	// page re-reads. Pointers leaving the victim are not traversed.
 	q := &c.queue
-	q.reset(c.traversal)
+	q.reset(c.traversal, h, victim)
 	for _, root := range roots {
-		if c.h.Get(root).Partition != victim {
+		if h.PartitionOf(root) != victim {
 			continue // already copied as part of an earlier component
 		}
 		q.push(root, c.pageOf(root))
 		for {
-			oid, ok := q.pop()
+			s, ok := q.pop()
 			if !ok {
 				break
 			}
-			obj := c.h.Get(oid)
-			oldFirst, oldLast := c.h.ObjectPages(obj)
+			oldFirst, oldLast := h.Pages(s)
 			q.setCurrentPage(oldFirst)
 			c.buf.ReadRange(pagebuf.PageID(oldFirst), pagebuf.PageID(oldLast), pagebuf.ActorGC)
-			c.h.Move(oid, dest)
-			c.rem.Moved(oid, victim, dest)
-			newFirst, newLast := c.h.ObjectPages(obj)
+			h.Move(s, dest)
+			c.rem.Moved(s, victim, dest)
+			newFirst, newLast := h.Pages(s)
 			c.buf.WriteRange(pagebuf.PageID(newFirst), pagebuf.PageID(newLast), pagebuf.ActorGC)
-			res.CopiedBytes += obj.Size
+			res.CopiedBytes += h.Size(s)
 			res.CopiedObjects++
-			for _, f := range obj.Fields {
-				if f == heap.NilOID || c.seen[f] == c.seenEpoch {
+			for _, f := range h.Fields(s) {
+				if f == heap.NilSlot || h.PartitionOf(f) != victim || !h.Mark(f) {
 					continue
 				}
-				child := c.h.Get(f)
-				if child == nil || child.Partition != victim {
-					continue
-				}
-				c.seen[f] = c.seenEpoch
 				q.push(f, c.pageOf(f))
 			}
 		}
@@ -266,72 +269,88 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	// appear in, so later collections do not preserve objects reachable
 	// only from this garbage. Discarding performs no I/O: a copying
 	// collector never touches dead objects.
-	dead := c.dead[:0]
-	c.h.Partition(victim).Objects(func(oid heap.OID) { dead = append(dead, oid) })
-	slices.Sort(dead)
+	dead := append(c.dead[:0], h.Partition(victim).Slots()...)
+	c.sortByOID(dead)
 	c.dead = dead
-	for _, oid := range dead {
-		res.ReclaimedBytes += c.h.Get(oid).Size
+	for _, s := range dead {
+		res.ReclaimedBytes += h.Size(s)
 		res.ReclaimedObjects++
 		if c.onDiscard != nil {
-			c.onDiscard(oid)
+			c.onDiscard(h.OID(s))
 		}
-		c.rem.PurgeDeadEvacuating(oid, dest)
-		c.h.Discard(oid)
+		c.rem.PurgeDeadEvacuating(s, dest)
+		h.Discard(s)
 	}
 
-	c.h.ResetPartition(victim)
+	h.ResetPartition(victim)
 	c.rem.Rekey(victim, dest)
-	c.h.SetEmptyPartition(victim)
+	h.SetEmptyPartition(victim)
 
 	c.stats.add(res)
 	c.lifetime.add(res)
 	return res
 }
 
+// sortByOID sorts slots by their objects' trace OIDs, the order every
+// result-affecting enumeration of the collector follows.
+func (c *Collector) sortByOID(slots []heap.Slot) {
+	keys := c.keys[:0]
+	for _, s := range slots {
+		keys = append(keys, oidSlot{c.h.OID(s), s})
+	}
+	slices.SortFunc(keys, func(a, b oidSlot) int { return cmp.Compare(a.oid, b.oid) })
+	for i, k := range keys {
+		slots[i] = k.s
+	}
+	c.keys = keys
+}
+
 // pageOf returns the first page of an object's current location.
-func (c *Collector) pageOf(oid heap.OID) heap.PageID {
-	first, _ := c.h.ObjectPages(c.h.Get(oid))
+func (c *Collector) pageOf(s heap.Slot) heap.PageID {
+	first, _ := c.h.Pages(s)
 	return first
 }
 
 // copyQueue orders the copy pass. In BreadthFirst mode it is a plain
 // FIFO. In PageFirst mode it additionally indexes pending objects by the
 // page they currently live on, and pop prefers an object on the page most
-// recently read; entries popped through the page index are skipped lazily
-// when their FIFO slots surface. The queue is scratch space reused across
-// collections; reset reinitializes it for one evacuation.
+// recently read. An object is pushed once but may sit in both the FIFO
+// and the page index; whichever copy pops first wins, and the collector
+// moves it out of the victim at once, so pop skips entries no longer in
+// the victim. The queue is scratch space reused across collections;
+// reset reinitializes it for one evacuation.
 type copyQueue struct {
 	mode    Traversal
-	fifo    []heap.OID
+	h       *heap.Heap
+	victim  heap.PartitionID
+	fifo    []heap.Slot
 	head    int
-	byPage  map[heap.PageID][]heap.OID
+	byPage  map[heap.PageID][]heap.Slot
 	curPage heap.PageID
-	popped  map[heap.OID]bool
 }
 
-func (q *copyQueue) reset(mode Traversal) {
+func (q *copyQueue) reset(mode Traversal, h *heap.Heap, victim heap.PartitionID) {
 	q.mode = mode
+	q.h = h
+	q.victim = victim
 	q.fifo = q.fifo[:0]
 	q.head = 0
 	q.curPage = -1
 	if mode == PageFirst {
 		if q.byPage == nil {
-			q.byPage = make(map[heap.PageID][]heap.OID)
-			q.popped = make(map[heap.OID]bool)
+			q.byPage = make(map[heap.PageID][]heap.Slot)
 		} else {
 			clear(q.byPage)
-			clear(q.popped)
 		}
 	}
 }
 
-// push enqueues an object (enqueued at most once by the caller's seen
-// set); page is its current first page.
-func (q *copyQueue) push(oid heap.OID, page heap.PageID) {
-	q.fifo = append(q.fifo, oid)
+// push enqueues an object (enqueued at most once by the caller's marks);
+// page is its current first page.
+func (q *copyQueue) push(s heap.Slot, page heap.PageID) {
+	q.fifo = append(q.fifo, s)
 	if q.mode == PageFirst {
-		q.byPage[page] = append(q.byPage[page], oid)
+		q.byPage[page] = append(q.byPage[page], s)
 	}
 }
 
@@ -339,27 +358,23 @@ func (q *copyQueue) push(oid heap.OID, page heap.PageID) {
 func (q *copyQueue) setCurrentPage(p heap.PageID) { q.curPage = p }
 
 // pop dequeues the next object to copy.
-func (q *copyQueue) pop() (heap.OID, bool) {
+func (q *copyQueue) pop() (heap.Slot, bool) {
 	if q.mode == PageFirst {
 		for list := q.byPage[q.curPage]; len(list) > 0; list = q.byPage[q.curPage] {
-			oid := list[len(list)-1]
+			s := list[len(list)-1]
 			q.byPage[q.curPage] = list[:len(list)-1]
-			if !q.popped[oid] {
-				q.popped[oid] = true
-				return oid, true
+			if q.h.PartitionOf(s) == q.victim {
+				return s, true
 			}
 		}
 	}
 	for q.head < len(q.fifo) {
-		oid := q.fifo[q.head]
+		s := q.fifo[q.head]
 		q.head++
-		if q.mode == PageFirst {
-			if q.popped[oid] {
-				continue
-			}
-			q.popped[oid] = true
+		if q.mode == PageFirst && q.h.PartitionOf(s) != q.victim {
+			continue // already popped through the page index
 		}
-		return oid, true
+		return s, true
 	}
-	return heap.NilOID, false
+	return heap.NilSlot, false
 }

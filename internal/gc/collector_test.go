@@ -35,16 +35,16 @@ func buildTwoPartitionGraph(t *testing.T, r *rig) (pa, pb heap.PartitionID) {
 	r.alloc(t, 5, 500, 2, heap.NilOID, 0) // garbage with an out-pointer
 	// Fill the rest of partition A so the next allocations go elsewhere.
 	r.alloc(t, 99, 4096-2500, 0, heap.NilOID, 0) // garbage filler
-	pa = r.h.Get(1).Partition
+	pa = r.partOf(1)
 
 	r.alloc(t, 7, 500, 2, heap.NilOID, 0)
 	r.root(t, 7)
 	r.alloc(t, 6, 500, 2, heap.NilOID, 0)
-	pb = r.h.Get(7).Partition
+	pb = r.partOf(7)
 	if pb == pa {
 		t.Fatal("setup: 7 should be in a new partition")
 	}
-	if r.h.Get(6).Partition != pb {
+	if r.partOf(6) != pb {
 		t.Fatal("setup: 6 should share 7's partition")
 	}
 	r.write(t, 5, 0, 6) // garbage in A points into B
@@ -85,7 +85,7 @@ func TestCollectEvacuatesVictim(t *testing.T) {
 	}
 	// Survivors live in the old empty partition.
 	for _, oid := range []heap.OID{1, 2, 3} {
-		if got := r.h.Get(oid).Partition; got != oldEmpty {
+		if got := r.partOf(oid); got != oldEmpty {
 			t.Errorf("object %d in partition %d, want %d", oid, got, oldEmpty)
 		}
 	}
@@ -176,7 +176,7 @@ func TestCollectIntraPartitionCycleSurvives(t *testing.T) {
 	r.write(t, 2, 1, 3)
 	r.write(t, 3, 0, 2) // cycle 2 <-> 3, rooted via 1
 
-	pol.victim = r.h.Get(1).Partition
+	pol.victim = r.partOf(1)
 	res := r.col.Collect()
 	if res.CopiedObjects != 3 || res.ReclaimedObjects != 0 {
 		t.Fatalf("res = %+v, want all three copied", res)
@@ -194,7 +194,7 @@ func TestCollectUnreachableIntraCycleReclaimed(t *testing.T) {
 	r.write(t, 2, 0, 3)
 	r.write(t, 3, 0, 2) // unreachable cycle within one partition
 
-	pol.victim = r.h.Get(2).Partition
+	pol.victim = r.partOf(2)
 	res := r.col.Collect()
 	if res.ReclaimedObjects != 2 {
 		t.Fatalf("reclaimed %d, want the 2-cycle", res.ReclaimedObjects)
@@ -210,9 +210,9 @@ func TestCrossPartitionCycleIsNotReclaimed(t *testing.T) {
 	r.alloc(t, 1, 100, 1, heap.NilOID, 0)
 	r.root(t, 1)
 	r.alloc(t, 2, 3996, 1, heap.NilOID, 0) // fill partition A
-	pa := r.h.Get(1).Partition
+	pa := r.partOf(1)
 	r.alloc(t, 3, 100, 1, heap.NilOID, 0) // lands in partition B
-	pb := r.h.Get(3).Partition
+	pb := r.partOf(3)
 	if pb == pa {
 		t.Fatal("setup: 3 must be in another partition")
 	}
@@ -224,7 +224,7 @@ func TestCrossPartitionCycleIsNotReclaimed(t *testing.T) {
 
 	pol.victim = pa
 	r.col.Collect()
-	pol.victim = r.h.Get(3).Partition
+	pol.victim = r.partOf(3)
 	r.col.Collect()
 	if !r.h.Contains(2) || !r.h.Contains(3) {
 		t.Fatal("cross-partition cycle reclaimed by partitioned collection (should survive)")
@@ -239,7 +239,7 @@ func TestPolicyCollectedCallback(t *testing.T) {
 	r.root(t, 1)
 	r.alloc(t, 2, 100, 2, 1, 0)
 	r.write(t, 1, 0, heap.NilOID) // overwrite pointer to 2 -> counts for its partition
-	p := r.h.Get(2).Partition
+	p := r.partOf(2)
 	if pol.Score(p) != 1 {
 		t.Fatalf("score = %v, want 1", pol.Score(p))
 	}

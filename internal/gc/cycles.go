@@ -1,8 +1,6 @@
 package gc
 
 import (
-	"sort"
-
 	"odbgc/internal/heap"
 	"odbgc/internal/pagebuf"
 )
@@ -40,38 +38,34 @@ func (c *Collector) GlobalSweep() GlobalSweepResult {
 
 	// Mark: exact reachability, reading every live object once.
 	live := c.env.Oracle.Live()
-	live.ForEach(func(oid heap.OID) {
-		obj := c.h.Get(oid)
-		first, last := c.h.ObjectPages(obj)
+	live.ForEach(func(s heap.Slot) {
+		first, last := c.h.Pages(s)
 		c.buf.ReadRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorGC)
 		res.LiveObjects++
-		res.LiveBytes += obj.Size
+		res.LiveBytes += c.h.Size(s)
 	})
 
 	// Sweep the remembered sets: purge entries whose source is dead.
 	// Afterward every remaining entry has a live source, so every
 	// remaining remembered-set target really is live — nepotism is
 	// eliminated until new garbage forms.
-	var dead []heap.OID
+	var dead []heap.Slot
 	for pid := 0; pid < c.h.NumPartitions(); pid++ {
-		c.rem.OutSet(heap.PartitionID(pid), func(oid heap.OID) {
-			if !live.Contains(oid) {
-				dead = append(dead, oid)
+		c.rem.OutSet(heap.PartitionID(pid), func(s heap.Slot) {
+			if !live.ContainsSlot(s) {
+				dead = append(dead, s)
 			}
 		})
 	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, oid := range dead {
+	c.sortByOID(dead)
+	for _, s := range dead {
 		res.DeadSources++
-		res.EntriesPurged += int64(c.rem.OutCount(oid))
-		c.rem.PurgeDead(oid)
+		res.EntriesPurged += int64(c.rem.OutCount(s))
+		c.rem.PurgeDead(s)
 		// Null the dead object's pointer fields so the heap and the
 		// remembered sets stay mutually consistent. The object is
 		// unreachable; nothing will ever read these fields again.
-		obj := c.h.Get(oid)
-		for f := range obj.Fields {
-			obj.Fields[f] = heap.NilOID
-		}
+		c.h.ClearFields(s)
 	}
 	return res
 }

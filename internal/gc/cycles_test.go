@@ -18,12 +18,12 @@ func buildCrossPartitionCycle(t *testing.T, r *rig) (pa, pb heap.PartitionID) {
 	r.root(t, 1)
 	r.alloc(t, 2, 100, 1, heap.NilOID, 0)
 	r.alloc(t, 99, 3896, 0, heap.NilOID, 0) // fill partition A (4096 bytes)
-	pa = r.h.Get(1).Partition
+	pa = r.partOf(1)
 
 	r.alloc(t, 3, 100, 1, heap.NilOID, 0)
 	r.root(t, 3)
 	r.alloc(t, 4, 100, 1, heap.NilOID, 0)
-	pb = r.h.Get(3).Partition
+	pb = r.partOf(3)
 	if pb == pa {
 		t.Fatal("setup: need two partitions")
 	}
@@ -40,7 +40,7 @@ func TestGlobalSweepBreaksCrossPartitionCycle(t *testing.T) {
 	// Without the sweep, collecting both partitions preserves the cycle.
 	pol.victim = pa
 	r.col.Collect()
-	pol.victim = r.h.Get(3).Partition
+	pol.victim = r.partOf(3)
 	r.col.Collect()
 	if !r.h.Contains(2) || !r.h.Contains(4) {
 		t.Fatal("setup: cycle should have survived partitioned collection")
@@ -55,9 +55,9 @@ func TestGlobalSweepBreaksCrossPartitionCycle(t *testing.T) {
 	}
 
 	// Now ordinary collections reclaim the cycle halves.
-	pol.victim = r.h.Get(2).Partition
+	pol.victim = r.partOf(2)
 	r.col.Collect()
-	pol.victim = r.h.Get(4).Partition
+	pol.victim = r.partOf(4)
 	r.col.Collect()
 	if r.h.Contains(2) || r.h.Contains(4) {
 		t.Fatal("cycle survived collection after global sweep")
@@ -102,7 +102,7 @@ func TestGlobalSweepPreservesLiveEntries(t *testing.T) {
 	r.root(t, 1)
 	r.alloc(t, 99, 3996, 0, heap.NilOID, 0) // fill A
 	r.alloc(t, 2, 100, 1, heap.NilOID, 0)   // B
-	pb := r.h.Get(2).Partition
+	pb := r.partOf(2)
 	r.write(t, 1, 0, 2)
 	if r.rem.InCount(pb) != 1 {
 		t.Fatal("setup: entry missing")
@@ -159,7 +159,7 @@ func TestGlobalSweepUnderChurn(t *testing.T) {
 				continue
 			}
 			f := rng.Intn(3)
-			if r.h.Get(parent).Fields[f] != heap.NilOID {
+			if r.field(parent, f) != heap.NilOID {
 				continue
 			}
 			if err := r.mut.Alloc(next, 100, 3, parent, f); err != nil {

@@ -92,24 +92,29 @@ func (r *rig) root(t *testing.T, oid heap.OID) {
 	}
 }
 
+// partOf returns the partition holding the resident object oid.
+func (r *rig) partOf(oid heap.OID) heap.PartitionID { return r.h.PartitionOf(r.h.Lookup(oid)) }
+
+// field returns the OID held in field f of the resident object oid.
+func (r *rig) field(oid heap.OID, f int) heap.OID {
+	return r.h.OID(r.h.Fields(r.h.Lookup(oid))[f])
+}
+
+// weight returns the root-distance weight of the resident object oid.
+func (r *rig) weight(oid heap.OID) uint8 { return r.h.Weight(r.h.Lookup(oid)) }
+
 // liveOIDs snapshots the reachable OID set.
 func (r *rig) liveOIDs() map[heap.OID]bool {
 	out := make(map[heap.OID]bool)
-	r.env.Oracle.Live().ForEach(func(oid heap.OID) { out[oid] = true })
+	r.env.Oracle.Live().ForEach(func(s heap.Slot) { out[r.h.OID(s)] = true })
 	return out
 }
 
 // checkNoDanglers verifies every non-nil field of every resident object
-// resolves to a resident object.
+// names a resident object, along with the rest of the heap's invariants.
 func (r *rig) checkNoDanglers(t *testing.T) {
 	t.Helper()
-	for pid := 0; pid < r.h.NumPartitions(); pid++ {
-		r.h.Partition(heap.PartitionID(pid)).Objects(func(oid heap.OID) {
-			for f, target := range r.h.Get(oid).Fields {
-				if target != heap.NilOID && !r.h.Contains(target) {
-					t.Errorf("dangling pointer %d.%d -> %d", oid, f, target)
-				}
-			}
-		})
+	if err := r.h.CheckInvariants(); err != nil {
+		t.Error(err)
 	}
 }

@@ -42,39 +42,41 @@ func NewMutator(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core.P
 // are written (its contents are initialized); a non-nil parent's page is
 // written too (the pointer store).
 func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) error {
-	if parent != heap.NilOID && !m.h.Contains(parent) {
+	ps := m.h.Lookup(parent)
+	if parent != heap.NilOID && ps == heap.NilSlot {
 		return fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
 	}
-	obj, grew, err := m.h.Alloc(oid, size, nfields, parent)
+	s, grew, err := m.h.Alloc(oid, size, nfields, ps)
 	if err != nil {
 		return err
 	}
 	m.growths += int64(grew.Added)
-	first, last := m.h.ObjectPages(obj)
+	first, last := m.h.Pages(s)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
 	if parent != heap.NilOID {
-		return m.store(parent, parentField, oid, true)
+		return m.store(ps, parentField, s, true)
 	}
 	return nil
 }
 
 // Root adds oid to the database root set, giving it weight 1.
 func (m *Mutator) Root(oid heap.OID) error {
-	if !m.h.Contains(oid) {
+	s := m.h.Lookup(oid)
+	if s == heap.NilSlot {
 		return fmt.Errorf("gc: Root(%d): not resident", oid)
 	}
-	m.h.AddRoot(oid)
-	core.PropagateRoot(m.h, oid)
+	m.h.AddRoot(s)
+	core.PropagateRoot(m.h, s)
 	return nil
 }
 
 // Read visits an object, reading all of its pages.
 func (m *Mutator) Read(oid heap.OID) error {
-	obj := m.h.Get(oid)
-	if obj == nil {
+	s := m.h.Lookup(oid)
+	if s == heap.NilSlot {
 		return fmt.Errorf("gc: Read(%d): not resident", oid)
 	}
-	first, last := m.h.ObjectPages(obj)
+	first, last := m.h.Pages(s)
 	m.buf.ReadRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
 	m.reads++
 	return nil
@@ -83,44 +85,43 @@ func (m *Mutator) Read(oid heap.OID) error {
 // Write performs the pointer store oid.field = target through the full
 // write barrier.
 func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) error {
-	if !m.h.Contains(oid) {
+	s := m.h.Lookup(oid)
+	if s == heap.NilSlot {
 		return fmt.Errorf("gc: Write(%d): not resident", oid)
 	}
-	if target != heap.NilOID && !m.h.Contains(target) {
+	ts := m.h.Lookup(target)
+	if target != heap.NilOID && ts == heap.NilSlot {
 		return fmt.Errorf("gc: Write(%d.%d): target %d not resident", oid, field, target)
 	}
-	return m.store(oid, field, target, false)
+	return m.store(s, field, ts, false)
 }
 
 // store is the write barrier shared by Write and the creating store of
-// Alloc.
-func (m *Mutator) store(src heap.OID, field int, target heap.OID, creation bool) error {
-	obj := m.h.Get(src)
-	if field < 0 || field >= len(obj.Fields) {
-		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", src, field, len(obj.Fields))
+// Alloc: src.field = target, both slots.
+func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation bool) error {
+	if n := m.h.NumFields(src); field < 0 || field >= n {
+		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
 	}
 
 	// The store dirties the page holding the field; under write-back the
 	// page must be resident, which is the read-modify-write the buffer's
 	// miss accounting models.
-	first, last := m.h.ObjectPages(obj)
+	first, last := m.h.Pages(src)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
 
 	ctx := core.StoreContext{
-		Src:      src,
-		SrcPart:  obj.Partition,
-		New:      target,
+		Src:      m.h.OID(src),
+		SrcPart:  m.h.PartitionOf(src),
+		New:      m.h.OID(target),
 		Creation: creation,
 		Old:      heap.NilOID,
 		OldPart:  heap.NoPartition,
 	}
 	old := m.h.WriteField(src, field, target)
-	if old != heap.NilOID {
-		if oldObj := m.h.Get(old); oldObj != nil {
-			ctx.Old = old
-			ctx.OldPart = oldObj.Partition
-			ctx.OldWeight = oldObj.Weight
-		}
+	if old != heap.NilSlot && m.h.Resident(old) {
+		ctx.Old = m.h.OID(old)
+		ctx.OldPart = m.h.PartitionOf(old)
+		ctx.OldWeight = m.h.Weight(old)
 	}
 
 	m.rem.PointerWrite(src, field, old, target)
@@ -138,13 +139,13 @@ func (m *Mutator) store(src heap.OID, field int, target heap.OID, creation bool)
 // Modify performs a pure data mutation of an object: its pages are
 // written, and the (unenhanced) mutation-counting policy is notified.
 func (m *Mutator) Modify(oid heap.OID) error {
-	obj := m.h.Get(oid)
-	if obj == nil {
+	s := m.h.Lookup(oid)
+	if s == heap.NilSlot {
 		return fmt.Errorf("gc: Modify(%d): not resident", oid)
 	}
-	first, last := m.h.ObjectPages(obj)
+	first, last := m.h.Pages(s)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
-	m.pol.DataStore(obj.Partition)
+	m.pol.DataStore(m.h.PartitionOf(s))
 	m.dataStores++
 	return nil
 }

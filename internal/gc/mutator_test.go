@@ -37,7 +37,7 @@ func TestAllocWithParentPerformsCreationStore(t *testing.T) {
 	r := newRig(t, pol)
 	r.alloc(t, 1, 100, 2, heap.NilOID, 0)
 	r.alloc(t, 2, 100, 0, 1, 1)
-	if got := r.h.Get(1).Fields[1]; got != 2 {
+	if got := r.field(1, 1); got != 2 {
 		t.Fatalf("parent field = %d, want 2", got)
 	}
 	if len(pol.stores) != 1 {
@@ -86,7 +86,7 @@ func TestWriteBarrierContext(t *testing.T) {
 	if !second.Overwrite() || second.Old != 2 || second.New != 3 {
 		t.Fatalf("second store ctx = %+v", second)
 	}
-	if second.OldPart != r.h.Get(2).Partition {
+	if second.OldPart != r.partOf(2) {
 		t.Fatalf("OldPart = %v", second.OldPart)
 	}
 	// Weight of object 2 at overwrite time: root(1) stored it, so w=2.
@@ -102,20 +102,20 @@ func TestWriteMaintainsWeights(t *testing.T) {
 	r := newRig(t, core.NewNoCollection())
 	r.alloc(t, 1, 100, 2, heap.NilOID, 0)
 	r.root(t, 1)
-	if got := r.h.Get(1).Weight; got != 1 {
+	if got := r.weight(1); got != 1 {
 		t.Fatalf("root weight = %d, want 1", got)
 	}
 	r.alloc(t, 2, 100, 2, 1, 0) // creation store propagates weight
-	if got := r.h.Get(2).Weight; got != 2 {
+	if got := r.weight(2); got != 2 {
 		t.Fatalf("child weight = %d, want 2", got)
 	}
 	r.alloc(t, 3, 100, 2, 2, 0)
-	if got := r.h.Get(3).Weight; got != 3 {
+	if got := r.weight(3); got != 3 {
 		t.Fatalf("grandchild weight = %d, want 3", got)
 	}
 	// A shortcut edge from the root lowers 3's weight.
 	r.write(t, 1, 1, 3)
-	if got := r.h.Get(3).Weight; got != 2 {
+	if got := r.weight(3); got != 2 {
 		t.Fatalf("after shortcut, weight = %d, want 2", got)
 	}
 }
@@ -140,7 +140,7 @@ func TestWriteUpdatesRemset(t *testing.T) {
 	r.alloc(t, 1, 100, 2, heap.NilOID, 0)
 	r.alloc(t, 2, 3996, 0, heap.NilOID, 0)
 	r.alloc(t, 3, 100, 0, heap.NilOID, 0)
-	pa, pb := r.h.Get(1).Partition, r.h.Get(3).Partition
+	pa, pb := r.partOf(1), r.partOf(3)
 	if pa == pb {
 		t.Fatal("setup: need two partitions")
 	}
@@ -164,7 +164,7 @@ func TestModifyNotifiesDataStoreOnly(t *testing.T) {
 	if err := r.mut.Modify(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(pol.data) != 1 || pol.data[0] != r.h.Get(1).Partition {
+	if len(pol.data) != 1 || pol.data[0] != r.partOf(1) {
 		t.Fatalf("data stores = %v", pol.data)
 	}
 	if len(pol.stores) != 0 {

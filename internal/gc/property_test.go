@@ -135,7 +135,7 @@ func collectAndCheck(t *testing.T, r *rig) bool {
 	liveBefore := r.liveOIDs()
 	var liveBytesBefore int64
 	for oid := range liveBefore {
-		liveBytesBefore += r.h.Get(oid).Size
+		liveBytesBefore += r.h.Size(r.h.Lookup(oid))
 	}
 	occupiedBefore := r.h.OccupiedBytes()
 
@@ -157,7 +157,7 @@ func collectAndCheck(t *testing.T, r *rig) bool {
 	}
 	var liveBytesAfter int64
 	for oid := range liveAfter {
-		liveBytesAfter += r.h.Get(oid).Size
+		liveBytesAfter += r.h.Size(r.h.Lookup(oid))
 	}
 	if liveBytesAfter != liveBytesBefore {
 		t.Errorf("live bytes changed %d -> %d", liveBytesBefore, liveBytesAfter)
@@ -211,7 +211,7 @@ func TestMostGarbageDominatesRandomAggregate(t *testing.T) {
 				continue
 			}
 			f := rng.Intn(3)
-			if r.h.Get(parent).Fields[f] != heap.NilOID && rng.Intn(2) == 0 {
+			if r.field(parent, f) != heap.NilOID && rng.Intn(2) == 0 {
 				// delete: creates garbage
 				if err := r.mut.Write(parent, f, heap.NilOID); err != nil {
 					t.Fatal(err)

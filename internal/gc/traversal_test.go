@@ -45,7 +45,7 @@ func TestPageFirstCopiesSameLiveSet(t *testing.T) {
 			for i := 0; i < int(nOps)+10; i++ {
 				parent := oids[rng.Intn(len(oids))]
 				f := rng.Intn(3)
-				if r.h.Get(parent).Fields[f] != heap.NilOID {
+				if r.field(parent, f) != heap.NilOID {
 					if rng.Intn(3) == 0 {
 						if err := r.mut.Write(parent, f, heap.NilOID); err != nil {
 							t.Fatal(err)

@@ -11,21 +11,27 @@ import "testing"
 // checked by the hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
-//odbgc:allocguard heap.Heap.Alloc heap.Heap.newObject heap.Heap.growTable heap.Heap.placeFor
+//odbgc:allocguard heap.Heap.Alloc heap.Heap.newSlot heap.Heap.growIndex heap.Heap.placeFor
+//odbgc:allocguard heap.Heap.fieldsFor heap.Heap.allocFields heap.Heap.compactArena
 //odbgc:allocguard heap.Heap.residentAdd heap.Heap.residentRemove heap.Heap.Discard
-//odbgc:allocguard heap.Heap.WriteField heap.Oracle.Live
+//odbgc:allocguard heap.Heap.WriteField heap.Heap.Move heap.Oracle.Live
 
 func TestAllocSteadyStateZeroAllocs(t *testing.T) {
 	h := mustNew(t, testConfig())
-	// Warm up: create the object once so the table, the partition's
-	// resident list, and the object pool all have capacity.
-	mustAlloc(t, h, 1, 100, 4, NilOID)
-	h.Discard(1)
+	// Warm up: create the object once so the index, the slot storage,
+	// the partition's resident list, and the field arena all have
+	// capacity. The loop then recycles the slot, alternating field
+	// counts so it both revives the slot's dead run and appends new runs,
+	// compacting the arena in place every few rounds.
+	h.Discard(mustAlloc(t, h, 1, 100, 4, NilOID))
+	n := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := h.Alloc(1, 100, 4, NilOID); err != nil {
+		n++
+		s, _, err := h.Alloc(1, 100, 3+n%3/2, NilSlot)
+		if err != nil {
 			t.Fatal(err)
 		}
-		h.Discard(1)
+		h.Discard(s)
 	})
 	if allocs != 0 {
 		t.Fatalf("Alloc+Discard steady state: %v allocs/op, want 0", allocs)
@@ -34,11 +40,11 @@ func TestAllocSteadyStateZeroAllocs(t *testing.T) {
 
 func TestWriteFieldZeroAllocs(t *testing.T) {
 	h := mustNew(t, testConfig())
-	mustAlloc(t, h, 1, 100, 2, NilOID)
-	mustAlloc(t, h, 2, 100, 0, NilOID)
+	a := mustAlloc(t, h, 1, 100, 2, NilOID)
+	b := mustAlloc(t, h, 2, 100, 0, NilOID)
 	allocs := testing.AllocsPerRun(1000, func() {
-		h.WriteField(1, 0, 2)
-		h.WriteField(1, 0, NilOID)
+		h.WriteField(a, 0, b)
+		h.WriteField(a, 0, NilSlot)
 	})
 	if allocs != 0 {
 		t.Fatalf("WriteField: %v allocs/op, want 0", allocs)
@@ -50,14 +56,31 @@ func TestOracleLiveAmortizedZeroAllocs(t *testing.T) {
 	for oid := OID(1); oid <= 50; oid++ {
 		mustAlloc(t, h, oid, 100, 2, NilOID)
 	}
-	h.AddRoot(1)
+	h.AddRoot(h.Lookup(1))
 	for oid := OID(1); oid < 50; oid++ {
-		h.WriteField(oid, 0, oid+1)
+		write(h, oid, 0, oid+1)
 	}
 	o := NewOracle(h)
 	o.Live() // warm the marks, list and queue scratch
 	allocs := testing.AllocsPerRun(100, func() { o.Live() })
 	if allocs != 0 {
 		t.Fatalf("Oracle.Live steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestMoveZeroAllocs pins the collector's copy step: moving an object
+// between two partitions with warm resident lists does not allocate.
+func TestMoveZeroAllocs(t *testing.T) {
+	h := mustNew(t, testConfig())
+	s := mustAlloc(t, h, 1, 100, 2, NilOID)
+	from, to := h.PartitionOf(s), h.EmptyPartition()
+	h.Move(s, to)
+	h.Move(s, from)
+	allocs := testing.AllocsPerRun(10, func() {
+		h.Move(s, to)
+		h.Move(s, from)
+	})
+	if allocs != 0 {
+		t.Fatalf("Move: %v allocs/op, want 0", allocs)
 	}
 }

@@ -6,9 +6,10 @@ import (
 )
 
 // CheckInvariants verifies the heap's internal structural invariants —
-// the agreements between the object table, the per-partition resident
-// lists, the incremental byte accounting, and the max-free partition
-// index — and returns a description of the first violation found, or nil.
+// the agreements between the OID index, the slot storage and its free
+// list, the field arena, the per-partition resident lists, the
+// incremental byte accounting, and the max-free partition index — and
+// returns a description of the first violation found, or nil.
 //
 // The hot paths maintain all of these incrementally (no structure is ever
 // rebuilt), so this brute-force reconciliation is the only check that the
@@ -17,11 +18,14 @@ import (
 // steady-state runs.
 func (h *Heap) CheckInvariants() error {
 	partBytes := h.cfg.PartitionBytes()
+	if len(h.slots) == 0 || h.slots[NilSlot].oid != NilOID || h.PartitionOf(NilSlot) != NoPartition {
+		return fmt.Errorf("heap: slot 0 is not the free NilSlot sentinel")
+	}
 
 	// Partition-level accounting and resident-list back-indices.
 	var sumUsed int64
 	resident := 0
-	addrScratch := make([]*Object, 0, 64)
+	addrScratch := make([]Slot, 0, 64)
 	for _, p := range h.parts {
 		if p.used < 0 || p.used > partBytes {
 			return fmt.Errorf("heap: partition %d used %d outside [0,%d]", p.ID, p.used, partBytes)
@@ -29,26 +33,23 @@ func (h *Heap) CheckInvariants() error {
 		sumUsed += p.used
 		var sumSizes int64
 		addrScratch = addrScratch[:0]
-		for slot, oid := range p.objects {
-			obj := h.Get(oid)
-			if obj == nil {
-				return fmt.Errorf("heap: partition %d lists non-resident object %d", p.ID, oid)
+		for pos, s := range p.resident {
+			if int(s) >= len(h.slots) || !h.Resident(s) {
+				return fmt.Errorf("heap: partition %d lists free slot %d", p.ID, s)
 			}
-			if obj.OID != oid {
-				return fmt.Errorf("heap: object table slot %d holds OID %d", oid, obj.OID)
+			r := &h.slots[s]
+			if h.PartitionOf(s) != p.ID {
+				return fmt.Errorf("heap: object %d listed in partition %d but records partition %d", r.oid, p.ID, r.part)
 			}
-			if obj.Partition != p.ID {
-				return fmt.Errorf("heap: object %d listed in partition %d but records partition %d", oid, p.ID, obj.Partition)
+			if int(r.resIdx) != pos {
+				return fmt.Errorf("heap: object %d resident back-index %d, actual position %d in partition %d", r.oid, r.resIdx, pos, p.ID)
 			}
-			if int(obj.resIdx) != slot {
-				return fmt.Errorf("heap: object %d resident back-index %d, actual slot %d in partition %d", oid, obj.resIdx, slot, p.ID)
-			}
-			if obj.Addr < p.Base || obj.End() > p.Base+Addr(p.used) {
+			if end := r.addr + Addr(r.size); r.addr < p.Base || end > p.Base+Addr(p.used) {
 				return fmt.Errorf("heap: object %d spans [%d,%d) outside partition %d's allocated range [%d,%d)",
-					oid, obj.Addr, obj.End(), p.ID, p.Base, p.Base+Addr(p.used))
+					r.oid, r.addr, end, p.ID, p.Base, p.Base+Addr(p.used))
 			}
-			sumSizes += obj.Size
-			addrScratch = append(addrScratch, obj)
+			sumSizes += int64(r.size)
+			addrScratch = append(addrScratch, s)
 			resident++
 		}
 		if sumSizes > p.used {
@@ -56,11 +57,11 @@ func (h *Heap) CheckInvariants() error {
 		}
 		// Bump allocation never overlaps objects; Discard leaves holes but
 		// cannot create overlaps either.
-		sort.Slice(addrScratch, func(i, j int) bool { return addrScratch[i].Addr < addrScratch[j].Addr })
+		sort.Slice(addrScratch, func(i, j int) bool { return h.slots[addrScratch[i]].addr < h.slots[addrScratch[j]].addr })
 		for i := 1; i < len(addrScratch); i++ {
-			if addrScratch[i-1].End() > addrScratch[i].Addr {
-				return fmt.Errorf("heap: objects %d and %d overlap in partition %d",
-					addrScratch[i-1].OID, addrScratch[i].OID, p.ID)
+			a, b := &h.slots[addrScratch[i-1]], &h.slots[addrScratch[i]]
+			if a.addr+Addr(a.size) > b.addr {
+				return fmt.Errorf("heap: objects %d and %d overlap in partition %d", a.oid, b.oid, p.ID)
 			}
 		}
 	}
@@ -70,41 +71,11 @@ func (h *Heap) CheckInvariants() error {
 	if h.occupied > h.totalAllocated {
 		return fmt.Errorf("heap: occupied %d exceeds total allocated %d", h.occupied, h.totalAllocated)
 	}
-
-	// Object-table census: every live table entry must be resident in
-	// exactly one partition (counted once above), and the root flags must
-	// agree with the root list.
-	tableCount, rootFlags := 0, 0
-	for oid, obj := range h.table {
-		if obj == nil {
-			continue
-		}
-		tableCount++
-		if obj.OID != OID(oid) {
-			return fmt.Errorf("heap: object table slot %d holds OID %d", oid, obj.OID)
-		}
-		if obj.root {
-			rootFlags++
-		}
+	if err := h.checkSlots(resident); err != nil {
+		return err
 	}
-	if tableCount != h.numObjects {
-		return fmt.Errorf("heap: object count %d, table holds %d", h.numObjects, tableCount)
-	}
-	if tableCount != resident {
-		return fmt.Errorf("heap: table holds %d objects but partitions list %d", tableCount, resident)
-	}
-	for _, oid := range h.rootList {
-		obj := h.Get(oid)
-		if obj == nil {
-			return fmt.Errorf("heap: root list names non-resident object %d", oid)
-		}
-		if !obj.root {
-			return fmt.Errorf("heap: root list names object %d whose root flag is clear", oid)
-		}
-	}
-	if rootFlags != len(h.rootList) {
-		return fmt.Errorf("heap: %d objects carry the root flag, root list has %d (duplicate or stale entry)",
-			rootFlags, len(h.rootList))
+	if err := h.checkArena(); err != nil {
+		return err
 	}
 
 	// Reserved empty partition.
@@ -149,6 +120,138 @@ func (h *Heap) CheckInvariants() error {
 		if h.freeBefore(h.byFree[i], h.byFree[parent]) {
 			return fmt.Errorf("heap: free index heap order violated at slot %d (partition %d outranks parent %d)",
 				i, h.byFree[i], h.byFree[parent])
+		}
+	}
+	return nil
+}
+
+// checkSlots reconciles the OID index, the slot storage, its free list
+// and the root set. resident is the number of objects the partitions list.
+func (h *Heap) checkSlots(resident int) error {
+	// Every resident slot's OID indexes back to it (the index
+	// round-trip), and the index names no slot that does not hold it.
+	slotCount, rootFlags := 0, 0
+	for i := 1; i < len(h.slots); i++ {
+		s := Slot(i)
+		r := &h.slots[s]
+		if !h.Resident(s) {
+			continue
+		}
+		slotCount++
+		if r.oid == NilOID || r.oid >= OID(len(h.index)) || h.index[r.oid] != s {
+			return fmt.Errorf("heap: slot %d holds OID %d, which the index does not map back to it", s, r.oid)
+		}
+		if r.root {
+			rootFlags++
+		}
+	}
+	indexCount := 0
+	for oid, s := range h.index {
+		if s == NilSlot {
+			continue
+		}
+		indexCount++
+		if int(s) >= len(h.slots) || h.slots[s].oid != OID(oid) || !h.Resident(s) {
+			return fmt.Errorf("heap: index maps OID %d to slot %d, which does not hold it", oid, s)
+		}
+	}
+	if slotCount != h.numObjects || indexCount != h.numObjects {
+		return fmt.Errorf("heap: object count %d, slots hold %d, index maps %d", h.numObjects, slotCount, indexCount)
+	}
+	if slotCount != resident {
+		return fmt.Errorf("heap: slots hold %d objects but partitions list %d", slotCount, resident)
+	}
+
+	// The free list holds exactly the slots that hold no object, each
+	// once.
+	onList := make(map[Slot]bool, len(h.free))
+	for _, s := range h.free {
+		if s == NilSlot || int(s) >= len(h.slots) {
+			return fmt.Errorf("heap: free list names slot %d outside the slot storage (%d)", s, len(h.slots))
+		}
+		if onList[s] {
+			return fmt.Errorf("heap: free list names slot %d twice", s)
+		}
+		onList[s] = true
+		r := &h.slots[s]
+		if h.Resident(s) || r.oid != NilOID {
+			return fmt.Errorf("heap: free list names slot %d, which holds object %d", s, r.oid)
+		}
+		if r.fieldOff != 0 && (int(r.fieldOff+r.nfields) > len(h.arena) || h.arena[r.fieldOff-1] != NilSlot || h.arena[r.fieldOff] != Slot(r.nfields)) {
+			return fmt.Errorf("heap: free slot %d remembers a run at %d that is not a dead run of %d fields", s, r.fieldOff, r.nfields)
+		}
+	}
+	if len(h.free) != len(h.slots)-1-slotCount {
+		return fmt.Errorf("heap: free list holds %d slots, %d are free", len(h.free), len(h.slots)-1-slotCount)
+	}
+
+	for _, s := range h.rootList {
+		if !h.Resident(s) {
+			return fmt.Errorf("heap: root list names free slot %d", s)
+		}
+		if !h.slots[s].root {
+			return fmt.Errorf("heap: root list names object %d whose root flag is clear", h.slots[s].oid)
+		}
+	}
+	if rootFlags != len(h.rootList) {
+		return fmt.Errorf("heap: %d objects carry the root flag, root list has %d (duplicate or stale entry)",
+			rootFlags, len(h.rootList))
+	}
+	return nil
+}
+
+// checkArena walks the field arena run by run: every live run is owned
+// by the resident slot its header names, that slot's fields lie inside
+// the run, the dead runs sum to the dead-word counter, and every non-nil
+// field names a resident slot.
+func (h *Heap) checkArena() error {
+	owned, dead := 0, 0
+	for pos := 0; pos < len(h.arena); {
+		owner := h.arena[pos]
+		if owner == NilSlot {
+			if pos+1 >= len(h.arena) || h.arena[pos+1] == 0 {
+				return fmt.Errorf("heap: dead arena run at %d has no length", pos)
+			}
+			n := 1 + int(h.arena[pos+1])
+			dead += n
+			pos += n
+			continue
+		}
+		if int(owner) >= len(h.slots) || !h.Resident(owner) {
+			return fmt.Errorf("heap: arena run at %d is owned by free slot %d", pos, owner)
+		}
+		r := &h.slots[owner]
+		if r.nfields == 0 || int(r.fieldOff) != pos+1 {
+			return fmt.Errorf("heap: arena run at %d names object %d, whose %d fields start at %d", pos, r.oid, r.nfields, r.fieldOff)
+		}
+		owned++
+		pos += 1 + int(r.nfields)
+		if pos > len(h.arena) {
+			return fmt.Errorf("heap: object %d's fields end at %d, past the arena (%d words)", r.oid, pos, len(h.arena))
+		}
+	}
+	if dead != h.arenaDead {
+		return fmt.Errorf("heap: arena holds %d dead words, counter says %d", dead, h.arenaDead)
+	}
+	withFields := 0
+	for i := 1; i < len(h.slots); i++ {
+		if h.Resident(Slot(i)) && h.slots[i].nfields > 0 {
+			withFields++
+		}
+	}
+	if owned != withFields {
+		return fmt.Errorf("heap: arena owns %d runs, %d objects have fields", owned, withFields)
+	}
+	// Every object's run was matched above, so its fields are in bounds.
+	for i := 1; i < len(h.slots); i++ {
+		s := Slot(i)
+		if !h.Resident(s) {
+			continue
+		}
+		for f, t := range h.Fields(s) {
+			if t != NilSlot && (int(t) >= len(h.slots) || !h.Resident(t)) {
+				return fmt.Errorf("heap: object %d field %d names slot %d, which holds no object", h.slots[s].oid, f, t)
+			}
 		}
 	}
 	return nil

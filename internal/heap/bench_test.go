@@ -17,7 +17,7 @@ func BenchmarkAlloc(b *testing.B) {
 		if i > 0 && rng.Intn(2) == 0 {
 			parent = OID(rng.Intn(i) + 1)
 		}
-		if _, _, err := h.Alloc(OID(i+1), int64(50+rng.Intn(101)), 4, parent); err != nil {
+		if _, _, err := h.Alloc(OID(i+1), int64(50+rng.Intn(101)), 4, h.Lookup(parent)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -30,14 +30,14 @@ func BenchmarkWriteField(b *testing.B) {
 	}
 	const n = 10_000
 	for i := 1; i <= n; i++ {
-		if _, _, err := h.Alloc(OID(i), 100, 4, NilOID); err != nil {
+		if _, _, err := h.Alloc(OID(i), 100, 4, NilSlot); err != nil {
 			b.Fatal(err)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.WriteField(OID(rng.Intn(n)+1), rng.Intn(4), OID(rng.Intn(n)+1))
+		h.WriteField(Slot(rng.Intn(n)+1), rng.Intn(4), Slot(rng.Intn(n)+1))
 	}
 }
 
@@ -55,15 +55,16 @@ func BenchmarkOracleLive(b *testing.B) {
 		if i > 1 {
 			parent = OID(rng.Intn(i-1) + 1)
 		}
-		if _, _, err := h.Alloc(OID(i), 100, 4, parent); err != nil {
+		s, _, err := h.Alloc(OID(i), 100, 4, h.Lookup(parent))
+		if err != nil {
 			b.Fatal(err)
 		}
 		if parent == NilOID {
-			h.AddRoot(OID(i))
+			h.AddRoot(s)
 		} else {
 			f := rng.Intn(4)
-			if h.Get(parent).Fields[f] == NilOID {
-				h.WriteField(parent, f, OID(i))
+			if ps := h.Lookup(parent); h.Fields(ps)[f] == NilSlot {
+				h.WriteField(ps, f, s)
 			}
 		}
 	}
@@ -82,15 +83,16 @@ func BenchmarkGarbageByPartition(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 20_000
 	for i := 1; i <= n; i++ {
-		if _, _, err := h.Alloc(OID(i), 100, 4, NilOID); err != nil {
+		s, _, err := h.Alloc(OID(i), 100, 4, NilSlot)
+		if err != nil {
 			b.Fatal(err)
 		}
 		if i%100 == 1 {
-			h.AddRoot(OID(i))
+			h.AddRoot(s)
 		} else if rng.Intn(4) != 0 {
-			prev := OID(i - 1)
-			if h.Get(prev).Fields[0] == NilOID {
-				h.WriteField(prev, 0, OID(i))
+			prev := h.Lookup(OID(i - 1))
+			if h.Fields(prev)[0] == NilSlot {
+				h.WriteField(prev, 0, s)
 			}
 		}
 	}

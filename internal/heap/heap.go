@@ -3,6 +3,8 @@ package heap
 import (
 	"errors"
 	"fmt"
+	"math"
+	"unsafe"
 )
 
 // Config fixes the geometry of the simulated database.
@@ -34,6 +36,9 @@ func (c Config) validate() error {
 	if c.PartitionPages <= 0 {
 		return fmt.Errorf("heap: partition pages %d must be positive", c.PartitionPages)
 	}
+	if c.PartitionBytes() > math.MaxUint32 {
+		return fmt.Errorf("heap: partition of %d bytes exceeds the 4 GiB limit on object sizes", c.PartitionBytes())
+	}
 	return nil
 }
 
@@ -47,10 +52,10 @@ type Partition struct {
 	Base Addr
 
 	used int64 // bump offset: bytes allocated since the last reset
-	// objects lists the resident OIDs in arbitrary order; each resident
-	// Object records its slot here (resIdx) so removal is a swap with the
+	// resident lists the resident slots in arbitrary order; each slot
+	// records its position here (resIdx) so removal is a swap with the
 	// last element — no hashing on the allocation or collection paths.
-	objects []OID
+	resident []Slot
 }
 
 // Used reports the bytes occupied in the partition (live objects plus
@@ -58,44 +63,70 @@ type Partition struct {
 func (p *Partition) Used() int64 { return p.used }
 
 // Len reports the number of objects resident in the partition.
-func (p *Partition) Len() int { return len(p.objects) }
+func (p *Partition) Len() int { return len(p.resident) }
 
-// Objects calls fn for every object OID resident in the partition.
-// Iteration order is unspecified; fn must not add or remove objects in p.
-func (p *Partition) Objects(fn func(OID)) {
-	for _, oid := range p.objects {
-		fn(oid)
-	}
-}
+// Slots returns the slots resident in the partition, in unspecified
+// order. The slice is the heap's own list: it is read-only, and Alloc,
+// Move and Discard invalidate it.
+func (p *Partition) Slots() []Slot { return p.resident }
 
-// maxDenseOID bounds the object table. OIDs index a slice-backed table, so
-// they must be allocated densely (the workload generators number them from
-// 1); an OID beyond this bound indicates a corrupt or hostile trace rather
-// than a real database.
+// maxDenseOID bounds the OID index. OIDs index a slice, so they must be
+// allocated densely (the workload generators number them from 1); an OID
+// beyond this bound indicates a corrupt or hostile trace rather than a
+// real database.
 const maxDenseOID = OID(1) << 40
 
+// slotLimit is the largest slot number Alloc may hand out: slots are
+// 32-bit, and slot 0 is NilSlot. Tests lower it to reach the limit.
+var slotLimit = 1<<32 - 1
+
+// minArena is the field arena's smallest capacity, in words, and minSlots
+// the slot storage's.
+const (
+	minArena = 64
+	minSlots = 64
+)
+
 // Heap is the simulated object database: a growable sequence of partitions,
-// an object table, and a root set.
+// slot storage for the resident objects, and a root set.
 //
-// The hot paths are map-free: the object table is a slice indexed by OID,
-// partition residency is a swap-remove slice with per-object back-indices,
-// and allocation placement consults an incrementally maintained max-free
-// priority index instead of scanning every partition.
+// The hot paths are map-free and pointer-free: an OID index resolves trace
+// OIDs to dense slots, per-slot records hold every object's metadata, one
+// flat arena holds every object's fields (as slots), partition residency
+// is a swap-remove slice with per-slot back-indices, and allocation
+// placement consults an incrementally maintained max-free priority index
+// instead of scanning every partition.
 type Heap struct {
 	cfg   Config
 	parts []*Partition
 
-	// table resolves OIDs to objects; nil entries are free slots (never
-	// allocated, or discarded). numObjects counts the non-nil entries.
-	table      []*Object
+	// index maps each OID below len(index) to its slot, NilSlot when the
+	// OID is not resident. It is the only structure sized by the OIDs a
+	// trace has issued: 4 bytes per OID.
+	index []Slot
+	// slots is the slot storage; slots[0] is the NilSlot sentinel, a
+	// permanently free record. free is the stack of discarded slots,
+	// reused last freed first.
+	slots      []slotRec //odbgc:arena
+	free       []Slot
 	numObjects int
-	// pool recycles Object records discarded by the collector so
-	// steady-state allocation does not touch the Go heap.
-	pool []*Object
 
-	// rootList is the database root set in insertion order; each root
-	// Object also carries a root flag for O(1) membership tests.
-	rootList []OID
+	// arena holds, for each resident object with fields, one owner
+	// header word (its slot) followed by its fields. Discard turns a
+	// range into a dead run (header NilSlot, length in the next word);
+	// arenaDead counts the dead words, which compactArena reclaims.
+	arena     []Slot //odbgc:arena
+	arenaDead int
+
+	// markEpoch stamps the current marking pass (see BeginMark). The
+	// oracle and the collector share it, so one pass never mistakes
+	// another's stamps for its own.
+	markEpoch uint32
+
+	// rootList is the database root set in insertion order; each root's
+	// slot also carries a root flag for O(1) membership tests. Roots are
+	// never discarded, so their slots are stable.
+	rootList []Slot
 
 	// byFree is a binary max-heap of allocatable partition IDs ordered by
 	// free bytes (ties toward the lower ID); freePos[p] is p's slot in
@@ -115,9 +146,21 @@ type Heap struct {
 // ErrObjectTooLarge is returned when an object cannot fit in a partition.
 var ErrObjectTooLarge = errors.New("heap: object larger than a partition")
 
-// ErrSparseOID is returned when an OID is too large for the dense object
-// table; OIDs must be allocated densely from 1.
+// ErrSparseOID is returned when an OID is too large for the dense OID
+// index; OIDs must be allocated densely from 1.
 var ErrSparseOID = errors.New("heap: OID exceeds dense table bound")
+
+// ErrTooManyFields is returned when an object asks for more than
+// MaxFields pointer fields.
+var ErrTooManyFields = errors.New("heap: object has more pointer fields than the limit")
+
+// ErrResident is returned when Alloc names an OID that is already
+// resident: traces never reuse an OID.
+var ErrResident = errors.New("heap: OID already resident")
+
+// ErrSlotLimit is returned when every one of the 2^32-1 slots holds a
+// resident object.
+var ErrSlotLimit = errors.New("heap: slot storage full")
 
 // New returns an empty heap with one allocatable partition, plus the
 // reserved empty partition if the configuration asks for one.
@@ -128,6 +171,7 @@ func New(cfg Config) (*Heap, error) {
 	h := &Heap{
 		cfg:   cfg,
 		empty: NoPartition,
+		slots: append(make([]slotRec, 0, minSlots), slotRec{part: int32(NoPartition)}),
 	}
 	h.addPartition()
 	if cfg.ReserveEmpty {
@@ -182,25 +226,87 @@ func (h *Heap) SetEmptyPartition(p PartitionID) {
 	}
 }
 
-// Get returns the object with the given OID, or nil if no such object is
-// resident in the heap.
-func (h *Heap) Get(oid OID) *Object {
-	if oid >= OID(len(h.table)) {
-		return nil
+// Lookup returns the slot of the resident object oid, or NilSlot if no
+// such object is resident. It is the one read of the OID index; callers
+// resolve each trace OID once and work on the slot.
+func (h *Heap) Lookup(oid OID) Slot {
+	if oid >= OID(len(h.index)) {
+		return NilSlot
 	}
-	return h.table[oid]
+	return h.index[oid]
 }
 
 // Contains reports whether oid names a resident object.
-func (h *Heap) Contains(oid OID) bool { return h.Get(oid) != nil }
+func (h *Heap) Contains(oid OID) bool { return h.Lookup(oid) != NilSlot }
+
+// Resident reports whether s holds a resident object. A slot read from a
+// field of a discarded object may have been freed since.
+func (h *Heap) Resident(s Slot) bool { return h.slots[s].part >= 0 }
 
 // Len reports the number of resident objects.
 func (h *Heap) Len() int { return h.numObjects }
 
-// OIDBound returns one past the largest OID ever resident. Scratch
-// structures indexed by OID (the oracle's mark array, the collector's
-// visited stamps) size themselves with it.
-func (h *Heap) OIDBound() OID { return OID(len(h.table)) }
+// OID returns the identity of the object in slot s (NilOID for NilSlot or
+// a free slot).
+func (h *Heap) OID(s Slot) OID { return h.slots[s].oid }
+
+// Size returns the size in bytes of the object in slot s.
+func (h *Heap) Size(s Slot) int64 { return int64(h.slots[s].size) }
+
+// PartitionOf returns the partition holding the object in slot s, or
+// NoPartition for NilSlot or a free slot.
+func (h *Heap) PartitionOf(s Slot) PartitionID { return PartitionID(h.slots[s].part) }
+
+// AddrOf returns the current global byte offset of the object in slot s.
+func (h *Heap) AddrOf(s Slot) Addr { return h.slots[s].addr }
+
+// Weight returns the root-distance weight of the object in slot s.
+func (h *Heap) Weight(s Slot) uint8 { return h.slots[s].weight }
+
+// SetWeight sets the root-distance weight of the object in slot s.
+func (h *Heap) SetWeight(s Slot, w uint8) { h.slots[s].weight = w }
+
+// OutCount returns the object's count of inter-partition out-pointers,
+// the column package remset maintains.
+func (h *Heap) OutCount(s Slot) int32 { return h.slots[s].outCount }
+
+// AddOutCount adds d to the object's out-pointer count and returns the
+// new count.
+func (h *Heap) AddOutCount(s Slot, d int32) int32 {
+	r := &h.slots[s]
+	r.outCount += d
+	return r.outCount
+}
+
+// NumFields returns the number of pointer fields of the object in slot s.
+func (h *Heap) NumFields(s Slot) int { return int(h.slots[s].nfields) }
+
+// Fields returns the pointer fields of the object in slot s, as slots;
+// NilSlot marks an empty field. The slice is a view into the heap's field
+// arena: writes through it bypass WriteField's checks, and the next Alloc
+// may move the arena, after which the view is stale.
+func (h *Heap) Fields(s Slot) []Slot {
+	r := &h.slots[s]
+	return h.arena[r.fieldOff : r.fieldOff+r.nfields : r.fieldOff+r.nfields]
+}
+
+// ClearFields sets every field of the object in slot s to NilSlot.
+func (h *Heap) ClearFields(s Slot) { clear(h.Fields(s)) }
+
+// PointerCount reports the number of non-nil pointer fields of the object
+// in slot s.
+func (h *Heap) PointerCount(s Slot) int {
+	n := 0
+	for _, f := range h.Fields(s) {
+		if f != NilSlot {
+			n++
+		}
+	}
+	return n
+}
+
+// OIDBound returns one past the largest OID the index covers.
+func (h *Heap) OIDBound() OID { return OID(len(h.index)) }
 
 // TotalAllocatedBytes reports the cumulative bytes ever allocated, including
 // bytes since reclaimed. This is the paper's "maximum allocated" axis.
@@ -221,35 +327,61 @@ func (h *Heap) FootprintBytes() int64 {
 	return int64(len(h.parts)) * h.cfg.PartitionBytes()
 }
 
-// AddRoot marks oid as a member of the database root set. Root objects and
-// everything reachable from them are live.
-func (h *Heap) AddRoot(oid OID) {
-	obj := h.Get(oid)
-	if obj == nil {
-		panic(fmt.Sprintf("heap: AddRoot(%d): no such object", oid))
+// AddRoot marks the object in slot s as a member of the database root set.
+// Root objects and everything reachable from them are live.
+func (h *Heap) AddRoot(s Slot) {
+	if !h.Resident(s) {
+		panic(fmt.Sprintf("heap: AddRoot(slot %d): no such object", s))
 	}
-	if obj.root {
+	r := &h.slots[s]
+	if r.root {
 		return
 	}
-	obj.root = true
-	h.rootList = append(h.rootList, oid)
+	r.root = true
+	h.rootList = append(h.rootList, s)
 }
 
-// IsRoot reports whether oid is in the root set.
-func (h *Heap) IsRoot(oid OID) bool {
-	obj := h.Get(oid)
-	return obj != nil && obj.root
-}
+// IsRoot reports whether the object in slot s is in the root set.
+func (h *Heap) IsRoot(s Slot) bool { return h.slots[s].root }
 
-// Roots calls fn for every root OID, in the order the roots were added.
-func (h *Heap) Roots(fn func(OID)) {
-	for _, oid := range h.rootList {
-		fn(oid)
+// Roots calls fn for every root, in the order the roots were added.
+func (h *Heap) Roots(fn func(Slot)) {
+	for _, s := range h.rootList {
+		fn(s)
 	}
 }
 
 // NumRoots reports the size of the root set.
 func (h *Heap) NumRoots() int { return len(h.rootList) }
+
+// --- marking ----------------------------------------------------------------
+//
+// Each slot carries the stamp of the last marking pass that reached it.
+// BeginMark bumps the heap-wide epoch, which unmarks every slot at once:
+// a pass performs no hashing and no up-front clearing, and its scratch
+// is one word per resident object rather than one per OID ever issued.
+
+// BeginMark starts a marking pass, invalidating every earlier pass's marks.
+func (h *Heap) BeginMark() {
+	h.markEpoch++
+	if h.markEpoch == 0 { // uint32 wraparound: old stamps become ambiguous
+		for i := range h.slots {
+			h.slots[i].mark = 0
+		}
+		h.markEpoch = 1
+	}
+}
+
+// Mark marks slot s in the current pass and reports whether it was
+// unmarked before.
+func (h *Heap) Mark(s Slot) bool {
+	r := &h.slots[s]
+	if r.mark == h.markEpoch {
+		return false
+	}
+	r.mark = h.markEpoch
+	return true
+}
 
 // Grew is the result of an allocation, reporting whether the database had
 // to grow to satisfy it.
@@ -259,29 +391,23 @@ type Grew struct {
 }
 
 // Alloc allocates a new object of the given size with nfields pointer
-// slots, placing it near parent when possible: in the parent's partition if
-// the object fits there, otherwise in the resident partition with the most
-// free space, otherwise in a freshly added partition (the paper's "when to
-// grow" policy). A NilOID parent requests no placement affinity.
+// slots, placing it near the object in slot parent when possible: in the
+// parent's partition if the object fits there, otherwise in the resident
+// partition with the most free space, otherwise in a freshly added
+// partition (the paper's "when to grow" policy). A NilSlot parent
+// requests no placement affinity.
 //
-// Alloc returns ErrObjectTooLarge if size exceeds the partition size, and
-// panics if oid is already resident (trace corruption). In steady state —
-// pool warm, table and resident slices at capacity — it must not allocate
-// (pinned by TestAllocDiscardZeroAllocs).
+// Alloc returns an error, and changes nothing, when size is not positive
+// or exceeds the partition size, when nfields is negative or above
+// MaxFields, when oid is nil, sparse or already resident, or when every
+// slot is in use. In steady state — free slots and arena space available,
+// index and resident slices at capacity — it must not allocate (pinned by
+// TestAllocSteadyStateZeroAllocs).
 //
 //odbgc:hotpath
-func (h *Heap) Alloc(oid OID, size int64, nfields int, parent OID) (*Object, Grew, error) {
-	if size <= 0 {
-		return nil, Grew{}, fmt.Errorf("heap: Alloc(%d): size %d must be positive", oid, size) //odbgc:alloc-ok cold error path
-	}
-	if size > h.cfg.PartitionBytes() {
-		return nil, Grew{}, fmt.Errorf("%w: %d > %d", ErrObjectTooLarge, size, h.cfg.PartitionBytes()) //odbgc:alloc-ok cold error path
-	}
-	if oid >= maxDenseOID {
-		return nil, Grew{}, fmt.Errorf("%w: %d", ErrSparseOID, oid) //odbgc:alloc-ok cold error path
-	}
-	if h.Contains(oid) {
-		panic(fmt.Sprintf("heap: Alloc(%d): OID already resident", oid)) //odbgc:alloc-ok cold panic path
+func (h *Heap) Alloc(oid OID, size int64, nfields int, parent Slot) (Slot, Grew, error) {
+	if err := h.checkAlloc(oid, size, nfields); err != nil {
+		return NilSlot, Grew{}, err
 	}
 
 	var grew Grew
@@ -291,85 +417,180 @@ func (h *Heap) Alloc(oid OID, size int64, nfields int, parent OID) (*Object, Gre
 		grew.Added = 1
 	}
 
-	obj := h.newObject(oid, size, nfields)
-	obj.Partition = target.ID
-	obj.Addr = target.Base + Addr(target.used)
+	s := h.newSlot()
+	var off uint32
+	if nfields > 0 {
+		off = h.fieldsFor(s, nfields)
+	}
+	h.slots[s] = slotRec{
+		oid:      oid,
+		addr:     target.Base + Addr(target.used),
+		size:     uint32(size),
+		part:     int32(target.ID),
+		fieldOff: off,
+		nfields:  uint32(nfields),
+		weight:   MaxWeight,
+	}
 	target.used += size
 	h.freeFix(target.ID)
-	h.residentAdd(target, obj)
-	if oid >= OID(len(h.table)) {
-		h.growTable(oid)
+	h.residentAdd(target, s)
+	if oid >= OID(len(h.index)) {
+		h.growIndex(oid)
 	}
-	h.table[oid] = obj
+	h.index[oid] = s
 	h.numObjects++
 	h.occupied += size
 	h.totalAllocated += size
 	h.totalObjects++
-	return obj, grew, nil
+	return s, grew, nil
 }
 
-// newObject takes an Object record from the recycle pool (or the Go heap)
-// and initializes it.
-//
-//odbgc:hotpath
-func (h *Heap) newObject(oid OID, size int64, nfields int) *Object {
-	var obj *Object
-	if n := len(h.pool); n > 0 {
-		obj = h.pool[n-1]
-		h.pool = h.pool[:n-1]
-	} else {
-		obj = new(Object) //odbgc:alloc-ok pool miss; recycled thereafter
+// checkAlloc validates an allocation request before anything changes.
+func (h *Heap) checkAlloc(oid OID, size int64, nfields int) error {
+	switch {
+	case size <= 0:
+		return fmt.Errorf("heap: Alloc(%d): size %d must be positive", oid, size) //odbgc:alloc-ok cold error path
+	case size > h.cfg.PartitionBytes():
+		return fmt.Errorf("%w: %d > %d", ErrObjectTooLarge, size, h.cfg.PartitionBytes()) //odbgc:alloc-ok cold error path
+	case nfields < 0:
+		return fmt.Errorf("heap: Alloc(%d): negative field count %d", oid, nfields) //odbgc:alloc-ok cold error path
+	case nfields > MaxFields:
+		return fmt.Errorf("%w: Alloc(%d) asks for %d, limit %d", ErrTooManyFields, oid, nfields, MaxFields) //odbgc:alloc-ok cold error path
+	case oid == NilOID:
+		return fmt.Errorf("heap: Alloc: OID %d is the nil pointer", oid) //odbgc:alloc-ok cold error path
+	case oid >= maxDenseOID:
+		return fmt.Errorf("%w: %d", ErrSparseOID, oid) //odbgc:alloc-ok cold error path
+	case h.Contains(oid):
+		return fmt.Errorf("%w: Alloc(%d)", ErrResident, oid) //odbgc:alloc-ok cold error path
+	case len(h.free) == 0 && len(h.slots) > slotLimit:
+		return fmt.Errorf("%w: Alloc(%d) needs a slot beyond the limit of %d", ErrSlotLimit, oid, slotLimit) //odbgc:alloc-ok cold error path
 	}
-	if cap(obj.Fields) >= nfields {
-		obj.Fields = obj.Fields[:nfields]
-		clear(obj.Fields)
-	} else {
-		obj.Fields = make([]OID, nfields) //odbgc:alloc-ok field slice grows only past the recycled capacity
-	}
-	obj.OID = oid
-	obj.Size = size
-	obj.Weight = MaxWeight
-	obj.root = false
-	return obj
+	return nil
 }
 
-// growTable extends the object table to cover oid, doubling so growth is
-// amortized O(1).
+// newSlot takes a slot from the free list, last freed first, or appends
+// one to the slot storage. The storage doubles when full rather than
+// growing at append's gentler rate for large slices: it holds no more
+// than twice the peak resident count either way, and doubling copies
+// and discards far fewer bytes on the way there.
 //
 //odbgc:hotpath
-func (h *Heap) growTable(oid OID) {
-	n := len(h.table) * 2
-	if n <= int(oid) {
-		n = int(oid) + 1
+func (h *Heap) newSlot() Slot {
+	if n := len(h.free); n > 0 {
+		s := h.free[n-1]
+		h.free = h.free[:n-1]
+		return s
 	}
-	if n < 64 {
-		n = 64
+	if len(h.slots) == cap(h.slots) {
+		grown := make([]slotRec, len(h.slots), 2*cap(h.slots)) //odbgc:alloc-ok amortized slot-storage doubling, bounded by the peak resident count
+		copy(grown, h.slots)
+		h.slots = grown
 	}
-	grown := make([]*Object, n) //odbgc:alloc-ok amortized doubling of the object table
-	copy(grown, h.table)
-	h.table = grown
+	h.slots = h.slots[:len(h.slots)+1]
+	h.slots[len(h.slots)-1] = slotRec{}
+	return Slot(len(h.slots) - 1)
 }
 
-// residentAdd appends obj to p's resident set, recording its slot.
+// growIndex extends the OID index to cover oid. The index grows at
+// append's rate rather than by doubling, so its slack stays a small
+// fraction of its 4 bytes per OID.
 //
 //odbgc:hotpath
-func (h *Heap) residentAdd(p *Partition, obj *Object) {
-	obj.resIdx = int32(len(p.objects))
-	p.objects = append(p.objects, obj.OID) //odbgc:alloc-ok amortized slice growth
+func (h *Heap) growIndex(oid OID) {
+	h.index = append(h.index, make([]Slot, int(oid)+1-len(h.index))...) //odbgc:alloc-ok amortized growth of the OID index
 }
 
-// residentRemove removes obj from p's resident set by swapping the last
-// element into its slot.
+// fieldsFor returns the arena index of the first of nfields zeroed fields
+// for slot s. A recycled slot still names the dead run its last object
+// held; when that run has the same length and no compaction has dropped
+// it, it is revived in place, so steady-state churn reuses arena space
+// instead of appending and compacting.
 //
 //odbgc:hotpath
-func (h *Heap) residentRemove(p *Partition, obj *Object) {
-	i := obj.resIdx
-	last := int32(len(p.objects) - 1)
-	moved := p.objects[last]
-	p.objects[i] = moved
-	h.table[moved].resIdx = i
-	p.objects = p.objects[:last]
-	obj.resIdx = -1
+func (h *Heap) fieldsFor(s Slot, nfields int) uint32 {
+	if r := &h.slots[s]; r.fieldOff != 0 && int(r.nfields) == nfields {
+		off := r.fieldOff
+		h.arena[off-1] = s
+		clear(h.arena[off : off+uint32(nfields)])
+		h.arenaDead -= 1 + nfields
+		return off
+	}
+	return h.allocFields(s, nfields)
+}
+
+// allocFields reserves an owner header and nfields zeroed fields for slot
+// s at the end of the arena, compacting or growing the arena first when
+// it is full, and returns the index of the first field.
+//
+//odbgc:hotpath
+func (h *Heap) allocFields(s Slot, nfields int) uint32 {
+	need := 1 + nfields
+	if len(h.arena)+need > cap(h.arena) {
+		h.compactArena(need)
+	}
+	off := len(h.arena)
+	h.arena = h.arena[:off+need]
+	h.arena[off] = s
+	clear(h.arena[off+1:])
+	return uint32(off + 1)
+}
+
+// compactArena squeezes the dead runs out of the arena, making room for
+// need more words. It compacts in place while that leaves a quarter of
+// the capacity free, so each in-place pass is paid for by at least a
+// quarter-capacity of appends; otherwise it moves the live ranges to a
+// new arena of twice the live words plus need. Either way the capacity
+// stays within twice the largest live size plus minArena, and every live
+// object's fieldOff is rewritten.
+//
+//odbgc:hotpath
+func (h *Heap) compactArena(need int) {
+	live := len(h.arena) - h.arenaDead + need
+	dst := h.arena[:cap(h.arena)]
+	if 4*live > 3*cap(h.arena) {
+		dst = make([]Slot, max(2*live, minArena)) //odbgc:alloc-ok amortized arena growth, bounded by twice the live fields
+	}
+	n := 0
+	for pos := 0; pos < len(h.arena); {
+		owner := h.arena[pos]
+		if owner == NilSlot { // dead run: its length is in the next word
+			pos += 1 + int(h.arena[pos+1])
+			continue
+		}
+		k := 1 + int(h.slots[owner].nfields)
+		copy(dst[n:n+k], h.arena[pos:pos+k])
+		h.slots[owner].fieldOff = uint32(n + 1)
+		n += k
+		pos += k
+	}
+	h.arena = dst[:n]
+	h.arenaDead = 0
+	// The dead runs free slots remembered are gone.
+	for _, s := range h.free {
+		h.slots[s].fieldOff = 0
+	}
+}
+
+// residentAdd appends slot s to p's resident list, recording its position.
+//
+//odbgc:hotpath
+func (h *Heap) residentAdd(p *Partition, s Slot) {
+	h.slots[s].resIdx = int32(len(p.resident))
+	p.resident = append(p.resident, s) //odbgc:alloc-ok amortized slice growth
+}
+
+// residentRemove removes slot s from p's resident list by swapping the
+// last element into its position.
+//
+//odbgc:hotpath
+func (h *Heap) residentRemove(p *Partition, s Slot) {
+	i := h.slots[s].resIdx
+	last := int32(len(p.resident) - 1)
+	moved := p.resident[last]
+	p.resident[i] = moved
+	h.slots[moved].resIdx = i
+	p.resident = p.resident[:last]
+	h.slots[s].resIdx = -1
 }
 
 // placeFor chooses the partition for a new object of the given size, or nil
@@ -379,14 +600,12 @@ func (h *Heap) residentRemove(p *Partition, obj *Object) {
 // target.
 //
 //odbgc:hotpath
-func (h *Heap) placeFor(size int64, parent OID) *Partition {
+func (h *Heap) placeFor(size int64, parent Slot) *Partition {
 	partBytes := h.cfg.PartitionBytes()
-	if parent != NilOID {
-		if po := h.Get(parent); po != nil && po.Partition != h.empty {
-			p := h.parts[po.Partition]
-			if partBytes-p.used >= size {
-				return p
-			}
+	if pp := h.PartitionOf(parent); pp != NoPartition && pp != h.empty {
+		p := h.parts[pp]
+		if partBytes-p.used >= size {
+			return p
 		}
 	}
 	if len(h.byFree) == 0 {
@@ -399,78 +618,92 @@ func (h *Heap) placeFor(size int64, parent OID) *Partition {
 	return nil
 }
 
-// WriteField stores target into field f of src and returns the previous
-// value. It is the raw heap mutation; the write barrier in package gc wraps
-// it with remembered-set and policy bookkeeping. It must not allocate
-// (pinned by TestWriteFieldZeroAllocs).
+// WriteField stores target into field f of the object in slot src and
+// returns the previous value. It is the raw heap mutation; the write
+// barrier in package gc wraps it with remembered-set and policy
+// bookkeeping. It must not allocate (pinned by TestWriteFieldZeroAllocs).
 //
 //odbgc:hotpath
-func (h *Heap) WriteField(src OID, f int, target OID) OID {
-	obj := h.Get(src)
-	if obj == nil {
-		panic(fmt.Sprintf("heap: WriteField(%d): no such object", src)) //odbgc:alloc-ok cold panic path
+func (h *Heap) WriteField(src Slot, f int, target Slot) Slot {
+	r := &h.slots[src]
+	if r.part < 0 {
+		panic(fmt.Sprintf("heap: WriteField(slot %d): no such object", src)) //odbgc:alloc-ok cold panic path
 	}
-	if f < 0 || f >= len(obj.Fields) {
-		panic(fmt.Sprintf("heap: WriteField(%d): field %d out of range [0,%d)", src, f, len(obj.Fields))) //odbgc:alloc-ok cold panic path
+	if f < 0 || f >= int(r.nfields) {
+		panic(fmt.Sprintf("heap: WriteField(%d): field %d out of range [0,%d)", r.oid, f, r.nfields)) //odbgc:alloc-ok cold panic path
 	}
-	old := obj.Fields[f]
-	obj.Fields[f] = target
+	if target != NilSlot && !h.Resident(target) {
+		panic(fmt.Sprintf("heap: WriteField(%d): target slot %d holds no object", r.oid, target)) //odbgc:alloc-ok cold panic path
+	}
+	i := r.fieldOff + uint32(f)
+	old := h.arena[i]
+	h.arena[i] = target
 	return old
 }
 
-// Move relocates a resident object into partition dst by bump allocation,
-// updating the object's partition and address. The collector uses Move to
-// evacuate live objects into the empty partition. It panics if dst lacks
-// room, which would mean the collector copied more than one partition's
-// worth of data into one partition.
-func (h *Heap) Move(oid OID, dst PartitionID) {
-	obj := h.Get(oid)
-	if obj == nil {
-		panic(fmt.Sprintf("heap: Move(%d): no such object", oid))
-	}
-	to := h.parts[dst]
-	if h.cfg.PartitionBytes()-to.used < obj.Size {
-		panic(fmt.Sprintf("heap: Move(%d): partition %d has %d free, need %d",
-			oid, dst, h.cfg.PartitionBytes()-to.used, obj.Size))
-	}
-	from := h.parts[obj.Partition]
-	h.residentRemove(from, obj)
-	// The source partition's bump offset is not decremented: evacuation
-	// frees space only when the whole partition is reset afterwards.
-	obj.Partition = dst
-	obj.Addr = to.Base + Addr(to.used)
-	to.used += obj.Size
-	h.occupied += obj.Size
-	h.freeFix(dst)
-	h.residentAdd(to, obj)
-}
-
-// Discard removes a dead object from the heap and recycles its record.
-// Like Move, it does not give space back to the source partition;
-// ResetPartition does. The *Object is invalidated: the next Alloc may
-// reuse it.
+// Move relocates the object in slot s into partition dst by bump
+// allocation, updating its partition and address. The collector uses Move
+// to evacuate live objects into the empty partition. It panics if dst
+// lacks room, which would mean the collector copied more than one
+// partition's worth of data into one partition.
 //
 //odbgc:hotpath
-func (h *Heap) Discard(oid OID) {
-	obj := h.Get(oid)
-	if obj == nil {
-		panic(fmt.Sprintf("heap: Discard(%d): no such object", oid)) //odbgc:alloc-ok cold panic path
+func (h *Heap) Move(s Slot, dst PartitionID) {
+	r := &h.slots[s]
+	if r.part < 0 {
+		panic(fmt.Sprintf("heap: Move(slot %d): no such object", s)) //odbgc:alloc-ok cold panic path
 	}
-	if obj.root {
-		panic(fmt.Sprintf("heap: Discard(%d): object is a root", oid)) //odbgc:alloc-ok cold panic path
+	to := h.parts[dst]
+	size := int64(r.size)
+	if h.cfg.PartitionBytes()-to.used < size {
+		panic(fmt.Sprintf("heap: Move(%d): partition %d has %d free, need %d", //odbgc:alloc-ok cold panic path
+			r.oid, dst, h.cfg.PartitionBytes()-to.used, size))
 	}
-	h.residentRemove(h.parts[obj.Partition], obj)
-	h.table[oid] = nil
+	h.residentRemove(h.parts[r.part], s)
+	// The source partition's bump offset is not decremented: evacuation
+	// frees space only when the whole partition is reset afterwards.
+	r.part = int32(dst)
+	r.addr = to.Base + Addr(to.used)
+	to.used += size
+	h.occupied += size
+	h.freeFix(dst)
+	h.residentAdd(to, s)
+}
+
+// Discard removes the dead object in slot s from the heap and frees the
+// slot; the next Alloc reuses it. Like Move, it does not give space back
+// to the source partition; ResetPartition does. The caller guarantees no
+// resident object still points to s: fields hold slots, so a pointer to a
+// discarded object would name whatever object reuses the slot.
+//
+//odbgc:hotpath
+func (h *Heap) Discard(s Slot) {
+	r := &h.slots[s]
+	if r.part < 0 {
+		panic(fmt.Sprintf("heap: Discard(slot %d): no such object", s)) //odbgc:alloc-ok cold panic path
+	}
+	if r.root {
+		panic(fmt.Sprintf("heap: Discard(%d): object is a root", r.oid)) //odbgc:alloc-ok cold panic path
+	}
+	h.residentRemove(h.parts[r.part], s)
+	if r.nfields > 0 {
+		h.arena[r.fieldOff-1] = NilSlot
+		h.arena[r.fieldOff] = Slot(r.nfields)
+		h.arenaDead += 1 + int(r.nfields)
+	}
+	h.index[r.oid] = NilSlot
+	// The freed slot keeps naming its dead run, for fieldsFor to revive.
+	*r = slotRec{part: int32(NoPartition), fieldOff: r.fieldOff, nfields: r.nfields}
+	h.free = append(h.free, s) //odbgc:alloc-ok amortized free-stack growth, bounded by the slot storage
 	h.numObjects--
-	h.pool = append(h.pool, obj) //odbgc:alloc-ok amortized pool growth
 }
 
 // ResetPartition marks a fully evacuated partition as empty again. It
 // panics if any object is still resident there.
 func (h *Heap) ResetPartition(id PartitionID) {
 	p := h.parts[id]
-	if len(p.objects) != 0 {
-		panic(fmt.Sprintf("heap: ResetPartition(%d): %d objects still resident", id, len(p.objects)))
+	if len(p.resident) != 0 {
+		panic(fmt.Sprintf("heap: ResetPartition(%d): %d objects still resident", id, len(p.resident)))
 	}
 	h.occupied -= p.used
 	p.used = 0
@@ -485,9 +718,10 @@ func (h *Heap) PageRange(addr Addr, size int64) (first, last PageID) {
 	return first, last
 }
 
-// ObjectPages returns the page range occupied by the object.
-func (h *Heap) ObjectPages(obj *Object) (first, last PageID) {
-	return h.PageRange(obj.Addr, obj.Size)
+// Pages returns the page range occupied by the object in slot s.
+func (h *Heap) Pages(s Slot) (first, last PageID) {
+	r := &h.slots[s]
+	return h.PageRange(r.addr, int64(r.size))
 }
 
 // PartitionOfAddr returns the partition owning the given address, or
@@ -583,4 +817,35 @@ func (h *Heap) freeFix(p PartitionID) {
 	}
 	h.freeDown(i)
 	h.freeUp(int(h.freePos[p]))
+}
+
+// Footprint counts the memory a table or a scratch space holds, from
+// slice capacities (maps by their entry counts). Tests use it to bound the
+// simulator's memory by the resident objects rather than by every OID a
+// trace has issued.
+type Footprint struct {
+	// Bytes is the capacity held, in bytes.
+	Bytes int64
+	// Slots is the capacity of the largest per-object table or scratch
+	// list, in entries.
+	Slots int
+	// ArenaWords is the field arena's capacity in words, and
+	// LiveArenaWords the words resident objects hold in it.
+	ArenaWords, LiveArenaWords int
+}
+
+// Footprint reports the memory the heap's tables hold.
+func (h *Heap) Footprint() Footprint {
+	const slotBytes = int64(unsafe.Sizeof(slotRec{}))
+	f := Footprint{
+		Bytes: 4*int64(cap(h.index)) + slotBytes*int64(cap(h.slots)) + 4*int64(cap(h.arena)) +
+			4*int64(cap(h.free)+cap(h.rootList)) + 8*int64(cap(h.parts)) + 8*int64(cap(h.byFree)) + 4*int64(cap(h.freePos)),
+		Slots:          cap(h.slots),
+		ArenaWords:     cap(h.arena),
+		LiveArenaWords: len(h.arena) - h.arenaDead,
+	}
+	for _, p := range h.parts {
+		f.Bytes += int64(unsafe.Sizeof(*p)) + 4*int64(cap(p.resident))
+	}
+	return f
 }

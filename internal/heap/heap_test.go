@@ -2,7 +2,9 @@ package heap
 
 import (
 	"errors"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 func testConfig() Config {
@@ -18,13 +20,24 @@ func mustNew(t *testing.T, cfg Config) *Heap {
 	return h
 }
 
-func mustAlloc(t *testing.T, h *Heap, oid OID, size int64, nfields int, parent OID) *Object {
+func mustAlloc(t *testing.T, h *Heap, oid OID, size int64, nfields int, parent OID) Slot {
 	t.Helper()
-	obj, _, err := h.Alloc(oid, size, nfields, parent)
+	s, _, err := h.Alloc(oid, size, nfields, h.Lookup(parent))
 	if err != nil {
 		t.Fatalf("Alloc(%d): %v", oid, err)
 	}
-	return obj
+	return s
+}
+
+// write stores target into field f of src, naming both by OID, and
+// returns the OID the field held before.
+func write(h *Heap, src OID, f int, target OID) OID {
+	return h.OID(h.WriteField(h.Lookup(src), f, h.Lookup(target)))
+}
+
+// field returns the OID held in field f of src.
+func field(h *Heap, src OID, f int) OID {
+	return h.OID(h.Fields(h.Lookup(src))[f])
 }
 
 func TestNewValidatesConfig(t *testing.T) {
@@ -33,11 +46,20 @@ func TestNewValidatesConfig(t *testing.T) {
 		{PageSize: -1, PartitionPages: 4},
 		{PageSize: 8192, PartitionPages: 0},
 		{PageSize: 8192, PartitionPages: -3},
+		{PageSize: 1 << 20, PartitionPages: 1 << 13}, // 8 GiB partitions
 	}
 	for _, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("New(%+v): want error, got nil", cfg)
 		}
+	}
+}
+
+// TestSlotRecordSize pins the per-object record at 48 bytes: the slot
+// storage is most of the simulator's memory per resident object.
+func TestSlotRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(slotRec{}); got != 48 {
+		t.Fatalf("slotRec is %d bytes, want 48", got)
 	}
 }
 
@@ -69,17 +91,17 @@ func TestNewWithoutReservedEmpty(t *testing.T) {
 func TestAllocBasics(t *testing.T) {
 	h := mustNew(t, testConfig())
 	obj := mustAlloc(t, h, 1, 100, 3, NilOID)
-	if obj.OID != 1 || obj.Size != 100 || len(obj.Fields) != 3 {
-		t.Fatalf("object = %+v", obj)
+	if h.OID(obj) != 1 || h.Size(obj) != 100 || h.NumFields(obj) != 3 {
+		t.Fatalf("object = %+v", h.slots[obj])
 	}
-	if obj.Partition == h.EmptyPartition() {
+	if h.PartitionOf(obj) == h.EmptyPartition() {
 		t.Fatal("allocated into the reserved empty partition")
 	}
-	if obj.Weight != MaxWeight {
-		t.Fatalf("new object weight = %d, want %d", obj.Weight, MaxWeight)
+	if h.Weight(obj) != MaxWeight {
+		t.Fatalf("new object weight = %d, want %d", h.Weight(obj), MaxWeight)
 	}
-	if !h.Contains(1) || h.Get(1) != obj {
-		t.Fatal("object table does not resolve the new OID")
+	if !h.Contains(1) || h.Lookup(1) != obj {
+		t.Fatal("OID index does not resolve the new OID")
 	}
 	if h.TotalAllocatedBytes() != 100 || h.TotalAllocatedObjects() != 1 {
 		t.Fatalf("cumulative accounting = (%d bytes, %d objects)",
@@ -89,38 +111,76 @@ func TestAllocBasics(t *testing.T) {
 
 func TestAllocRejectsBadSizes(t *testing.T) {
 	h := mustNew(t, testConfig())
-	if _, _, err := h.Alloc(1, 0, 0, NilOID); err == nil {
+	if _, _, err := h.Alloc(1, 0, 0, NilSlot); err == nil {
 		t.Error("Alloc size 0: want error")
 	}
-	if _, _, err := h.Alloc(2, -5, 0, NilOID); err == nil {
+	if _, _, err := h.Alloc(2, -5, 0, NilSlot); err == nil {
 		t.Error("Alloc negative size: want error")
 	}
-	_, _, err := h.Alloc(3, h.Config().PartitionBytes()+1, 0, NilOID)
+	_, _, err := h.Alloc(3, h.Config().PartitionBytes()+1, 0, NilSlot)
 	if !errors.Is(err, ErrObjectTooLarge) {
 		t.Errorf("oversized Alloc: err = %v, want ErrObjectTooLarge", err)
 	}
 }
 
-func TestAllocDuplicateOIDPanics(t *testing.T) {
+func TestAllocDuplicateOIDErrors(t *testing.T) {
 	h := mustNew(t, testConfig())
 	mustAlloc(t, h, 1, 100, 0, NilOID)
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate Alloc did not panic")
-		}
-	}()
-	h.Alloc(1, 100, 0, NilOID) //nolint:errcheck
+	_, _, err := h.Alloc(1, 100, 0, NilSlot)
+	if !errors.Is(err, ErrResident) || !strings.Contains(err.Error(), "Alloc(1)") {
+		t.Fatalf("duplicate Alloc: err = %v, want ErrResident naming OID 1", err)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatalf("failed Alloc changed the heap: %v", err)
+	}
+}
+
+func TestAllocRejectsTooManyFields(t *testing.T) {
+	h := mustNew(t, testConfig())
+	if _, _, err := h.Alloc(1, 100, MaxFields, NilSlot); err != nil {
+		t.Fatalf("Alloc with MaxFields fields: %v", err)
+	}
+	_, _, err := h.Alloc(2, 100, MaxFields+1, NilSlot)
+	if !errors.Is(err, ErrTooManyFields) {
+		t.Fatalf("Alloc with MaxFields+1 fields: err = %v, want ErrTooManyFields", err)
+	}
+	if _, _, err := h.Alloc(3, 100, -1, NilSlot); err == nil {
+		t.Fatal("Alloc with a negative field count: want error")
+	}
+	if _, _, err := h.Alloc(NilOID, 100, 0, NilSlot); err == nil {
+		t.Fatal("Alloc of the nil OID: want error")
+	}
+}
+
+// TestAllocFailsPastSlotLimit lowers the slot limit so the error that
+// guards the 32-bit slot space can be reached.
+func TestAllocFailsPastSlotLimit(t *testing.T) {
+	defer func(old int) { slotLimit = old }(slotLimit)
+	slotLimit = 3
+	h := mustNew(t, testConfig())
+	for oid := OID(1); oid <= 3; oid++ {
+		mustAlloc(t, h, oid, 100, 1, NilOID)
+	}
+	_, _, err := h.Alloc(4, 100, 1, NilSlot)
+	if !errors.Is(err, ErrSlotLimit) || !strings.Contains(err.Error(), "limit of 3") {
+		t.Fatalf("Alloc past the slot limit: err = %v, want ErrSlotLimit naming the limit", err)
+	}
+	h.Discard(h.Lookup(2))
+	mustAlloc(t, h, 4, 100, 1, NilOID) // a freed slot is reused
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestAllocPlacesNearParent(t *testing.T) {
 	h := mustNew(t, testConfig())
 	parent := mustAlloc(t, h, 1, 100, 2, NilOID)
 	child := mustAlloc(t, h, 2, 100, 2, 1)
-	if child.Partition != parent.Partition {
-		t.Fatalf("child partition %d, parent partition %d", child.Partition, parent.Partition)
+	if h.PartitionOf(child) != h.PartitionOf(parent) {
+		t.Fatalf("child partition %d, parent partition %d", h.PartitionOf(child), h.PartitionOf(parent))
 	}
-	if child.Addr != parent.End() {
-		t.Fatalf("child addr %d, want bump-contiguous %d", child.Addr, parent.End())
+	if end := h.AddrOf(parent) + Addr(h.Size(parent)); h.AddrOf(child) != end {
+		t.Fatalf("child addr %d, want bump-contiguous %d", h.AddrOf(child), end)
 	}
 }
 
@@ -147,12 +207,12 @@ func TestAllocOverflowsToOtherPartitionThenGrows(t *testing.T) {
 	if h.NumPartitions() != 3 {
 		t.Fatalf("NumPartitions = %d, want 3", h.NumPartitions())
 	}
-	if obj.Partition == h.EmptyPartition() {
+	if h.PartitionOf(obj) == h.EmptyPartition() {
 		t.Fatal("allocated into the reserved empty partition")
 	}
 
 	// A further allocation fits in the new partition: no growth.
-	_, grew2, err := h.Alloc(3, 100, 0, NilOID)
+	_, grew2, err := h.Alloc(3, 100, 0, NilSlot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +228,13 @@ func TestAllocPrefersMostFreePartition(t *testing.T) {
 
 	mustAlloc(t, h, 1, part-100, 0, NilOID) // partition 0: 100 free
 	obj2 := mustAlloc(t, h, 2, 200, 0, NilOID)
-	if obj2.Partition == 0 {
+	if h.PartitionOf(obj2) == 0 {
 		t.Fatal("200-byte object placed in partition with 100 free bytes")
 	}
-	// partition obj2.Partition now has part-200 free, more than partition 0.
+	// partition h.PartitionOf(obj2) now has part-200 free, more than partition 0.
 	obj3 := mustAlloc(t, h, 3, 50, 0, NilOID)
-	if obj3.Partition != obj2.Partition {
-		t.Fatalf("obj3 in partition %d, want most-free partition %d", obj3.Partition, obj2.Partition)
+	if h.PartitionOf(obj3) != h.PartitionOf(obj2) {
+		t.Fatalf("obj3 in partition %d, want most-free partition %d", h.PartitionOf(obj3), h.PartitionOf(obj2))
 	}
 }
 
@@ -184,13 +244,13 @@ func TestWriteFieldReturnsOldValue(t *testing.T) {
 	mustAlloc(t, h, 2, 100, 0, NilOID)
 	mustAlloc(t, h, 3, 100, 0, NilOID)
 
-	if old := h.WriteField(1, 0, 2); old != NilOID {
+	if old := write(h, 1, 0, 2); old != NilOID {
 		t.Fatalf("first store old = %d, want nil", old)
 	}
-	if old := h.WriteField(1, 0, 3); old != 2 {
+	if old := write(h, 1, 0, 3); old != 2 {
 		t.Fatalf("overwrite old = %d, want 2", old)
 	}
-	if got := h.Get(1).Fields[0]; got != 3 {
+	if got := field(h, 1, 0); got != 3 {
 		t.Fatalf("field = %d, want 3", got)
 	}
 }
@@ -213,7 +273,7 @@ func TestWriteFieldPanics(t *testing.T) {
 					t.Error("want panic")
 				}
 			}()
-			h.WriteField(tc.src, tc.f, NilOID)
+			h.WriteField(h.Lookup(tc.src), tc.f, NilSlot)
 		})
 	}
 }
@@ -221,15 +281,15 @@ func TestWriteFieldPanics(t *testing.T) {
 func TestMoveRelocatesIntoEmptyPartition(t *testing.T) {
 	h := mustNew(t, testConfig())
 	obj := mustAlloc(t, h, 1, 100, 0, NilOID)
-	src := obj.Partition
+	src := h.PartitionOf(obj)
 	dst := h.EmptyPartition()
 
-	h.Move(1, dst)
-	if obj.Partition != dst {
-		t.Fatalf("partition = %d, want %d", obj.Partition, dst)
+	h.Move(obj, dst)
+	if h.PartitionOf(obj) != dst {
+		t.Fatalf("partition = %d, want %d", h.PartitionOf(obj), dst)
 	}
-	if obj.Addr != h.Partition(dst).Base {
-		t.Fatalf("addr = %d, want base %d", obj.Addr, h.Partition(dst).Base)
+	if h.AddrOf(obj) != h.Partition(dst).Base {
+		t.Fatalf("addr = %d, want base %d", h.AddrOf(obj), h.Partition(dst).Base)
 	}
 	if h.Partition(src).Len() != 0 {
 		t.Fatal("object still listed in source partition")
@@ -254,14 +314,14 @@ func TestMoveWithoutRoomPanics(t *testing.T) {
 			t.Error("Move into full partition did not panic")
 		}
 	}()
-	h.Move(1, h.Get(2).Partition)
+	h.Move(h.Lookup(1), h.PartitionOf(h.Lookup(2)))
 }
 
 func TestDiscardRemovesObject(t *testing.T) {
 	h := mustNew(t, testConfig())
 	obj := mustAlloc(t, h, 1, 100, 0, NilOID)
-	p := obj.Partition
-	h.Discard(1)
+	p := h.PartitionOf(obj)
+	h.Discard(obj)
 	if h.Contains(1) {
 		t.Fatal("discarded object still resident")
 	}
@@ -272,14 +332,14 @@ func TestDiscardRemovesObject(t *testing.T) {
 
 func TestDiscardRootPanics(t *testing.T) {
 	h := mustNew(t, testConfig())
-	mustAlloc(t, h, 1, 100, 0, NilOID)
-	h.AddRoot(1)
+	obj := mustAlloc(t, h, 1, 100, 0, NilOID)
+	h.AddRoot(obj)
 	defer func() {
 		if recover() == nil {
 			t.Error("Discard of a root did not panic")
 		}
 	}()
-	h.Discard(1)
+	h.Discard(obj)
 }
 
 func TestResetNonEmptyPartitionPanics(t *testing.T) {
@@ -290,7 +350,7 @@ func TestResetNonEmptyPartitionPanics(t *testing.T) {
 			t.Error("ResetPartition with residents did not panic")
 		}
 	}()
-	h.ResetPartition(obj.Partition)
+	h.ResetPartition(h.PartitionOf(obj))
 }
 
 func TestSetEmptyPartitionRequiresEmpty(t *testing.T) {
@@ -301,7 +361,7 @@ func TestSetEmptyPartitionRequiresEmpty(t *testing.T) {
 			t.Error("SetEmptyPartition on used partition did not panic")
 		}
 	}()
-	h.SetEmptyPartition(obj.Partition)
+	h.SetEmptyPartition(h.PartitionOf(obj))
 }
 
 func TestPageRange(t *testing.T) {
@@ -359,17 +419,17 @@ func TestOccupiedAndFootprintBytes(t *testing.T) {
 
 func TestRootsSet(t *testing.T) {
 	h := mustNew(t, testConfig())
-	mustAlloc(t, h, 1, 100, 0, NilOID)
-	mustAlloc(t, h, 2, 100, 0, NilOID)
-	h.AddRoot(1)
-	if !h.IsRoot(1) || h.IsRoot(2) {
+	a := mustAlloc(t, h, 1, 100, 0, NilOID)
+	b := mustAlloc(t, h, 2, 100, 0, NilOID)
+	h.AddRoot(a)
+	if !h.IsRoot(a) || h.IsRoot(b) {
 		t.Fatal("root membership wrong")
 	}
 	if h.NumRoots() != 1 {
 		t.Fatalf("NumRoots = %d, want 1", h.NumRoots())
 	}
 	var seen []OID
-	h.Roots(func(oid OID) { seen = append(seen, oid) })
+	h.Roots(func(s Slot) { seen = append(seen, h.OID(s)) })
 	if len(seen) != 1 || seen[0] != 1 {
 		t.Fatalf("Roots iterated %v", seen)
 	}
@@ -382,12 +442,17 @@ func TestAddRootMissingObjectPanics(t *testing.T) {
 			t.Error("AddRoot of missing object did not panic")
 		}
 	}()
-	h.AddRoot(42)
+	h.AddRoot(h.Lookup(42))
 }
 
 func TestPointerCount(t *testing.T) {
-	o := &Object{Fields: []OID{0, 3, 0, 7}}
-	if got := o.PointerCount(); got != 2 {
+	h := mustNew(t, testConfig())
+	o := mustAlloc(t, h, 1, 100, 4, NilOID)
+	mustAlloc(t, h, 3, 100, 0, NilOID)
+	mustAlloc(t, h, 7, 100, 0, NilOID)
+	write(h, 1, 1, 3)
+	write(h, 1, 3, 7)
+	if got := h.PointerCount(o); got != 2 {
 		t.Fatalf("PointerCount = %d, want 2", got)
 	}
 }

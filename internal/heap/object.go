@@ -10,6 +10,13 @@
 // so relocating an object during collection does not rewrite the pages of
 // objects that point to it; the paper's cost model (counted page I/Os) is
 // applied by the buffer manager in package pagebuf.
+//
+// Inside the simulator, a resident object is named by a Slot: a dense
+// index into pointer-free per-object storage, recycled when the object is
+// discarded. Trace OIDs are resolved to slots once, at the event boundary;
+// the collector, the oracle and the write barrier then walk from slot to
+// slot, so their memory follows the resident objects rather than every
+// OID a trace has ever issued.
 package heap
 
 // OID is an object identifier. OIDs are stable across relocation; the zero
@@ -18,6 +25,18 @@ type OID uint64
 
 // NilOID is the null pointer value stored in unset pointer fields.
 const NilOID OID = 0
+
+// Slot names a resident object inside the heap: an index into the heap's
+// slot storage. A slot is stable while its object is resident, including
+// across Move; Discard frees it for reuse by a later Alloc.
+type Slot uint32
+
+// NilSlot is the null pointer value, and the slot of no object.
+const NilSlot Slot = 0
+
+// MaxFields is the most pointer fields one object may have. Remembered-set
+// entries pack the field number into 16 bits (package remset).
+const MaxFields = 1 << 16
 
 // PartitionID identifies one physical partition of the database address
 // space. Partitions are numbered densely from zero in creation order.
@@ -37,42 +56,35 @@ type PageID int64
 // bits the WeightedPointer policy maintains per object (Section 3.1).
 const MaxWeight = 16
 
-// Object is one database object: a contiguous run of Size bytes at Addr
-// holding len(Fields) pointer slots plus uninterpreted data.
-type Object struct {
-	// OID is the object's stable identity.
-	OID OID
-	// Size is the object's size in bytes, fixed at allocation.
-	Size int64
-	// Partition is the partition currently holding the object.
-	Partition PartitionID
-	// Addr is the object's current global byte offset. It changes when the
-	// collector relocates the object.
-	Addr Addr
-	// Fields holds the object's pointer slots; NilOID marks an empty slot.
-	Fields []OID
-	// Weight is the object's approximate distance from the root set plus
-	// one, in [1, MaxWeight]. It is maintained by the WeightedPointer
-	// policy's write barrier and is meaningless under other policies.
-	Weight uint8
-
-	// root marks membership in the database root set (see Heap.AddRoot).
-	root bool
-	// resIdx is the object's slot in its partition's resident list, so
-	// removal is a swap-remove instead of a map delete.
+// slotRec is one object's metadata. It holds no Go pointers, so the slot
+// storage is invisible to the Go garbage collector's scan.
+type slotRec struct {
+	// oid is the object's stable identity; NilOID while the slot is free.
+	oid OID
+	// addr is the object's current global byte offset; size its size in
+	// bytes, fixed at allocation (partitions are at most 4 GiB).
+	addr Addr
+	size uint32
+	// part is the partition holding the object, or NoPartition while the
+	// slot is free.
+	part int32
+	// resIdx is the object's position in its partition's resident list,
+	// so removal is a swap-remove.
 	resIdx int32
-}
-
-// End returns the address one past the object's last byte.
-func (o *Object) End() Addr { return o.Addr + Addr(o.Size) }
-
-// PointerCount reports the number of non-nil pointer fields.
-func (o *Object) PointerCount() int {
-	n := 0
-	for _, f := range o.Fields {
-		if f != NilOID {
-			n++
-		}
-	}
-	return n
+	// fieldOff is the arena index of the object's first field; its
+	// owner header sits at fieldOff-1. Unused when nfields is 0. A free
+	// slot keeps the fieldOff and nfields of its last object's dead run,
+	// or has fieldOff 0 once a compaction has dropped that run.
+	fieldOff uint32
+	nfields  uint32
+	// outCount is how many fields hold inter-partition pointers; package
+	// remset maintains it.
+	outCount int32
+	// mark is the stamp of the last marking pass that reached the object.
+	mark uint32
+	// weight is the root-distance weight in [1, MaxWeight] maintained for
+	// the WeightedPointer policy (package core).
+	weight uint8
+	// root marks membership in the database root set.
+	root bool
 }

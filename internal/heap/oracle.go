@@ -5,18 +5,17 @@ package heap
 // Section 3.1) and for the metrics the paper reports: live bytes, garbage
 // per partition, and unreclaimed garbage over time.
 //
-// Visited marks are epoch-stamped generation counters indexed by OID (the
-// object table is dense), so a reachability pass performs no hashing and no
-// up-front clearing: bumping the epoch invalidates every previous mark.
+// Visited marks are the heap's per-slot mark stamps (Heap.BeginMark), so a
+// reachability pass performs no hashing and no up-front clearing, and its
+// scratch follows the resident objects, not the OIDs ever issued.
 //
 // An Oracle holds reusable scratch space; it is not safe for concurrent
-// use, and each call invalidates the result of the previous one.
+// use, and each call invalidates the result of the previous one, as does
+// any other marking pass over the same heap (a collection).
 type Oracle struct {
 	h     *Heap
-	marks []uint32 // marks[oid] == epoch ⇔ oid reached this pass
-	epoch uint32
-	list  []OID // live OIDs in discovery order, reused across passes
-	queue []OID
+	list  []Slot // live slots in discovery order, reused across passes
+	queue []Slot
 
 	garbage []int64 // GarbageByPartition scratch
 }
@@ -27,82 +26,82 @@ func NewOracle(h *Heap) *Oracle {
 }
 
 // LiveSet is the result of one reachability pass: a read-only view into the
-// oracle's scratch space, invalidated by the oracle's next call.
+// oracle's scratch space, invalidated by the next marking pass over the
+// heap.
 type LiveSet struct {
-	marks []uint32
+	h     *Heap
 	epoch uint32
-	oids  []OID
+	slots []Slot
 }
 
 // Contains reports whether oid was reachable when the set was computed.
-func (s LiveSet) Contains(oid OID) bool {
-	return oid < OID(len(s.marks)) && s.marks[oid] == s.epoch
+func (s LiveSet) Contains(oid OID) bool { return s.ContainsSlot(s.h.Lookup(oid)) }
+
+// ContainsSlot reports whether the object in slot x was reachable when
+// the set was computed.
+func (s LiveSet) ContainsSlot(x Slot) bool {
+	r := &s.h.slots[x]
+	return r.part >= 0 && r.mark == s.epoch
 }
 
 // Len reports the number of reachable objects.
-func (s LiveSet) Len() int { return len(s.oids) }
+func (s LiveSet) Len() int { return len(s.slots) }
 
-// ForEach calls fn for every reachable OID, in the deterministic order the
-// marking pass discovered them (roots first, then breadth of the forest).
-func (s LiveSet) ForEach(fn func(OID)) {
-	for _, oid := range s.oids {
-		fn(oid)
+// ForEach calls fn for every reachable object's slot, in the deterministic
+// order the marking pass discovered them (roots first, then depth of the
+// forest).
+func (s LiveSet) ForEach(fn func(Slot)) {
+	for _, x := range s.slots {
+		fn(x)
 	}
 }
 
-// Live returns the set of OIDs reachable from the root set. The returned
-// view is scratch space owned by the oracle and is invalidated by the next
-// oracle call. With warm scratch buffers a traversal must not allocate
-// (pinned by TestOracleLiveZeroAllocs).
+// Live returns the set of objects reachable from the root set. The
+// returned view is scratch space owned by the oracle and is invalidated by
+// the next marking pass. With warm scratch buffers a traversal must not
+// allocate (pinned by TestOracleLiveAmortizedZeroAllocs).
 //
 //odbgc:hotpath
 func (o *Oracle) Live() LiveSet {
-	o.epoch++
-	if o.epoch == 0 { // uint32 wraparound: old stamps become ambiguous
-		clear(o.marks)
-		o.epoch = 1
-	}
-	if n := int(o.h.OIDBound()); n > len(o.marks) {
-		o.marks = append(o.marks, make([]uint32, n-len(o.marks))...) //odbgc:alloc-ok mark store grows only when the OID bound rises
-	}
+	h := o.h
+	h.BeginMark()
+	epoch := h.markEpoch
 	o.list = o.list[:0]
 	o.queue = o.queue[:0]
-	o.h.Roots(func(r OID) { //odbgc:alloc-ok non-escaping closure; Roots does not retain fn
-		if o.marks[r] == o.epoch {
-			return
+	for _, r := range h.rootList {
+		if !h.Mark(r) {
+			continue
 		}
-		o.marks[r] = o.epoch
 		o.list = append(o.list, r)   //odbgc:alloc-ok amortized scratch growth
 		o.queue = append(o.queue, r) //odbgc:alloc-ok amortized scratch growth
-	})
+	}
 	for len(o.queue) > 0 {
-		oid := o.queue[len(o.queue)-1]
+		s := o.queue[len(o.queue)-1]
 		o.queue = o.queue[:len(o.queue)-1]
-		obj := o.h.Get(oid)
-		for _, f := range obj.Fields {
-			if f == NilOID {
+		for _, f := range h.Fields(s) {
+			if f == NilSlot {
 				continue
 			}
-			if f < OID(len(o.marks)) && o.marks[f] == o.epoch {
+			// A field may briefly name a discarded object's freed slot
+			// mid-collection; such a slot is not resident.
+			c := &h.slots[f]
+			if c.mark == epoch || c.part < 0 {
 				continue
 			}
-			if !o.h.Contains(f) {
-				continue
-			}
-			o.marks[f] = o.epoch
+			c.mark = epoch
 			o.list = append(o.list, f)   //odbgc:alloc-ok amortized scratch growth
 			o.queue = append(o.queue, f) //odbgc:alloc-ok amortized scratch growth
 		}
 	}
-	return LiveSet{marks: o.marks, epoch: o.epoch, oids: o.list}
+	return LiveSet{h: h, epoch: epoch, slots: o.list}
 }
 
 // LiveBytes returns the total size of all reachable objects.
 func (o *Oracle) LiveBytes() int64 {
 	o.Live()
 	var n int64
-	for _, oid := range o.list {
-		n += o.h.Get(oid).Size
+	for _, s := range o.list {
+		n += int64(o.h.slots[s].size)
 	}
 	return n
 }
@@ -120,9 +119,9 @@ func (o *Oracle) GarbageByPartition() []int64 {
 	for id := range o.garbage {
 		o.garbage[id] = o.h.Partition(PartitionID(id)).Used()
 	}
-	for _, oid := range o.list {
-		obj := o.h.Get(oid)
-		o.garbage[obj.Partition] -= obj.Size
+	for _, s := range o.list {
+		r := &o.h.slots[s]
+		o.garbage[r.part] -= int64(r.size)
 	}
 	return o.garbage
 }
@@ -148,4 +147,12 @@ func (o *Oracle) MostGarbagePartition() (PartitionID, int64) {
 		}
 	}
 	return best, bestAmt
+}
+
+// Footprint reports the memory the oracle's scratch holds.
+func (o *Oracle) Footprint() Footprint {
+	return Footprint{
+		Bytes: 4*int64(cap(o.list)+cap(o.queue)) + 8*int64(cap(o.garbage)),
+		Slots: max(cap(o.list), cap(o.queue)),
+	}
 }

@@ -13,11 +13,11 @@ func buildGraph(t *testing.T) *Heap {
 	for oid := OID(1); oid <= 7; oid++ {
 		mustAlloc(t, h, oid, 100, 2, NilOID)
 	}
-	h.AddRoot(1)
-	h.WriteField(1, 0, 2)
-	h.WriteField(2, 0, 3)
-	h.WriteField(2, 1, 4)
-	h.WriteField(5, 0, 6)
+	h.AddRoot(h.Lookup(1))
+	write(h, 1, 0, 2)
+	write(h, 2, 0, 3)
+	write(h, 2, 1, 4)
+	write(h, 5, 0, 6)
 	return h
 }
 
@@ -68,24 +68,20 @@ func TestOracleMostGarbagePartition(t *testing.T) {
 	cfg := testConfig()
 	h := mustNew(t, cfg)
 	// Partition 0: one live root and one garbage object.
-	mustAlloc(t, h, 1, 100, 1, NilOID)
-	h.AddRoot(1)
+	h.AddRoot(mustAlloc(t, h, 1, 100, 1, NilOID))
 	mustAlloc(t, h, 2, 100, 0, 1) // same partition as 1, unreachable
 
 	// Force a new partition holding more garbage than partition 0: the
 	// object is too big for partition 0's remaining free space.
 	big := cfg.PartitionBytes() - 100
-	obj3, _, err := h.Alloc(3, big, 0, NilOID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if obj3.Partition == 0 {
+	obj3 := mustAlloc(t, h, 3, big, 0, NilOID)
+	if h.PartitionOf(obj3) == 0 {
 		t.Fatal("test setup: obj3 should land in a fresh partition")
 	}
 
 	best, amt := NewOracle(h).MostGarbagePartition()
-	if best != obj3.Partition || amt != big {
-		t.Fatalf("MostGarbagePartition = (%d, %d), want (%d, %d)", best, amt, obj3.Partition, big)
+	if best != h.PartitionOf(obj3) || amt != big {
+		t.Fatalf("MostGarbagePartition = (%d, %d), want (%d, %d)", best, amt, h.PartitionOf(obj3), big)
 	}
 }
 
@@ -106,10 +102,10 @@ func TestOracleHandlesCycles(t *testing.T) {
 	mustAlloc(t, h, 1, 100, 1, NilOID)
 	mustAlloc(t, h, 2, 100, 1, NilOID)
 	mustAlloc(t, h, 3, 100, 1, NilOID)
-	h.AddRoot(1)
-	h.WriteField(1, 0, 2)
-	h.WriteField(2, 0, 3)
-	h.WriteField(3, 0, 1) // cycle back to root
+	h.AddRoot(h.Lookup(1))
+	write(h, 1, 0, 2)
+	write(h, 2, 0, 3)
+	write(h, 3, 0, 1) // cycle back to root
 	live := NewOracle(h).Live()
 	if live.Len() != 3 {
 		t.Fatalf("live set size %d, want 3", live.Len())
@@ -117,8 +113,8 @@ func TestOracleHandlesCycles(t *testing.T) {
 	// Unreachable cycle is garbage.
 	mustAlloc(t, h, 4, 100, 1, NilOID)
 	mustAlloc(t, h, 5, 100, 1, NilOID)
-	h.WriteField(4, 0, 5)
-	h.WriteField(5, 0, 4)
+	write(h, 4, 0, 5)
+	write(h, 5, 0, 4)
 	o := NewOracle(h)
 	if got := o.UnreclaimedGarbageBytes(); got != 200 {
 		t.Fatalf("cycle garbage = %d, want 200", got)
@@ -142,10 +138,28 @@ func TestOracleIgnoresDanglingFields(t *testing.T) {
 	h := mustNew(t, testConfig())
 	mustAlloc(t, h, 1, 100, 1, NilOID)
 	mustAlloc(t, h, 2, 100, 0, NilOID)
-	h.AddRoot(1)
-	h.WriteField(1, 0, 2)
-	h.Discard(2)
+	h.AddRoot(h.Lookup(1))
+	write(h, 1, 0, 2)
+	h.Discard(h.Lookup(2))
 	if got := NewOracle(h).LiveBytes(); got != 100 {
 		t.Fatalf("LiveBytes = %d, want 100", got)
+	}
+}
+
+// TestMarkEpochWraparound: when the heap's uint32 mark epoch wraps, every
+// stamp is cleared, so no stale stamp from the previous cycle of epochs
+// can pass for a mark of the new pass.
+func TestMarkEpochWraparound(t *testing.T) {
+	h := buildGraph(t)
+	o := NewOracle(h)
+	want := o.LiveBytes()
+	h.markEpoch = ^uint32(0) - 1 // the next pass stamps MaxUint32, the one after wraps
+	for i := 0; i < 3; i++ {
+		if got := o.LiveBytes(); got != want {
+			t.Fatalf("pass %d around the wrap: LiveBytes = %d, want %d", i, got, want)
+		}
+	}
+	if h.markEpoch != 2 {
+		t.Fatalf("epoch after wrapping = %d, want 2", h.markEpoch)
 	}
 }

@@ -28,7 +28,7 @@ func TestAllocObjectsNeverOverlap(t *testing.T) {
 			if len(oids) > 0 && rng.Intn(2) == 0 {
 				parent = oids[rng.Intn(len(oids))]
 			}
-			if _, _, err := h.Alloc(oid, size, 2, parent); err != nil {
+			if _, _, err := h.Alloc(oid, size, 2, h.Lookup(parent)); err != nil {
 				t.Fatalf("Alloc: %v", err)
 			}
 			oids = append(oids, oid)
@@ -49,18 +49,20 @@ func checkGeometry(t *testing.T, h *Heap) bool {
 	sizeByPart := make(map[PartitionID]int64)
 
 	for oid := OID(1); ; oid++ {
-		obj := h.Get(oid)
-		if obj == nil {
+		obj := h.Lookup(oid)
+		if obj == NilSlot {
 			break
 		}
-		base := h.Partition(obj.Partition).Base
-		if obj.Addr < base || obj.End() > base+Addr(pb) {
+		part, lo := h.PartitionOf(obj), h.AddrOf(obj)
+		hi := lo + Addr(h.Size(obj))
+		base := h.Partition(part).Base
+		if lo < base || hi > base+Addr(pb) {
 			t.Errorf("object %d [%d,%d) escapes partition %d [%d,%d)",
-				oid, obj.Addr, obj.End(), obj.Partition, base, base+Addr(pb))
+				oid, lo, hi, part, base, base+Addr(pb))
 			return false
 		}
-		byPart[obj.Partition] = append(byPart[obj.Partition], span{obj.Addr, obj.End()})
-		sizeByPart[obj.Partition] += obj.Size
+		byPart[part] = append(byPart[part], span{lo, hi})
+		sizeByPart[part] += h.Size(obj)
 	}
 	for p, spans := range byPart {
 		for i := range spans {
@@ -92,7 +94,7 @@ func TestEmptyPartitionStaysEmpty(t *testing.T) {
 		}
 		for i := 0; i < int(n)+1; i++ {
 			size := int64(50 + rng.Intn(8192))
-			if _, _, err := h.Alloc(OID(i+1), size, 1, NilOID); err != nil {
+			if _, _, err := h.Alloc(OID(i+1), size, 1, NilSlot); err != nil {
 				t.Fatalf("Alloc: %v", err)
 			}
 		}
@@ -141,18 +143,18 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 		}
 		count := int(n%40) + 2
 		for i := 1; i <= count; i++ {
-			if _, _, err := h.Alloc(OID(i), int64(50+rng.Intn(101)), 4, NilOID); err != nil {
+			if _, _, err := h.Alloc(OID(i), int64(50+rng.Intn(101)), 4, NilSlot); err != nil {
 				t.Fatal(err)
 			}
 		}
-		h.AddRoot(1)
+		h.AddRoot(h.Lookup(1))
 		if count > 3 {
-			h.AddRoot(OID(2))
+			h.AddRoot(h.Lookup(2))
 		}
 		for e := 0; e < int(edges); e++ {
 			src := OID(rng.Intn(count) + 1)
 			dst := OID(rng.Intn(count) + 1)
-			h.WriteField(src, rng.Intn(4), dst)
+			write(h, src, rng.Intn(4), dst)
 		}
 
 		// Brute force with explicit recursion.
@@ -163,11 +165,11 @@ func TestOracleMatchesBruteForce(t *testing.T) {
 				return
 			}
 			live[oid] = true
-			for _, f := range h.Get(oid).Fields {
-				visit(f)
+			for _, f := range h.Fields(h.Lookup(oid)) {
+				visit(h.OID(f))
 			}
 		}
-		h.Roots(visit)
+		h.Roots(func(s Slot) { visit(h.OID(s)) })
 
 		o := NewOracle(h)
 		got := o.Live()

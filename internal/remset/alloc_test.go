@@ -14,20 +14,21 @@ import (
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard remset.Table.PointerWrite remset.Table.add remset.Table.remove
-//odbgc:allocguard remset.Table.inAt remset.Table.outAt remset.Table.countAt
+//odbgc:allocguard remset.Table.inAt remset.Table.outAt
 //odbgc:allocguard remset.inSet.add remset.inSet.remove remset.outSet.add remset.outSet.remove
 func TestPointerWriteZeroAllocs(t *testing.T) {
-	h, src, target := buildHeap(t)
+	h, a, b := buildHeap(t)
 	tab := New(h)
+	src, target := h.Lookup(a), h.Lookup(b)
 
 	// Warm up: populate the entry and out-set stores once so their maps
 	// and slices have capacity.
-	tab.PointerWrite(src, 0, heap.NilOID, target)
-	tab.PointerWrite(src, 0, target, heap.NilOID)
+	tab.PointerWrite(src, 0, heap.NilSlot, target)
+	tab.PointerWrite(src, 0, target, heap.NilSlot)
 
 	allocs := testing.AllocsPerRun(1000, func() {
-		tab.PointerWrite(src, 0, heap.NilOID, target) // install remembered entry
-		tab.PointerWrite(src, 0, target, heap.NilOID) // retract it
+		tab.PointerWrite(src, 0, heap.NilSlot, target) // install remembered entry
+		tab.PointerWrite(src, 0, target, heap.NilSlot) // retract it
 	})
 	if allocs != 0 {
 		t.Fatalf("PointerWrite steady state: %v allocs/op, want 0", allocs)

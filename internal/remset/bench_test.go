@@ -8,20 +8,21 @@ import (
 )
 
 // benchTable builds a multi-partition heap with n objects and a table.
-func benchTable(b *testing.B, n int) (*heap.Heap, *Table, []heap.OID) {
+func benchTable(b *testing.B, n int) (*heap.Heap, *Table, []heap.Slot) {
 	b.Helper()
 	h, err := heap.New(heap.Config{PageSize: 8192, PartitionPages: 4, ReserveEmpty: true})
 	if err != nil {
 		b.Fatal(err)
 	}
-	oids := make([]heap.OID, n)
-	for i := range oids {
-		oids[i] = heap.OID(i + 1)
-		if _, _, err := h.Alloc(oids[i], 100, 4, heap.NilOID); err != nil {
+	slots := make([]heap.Slot, n)
+	for i := range slots {
+		s, _, err := h.Alloc(heap.OID(i+1), 100, 4, heap.NilSlot)
+		if err != nil {
 			b.Fatal(err)
 		}
+		slots[i] = s
 	}
-	return h, New(h), oids
+	return h, New(h), slots
 }
 
 // BenchmarkPointerWrite measures the eager write barrier's remembered-set
@@ -33,7 +34,7 @@ func BenchmarkPointerWrite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		src := oids[rng.Intn(len(oids))]
 		f := rng.Intn(4)
-		var target heap.OID
+		var target heap.Slot
 		if rng.Intn(4) != 0 {
 			target = oids[rng.Intn(len(oids))]
 		}

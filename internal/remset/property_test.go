@@ -21,7 +21,7 @@ func TestTableStaysExactUnderRandomWrites(t *testing.T) {
 		const nObjs = 30
 		for i := 1; i <= nObjs; i++ {
 			// ~10 objects per 1024-byte partition.
-			if _, _, err := h.Alloc(heap.OID(i), int64(80+rng.Intn(40)), 3, heap.NilOID); err != nil {
+			if _, _, err := h.Alloc(heap.OID(i), int64(80+rng.Intn(40)), 3, heap.NilSlot); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -34,8 +34,9 @@ func TestTableStaysExactUnderRandomWrites(t *testing.T) {
 			if rng.Intn(4) != 0 { // 25% nil stores
 				target = heap.OID(rng.Intn(nObjs) + 1)
 			}
-			old := h.WriteField(src, field, target)
-			tab.PointerWrite(src, field, old, target)
+			s, ts := h.Lookup(src), h.Lookup(target)
+			old := h.WriteField(s, field, ts)
+			tab.PointerWrite(s, field, old, ts)
 
 			if i%37 == 0 {
 				if msg := tab.Audit(); msg != "" {
@@ -68,7 +69,7 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 		}
 		const nObjs = 24
 		for i := 1; i <= nObjs; i++ {
-			if _, _, err := h.Alloc(heap.OID(i), 100, 3, heap.NilOID); err != nil {
+			if _, _, err := h.Alloc(heap.OID(i), 100, 3, heap.NilSlot); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -81,8 +82,9 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 				if rng.Intn(3) != 0 {
 					target = heap.OID(rng.Intn(nObjs) + 1)
 				}
-				old := h.WriteField(src, field, target)
-				tab.PointerWrite(src, field, old, target)
+				s, ts := h.Lookup(src), h.Lookup(target)
+				old := h.WriteField(s, field, ts)
+				tab.PointerWrite(s, field, old, ts)
 			}
 			return true
 		}
@@ -91,11 +93,10 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 		// Evacuate partition 0 wholesale into the empty partition.
 		victim := heap.PartitionID(0)
 		dest := h.EmptyPartition()
-		var residents []heap.OID
-		h.Partition(victim).Objects(func(oid heap.OID) { residents = append(residents, oid) })
-		for _, oid := range residents {
-			h.Move(oid, dest)
-			tab.Moved(oid, victim, dest)
+		residents := append([]heap.Slot(nil), h.Partition(victim).Slots()...)
+		for _, s := range residents {
+			h.Move(s, dest)
+			tab.Moved(s, victim, dest)
 		}
 		// Moving objects between partitions can turn inter-partition
 		// pointers among them into intra-partition ones and vice versa:

@@ -16,13 +16,15 @@
 // The write barrier is the hottest path in the simulator, so the stores are
 // flat: each partition keeps its entries in a slice keyed by the packed
 // location Src<<16|Field (one map lookup per mutation, no struct hashing),
-// out-counts live in a dense slice indexed by OID, and the sorted
+// out-counts live in a column of the heap's slot storage, and the sorted
 // enumerations reuse scratch buffers instead of allocating per collection.
 package remset
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"odbgc/internal/heap"
 )
@@ -35,6 +37,9 @@ type Entry struct {
 
 // fieldBits is the width of the field number in a packed entry key.
 const fieldBits = 16
+
+// The heap rejects objects with more fields than a packed key can name.
+const _ = uint(1<<fieldBits - heap.MaxFields)
 
 // packKey packs a pointer location into one comparable word. Sorting packed
 // keys ascending is exactly "by Src, then Field" — the deterministic order
@@ -95,34 +100,34 @@ func (s *inSet) remove(k uint64) bool {
 	return true
 }
 
-// outSet is one partition's out-of-partition set: the resident OIDs holding
-// inter-partition out-pointers, slice plus membership index.
+// outSet is one partition's out-of-partition set: the resident slots
+// holding inter-partition out-pointers, slice plus membership index.
 type outSet struct {
-	oids []heap.OID
-	pos  map[heap.OID]int32
+	slots []heap.Slot
+	pos   map[heap.Slot]int32
 }
 
 //odbgc:hotpath
-func (s *outSet) add(oid heap.OID) {
+func (s *outSet) add(x heap.Slot) {
 	if s.pos == nil {
-		s.pos = make(map[heap.OID]int32) //odbgc:alloc-ok one-time lazy index for a partition's first out-pointer
+		s.pos = make(map[heap.Slot]int32) //odbgc:alloc-ok one-time lazy index for a partition's first out-pointer
 	}
-	s.pos[oid] = int32(len(s.oids))
-	s.oids = append(s.oids, oid) //odbgc:alloc-ok amortized slice growth
+	s.pos[x] = int32(len(s.slots))
+	s.slots = append(s.slots, x) //odbgc:alloc-ok amortized slice growth
 }
 
 //odbgc:hotpath
-func (s *outSet) remove(oid heap.OID) {
-	i, ok := s.pos[oid]
+func (s *outSet) remove(x heap.Slot) {
+	i, ok := s.pos[x]
 	if !ok {
 		return
 	}
-	last := int32(len(s.oids) - 1)
-	moved := s.oids[last]
-	s.oids[i] = moved
+	last := int32(len(s.slots) - 1)
+	moved := s.slots[last]
+	s.slots[i] = moved
 	s.pos[moved] = i
-	s.oids = s.oids[:last]
-	delete(s.pos, oid)
+	s.slots = s.slots[:last]
+	delete(s.pos, x)
 }
 
 // Table holds the remembered sets and out-of-partition sets for a heap.
@@ -132,15 +137,14 @@ type Table struct {
 	// points into P, with the target OID it held when recorded.
 	in []inSet
 	// out[P] is the set of P-resident objects with at least one
-	// inter-partition out-pointer.
+	// inter-partition out-pointer. Each object's count of such fields,
+	// which keeps out-set membership precise, is the heap's out-count
+	// column (heap.Heap.OutCount).
 	out []outSet
-	// outCount[oid] is how many of the object's fields currently hold
-	// inter-partition pointers, so out-set membership stays precise.
-	outCount []int32
 
 	// scratch buffers for the sorted enumerations, reused per collection.
 	entryScratch []inEntry
-	oidScratch   []heap.OID
+	slotScratch  []heap.Slot
 }
 
 // New returns an empty table over h.
@@ -168,106 +172,85 @@ func (t *Table) outAt(p heap.PartitionID) *outSet {
 	return &t.out[p]
 }
 
-// countAt returns a pointer to oid's out-count, growing the store on
-// demand.
+// PointerWrite records the effect of storing new into field f of the
+// object in slot src, whose previous value was old. It must be called at
+// the write barrier for every pointer store, after the heap mutation.
+// Either value may be NilSlot. It runs at every simulated pointer store,
+// so the steady-state path must not allocate (pinned by
+// TestPointerWriteZeroAllocs).
 //
 //odbgc:hotpath
-func (t *Table) countAt(oid heap.OID) *int32 {
-	if int(oid) >= len(t.outCount) {
-		n := len(t.outCount) * 2
-		if n <= int(oid) {
-			n = int(oid) + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		grown := make([]int32, n) //odbgc:alloc-ok amortized doubling of the out-count store
-		copy(grown, t.outCount)
-		t.outCount = grown
-	}
-	return &t.outCount[oid]
-}
-
-// PointerWrite records the effect of storing new into field f of src,
-// whose previous value was old. It must be called at the write barrier for
-// every pointer store, after the heap mutation. Either OID may be nil.
-// It runs at every simulated pointer store, so the steady-state path must
-// not allocate (pinned by TestPointerWriteZeroAllocs).
-//
-//odbgc:hotpath
-func (t *Table) PointerWrite(src heap.OID, f int, old, new heap.OID) {
-	srcPart := t.h.Get(src).Partition
-	if old != heap.NilOID {
-		if oldObj := t.h.Get(old); oldObj != nil && oldObj.Partition != srcPart {
-			t.remove(oldObj.Partition, src, f, srcPart)
+func (t *Table) PointerWrite(src heap.Slot, f int, old, new heap.Slot) {
+	srcPart := t.h.PartitionOf(src)
+	if old != heap.NilSlot {
+		if p := t.h.PartitionOf(old); p != heap.NoPartition && p != srcPart {
+			t.remove(p, src, f, srcPart)
 		}
 	}
-	if new != heap.NilOID {
-		if newObj := t.h.Get(new); newObj != nil && newObj.Partition != srcPart {
-			t.add(newObj.Partition, src, f, new, srcPart)
+	if new != heap.NilSlot {
+		if p := t.h.PartitionOf(new); p != heap.NoPartition && p != srcPart {
+			t.add(p, src, f, t.h.OID(new), srcPart)
 		}
 	}
 }
 
 //odbgc:hotpath
-func (t *Table) add(target heap.PartitionID, src heap.OID, f int, to heap.OID, srcPart heap.PartitionID) {
-	if !t.inAt(target).add(packKey(src, f), to) {
-		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{src, f}, target)) //odbgc:alloc-ok cold panic path
+func (t *Table) add(target heap.PartitionID, src heap.Slot, f int, to heap.OID, srcPart heap.PartitionID) {
+	if !t.inAt(target).add(packKey(t.h.OID(src), f), to) {
+		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	cnt := t.countAt(src)
-	*cnt++
-	if *cnt == 1 {
+	if t.h.AddOutCount(src, 1) == 1 {
 		t.outAt(srcPart).add(src)
 	}
 }
 
 //odbgc:hotpath
-func (t *Table) remove(target heap.PartitionID, src heap.OID, f int, srcPart heap.PartitionID) {
-	if !t.inAt(target).remove(packKey(src, f)) {
-		panic(fmt.Sprintf("remset: removing absent entry %+v from partition %d", Entry{src, f}, target)) //odbgc:alloc-ok cold panic path
+func (t *Table) remove(target heap.PartitionID, src heap.Slot, f int, srcPart heap.PartitionID) {
+	if !t.inAt(target).remove(packKey(t.h.OID(src), f)) {
+		panic(fmt.Sprintf("remset: removing absent entry %+v from partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	cnt := t.countAt(src)
-	*cnt--
-	switch {
-	case *cnt < 0:
-		panic(fmt.Sprintf("remset: negative out-count for %d", src)) //odbgc:alloc-ok cold panic path
-	case *cnt == 0:
+	switch n := t.h.AddOutCount(src, -1); {
+	case n < 0:
+		panic(fmt.Sprintf("remset: negative out-count for %d", t.h.OID(src))) //odbgc:alloc-ok cold panic path
+	case n == 0:
 		t.outAt(srcPart).remove(src)
 	}
 }
 
-// PurgeDead removes every remembered-set entry whose source is the given
-// object, which the collector has determined to be garbage. It must run
+// PurgeDead removes every remembered-set entry whose source is the object
+// in slot s, which the collector has determined to be garbage. It must run
 // while the object's fields are still intact, before heap.Discard.
-func (t *Table) PurgeDead(oid heap.OID) { t.PurgeDeadEvacuating(oid, heap.NoPartition) }
+func (t *Table) PurgeDead(s heap.Slot) { t.PurgeDeadEvacuating(s, heap.NoPartition) }
 
 // PurgeDeadEvacuating is PurgeDead during an evacuation of the dead
 // object's partition into dest: pointers from the dead object to objects
 // already moved into dest were intra-partition before the move (dest was
 // empty), so they have no remembered-set entries and are skipped.
-func (t *Table) PurgeDeadEvacuating(oid heap.OID, dest heap.PartitionID) {
-	obj := t.h.Get(oid)
-	if obj == nil {
-		panic(fmt.Sprintf("remset: PurgeDead(%d): no such object", oid))
+func (t *Table) PurgeDeadEvacuating(s heap.Slot, dest heap.PartitionID) {
+	srcPart := t.h.PartitionOf(s)
+	if srcPart == heap.NoPartition {
+		panic(fmt.Sprintf("remset: PurgeDead(slot %d): no such object", s))
 	}
-	if t.OutCount(oid) == 0 {
+	if t.h.OutCount(s) == 0 {
 		return
 	}
-	for f, target := range obj.Fields {
-		if target == heap.NilOID {
+	for f, target := range t.h.Fields(s) {
+		if target == heap.NilSlot {
 			continue
 		}
-		tObj := t.h.Get(target)
-		if tObj == nil || tObj.Partition == obj.Partition {
+		// A target discarded earlier in the same evacuation has a free
+		// slot (NoPartition); it was intra-partition.
+		p := t.h.PartitionOf(target)
+		if p == heap.NoPartition || p == srcPart {
 			continue
 		}
-		if dest != heap.NoPartition && tObj.Partition == dest {
+		if dest != heap.NoPartition && p == dest {
 			continue // was intra-partition before the target moved
 		}
-		t.remove(tObj.Partition, oid, f, obj.Partition)
+		t.remove(p, s, f, srcPart)
 	}
-	if n := t.OutCount(oid); n != 0 {
-		panic(fmt.Sprintf("remset: PurgeDead(%d) left out-count %d", oid, n))
+	if n := t.h.OutCount(s); n != 0 {
+		panic(fmt.Sprintf("remset: PurgeDead(%d) left out-count %d", t.h.OID(s), n))
 	}
 }
 
@@ -276,12 +259,12 @@ func (t *Table) PurgeDeadEvacuating(oid heap.OID, dest heap.PartitionID) {
 // follows it. Its remembered-set entries are keyed by OID and need no
 // update here; Rekey handles the entries pointing *into* the collected
 // partition.
-func (t *Table) Moved(oid heap.OID, from, to heap.PartitionID) {
-	if t.OutCount(oid) == 0 {
+func (t *Table) Moved(s heap.Slot, from, to heap.PartitionID) {
+	if t.h.OutCount(s) == 0 {
 		return
 	}
-	t.outAt(from).remove(oid)
-	t.outAt(to).add(oid)
+	t.outAt(from).remove(s)
+	t.outAt(to).add(s)
 }
 
 // Rekey transfers the remembered set of an evacuated partition to the
@@ -298,7 +281,7 @@ func (t *Table) Rekey(victim, dest heap.PartitionID) {
 	v := &t.in[victim]
 	// Swap the sets so the victim keeps dest's (empty) buffers for reuse.
 	*d, *v = *v, *d
-	if int(victim) < len(t.out) && len(t.out[victim].oids) != 0 {
+	if int(victim) < len(t.out) && len(t.out[victim].slots) != 0 {
 		panic(fmt.Sprintf("remset: Rekey(%d): out-set not drained", victim))
 	}
 }
@@ -352,29 +335,42 @@ func (t *Table) InCount(p heap.PartitionID) int {
 	return len(t.in[p].entries)
 }
 
-// OutSet calls fn for every object in partition p holding inter-partition
-// out-pointers, in ascending OID order.
-func (t *Table) OutSet(p heap.PartitionID, fn func(heap.OID)) {
+// OutSet calls fn for the slot of every object in partition p holding
+// inter-partition out-pointers, in ascending OID order.
+func (t *Table) OutSet(p heap.PartitionID, fn func(heap.Slot)) {
 	if int(p) >= len(t.out) {
 		return
 	}
 	s := &t.out[p]
-	if len(s.oids) == 0 {
+	if len(s.slots) == 0 {
 		return
 	}
-	t.oidScratch = append(t.oidScratch[:0], s.oids...)
-	slices.Sort(t.oidScratch)
-	for _, oid := range t.oidScratch {
-		fn(oid)
+	t.slotScratch = append(t.slotScratch[:0], s.slots...)
+	slices.SortFunc(t.slotScratch, func(a, b heap.Slot) int { return cmp.Compare(t.h.OID(a), t.h.OID(b)) })
+	for _, x := range t.slotScratch {
+		fn(x)
 	}
 }
 
-// OutCount reports how many of oid's fields hold inter-partition pointers.
-func (t *Table) OutCount(oid heap.OID) int {
-	if int(oid) >= len(t.outCount) {
-		return 0
+// OutCount reports how many fields of the object in slot s hold
+// inter-partition pointers.
+func (t *Table) OutCount(s heap.Slot) int { return int(t.h.OutCount(s)) }
+
+// Footprint reports the memory the table holds: the entry and out-set
+// slices by capacity, their position maps by entry count.
+func (t *Table) Footprint() heap.Footprint {
+	const entryBytes = int64(unsafe.Sizeof(inEntry{}))
+	f := heap.Footprint{
+		Bytes: 4*int64(cap(t.slotScratch)) + entryBytes*int64(cap(t.entryScratch)) +
+			int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)) + int64(unsafe.Sizeof(outSet{}))*int64(cap(t.out)),
 	}
-	return int(t.outCount[oid])
+	for i := range t.in {
+		f.Bytes += entryBytes*int64(cap(t.in[i].entries)) + 12*int64(len(t.in[i].pos))
+	}
+	for i := range t.out {
+		f.Bytes += 4*int64(cap(t.out[i].slots)) + 8*int64(len(t.out[i].pos))
+	}
+	return f
 }
 
 // CorruptFirstEntryForTesting flips the recorded target OID of one
@@ -399,33 +395,32 @@ func (t *Table) Audit() string {
 		srcPart heap.PartitionID
 	}
 	want := make(map[heap.PartitionID]map[Entry]rec)
-	wantOut := make(map[heap.PartitionID]map[heap.OID]int)
+	wantOut := make(map[heap.PartitionID]map[heap.Slot]int)
 	for pid := 0; pid < t.h.NumPartitions(); pid++ {
-		p := t.h.Partition(heap.PartitionID(pid))
-		p.Objects(func(oid heap.OID) {
-			obj := t.h.Get(oid)
-			for f, target := range obj.Fields {
-				if target == heap.NilOID {
+		srcPart := heap.PartitionID(pid)
+		for _, src := range t.h.Partition(srcPart).Slots() {
+			for f, target := range t.h.Fields(src) {
+				if target == heap.NilSlot {
 					continue
 				}
-				tObj := t.h.Get(target)
-				if tObj == nil || tObj.Partition == obj.Partition {
+				p := t.h.PartitionOf(target)
+				if p == heap.NoPartition || p == srcPart {
 					continue
 				}
-				set := want[tObj.Partition]
+				set := want[p]
 				if set == nil {
 					set = make(map[Entry]rec)
-					want[tObj.Partition] = set
+					want[p] = set
 				}
-				set[Entry{oid, f}] = rec{target, obj.Partition}
-				outs := wantOut[obj.Partition]
+				set[Entry{t.h.OID(src), f}] = rec{t.h.OID(target), srcPart}
+				outs := wantOut[srcPart]
 				if outs == nil {
-					outs = make(map[heap.OID]int)
-					wantOut[obj.Partition] = outs
+					outs = make(map[heap.Slot]int)
+					wantOut[srcPart] = outs
 				}
-				outs[oid]++
+				outs[src]++
 			}
-		})
+		}
 	}
 
 	// Iterate the brute-force sets in sorted order so the first
@@ -472,29 +467,29 @@ func (t *Table) Audit() string {
 	slices.Sort(outPids)
 	for _, pid := range outPids {
 		outs := wantOut[pid]
-		oids := make([]heap.OID, 0, len(outs))
-		for oid := range outs {
-			oids = append(oids, oid)
+		srcs := make([]heap.Slot, 0, len(outs))
+		for s := range outs {
+			srcs = append(srcs, s)
 		}
-		slices.Sort(oids)
-		for _, oid := range oids {
-			n := outs[oid]
+		slices.SortFunc(srcs, func(a, b heap.Slot) int { return cmp.Compare(t.h.OID(a), t.h.OID(b)) })
+		for _, s := range srcs {
+			n := outs[s]
 			member := false
 			if int(pid) < len(t.out) {
-				_, member = t.out[pid].pos[oid]
+				_, member = t.out[pid].pos[s]
 			}
 			if !member {
-				return fmt.Sprintf("object %d missing from out-set of partition %d", oid, pid)
+				return fmt.Sprintf("object %d missing from out-set of partition %d", t.h.OID(s), pid)
 			}
-			if t.OutCount(oid) != n {
-				return fmt.Sprintf("object %d out-count %d, want %d", oid, t.OutCount(oid), n)
+			if t.OutCount(s) != n {
+				return fmt.Sprintf("object %d out-count %d, want %d", t.h.OID(s), t.OutCount(s), n)
 			}
 		}
 	}
 	for pid := range t.out {
-		for _, oid := range t.out[pid].oids {
-			if wantOut[heap.PartitionID(pid)][oid] == 0 {
-				return fmt.Sprintf("stale out-set member %d in partition %d", oid, pid)
+		for _, s := range t.out[pid].slots {
+			if wantOut[heap.PartitionID(pid)][s] == 0 {
+				return fmt.Sprintf("stale out-set member %d in partition %d", t.h.OID(s), pid)
 			}
 		}
 	}

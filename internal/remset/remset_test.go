@@ -19,13 +19,13 @@ func buildHeap(t *testing.T) (*heap.Heap, heap.OID, heap.OID) {
 	}
 	// Object 1 fills partition 0 almost entirely; object 2 is forced into
 	// a new partition.
-	if _, _, err := h.Alloc(1, cfg.PartitionBytes()-100, 4, heap.NilOID); err != nil {
+	if _, _, err := h.Alloc(1, cfg.PartitionBytes()-100, 4, heap.NilSlot); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.Alloc(2, 200, 4, heap.NilOID); err != nil {
+	if _, _, err := h.Alloc(2, 200, 4, heap.NilSlot); err != nil {
 		t.Fatal(err)
 	}
-	if h.Get(1).Partition == h.Get(2).Partition {
+	if h.PartitionOf(h.Lookup(1)) == h.PartitionOf(h.Lookup(2)) {
 		t.Fatal("setup: objects 1 and 2 must be in different partitions")
 	}
 	return h, 1, 2
@@ -33,8 +33,9 @@ func buildHeap(t *testing.T) (*heap.Heap, heap.OID, heap.OID) {
 
 func write(t *testing.T, h *heap.Heap, tab *Table, src heap.OID, f int, target heap.OID) {
 	t.Helper()
-	old := h.WriteField(src, f, target)
-	tab.PointerWrite(src, f, old, target)
+	s, ts := h.Lookup(src), h.Lookup(target)
+	old := h.WriteField(s, f, ts)
+	tab.PointerWrite(s, f, old, ts)
 }
 
 func TestInterPartitionStoreRecorded(t *testing.T) {
@@ -42,7 +43,7 @@ func TestInterPartitionStoreRecorded(t *testing.T) {
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 
-	pb := h.Get(b).Partition
+	pb := h.PartitionOf(h.Lookup(b))
 	if got := tab.InCount(pb); got != 1 {
 		t.Fatalf("InCount = %d, want 1", got)
 	}
@@ -55,8 +56,8 @@ func TestInterPartitionStoreRecorded(t *testing.T) {
 	if len(entries) != 1 || entries[0] != (Entry{a, 0}) || targets[0] != b {
 		t.Fatalf("roots = %v -> %v", entries, targets)
 	}
-	if tab.OutCount(a) != 1 {
-		t.Fatalf("OutCount(a) = %d, want 1", tab.OutCount(a))
+	if tab.OutCount(h.Lookup(a)) != 1 {
+		t.Fatalf("OutCount(a) = %d, want 1", tab.OutCount(h.Lookup(a)))
 	}
 	if msg := tab.Audit(); msg != "" {
 		t.Fatal(msg)
@@ -67,18 +68,18 @@ func TestIntraPartitionStoreIgnored(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	// Allocate a sibling next to object 2 so we have two co-resident
 	// objects; object 1 fills partition 0, so 3 lands with 2.
-	if _, _, err := h.Alloc(3, 100, 4, 2); err != nil {
+	if _, _, err := h.Alloc(3, 100, 4, h.Lookup(2)); err != nil {
 		t.Fatal(err)
 	}
-	if h.Get(3).Partition != h.Get(2).Partition {
+	if h.PartitionOf(h.Lookup(3)) != h.PartitionOf(h.Lookup(2)) {
 		t.Fatal("setup: 2 and 3 must share a partition")
 	}
 	tab := New(h)
 	write(t, h, tab, 2, 0, 3)
-	if got := tab.InCount(h.Get(3).Partition); got != 0 {
+	if got := tab.InCount(h.PartitionOf(h.Lookup(3))); got != 0 {
 		t.Fatalf("intra-partition store recorded: InCount = %d", got)
 	}
-	if tab.OutCount(2) != 0 {
+	if tab.OutCount(h.Lookup(2)) != 0 {
 		t.Fatal("intra-partition store counted as out-pointer")
 	}
 	_ = a
@@ -92,10 +93,10 @@ func TestOverwriteRemovesOldEntry(t *testing.T) {
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 	write(t, h, tab, a, 0, heap.NilOID)
-	if got := tab.InCount(h.Get(b).Partition); got != 0 {
+	if got := tab.InCount(h.PartitionOf(h.Lookup(b))); got != 0 {
 		t.Fatalf("InCount after nil overwrite = %d, want 0", got)
 	}
-	if tab.OutCount(a) != 0 {
+	if tab.OutCount(h.Lookup(a)) != 0 {
 		t.Fatal("out-count not decremented")
 	}
 	if msg := tab.Audit(); msg != "" {
@@ -106,13 +107,13 @@ func TestOverwriteRemovesOldEntry(t *testing.T) {
 func TestOverwriteRetargetsEntry(t *testing.T) {
 	h, a, b := buildHeap(t)
 	// A third object sharing b's partition.
-	if _, _, err := h.Alloc(3, 100, 4, b); err != nil {
+	if _, _, err := h.Alloc(3, 100, 4, h.Lookup(b)); err != nil {
 		t.Fatal(err)
 	}
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 	write(t, h, tab, a, 0, 3)
-	pb := h.Get(b).Partition
+	pb := h.PartitionOf(h.Lookup(b))
 	if got := tab.InCount(pb); got != 1 {
 		t.Fatalf("InCount = %d, want 1", got)
 	}
@@ -131,12 +132,12 @@ func TestTwoFieldsTwoEntries(t *testing.T) {
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 	write(t, h, tab, a, 1, b)
-	pb := h.Get(b).Partition
+	pb := h.PartitionOf(h.Lookup(b))
 	if got := tab.InCount(pb); got != 2 {
 		t.Fatalf("InCount = %d, want 2", got)
 	}
-	if tab.OutCount(a) != 2 {
-		t.Fatalf("OutCount = %d, want 2", tab.OutCount(a))
+	if tab.OutCount(h.Lookup(a)) != 2 {
+		t.Fatalf("OutCount = %d, want 2", tab.OutCount(h.Lookup(a)))
 	}
 	var fields []int
 	tab.RootsInto(pb, func(e Entry, _ heap.OID) { fields = append(fields, e.Field) })
@@ -150,12 +151,12 @@ func TestPurgeDeadRemovesEntries(t *testing.T) {
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 	write(t, h, tab, a, 2, b)
-	tab.PurgeDead(a)
-	if got := tab.InCount(h.Get(b).Partition); got != 0 {
+	tab.PurgeDead(h.Lookup(a))
+	if got := tab.InCount(h.PartitionOf(h.Lookup(b))); got != 0 {
 		t.Fatalf("InCount after purge = %d, want 0", got)
 	}
 	var outs []heap.OID
-	tab.OutSet(h.Get(a).Partition, func(oid heap.OID) { outs = append(outs, oid) })
+	tab.OutSet(h.PartitionOf(h.Lookup(a)), func(s heap.Slot) { outs = append(outs, h.OID(s)) })
 	if len(outs) != 0 {
 		t.Fatalf("out-set still holds %v", outs)
 	}
@@ -164,7 +165,7 @@ func TestPurgeDeadRemovesEntries(t *testing.T) {
 func TestPurgeDeadNoOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
-	tab.PurgeDead(a) // must not panic or mutate anything
+	tab.PurgeDead(h.Lookup(a)) // must not panic or mutate anything
 	if msg := tab.Audit(); msg != "" {
 		t.Fatal(msg)
 	}
@@ -174,14 +175,14 @@ func TestMovedFollowsOutSet(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
-	from := h.Get(a).Partition
+	from := h.PartitionOf(h.Lookup(a))
 	dest := h.EmptyPartition()
-	h.Move(a, dest)
-	tab.Moved(a, from, dest)
+	h.Move(h.Lookup(a), dest)
+	tab.Moved(h.Lookup(a), from, dest)
 
 	var fromOuts, destOuts []heap.OID
-	tab.OutSet(from, func(oid heap.OID) { fromOuts = append(fromOuts, oid) })
-	tab.OutSet(dest, func(oid heap.OID) { destOuts = append(destOuts, oid) })
+	tab.OutSet(from, func(s heap.Slot) { fromOuts = append(fromOuts, h.OID(s)) })
+	tab.OutSet(dest, func(s heap.Slot) { destOuts = append(destOuts, h.OID(s)) })
 	if len(fromOuts) != 0 || len(destOuts) != 1 || destOuts[0] != a {
 		t.Fatalf("out-sets after move: from=%v dest=%v", fromOuts, destOuts)
 	}
@@ -194,10 +195,10 @@ func TestRekeyTransfersRememberedSet(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
-	victim := h.Get(b).Partition
+	victim := h.PartitionOf(h.Lookup(b))
 	dest := h.EmptyPartition()
 
-	h.Move(b, dest)
+	h.Move(h.Lookup(b), dest)
 	tab.Rekey(victim, dest)
 
 	if got := tab.InCount(victim); got != 0 {
@@ -215,7 +216,7 @@ func TestRekeyIntoNonEmptyPanics(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
-	pa, pb := h.Get(a).Partition, h.Get(b).Partition
+	pa, pb := h.PartitionOf(h.Lookup(a)), h.PartitionOf(h.Lookup(b))
 	defer func() {
 		if recover() == nil {
 			t.Error("Rekey into partition with entries did not panic")
@@ -235,7 +236,7 @@ func TestDuplicateAddPanics(t *testing.T) {
 	}()
 	// Replaying the same store without the old value simulates a barrier
 	// bug: the entry already exists.
-	tab.PointerWrite(a, 0, heap.NilOID, b)
+	tab.PointerWrite(h.Lookup(a), 0, heap.NilSlot, h.Lookup(b))
 }
 
 func TestRekeyWithUndrainedOutSetPanics(t *testing.T) {
@@ -252,7 +253,7 @@ func TestRekeyWithUndrainedOutSetPanics(t *testing.T) {
 	// Make the source partition's remset empty so we reach the out-set
 	// check: rekey a's partition (no in-entries) while a's out-set entry
 	// remains.
-	tab.Rekey(h.Get(a).Partition, h.EmptyPartition())
+	tab.Rekey(h.PartitionOf(h.Lookup(a)), h.EmptyPartition())
 }
 
 func TestPurgeDeadMissingObjectPanics(t *testing.T) {
@@ -263,13 +264,13 @@ func TestPurgeDeadMissingObjectPanics(t *testing.T) {
 			t.Error("PurgeDead of missing object did not panic")
 		}
 	}()
-	tab.PurgeDead(404)
+	tab.PurgeDead(h.Lookup(404))
 }
 
 func TestMovedWithoutOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
-	tab.Moved(a, h.Get(a).Partition, h.EmptyPartition()) // no out-pointers
+	tab.Moved(h.Lookup(a), h.PartitionOf(h.Lookup(a)), h.EmptyPartition()) // no out-pointers
 	if msg := tab.Audit(); msg != "" {
 		t.Fatal(msg)
 	}
@@ -278,17 +279,17 @@ func TestMovedWithoutOutPointersIsNoop(t *testing.T) {
 func TestOutSetEnumerationSorted(t *testing.T) {
 	h, a, b := buildHeap(t)
 	// A second source in a's partition pointing into b's.
-	if _, _, err := h.Alloc(3, 50, 4, a); err != nil {
+	if _, _, err := h.Alloc(3, 50, 4, h.Lookup(a)); err != nil {
 		t.Fatal(err)
 	}
-	if h.Get(3).Partition != h.Get(a).Partition {
+	if h.PartitionOf(h.Lookup(3)) != h.PartitionOf(h.Lookup(a)) {
 		t.Skip("setup: could not co-locate third object")
 	}
 	tab := New(h)
 	write(t, h, tab, 3, 0, b)
 	write(t, h, tab, a, 0, b)
 	var got []heap.OID
-	tab.OutSet(h.Get(a).Partition, func(oid heap.OID) { got = append(got, oid) })
+	tab.OutSet(h.PartitionOf(h.Lookup(a)), func(s heap.Slot) { got = append(got, h.OID(s)) })
 	if len(got) != 2 || got[0] != a || got[1] != 3 {
 		t.Fatalf("OutSet order = %v, want [1 3]", got)
 	}
@@ -298,7 +299,7 @@ func TestAuditDetectsMissingEntry(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	// Mutate the heap without telling the table.
-	h.WriteField(a, 0, b)
+	h.WriteField(h.Lookup(a), 0, h.Lookup(b))
 	if msg := tab.Audit(); msg == "" {
 		t.Fatal("Audit missed an unrecorded inter-partition pointer")
 	}
@@ -309,7 +310,7 @@ func TestAuditDetectsStaleEntry(t *testing.T) {
 	tab := New(h)
 	write(t, h, tab, a, 0, b)
 	// Clear the field without telling the table.
-	h.WriteField(a, 0, heap.NilOID)
+	h.WriteField(h.Lookup(a), 0, heap.NilSlot)
 	if msg := tab.Audit(); msg == "" {
 		t.Fatal("Audit missed a stale entry")
 	}

@@ -561,8 +561,8 @@ func (r *shardRunner) onDiscard(oid heap.OID) {
 	if !ok {
 		return
 	}
-	obj := r.sim.Heap().Get(oid)
-	for f := range obj.Fields {
+	h := r.sim.Heap()
+	for f := range h.NumFields(h.Lookup(oid)) {
 		key := packLoc(uint32(oid), f)
 		if ref, ok := r.fout[key]; ok {
 			delete(r.fout, key)

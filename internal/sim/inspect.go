@@ -23,9 +23,8 @@ type PartitionInfo struct {
 func (s *Sim) InspectPartitions() []PartitionInfo {
 	live := s.oracle.Live()
 	liveBytes := make([]int64, s.h.NumPartitions())
-	live.ForEach(func(oid heap.OID) {
-		obj := s.h.Get(oid)
-		liveBytes[obj.Partition] += obj.Size
+	live.ForEach(func(x heap.Slot) {
+		liveBytes[s.h.PartitionOf(x)] += s.h.Size(x)
 	})
 	out := make([]PartitionInfo, s.h.NumPartitions())
 	for i := range out {
