@@ -1,9 +1,7 @@
 package gc
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"odbgc/internal/core"
 	"odbgc/internal/heap"
@@ -64,14 +62,7 @@ type Collector struct {
 	// scratch follows the victim's resident objects.
 	roots []heap.Slot
 	dead  []heap.Slot
-	keys  []oidSlot // sortByOID scratch
 	queue copyQueue
-}
-
-// oidSlot pairs a slot with its object's OID, the sort key.
-type oidSlot struct {
-	oid heap.OID
-	s   heap.Slot
 }
 
 // CollectorStats aggregates collection activity.
@@ -152,8 +143,8 @@ func (c *Collector) Lifetime() CollectorStats { return c.lifetime }
 func (c *Collector) Footprint() heap.Footprint {
 	q := &c.queue
 	f := heap.Footprint{
-		Bytes: 4*int64(cap(c.roots)+cap(c.dead)+cap(q.fifo)) + 16*int64(cap(c.keys)),
-		Slots: max(cap(c.roots), cap(c.dead), cap(q.fifo), cap(c.keys)),
+		Bytes: 4 * int64(cap(c.roots)+cap(c.dead)+cap(q.fifo)),
+		Slots: max(cap(c.roots), cap(c.dead), cap(q.fifo)),
 	}
 	for _, list := range q.byPage {
 		f.Bytes += 8 + 24 + 4*int64(cap(list))
@@ -211,7 +202,7 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 			roots = append(roots, s)
 		}
 	}
-	c.sortByOID(roots)
+	h.SortByOID(roots)
 	c.rem.RootsInto(victim, func(_ remset.Entry, target heap.OID) {
 		if s := h.Lookup(target); h.PartitionOf(s) == victim && h.Mark(s) {
 			roots = append(roots, s)
@@ -270,7 +261,7 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	// only from this garbage. Discarding performs no I/O: a copying
 	// collector never touches dead objects.
 	dead := append(c.dead[:0], h.Partition(victim).Slots()...)
-	c.sortByOID(dead)
+	h.SortByOID(dead)
 	c.dead = dead
 	for _, s := range dead {
 		res.ReclaimedBytes += h.Size(s)
@@ -289,20 +280,6 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	c.stats.add(res)
 	c.lifetime.add(res)
 	return res
-}
-
-// sortByOID sorts slots by their objects' trace OIDs, the order every
-// result-affecting enumeration of the collector follows.
-func (c *Collector) sortByOID(slots []heap.Slot) {
-	keys := c.keys[:0]
-	for _, s := range slots {
-		keys = append(keys, oidSlot{c.h.OID(s), s})
-	}
-	slices.SortFunc(keys, func(a, b oidSlot) int { return cmp.Compare(a.oid, b.oid) })
-	for i, k := range keys {
-		slots[i] = k.s
-	}
-	c.keys = keys
 }
 
 // pageOf returns the first page of an object's current location.

@@ -57,7 +57,7 @@ func (c *Collector) GlobalSweep() GlobalSweepResult {
 			}
 		})
 	}
-	c.sortByOID(dead)
+	c.h.SortByOID(dead)
 	for _, s := range dead {
 		res.DeadSources++
 		res.EntriesPurged += int64(c.rem.OutCount(s))

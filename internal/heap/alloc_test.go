@@ -12,7 +12,7 @@ import "testing"
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard heap.Heap.Alloc heap.Heap.newSlot heap.Heap.growIndex heap.Heap.placeFor
-//odbgc:allocguard heap.Heap.fieldsFor heap.Heap.allocFields heap.Heap.compactArena
+//odbgc:allocguard heap.Heap.allocFields heap.Heap.compactArena
 //odbgc:allocguard heap.Heap.residentAdd heap.Heap.residentRemove heap.Heap.Discard
 //odbgc:allocguard heap.Heap.WriteField heap.Heap.Move heap.Oracle.Live
 
@@ -21,8 +21,8 @@ func TestAllocSteadyStateZeroAllocs(t *testing.T) {
 	// Warm up: create the object once so the index, the slot storage,
 	// the partition's resident list, and the field arena all have
 	// capacity. The loop then recycles the slot, alternating field
-	// counts so it both revives the slot's dead run and appends new runs,
-	// compacting the arena in place every few rounds.
+	// counts, and each round appends a new run to the arena, compacting
+	// it in place every few rounds.
 	h.Discard(mustAlloc(t, h, 1, 100, 4, NilOID))
 	n := 0
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -173,12 +173,8 @@ func (h *Heap) checkSlots(resident int) error {
 			return fmt.Errorf("heap: free list names slot %d twice", s)
 		}
 		onList[s] = true
-		r := &h.slots[s]
-		if h.Resident(s) || r.oid != NilOID {
-			return fmt.Errorf("heap: free list names slot %d, which holds object %d", s, r.oid)
-		}
-		if r.fieldOff != 0 && (int(r.fieldOff+r.nfields) > len(h.arena) || h.arena[r.fieldOff-1] != NilSlot || h.arena[r.fieldOff] != Slot(r.nfields)) {
-			return fmt.Errorf("heap: free slot %d remembers a run at %d that is not a dead run of %d fields", s, r.fieldOff, r.nfields)
+		if r := &h.slots[s]; *r != freeRec {
+			return fmt.Errorf("heap: free list names slot %d, whose record (object %d, %d fields) is not cleared", s, r.oid, r.nfields)
 		}
 	}
 	if len(h.free) != len(h.slots)-1-slotCount {

@@ -1,9 +1,11 @@
 package heap
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -80,12 +82,12 @@ const maxDenseOID = OID(1) << 40
 // 32-bit, and slot 0 is NilSlot. Tests lower it to reach the limit.
 var slotLimit = 1<<32 - 1
 
-// minArena is the field arena's smallest capacity, in words, and minSlots
-// the slot storage's.
-const (
-	minArena = 64
-	minSlots = 64
-)
+// minArena is the field arena's smallest capacity, in words.
+const minArena = 64
+
+// freeRec is the record of a slot that holds no object: NilSlot's, and
+// every slot on the free list.
+var freeRec = slotRec{part: int32(NoPartition)}
 
 // Heap is the simulated object database: a growable sequence of partitions,
 // slot storage for the resident objects, and a root set.
@@ -127,6 +129,8 @@ type Heap struct {
 	// slot also carries a root flag for O(1) membership tests. Roots are
 	// never discarded, so their slots are stable.
 	rootList []Slot
+
+	sortKeys []oidSlot // SortByOID scratch
 
 	// byFree is a binary max-heap of allocatable partition IDs ordered by
 	// free bytes (ties toward the lower ID); freePos[p] is p's slot in
@@ -171,7 +175,7 @@ func New(cfg Config) (*Heap, error) {
 	h := &Heap{
 		cfg:   cfg,
 		empty: NoPartition,
-		slots: append(make([]slotRec, 0, minSlots), slotRec{part: int32(NoPartition)}),
+		slots: []slotRec{freeRec},
 	}
 	h.addPartition()
 	if cfg.ReserveEmpty {
@@ -354,6 +358,27 @@ func (h *Heap) Roots(fn func(Slot)) {
 // NumRoots reports the size of the root set.
 func (h *Heap) NumRoots() int { return len(h.rootList) }
 
+// oidSlot pairs a slot with its object's OID, the SortByOID key.
+type oidSlot struct {
+	oid OID
+	s   Slot
+}
+
+// SortByOID sorts slots by their objects' trace OIDs. Slot numbers
+// depend on the order objects were discarded, so every enumeration of
+// slots whose order can affect a result sorts them this way.
+func (h *Heap) SortByOID(slots []Slot) {
+	keys := h.sortKeys[:0]
+	for _, s := range slots {
+		keys = append(keys, oidSlot{h.slots[s].oid, s})
+	}
+	slices.SortFunc(keys, func(a, b oidSlot) int { return cmp.Compare(a.oid, b.oid) })
+	for i, k := range keys {
+		slots[i] = k.s
+	}
+	h.sortKeys = keys
+}
+
 // --- marking ----------------------------------------------------------------
 //
 // Each slot carries the stamp of the last marking pass that reached it.
@@ -420,7 +445,7 @@ func (h *Heap) Alloc(oid OID, size int64, nfields int, parent Slot) (Slot, Grew,
 	s := h.newSlot()
 	var off uint32
 	if nfields > 0 {
-		off = h.fieldsFor(s, nfields)
+		off = h.allocFields(s, nfields)
 	}
 	h.slots[s] = slotRec{
 		oid:      oid,
@@ -470,9 +495,10 @@ func (h *Heap) checkAlloc(oid OID, size int64, nfields int) error {
 
 // newSlot takes a slot from the free list, last freed first, or appends
 // one to the slot storage. The storage doubles when full rather than
-// growing at append's gentler rate for large slices: it holds no more
-// than twice the peak resident count either way, and doubling copies
-// and discards far fewer bytes on the way there.
+// growing by append's 1.25x for large slices: each outgrown copy is a
+// large span the Go runtime keeps for a while, and with append's steps
+// perfbench's paper-tables peaked at 129.7 MB instead of 117.2 MB
+// (results/bench/BENCH_slot_heap.json).
 //
 //odbgc:hotpath
 func (h *Heap) newSlot() Slot {
@@ -482,12 +508,9 @@ func (h *Heap) newSlot() Slot {
 		return s
 	}
 	if len(h.slots) == cap(h.slots) {
-		grown := make([]slotRec, len(h.slots), 2*cap(h.slots)) //odbgc:alloc-ok amortized slot-storage doubling, bounded by the peak resident count
-		copy(grown, h.slots)
-		h.slots = grown
+		h.slots = append(make([]slotRec, 0, 2*cap(h.slots)), h.slots...) //odbgc:alloc-ok amortized slot-storage doubling, bounded by twice the peak resident count
 	}
-	h.slots = h.slots[:len(h.slots)+1]
-	h.slots[len(h.slots)-1] = slotRec{}
+	h.slots = append(h.slots, freeRec) //odbgc:alloc-ok within the capacity ensured above
 	return Slot(len(h.slots) - 1)
 }
 
@@ -498,24 +521,6 @@ func (h *Heap) newSlot() Slot {
 //odbgc:hotpath
 func (h *Heap) growIndex(oid OID) {
 	h.index = append(h.index, make([]Slot, int(oid)+1-len(h.index))...) //odbgc:alloc-ok amortized growth of the OID index
-}
-
-// fieldsFor returns the arena index of the first of nfields zeroed fields
-// for slot s. A recycled slot still names the dead run its last object
-// held; when that run has the same length and no compaction has dropped
-// it, it is revived in place, so steady-state churn reuses arena space
-// instead of appending and compacting.
-//
-//odbgc:hotpath
-func (h *Heap) fieldsFor(s Slot, nfields int) uint32 {
-	if r := &h.slots[s]; r.fieldOff != 0 && int(r.nfields) == nfields {
-		off := r.fieldOff
-		h.arena[off-1] = s
-		clear(h.arena[off : off+uint32(nfields)])
-		h.arenaDead -= 1 + nfields
-		return off
-	}
-	return h.allocFields(s, nfields)
 }
 
 // allocFields reserves an owner header and nfields zeroed fields for slot
@@ -565,10 +570,6 @@ func (h *Heap) compactArena(need int) {
 	}
 	h.arena = dst[:n]
 	h.arenaDead = 0
-	// The dead runs free slots remembered are gone.
-	for _, s := range h.free {
-		h.slots[s].fieldOff = 0
-	}
 }
 
 // residentAdd appends slot s to p's resident list, recording its position.
@@ -692,8 +693,7 @@ func (h *Heap) Discard(s Slot) {
 		h.arenaDead += 1 + int(r.nfields)
 	}
 	h.index[r.oid] = NilSlot
-	// The freed slot keeps naming its dead run, for fieldsFor to revive.
-	*r = slotRec{part: int32(NoPartition), fieldOff: r.fieldOff, nfields: r.nfields}
+	*r = freeRec
 	h.free = append(h.free, s) //odbgc:alloc-ok amortized free-stack growth, bounded by the slot storage
 	h.numObjects--
 }
@@ -836,11 +836,11 @@ type Footprint struct {
 
 // Footprint reports the memory the heap's tables hold.
 func (h *Heap) Footprint() Footprint {
-	const slotBytes = int64(unsafe.Sizeof(slotRec{}))
+	const slotBytes, keyBytes = int64(unsafe.Sizeof(slotRec{})), int64(unsafe.Sizeof(oidSlot{}))
 	f := Footprint{
-		Bytes: 4*int64(cap(h.index)) + slotBytes*int64(cap(h.slots)) + 4*int64(cap(h.arena)) +
+		Bytes: 4*int64(cap(h.index)) + slotBytes*int64(cap(h.slots)) + 4*int64(cap(h.arena)) + keyBytes*int64(cap(h.sortKeys)) +
 			4*int64(cap(h.free)+cap(h.rootList)) + 8*int64(cap(h.parts)) + 8*int64(cap(h.byFree)) + 4*int64(cap(h.freePos)),
-		Slots:          cap(h.slots),
+		Slots:          max(cap(h.slots), cap(h.sortKeys)),
 		ArenaWords:     cap(h.arena),
 		LiveArenaWords: len(h.arena) - h.arenaDead,
 	}

@@ -72,9 +72,7 @@ type slotRec struct {
 	// so removal is a swap-remove.
 	resIdx int32
 	// fieldOff is the arena index of the object's first field; its
-	// owner header sits at fieldOff-1. Unused when nfields is 0. A free
-	// slot keeps the fieldOff and nfields of its last object's dead run,
-	// or has fieldOff 0 once a compaction has dropped that run.
+	// owner header sits at fieldOff-1. Unused when nfields is 0.
 	fieldOff uint32
 	nfields  uint32
 	// outCount is how many fields hold inter-partition pointers; package

@@ -21,7 +21,6 @@
 package remset
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -346,7 +345,7 @@ func (t *Table) OutSet(p heap.PartitionID, fn func(heap.Slot)) {
 		return
 	}
 	t.slotScratch = append(t.slotScratch[:0], s.slots...)
-	slices.SortFunc(t.slotScratch, func(a, b heap.Slot) int { return cmp.Compare(t.h.OID(a), t.h.OID(b)) })
+	t.h.SortByOID(t.slotScratch)
 	for _, x := range t.slotScratch {
 		fn(x)
 	}
@@ -395,7 +394,7 @@ func (t *Table) Audit() string {
 		srcPart heap.PartitionID
 	}
 	want := make(map[heap.PartitionID]map[Entry]rec)
-	wantOut := make(map[heap.PartitionID]map[heap.Slot]int)
+	wantOut := make(map[heap.PartitionID]map[heap.OID]int)
 	for pid := 0; pid < t.h.NumPartitions(); pid++ {
 		srcPart := heap.PartitionID(pid)
 		for _, src := range t.h.Partition(srcPart).Slots() {
@@ -415,10 +414,10 @@ func (t *Table) Audit() string {
 				set[Entry{t.h.OID(src), f}] = rec{t.h.OID(target), srcPart}
 				outs := wantOut[srcPart]
 				if outs == nil {
-					outs = make(map[heap.Slot]int)
+					outs = make(map[heap.OID]int)
 					wantOut[srcPart] = outs
 				}
-				outs[src]++
+				outs[t.h.OID(src)]++
 			}
 		}
 	}
@@ -467,28 +466,28 @@ func (t *Table) Audit() string {
 	slices.Sort(outPids)
 	for _, pid := range outPids {
 		outs := wantOut[pid]
-		srcs := make([]heap.Slot, 0, len(outs))
-		for s := range outs {
-			srcs = append(srcs, s)
+		oids := make([]heap.OID, 0, len(outs))
+		for oid := range outs {
+			oids = append(oids, oid)
 		}
-		slices.SortFunc(srcs, func(a, b heap.Slot) int { return cmp.Compare(t.h.OID(a), t.h.OID(b)) })
-		for _, s := range srcs {
-			n := outs[s]
+		slices.Sort(oids)
+		for _, oid := range oids {
+			s, n := t.h.Lookup(oid), outs[oid]
 			member := false
 			if int(pid) < len(t.out) {
 				_, member = t.out[pid].pos[s]
 			}
 			if !member {
-				return fmt.Sprintf("object %d missing from out-set of partition %d", t.h.OID(s), pid)
+				return fmt.Sprintf("object %d missing from out-set of partition %d", oid, pid)
 			}
 			if t.OutCount(s) != n {
-				return fmt.Sprintf("object %d out-count %d, want %d", t.h.OID(s), t.OutCount(s), n)
+				return fmt.Sprintf("object %d out-count %d, want %d", oid, t.OutCount(s), n)
 			}
 		}
 	}
 	for pid := range t.out {
 		for _, s := range t.out[pid].slots {
-			if wantOut[heap.PartitionID(pid)][s] == 0 {
+			if wantOut[heap.PartitionID(pid)][t.h.OID(s)] == 0 {
 				return fmt.Sprintf("stale out-set member %d in partition %d", t.h.OID(s), pid)
 			}
 		}
