@@ -497,8 +497,8 @@ func (h *Heap) checkAlloc(oid OID, size int64, nfields int) error {
 // one to the slot storage. The storage doubles when full rather than
 // growing by append's 1.25x for large slices: each outgrown copy is a
 // large span the Go runtime keeps for a while, and with append's steps
-// perfbench's paper-tables peaked at 129.7 MB instead of 117.2 MB
-// (results/bench/BENCH_slot_heap.json).
+// perfbench's paper-tables peaked at 129.6 MB instead of 117.3 MB on a
+// 2-vCPU host (results/bench/BENCH_slot_heap.json, "slot_growth").
 //
 //odbgc:hotpath
 func (h *Heap) newSlot() Slot {
