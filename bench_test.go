@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"odbgc/internal/experiments"
-	"odbgc/internal/gc"
 	"odbgc/internal/sim"
 	"odbgc/internal/workload"
 )
@@ -256,25 +255,6 @@ func BenchmarkAblationTrigger(b *testing.B) {
 		cfg.TriggerAllocationBytes = 150_000
 		run(b, cfg)
 	})
-}
-
-// BenchmarkAblationTraversal compares the paper's breadth-first copy
-// order with the Matthews-style page-first traversal under a buffer
-// smaller than a partition, where page re-reads cost.
-func BenchmarkAblationTraversal(b *testing.B) {
-	for _, trav := range []gc.Traversal{gc.BreadthFirst, gc.PageFirst} {
-		b.Run(trav.String(), func(b *testing.B) {
-			cfg := benchSim(UpdatedPointer)
-			cfg.BufferPages = 8 // a third of the partition
-			cfg.Traversal = trav
-			var res sim.Result
-			for i := 0; i < b.N; i++ {
-				res = runOnce(b, cfg, benchWorkload())
-			}
-			b.ReportMetric(float64(res.GCIOs), "gc_ios")
-			b.ReportMetric(float64(res.AppIOs), "app_ios")
-		})
-	}
 }
 
 // BenchmarkAblationClientServer runs the base comparison in the

@@ -22,6 +22,9 @@ go build -o bin/odbgc-vet ./cmd/odbgc-vet
 go vet -vettool="$PWD/bin/odbgc-vet" ./...
 go build ./...
 go test ./...
+# Every benchmark once, for one iteration: a benchmark that panics or
+# calls b.Fatal fails here. Its timings are not checked.
+go test -run '^$' -bench . -benchtime 1x ./...
 # The benchmark's own tests: all three workloads, at tiny scale, traced
 # and untraced, through perfbench's correctness gate. No timing is gated.
 (cd perfbench && go test ./...)

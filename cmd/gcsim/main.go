@@ -4,16 +4,19 @@
 //
 //	gcsim [-policy NAME] [-seeds N] [-live BYTES] [-alloc BYTES]
 //	      [-partition-pages N] [-buffer-pages N] [-trigger N]
-//	      [-dense F] [-cross F] [-trees N] [-series FILE] [-audit]
-//	      [-record FILE] [-trace FILE]
+//	      [-dense F] [-cross F] [-trees N] [-series FILE] [-inspect]
+//	      [-warm] [-audit] [-record FILE] [-trace FILE]
 //	      [-shards N] [-shard-assign roundrobin|range] [-epoch-events N]
 //
-// With -seeds > 1 it reports mean ± stddev over seeded runs; with -series
-// it additionally writes the single-run time series as CSV. -audit runs
-// the full cross-structure invariant catalog (internal/check) after every
-// collection — orders of magnitude slower, for validation runs. -record
-// writes a structured run recording (one row per GC activation and
-// time-series sample; sharded replays tag rows with their shard and
+// With -seeds > 1 it reports mean ± stddev over seeded runs, and with
+// -policy all one row per paper policy. -series (the time series as
+// CSV), -inspect (the final partition occupancy) and -record describe
+// one run, so either multi-run mode rejects them. -warm excludes the
+// generator's build phase from measurement in every mode. -audit runs
+// the full cross-structure invariant catalog (internal/check) after
+// every collection — orders of magnitude slower, for validation runs.
+// -record writes a structured run recording (one row per GC activation
+// and time-series sample; sharded replays tag rows with their shard and
 // epoch) for offline analysis with odbgc-query.
 //
 // With -trace the simulation replays a tracegen file (a chunked trace)
@@ -113,6 +116,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-record records one run; it does not apply with -seeds %d (record seeds individually, or use the experiments command)", *seeds)
 	case *recPath != "" && *policy == "all":
 		return fmt.Errorf("-record records one run; it does not apply with -policy all")
+	case *series != "" && *seeds > 1:
+		return fmt.Errorf("-series writes one run's time series; it does not apply with -seeds %d", *seeds)
+	case *series != "" && *policy == "all":
+		return fmt.Errorf("-series writes one run's time series; it does not apply with -policy all")
+	case *inspect && *seeds > 1:
+		return fmt.Errorf("-inspect reports one run's partitions; it does not apply with -seeds %d", *seeds)
+	case *inspect && *policy == "all":
+		return fmt.Errorf("-inspect reports one run's partitions; it does not apply with -policy all")
 	}
 
 	if *traceFile != "" {
@@ -170,7 +181,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *policy == "all" {
-		return compareAll(stdout, wl, *seeds, *partPages, *bufPages, *trigger, *audit)
+		return compareAll(stdout, wl, *seeds, *partPages, *bufPages, *trigger, *warm, *audit)
 	}
 
 	cfg := sim.DefaultConfig(*policy)
@@ -200,6 +211,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		g, err := workload.New(wl)
 		if err != nil {
 			return err
+		}
+		if cfg.WarmStart {
+			g.SetBuildCompleteHook(s.ResetMeasurement)
 		}
 		wlStats, err := g.Run(s)
 		if err != nil {
@@ -345,7 +359,7 @@ func writeSeries(stdout io.Writer, res sim.Result, path string) error {
 
 // compareAll runs every paper policy on the identical workload and
 // renders one comparison row per policy.
-func compareAll(stdout io.Writer, wl workload.Config, seeds, partPages, bufPages int, trigger int64, audit bool) error {
+func compareAll(stdout io.Writer, wl workload.Config, seeds, partPages, bufPages int, trigger int64, warm, audit bool) error {
 	if seeds < 1 {
 		seeds = 1
 	}
@@ -362,6 +376,7 @@ func compareAll(stdout io.Writer, wl workload.Config, seeds, partPages, bufPages
 		if trigger > 0 {
 			cfg.TriggerOverwrites = trigger
 		}
+		cfg.WarmStart = warm
 		if audit {
 			cfg.Audit = check.Audited(1, 0)
 		}

@@ -37,6 +37,10 @@ func TestFlagValidationErrors(t *testing.T) {
 		{"live", []string{"-live", "-1"}, "-live"},
 		{"alloc", []string{"-alloc", "-1"}, "-alloc"},
 		{"trees", []string{"-trees", "-1"}, "-trees"},
+		{"series with seeds", append([]string{"-seeds", "2", "-series", "x.csv"}, tiny...), "-series"},
+		{"series with all", append([]string{"-policy", "all", "-series", "x.csv"}, tiny...), "-series"},
+		{"inspect with seeds", append([]string{"-seeds", "2", "-inspect"}, tiny...), "-inspect"},
+		{"inspect with all", append([]string{"-policy", "all", "-inspect"}, tiny...), "-inspect"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +124,25 @@ func TestCompareAllPolicies(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "Policy comparison") {
 		t.Errorf("output missing comparison table:\n%s", stdout.String())
+	}
+}
+
+// TestWarmStartHonoured: -warm must reach the simulator in the
+// single-run, -seeds and -policy all paths alike, so each one's output
+// changes under it.
+func TestWarmStartHonoured(t *testing.T) {
+	for _, mode := range [][]string{nil, {"-seeds", "2"}, {"-policy", "all"}} {
+		args := append(append([]string{}, mode...), tiny...)
+		var cold, warm, stderr bytes.Buffer
+		if err := run(args, &cold, &stderr); err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		if err := run(append(args, "-warm"), &warm, &stderr); err != nil {
+			t.Fatalf("run(%v -warm): %v", args, err)
+		}
+		if cold.String() == warm.String() {
+			t.Errorf("run(%v): output is identical with and without -warm", args)
+		}
 	}
 }
 

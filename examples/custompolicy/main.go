@@ -55,7 +55,7 @@ func main() {
 		{"UpdatedPointer", odbgc.DefaultSimConfig(odbgc.UpdatedPointer)},
 	}
 	custom := odbgc.DefaultSimConfig("RoundRobin")
-	custom.PolicyImpl = &roundRobin{}
+	custom.PolicyFactory = func() core.Policy { return &roundRobin{} }
 	entries = append(entries, entry{"RoundRobin (custom)", custom})
 
 	fmt.Printf("%-22s %12s %14s %12s\n", "policy", "total I/Os", "reclaimed KB", "reclaimed %")

@@ -17,7 +17,7 @@ import (
 //
 //   - switches whose tag has a named integer type declared in this
 //     module with at least two typed constants (trace.Kind,
-//     pagebuf.Replacement, pagebuf.Actor, ...): every constant of the
+//     pagebuf.Actor, shard.Assignment, ...): every constant of the
 //     type must appear as a case. Unexported count sentinels (numXxx)
 //     are not required.
 //   - string switches in which any case is one of core's policy

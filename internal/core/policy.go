@@ -92,19 +92,6 @@ type Policy interface {
 	Collected(p, dest heap.PartitionID)
 }
 
-// ClonablePolicy is optionally implemented by custom policies injected
-// through sim.Config.PolicyImpl. Clone returns an independent instance
-// equivalent to a freshly constructed one — sharing no mutable state with
-// the receiver — which lets parallel harnesses (sim.Scheduler,
-// sim.RunSeeds) give every run its own copy instead of serializing all
-// runs through the shared instance. Stateful policies that accumulate
-// across runs on purpose should not implement it; they keep the serial
-// fallback.
-type ClonablePolicy interface {
-	Policy
-	Clone() Policy
-}
-
 // counterPolicy is the shared machinery of the heuristic policies: a
 // per-partition accumulator (a dense slice indexed by PartitionID),
 // selection of the maximum, and zeroing after collection. Ties break

@@ -73,13 +73,7 @@ func submitAblations(s *sim.Scheduler, wl workload.Config, mkSim func(string) si
 	for vi, cfg := range cfgs {
 		j.results[vi] = make([]sim.Result, seeds)
 		for i := 0; i < seeds; i++ {
-			w, sc := wl, cfg
-			w.Seed += int64(i)
-			sc.Seed += 1000 + int64(i)
-			s.Submit(sim.Job{
-				Label: fmt.Sprintf("ablation/%s/seed %d", names[vi], i),
-				Sim:   sc, WL: w, Out: &j.results[vi][i],
-			})
+			s.Submit(sim.SeedJob("ablation/"+names[vi], cfg, wl, i, &j.results[vi][i]))
 		}
 	}
 	return j

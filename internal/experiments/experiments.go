@@ -94,13 +94,7 @@ func submitPolicies(s *sim.Scheduler, tag string, wl workload.Config, mkSim func
 	}
 	for i := 0; i < seeds; i++ {
 		for _, policy := range run.Policies {
-			wlCfg, simCfg := wl, mkSim(policy)
-			wlCfg.Seed += int64(i)
-			simCfg.Seed += 1000 + int64(i)
-			s.Submit(sim.Job{
-				Label: fmt.Sprintf("%s/%s/seed %d", tag, policy, i),
-				Sim:   simCfg, WL: wlCfg, Out: &run.Results[policy][i],
-			})
+			s.Submit(sim.SeedJob(tag+"/"+policy, mkSim(policy), wl, i, &run.Results[policy][i]))
 		}
 	}
 	return run

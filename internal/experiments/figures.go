@@ -196,13 +196,8 @@ func submitFigure6(s *sim.Scheduler, points []Figure6Point, mkWL func(Figure6Poi
 		wlBase := mkWL(p)
 		for i := 0; i < seeds; i++ {
 			for qi, policy := range j.policies {
-				wl, sc := wlBase, mkSim(policy, p)
-				wl.Seed += int64(i)
-				sc.Seed += 1000 + int64(i)
-				s.Submit(sim.Job{
-					Label: fmt.Sprintf("fig6/%dMB/%s/seed %d", p.MaxAllocMB, policy, i),
-					Sim:   sc, WL: wl, Out: &j.results[pi][qi][i],
-				})
+				label := fmt.Sprintf("fig6/%dMB/%s", p.MaxAllocMB, policy)
+				s.Submit(sim.SeedJob(label, mkSim(policy, p), wlBase, i, &j.results[pi][qi][i]))
 			}
 		}
 	}

@@ -86,13 +86,7 @@ func submitSensitivity(s *sim.Scheduler, wl workload.Config, mkSim func(string) 
 
 	submit := func(label string, cfg sim.Config, out []sim.Result) {
 		for i := 0; i < seeds; i++ {
-			w, sc := wl, cfg
-			w.Seed += int64(i)
-			sc.Seed += 1000 + int64(i)
-			s.Submit(sim.Job{
-				Label: fmt.Sprintf("%s/seed %d", label, i),
-				Sim:   sc, WL: w, Out: &out[i],
-			})
+			s.Submit(sim.SeedJob(label, cfg, wl, i, &out[i]))
 		}
 	}
 	for ti, trigger := range triggers {

@@ -9,48 +9,19 @@ import (
 	"odbgc/internal/remset"
 )
 
-// Traversal selects the order in which a collection visits the victim's
-// live objects — the "how to traverse objects during collection" policy
-// of the paper's Table 1.
-type Traversal int
-
-const (
-	// BreadthFirst copies each root's component level by level (the
-	// paper's choice, preserving the database's breadth-first placement).
-	BreadthFirst Traversal = iota
-	// PageFirst prefers pending objects on the page most recently read
-	// before falling back to breadth-first order — the traversal of
-	// Matthews' Poly collector (paper §2), which minimizes how often a
-	// page must be (re)read at the cost of scrambling placement.
-	PageFirst
-)
-
-// String names the traversal.
-func (t Traversal) String() string {
-	switch t {
-	case BreadthFirst:
-		return "breadth-first"
-	case PageFirst:
-		return "page-first"
-	default:
-		return fmt.Sprintf("Traversal(%d)", int(t))
-	}
-}
-
 // Collector is the partitioned copying collector. Each activation asks the
 // policy for one victim partition, traces the victim breadth-first from
 // its roots (database roots resident in it plus its remembered set),
 // copies the survivors into the reserved empty partition in trace order,
 // discards the garbage, and makes the victim the new empty partition.
 type Collector struct {
-	h         *heap.Heap
-	buf       *pagebuf.Buffer
-	rem       *remset.Table
-	pol       core.Policy
-	env       *core.Env
-	stats     CollectorStats
-	lifetime  CollectorStats
-	traversal Traversal
+	h        *heap.Heap
+	buf      *pagebuf.Buffer
+	rem      *remset.Table
+	pol      core.Policy
+	env      *core.Env
+	stats    CollectorStats
+	lifetime CollectorStats
 
 	// externalRoots and onDiscard are the sharded engine's hooks; see
 	// SetExternalRoots and SetOnDiscard.
@@ -62,7 +33,7 @@ type Collector struct {
 	// scratch follows the victim's resident objects.
 	roots []heap.Slot
 	dead  []heap.Slot
-	queue copyQueue
+	queue []heap.Slot
 }
 
 // CollectorStats aggregates collection activity.
@@ -109,9 +80,6 @@ func NewCollector(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core
 	return &Collector{h: h, buf: buf, rem: rem, pol: pol, env: env}
 }
 
-// SetTraversal selects the copy traversal order (default BreadthFirst).
-func (c *Collector) SetTraversal(t Traversal) { c.traversal = t }
-
 // SetExternalRoots registers an additional root source consulted by every
 // evacuation: fn receives the victim partition and must pass each
 // externally referenced OID to add, in a deterministic order. OIDs that
@@ -141,15 +109,10 @@ func (c *Collector) Lifetime() CollectorStats { return c.lifetime }
 
 // Footprint reports the memory the collector's evacuation scratch holds.
 func (c *Collector) Footprint() heap.Footprint {
-	q := &c.queue
-	f := heap.Footprint{
-		Bytes: 4 * int64(cap(c.roots)+cap(c.dead)+cap(q.fifo)),
-		Slots: max(cap(c.roots), cap(c.dead), cap(q.fifo)),
+	return heap.Footprint{
+		Bytes: 4 * int64(cap(c.roots)+cap(c.dead)+cap(c.queue)),
+		Slots: max(cap(c.roots), cap(c.dead), cap(c.queue)),
 	}
-	for _, list := range q.byPage {
-		f.Bytes += 8 + 24 + 4*int64(cap(list))
-	}
-	return f
 }
 
 // ResetStats zeroes the collector counters (warm-start measurement).
@@ -218,27 +181,20 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	c.roots = roots
 
 	// Iterate over the roots one at a time (as the paper does), copying
-	// each root's component before moving to the next. Under the default
-	// breadth-first traversal, component-at-a-time order keeps each
-	// tree's objects contiguous in the destination partition, preserving
-	// the database's breadth-first placement; interleaving all roots
-	// level-by-level would scramble it. Under the page-first extension,
-	// pending objects on the page just read are preferred, minimizing
-	// page re-reads. Pointers leaving the victim are not traversed.
-	q := &c.queue
-	q.reset(c.traversal, h, victim)
+	// each root's component breadth-first before moving to the next.
+	// Component-at-a-time order keeps each tree's objects contiguous in
+	// the destination partition, preserving the database's breadth-first
+	// placement; interleaving all roots level-by-level would scramble it.
+	// The queue is a FIFO; pointers leaving the victim are not traversed.
+	queue := c.queue
 	for _, root := range roots {
 		if h.PartitionOf(root) != victim {
 			continue // already copied as part of an earlier component
 		}
-		q.push(root, c.pageOf(root))
-		for {
-			s, ok := q.pop()
-			if !ok {
-				break
-			}
+		queue = append(queue[:0], root)
+		for head := 0; head < len(queue); head++ {
+			s := queue[head]
 			oldFirst, oldLast := h.Pages(s)
-			q.setCurrentPage(oldFirst)
 			c.buf.ReadRange(pagebuf.PageID(oldFirst), pagebuf.PageID(oldLast), pagebuf.ActorGC)
 			h.Move(s, dest)
 			c.rem.Moved(s, victim, dest)
@@ -250,10 +206,11 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 				if f == heap.NilSlot || h.PartitionOf(f) != victim || !h.Mark(f) {
 					continue
 				}
-				q.push(f, c.pageOf(f))
+				queue = append(queue, f)
 			}
 		}
 	}
+	c.queue = queue
 
 	// Everything still resident in the victim is garbage. Dead objects'
 	// inter-partition pointers are removed from the remembered sets they
@@ -280,78 +237,4 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	c.stats.add(res)
 	c.lifetime.add(res)
 	return res
-}
-
-// pageOf returns the first page of an object's current location.
-func (c *Collector) pageOf(s heap.Slot) heap.PageID {
-	first, _ := c.h.Pages(s)
-	return first
-}
-
-// copyQueue orders the copy pass. In BreadthFirst mode it is a plain
-// FIFO. In PageFirst mode it additionally indexes pending objects by the
-// page they currently live on, and pop prefers an object on the page most
-// recently read. An object is pushed once but may sit in both the FIFO
-// and the page index; whichever copy pops first wins, and the collector
-// moves it out of the victim at once, so pop skips entries no longer in
-// the victim. The queue is scratch space reused across collections;
-// reset reinitializes it for one evacuation.
-type copyQueue struct {
-	mode    Traversal
-	h       *heap.Heap
-	victim  heap.PartitionID
-	fifo    []heap.Slot
-	head    int
-	byPage  map[heap.PageID][]heap.Slot
-	curPage heap.PageID
-}
-
-func (q *copyQueue) reset(mode Traversal, h *heap.Heap, victim heap.PartitionID) {
-	q.mode = mode
-	q.h = h
-	q.victim = victim
-	q.fifo = q.fifo[:0]
-	q.head = 0
-	q.curPage = -1
-	if mode == PageFirst {
-		if q.byPage == nil {
-			q.byPage = make(map[heap.PageID][]heap.Slot)
-		} else {
-			clear(q.byPage)
-		}
-	}
-}
-
-// push enqueues an object (enqueued at most once by the caller's marks);
-// page is its current first page.
-func (q *copyQueue) push(s heap.Slot, page heap.PageID) {
-	q.fifo = append(q.fifo, s)
-	if q.mode == PageFirst {
-		q.byPage[page] = append(q.byPage[page], s)
-	}
-}
-
-// setCurrentPage records the page just read, steering PageFirst pops.
-func (q *copyQueue) setCurrentPage(p heap.PageID) { q.curPage = p }
-
-// pop dequeues the next object to copy.
-func (q *copyQueue) pop() (heap.Slot, bool) {
-	if q.mode == PageFirst {
-		for list := q.byPage[q.curPage]; len(list) > 0; list = q.byPage[q.curPage] {
-			s := list[len(list)-1]
-			q.byPage[q.curPage] = list[:len(list)-1]
-			if q.h.PartitionOf(s) == q.victim {
-				return s, true
-			}
-		}
-	}
-	for q.head < len(q.fifo) {
-		s := q.fifo[q.head]
-		q.head++
-		if q.mode == PageFirst && q.h.PartitionOf(s) != q.victim {
-			continue // already popped through the page index
-		}
-		return s, true
-	}
-	return heap.NilSlot, false
 }

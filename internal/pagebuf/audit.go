@@ -18,9 +18,7 @@ import (
 //     same page;
 //   - the free chain holds exactly capacity−Len() slots, disjoint from
 //     the replacement list, so together they partition the arena;
-//   - the page index holds no entry for a page that is not cached;
-//   - under CLOCK, the hand rests on a listed frame (or is nil when the
-//     buffer is empty).
+//   - the page index holds no entry for a page that is not cached.
 //
 // It is O(capacity + index) and intended for the audit layer
 // (internal/check) and tests.
@@ -118,16 +116,6 @@ func (b *Buffer) CheckInvariants() error {
 	}
 	if indexed != listed {
 		return fmt.Errorf("pagebuf: index holds %d pages, buffer caches %d", indexed, listed)
-	}
-
-	if b.replacement == Clock {
-		if b.n == 0 {
-			if b.hand != nilFrame {
-				return fmt.Errorf("pagebuf: CLOCK hand on frame %d of an empty buffer", b.hand)
-			}
-		} else if b.hand != nilFrame && state[b.hand] != stateListed {
-			return fmt.Errorf("pagebuf: CLOCK hand on frame %d, which is not cached", b.hand)
-		}
 	}
 	return nil
 }

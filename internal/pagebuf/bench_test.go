@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-func benchAccesses(b *testing.B, repl Replacement, pages int) {
+func benchAccesses(b *testing.B, pages int) {
 	b.Helper()
-	buf, err := NewWithReplacement(48, repl)
+	buf, err := New(48)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -27,12 +27,8 @@ func benchAccesses(b *testing.B, repl Replacement, pages int) {
 	}
 }
 
-func BenchmarkLRUHitHeavy(b *testing.B)   { benchAccesses(b, LRU, 32) }   // fits: mostly hits
-func BenchmarkLRUMissHeavy(b *testing.B)  { benchAccesses(b, LRU, 1024) } // thrashes
-func BenchmarkClockHitHeavy(b *testing.B) { benchAccesses(b, Clock, 32) }
-func BenchmarkClockMissHeavy(b *testing.B) {
-	benchAccesses(b, Clock, 1024)
-}
+func BenchmarkLRUHitHeavy(b *testing.B)  { benchAccesses(b, 32) }   // fits: mostly hits
+func BenchmarkLRUMissHeavy(b *testing.B) { benchAccesses(b, 1024) } // thrashes
 
 // BenchmarkPageBufHit measures the pure hit path: a working set smaller
 // than the buffer, so after warmup every access is a hit and the only

@@ -8,9 +8,9 @@
 // Because the buffer sits on the per-event fast path of every simulation,
 // its structures are dense and allocation-free in steady state: page
 // frames live in one arena slice linked by int32 indices (an intrusive
-// LRU list / CLOCK ring), and the PageID lookup and on-disk set are dense
-// slices for the contiguous-from-zero page IDs the simulator produces,
-// falling back to maps only for sparse address spaces.
+// LRU list), and the PageID lookup and on-disk set are dense slices for
+// the contiguous-from-zero page IDs the simulator produces, falling back
+// to maps only for sparse address spaces.
 package pagebuf
 
 import "fmt"
@@ -87,29 +87,24 @@ func (s Stats) TotalIOs() int64 {
 const nilFrame = int32(-1)
 
 // frame is one page slot in the buffer's frame arena. prev/next link the
-// frame into the replacement order: under LRU a most-recent-first list,
-// under CLOCK the ring in insertion order. Unused slots are chained into
-// a free list through next.
+// frame into the most-recent-first LRU list. Unused slots are chained
+// into a free list through next.
 type frame struct {
 	page       PageID
 	prev, next int32
 	dirty      bool
-	referenced bool // CLOCK reference bit
 }
 
-// Buffer is the simulated write-back page buffer (LRU by default; see
-// NewWithReplacement for CLOCK).
+// Buffer is the simulated write-back LRU page buffer.
 type Buffer struct {
-	capacity    int
-	frames      []frame   // arena, one slot per frame, allocated once
-	head, tail  int32     // LRU: head = most recent; CLOCK: insertion order
-	free        int32     // head of the free-slot chain (through frame.next)
-	hand        int32     // CLOCK hand
-	n           int       // cached page count
-	idx         pageIndex // PageID -> arena index of its frame
-	onDisk      pageSet   // pages with a persistent copy
-	replacement Replacement
-	stats       Stats
+	capacity   int
+	frames     []frame   // arena, one slot per frame, allocated once
+	head, tail int32     // head = most recently used
+	free       int32     // head of the free-slot chain (through frame.next)
+	n          int       // cached page count
+	idx        pageIndex // PageID -> arena index of its frame
+	onDisk     pageSet   // pages with a persistent copy
+	stats      Stats
 
 	// Backing-store hooks, nil for a plain buffer. fetch runs when a miss
 	// pulls a persisted page back in (a "read I/O"); writeBack runs when
@@ -131,7 +126,6 @@ func New(capacity int) (*Buffer, error) {
 		head:     nilFrame,
 		tail:     nilFrame,
 		free:     nilFrame,
-		hand:     nilFrame,
 	}
 	for i := capacity - 1; i >= 0; i-- {
 		b.frames[i].next = b.free
@@ -209,20 +203,6 @@ func (b *Buffer) pushFront(i int32) {
 	b.head = i
 }
 
-// pushBack links frame i at the tail of the replacement list.
-//
-//odbgc:hotpath
-func (b *Buffer) pushBack(i int32) {
-	f := &b.frames[i]
-	f.prev, f.next = b.tail, nilFrame
-	if b.tail != nilFrame {
-		b.frames[b.tail].next = i
-	} else {
-		b.head = i
-	}
-	b.tail = i
-}
-
 // release returns frame i to the free chain after it has been unlinked.
 //
 //odbgc:hotpath
@@ -243,15 +223,12 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 
 	if i := b.idx.get(p); i != nilFrame {
 		st.Hits++
-		f := &b.frames[i]
-		if b.replacement == Clock {
-			f.referenced = true
-		} else if b.head != i {
+		if b.head != i {
 			b.unlink(i)
 			b.pushFront(i)
 		}
 		if write {
-			f.dirty = true
+			b.frames[i].dirty = true
 		}
 		return
 	}
@@ -266,20 +243,12 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	// A miss on a never-persisted page materializes a fresh page in the
 	// buffer with no disk read (write-allocate of newly created data).
 	if b.n >= b.capacity {
-		if b.replacement == Clock {
-			b.clockEvict(actor)
-		} else {
-			b.evict(actor)
-		}
+		b.evict(actor)
 	}
 	i := b.free
 	b.free = b.frames[i].next
-	b.frames[i] = frame{page: p, prev: nilFrame, next: nilFrame, dirty: write, referenced: true}
-	if b.replacement == Clock {
-		b.pushBack(i)
-	} else {
-		b.pushFront(i)
-	}
+	b.frames[i] = frame{page: p, prev: nilFrame, next: nilFrame, dirty: write}
+	b.pushFront(i)
 	b.idx.set(p, i)
 	b.n++
 }

@@ -6,9 +6,8 @@ import (
 	"testing/quick"
 )
 
-// pagesMRU returns the cached pages in list order (most-recently-used
-// first under LRU, insertion order under CLOCK); tests use it to audit
-// the intrusive frame list against reference models.
+// pagesMRU returns the cached pages most-recently-used first; tests use
+// it to audit the intrusive frame list against reference models.
 func (b *Buffer) pagesMRU() []PageID {
 	var out []PageID
 	for i := b.head; i != nilFrame; i = b.frames[i].next {

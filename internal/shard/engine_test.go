@@ -3,6 +3,7 @@ package shard_test
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"odbgc/internal/check"
@@ -113,6 +114,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 					policy, seed, serial.ForeignWrites, serial.MessagesSent)
 			}
 		}
+	}
+}
+
+// TestPolicyFactoryPerShard: a sharded engine builds one policy per
+// shard from Config.Sim.PolicyFactory, so its parallel run shares no
+// policy state between shard goroutines and reproduces the serial run.
+// Under -race (ci.sh) this also shows the per-shard instances are never
+// touched by two goroutines.
+func TestPolicyFactoryPerShard(t *testing.T) {
+	rt := testTrace(t, 3)
+	var calls atomic.Int64
+	cfg := shard.Config{Shards: 4, EpochEvents: 1 << 12, Sim: testSimCfg("custom")}
+	cfg.Sim.PolicyFactory = func() core.Policy {
+		calls.Add(1)
+		return core.NewUpdatedPointer()
+	}
+	serial := runSharded(t, cfg, rt)
+	if c := calls.Load(); c != 4 {
+		t.Fatalf("serial engine called the factory %d times for 4 shards", c)
+	}
+	cfg.Parallel = true
+	parallel := runSharded(t, cfg, rt)
+	if c := calls.Load(); c != 8 {
+		t.Fatalf("parallel engine called the factory %d times for 4 shards", c-4)
+	}
+	if err := check.DiffShardRuns("serial engine", "parallel engine", serial, parallel); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
-	"odbgc/internal/pagebuf"
 	"odbgc/internal/workload"
 )
 
@@ -55,29 +54,6 @@ func TestAllocationTriggerExtension(t *testing.T) {
 	}
 	if res.ReclaimedBytes == 0 {
 		t.Fatal("allocation-triggered collections reclaimed nothing")
-	}
-}
-
-func TestClockBufferExtension(t *testing.T) {
-	cfg := smallSim(core.NameUpdatedPointer)
-	cfg.Replacement = pagebuf.Clock
-	res, _, err := RunWorkload(cfg, smallWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalIOs == 0 || res.Collections == 0 {
-		t.Fatalf("degenerate clock run: %+v", res)
-	}
-	// CLOCK approximates LRU: total I/O should be within a reasonable
-	// factor of the LRU run on the identical trace.
-	lru, _, err := RunWorkload(smallSim(core.NameUpdatedPointer), smallWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := lru.TotalIOs*7/10, lru.TotalIOs*13/10
-	if res.TotalIOs < lo || res.TotalIOs > hi {
-		t.Fatalf("clock total I/O %d outside [%d,%d] of LRU's %d",
-			res.TotalIOs, lo, hi, lru.TotalIOs)
 	}
 }
 
@@ -181,11 +157,6 @@ func TestClientServerValidation(t *testing.T) {
 	cfg.ClientCachePages = -1
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative client cache accepted")
-	}
-	cfg.ClientCachePages = 4
-	cfg.Replacement = pagebuf.Clock
-	if _, err := New(cfg); err == nil {
-		t.Fatal("client/server with CLOCK accepted")
 	}
 }
 

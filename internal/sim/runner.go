@@ -68,9 +68,8 @@ func RunRecorded(simCfg Config, rt *workload.RecordedTrace) (Result, error) {
 // configuration over 10 differently seeded runs. Runs are drained by a
 // Scheduler worker pool (each simulation is fully independent and
 // deterministic given its seeds); results are returned in seed order. A
-// custom policy shared via Config.PolicyImpl serializes the runs in seed
-// order unless it implements core.ClonablePolicy or is supplied through
-// Config.PolicyFactory, either of which parallelizes like the built-ins.
+// custom policy supplied through Config.PolicyFactory is built once per
+// run and parallelizes like the built-ins.
 func RunSeeds(simCfg Config, wlCfg workload.Config, n int) ([]Result, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sim: RunSeeds needs a positive run count, got %d", n)

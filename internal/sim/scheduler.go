@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"odbgc/internal/core"
 	"odbgc/internal/workload"
 )
 
@@ -110,11 +109,10 @@ func (s *Scheduler) SetRecordFactory(fn func(Job) RunRecorder) { s.recordf = fn 
 func (s *Scheduler) Submitted() int64 { return s.submitted.Load() }
 func (s *Scheduler) Completed() int64 { return s.completed.Load() }
 
-// Submit enqueues one job. Jobs whose Config.PolicyImpl is a shared
-// mutable instance run synchronously on the caller's goroutine, in
-// submission order — a shared instance admits no concurrency — unless the
-// policy implements core.ClonablePolicy, in which case each job runs an
-// independent clone on the pool. Submit may block when the queue is full.
+// Submit enqueues one job for the pool. Every job builds its own
+// simulator, and with it its own policy instance (Config.PolicyFactory
+// included), so jobs share no policy state. Submit may block when the
+// queue is full.
 func (s *Scheduler) Submit(job Job) {
 	seq := s.submitted.Add(1)
 	s.pending.Add(1)
@@ -124,29 +122,23 @@ func (s *Scheduler) Submit(job Job) {
 			job.Sim.Record = rec.Hooks()
 		}
 	}
-	if job.Sim.PolicyImpl != nil {
-		c, ok := job.Sim.PolicyImpl.(core.ClonablePolicy)
-		if !ok {
-			s.run(queuedJob{job, seq, rec}) // serial fallback
-			return
-		}
-		job.Sim.PolicyImpl = c.Clone()
-	}
 	s.jobs <- queuedJob{job, seq, rec}
 }
 
-// SubmitSeeds enqueues the n derived-seed runs of one configuration the
-// way the paper averages each cell: workload seed base+i, simulator seed
-// base+1000+i. out must have length n; out[i] receives seed i's result.
+// SeedJob returns run i of the paper's average over differently seeded
+// runs of one configuration: workload seed base+i, simulator seed
+// base+1000+i, labelled "label/seed i", its result written to out.
+func SeedJob(label string, simCfg Config, wlCfg workload.Config, i int, out *Result) Job {
+	simCfg.Seed += 1000 + int64(i)
+	wlCfg.Seed += int64(i)
+	return Job{Label: fmt.Sprintf("%s/seed %d", label, i), Sim: simCfg, WL: wlCfg, Out: out}
+}
+
+// SubmitSeeds enqueues the n derived-seed runs of one configuration (see
+// SeedJob). out must have length n; out[i] receives seed i's result.
 func (s *Scheduler) SubmitSeeds(label string, simCfg Config, wlCfg workload.Config, n int, out []Result) {
 	for i := 0; i < n; i++ {
-		wl, sc := wlCfg, simCfg
-		wl.Seed += int64(i)
-		sc.Seed += 1000 + int64(i)
-		s.Submit(Job{
-			Label: fmt.Sprintf("%s/seed %d", label, i),
-			Sim:   sc, WL: wl, Out: &out[i],
-		})
+		s.Submit(SeedJob(label, simCfg, wlCfg, i, &out[i]))
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"odbgc/internal/core"
-	"odbgc/internal/heap"
 	"odbgc/internal/workload"
 )
 
@@ -108,87 +108,48 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// orderPolicy is a custom policy that records the order it is asked to
-// select, to observe serialization; it deliberately does NOT implement
-// core.ClonablePolicy.
-type orderPolicy struct {
-	mu      sync.Mutex
-	selects int
-}
-
-func (p *orderPolicy) Name() string                    { return "order" }
-func (p *orderPolicy) PointerStore(core.StoreContext)  {}
-func (p *orderPolicy) DataStore(heap.PartitionID)      {}
-func (p *orderPolicy) Collected(_, _ heap.PartitionID) {}
-func (p *orderPolicy) Select(env *core.Env) (heap.PartitionID, bool) {
-	p.mu.Lock()
-	p.selects++
-	p.mu.Unlock()
-	cands := env.Candidates()
-	if len(cands) == 0 {
-		return heap.NoPartition, false
-	}
-	return cands[0], true
-}
-
-// clonableOrderPolicy adds Clone, making it eligible for parallel runs.
-type clonableOrderPolicy struct{ orderPolicy }
-
-func (p *clonableOrderPolicy) Clone() core.Policy { return &clonableOrderPolicy{} }
-
-func TestSchedulerSerialFallbackForSharedPolicyImpl(t *testing.T) {
-	shared := &orderPolicy{}
+func TestPolicyFactoryNilRejected(t *testing.T) {
 	cfg := smallSim("custom")
-	cfg.PolicyImpl = shared
+	cfg.PolicyFactory = func() core.Policy { return nil }
+	_, err := New(cfg)
+	if err == nil {
+		t.Fatal("New accepted a PolicyFactory that returned nil")
+	}
+	if !containsStr(err.Error(), "PolicyFactory") {
+		t.Fatalf("error %q does not name PolicyFactory", err)
+	}
+}
 
-	// Two scheduler passes over the same jobs must agree exactly: the
-	// shared instance is run inline at Submit, in submission order.
-	runOnce := func() []Result {
-		s := NewScheduler(4, nil)
-		defer s.Close()
-		out := make([]Result, 4)
-		s.SubmitSeeds("custom", cfg, smallWorkload(), 4, out)
-		if err := s.Wait(); err != nil {
+// TestRunSeedsPolicyFactoryPerRun: RunSeeds builds one policy per run
+// from the factory, and its parallel results equal a serial loop of
+// RunWorkload over the paper's seed rule (workload seed base+i,
+// simulator seed base+1000+i).
+func TestRunSeedsPolicyFactoryPerRun(t *testing.T) {
+	const n = 4
+	var calls atomic.Int64
+	cfg := smallSim("custom")
+	cfg.PolicyFactory = func() core.Policy {
+		calls.Add(1)
+		return core.NewUpdatedPointer()
+	}
+	got, err := RunSeeds(cfg, smallWorkload(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := calls.Load(); c != n {
+		t.Fatalf("factory called %d times for %d runs", c, n)
+	}
+	for i := 0; i < n; i++ {
+		sc, wl := cfg, smallWorkload()
+		sc.Seed += 1000 + int64(i)
+		wl.Seed += int64(i)
+		want, _, err := RunWorkload(sc, wl)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return out
-	}
-	first := runOnce()
-	shared.mu.Lock()
-	selectsAfterFirst := shared.selects
-	shared.mu.Unlock()
-	if selectsAfterFirst == 0 {
-		t.Fatal("shared policy never selected")
-	}
-	second := runOnce()
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("serial-fallback runs are not deterministic")
-	}
-}
-
-func TestSchedulerClonablePolicyMatchesFactory(t *testing.T) {
-	viaClone := smallSim("custom")
-	viaClone.PolicyImpl = &clonableOrderPolicy{}
-	viaFactory := smallSim("custom")
-	viaFactory.PolicyFactory = func() core.Policy { return &clonableOrderPolicy{} }
-
-	cloneRes, err := RunSeeds(viaClone, smallWorkload(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factoryRes, err := RunSeeds(viaFactory, smallWorkload(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cloneRes, factoryRes) {
-		t.Fatal("clonable PolicyImpl and PolicyFactory runs diverge")
-	}
-	// The prototype instance must stay untouched: every run used a clone.
-	proto := viaClone.PolicyImpl.(*clonableOrderPolicy)
-	proto.mu.Lock()
-	defer proto.mu.Unlock()
-	if proto.selects != 0 {
-		t.Fatalf("prototype instance was run directly (%d selects)", proto.selects)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("seed %d: RunSeeds diverged from serial RunWorkload:\n got %+v\nwant %+v", i, got[i], want)
+		}
 	}
 }
 

@@ -23,16 +23,12 @@ import (
 type Config struct {
 	// Policy is the partition selection policy name (see core.Names).
 	Policy string
-	// PolicyImpl, when non-nil, is used instead of looking Policy up in
-	// the registry — the hook for evaluating custom selection policies
-	// against the paper's. Policy may then be any descriptive name.
-	// Multi-seed harnesses serialize runs sharing a PolicyImpl unless it
-	// implements core.ClonablePolicy.
-	PolicyImpl core.Policy
-	// PolicyFactory, when non-nil (and PolicyImpl is nil), constructs the
-	// run's policy instance. Unlike a shared PolicyImpl, a factory gives
-	// every run an independent instance, so custom policies parallelize
-	// across seeds. It must be safe to call from concurrent goroutines.
+	// PolicyFactory, when non-nil, constructs the run's policy instead of
+	// looking Policy up in the registry — the hook for evaluating custom
+	// selection policies against the paper's. Policy may then be any
+	// descriptive name. Every simulator calls it once, so every run and
+	// every shard gets its own instance; it must return a fresh, non-nil
+	// policy on each call and be safe to call from concurrent goroutines.
 	PolicyFactory func() core.Policy
 	// Seed drives the simulator's own randomness (only the Random policy
 	// uses it). It is independent of the workload seed.
@@ -40,23 +36,15 @@ type Config struct {
 	// Heap is the database geometry. Heap.ReserveEmpty is forced to match
 	// the policy: NoCollection runs without a reserved empty partition.
 	Heap heap.Config
-	// BufferPages sizes the I/O buffer; 0 means "equal to one partition",
-	// the paper's choice.
+	// BufferPages sizes the LRU I/O buffer; 0 means "equal to one
+	// partition", the paper's choice.
 	BufferPages int
-	// Replacement selects the buffer replacement algorithm. The zero
-	// value is LRU (the paper's choice); pagebuf.Clock is provided as an
-	// ablation.
-	Replacement pagebuf.Replacement
-	// Traversal selects the collection copy order: gc.BreadthFirst (the
-	// paper's choice, the zero value) or gc.PageFirst (the Matthews-style
-	// page-minimizing traversal from the paper's related work).
-	Traversal gc.Traversal
 	// ClientCachePages, when positive, switches to the client/server
 	// architecture of the paper's related work (Yong/Naughton/Yu): a
 	// client page cache of this size sits in front of the server buffer
 	// (BufferPages). AppIOs/GCIOs then count client–server page
 	// transfers, and the Disk* result fields count the server's disk
-	// operations. Requires the LRU replacement (the default).
+	// operations.
 	ClientCachePages int
 	// TriggerOverwrites activates the collector every N pointer
 	// overwrites (the paper: 150–300).
@@ -144,9 +132,6 @@ func (c Config) validate() error {
 	if c.ClientCachePages < 0 {
 		return fmt.Errorf("sim: ClientCachePages %d negative", c.ClientCachePages)
 	}
-	if c.ClientCachePages > 0 && c.Replacement != pagebuf.LRU {
-		return fmt.Errorf("sim: client/server mode supports only the LRU replacement")
-	}
 	if c.Audit.EveryCollections < 0 {
 		return fmt.Errorf("sim: Audit.EveryCollections %d negative", c.Audit.EveryCollections)
 	}
@@ -219,18 +204,17 @@ func New(cfg Config) (*Sim, error) {
 		}
 		buf = tiered.Client()
 	} else {
-		buf, err = pagebuf.NewWithReplacement(bufPages, cfg.Replacement)
+		buf, err = pagebuf.New(bufPages)
 		if err != nil {
 			return nil, err
 		}
 	}
-	pol := cfg.PolicyImpl
-	if pol == nil && cfg.PolicyFactory != nil {
+	var pol core.Policy
+	if cfg.PolicyFactory != nil {
 		if pol = cfg.PolicyFactory(); pol == nil {
 			return nil, fmt.Errorf("sim: PolicyFactory returned nil")
 		}
-	}
-	if pol == nil {
+	} else {
 		pol, err = core.New(cfg.Policy, rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return nil, err
@@ -260,7 +244,6 @@ func New(cfg Config) (*Sim, error) {
 		trig:   trig,
 		oracle: oracle,
 	}
-	s.col.SetTraversal(cfg.Traversal)
 	if cfg.SampleEvery > 0 {
 		s.series = stats.NewSeries("events",
 			"occupied_kb", "live_kb", "unreclaimed_garbage_kb", "footprint_kb")

@@ -192,8 +192,9 @@ func ReplayTrace(r io.Reader, simCfg SimConfig) (Result, error) {
 }
 
 // NewPolicy constructs a selection policy by name; rng is used only by
-// the Random policy. It is the hook for comparing a custom policy against
-// the paper's: implement core's Policy interface and wire it with NewSim.
+// the Random policy. To compare a custom policy against the paper's,
+// implement core's Policy interface and return a fresh instance from
+// SimConfig.PolicyFactory.
 func NewPolicy(name string, rng *rand.Rand) (core.Policy, error) {
 	return core.New(name, rng)
 }

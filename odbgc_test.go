@@ -109,7 +109,7 @@ func TestNewPolicyFacade(t *testing.T) {
 	}
 }
 
-// alwaysLowest is a trivial custom policy for testing PolicyImpl.
+// alwaysLowest is a trivial custom policy for testing PolicyFactory.
 type alwaysLowest struct{ core.NoCollection }
 
 func (*alwaysLowest) Name() string { return "AlwaysLowest" }
@@ -121,9 +121,9 @@ func (*alwaysLowest) Select(env *core.Env) (heap.PartitionID, bool) {
 	return cands[0], true
 }
 
-func TestCustomPolicyViaPolicyImpl(t *testing.T) {
+func TestCustomPolicyViaPolicyFactory(t *testing.T) {
 	cfg := fastSim("AlwaysLowest")
-	cfg.PolicyImpl = &alwaysLowest{}
+	cfg.PolicyFactory = func() core.Policy { return &alwaysLowest{} }
 	res, _, err := Run(cfg, fastWorkload())
 	if err != nil {
 		t.Fatal(err)
