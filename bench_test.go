@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"odbgc/internal/experiments"
+	"odbgc/internal/record"
 	"odbgc/internal/sim"
 	"odbgc/internal/workload"
 )
@@ -119,7 +120,7 @@ func BenchmarkFigure4GarbageOverTime(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = runOnce(b, cfg, benchWorkload())
 			}
-			garbage := res.Series.Y[2]
+			garbage := record.TimeSeries(res.Samples).Y[2] // unreclaimed_garbage_kb
 			var mean float64
 			for _, g := range garbage {
 				mean += g
@@ -142,7 +143,7 @@ func BenchmarkFigure5DBSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = runOnce(b, cfg, benchWorkload())
 			}
-			size := res.Series.Y[0]
+			size := record.TimeSeries(res.Samples).Y[0] // occupied_kb
 			b.ReportMetric(size[len(size)-1], "final_db_kb")
 			b.ReportMetric(float64(res.MaxOccupiedBytes)/1024, "max_db_kb")
 		})

@@ -177,8 +177,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, endpointTable(figs))
 	}
 	if res.Figure6 != nil {
-		fmt.Fprintln(stdout, res.Figure6.Table())
-		if err := writeCSV(filepath.Join(*outdir, "figure6_storage_required.csv"), res.Figure6.Series()); err != nil {
+		fmt.Fprintln(stdout, experiments.Figure6Table(res.Figure6))
+		if err := writeCSV(filepath.Join(*outdir, "figure6_storage_required.csv"), res.Figure6); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "Figure 6 series -> %s\n", filepath.Join(*outdir, "figure6_storage_required.csv"))
@@ -211,7 +211,7 @@ func endpointTable(figs *experiments.Figures45) *stats.Table {
 	t := stats.NewTable("Figures 4 & 5 endpoints (final sample)",
 		"Policy", "Unreclaimed Garbage KB", "Database Size KB")
 	n := figs.Garbage.Len() - 1
-	for i, policy := range figs.Policies {
+	for i, policy := range figs.Garbage.Names {
 		t.AddRow(policy,
 			fmt.Sprintf("%.0f", figs.Garbage.Y[i][n]),
 			fmt.Sprintf("%.0f", figs.DBSize.Y[i][n]))

@@ -126,6 +126,30 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-inspect reports one run's partitions; it does not apply with -policy all")
 	}
 
+	// simConfig is the one translation of the simulator flags into a
+	// sim.Config; every mode builds its configuration here. The checks
+	// above reject each flag a mode cannot honour, so none arrives set.
+	simConfig := func(policy string) sim.Config {
+		cfg := sim.DefaultConfig(policy)
+		if *partPages > 0 {
+			cfg.Heap.PartitionPages = *partPages
+		}
+		if *bufPages > 0 {
+			cfg.BufferPages = *bufPages
+		}
+		if *trigger > 0 {
+			cfg.TriggerOverwrites = *trigger
+		}
+		if *series != "" {
+			cfg.SampleEvery = 10_000
+		}
+		cfg.WarmStart = *warm
+		if *audit {
+			cfg.Audit = check.Audited(1, 0)
+		}
+		return cfg
+	}
+
 	if *traceFile != "" {
 		// Replay mode: the trace already fixes the workload, so workload
 		// shaping and multi-seed flags contradict it.
@@ -160,9 +184,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("-shard-assign: %w", err)
 			}
-			return replaySharded(stdout, *traceFile, *policy, *partPages, *bufPages, *trigger, *shards, assign, *epochEv, *recPath)
+			return replaySharded(stdout, *traceFile, simConfig(*policy), *shards, assign, *epochEv, *recPath)
 		}
-		return replayTrace(stdout, *traceFile, *policy, *partPages, *bufPages, *trigger, *series, *inspect, *audit, *recPath)
+		// The streamed replay prefetches chunk N+1 while the simulator
+		// drains chunk N.
+		rt, err := workload.OpenStreamed(*traceFile)
+		if err != nil {
+			return err
+		}
+		return singleRun(stdout, simConfig(*policy), *inspect, *series, *recPath,
+			func(s *sim.Sim) (workload.Stats, error) { return workload.Stats{}, rt.Replay(s, nil) })
 	}
 
 	wl := workload.DefaultConfig()
@@ -181,66 +212,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *policy == "all" {
-		return compareAll(stdout, wl, *seeds, *partPages, *bufPages, *trigger, *warm, *audit)
+		return compareAll(stdout, wl, *seeds, simConfig)
 	}
-
-	cfg := sim.DefaultConfig(*policy)
-	if *partPages > 0 {
-		cfg.Heap.PartitionPages = *partPages
-	}
-	if *bufPages > 0 {
-		cfg.BufferPages = *bufPages
-	}
-	if *trigger > 0 {
-		cfg.TriggerOverwrites = *trigger
-	}
-	if *series != "" {
-		cfg.SampleEvery = 10_000
-	}
-	cfg.WarmStart = *warm
-	if *audit {
-		cfg.Audit = check.Audited(1, 0)
-	}
-
-	if *seeds <= 1 {
-		rec, recRun := newRunRecording(&cfg, *recPath)
-		s, err := sim.New(cfg)
-		if err != nil {
-			return err
-		}
-		g, err := workload.New(wl)
-		if err != nil {
-			return err
-		}
-		if cfg.WarmStart {
-			g.SetBuildCompleteHook(s.ResetMeasurement)
-		}
-		wlStats, err := g.Run(s)
-		if err != nil {
-			return err
-		}
-		if *audit {
-			if err := s.Audit(); err != nil {
-				return err
+	cfg := simConfig(*policy)
+	if *seeds == 1 {
+		return singleRun(stdout, cfg, *inspect, *series, *recPath, func(s *sim.Sim) (workload.Stats, error) {
+			g, err := workload.New(wl)
+			if err != nil {
+				return workload.Stats{}, err
 			}
-		}
-		if *inspect {
-			printPartitions(stdout, s.InspectPartitions())
-		}
-		res := s.Finish()
-		printResult(stdout, res, wlStats)
-		if *series != "" {
-			if err := writeSeries(stdout, res, *series); err != nil {
-				return err
+			if cfg.WarmStart {
+				g.SetBuildCompleteHook(s.ResetMeasurement)
 			}
-		}
-		if rec != nil {
-			recRun.Finish(res)
-			if err := writeRecording(stdout, rec, *recPath); err != nil {
-				return err
-			}
-		}
-		return nil
+			return g.Run(s)
+		})
 	}
 
 	results, err := sim.RunSeeds(cfg, wl, *seeds)
@@ -262,48 +247,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// replayTrace runs one simulation fed by a chunked trace file instead of
-// a live generator. The streamed replay prefetches chunk N+1 while the
-// simulator drains chunk N.
-func replayTrace(stdout io.Writer, path, policy string, partPages, bufPages int, trigger int64, series string, inspect, audit bool, recPath string) error {
-	rt, err := workload.OpenStreamed(path)
-	if err != nil {
-		return err
+// singleRun runs one simulation of cfg, fed by drive (a live generator
+// or a trace replay), then audits it, reports the final partitions when
+// inspect is set, prints the result, and writes the time series and the
+// run recording when their paths are set.
+func singleRun(stdout io.Writer, cfg sim.Config, inspect bool, series, recPath string,
+	drive func(*sim.Sim) (workload.Stats, error)) error {
+	var rec *record.Recorder
+	var recRun *record.Run
+	if recPath != "" {
+		rec = record.NewRecorder()
+		recRun = rec.NewRun(record.MetaFromLabel("gcsim/"+cfg.Policy, cfg.Policy))
+		cfg.Record = recRun.Hooks()
 	}
-	cfg := sim.DefaultConfig(policy)
-	if partPages > 0 {
-		cfg.Heap.PartitionPages = partPages
-	}
-	if bufPages > 0 {
-		cfg.BufferPages = bufPages
-	}
-	if trigger > 0 {
-		cfg.TriggerOverwrites = trigger
-	}
-	if series != "" {
-		cfg.SampleEvery = 10_000
-	}
-	if audit {
-		cfg.Audit = check.Audited(1, 0)
-	}
-	rec, recRun := newRunRecording(&cfg, recPath)
 	s, err := sim.New(cfg)
 	if err != nil {
 		return err
 	}
-	if err := rt.Replay(s, nil); err != nil {
+	wlStats, err := drive(s)
+	if err != nil {
 		return err
 	}
-	if audit {
-		if err := s.Audit(); err != nil {
-			return err
-		}
+	if err := s.Audit(); err != nil {
+		return err
 	}
 	if inspect {
 		printPartitions(stdout, s.InspectPartitions())
 	}
 	res := s.Finish()
-	printResult(stdout, res, workload.Stats{})
+	printResult(stdout, res, wlStats)
 	if series != "" {
 		if err := writeSeries(stdout, res, series); err != nil {
 			return err
@@ -316,19 +288,6 @@ func replayTrace(stdout io.Writer, path, policy string, partPages, bufPages int,
 		}
 	}
 	return nil
-}
-
-// newRunRecording wires a single-run recorder's hooks into cfg when a
-// -record path was given; the caller finishes the returned run with the
-// simulation's result and persists via writeRecording.
-func newRunRecording(cfg *sim.Config, recPath string) (*record.Recorder, *record.Run) {
-	if recPath == "" {
-		return nil, nil
-	}
-	rec := record.NewRecorder()
-	run := rec.NewRun(record.MetaFromLabel("gcsim/"+cfg.Policy, cfg.Policy))
-	cfg.Record = run.Hooks()
-	return rec, run
 }
 
 // writeRecording persists a recording and reports where it went.
@@ -346,7 +305,7 @@ func writeSeries(stdout io.Writer, res sim.Result, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := res.Series.WriteCSV(f); err != nil {
+	if err := record.TimeSeries(res.Samples).WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -359,28 +318,11 @@ func writeSeries(stdout io.Writer, res sim.Result, path string) error {
 
 // compareAll runs every paper policy on the identical workload and
 // renders one comparison row per policy.
-func compareAll(stdout io.Writer, wl workload.Config, seeds, partPages, bufPages int, trigger int64, warm, audit bool) error {
-	if seeds < 1 {
-		seeds = 1
-	}
+func compareAll(stdout io.Writer, wl workload.Config, seeds int, simConfig func(string) sim.Config) error {
 	t := stats.NewTable(fmt.Sprintf("Policy comparison over %d seed(s)", seeds),
 		"Policy", "Total I/Os", "Max KB", "Reclaimed KB", "Fraction %", "KB/IO")
 	for _, policy := range core.PaperNames() {
-		cfg := sim.DefaultConfig(policy)
-		if partPages > 0 {
-			cfg.Heap.PartitionPages = partPages
-		}
-		if bufPages > 0 {
-			cfg.BufferPages = bufPages
-		}
-		if trigger > 0 {
-			cfg.TriggerOverwrites = trigger
-		}
-		cfg.WarmStart = warm
-		if audit {
-			cfg.Audit = check.Audited(1, 0)
-		}
-		results, err := sim.RunSeeds(cfg, wl, seeds)
+		results, err := sim.RunSeeds(simConfig(policy), wl, seeds)
 		if err != nil {
 			return err
 		}

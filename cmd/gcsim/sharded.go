@@ -17,22 +17,11 @@ import (
 // goroutines, each running a private simulator, with cross-shard
 // references exchanged at epoch barriers. The file streams through the
 // prefetch pipeline.
-func replaySharded(stdout io.Writer, path, policy string, partPages, bufPages int, trigger int64, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
+func replaySharded(stdout io.Writer, path string, cfg sim.Config, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
 	rt, err := workload.OpenStreamed(path)
 	if err != nil {
 		return err
 	}
-	cfg := sim.DefaultConfig(policy)
-	if partPages > 0 {
-		cfg.Heap.PartitionPages = partPages
-	}
-	if bufPages > 0 {
-		cfg.BufferPages = bufPages
-	}
-	if trigger > 0 {
-		cfg.TriggerOverwrites = trigger
-	}
-
 	shCfg := shard.Config{
 		Shards:      shards,
 		Assignment:  assign,
@@ -47,7 +36,7 @@ func replaySharded(stdout io.Writer, path, policy string, partPages, bufPages in
 		// deterministic across serial and parallel runs.
 		rec = record.NewRecorder()
 		shCfg.Record = func(i int) sim.RunRecorder {
-			m := record.MetaFromLabel("gcsim/"+policy, policy)
+			m := record.MetaFromLabel("gcsim/"+cfg.Policy, cfg.Policy)
 			m.Shard = int64(i)
 			return rec.NewRun(m)
 		}

@@ -31,8 +31,8 @@ func writeTestRecording(t *testing.T) string {
 		Seq: 3, Events: 400, Cause: sim.CauseAllocation, Collected: true,
 		Victim: 1, Dest: 4, GarbageBytes: 1024, GarbageObjects: 1,
 	})
-	hooks.Sample(sim.SampleRecord{Seq: 1, Events: 200, OccupiedBytes: 1 << 20, LiveBytes: 1 << 19})
-	r0.Finish(sim.Result{Policy: "UpdatedPointer", Events: 500, TotalIOs: 72, Collections: 3})
+	r0.Finish(sim.Result{Policy: "UpdatedPointer", Events: 500, TotalIOs: 72, Collections: 3,
+		Samples: []sim.SampleRecord{{Seq: 1, Events: 200, OccupiedBytes: 1 << 20, LiveBytes: 1 << 19}}})
 
 	r1 := rec.NewRun(record.MetaFromLabel("tables/Random/seed 0", "Random"))
 	r1.Hooks().Activation(sim.ActivationRecord{

@@ -8,7 +8,6 @@ import (
 	"odbgc/internal/core"
 	"odbgc/internal/heap"
 	"odbgc/internal/sim"
-	"odbgc/internal/stats"
 	"odbgc/internal/trace"
 	"odbgc/internal/workload"
 )
@@ -142,7 +141,7 @@ func TestAuditOffZeroAllocs(t *testing.T) {
 //odbgc:allocguard sim.Sim.Emit
 func TestRecordOffZeroAllocs(t *testing.T) {
 	cfg := testSim(core.NameUpdatedPointer)
-	if cfg.Record.Activation != nil || cfg.Record.Sample != nil {
+	if cfg.Record.Activation != nil {
 		t.Fatal("test premise broken: default config has recording hooks set")
 	}
 	s := runInto(t, cfg, testWorkload())
@@ -189,17 +188,21 @@ func TestDiffResults(t *testing.T) {
 		}
 	}
 
-	// Series divergence is localized to the first differing sample.
-	withSeries := func(y float64) sim.Result {
+	// Sample divergence is localized to the first differing sample.
+	withSamples := func(occupied int64) sim.Result {
 		r := a
-		r.Series = stats.NewSeries("events", "occupied_kb")
-		r.Series.Add(10, 1.0)
-		r.Series.Add(20, y)
+		r.Samples = []sim.SampleRecord{
+			{Seq: 1, Events: 10, OccupiedBytes: 1024},
+			{Seq: 2, Events: 20, OccupiedBytes: occupied},
+		}
 		return r
 	}
-	err = check.DiffResults("left", "right", withSeries(2.0), withSeries(3.0))
-	if err == nil || !strings.Contains(err.Error(), "x=20") {
-		t.Errorf("series diff not localized to the divergent sample: %v", err)
+	err = check.DiffResults("left", "right", withSamples(2048), withSamples(3072))
+	if err == nil || !strings.Contains(err.Error(), "Samples[1]") || !strings.Contains(err.Error(), "Events:20") {
+		t.Errorf("samples diff not localized to the divergent sample: %v", err)
+	}
+	if err := check.DiffResults("left", "right", withSamples(2048), a); err == nil || !strings.Contains(err.Error(), "2 vs 0 samples") {
+		t.Errorf("missing samples not reported: %v", err)
 	}
 }
 

@@ -3,7 +3,6 @@ package check
 import (
 	"fmt"
 	"reflect"
-	"strings"
 
 	"odbgc/internal/sim"
 )
@@ -20,10 +19,11 @@ func DiffResults(labelA, labelB string, a, b sim.Result) error {
 	var diffs []string
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
-		if f.Name == "Series" {
-			// The one non-comparable field: a pointer to sampled rows.
-			if !reflect.DeepEqual(a.Series, b.Series) {
-				diffs = append(diffs, describeSeriesDiff(a, b))
+		if f.Name == "Samples" {
+			// The one non-comparable field: report its first divergent
+			// sample.
+			if d := diffSamples(a.Samples, b.Samples); d != "" {
+				diffs = append(diffs, d)
 			}
 			continue
 		}
@@ -39,35 +39,16 @@ func DiffResults(labelA, labelB string, a, b sim.Result) error {
 		labelA, labelB, diffs[0], labelA, labelB, len(diffs))
 }
 
-// describeSeriesDiff pinpoints where two time series came apart.
-func describeSeriesDiff(a, b sim.Result) string {
-	sa, sb := a.Series, b.Series
-	switch {
-	case sa == nil || sb == nil:
-		return fmt.Sprintf("Series: %s vs %s", describeSeries(sa != nil), describeSeries(sb != nil))
-	case sa.Len() != sb.Len():
-		return fmt.Sprintf("Series: %d samples vs %d samples", sa.Len(), sb.Len())
-	case len(sa.Y) != len(sb.Y):
-		return "Series: header mismatch (" + strings.Join(sa.Names, ",") + " vs " + strings.Join(sb.Names, ",") + ")"
-	default:
-		for i := 0; i < sa.Len(); i++ {
-			if sa.X[i] != sb.X[i] {
-				return fmt.Sprintf("Series: sample %d taken at x=%d vs x=%d", i, sa.X[i], sb.X[i])
-			}
-			for c := range sa.Y {
-				if sa.Y[c][i] != sb.Y[c][i] {
-					return fmt.Sprintf("Series: first divergent sample at x=%d, column %s (%v vs %v)",
-						sa.X[i], sa.Names[c], sa.Y[c][i], sb.Y[c][i])
-				}
-			}
+// diffSamples describes where two sample lists first differ, or returns
+// "" when they agree.
+func diffSamples(a, b []sim.SampleRecord) string {
+	for i := 0; i < min(len(a), len(b)); i++ {
+		if a[i] != b[i] {
+			return fmt.Sprintf("Samples[%d]: %+v vs %+v", i, a[i], b[i])
 		}
-		return "Series: header mismatch (" + strings.Join(sa.Names, ",") + " vs " + strings.Join(sb.Names, ",") + ")"
 	}
-}
-
-func describeSeries(present bool) string {
-	if present {
-		return "sampled"
+	if len(a) != len(b) {
+		return fmt.Sprintf("Samples: %d vs %d samples", len(a), len(b))
 	}
-	return "absent"
+	return ""
 }

@@ -190,6 +190,8 @@ func SelfCheck(opts Options) error {
 	logf("selfcheck: phase 4: sharded engine, %d policies x %d seeds", len(core.Names()), seeds)
 	wlShard := wlBase
 	wlShard.CrossTreeFraction = 0.25
+	shardBase := simBase
+	shardBase.SampleEvery = 0 // the sharded engine rejects sampling
 	for i := 0; i < seeds; i++ {
 		wl := wlShard
 		wl.Seed += int64(i)
@@ -202,7 +204,7 @@ func SelfCheck(opts Options) error {
 		}
 		replay := func(s trace.Sink) error { return rt.Replay(s, nil) }
 		for _, policy := range core.Names() {
-			cfg := simBase
+			cfg := shardBase
 			cfg.Policy = policy
 			cfg.Seed = simBase.Seed + 1000 + int64(i)
 			scfg := shard.Config{Shards: 4, EpochEvents: 1 << 12, Sim: cfg}
@@ -226,7 +228,7 @@ func SelfCheck(opts Options) error {
 
 		// Single shard vs the plain simulator: the demux must be a pure
 		// pass-through.
-		cfg := simBase
+		cfg := shardBase
 		cfg.Policy = core.NameMutatedPartition
 		cfg.Seed = simBase.Seed + 1000 + int64(i)
 		single, err := runShardedOnce(shard.Config{Shards: 1, EpochEvents: 1 << 12, Sim: cfg}, replay)
@@ -304,8 +306,7 @@ func smallWorkload() workload.Config {
 
 // smallSim is the matching simulator geometry: 8-page partitions so the
 // small database still spans enough partitions to exercise selection,
-// plus time-series sampling so the differential diff covers the series
-// path too.
+// plus sampling so the differential diffs cover Result.Samples too.
 func smallSim() sim.Config {
 	return sim.Config{
 		Seed:              1,

@@ -9,21 +9,11 @@ import (
 	"odbgc/internal/workload"
 )
 
-// RunAblations executes the extension ablations at full base-workload
-// scale (the scaled-down versions live in the root benchmarks): the YNY
-// enhancement, periodic global sweeps, multi-partition collection, and
-// the allocation trigger. Each row reports reclamation and total I/O so
+// The extension ablations (the YNY enhancement, periodic global sweeps,
+// multi-partition collection, the allocation trigger, client/server
+// caching) run at full base-workload scale; the scaled-down versions live
+// in the root benchmarks. Each row reports reclamation and total I/O so
 // the trade-off is visible.
-func RunAblations(seeds int, progress Progress) (*stats.Table, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	j := submitAblations(s, BaseWorkload(), BaseSim, seeds)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: ablations: %w", err)
-	}
-	return j.finish(), nil
-}
 
 // ablationsJob holds the in-flight variants' result slots in table-row
 // order; finish renders the table.

@@ -6,14 +6,11 @@ import (
 )
 
 func TestRunAblationsScaled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale ablations are slow")
-	}
-	table, err := RunAblations(1, nil)
+	res, err := runSuite(SuiteOptions{Seeds: 1, Ablations: true}, scaledSuite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := table.String()
+	out := res.Ablations.String()
 	for _, want := range []string{
 		"MutatedPartition (pointer stores only)",
 		"MutatedObjectYNY (all mutations)",

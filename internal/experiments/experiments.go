@@ -17,7 +17,7 @@ import (
 
 // Progress receives human-readable progress lines; nil disables them.
 // Callbacks handed to parallel runners must be wrapped with Sync first —
-// every runner in this package does so on entry.
+// RunSuite does so on entry.
 type Progress func(format string, args ...any)
 
 func (p Progress) logf(format string, args ...any) {
@@ -73,9 +73,14 @@ type BaseRun struct {
 }
 
 // RunBase executes the base configuration for all six paper policies over
-// the given number of seeds (the paper uses 10).
+// the given number of seeds (the paper uses 10): RunSuite with only the
+// Tables family.
 func RunBase(seeds int, progress Progress) (*BaseRun, error) {
-	return runPolicies(BaseWorkload(), BaseSim, seeds, progress)
+	res, err := RunSuite(SuiteOptions{Seeds: seeds, Tables: true}, progress)
+	if err != nil {
+		return nil, err
+	}
+	return res.Base, nil
 }
 
 // submitPolicies flattens policies × seeds into scheduler jobs, seed-major
@@ -98,17 +103,6 @@ func submitPolicies(s *sim.Scheduler, tag string, wl workload.Config, mkSim func
 		}
 	}
 	return run
-}
-
-func runPolicies(wl workload.Config, mkSim func(string) sim.Config, seeds int, progress Progress) (*BaseRun, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	run := submitPolicies(s, "base", wl, mkSim, seeds)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return run, nil
 }
 
 // relative computes per-seed ratios of metric(policy) over

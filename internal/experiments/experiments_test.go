@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
+	"odbgc/internal/record"
 	"odbgc/internal/sim"
 	"odbgc/internal/workload"
 )
@@ -29,11 +30,11 @@ func scaledBase() (workload.Config, func(string) sim.Config) {
 }
 
 func TestRunPoliciesAndTables(t *testing.T) {
-	wl, mkSim := scaledBase()
-	run, err := runPolicies(wl, mkSim, 2, nil)
+	res, err := runSuite(SuiteOptions{Seeds: 2, Tables: true}, scaledSuite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	run := res.Base
 	if run.Seeds != 2 || len(run.Policies) != 6 {
 		t.Fatalf("run = %+v", run)
 	}
@@ -60,12 +61,11 @@ func TestRunPoliciesAndTables(t *testing.T) {
 }
 
 func TestRelativeIsPairedBySeed(t *testing.T) {
-	wl, mkSim := scaledBase()
-	run, err := runPolicies(wl, mkSim, 3, nil)
+	res, err := runSuite(SuiteOptions{Seeds: 3, Tables: true}, scaledSuite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := run.relative(core.NameMostGarbage, func(r sim.Result) float64 { return float64(r.TotalIOs) })
+	rel := res.Base.relative(core.NameMostGarbage, func(r sim.Result) float64 { return float64(r.TotalIOs) })
 	if rel.Mean != 1 || rel.StdDev != 0 {
 		t.Fatalf("self-relative = %+v, want exactly 1 ± 0", rel)
 	}
@@ -82,21 +82,12 @@ func TestProgressLogf(t *testing.T) {
 }
 
 func TestTable5Scaled(t *testing.T) {
-	// Run only the harness path with a tiny sweep by temporarily scaling
-	// through the exported workloads: here we just exercise the real
-	// RunTable5 with 1 seed at two connectivities via a local copy.
-	res := &Table5Result{Connectivities: []float64{1.005, 1.167}}
-	wl, mkSim := scaledBase()
-	for _, c := range res.Connectivities {
-		w := wl
-		w.DenseEdgeFraction = c - 1
-		run, err := runPolicies(w, mkSim, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Runs = append(res.Runs, run)
+	// The scaled suite sweeps two connectivities, 1.005 and 1.167.
+	res, err := runSuite(SuiteOptions{Seeds: 1, Table5: true}, scaledSuite(), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	table := res.Table().String()
+	table := res.Table5.Table().String()
 	if !strings.Contains(table, "C = 1.005") || !strings.Contains(table, "C = 1.167") {
 		t.Fatalf("table headers wrong:\n%s", table)
 	}
@@ -122,23 +113,31 @@ func TestFigure6Helpers(t *testing.T) {
 }
 
 func TestFigure6ResultRendering(t *testing.T) {
-	res := &Figure6Result{
-		Points:   []Figure6Point{{4, 24}, {8, 32}},
-		Policies: []string{core.NameNoCollection, core.NameMostGarbage},
-		StorageMB: map[string][]float64{
-			core.NameNoCollection: {4.1, 8.2},
-			core.NameMostGarbage:  {2.5, 5.0},
-		},
+	// Two seeds per cell: each cell is the mean of its runs' maximum
+	// storage, converted to MB.
+	const mb = 1 << 20
+	var runs []record.FigureRun
+	for _, p := range []int64{4, 8} {
+		for seed := int64(0); seed < 2; seed++ {
+			runs = append(runs,
+				record.FigureRun{Policy: core.NameNoCollection, Point: p,
+					Result: sim.Result{MaxOccupiedBytes: (p + seed) * mb}},
+				record.FigureRun{Policy: core.NameMostGarbage, Point: p,
+					Result: sim.Result{MaxOccupiedBytes: p * mb / 2}})
+		}
 	}
-	table := res.Table().String()
-	if !strings.Contains(table, "4 MB") || !strings.Contains(table, "8.2") {
+	s, err := record.Figure6(runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := Figure6Table(s).String()
+	if !strings.Contains(table, "4 MB") || !strings.Contains(table, "8.5") {
 		t.Fatalf("table:\n%s", table)
 	}
-	s := res.Series()
 	if s.Len() != 2 || len(s.Names) != 2 {
 		t.Fatalf("series = %+v", s)
 	}
-	if s.Y[1][0] != 2.5 {
+	if s.Y[1][0] != 2 || s.Y[0][1] != 8.5 {
 		t.Fatalf("series values wrong: %+v", s.Y)
 	}
 }
@@ -147,9 +146,8 @@ func TestFiguresScaledEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs are slow")
 	}
-	// Substitute a scaled figure config by calling the underlying pieces:
-	// run two policies with sampling and assemble series the way
-	// RunFigures4And5 does, asserting grid alignment.
+	// Run two policies of a scaled figure config with sampling and
+	// assert their sample grids align, as the figure builder assumes.
 	wl, mkSim := scaledBase()
 	var lens []int
 	for _, policy := range []string{core.NameNoCollection, core.NameMostGarbage} {
@@ -159,10 +157,10 @@ func TestFiguresScaledEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Series.Len() == 0 {
+		if len(res.Samples) == 0 {
 			t.Fatalf("%s: no samples", policy)
 		}
-		lens = append(lens, res.Series.Len())
+		lens = append(lens, len(res.Samples))
 	}
 	if lens[0] != lens[1] {
 		t.Fatalf("sample grids diverge: %v (same trace must sample identically)", lens)

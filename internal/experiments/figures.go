@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"odbgc/internal/core"
+	"odbgc/internal/record"
 	"odbgc/internal/sim"
 	"odbgc/internal/stats"
 	"odbgc/internal/workload"
@@ -28,87 +29,30 @@ func FigureSim(policy string) sim.Config {
 	return cfg
 }
 
-// Figures45 holds the per-policy time series of the figure run.
+// Figures45 holds the per-policy time series of the figure run, one
+// column per policy in core.PaperNames order.
 type Figures45 struct {
-	Policies []string
 	// Garbage is Figure 4 (unreclaimed garbage KB over application
 	// events); DBSize is Figure 5 (occupied KB over application events).
 	Garbage *stats.Series
 	DBSize  *stats.Series
 }
 
-// RunFigures4And5 runs the figure workload once per policy (a single seed,
-// as in the paper) and assembles one multi-column series per figure.
-func RunFigures4And5(progress Progress) (*Figures45, error) {
-	return runFigures45(FigureWorkload(), FigureSim, progress)
-}
-
-// figures45Job holds the per-policy result slots of an in-flight figure
-// run; finish assembles the series once the scheduler has drained.
-type figures45Job struct {
-	policies []string
-	results  []sim.Result
-}
-
 // submitFigures45 flattens the figure run (one job per policy, all
-// replaying one shared trace) into scheduler jobs.
-func submitFigures45(s *sim.Scheduler, wl workload.Config, mkSim func(string) sim.Config) *figures45Job {
-	j := &figures45Job{
-		policies: core.PaperNames(),
-		results:  make([]sim.Result, len(core.PaperNames())),
-	}
-	for i, policy := range j.policies {
+// replaying one shared trace) into scheduler jobs. Each job's result
+// lands in its run's Result; read the runs only after the scheduler's
+// Wait succeeds.
+func submitFigures45(s *sim.Scheduler, wl workload.Config, mkSim func(string) sim.Config) []record.FigureRun {
+	policies := core.PaperNames()
+	runs := make([]record.FigureRun, len(policies))
+	for i, policy := range policies {
+		runs[i].Policy = policy
 		s.Submit(sim.Job{
 			Label: "fig45/" + policy,
-			Sim:   mkSim(policy), WL: wl, Out: &j.results[i],
+			Sim:   mkSim(policy), WL: wl, Out: &runs[i].Result,
 		})
 	}
-	return j
-}
-
-// finish assembles the two figure series from the completed results.
-func (j *figures45Job) finish() (*Figures45, error) {
-	out := &Figures45{Policies: j.policies}
-	var n int
-	for i, policy := range j.policies {
-		series := j.results[i].Series
-		if series == nil || series.Len() == 0 {
-			return nil, fmt.Errorf("experiments: figures: %s produced no samples", policy)
-		}
-		if n == 0 || series.Len() < n {
-			n = series.Len()
-		}
-	}
-
-	// Every policy replays the identical trace, so the sample grids agree;
-	// truncate to the shortest in case of off-by-one at the trace tail.
-	out.Garbage = stats.NewSeries("events", j.policies...)
-	out.DBSize = stats.NewSeries("events", j.policies...)
-	base := j.results[0].Series
-	for i := 0; i < n; i++ {
-		garbage := make([]float64, len(j.policies))
-		size := make([]float64, len(j.policies))
-		for p := range j.policies {
-			s := j.results[p].Series
-			garbage[p] = s.Y[2][i] // unreclaimed_garbage_kb
-			size[p] = s.Y[0][i]    // occupied_kb
-		}
-		out.Garbage.Add(base.X[i], garbage...)
-		out.DBSize.Add(base.X[i], size...)
-	}
-	return out, nil
-}
-
-// runFigures45 is the scale-parameterized core of RunFigures4And5.
-func runFigures45(wl workload.Config, mkSim func(string) sim.Config, progress Progress) (*Figures45, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	j := submitFigures45(s, wl, mkSim)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: figures: %w", err)
-	}
-	return j.finish()
+	return runs
 }
 
 // Figure6Point is one database size in the scalability sweep.
@@ -159,106 +103,44 @@ func Figure6Sim(policy string, p Figure6Point) sim.Config {
 	return cfg
 }
 
-// Figure6Result holds storage-required curves per policy.
-type Figure6Result struct {
-	Points   []Figure6Point
-	Policies []string
-	// StorageMB[policy][i] is the mean maximum storage (MB) at Points[i].
-	StorageMB map[string][]float64
-}
-
-// RunFigure6 sweeps the database size for every policy, averaging each
-// point over the given seeds.
-func RunFigure6(seeds int, progress Progress) (*Figure6Result, error) {
-	return runFigure6(Figure6Points, Figure6Workload, Figure6Sim, seeds, progress)
-}
-
-// figure6Job holds the in-flight sweep's result slots, indexed
-// [point][policy][seed]; finish aggregates them.
-type figure6Job struct {
-	points   []Figure6Point
-	policies []string
-	results  [][][]sim.Result
-}
-
 // submitFigure6 flattens the scalability sweep into scheduler jobs,
 // seed-major within each point so the sweep's large traces are consumed
-// by all policies while still resident in the cache.
+// by all policies while still resident in the cache. Runs are returned
+// in submission order, each job's result landing in its run's Result;
+// read them only after the scheduler's Wait succeeds.
 func submitFigure6(s *sim.Scheduler, points []Figure6Point, mkWL func(Figure6Point) workload.Config,
-	mkSim func(string, Figure6Point) sim.Config, seeds int) *figure6Job {
-	j := &figure6Job{points: points, policies: core.PaperNames()}
-	j.results = make([][][]sim.Result, len(points))
-	for pi, p := range points {
-		j.results[pi] = make([][]sim.Result, len(j.policies))
-		for qi := range j.policies {
-			j.results[pi][qi] = make([]sim.Result, seeds)
-		}
+	mkSim func(string, Figure6Point) sim.Config, seeds int) []record.FigureRun {
+	policies := core.PaperNames()
+	runs := make([]record.FigureRun, len(points)*seeds*len(policies))
+	k := 0
+	for _, p := range points {
 		wlBase := mkWL(p)
 		for i := 0; i < seeds; i++ {
-			for qi, policy := range j.policies {
+			for _, policy := range policies {
+				runs[k] = record.FigureRun{Policy: policy, Point: int64(p.MaxAllocMB)}
 				label := fmt.Sprintf("fig6/%dMB/%s", p.MaxAllocMB, policy)
-				s.Submit(sim.SeedJob(label, mkSim(policy, p), wlBase, i, &j.results[pi][qi][i]))
+				s.Submit(sim.SeedJob(label, mkSim(policy, p), wlBase, i, &runs[k].Result))
+				k++
 			}
 		}
 	}
-	return j
+	return runs
 }
 
-// finish aggregates the completed sweep into per-policy storage curves.
-func (j *figure6Job) finish() *Figure6Result {
-	res := &Figure6Result{
-		Points:    j.points,
-		Policies:  j.policies,
-		StorageMB: make(map[string][]float64),
-	}
-	for pi := range j.points {
-		for qi, policy := range j.policies {
-			agg := sim.Aggregates(j.results[pi][qi])
-			res.StorageMB[policy] = append(res.StorageMB[policy], agg.MaxOccupiedKB.Mean/1024)
-		}
-	}
-	return res
-}
-
-// runFigure6 is the scale-parameterized core of RunFigure6.
-func runFigure6(points []Figure6Point, mkWL func(Figure6Point) workload.Config,
-	mkSim func(string, Figure6Point) sim.Config, seeds int, progress Progress) (*Figure6Result, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	j := submitFigure6(s, points, mkWL, mkSim, seeds)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: figure 6: %w", err)
-	}
-	return j.finish(), nil
-}
-
-// Table renders the sweep as a table (policies × sizes, cells in MB).
-func (r *Figure6Result) Table() *stats.Table {
+// Figure6Table renders the Figure 6 series (record.Figure6) as a table:
+// policies × sizes, cells in MB.
+func Figure6Table(storage *stats.Series) *stats.Table {
 	headers := []string{"Selection Policy"}
-	for _, p := range r.Points {
-		headers = append(headers, fmt.Sprintf("%d MB", p.MaxAllocMB))
+	for _, mb := range storage.X {
+		headers = append(headers, fmt.Sprintf("%d MB", mb))
 	}
 	t := stats.NewTable("Figure 6: Storage Required (MB) vs Maximum Allocated Storage", headers...)
-	for _, policy := range r.Policies {
+	for q, policy := range storage.Names {
 		row := []string{policy}
-		for _, v := range r.StorageMB[policy] {
+		for _, v := range storage.Y[q] {
 			row = append(row, fmt.Sprintf("%.1f", v))
 		}
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// Series renders the sweep as a plottable series (x = allocated MB).
-func (r *Figure6Result) Series() *stats.Series {
-	s := stats.NewSeries("max_allocated_mb", r.Policies...)
-	for i, p := range r.Points {
-		ys := make([]float64, len(r.Policies))
-		for j, policy := range r.Policies {
-			ys[j] = r.StorageMB[policy][i]
-		}
-		s.Add(int64(p.MaxAllocMB), ys...)
-	}
-	return s
 }

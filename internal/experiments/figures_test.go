@@ -5,20 +5,14 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
-	"odbgc/internal/sim"
-	"odbgc/internal/workload"
 )
 
 func TestRunFigures45Scaled(t *testing.T) {
-	wl, mkSim := scaledBase()
-	figs, err := runFigures45(wl, func(policy string) sim.Config {
-		cfg := mkSim(policy)
-		cfg.SampleEvery = 5_000
-		return cfg
-	}, nil)
+	res, err := runSuite(SuiteOptions{Seeds: 1, Figures45: true}, scaledSuite(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	figs := res.Figures
 	if figs.Garbage.Len() == 0 || figs.DBSize.Len() != figs.Garbage.Len() {
 		t.Fatalf("series lengths: garbage %d, dbsize %d", figs.Garbage.Len(), figs.DBSize.Len())
 	}
@@ -58,43 +52,30 @@ func TestRunFigures45Scaled(t *testing.T) {
 }
 
 func TestRunFigure6Scaled(t *testing.T) {
-	points := []Figure6Point{{1, 6}, {2, 12}}
-	mkWL := func(p Figure6Point) workload.Config {
-		wl := workload.DefaultConfig()
-		wl.TotalAllocBytes = int64(p.MaxAllocMB) << 20
-		wl.TargetLiveBytes = wl.TotalAllocBytes * 2 / 5
-		wl.MinDeletions = wl.TotalAllocBytes / 2300
-		wl.MeanTreeNodes = 120
-		wl.LargeObjectSize = 8192
-		wl.LargeEvery = 300
-		return wl
-	}
-	mkSim := func(policy string, p Figure6Point) sim.Config {
-		cfg := sim.DefaultConfig(policy)
-		cfg.Heap.PartitionPages = p.PartitionPages
-		cfg.TriggerOverwrites = 60
-		return cfg
-	}
-	res, err := runFigure6(points, mkWL, mkSim, 2, nil)
+	cfgs := scaledSuite() // points of 1 and 2 MB
+	res, err := runSuite(SuiteOptions{Seeds: 2, Figure6: true}, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range res.Policies {
-		curve := res.StorageMB[policy]
-		if len(curve) != len(points) {
-			t.Fatalf("%s: %d points", policy, len(curve))
-		}
+	storage := res.Figure6
+	if storage.Len() != len(cfgs.fig6Points) {
+		t.Fatalf("%d points, want %d", storage.Len(), len(cfgs.fig6Points))
+	}
+	for q, policy := range storage.Names {
 		// Storage grows with allocation for every policy.
-		if curve[1] <= curve[0] {
+		if curve := storage.Y[q]; curve[1] <= curve[0] {
 			t.Errorf("%s: storage did not grow with allocation: %v", policy, curve)
 		}
 	}
 	// NoCollection requires the most storage at every point.
-	noColl := res.StorageMB[core.NameNoCollection]
-	for _, policy := range res.Policies[1:] {
-		for i := range points {
-			if res.StorageMB[policy][i] > noColl[i]+0.001 {
-				t.Errorf("%s exceeds NoCollection storage at %d MB", policy, points[i].MaxAllocMB)
+	if storage.Names[0] != core.NameNoCollection {
+		t.Fatalf("column 0 = %s", storage.Names[0])
+	}
+	noColl := storage.Y[0]
+	for q, policy := range storage.Names[1:] {
+		for i, mb := range storage.X {
+			if storage.Y[q+1][i] > noColl[i]+0.001 {
+				t.Errorf("%s exceeds NoCollection storage at %d MB", policy, mb)
 			}
 		}
 	}

@@ -35,7 +35,7 @@ func TestRecordRegeneratesFigureCSVsBitIdentically(t *testing.T) {
 	direct := map[string]string{
 		"figure4_unreclaimed_garbage.csv": csvOf(t, res.Figures.Garbage),
 		"figure5_database_size.csv":       csvOf(t, res.Figures.DBSize),
-		"figure6_storage_required.csv":    csvOf(t, res.Figure6.Series()),
+		"figure6_storage_required.csv":    csvOf(t, res.Figure6),
 	}
 
 	var buf bytes.Buffer

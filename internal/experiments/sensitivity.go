@@ -43,18 +43,6 @@ type SensitivityResult struct {
 	PartitionIOs      map[string][]float64
 }
 
-// RunSensitivity executes both sweeps at the base workload.
-func RunSensitivity(seeds int, progress Progress) (*SensitivityResult, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	j := submitSensitivity(s, BaseWorkload(), BaseSim, TriggerIntervals, PartitionSizes, seeds)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: sensitivity: %w", err)
-	}
-	return j.finish(), nil
-}
-
 // sensitivityJob holds both sweeps' result slots, indexed
 // [sweepValue][policy][seed]; finish aggregates them.
 type sensitivityJob struct {

@@ -35,24 +35,19 @@ func TestRunSensitivityScaled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep is slow")
 	}
-	// Shrink the sweeps rather than the workload machinery: temporarily
-	// narrow the swept values.
-	origTrig, origPart := TriggerIntervals, PartitionSizes
+	// Narrow the sweeps to one value each and one policy, over the
+	// scaled suite's workload.
 	origPol := SensitivityPolicies
-	TriggerIntervals = []int64{60}
-	PartitionSizes = []int{24} // must still hold a 64 KB large object
 	SensitivityPolicies = []string{core.NameUpdatedPointer}
-	defer func() {
-		TriggerIntervals, PartitionSizes, SensitivityPolicies = origTrig, origPart, origPol
-	}()
-
-	// Swap in a small workload by shadowing BaseWorkload via the sim
-	// config... BaseWorkload is a function; instead run the sweep with 1
-	// seed and accept the base workload cost (a few seconds).
-	res, err := RunSensitivity(1, nil)
+	defer func() { SensitivityPolicies = origPol }()
+	cfgs := scaledSuite()
+	cfgs.triggers = []int64{60}
+	cfgs.partitions = []int{24}
+	suite, err := runSuite(SuiteOptions{Seeds: 1, Sensitivity: true}, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := suite.Sensitivity
 	if len(res.TriggerFraction[core.NameUpdatedPointer]) != 1 {
 		t.Fatalf("trigger sweep rows: %+v", res.TriggerFraction)
 	}

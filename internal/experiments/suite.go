@@ -46,10 +46,12 @@ func AllSuite(seeds int) SuiteOptions {
 // SuiteResult holds whichever family results were requested (others are
 // nil) plus the trace cache's counters for the whole run.
 type SuiteResult struct {
-	Base        *BaseRun
-	Table5      *Table5Result
-	Figures     *Figures45
-	Figure6     *Figure6Result
+	Base    *BaseRun
+	Table5  *Table5Result
+	Figures *Figures45
+	// Figure6 is record.Figure6's series: one row per sweep point, one
+	// column per policy, cells in MB (render it with Figure6Table).
+	Figure6     *stats.Series
 	Sensitivity *SensitivityResult
 	Ablations   *stats.Table
 	Cache       workload.CacheStats
@@ -86,12 +88,11 @@ func paperConfigs() suiteConfigs {
 	}
 }
 
-// RunSuite executes the selected experiment families through ONE
-// scheduler draining one flat job queue, with one trace cache shared by
-// every family. Per-family results are identical to running the
-// RunBase/RunTable5/... entry points separately; the point of the suite
-// is that each workload trace is generated once and replayed by every
-// policy, sweep value, and ablation variant that needs it.
+// RunSuite is the one experiment driver: it executes the selected
+// families through ONE scheduler draining one flat job queue, with one
+// trace cache shared by every family, so each workload trace is
+// generated once and replayed by every policy, sweep value, and
+// ablation variant that needs it.
 func RunSuite(opts SuiteOptions, progress Progress) (*SuiteResult, error) {
 	return runSuite(opts, paperConfigs(), progress)
 }
@@ -132,11 +133,10 @@ func runSuite(opts SuiteOptions, cfgs suiteConfigs, progress Progress) (*SuiteRe
 	if opts.Table5 {
 		res.Table5 = submitTable5(s, cfgs.baseWL, cfgs.baseSim, cfgs.conns, opts.Seeds)
 	}
-	var fig45 *figures45Job
+	var fig45, fig6 []record.FigureRun
 	if opts.Figures45 {
 		fig45 = submitFigures45(s, cfgs.fig45WL, cfgs.fig45Sim)
 	}
-	var fig6 *figure6Job
 	if opts.Figure6 {
 		fig6 = submitFigure6(s, cfgs.fig6Points, cfgs.fig6WL, cfgs.fig6Sim, opts.Seeds)
 	}
@@ -151,13 +151,17 @@ func runSuite(opts SuiteOptions, cfgs suiteConfigs, progress Progress) (*SuiteRe
 		res.Ablations = abl.finish()
 	}
 	if fig45 != nil {
-		var err error
-		if res.Figures, err = fig45.finish(); err != nil {
-			return nil, err
+		garbage, dbsize, err := record.Figures45(fig45)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: figures: %w", err)
 		}
+		res.Figures = &Figures45{Garbage: garbage, DBSize: dbsize}
 	}
 	if fig6 != nil {
-		res.Figure6 = fig6.finish()
+		var err error
+		if res.Figure6, err = record.Figure6(fig6); err != nil {
+			return nil, fmt.Errorf("experiments: figure 6: %w", err)
+		}
 	}
 	if cache != nil {
 		res.Cache = cache.Stats()

@@ -13,19 +13,6 @@ import (
 // them.
 var Table5Connectivities = []float64{1.167, 1.083, 1.040, 1.005}
 
-// RunTable5 reproduces the connectivity sweep: percent of garbage
-// reclaimed for each policy at each connectivity, averaged over seeds.
-func RunTable5(seeds int, progress Progress) (*Table5Result, error) {
-	progress = progress.Sync()
-	s := newScheduler(0, workload.NewTraceCache(workload.DefaultTraceCacheBytes), progress)
-	defer s.Close()
-	res := submitTable5(s, BaseWorkload(), BaseSim, Table5Connectivities, seeds)
-	if err := s.Wait(); err != nil {
-		return nil, fmt.Errorf("experiments: table 5: %w", err)
-	}
-	return res, nil
-}
-
 // submitTable5 flattens the connectivity sweep into scheduler jobs; read
 // the result only after the scheduler's Wait succeeds.
 func submitTable5(s *sim.Scheduler, baseWL workload.Config, mkSim func(string) sim.Config, conns []float64, seeds int) *Table5Result {

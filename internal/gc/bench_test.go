@@ -40,7 +40,7 @@ func BenchmarkEvacuatePartition(b *testing.B) {
 
 	// Build a rooted chainy graph filling partition 0, half reachable.
 	var oid heap.OID = 1
-	if err := r.mut.Alloc(oid, 100, 4, heap.NilOID, 0); err != nil {
+	if _, err := r.mut.Alloc(oid, 100, 4, heap.NilOID, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.mut.Root(oid); err != nil {
@@ -61,7 +61,7 @@ func BenchmarkEvacuatePartition(b *testing.B) {
 			parent = heap.NilOID
 			field = 0
 		}
-		if err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {
+		if _, err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {
 			b.Fatal(err)
 		}
 		if parent != heap.NilOID {
@@ -106,7 +106,7 @@ func BenchmarkWriteBarrier(b *testing.B) {
 	r := benchRig(b, core.NewUpdatedPointer())
 	const n = 5000
 	for i := 1; i <= n; i++ {
-		if err := r.mut.Alloc(heap.OID(i), 100, 4, heap.NilOID, 0); err != nil {
+		if _, err := r.mut.Alloc(heap.OID(i), 100, 4, heap.NilOID, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func BenchmarkWriteBarrier(b *testing.B) {
 		if rng.Intn(3) != 0 {
 			target = heap.OID(rng.Intn(n) + 1)
 		}
-		if err := r.mut.Write(src, rng.Intn(4), target); err != nil {
+		if _, err := r.mut.Write(src, rng.Intn(4), target); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func BenchmarkGlobalSweepBench(b *testing.B) {
 	r := benchRig(b, core.NewNoCollection())
 	rng := rand.New(rand.NewSource(3))
 	var oid heap.OID = 1
-	if err := r.mut.Alloc(oid, 100, 4, heap.NilOID, 0); err != nil {
+	if _, err := r.mut.Alloc(oid, 100, 4, heap.NilOID, 0); err != nil {
 		b.Fatal(err)
 	}
 	if err := r.mut.Root(oid); err != nil {
@@ -143,7 +143,7 @@ func BenchmarkGlobalSweepBench(b *testing.B) {
 		if r.field(parent, field) != heap.NilOID {
 			parent, field = heap.NilOID, 0
 		}
-		if err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {
+		if _, err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,7 +142,7 @@ func TestGlobalSweepUnderChurn(t *testing.T) {
 	next := heap.OID(1)
 	var oids []heap.OID
 	for i := 0; i < 3; i++ {
-		if err := r.mut.Alloc(next, 100, 3, heap.NilOID, 0); err != nil {
+		if _, err := r.mut.Alloc(next, 100, 3, heap.NilOID, 0); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.mut.Root(next); err != nil {
@@ -162,7 +162,7 @@ func TestGlobalSweepUnderChurn(t *testing.T) {
 			if r.field(parent, f) != heap.NilOID {
 				continue
 			}
-			if err := r.mut.Alloc(next, 100, 3, parent, f); err != nil {
+			if _, err := r.mut.Alloc(next, 100, 3, parent, f); err != nil {
 				t.Fatal(err)
 			}
 			oids = append(oids, next)
@@ -172,7 +172,7 @@ func TestGlobalSweepUnderChurn(t *testing.T) {
 			if !r.h.Contains(src) {
 				continue
 			}
-			if err := r.mut.Write(src, rng.Intn(3), heap.NilOID); err != nil {
+			if _, err := r.mut.Write(src, rng.Intn(3), heap.NilOID); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -71,18 +71,23 @@ func newRig(t *testing.T, pol core.Policy) *rig {
 	}
 }
 
-func (r *rig) alloc(t *testing.T, oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) {
+// alloc and write report whether their pointer store overwrote.
+func (r *rig) alloc(t *testing.T, oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) bool {
 	t.Helper()
-	if err := r.mut.Alloc(oid, size, nfields, parent, parentField); err != nil {
+	overwrote, err := r.mut.Alloc(oid, size, nfields, parent, parentField)
+	if err != nil {
 		t.Fatalf("Alloc(%d): %v", oid, err)
 	}
+	return overwrote
 }
 
-func (r *rig) write(t *testing.T, src heap.OID, f int, target heap.OID) {
+func (r *rig) write(t *testing.T, src heap.OID, f int, target heap.OID) bool {
 	t.Helper()
-	if err := r.mut.Write(src, f, target); err != nil {
+	overwrote, err := r.mut.Write(src, f, target)
+	if err != nil {
 		t.Fatalf("Write(%d.%d=%d): %v", src, f, target, err)
 	}
+	return overwrote
 }
 
 func (r *rig) root(t *testing.T, oid heap.OID) {

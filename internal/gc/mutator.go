@@ -1,10 +1,11 @@
 // Package gc implements the partitioned copying garbage collector the
 // paper holds constant while varying partition selection (Section 4.1):
 // a write barrier (Mutator) that performs application operations against
-// the heap while maintaining remembered sets, object weights, policy
-// counters, and the collection trigger; and a breadth-first copying
-// Collector that evacuates one selected partition into the reserved empty
-// partition per activation.
+// the heap while maintaining remembered sets, object weights, and policy
+// counters, reporting each pointer overwrite to its caller for the
+// collection trigger; and a breadth-first copying Collector that
+// evacuates one selected partition into the reserved empty partition per
+// activation.
 package gc
 
 import (
@@ -24,7 +25,6 @@ type Mutator struct {
 	rem *remset.Table
 	pol core.Policy
 
-	overwrites      int64 // pointer overwrites since the last collection
 	totalOverwrites int64
 	pointerStores   int64
 	dataStores      int64
@@ -40,15 +40,16 @@ func NewMutator(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core.P
 // Alloc creates a new object and, when parent is non-nil, performs the
 // creating pointer store parent.parentField = oid. The new object's pages
 // are written (its contents are initialized); a non-nil parent's page is
-// written too (the pointer store).
-func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) error {
+// written too (the pointer store). overwrote reports whether the creating
+// store replaced a non-nil pointer.
+func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) (overwrote bool, err error) {
 	ps := m.h.Lookup(parent)
 	if parent != heap.NilOID && ps == heap.NilSlot {
-		return fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
+		return false, fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
 	}
 	s, grew, err := m.h.Alloc(oid, size, nfields, ps)
 	if err != nil {
-		return err
+		return false, err
 	}
 	m.growths += int64(grew.Added)
 	first, last := m.h.Pages(s)
@@ -56,7 +57,7 @@ func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, 
 	if parent != heap.NilOID {
 		return m.store(ps, parentField, s, true)
 	}
-	return nil
+	return false, nil
 }
 
 // Root adds oid to the database root set, giving it weight 1.
@@ -83,24 +84,25 @@ func (m *Mutator) Read(oid heap.OID) error {
 }
 
 // Write performs the pointer store oid.field = target through the full
-// write barrier.
-func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) error {
+// write barrier. overwrote reports whether it replaced a non-nil pointer.
+func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) (overwrote bool, err error) {
 	s := m.h.Lookup(oid)
 	if s == heap.NilSlot {
-		return fmt.Errorf("gc: Write(%d): not resident", oid)
+		return false, fmt.Errorf("gc: Write(%d): not resident", oid)
 	}
 	ts := m.h.Lookup(target)
 	if target != heap.NilOID && ts == heap.NilSlot {
-		return fmt.Errorf("gc: Write(%d.%d): target %d not resident", oid, field, target)
+		return false, fmt.Errorf("gc: Write(%d.%d): target %d not resident", oid, field, target)
 	}
 	return m.store(s, field, ts, false)
 }
 
 // store is the write barrier shared by Write and the creating store of
-// Alloc: src.field = target, both slots.
-func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation bool) error {
+// Alloc: src.field = target, both slots. It reports whether the store
+// overwrote a non-nil pointer.
+func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation bool) (bool, error) {
 	if n := m.h.NumFields(src); field < 0 || field >= n {
-		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
+		return false, fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
 	}
 
 	// The store dirties the page holding the field; under write-back the
@@ -129,11 +131,11 @@ func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation boo
 	m.pol.PointerStore(ctx)
 
 	m.pointerStores++
-	if ctx.Overwrite() {
-		m.overwrites++
-		m.totalOverwrites++
+	if !ctx.Overwrite() {
+		return false, nil
 	}
-	return nil
+	m.totalOverwrites++
+	return true, nil
 }
 
 // Modify performs a pure data mutation of an object: its pages are
@@ -154,19 +156,8 @@ func (m *Mutator) Modify(oid heap.OID) error {
 // heap's own field store: the sharded engine (internal/shard) stores
 // cross-shard references as nil locally and tracks the real targets in a
 // sidecar, so overwriting one is invisible to the write barrier above.
-// The note feeds the same per-collection and lifetime counters a local
-// overwrite does, keeping the collection trigger's cadence faithful.
-func (m *Mutator) NoteForeignOverwrite() {
-	m.overwrites++
-	m.totalOverwrites++
-}
-
-// OverwritesSinceCollection reports pointer overwrites since the last
-// ResetOverwrites call; the trigger polls it.
-func (m *Mutator) OverwritesSinceCollection() int64 { return m.overwrites }
-
-// ResetOverwrites zeroes the per-collection overwrite count.
-func (m *Mutator) ResetOverwrites() { m.overwrites = 0 }
+// The note feeds the same lifetime counter a local overwrite does.
+func (m *Mutator) NoteForeignOverwrite() { m.totalOverwrites++ }
 
 // MutatorStats summarizes application activity.
 type MutatorStats struct {
@@ -178,8 +169,8 @@ type MutatorStats struct {
 }
 
 // ResetStats zeroes the mutator's activity counters (warm-start
-// measurement). The per-collection overwrite count is preserved so the
-// trigger's cadence is unaffected.
+// measurement). The collection trigger keeps its own count, so its
+// cadence is unaffected.
 func (m *Mutator) ResetStats() {
 	m.totalOverwrites = 0
 	m.pointerStores = 0

@@ -36,7 +36,7 @@ func TestAllocWithParentPerformsCreationStore(t *testing.T) {
 	pol := &recordingPolicy{}
 	r := newRig(t, pol)
 	r.alloc(t, 1, 100, 2, heap.NilOID, 0)
-	r.alloc(t, 2, 100, 0, 1, 1)
+	overwrote := r.alloc(t, 2, 100, 0, 1, 1)
 	if got := r.field(1, 1); got != 2 {
 		t.Fatalf("parent field = %d, want 2", got)
 	}
@@ -47,21 +47,26 @@ func TestAllocWithParentPerformsCreationStore(t *testing.T) {
 	if !ctx.Creation || ctx.Src != 1 || ctx.New != 2 || ctx.Overwrite() {
 		t.Fatalf("creation store context = %+v", ctx)
 	}
-	if r.mut.OverwritesSinceCollection() != 0 {
-		t.Fatal("creation store counted as overwrite")
+	if overwrote {
+		t.Fatal("creation store into a nil field reported as overwrite")
+	}
+	// A second creating store into the same field overwrites the first
+	// child.
+	if !r.alloc(t, 3, 100, 0, 1, 1) || !pol.stores[1].Overwrite() {
+		t.Fatal("creation store over a non-nil field not reported as overwrite")
 	}
 }
 
 func TestAllocErrors(t *testing.T) {
 	r := newRig(t, core.NewNoCollection())
-	if err := r.mut.Alloc(1, 100, 2, 99, 0); err == nil {
+	if _, err := r.mut.Alloc(1, 100, 2, 99, 0); err == nil {
 		t.Error("missing parent accepted")
 	}
 	r.alloc(t, 1, 100, 1, heap.NilOID, 0)
-	if err := r.mut.Alloc(2, 100, 0, 1, 5); err == nil {
+	if _, err := r.mut.Alloc(2, 100, 0, 1, 5); err == nil {
 		t.Error("out-of-range parent field accepted")
 	}
-	if err := r.mut.Alloc(3, 0, 0, heap.NilOID, 0); err == nil {
+	if _, err := r.mut.Alloc(3, 0, 0, heap.NilOID, 0); err == nil {
 		t.Error("zero size accepted")
 	}
 }
@@ -74,27 +79,30 @@ func TestWriteBarrierContext(t *testing.T) {
 	r.alloc(t, 2, 100, 0, heap.NilOID, 0)
 	r.alloc(t, 3, 100, 0, heap.NilOID, 0)
 
-	r.write(t, 1, 0, 2)
-	r.write(t, 1, 0, 3)
+	first := r.write(t, 1, 0, 2)
+	second := r.write(t, 1, 0, 3)
+	if first || !second {
+		t.Fatalf("overwrote = %v, %v; want false, true", first, second)
+	}
 	if len(pol.stores) != 2 {
 		t.Fatalf("policy saw %d stores", len(pol.stores))
 	}
-	first, second := pol.stores[0], pol.stores[1]
-	if first.Overwrite() || first.New != 2 {
-		t.Fatalf("first store ctx = %+v", first)
+	ctx1, ctx2 := pol.stores[0], pol.stores[1]
+	if ctx1.Overwrite() || ctx1.New != 2 {
+		t.Fatalf("first store ctx = %+v", ctx1)
 	}
-	if !second.Overwrite() || second.Old != 2 || second.New != 3 {
-		t.Fatalf("second store ctx = %+v", second)
+	if !ctx2.Overwrite() || ctx2.Old != 2 || ctx2.New != 3 {
+		t.Fatalf("second store ctx = %+v", ctx2)
 	}
-	if second.OldPart != r.partOf(2) {
-		t.Fatalf("OldPart = %v", second.OldPart)
+	if ctx2.OldPart != r.partOf(2) {
+		t.Fatalf("OldPart = %v", ctx2.OldPart)
 	}
 	// Weight of object 2 at overwrite time: root(1) stored it, so w=2.
-	if second.OldWeight != 2 {
-		t.Fatalf("OldWeight = %d, want 2", second.OldWeight)
+	if ctx2.OldWeight != 2 {
+		t.Fatalf("OldWeight = %d, want 2", ctx2.OldWeight)
 	}
-	if r.mut.OverwritesSinceCollection() != 1 {
-		t.Fatalf("overwrites = %d, want 1", r.mut.OverwritesSinceCollection())
+	if got := r.mut.Stats().TotalOverwrites; got != 1 {
+		t.Fatalf("overwrites = %d, want 1", got)
 	}
 }
 
@@ -123,13 +131,13 @@ func TestWriteMaintainsWeights(t *testing.T) {
 func TestWriteErrors(t *testing.T) {
 	r := newRig(t, core.NewNoCollection())
 	r.alloc(t, 1, 100, 1, heap.NilOID, 0)
-	if err := r.mut.Write(99, 0, heap.NilOID); err == nil {
+	if _, err := r.mut.Write(99, 0, heap.NilOID); err == nil {
 		t.Error("write to missing object accepted")
 	}
-	if err := r.mut.Write(1, 0, 99); err == nil {
+	if _, err := r.mut.Write(1, 0, 99); err == nil {
 		t.Error("write of missing target accepted")
 	}
-	if err := r.mut.Write(1, 3, heap.NilOID); err == nil {
+	if _, err := r.mut.Write(1, 3, heap.NilOID); err == nil {
 		t.Error("write to out-of-range field accepted")
 	}
 }
@@ -218,19 +226,18 @@ func TestOverwriteCounterReset(t *testing.T) {
 	r := newRig(t, core.NewNoCollection())
 	r.alloc(t, 1, 100, 1, heap.NilOID, 0)
 	r.alloc(t, 2, 100, 0, heap.NilOID, 0)
-	r.write(t, 1, 0, 2)           // nil -> 2: not an overwrite
-	r.write(t, 1, 0, heap.NilOID) // 2 -> nil: overwrite
-	r.write(t, 1, 0, 2)           // nil -> 2: not an overwrite
-	r.write(t, 1, 0, heap.NilOID) // 2 -> nil: overwrite
-	if got := r.mut.OverwritesSinceCollection(); got != 2 {
-		t.Fatalf("overwrites = %d, want 2", got)
-	}
-	r.mut.ResetOverwrites()
-	if got := r.mut.OverwritesSinceCollection(); got != 0 {
-		t.Fatalf("after reset = %d", got)
+	for i, target := range []heap.OID{2, heap.NilOID, 2, heap.NilOID} {
+		// nil -> 2 is not an overwrite; 2 -> nil is.
+		if got, want := r.write(t, 1, 0, target), target == heap.NilOID; got != want {
+			t.Fatalf("write %d: overwrote = %v, want %v", i, got, want)
+		}
 	}
 	if got := r.mut.Stats().TotalOverwrites; got != 2 {
-		t.Fatalf("TotalOverwrites = %d, want 2 (reset must not clear totals)", got)
+		t.Fatalf("TotalOverwrites = %d, want 2", got)
+	}
+	r.mut.ResetStats()
+	if got := r.mut.Stats().TotalOverwrites; got != 0 {
+		t.Fatalf("after ResetStats = %d", got)
 	}
 }
 

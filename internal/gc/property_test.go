@@ -51,7 +51,7 @@ func churn(t *testing.T, policyName string, seed int64, ops int) bool {
 		oid := nextOID
 		nextOID++
 		size := int64(50 + rng.Intn(150))
-		if err := r.mut.Alloc(oid, size, 3, parent, field); err != nil {
+		if _, err := r.mut.Alloc(oid, size, 3, parent, field); err != nil {
 			t.Fatalf("Alloc: %v", err)
 		}
 		oids = append(oids, oid)
@@ -96,7 +96,7 @@ func churn(t *testing.T, policyName string, seed int64, ops int) bool {
 			if rng.Intn(3) != 0 {
 				target = resident()
 			}
-			if err := r.mut.Write(src, rng.Intn(3), target); err != nil {
+			if _, err := r.mut.Write(src, rng.Intn(3), target); err != nil {
 				t.Fatalf("Write: %v", err)
 			}
 		case 7: // read
@@ -196,7 +196,7 @@ func TestMostGarbageDominatesRandomAggregate(t *testing.T) {
 		next := heap.OID(1)
 		var live []heap.OID
 		for i := 0; i < 3; i++ {
-			if err := r.mut.Alloc(next, 100, 3, heap.NilOID, 0); err != nil {
+			if _, err := r.mut.Alloc(next, 100, 3, heap.NilOID, 0); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.mut.Root(next); err != nil {
@@ -213,11 +213,11 @@ func TestMostGarbageDominatesRandomAggregate(t *testing.T) {
 			f := rng.Intn(3)
 			if r.field(parent, f) != heap.NilOID && rng.Intn(2) == 0 {
 				// delete: creates garbage
-				if err := r.mut.Write(parent, f, heap.NilOID); err != nil {
+				if _, err := r.mut.Write(parent, f, heap.NilOID); err != nil {
 					t.Fatal(err)
 				}
 			} else {
-				if err := r.mut.Alloc(next, 100, 3, parent, f); err != nil {
+				if _, err := r.mut.Alloc(next, 100, 3, parent, f); err != nil {
 					t.Fatal(err)
 				}
 				live = append(live, next)

@@ -4,140 +4,149 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
+	"odbgc/internal/sim"
 	"odbgc/internal/stats"
 )
 
-// Figure regeneration: rebuild the Figure 4–6 series from a recording
-// alone, bit-identically to cmd/experiments' direct emission. The rows
-// carry raw int64 bytes, the series math below repeats the simulator's
-// float64(x)/1024 conversions in the same order, and the CSV rendering
-// reuses stats.Series.WriteCSV — so equality holds by construction, and
-// the CI smoke diffs the two outputs to keep it that way.
+// The Figure 4–6 series and gcsim's single-run time series are built
+// here and nowhere else. cmd/experiments feeds the builders its
+// in-memory results; odbgc-query feeds them the same raw int64 counts
+// read back from a recording, in the same run order, so the figure CSVs
+// a recording regenerates equal the directly emitted ones byte for byte.
 
-// runInfo is one run's identity row.
-type runInfo struct {
-	id     int64
-	policy string
-	point  int64
+// FigureRun is one run's input to the figure builders. Runs are listed
+// in submission order.
+type FigureRun struct {
+	// Policy names the run's column.
+	Policy string
+	// Point is the run's Figure 6 sweep point (maximum allocated MB).
+	Point int64
+	// Result supplies Samples (Figures 4 and 5) and MaxOccupiedBytes
+	// (Figure 6); the builders read nothing else.
+	Result sim.Result
 }
 
-// familyRuns returns the runs of one family in run-ID (submission)
-// order.
-func (f *File) familyRuns(family string) []runInfo {
-	var out []runInfo
-	ids := f.Runs.Col("run")
-	fams := f.Runs.Col("family")
-	pols := f.Runs.Col("policy")
-	points := f.Runs.Col("point")
-	for i := 0; i < f.Runs.Rows(); i++ {
-		if fams.S[i] == family {
-			out = append(out, runInfo{id: ids.I[i], policy: pols.S[i], point: points.I[i]})
-		}
+// kb is the one byte-to-KB conversion behind every figure value.
+func kb(bytes int64) float64 { return float64(bytes) / 1024 }
+
+// TimeSeries renders one run's samples as a time series over
+// application events: occupied, live, unreclaimed garbage and footprint
+// KB.
+func TimeSeries(samples []sim.SampleRecord) *stats.Series {
+	s := stats.NewSeries("events", "occupied_kb", "live_kb", "unreclaimed_garbage_kb", "footprint_kb")
+	for _, r := range samples {
+		s.Add(r.Events, kb(r.OccupiedBytes), kb(r.LiveBytes), kb(r.OccupiedBytes-r.LiveBytes), kb(r.FootprintBytes))
 	}
-	return out
+	return s
 }
 
-// samplesOf returns the sample row indices of one run, in file (seq)
-// order.
-func (f *File) samplesOf(run int64) []int {
-	var out []int
-	ids := f.Samples.Col("run")
-	for i, id := range ids.I {
-		if id == run {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// FigureSeries45 regenerates the Figure 4 (unreclaimed garbage KB) and
-// Figure 5 (database size KB) series from the recording's "fig45" runs,
-// mirroring experiments.Figures45: one column per policy in run order,
-// truncated to the shortest sample count.
-func (f *File) FigureSeries45() (garbage, dbsize *stats.Series, err error) {
-	runs := f.familyRuns("fig45")
+// Figures45 builds Figure 4 (unreclaimed garbage KB) and Figure 5
+// (database size KB) over application events: one column per run, in
+// run order, truncated to the shortest sample count. The runs replay one
+// trace, so their sample grids agree and the x values are the first
+// run's.
+func Figures45(runs []FigureRun) (garbage, dbsize *stats.Series, err error) {
 	if len(runs) == 0 {
-		return nil, nil, fmt.Errorf("record: no fig45 runs in recording")
+		return nil, nil, fmt.Errorf("record: no runs for Figures 4 and 5")
 	}
-	policies := make([]string, len(runs))
-	rows := make([][]int, len(runs))
+	names := make([]string, len(runs))
 	n := 0
 	for i, r := range runs {
-		policies[i] = r.policy
-		rows[i] = f.samplesOf(r.id)
-		if len(rows[i]) == 0 {
-			return nil, nil, fmt.Errorf("record: fig45 run %s recorded no samples", r.policy)
+		names[i] = r.Policy
+		if len(r.Result.Samples) == 0 {
+			return nil, nil, fmt.Errorf("record: figure run %s has no samples", r.Policy)
 		}
-		if n == 0 || len(rows[i]) < n {
-			n = len(rows[i])
+		if i == 0 || len(r.Result.Samples) < n {
+			n = len(r.Result.Samples)
 		}
 	}
-	occ := f.Samples.Col("occupied_bytes")
-	live := f.Samples.Col("live_bytes")
-	events := f.Samples.Col("events")
-	garbage = stats.NewSeries("events", policies...)
-	dbsize = stats.NewSeries("events", policies...)
+	garbage = stats.NewSeries("events", names...)
+	dbsize = stats.NewSeries("events", names...)
+	gs := make([]float64, len(runs))
+	ds := make([]float64, len(runs))
 	for i := 0; i < n; i++ {
-		gs := make([]float64, len(runs))
-		ds := make([]float64, len(runs))
-		for p := range runs {
-			row := rows[p][i]
-			gs[p] = float64(occ.I[row]-live.I[row]) / 1024
-			ds[p] = float64(occ.I[row]) / 1024
+		for p, r := range runs {
+			s := r.Result.Samples[i]
+			gs[p] = kb(s.OccupiedBytes - s.LiveBytes)
+			ds[p] = kb(s.OccupiedBytes)
 		}
-		x := events.I[rows[0][i]]
+		x := runs[0].Result.Samples[i].Events
 		garbage.Add(x, gs...)
 		dbsize.Add(x, ds...)
 	}
 	return garbage, dbsize, nil
 }
 
-// FigureSeries6 regenerates the Figure 6 series (storage required MB vs
-// maximum allocated MB) from the recording's "fig6" runs, mirroring
-// experiments.Figure6Result.Series: points and policies in first-seen
-// run order, each cell the seed-mean of max_occupied_bytes.
-func (f *File) FigureSeries6() (*stats.Series, error) {
-	runs := f.familyRuns("fig6")
+// Figure6 builds Figure 6 (storage required MB against maximum allocated
+// MB): sweep points and policies in first-seen run order, each cell the
+// mean maximum storage over that point's and policy's runs (the seeds).
+func Figure6(runs []FigureRun) (*stats.Series, error) {
 	if len(runs) == 0 {
-		return nil, fmt.Errorf("record: no fig6 runs in recording")
+		return nil, fmt.Errorf("record: no runs for Figure 6")
+	}
+	type cell struct {
+		point  int64
+		policy string
 	}
 	var points []int64
 	var policies []string
-	cells := make(map[[2]string][]float64) // (point, policy) -> per-seed max occupied KB
-	maxOcc := f.Runs.Col("max_occupied_bytes")
-	ids := f.Runs.Col("run")
-	rowOf := make(map[int64]int, f.Runs.Rows())
-	for i, id := range ids.I {
-		rowOf[id] = i
-	}
-	seenPoint := make(map[int64]bool)
-	seenPolicy := make(map[string]bool)
+	cells := make(map[cell][]float64) // per-seed maximum storage KB
 	for _, r := range runs {
-		if !seenPoint[r.point] {
-			seenPoint[r.point] = true
-			points = append(points, r.point)
+		if !slices.Contains(points, r.Point) {
+			points = append(points, r.Point)
 		}
-		if !seenPolicy[r.policy] {
-			seenPolicy[r.policy] = true
-			policies = append(policies, r.policy)
+		if !slices.Contains(policies, r.Policy) {
+			policies = append(policies, r.Policy)
 		}
-		key := [2]string{fmt.Sprint(r.point), r.policy}
-		cells[key] = append(cells[key], float64(maxOcc.I[rowOf[r.id]])/1024)
+		c := cell{r.Point, r.Policy}
+		cells[c] = append(cells[c], kb(r.Result.MaxOccupiedBytes))
 	}
 	s := stats.NewSeries("max_allocated_mb", policies...)
 	for _, p := range points {
 		ys := make([]float64, len(policies))
-		for qi, policy := range policies {
-			xs := cells[[2]string{fmt.Sprint(p), policy}]
+		for q, policy := range policies {
+			xs := cells[cell{p, policy}]
 			if len(xs) == 0 {
-				return nil, fmt.Errorf("record: fig6 has no runs for point %d policy %s", p, policy)
+				return nil, fmt.Errorf("record: Figure 6 has no runs for point %d policy %s", p, policy)
 			}
-			ys[qi] = stats.Summarize(xs).Mean / 1024
+			ys[q] = stats.Summarize(xs).Mean / 1024
 		}
 		s.Add(p, ys...)
 	}
 	return s, nil
+}
+
+// figureRuns returns the recording's runs of one family (every run when
+// family is ""), in run-ID (submission) order, as figure-builder input.
+func (f *File) figureRuns(family string) []FigureRun {
+	col := func(name string) []int64 { return f.Samples.Col(name).I }
+	run, seq, events := col("run"), col("seq"), col("events")
+	occ, live, foot := col("occupied_bytes"), col("live_bytes"), col("footprint_bytes")
+	app, gcIOs, alloc := col("app_ios"), col("gc_ios"), col("total_allocated_bytes")
+	samples := make(map[int64][]sim.SampleRecord)
+	for i, id := range run {
+		samples[id] = append(samples[id], sim.SampleRecord{
+			Seq: seq[i], Events: events[i],
+			OccupiedBytes: occ[i], LiveBytes: live[i], FootprintBytes: foot[i],
+			AppIOs: app[i], GCIOs: gcIOs[i], TotalAllocatedBytes: alloc[i],
+		})
+	}
+	ids, fams, pols := f.Runs.Col("run"), f.Runs.Col("family"), f.Runs.Col("policy")
+	points, maxOcc := f.Runs.Col("point"), f.Runs.Col("max_occupied_bytes")
+	var out []FigureRun
+	for i := 0; i < f.Runs.Rows(); i++ {
+		if family != "" && fams.S[i] != family {
+			continue
+		}
+		out = append(out, FigureRun{
+			Policy: pols.S[i],
+			Point:  points.I[i],
+			Result: sim.Result{MaxOccupiedBytes: maxOcc.I[i], Samples: samples[ids.I[i]]},
+		})
+	}
+	return out
 }
 
 // WriteFigureCSVs regenerates the figure CSV files cmd/experiments
@@ -164,8 +173,8 @@ func (f *File) WriteFigureCSVs(dir string) ([]string, error) {
 		written = append(written, path)
 		return nil
 	}
-	if len(f.familyRuns("fig45")) > 0 {
-		garbage, dbsize, err := f.FigureSeries45()
+	if runs := f.figureRuns("fig45"); len(runs) > 0 {
+		garbage, dbsize, err := Figures45(runs)
 		if err != nil {
 			return written, err
 		}
@@ -176,8 +185,8 @@ func (f *File) WriteFigureCSVs(dir string) ([]string, error) {
 			return written, err
 		}
 	}
-	if len(f.familyRuns("fig6")) > 0 {
-		s, err := f.FigureSeries6()
+	if runs := f.figureRuns("fig6"); len(runs) > 0 {
+		s, err := Figure6(runs)
 		if err != nil {
 			return written, err
 		}

@@ -16,8 +16,8 @@ func FuzzRecordFile(f *testing.F) {
 	r := rec.NewRun(MetaFromLabel("tables/Random/seed 1", "Random"))
 	hooks := r.Hooks()
 	hooks.Activation(sim.ActivationRecord{Seq: 1, Events: 10, Collected: true, Victim: 1, Dest: 2, GarbageBytes: 100})
-	hooks.Sample(sim.SampleRecord{Seq: 1, Events: 10, OccupiedBytes: 2048, LiveBytes: 1024})
-	r.Finish(sim.Result{Policy: "Random", Events: 20})
+	r.Finish(sim.Result{Policy: "Random", Events: 20,
+		Samples: []sim.SampleRecord{{Seq: 1, Events: 10, OccupiedBytes: 2048, LiveBytes: 1024}}})
 	var buf bytes.Buffer
 	if _, err := rec.WriteTo(&buf); err != nil {
 		f.Fatal(err)

@@ -42,8 +42,8 @@ figcaption { font-weight: 600; margin-bottom: 0.5em; }
 	writeRunTable(&b, f)
 
 	figures := 0
-	if len(f.familyRuns("fig45")) > 0 {
-		if garbage, dbsize, err := f.FigureSeries45(); err != nil {
+	if runs := f.figureRuns("fig45"); len(runs) > 0 {
+		if garbage, dbsize, err := Figures45(runs); err != nil {
 			fmt.Fprintf(&b, "<p>Figure 4/5 panels unavailable: %s</p>\n", html.EscapeString(err.Error()))
 		} else {
 			writeChart(&b, "Figure 4: unreclaimed garbage (KB) vs application events", garbage)
@@ -51,8 +51,8 @@ figcaption { font-weight: 600; margin-bottom: 0.5em; }
 			figures++
 		}
 	}
-	if len(f.familyRuns("fig6")) > 0 {
-		if s, err := f.FigureSeries6(); err != nil {
+	if runs := f.figureRuns("fig6"); len(runs) > 0 {
+		if s, err := Figure6(runs); err != nil {
 			fmt.Fprintf(&b, "<p>Figure 6 panel unavailable: %s</p>\n", html.EscapeString(err.Error()))
 		} else {
 			writeChart(&b, "Figure 6: storage required (MB) vs maximum allocated storage (MB)", s)
@@ -151,38 +151,28 @@ func writeChart(b *strings.Builder, title string, s *stats.Series) {
 	b.WriteString("</div>\n</figure>\n")
 }
 
-// writeGenericChart plots each sampled run's database size when the
-// recording holds no figure families — enough to eyeball any run.
+// writeGenericChart plots the database size of the first sampled runs
+// when the recording holds no figure families — enough to eyeball any
+// run. It is Figure 5's builder with one column per run.
 func writeGenericChart(b *strings.Builder, f *File) {
 	const maxRuns = 8
-	ids := f.Runs.Col("run")
-	labels := f.Runs.Col("label")
-	occ := f.Samples.Col("occupied_bytes")
-	events := f.Samples.Col("events")
-	var names []string
-	var rows [][]int
-	n := 0
-	for i := 0; i < f.Runs.Rows() && len(names) < maxRuns; i++ {
-		sr := f.samplesOf(ids.I[i])
-		if len(sr) == 0 {
-			continue
+	ids, labels := f.Runs.Col("run"), f.Runs.Col("label")
+	var runs []FigureRun
+	for i, r := range f.figureRuns("") {
+		if len(runs) == maxRuns {
+			break
 		}
-		names = append(names, fmt.Sprintf("%s (run %d)", labels.S[i], ids.I[i]))
-		rows = append(rows, sr)
-		if n == 0 || len(sr) < n {
-			n = len(sr)
+		if len(r.Result.Samples) > 0 {
+			r.Policy = fmt.Sprintf("%s (run %d)", labels.S[i], ids.I[i])
+			runs = append(runs, r)
 		}
 	}
-	if len(names) == 0 {
+	if len(runs) == 0 {
 		return
 	}
-	s := stats.NewSeries("events", names...)
-	for i := 0; i < n; i++ {
-		ys := make([]float64, len(rows))
-		for p := range rows {
-			ys[p] = float64(occ.I[rows[p][i]]) / 1024
-		}
-		s.Add(events.I[rows[0][i]], ys...)
+	if _, dbsize, err := Figures45(runs); err != nil {
+		fmt.Fprintf(b, "<p>Database size panel unavailable: %s</p>\n", html.EscapeString(err.Error()))
+	} else {
+		writeChart(b, "Database size (KB) vs application events, per sampled run", dbsize)
 	}
-	writeChart(b, "Database size (KB) vs application events, per sampled run", s)
 }

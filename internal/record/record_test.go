@@ -27,14 +27,14 @@ func testRecorder() *Recorder {
 		Seq: 2, Events: 230, Cause: sim.CauseAllocation, Collected: false,
 		Victim: -1, Dest: -1,
 	})
-	hooks.Sample(sim.SampleRecord{
-		Seq: 1, Events: 200, OccupiedBytes: 1 << 20, LiveBytes: 1 << 19,
-		FootprintBytes: 1<<20 + 4096, AppIOs: 55, GCIOs: 11, TotalAllocatedBytes: 2 << 20,
-	})
 	r0.Finish(sim.Result{
 		Policy: "UpdatedPointer", Events: 500, AppIOs: 60, GCIOs: 12, TotalIOs: 72,
 		MaxOccupiedBytes: 1<<20 + 512, Collections: 1, Declined: 1,
 		ReclaimedBytes: 4096, NumPartitions: 8,
+		Samples: []sim.SampleRecord{{
+			Seq: 1, Events: 200, OccupiedBytes: 1 << 20, LiveBytes: 1 << 19,
+			FootprintBytes: 1<<20 + 4096, AppIOs: 55, GCIOs: 11, TotalAllocatedBytes: 2 << 20,
+		}},
 	})
 
 	r1 := rec.NewRun(MetaFromLabel("fig45/Random", "Random"))
@@ -265,6 +265,25 @@ func TestHTMLReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report lacks %q", want)
 		}
+	}
+}
+
+// TestTimeSeries pins the single-run time series: one row per sample at
+// its event count, sizes in KB, unreclaimed garbage = occupied - live.
+func TestTimeSeries(t *testing.T) {
+	s := TimeSeries([]sim.SampleRecord{
+		{Seq: 1, Events: 100, OccupiedBytes: 3072, LiveBytes: 1024, FootprintBytes: 4096},
+		{Seq: 2, Events: 200, OccupiedBytes: 5120, LiveBytes: 5120, FootprintBytes: 8192},
+	})
+	var buf bytes.Buffer
+	if err := s.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "events,occupied_kb,live_kb,unreclaimed_garbage_kb,footprint_kb\n" +
+		"100,3.00,1.00,2.00,4.00\n" +
+		"200,5.00,5.00,0.00,8.00\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("time series CSV:\n%s\nwant:\n%s", got, want)
 	}
 }
 

@@ -85,15 +85,15 @@ func (r *Recorder) Runs() int {
 	return len(r.runs)
 }
 
-// Run records one simulation: the hooks append activation and sample
-// rows, Finish stamps the run's Result. A Run whose Finish was never
-// called (its job failed) is skipped by WriteTo.
+// Run records one simulation: the activation hook appends activation
+// rows, and Finish stamps the run's Result, whose Samples become the
+// sample rows. A Run whose Finish was never called (its job failed) is
+// skipped by WriteTo.
 type Run struct {
 	id       int64
 	meta     Meta
 	epoch    int64
 	acts     []actRow
-	samps    []sampRow
 	result   sim.Result
 	finished bool
 }
@@ -103,26 +103,17 @@ type actRow struct {
 	epoch int64
 }
 
-type sampRow struct {
-	sim.SampleRecord
-	epoch int64
-}
-
-// Hooks returns the simulator-side record hooks (sim.RunRecorder).
+// Hooks returns the simulator-side record hook (sim.RunRecorder).
 func (r *Run) Hooks() sim.RecordConfig {
-	return sim.RecordConfig{Activation: r.onActivation, Sample: r.onSample}
+	return sim.RecordConfig{Activation: r.onActivation}
 }
 
 func (r *Run) onActivation(a sim.ActivationRecord) {
 	r.acts = append(r.acts, actRow{ActivationRecord: a, epoch: r.epoch})
 }
 
-func (r *Run) onSample(s sim.SampleRecord) {
-	r.samps = append(r.samps, sampRow{SampleRecord: s, epoch: r.epoch})
-}
-
-// SetEpoch stamps subsequent rows with the sharded engine's epoch
-// number (rows default to epoch 0 for unsharded runs).
+// SetEpoch stamps subsequent activation rows with the sharded engine's
+// epoch number (rows default to epoch 0 for unsharded runs).
 func (r *Run) SetEpoch(e int64) { r.epoch = e }
 
 // Finish stamps the run's Result and marks it complete
@@ -239,8 +230,10 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 				a.AppReadIOs, a.AppWriteIOs,
 				a.OccupiedBytes)
 		}
-		for _, s := range run.samps {
-			samps.row(run.id, m.Shard, s.Seq, s.Events, s.epoch,
+		// Sampled runs are unsharded (shard.Config rejects sampling),
+		// so every sample row is in epoch 0.
+		for _, s := range res.Samples {
+			samps.row(run.id, m.Shard, s.Seq, s.Events, 0,
 				s.OccupiedBytes, s.LiveBytes, s.FootprintBytes,
 				s.AppIOs, s.GCIOs,
 				s.TotalAllocatedBytes)

@@ -41,7 +41,6 @@ func testSimCfg(policy string) sim.Config {
 		Policy:            policy,
 		Heap:              heap.Config{PageSize: 4096, PartitionPages: 8, ReserveEmpty: true},
 		TriggerOverwrites: 60,
-		SampleEvery:       2000,
 	}
 }
 
@@ -202,6 +201,7 @@ func TestEngineConfigErrors(t *testing.T) {
 		{"oversized epoch", func(c *shard.Config) { c.EpochEvents = 1<<30 + 1 }, "2^30"},
 		{"global sweep", func(c *shard.Config) { c.Sim.GlobalSweepEvery = 5 }, "GlobalSweepEvery"},
 		{"warm start", func(c *shard.Config) { c.Sim.WarmStart = true }, "WarmStart"},
+		{"sampling", func(c *shard.Config) { c.Sim.SampleEvery = 2000 }, "SampleEvery"},
 	}
 	for _, tc := range cases {
 		cfg := base

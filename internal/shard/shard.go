@@ -147,6 +147,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("shard: GlobalSweepEvery is unsupported in sharded runs (a global mark cannot see cross-shard references)")
 	case c.Sim.WarmStart:
 		return fmt.Errorf("shard: WarmStart does not apply to trace replay")
+	case c.Sim.SampleEvery > 0:
+		return fmt.Errorf("shard: SampleEvery is unsupported in sharded runs (no single time series exists across shards)")
 	}
 	return nil
 }

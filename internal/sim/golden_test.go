@@ -46,8 +46,8 @@ func TestGoldenDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
 		}
-		if res.Series != nil {
-			t.Fatalf("%s: unexpected series in golden run", policy)
+		if res.Samples != nil {
+			t.Fatalf("%s: unexpected samples in golden run", policy)
 		}
 		got[policy] = res
 	}

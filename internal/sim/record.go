@@ -6,26 +6,24 @@ import (
 )
 
 // Structured run recording: the simulator-side half of internal/record.
-// The hooks below mirror Config.Audit's zero-cost discipline — the zero
-// value is off, the steady-state event loop pays nothing (the hooks fire
-// only inside collect() and sample(), which are already off the per-event
-// hot path; Emit itself is unchanged and stays pinned by its AllocsPerRun
-// guard), and a non-nil hook observes the simulator only between events.
+// Samples are plain data in Result.Samples; activations need a live
+// callback, because a sharded recorder stamps each with the epoch in
+// force and perfbench times them as they happen. The hook mirrors
+// Config.Audit's zero-cost discipline — the zero value is off, the
+// steady-state event loop pays nothing (the hook fires only inside
+// collect(), which is already off the per-event hot path), and a non-nil
+// hook observes the simulator only between events.
 
-// RecordConfig wires a structured run recorder into a simulation. Both
-// hooks are optional; nil disables that record stream. The hooks are
-// invoked synchronously on the simulating goroutine and must not retain
-// the record past the call unless they copy it (the records are plain
-// values, so an append into a batch buffer is a copy).
+// RecordConfig wires a structured run recorder into a simulation. A nil
+// hook disables it. The hook is invoked synchronously on the simulating
+// goroutine and must not retain the record past the call unless it
+// copies it (the records are plain values, so an append into a batch
+// buffer is a copy).
 type RecordConfig struct {
 	// Activation is invoked once per collector activation — including
 	// activations the policy declined — with the per-activation facts the
 	// paper's tables are built from.
 	Activation func(ActivationRecord)
-	// Sample is invoked once per time-series sample, alongside the
-	// Series row (so it fires only when SampleEvery > 0), with the
-	// Figure 4–6 quantities in raw bytes.
-	Sample func(SampleRecord)
 }
 
 // TriggerCause identifies which "when to collect" policy fired an
@@ -88,10 +86,11 @@ type ActivationRecord struct {
 }
 
 // SampleRecord is one time-series sample: the Figure 4–6 quantities in
-// raw bytes plus the cumulative I/O split at the sample instant.
+// raw bytes plus the cumulative I/O split at the sample instant. KB/MB
+// scaling is left to the reporting layer (internal/record).
 type SampleRecord struct {
-	// Seq numbers samples within the run from 1; Events is the virtual
-	// time.
+	// Seq numbers samples within the measurement window from 1; Events
+	// is the virtual time.
 	Seq    int64
 	Events int64
 	// OccupiedBytes includes unreclaimed garbage (Figure 5); LiveBytes

@@ -30,8 +30,12 @@ func RunWorkload(simCfg Config, wlCfg workload.Config) (Result, workload.Stats, 
 }
 
 // RunSource streams any trace source (e.g. the OO1-style workload) into a
-// fresh simulator.
+// fresh simulator. A source has no build/churn boundary, so it rejects
+// WarmStart.
 func RunSource(simCfg Config, src workload.Source) (Result, workload.Stats, error) {
+	if simCfg.WarmStart {
+		return Result{}, workload.Stats{}, fmt.Errorf("sim: WarmStart does not apply to a trace source (it has no build/churn boundary)")
+	}
 	s, err := New(simCfg)
 	if err != nil {
 		return Result{}, workload.Stats{}, err

@@ -14,7 +14,6 @@ import (
 	"odbgc/internal/heap"
 	"odbgc/internal/pagebuf"
 	"odbgc/internal/remset"
-	"odbgc/internal/stats"
 	"odbgc/internal/trace"
 )
 
@@ -53,8 +52,9 @@ type Config struct {
 	// trigger with the alternative "when to collect" policy from the
 	// paper's Table 1: collect every N allocated bytes.
 	TriggerAllocationBytes int64
-	// SampleEvery records a time-series sample every N application events
-	// (0 disables sampling). Samples power Figures 4 and 5.
+	// SampleEvery records a sample into Result.Samples every N
+	// application events (0 disables sampling). Samples power Figures 4
+	// and 5.
 	SampleEvery int64
 	// CollectPartitions is how many partitions one activation collects
 	// (the paper's algorithms collect exactly 1; >1 is the multi-partition
@@ -66,7 +66,7 @@ type Config struct {
 	// collectable — the paper's Section 6.5 future work. 0 disables it.
 	GlobalSweepEvery int
 	// WarmStart discards the build phase from the measurement: counters,
-	// I/O statistics, high-water marks, and time series restart when the
+	// I/O statistics, high-water marks, and samples restart when the
 	// workload's initial forest is complete. The paper measures cold
 	// starts and notes they only lessen the differentiation among
 	// policies; this option quantifies that remark.
@@ -77,9 +77,8 @@ type Config struct {
 	Audit AuditConfig
 	// Record wires a structured run recorder into the run
 	// (internal/record supplies the batch recorder and on-disk format).
-	// The zero value is off and adds no cost to the event path: the hooks
-	// fire only inside collector activations and time-series samples,
-	// never per event.
+	// The zero value is off and adds no cost to the event path: the hook
+	// fires only inside collector activations, never per event.
 	Record RecordConfig
 }
 
@@ -157,21 +156,19 @@ type Sim struct {
 	oracle *heap.Oracle
 
 	events                int64
-	lastOverwrite         int64
 	maxOccupied           int64
 	maxFootprint          int64
 	collectionsSinceSweep int
 	globalSweeps          int64
-	series                *stats.Series
+	samples               []SampleRecord
 	finished              bool
 
 	// Audit cadence state; untouched when cfg.Audit.Check is nil.
 	activationsSinceAudit int
 	auditDue              bool
 
-	// Record sequence counters; untouched when cfg.Record is zero.
+	// Activation sequence counter; untouched when cfg.Record is zero.
 	activationSeq int64
-	sampleSeq     int64
 
 	// Measurement window baselines, nonzero after ResetMeasurement.
 	occupiedAtReset int64
@@ -244,10 +241,6 @@ func New(cfg Config) (*Sim, error) {
 		trig:   trig,
 		oracle: oracle,
 	}
-	if cfg.SampleEvery > 0 {
-		s.series = stats.NewSeries("events",
-			"occupied_kb", "live_kb", "unreclaimed_garbage_kb", "footprint_kb")
-	}
 	return s, nil
 }
 
@@ -293,11 +286,14 @@ func (s *Sim) SetOnDiscard(fn func(oid heap.OID)) { s.col.SetOnDiscard(fn) }
 // would see for the same stores.
 func (s *Sim) NoteForeignOverwrite() {
 	s.mut.NoteForeignOverwrite()
-	if n := s.mut.OverwritesSinceCollection(); n > s.lastOverwrite {
-		s.lastOverwrite = n
-		if s.trig.RecordOverwrite() {
-			s.collect(CauseOverwrite) //odbgc:alloc-ok collection allocates amortized collector state, off the per-event fast path
-		}
+	s.overwrote()
+}
+
+// overwrote feeds one pointer overwrite to the collection trigger,
+// collecting when it fires.
+func (s *Sim) overwrote() {
+	if s.trig.RecordOverwrite() {
+		s.collect(CauseOverwrite) //odbgc:alloc-ok collection allocates amortized collector state, off the per-event fast path
 	}
 }
 
@@ -314,9 +310,8 @@ func (s *Sim) CollectorLifetime() gc.CollectorStats { return s.col.Lifetime() }
 func (s *Sim) MutatorStats() gc.MutatorStats { return s.mut.Stats() }
 
 // Emit applies one application event, implementing trace.Sink. With
-// auditing off and the time series disabled, the steady-state event loop
-// must not allocate (pinned by the Emit AllocsPerRun guard in
-// internal/check).
+// auditing and sampling off, the steady-state event loop must not
+// allocate (pinned by the Emit AllocsPerRun guard in internal/check).
 //
 //odbgc:hotpath
 func (s *Sim) Emit(e trace.Event) error {
@@ -328,10 +323,14 @@ func (s *Sim) Emit(e trace.Event) error {
 	}
 	switch e.Kind {
 	case trace.KindCreate:
-		if err := s.mut.Alloc(e.OID, e.Size, e.NFields, e.Parent, e.ParentField); err != nil { //odbgc:alloc-ok error path formats its report
+		overwrote, err := s.mut.Alloc(e.OID, e.Size, e.NFields, e.Parent, e.ParentField) //odbgc:alloc-ok error path formats its report
+		if err != nil {
 			return err
 		}
 		s.trackStorage()
+		if overwrote {
+			s.overwrote()
+		}
 		if s.trig.RecordAllocation(e.Size) {
 			s.collect(CauseAllocation) //odbgc:alloc-ok collection allocates amortized collector state, off the per-event fast path
 		}
@@ -344,14 +343,12 @@ func (s *Sim) Emit(e trace.Event) error {
 			return err
 		}
 	case trace.KindWrite:
-		if err := s.mut.Write(e.OID, e.Field, e.Target); err != nil { //odbgc:alloc-ok error path formats its report
+		overwrote, err := s.mut.Write(e.OID, e.Field, e.Target) //odbgc:alloc-ok error path formats its report
+		if err != nil {
 			return err
 		}
-		if n := s.mut.OverwritesSinceCollection(); n > s.lastOverwrite {
-			s.lastOverwrite = n
-			if s.trig.RecordOverwrite() {
-				s.collect(CauseOverwrite) //odbgc:alloc-ok collection allocates amortized collector state, off the per-event fast path
-			}
+		if overwrote {
+			s.overwrote()
 		}
 	case trace.KindModify:
 		if err := s.mut.Modify(e.OID); err != nil { //odbgc:alloc-ok error path formats its report
@@ -359,7 +356,7 @@ func (s *Sim) Emit(e trace.Event) error {
 		}
 	}
 	s.events++
-	if s.series != nil && s.events%s.cfg.SampleEvery == 0 {
+	if s.cfg.SampleEvery > 0 && s.events%s.cfg.SampleEvery == 0 {
 		s.sample()
 	}
 	if s.cfg.Audit.Check != nil {
@@ -424,8 +421,6 @@ func (s *Sim) collect(cause TriggerCause) {
 		s.globalSweeps++
 	}
 	s.trig.Reset()
-	s.mut.ResetOverwrites()
-	s.lastOverwrite = 0
 	if s.cfg.Audit.Check != nil && s.cfg.Audit.EveryCollections > 0 {
 		s.activationsSinceAudit++
 		if s.activationsSinceAudit >= s.cfg.Audit.EveryCollections {
@@ -437,7 +432,7 @@ func (s *Sim) collect(cause TriggerCause) {
 
 // ResetMeasurement restarts the measurement window at the current
 // database state: I/O statistics, mutator and collector counters, event
-// count, high-water marks, and the time series are cleared; the heap,
+// count, high-water marks, and samples are cleared; the heap,
 // buffer contents, remembered sets, and policy state are untouched.
 func (s *Sim) ResetMeasurement() {
 	if s.tiered != nil {
@@ -452,9 +447,7 @@ func (s *Sim) ResetMeasurement() {
 	s.maxFootprint = s.h.FootprintBytes()
 	s.occupiedAtReset = s.h.OccupiedBytes()
 	s.allocAtReset = s.h.TotalAllocatedBytes()
-	if s.series != nil {
-		s.series = stats.NewSeries(s.series.XName, s.series.Names...)
-	}
+	s.samples = nil
 }
 
 // trackStorage updates the storage high-water marks; occupied bytes only
@@ -468,32 +461,19 @@ func (s *Sim) trackStorage() {
 	}
 }
 
-// sample appends one time-series row (sizes in KB) and, when recording,
-// delivers the same quantities in raw bytes.
+// sample appends one SampleRecord to the run's samples.
 func (s *Sim) sample() {
-	occupied := s.h.OccupiedBytes()
-	live := s.oracle.LiveBytes()
-	footprint := s.h.FootprintBytes()
-	s.series.Add(s.events, //odbgc:alloc-ok amortized series growth, off the replay fast path
-		float64(occupied)/1024,
-		float64(live)/1024,
-		float64(occupied-live)/1024,
-		float64(footprint)/1024,
-	)
-	if s.cfg.Record.Sample != nil {
-		s.sampleSeq++
-		bufStats := s.buf.Stats()
-		s.cfg.Record.Sample(SampleRecord{
-			Seq:                 s.sampleSeq,
-			Events:              s.events,
-			OccupiedBytes:       occupied,
-			LiveBytes:           live,
-			FootprintBytes:      footprint,
-			AppIOs:              bufStats.App().IOs(),
-			GCIOs:               bufStats.GC().IOs(),
-			TotalAllocatedBytes: s.h.TotalAllocatedBytes(),
-		})
-	}
+	bufStats := s.buf.Stats()
+	s.samples = append(s.samples, SampleRecord{ //odbgc:alloc-ok amortized sample growth, off the replay fast path
+		Seq:                 int64(len(s.samples)) + 1,
+		Events:              s.events,
+		OccupiedBytes:       s.h.OccupiedBytes(),
+		LiveBytes:           s.oracle.LiveBytes(),
+		FootprintBytes:      s.h.FootprintBytes(),
+		AppIOs:              bufStats.App().IOs(),
+		GCIOs:               bufStats.GC().IOs(),
+		TotalAllocatedBytes: s.h.TotalAllocatedBytes(),
+	})
 }
 
 // Result is everything the paper reports about one run.
@@ -550,8 +530,9 @@ type Result struct {
 	// paper's single-process mode.
 	DiskAppIOs, DiskGCIOs, DiskTotalIOs int64
 
-	// Series holds the time-varying samples when sampling was enabled.
-	Series *stats.Series
+	// Samples holds the measurement window's samples, one every
+	// Config.SampleEvery events; nil when sampling is off.
+	Samples []SampleRecord
 }
 
 // FractionReclaimed returns reclaimed bytes over actual garbage bytes
@@ -600,7 +581,7 @@ func (s *Sim) Finish() Result {
 		TotalAllocatedBytes: s.h.TotalAllocatedBytes(),
 		Overwrites:          s.mut.Stats().TotalOverwrites,
 		GlobalSweeps:        s.globalSweeps,
-		Series:              s.series,
+		Samples:             s.samples,
 	}
 	if s.tiered != nil {
 		disk := s.tiered.DiskStats()

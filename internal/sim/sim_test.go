@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"odbgc/internal/core"
@@ -112,7 +113,7 @@ func TestSimDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical configs diverged:\n%+v\n%+v", a, b)
 	}
 }
@@ -127,10 +128,10 @@ func TestRandomPolicyDeterministicPerSimSeed(t *testing.T) {
 		}
 		return res
 	}
-	if run(7) != run(7) {
+	if !reflect.DeepEqual(run(7), run(7)) {
 		t.Fatal("same sim seed diverged")
 	}
-	if run(7) == run(8) {
+	if reflect.DeepEqual(run(7), run(8)) {
 		t.Fatal("different sim seeds produced identical results (suspicious)")
 	}
 }
@@ -176,7 +177,7 @@ func TestTraceFileReplayMatchesDirectStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replayed != direct {
+	if !reflect.DeepEqual(replayed, direct) {
 		t.Fatalf("replayed result differs from direct:\n%+v\n%+v", replayed, direct)
 	}
 }
@@ -188,20 +189,17 @@ func TestSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Series == nil || res.Series.Len() == 0 {
+	if len(res.Samples) == 0 {
 		t.Fatal("no samples recorded")
 	}
-	if got := len(res.Series.Names); got != 4 {
-		t.Fatalf("series has %d columns", got)
-	}
-	// Unreclaimed garbage is occupied minus live at each sample.
-	for i := range res.Series.X {
-		occ, live, garbage := res.Series.Y[0][i], res.Series.Y[1][i], res.Series.Y[2][i]
-		if diff := occ - live - garbage; diff > 0.01 || diff < -0.01 {
-			t.Fatalf("sample %d: occ %v - live %v != garbage %v", i, occ, live, garbage)
+	// One sample every SampleEvery events, numbered from 1; live data
+	// never exceeds occupied storage, which never exceeds the footprint.
+	for i, smp := range res.Samples {
+		if smp.Seq != int64(i)+1 || smp.Events != int64(i+1)*cfg.SampleEvery {
+			t.Fatalf("sample %d: seq %d at %d events", i, smp.Seq, smp.Events)
 		}
-		if garbage < 0 {
-			t.Fatalf("sample %d: negative garbage %v", i, garbage)
+		if smp.LiveBytes > smp.OccupiedBytes || smp.OccupiedBytes > smp.FootprintBytes {
+			t.Fatalf("sample %d: live %d, occupied %d, footprint %d", i, smp.LiveBytes, smp.OccupiedBytes, smp.FootprintBytes)
 		}
 	}
 }
@@ -211,8 +209,8 @@ func TestNoSamplingByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Series != nil {
-		t.Fatal("series recorded without SampleEvery")
+	if res.Samples != nil {
+		t.Fatal("samples recorded without SampleEvery")
 	}
 }
 
@@ -225,7 +223,7 @@ func TestRunSeedsAndAggregates(t *testing.T) {
 		t.Fatalf("got %d results", len(results))
 	}
 	// Seeds must differ run to run.
-	if results[0] == results[1] && results[1] == results[2] {
+	if reflect.DeepEqual(results[0], results[1]) && reflect.DeepEqual(results[1], results[2]) {
 		t.Fatal("all seeded runs identical")
 	}
 	agg := Aggregates(results)
@@ -257,7 +255,7 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if parallel[i] != want {
+		if !reflect.DeepEqual(parallel[i], want) {
 			t.Fatalf("seed %d: parallel result differs:\n%+v\n%+v", i, parallel[i], want)
 		}
 	}
@@ -266,7 +264,7 @@ func TestRunSeedsParallelDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range again {
-		if again[i] != parallel[i] {
+		if !reflect.DeepEqual(again[i], parallel[i]) {
 			t.Fatalf("seed %d: rerun differs", i)
 		}
 	}
@@ -312,6 +310,37 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// TestCreatingOverwriteFiresTrigger: a creating store that replaces a
+// non-nil pointer is an overwrite, and the trigger must count it at its
+// own event, not at some later write.
+func TestCreatingOverwriteFiresTrigger(t *testing.T) {
+	cfg := DefaultConfig(core.NameUpdatedPointer)
+	cfg.TriggerOverwrites = 1
+	var fired []int64
+	cfg.Record.Activation = func(a ActivationRecord) { fired = append(fired, a.Events) }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []trace.Event{
+		{Kind: trace.KindCreate, OID: 1, Size: 100, NFields: 1},
+		{Kind: trace.KindRoot, OID: 1},
+		{Kind: trace.KindCreate, OID: 2, Size: 100, Parent: 1, ParentField: 0},
+		{Kind: trace.KindCreate, OID: 3, Size: 100, Parent: 1, ParentField: 0}, // overwrites 2
+	} {
+		if err := s.Emit(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := s.Finish()
+	if res.Overwrites != 1 {
+		t.Fatalf("Overwrites = %d, want 1", res.Overwrites)
+	}
+	if len(fired) != 1 || fired[0] != 3 {
+		t.Fatalf("activations fired after events %v, want one after event 3 (the overwriting create)", fired)
 	}
 }
 

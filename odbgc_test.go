@@ -61,6 +61,17 @@ func TestRunFacade(t *testing.T) {
 	}
 }
 
+// TestRunOO1RejectsWarmStart: a trace source has no build/churn
+// boundary, so a warm start cannot exclude anything and must fail by
+// name rather than silently measure a cold run.
+func TestRunOO1RejectsWarmStart(t *testing.T) {
+	cfg := fastSim(UpdatedPointer)
+	cfg.WarmStart = true
+	if _, _, err := RunOO1(cfg, DefaultOO1Config()); err == nil || !strings.Contains(err.Error(), "WarmStart") {
+		t.Fatalf("RunOO1 with WarmStart: err = %v, want an error naming WarmStart", err)
+	}
+}
+
 func TestRunSeedsFacade(t *testing.T) {
 	results, err := RunSeeds(fastSim(Random), fastWorkload(), 3)
 	if err != nil {
