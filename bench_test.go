@@ -93,11 +93,11 @@ func BenchmarkTable4Efficiency(b *testing.B) {
 // garbage reclaimed as connectivity varies — for the paper's winning
 // policy and the oracle.
 func BenchmarkTable5Connectivity(b *testing.B) {
-	for _, c := range experiments.Table5Connectivities {
+	for _, d := range experiments.Table5DenseFractions {
 		for _, policy := range []string{UpdatedPointer, MostGarbage} {
-			b.Run(fmt.Sprintf("C=%.3f/%s", c, policy), func(b *testing.B) {
+			b.Run(fmt.Sprintf("C=%.3f/%s", 1+d, policy), func(b *testing.B) {
 				wl := benchWorkload()
-				wl.DenseEdgeFraction = c - 1
+				wl.DenseEdgeFraction = d
 				var res sim.Result
 				for i := 0; i < b.N; i++ {
 					res = runOnce(b, benchSim(policy), wl)

@@ -63,6 +63,13 @@ go run ./cmd/experiments -selfcheck -short -q
 # generator state for every object ever created, fails here.
 stream_tmp=$(mktemp -d)
 trap 'rm -rf "$stream_tmp"' EXIT
+# Examples: the only end-to-end callers of the public facade and of the
+# OO1 defaults. Each one's stdout must match its examples/*/expected.txt
+# byte for byte.
+for ex in examples/*/; do
+    go run "./$ex" > "$stream_tmp/example.txt"
+    cmp "$stream_tmp/example.txt" "${ex}expected.txt"
+done
 go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
 ceiling() { python3 scripts/rss_ceiling.py "$@"; }
 # The generator's state follows the alive nodes, not the run length, and

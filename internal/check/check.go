@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"odbgc/internal/heap"
-	"odbgc/internal/remset"
 	"odbgc/internal/sim"
 )
 
@@ -34,7 +33,7 @@ func Run(s *sim.Sim) error {
 	} else if err := s.Buffer().CheckInvariants(); err != nil {
 		return err
 	}
-	if err := Remsets(s.Heap(), s.Remset()); err != nil {
+	if err := s.Remset().CheckInvariants(); err != nil {
 		return err
 	}
 	if err := Weights(s.Heap()); err != nil {
@@ -44,136 +43,11 @@ func Run(s *sim.Sim) error {
 }
 
 // Audited returns the audit configuration wiring the full catalog into a
-// simulation: everyCollections and everyEvents set the cadence as in
-// sim.AuditConfig.
-func Audited(everyCollections int, everyEvents int64) sim.AuditConfig {
-	return sim.AuditConfig{
-		Check:            Run,
-		EveryCollections: everyCollections,
-		EveryEvents:      everyEvents,
-	}
-}
-
-// pointerLoc names one pointer field for remembered-set reconciliation.
-type pointerLoc struct {
-	src   heap.OID
-	field int
-}
-
-// Remsets reconciles the remembered sets against a brute-force scan of
-// every pointer field in the heap, in both directions:
-//
-//   - every inter-partition pointer src.field → target must appear in the
-//     in-set of target's partition, recording the actual target;
-//   - every recorded entry must correspond to a live inter-partition
-//     pointer (no stale or corrupted entries);
-//   - the out-set of each partition must hold exactly the objects with at
-//     least one outgoing inter-partition pointer;
-//   - every object's dense out-count must equal its actual number of
-//     out-of-partition fields.
-//
-// It is implemented purely against the public heap and remset API, so it
-// cross-checks remset.Table.Audit rather than sharing its code.
-func Remsets(h *heap.Heap, rem *remset.Table) error {
-	wantIn := make(map[heap.PartitionID]map[pointerLoc]heap.OID)
-	wantOutMembers := make(map[heap.PartitionID]map[heap.OID]bool)
-	wantOutCount := make(map[heap.OID]int)
-	for pid := 0; pid < h.NumPartitions(); pid++ {
-		p := heap.PartitionID(pid)
-		for _, src := range h.Partition(p).Slots() {
-			oid := h.OID(src)
-			for f, ts := range h.Fields(src) {
-				if ts == heap.NilSlot {
-					continue
-				}
-				if !h.Resident(ts) {
-					return fmt.Errorf("check: object %d field %d points to freed slot %d (dangling pointer)", oid, f, ts)
-				}
-				tp := h.PartitionOf(ts)
-				if tp == p {
-					continue
-				}
-				set := wantIn[tp]
-				if set == nil {
-					set = make(map[pointerLoc]heap.OID)
-					wantIn[tp] = set
-				}
-				set[pointerLoc{oid, f}] = h.OID(ts)
-				members := wantOutMembers[p]
-				if members == nil {
-					members = make(map[heap.OID]bool)
-					wantOutMembers[p] = members
-				}
-				members[oid] = true
-				wantOutCount[oid]++
-			}
-		}
-	}
-
-	// In-sets, both directions. RootsInto yields every recorded entry of a
-	// partition; comparing the per-partition counts afterwards turns "every
-	// recorded entry is wanted" plus "counts match" into set equality.
-	for pid := 0; pid < h.NumPartitions(); pid++ {
-		p := heap.PartitionID(pid)
-		want := wantIn[p]
-		var firstErr error
-		seen := 0
-		rem.RootsInto(p, func(e remset.Entry, target heap.OID) {
-			if firstErr != nil {
-				return
-			}
-			seen++
-			actual, ok := want[pointerLoc{e.Src, e.Field}]
-			if !ok {
-				firstErr = fmt.Errorf("check: remembered set of partition %d holds stale entry %d.%d (no such inter-partition pointer)", p, e.Src, e.Field)
-				return
-			}
-			if target != actual {
-				firstErr = fmt.Errorf("check: remembered entry %d.%d into partition %d records target %d, heap field holds %d", e.Src, e.Field, p, target, actual)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-		if seen != len(want) {
-			return fmt.Errorf("check: partition %d remembers %d pointers, heap has %d inter-partition pointers into it", p, seen, len(want))
-		}
-		if n := rem.InCount(p); n != len(want) {
-			return fmt.Errorf("check: partition %d in-count %d, heap has %d inter-partition pointers into it", p, n, len(want))
-		}
-	}
-
-	// Out-sets and the dense out-counts.
-	for pid := 0; pid < h.NumPartitions(); pid++ {
-		p := heap.PartitionID(pid)
-		members := wantOutMembers[p]
-		var firstErr error
-		seen := 0
-		rem.OutSet(p, func(s heap.Slot) {
-			if firstErr != nil {
-				return
-			}
-			seen++
-			if oid := h.OID(s); !members[oid] {
-				firstErr = fmt.Errorf("check: out-set of partition %d lists object %d, which has no out-of-partition pointer", p, oid)
-			}
-		})
-		if firstErr != nil {
-			return firstErr
-		}
-		if seen != len(members) {
-			return fmt.Errorf("check: out-set of partition %d lists %d objects, heap has %d with out-pointers", p, seen, len(members))
-		}
-	}
-	for pid := 0; pid < h.NumPartitions(); pid++ {
-		for _, s := range h.Partition(heap.PartitionID(pid)).Slots() {
-			oid := h.OID(s)
-			if got, want := rem.OutCount(s), wantOutCount[oid]; got != want {
-				return fmt.Errorf("check: object %d out-count %d, heap has %d out-of-partition fields", oid, got, want)
-			}
-		}
-	}
-	return nil
+// simulation: it runs after every collector activation and, when
+// everyEvents is positive, every everyEvents events (see
+// sim.AuditConfig).
+func Audited(everyEvents int64) sim.AuditConfig {
+	return sim.AuditConfig{Check: Run, EveryEvents: everyEvents}
 }
 
 // Weights verifies the WeightedPointer metadata bounds: every resident

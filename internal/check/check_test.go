@@ -59,7 +59,7 @@ func TestCatalogPassesOnCleanRuns(t *testing.T) {
 	}
 	for _, policy := range core.Names() {
 		cfg := testSim(policy)
-		cfg.Audit = check.Audited(1, 4096)
+		cfg.Audit = check.Audited(4096)
 		if _, err := sim.RunRecorded(cfg, rt); err != nil {
 			t.Errorf("policy %s: audited run failed: %v", policy, err)
 		}
@@ -71,7 +71,7 @@ func TestCatalogPassesOnCleanRuns(t *testing.T) {
 // the direct catalog call and the simulator's Audit wrapper.
 func TestFaultInjectionDetected(t *testing.T) {
 	cfg := testSim(core.NameMutatedPartition)
-	cfg.Audit = check.Audited(1, 0)
+	cfg.Audit = check.Audited(0)
 	s := runInto(t, cfg, testWorkload())
 	if err := s.Audit(); err != nil {
 		t.Fatalf("audit failed before corruption: %v", err)

@@ -29,7 +29,7 @@ func FuzzAuditedSim(f *testing.F) {
 			Seed:              1,
 			Heap:              heap.Config{PageSize: 512, PartitionPages: 4, ReserveEmpty: true},
 			TriggerOverwrites: 8,
-			Audit:             check.Audited(1, 4),
+			Audit:             check.Audited(4),
 		}
 		s, err := sim.New(cfg)
 		if err != nil {

@@ -21,9 +21,6 @@ type Options struct {
 	// sparser audit cadence. The catalog and every differential path still
 	// execute.
 	Short bool
-	// Seeds overrides the seed count; 0 picks the default (1 short, 2
-	// full).
-	Seeds int
 	// Logf receives one progress line per phase; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -51,12 +48,9 @@ func SelfCheck(opts Options) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	seeds := opts.Seeds
-	if seeds <= 0 {
-		seeds = 2
-		if opts.Short {
-			seeds = 1
-		}
+	seeds := 2
+	if opts.Short {
+		seeds = 1
 	}
 	everyEvents := int64(1 << 12)
 	if opts.Short {
@@ -82,7 +76,7 @@ func SelfCheck(opts Options) error {
 			cfg.Policy = policy
 			cfg.Seed = simBase.Seed + 1000 + int64(i)
 			audited := cfg
-			audited.Audit = Audited(1, everyEvents)
+			audited.Audit = Audited(everyEvents)
 			resAudited, err := sim.RunRecorded(audited, rt)
 			if err != nil {
 				return fmt.Errorf("selfcheck: audited run (policy %s, seed %d): %w", policy, wl.Seed, err)

@@ -20,12 +20,6 @@ import (
 // RunSuite does so on entry.
 type Progress func(format string, args ...any)
 
-func (p Progress) logf(format string, args ...any) {
-	if p != nil {
-		p(format, args...)
-	}
-}
-
 // Sync returns a goroutine-safe Progress: concurrent calls are serialized
 // through a mutex so lines emitted by parallel jobs cannot interleave
 // mid-write. A nil Progress stays nil; Sync of an already-synced Progress

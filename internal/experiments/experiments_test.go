@@ -71,16 +71,6 @@ func TestRelativeIsPairedBySeed(t *testing.T) {
 	}
 }
 
-func TestProgressLogf(t *testing.T) {
-	var lines []string
-	p := Progress(func(format string, args ...any) { lines = append(lines, format) })
-	p.logf("hello %d", 1)
-	if len(lines) != 1 {
-		t.Fatal("progress callback not invoked")
-	}
-	Progress(nil).logf("must not panic")
-}
-
 func TestTable5Scaled(t *testing.T) {
 	// The scaled suite sweeps two connectivities, 1.005 and 1.167.
 	res, err := runSuite(SuiteOptions{Seeds: 1, Table5: true}, scaledSuite(), nil)

@@ -34,15 +34,6 @@ type SuiteOptions struct {
 	Ablations   bool
 }
 
-// AllSuite returns options with every family enabled.
-func AllSuite(seeds int) SuiteOptions {
-	return SuiteOptions{
-		Seeds:  seeds,
-		Tables: true, Table5: true, Figures45: true,
-		Figure6: true, Sensitivity: true, Ablations: true,
-	}
-}
-
 // SuiteResult holds whichever family results were requested (others are
 // nil) plus the trace cache's counters for the whole run.
 type SuiteResult struct {
@@ -69,7 +60,7 @@ type suiteConfigs struct {
 	fig6Sim    func(string, Figure6Point) sim.Config
 	triggers   []int64
 	partitions []int
-	conns      []float64
+	fractions  []float64
 }
 
 // paperConfigs returns the full-scale configurations the paper reports.
@@ -84,7 +75,7 @@ func paperConfigs() suiteConfigs {
 		fig6Sim:    Figure6Sim,
 		triggers:   TriggerIntervals,
 		partitions: PartitionSizes,
-		conns:      Table5Connectivities,
+		fractions:  Table5DenseFractions,
 	}
 }
 
@@ -131,7 +122,7 @@ func runSuite(opts SuiteOptions, cfgs suiteConfigs, progress Progress) (*SuiteRe
 		abl = submitAblations(s, cfgs.baseWL, cfgs.baseSim, opts.Seeds)
 	}
 	if opts.Table5 {
-		res.Table5 = submitTable5(s, cfgs.baseWL, cfgs.baseSim, cfgs.conns, opts.Seeds)
+		res.Table5 = submitTable5(s, cfgs.baseWL, cfgs.baseSim, cfgs.fractions, opts.Seeds)
 	}
 	var fig45, fig6 []record.FigureRun
 	if opts.Figures45 {

@@ -16,7 +16,7 @@ func BenchmarkSuiteWallClock(b *testing.B) {
 		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "cores")
 		var hits, misses int64
 		for i := 0; i < b.N; i++ {
-			opts := AllSuite(2)
+			opts := allSuite(2)
 			opts.Workers = workers
 			opts.TraceCacheBytes = cacheBytes
 			res, err := runSuite(opts, cfgs, nil)

@@ -46,7 +46,16 @@ func scaledSuite() suiteConfigs {
 		fig6Sim:    mkFig6Sim,
 		triggers:   []int64{60, 90},
 		partitions: []int{24},
-		conns:      []float64{1.005, 1.167},
+		fractions:  []float64{0.005, 0.167},
+	}
+}
+
+// allSuite returns options with every family enabled.
+func allSuite(seeds int) SuiteOptions {
+	return SuiteOptions{
+		Seeds:  seeds,
+		Tables: true, Table5: true, Figures45: true,
+		Figure6: true, Sensitivity: true, Ablations: true,
 	}
 }
 
@@ -57,7 +66,7 @@ func scaledSuite() suiteConfigs {
 // exercises the scheduler and cache concurrency.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	cfgs := scaledSuite()
-	opts := AllSuite(2)
+	opts := allSuite(2)
 
 	serialOpts := opts
 	serialOpts.Workers = 1
@@ -80,7 +89,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	// Each distinct workload config should be generated exactly once:
 	// misses == distinct (Config) keys, everything else hits.
 	// Base workload: 2 seeds shared by tables+sensitivity+ablations AND
-	// the scaled fig45 (which reuses base seed 0); table5: 2 conns × 2
+	// the scaled fig45 (which reuses base seed 0); table5: 2 fractions × 2
 	// seeds; fig6: 2 points × 2 seeds.
 	if want := int64(2 + 4 + 4); parallel.Cache.Misses != want {
 		t.Errorf("cache misses = %d, want %d (one per distinct workload)", parallel.Cache.Misses, want)
@@ -101,6 +110,23 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		t.Fatal("parallel suite is not bit-identical to serial suite")
+	}
+}
+
+// TestTable5ReusesBaseTraces runs the scaled Tables and Table 5 families
+// with a sweep that includes the base workload's dense-edge fraction.
+// That column must replay the Tables traces, so the suite generates
+// exactly one trace per distinct workload.
+func TestTable5ReusesBaseTraces(t *testing.T) {
+	cfgs := scaledSuite()
+	cfgs.fractions = []float64{0.005, cfgs.baseWL.DenseEdgeFraction}
+	res, err := runSuite(SuiteOptions{Seeds: 2, Tables: true, Table5: true}, cfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The base workload and the 0.005 sweep point, 2 seeds each.
+	if want := int64(2 * 2); res.Cache.Misses != want {
+		t.Errorf("traces generated = %d, want %d (one per distinct workload)", res.Cache.Misses, want)
 	}
 }
 

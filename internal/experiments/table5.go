@@ -8,26 +8,29 @@ import (
 	"odbgc/internal/workload"
 )
 
-// Table5Connectivities are the database connectivities (pointers per
-// object) the paper sweeps in Table 5, highest first as the paper prints
-// them.
-var Table5Connectivities = []float64{1.167, 1.083, 1.040, 1.005}
+// Table5DenseFractions are the dense-edge fractions of the paper's Table
+// 5 connectivity sweep, highest first as the paper prints them: database
+// connectivity (pointers per object) is 1 + the fraction, so the columns
+// are C = 1.167, 1.083, 1.040 and 1.005. The sweep sets the fractions
+// themselves, so the C = 1.083 column runs the base workload's own
+// Config and replays the Tables 2–4 traces.
+var Table5DenseFractions = []float64{0.167, 0.083, 0.040, 0.005}
 
 // submitTable5 flattens the connectivity sweep into scheduler jobs; read
 // the result only after the scheduler's Wait succeeds.
-func submitTable5(s *sim.Scheduler, baseWL workload.Config, mkSim func(string) sim.Config, conns []float64, seeds int) *Table5Result {
-	res := &Table5Result{Connectivities: conns}
-	for _, c := range conns {
+func submitTable5(s *sim.Scheduler, baseWL workload.Config, mkSim func(string) sim.Config, fractions []float64, seeds int) *Table5Result {
+	res := &Table5Result{DenseFractions: fractions}
+	for _, d := range fractions {
 		wl := baseWL
-		wl.DenseEdgeFraction = c - 1
-		res.Runs = append(res.Runs, submitPolicies(s, fmt.Sprintf("table5/C=%.3f", c), wl, mkSim, seeds))
+		wl.DenseEdgeFraction = d
+		res.Runs = append(res.Runs, submitPolicies(s, fmt.Sprintf("table5/C=%.3f", 1+d), wl, mkSim, seeds))
 	}
 	return res
 }
 
-// Table5Result holds one BaseRun per connectivity.
+// Table5Result holds one BaseRun per swept dense-edge fraction.
 type Table5Result struct {
-	Connectivities []float64
+	DenseFractions []float64
 	Runs           []*BaseRun
 }
 
@@ -35,8 +38,8 @@ type Table5Result struct {
 // cells are mean percent of garbage reclaimed.
 func (r *Table5Result) Table() *stats.Table {
 	headers := []string{"Selection Policy"}
-	for _, c := range r.Connectivities {
-		headers = append(headers, fmt.Sprintf("C = %.3f", c))
+	for _, d := range r.DenseFractions {
+		headers = append(headers, fmt.Sprintf("C = %.3f", 1+d))
 	}
 	t := stats.NewTable("Table 5: Database Connectivity Effects on Garbage Collection Performance (% of garbage reclaimed)", headers...)
 	for _, policy := range r.Runs[0].Policies {
@@ -48,15 +51,4 @@ func (r *Table5Result) Table() *stats.Table {
 		t.AddRow(row...)
 	}
 	return t
-}
-
-// Workloads returns the swept workload configs (exported for benches).
-func (r *Table5Result) Workloads() []workload.Config {
-	out := make([]workload.Config, len(r.Connectivities))
-	for i, c := range r.Connectivities {
-		wl := BaseWorkload()
-		wl.DenseEdgeFraction = c - 1
-		out[i] = wl
-	}
-	return out
 }

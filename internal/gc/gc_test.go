@@ -45,8 +45,8 @@ func (c auditedCollector) audit(after string) {
 	if c.tb == nil {
 		return
 	}
-	if msg := c.rem.Audit(); msg != "" {
-		c.tb.Fatalf("remembered sets inconsistent after %s: %s", after, msg)
+	if err := c.rem.CheckInvariants(); err != nil {
+		c.tb.Fatalf("remembered sets inconsistent after %s: %v", after, err)
 	}
 }
 

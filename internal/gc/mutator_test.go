@@ -160,8 +160,8 @@ func TestWriteUpdatesRemset(t *testing.T) {
 	if r.rem.InCount(pb) != 0 {
 		t.Fatalf("InCount after clear = %d, want 0", r.rem.InCount(pb))
 	}
-	if msg := r.rem.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := r.rem.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -39,14 +39,14 @@ func TestTableStaysExactUnderRandomWrites(t *testing.T) {
 			tab.PointerWrite(s, field, old, ts)
 
 			if i%37 == 0 {
-				if msg := tab.Audit(); msg != "" {
-					t.Errorf("after %d ops: %s", i+1, msg)
+				if err := tab.CheckInvariants(); err != nil {
+					t.Errorf("after %d ops: %v", i+1, err)
 					return false
 				}
 			}
 		}
-		if msg := tab.Audit(); msg != "" {
-			t.Error(msg)
+		if err := tab.CheckInvariants(); err != nil {
+			t.Error(err)
 			return false
 		}
 		return true
@@ -108,13 +108,13 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 		tab.Rekey(victim, dest)
 		h.SetEmptyPartition(victim)
 
-		if msg := tab.Audit(); msg != "" {
-			t.Errorf("after evacuation: %s", msg)
+		if err := tab.CheckInvariants(); err != nil {
+			t.Errorf("after evacuation: %v", err)
 			return false
 		}
 		doWrites(int(nOps) + 1)
-		if msg := tab.Audit(); msg != "" {
-			t.Errorf("after post-evacuation writes: %s", msg)
+		if err := tab.CheckInvariants(); err != nil {
+			t.Errorf("after post-evacuation writes: %v", err)
 			return false
 		}
 		return true

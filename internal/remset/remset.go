@@ -384,113 +384,3 @@ func (t *Table) CorruptFirstEntryForTesting(p heap.PartitionID) bool {
 	t.in[p].entries[0].target++
 	return true
 }
-
-// Audit verifies the table against a brute-force scan of the heap,
-// returning a description of the first inconsistency found, or "" if the
-// table is exact. Tests and the invariant audit use it.
-func (t *Table) Audit() string {
-	type rec struct {
-		target  heap.OID
-		srcPart heap.PartitionID
-	}
-	want := make(map[heap.PartitionID]map[Entry]rec)
-	wantOut := make(map[heap.PartitionID]map[heap.OID]int)
-	for pid := 0; pid < t.h.NumPartitions(); pid++ {
-		srcPart := heap.PartitionID(pid)
-		for _, src := range t.h.Partition(srcPart).Slots() {
-			for f, target := range t.h.Fields(src) {
-				if target == heap.NilSlot {
-					continue
-				}
-				p := t.h.PartitionOf(target)
-				if p == heap.NoPartition || p == srcPart {
-					continue
-				}
-				set := want[p]
-				if set == nil {
-					set = make(map[Entry]rec)
-					want[p] = set
-				}
-				set[Entry{t.h.OID(src), f}] = rec{t.h.OID(target), srcPart}
-				outs := wantOut[srcPart]
-				if outs == nil {
-					outs = make(map[heap.OID]int)
-					wantOut[srcPart] = outs
-				}
-				outs[t.h.OID(src)]++
-			}
-		}
-	}
-
-	// Iterate the brute-force sets in sorted order so the first
-	// inconsistency named is identical on every run (map iteration
-	// order is randomized).
-	wantPids := make([]heap.PartitionID, 0, len(want))
-	for pid := range want {
-		wantPids = append(wantPids, pid)
-	}
-	slices.Sort(wantPids)
-	for _, pid := range wantPids {
-		set := want[pid]
-		keys := make([]uint64, 0, len(set))
-		for e := range set {
-			keys = append(keys, packKey(e.Src, e.Field))
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			e := unpackKey(k)
-			r := set[e]
-			if int(pid) >= len(t.in) {
-				return fmt.Sprintf("missing entry %+v into partition %d", e, pid)
-			}
-			i, ok := t.in[pid].pos[k]
-			if !ok {
-				return fmt.Sprintf("missing entry %+v into partition %d", e, pid)
-			}
-			if got := t.in[pid].entries[i].target; got != r.target {
-				return fmt.Sprintf("entry %+v records target %d, heap has %d", e, got, r.target)
-			}
-		}
-	}
-	for pid := range t.in {
-		for _, ie := range t.in[pid].entries {
-			if _, ok := want[heap.PartitionID(pid)][unpackKey(ie.key)]; !ok {
-				return fmt.Sprintf("stale entry %+v into partition %d", unpackKey(ie.key), pid)
-			}
-		}
-	}
-	outPids := make([]heap.PartitionID, 0, len(wantOut))
-	for pid := range wantOut {
-		outPids = append(outPids, pid)
-	}
-	slices.Sort(outPids)
-	for _, pid := range outPids {
-		outs := wantOut[pid]
-		oids := make([]heap.OID, 0, len(outs))
-		for oid := range outs {
-			oids = append(oids, oid)
-		}
-		slices.Sort(oids)
-		for _, oid := range oids {
-			s, n := t.h.Lookup(oid), outs[oid]
-			member := false
-			if int(pid) < len(t.out) {
-				_, member = t.out[pid].pos[s]
-			}
-			if !member {
-				return fmt.Sprintf("object %d missing from out-set of partition %d", oid, pid)
-			}
-			if t.OutCount(s) != n {
-				return fmt.Sprintf("object %d out-count %d, want %d", oid, t.OutCount(s), n)
-			}
-		}
-	}
-	for pid := range t.out {
-		for _, s := range t.out[pid].slots {
-			if wantOut[heap.PartitionID(pid)][t.h.OID(s)] == 0 {
-				return fmt.Sprintf("stale out-set member %d in partition %d", t.h.OID(s), pid)
-			}
-		}
-	}
-	return ""
-}

@@ -59,8 +59,8 @@ func TestInterPartitionStoreRecorded(t *testing.T) {
 	if tab.OutCount(h.Lookup(a)) != 1 {
 		t.Fatalf("OutCount(a) = %d, want 1", tab.OutCount(h.Lookup(a)))
 	}
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestIntraPartitionStoreIgnored(t *testing.T) {
 		t.Fatal("intra-partition store counted as out-pointer")
 	}
 	_ = a
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestOverwriteRemovesOldEntry(t *testing.T) {
 	if tab.OutCount(h.Lookup(a)) != 0 {
 		t.Fatal("out-count not decremented")
 	}
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -122,8 +122,8 @@ func TestOverwriteRetargetsEntry(t *testing.T) {
 			t.Fatalf("target = %d, want 3", target)
 		}
 	})
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestPurgeDeadNoOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
 	tab.PurgeDead(h.Lookup(a)) // must not panic or mutate anything
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestMovedFollowsOutSet(t *testing.T) {
 	if len(fromOuts) != 0 || len(destOuts) != 1 || destOuts[0] != a {
 		t.Fatalf("out-sets after move: from=%v dest=%v", fromOuts, destOuts)
 	}
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -207,8 +207,8 @@ func TestRekeyTransfersRememberedSet(t *testing.T) {
 	if got := tab.InCount(dest); got != 1 {
 		t.Fatalf("dest InCount = %d, want 1", got)
 	}
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -271,8 +271,8 @@ func TestMovedWithoutOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
 	tab.Moved(h.Lookup(a), h.PartitionOf(h.Lookup(a)), h.EmptyPartition()) // no out-pointers
-	if msg := tab.Audit(); msg != "" {
-		t.Fatal(msg)
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -300,8 +300,8 @@ func TestAuditDetectsMissingEntry(t *testing.T) {
 	tab := New(h)
 	// Mutate the heap without telling the table.
 	h.WriteField(h.Lookup(a), 0, h.Lookup(b))
-	if msg := tab.Audit(); msg == "" {
-		t.Fatal("Audit missed an unrecorded inter-partition pointer")
+	if err := tab.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants missed an unrecorded inter-partition pointer")
 	}
 }
 
@@ -311,7 +311,44 @@ func TestAuditDetectsStaleEntry(t *testing.T) {
 	write(t, h, tab, a, 0, b)
 	// Clear the field without telling the table.
 	h.WriteField(h.Lookup(a), 0, heap.NilSlot)
-	if msg := tab.Audit(); msg == "" {
-		t.Fatal("Audit missed a stale entry")
+	if err := tab.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants missed a stale entry")
+	}
+}
+
+// TestAuditDetectsCorruption corrupts one structure of an exact table at
+// a time. A duplicated entry or out-set member leaves every heap pointer
+// findable through the position maps, so only the counts and the maps'
+// indexing of their slices expose it.
+func TestAuditDetectsCorruption(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(h *heap.Heap, tab *Table, a, b heap.OID)
+	}{
+		{"duplicate entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+			s := &tab.in[h.PartitionOf(h.Lookup(b))]
+			s.entries = append(s.entries, s.entries[0])
+		}},
+		{"duplicate out-set member", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+			s := &tab.out[h.PartitionOf(h.Lookup(a))]
+			s.slots = append(s.slots, s.slots[0])
+		}},
+		{"recorded target", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+			tab.CorruptFirstEntryForTesting(h.PartitionOf(h.Lookup(b)))
+		}},
+		{"out-count", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+			h.AddOutCount(h.Lookup(b), 1)
+		}},
+	} {
+		h, a, b := buildHeap(t)
+		tab := New(h)
+		write(t, h, tab, a, 0, b)
+		if err := tab.CheckInvariants(); err != nil {
+			t.Fatalf("%s: exact table rejected: %v", tc.name, err)
+		}
+		tc.corrupt(h, tab, a, b)
+		if err := tab.CheckInvariants(); err == nil {
+			t.Errorf("%s: CheckInvariants missed the corruption", tc.name)
+		}
 	}
 }

@@ -69,8 +69,8 @@ func TestForeignUnionMatchesExternalRefs(t *testing.T) {
 		if got := externalRefs(eng, s); !reflect.DeepEqual(got, want[s]) {
 			t.Errorf("shard %d external refs diverge from the foreign-out union:\ngot  %v\nwant %v", s, got, want[s])
 		}
-		if msg := eng.Sim(s).Remset().Audit(); msg != "" {
-			t.Errorf("shard %d remembered-set audit: %s", s, msg)
+		if err := eng.Sim(s).Remset().CheckInvariants(); err != nil {
+			t.Errorf("shard %d remembered-set audit: %v", s, err)
 		}
 	}
 }

@@ -197,31 +197,6 @@ func TestWarmStartExtension(t *testing.T) {
 	}
 }
 
-func TestDiskModel(t *testing.T) {
-	m := DefaultDiskModel()
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (DiskModel{Transfer: 0}).Validate(); err == nil {
-		t.Fatal("zero transfer accepted")
-	}
-	if m.Estimate(0) != 0 {
-		t.Fatal("zero ops cost time")
-	}
-	if m.Estimate(100) != 100*m.PerOp() {
-		t.Fatal("Estimate not linear")
-	}
-	res := Result{AppIOs: 10, GCIOs: 5}
-	app, gcTime, total := m.EstimateResult(res)
-	if total != app+gcTime || app != m.Estimate(10) || gcTime != m.Estimate(5) {
-		t.Fatalf("EstimateResult = (%v,%v,%v)", app, gcTime, total)
-	}
-	// A modern disk is much faster than the 1993 one.
-	if ModernDiskModel().PerOp() >= DefaultDiskModel().PerOp() {
-		t.Fatal("modern disk should be faster")
-	}
-}
-
 func TestTriggerIntervalControlsCollectionCount(t *testing.T) {
 	// Metamorphic check: halving the trigger interval on the identical
 	// trace roughly doubles the number of collections (within rounding),

@@ -82,18 +82,16 @@ type Config struct {
 	Record RecordConfig
 }
 
-// AuditConfig configures the invariant-audit cadence of a simulation.
+// AuditConfig configures the invariant audit of a simulation.
 type AuditConfig struct {
-	// Check is invoked at the cadence below with the simulator whose
-	// live state it should verify; a non-nil error aborts the run (Emit
-	// returns it, naming the violated invariant). nil disables auditing.
+	// Check is invoked after every collector activation, and at the
+	// event cadence below, with the simulator whose live state it should
+	// verify; a non-nil error aborts the run (Emit returns it, naming the
+	// violated invariant). nil disables auditing.
 	Check func(*Sim) error
-	// EveryCollections invokes Check after every Nth collector
-	// activation (1 = after every collection); 0 disables this cadence.
-	EveryCollections int
-	// EveryEvents invokes Check every N application events; 0 disables
-	// this cadence. Check still runs only between events, never inside
-	// one.
+	// EveryEvents also invokes Check every N application events; 0
+	// disables this cadence. Check runs only between events, never
+	// inside one.
 	EveryEvents int64
 }
 
@@ -131,9 +129,6 @@ func (c Config) validate() error {
 	if c.ClientCachePages < 0 {
 		return fmt.Errorf("sim: ClientCachePages %d negative", c.ClientCachePages)
 	}
-	if c.Audit.EveryCollections < 0 {
-		return fmt.Errorf("sim: Audit.EveryCollections %d negative", c.Audit.EveryCollections)
-	}
 	if c.Audit.EveryEvents < 0 {
 		return fmt.Errorf("sim: Audit.EveryEvents %d negative", c.Audit.EveryEvents)
 	}
@@ -163,9 +158,9 @@ type Sim struct {
 	samples               []SampleRecord
 	finished              bool
 
-	// Audit cadence state; untouched when cfg.Audit.Check is nil.
-	activationsSinceAudit int
-	auditDue              bool
+	// auditDue is set by a collector activation and cleared by the audit
+	// after its event; untouched when cfg.Audit.Check is nil.
+	auditDue bool
 
 	// Activation sequence counter; untouched when cfg.Record is zero.
 	activationSeq int64
@@ -421,12 +416,8 @@ func (s *Sim) collect(cause TriggerCause) {
 		s.globalSweeps++
 	}
 	s.trig.Reset()
-	if s.cfg.Audit.Check != nil && s.cfg.Audit.EveryCollections > 0 {
-		s.activationsSinceAudit++
-		if s.activationsSinceAudit >= s.cfg.Audit.EveryCollections {
-			s.activationsSinceAudit = 0
-			s.auditDue = true
-		}
+	if s.cfg.Audit.Check != nil {
+		s.auditDue = true
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,15 +38,7 @@ func smallSim(policy string) Config {
 // remsetAudit fails a run when, after any collection, the remembered
 // sets disagree with a brute-force rescan of the heap.
 func remsetAudit() AuditConfig {
-	return AuditConfig{
-		Check: func(s *Sim) error {
-			if msg := s.Remset().Audit(); msg != "" {
-				return fmt.Errorf("remembered sets inconsistent: %s", msg)
-			}
-			return nil
-		},
-		EveryCollections: 1,
-	}
+	return AuditConfig{Check: func(s *Sim) error { return s.Remset().CheckInvariants() }}
 }
 
 func TestRunAllPoliciesSmall(t *testing.T) {

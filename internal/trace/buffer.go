@@ -92,34 +92,16 @@ func (b *Buffer) Compact() {
 	}
 }
 
-// Replay streams every recorded event into sink in recording order.
-func (b *Buffer) Replay(sink Sink) error { return b.ReplayHook(sink, -1, nil) }
-
-// ReplayHook streams every recorded event into sink, invoking hook once
-// after exactly `at` events have been delivered. A negative at or nil
-// hook disables the callback. Workload replay uses it to fire the
-// build-complete hook (warm-start measurement reset) at the identical
-// event where a live generator would have fired it. The replay loop
-// performs no decoding and no heap allocation (pinned by the
+// Replay streams every recorded event into sink in recording order. The
+// replay loop performs no decoding and no heap allocation (pinned by the
 // buffer-replay AllocsPerRun guard).
 //
 //odbgc:hotpath
-func (b *Buffer) ReplayHook(sink Sink, at int64, hook func()) error {
-	if hook != nil && at == 0 {
-		hook()
-		hook = nil
-	}
+func (b *Buffer) Replay(sink Sink) error {
 	for _, s := range b.segs {
-		n := int64(len(s.kinds))
-		var h func()
-		localAt := int64(-1)
-		if hook != nil && at > 0 && at <= n {
-			h, localAt, hook = hook, at, nil // fires inside this segment
-		}
-		if err := replayColumns(s.kinds, s.args, sink, localAt, h); err != nil {
+		if err := replayColumns(s.kinds, s.args, sink); err != nil {
 			return err
 		}
-		at -= n
 	}
 	return nil
 }
@@ -186,19 +168,14 @@ func pushColumns(kinds []Kind, args []uint32, e Event) ([]Kind, []uint32, error)
 }
 
 // replayColumns is the zero-alloc columnar replay loop behind
-// Buffer.ReplayHook and Chunk.ReplayHook: each event is reassembled from
+// Buffer.Replay and Chunk.Replay: each event is reassembled from
 // sequential column reads with no varint decoding and no heap allocation
-// (pinned by the buffer- and chunk-replay AllocsPerRun guards). The hook
-// position `at` is relative to the start of the columns.
+// (pinned by the buffer- and chunk-replay AllocsPerRun guards).
 //
 //odbgc:hotpath
-func replayColumns(kinds []Kind, args []uint32, sink Sink, at int64, hook func()) error {
-	if hook != nil && at == 0 {
-		hook()
-		hook = nil
-	}
+func replayColumns(kinds []Kind, args []uint32, sink Sink) error {
 	a := 0
-	for n, k := range kinds {
+	for _, k := range kinds {
 		var e Event
 		e.Kind = k
 		switch k {
@@ -223,10 +200,6 @@ func replayColumns(kinds []Kind, args []uint32, sink Sink, at int64, hook func()
 		}
 		if err := sink.Emit(e); err != nil {
 			return err
-		}
-		if hook != nil && int64(n)+1 == at {
-			hook()
-			hook = nil
 		}
 	}
 	return nil

@@ -66,72 +66,6 @@ func TestBufferRejectsInvalidEvent(t *testing.T) {
 	}
 }
 
-func TestBufferReplayHookPosition(t *testing.T) {
-	var b Buffer
-	events := bufferTestEvents()
-	for _, e := range events {
-		if err := b.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, at := range []int64{0, 3, int64(len(events))} {
-		var seenAtHook int64 = -1
-		sink := &collectSink{}
-		err := b.ReplayHook(sink, at, func() { seenAtHook = int64(len(sink.events)) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seenAtHook != at {
-			t.Errorf("hook at %d fired after %d events", at, seenAtHook)
-		}
-	}
-	// A negative position or nil hook never fires.
-	fired := false
-	if err := b.ReplayHook(&collectSink{}, -1, func() { fired = true }); err != nil || fired {
-		t.Fatalf("err=%v fired=%v", err, fired)
-	}
-}
-
-// TestFrozenReplayHookPosition checks the hook on a frozen buffer:
-// recording finished and Compact called, as trace caches hold it. Every
-// replay of the one buffer fires the hook exactly once, after exactly
-// `at` events, and delivers the whole trace.
-func TestFrozenReplayHookPosition(t *testing.T) {
-	var b Buffer
-	events := bufferTestEvents()
-	for _, e := range events {
-		if err := b.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Compact()
-	for _, at := range []int64{0, 3, int64(len(events))} {
-		for replay := 0; replay < 2; replay++ {
-			fired := 0
-			var seenAtHook int64 = -1
-			sink := &collectSink{}
-			err := b.ReplayHook(sink, at, func() {
-				fired++
-				seenAtHook = int64(len(sink.events))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fired != 1 || seenAtHook != at {
-				t.Errorf("replay %d: hook at %d fired %d times, last after %d events", replay, at, fired, seenAtHook)
-			}
-			if !reflect.DeepEqual(sink.events, events) {
-				t.Errorf("replay %d with hook at %d diverged:\n got %+v\nwant %+v", replay, at, sink.events, events)
-			}
-		}
-	}
-	// Past the end, the hook never fires.
-	fired := false
-	if err := b.ReplayHook(&collectSink{}, int64(len(events))+1, func() { fired = true }); err != nil || fired {
-		t.Fatalf("err=%v fired=%v", err, fired)
-	}
-}
-
 func TestBufferMatchesWriterEncoding(t *testing.T) {
 	// Every event a Buffer accepts must survive the ChunkWriter's packed
 	// payload encoding: its packed form decodes back to itself.
@@ -192,12 +126,12 @@ func TestBufferSizeBytes(t *testing.T) {
 }
 
 // Buffer replay is the per-event fast path of every cached-trace
-// simulation; a replay step must not allocate. ReplayHook carries the
+// simulation; a replay step must not allocate. Replay carries the
 // //odbgc:hotpath annotation checked by the hotcall analyzer;
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotation and this guard in sync via the declaration below.
 //
-//odbgc:allocguard trace.Buffer.ReplayHook trace.replayColumns
+//odbgc:allocguard trace.Buffer.Replay trace.replayColumns
 func TestBufferReplayZeroAllocs(t *testing.T) {
 	b := benchBuffer(t, 256)
 	var sink benchSink
@@ -212,8 +146,7 @@ func TestBufferReplayZeroAllocs(t *testing.T) {
 }
 
 // TestBufferSegmentBoundaries records a trace just past one column
-// segment and checks that replay crosses the boundary in order and that
-// the hook fires at positions on and around it.
+// segment and checks that replay crosses the boundary in order.
 func TestBufferSegmentBoundaries(t *testing.T) {
 	const seed = 3
 	n := segmentEvents + 3
@@ -239,16 +172,6 @@ func TestBufferSegmentBoundaries(t *testing.T) {
 	}))
 	if err != nil || got != n {
 		t.Fatalf("replayed %d of %d events: %v", got, n, err)
-	}
-	for _, at := range []int64{0, segmentEvents - 1, segmentEvents, segmentEvents + 1, int64(n)} {
-		var sink benchSink
-		seen := int64(-1)
-		if err := b.ReplayHook(&sink, at, func() { seen = sink.n }); err != nil {
-			t.Fatal(err)
-		}
-		if seen != at {
-			t.Errorf("hook at %d fired after %d events", at, seen)
-		}
 	}
 }
 

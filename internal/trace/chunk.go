@@ -180,19 +180,12 @@ func (c *Chunk) decode(events int) error {
 	return nil
 }
 
-// Replay streams the chunk's events into sink in recording order.
-func (c *Chunk) Replay(sink Sink) error { return c.ReplayHook(sink, -1, nil) }
-
-// ReplayHook streams the chunk's events into sink, invoking hook once
-// after exactly `at` events (relative to the start of this chunk) have
-// been delivered; a negative at or nil hook disables the callback. The
+// Replay streams the chunk's events into sink in recording order. The
 // replay performs no decoding and no heap allocation (pinned by the
 // chunk-replay AllocsPerRun guard).
 //
 //odbgc:hotpath
-func (c *Chunk) ReplayHook(sink Sink, at int64, hook func()) error {
-	return replayColumns(c.kinds, c.args, sink, at, hook)
-}
+func (c *Chunk) Replay(sink Sink) error { return replayColumns(c.kinds, c.args, sink) }
 
 // ChunkReader decodes chunks from a stream produced by ChunkWriter. It
 // reads strictly sequentially and verifies, per chunk: the CRC of the

@@ -288,62 +288,6 @@ func TestChunkStreamReplay(t *testing.T) {
 	}
 }
 
-func TestChunkStreamHookPosition(t *testing.T) {
-	var b Buffer
-	events := bufferTestEvents()
-	for _, e := range events {
-		if err := b.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "hook.odbgc")
-	// 8-byte chunks: roughly one or two events per chunk, so hook
-	// positions land on and between chunk boundaries.
-	if err := os.WriteFile(path, writeChunked(t, &b, 0, 8), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenChunkStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Chunks() < 3 {
-		t.Fatalf("hook fixture has %d chunks, want several", s.Chunks())
-	}
-	for at := int64(0); at <= int64(len(events)); at++ {
-		var seenAtHook int64 = -1
-		sink := &collectSink{}
-		if err := s.ReplayHook(sink, at, func() { seenAtHook = int64(len(sink.events)) }); err != nil {
-			t.Fatal(err)
-		}
-		if seenAtHook != at {
-			t.Errorf("hook at %d fired after %d events", at, seenAtHook)
-		}
-	}
-	fired := false
-	if err := s.ReplayHook(&collectSink{}, -1, func() { fired = true }); err != nil || fired {
-		t.Fatalf("err=%v fired=%v", err, fired)
-	}
-}
-
-func TestChunkStreamEmptyTraceHook(t *testing.T) {
-	var b Buffer
-	path := filepath.Join(t.TempDir(), "empty.odbgc")
-	if err := os.WriteFile(path, writeChunked(t, &b, 0, 0), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenChunkStream(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	if err := s.ReplayHook(&collectSink{}, 0, func() { fired = true }); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("at-start hook did not fire on an empty stream")
-	}
-}
-
 // errSink fails on the Nth emit, exercising early-exit of the prefetch
 // pipeline.
 type errSink struct{ n, failAt int }
@@ -375,7 +319,7 @@ func TestChunkStreamSinkErrorStopsPipeline(t *testing.T) {
 
 func TestAsyncWriter(t *testing.T) {
 	var out bytes.Buffer
-	aw := NewAsyncWriter(&out, 2)
+	aw := NewAsyncWriter(&out)
 	var want bytes.Buffer
 	buf := make([]byte, 300)
 	for i := 0; i < 50; i++ {
@@ -409,7 +353,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestAsyncWriterPropagatesError(t *testing.T) {
-	aw := NewAsyncWriter(&failWriter{left: 100}, 2)
+	aw := NewAsyncWriter(&failWriter{left: 100})
 	var sawErr bool
 	for i := 0; i < 50; i++ {
 		if _, err := aw.Write(make([]byte, 64)); err != nil {
@@ -424,12 +368,12 @@ func TestAsyncWriterPropagatesError(t *testing.T) {
 
 // Chunk replay is the per-event fast path of streamed simulation; a
 // replay step must not allocate, and emitting into a chunk writer must
-// not allocate in steady state. ReplayHook and Emit carry the
+// not allocate in steady state. Replay and Emit carry the
 // //odbgc:hotpath annotation checked by the hotcall analyzer;
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotations and these guards in sync via the declaration below.
 //
-//odbgc:allocguard trace.Chunk.ReplayHook trace.ChunkWriter.Emit
+//odbgc:allocguard trace.Chunk.Replay trace.ChunkWriter.Emit
 func TestChunkReplayZeroAllocs(t *testing.T) {
 	b := benchBuffer(t, 512)
 	data := writeChunked(t, b, 0, 0)

@@ -96,14 +96,9 @@ func (s *ChunkStream) SizeBytes() int64 { return s.sizeBytes }
 func (s *ChunkStream) ResidentBytes() int64 { return 2 * 5 * int64(s.maxPayload) }
 
 // Replay streams every event in the file into sink in recording order.
-func (s *ChunkStream) Replay(sink Sink) error { return s.ReplayHook(sink, -1, nil) }
-
-// ReplayHook streams every event into sink, invoking hook once after
-// exactly `at` events have been delivered (a negative at or nil hook
-// disables the callback), with the same semantics as Buffer.ReplayHook.
 // Reading, CRC verification, and columnar decoding of the next chunk
 // proceed on a prefetch goroutine while the current chunk drains.
-func (s *ChunkStream) ReplayHook(sink Sink, at int64, hook func()) error {
+func (s *ChunkStream) Replay(sink Sink) error {
 	f, err := os.Open(s.path)
 	if err != nil {
 		return err
@@ -144,14 +139,7 @@ func (s *ChunkStream) ReplayHook(sink Sink, at int64, hook func()) error {
 	var delivered int64
 	var sinkErr error
 	for c := range decoded {
-		var h func()
-		localAt := int64(-1)
-		if hook != nil && at >= 0 && at-delivered <= int64(c.Len()) {
-			localAt = at - delivered
-			h = hook
-			hook = nil // fires inside this chunk's replay
-		}
-		if err := c.ReplayHook(sink, localAt, h); err != nil {
+		if err := c.Replay(sink); err != nil {
 			sinkErr = err
 			break
 		}
@@ -166,10 +154,6 @@ func (s *ChunkStream) ReplayHook(sink Sink, at int64, hook func()) error {
 	case err := <-readErr:
 		return err
 	default:
-	}
-	// An empty trace still owes an at-the-start hook.
-	if hook != nil && at == 0 {
-		hook()
 	}
 	if delivered != s.events {
 		return fmt.Errorf("trace: %s: replay delivered %d events, header scan counted %d (file changed since open?)", s.path, delivered, s.events)
@@ -191,18 +175,18 @@ type AsyncWriter struct {
 	err   error // written by the worker before done closes
 }
 
-// NewAsyncWriter returns an AsyncWriter over w with depth recycled
-// buffers (depth <= 0 selects 2).
-func NewAsyncWriter(w io.Writer, depth int) *AsyncWriter {
-	if depth <= 0 {
-		depth = 2
-	}
+// asyncWriterDepth is the number of recycled buffers an AsyncWriter
+// circulates: one being written while the producer fills the other.
+const asyncWriterDepth = 2
+
+// NewAsyncWriter returns an AsyncWriter over w.
+func NewAsyncWriter(w io.Writer) *AsyncWriter {
 	a := &AsyncWriter{
-		queue: make(chan []byte, depth),
-		pool:  make(chan []byte, depth),
+		queue: make(chan []byte, asyncWriterDepth),
+		pool:  make(chan []byte, asyncWriterDepth),
 		done:  make(chan struct{}),
 	}
-	for i := 0; i < depth; i++ {
+	for i := 0; i < asyncWriterDepth; i++ {
 		a.pool <- nil
 	}
 	go func() {

@@ -71,13 +71,12 @@ func TestEmptyTrace(t *testing.T) {
 	if b.Len() != 0 || b.SizeBytes() != 0 {
 		t.Fatalf("empty buffer: Len %d, SizeBytes %d", b.Len(), b.SizeBytes())
 	}
-	fired := false
 	var sink collectSink
-	if err := b.ReplayHook(&sink, 0, func() { fired = true }); err != nil {
+	if err := b.Replay(&sink); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.events) != 0 || !fired {
-		t.Fatalf("empty buffer replayed %d events, at-start hook fired %v", len(sink.events), fired)
+	if len(sink.events) != 0 {
+		t.Fatalf("empty buffer replayed %d events", len(sink.events))
 	}
 }
 

@@ -46,9 +46,6 @@ type Config struct {
 	// error (a sign the churn controller cannot reach its targets).
 	MaxEvents int64
 
-	// MinObjectSize and MaxObjectSize bound the uniform node size
-	// distribution (the paper: 50–150 bytes, mean 100).
-	MinObjectSize, MaxObjectSize int64
 	// LargeObjectSize is the size of large leaf objects (the paper: 64 KB,
 	// like OO7 document nodes); LargeEvery attaches one per that many
 	// regular nodes on average (0 disables large objects). The paper puts
@@ -72,50 +69,23 @@ type Config struct {
 	// edge intra-tree (0, the default). A zero value draws no extra
 	// randomness, so traces for existing configurations are unchanged.
 	CrossTreeFraction float64
-
-	// PNoTraversal, PDepthFirst select the traversal style per visit
-	// action; the remainder is breadth-first (the paper: 30% none, 20%
-	// depth-first, 50% breadth-first).
-	PNoTraversal, PDepthFirst float64
-	// PSkipEdge is the chance a traversal does not descend through a tree
-	// edge (the paper: 5%).
-	PSkipEdge float64
-	// PModify is the chance a visited node is modified (the paper: 1%).
-	PModify float64
-	// PReadLarge is the chance a visit to a node also reads its attached
-	// large leaf object.
-	PReadLarge float64
-
-	// DeletionsPerTraversal is the mean number of tree-edge deletions per
-	// churn iteration (each iteration performs one traversal action). It
-	// tunes the edge read/write ratio, which the paper keeps around
-	// 15–20.
-	DeletionsPerTraversal float64
 }
 
 // DefaultConfig returns the base workload used for the paper's Tables
 // 2–4: about 5 MB of live data, ~11.5 MB total allocation, connectivity
-// ≈ 1.083, and enough deletions for ~25 collections at a 200-overwrite
-// trigger.
+// ≈ 1.083, and enough deletions for ~30 collections at the simulator's
+// 280-overwrite trigger.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                  1,
-		TargetLiveBytes:       4_500_000,
-		TotalAllocBytes:       11_500_000,
-		MinDeletions:          5000,
-		MaxEvents:             80_000_000,
-		MinObjectSize:         50,
-		MaxObjectSize:         150,
-		LargeObjectSize:       65536,
-		LargeEvery:            2600,
-		MeanTreeNodes:         400,
-		DenseEdgeFraction:     0.083,
-		PNoTraversal:          0.30,
-		PDepthFirst:           0.20,
-		PSkipEdge:             0.05,
-		PModify:               0.01,
-		PReadLarge:            0.05,
-		DeletionsPerTraversal: 0.7,
+		Seed:              1,
+		TargetLiveBytes:   4_500_000,
+		TotalAllocBytes:   11_500_000,
+		MinDeletions:      5000,
+		MaxEvents:         80_000_000,
+		LargeObjectSize:   65536,
+		LargeEvery:        2600,
+		MeanTreeNodes:     400,
+		DenseEdgeFraction: 0.083,
 	}
 }
 
@@ -130,8 +100,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: MinDeletions %d negative", c.MinDeletions)
 	case c.MaxEvents <= 0:
 		return fmt.Errorf("workload: MaxEvents %d must be positive", c.MaxEvents)
-	case c.MinObjectSize <= 0 || c.MaxObjectSize < c.MinObjectSize:
-		return fmt.Errorf("workload: object size range [%d,%d] invalid", c.MinObjectSize, c.MaxObjectSize)
 	case c.LargeEvery < 0 || (c.LargeEvery > 0 && c.LargeObjectSize <= 0):
 		return fmt.Errorf("workload: large object settings invalid (every=%d size=%d)", c.LargeEvery, c.LargeObjectSize)
 	case c.MeanTreeNodes < 2:
@@ -140,16 +108,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: DenseEdgeFraction %v outside [0,1]", c.DenseEdgeFraction)
 	case c.CrossTreeFraction < 0 || c.CrossTreeFraction > 1:
 		return fmt.Errorf("workload: CrossTreeFraction %v outside [0,1]", c.CrossTreeFraction)
-	case c.PNoTraversal < 0 || c.PDepthFirst < 0 || c.PNoTraversal+c.PDepthFirst > 1:
-		return fmt.Errorf("workload: traversal probabilities invalid (%v, %v)", c.PNoTraversal, c.PDepthFirst)
-	case c.PSkipEdge < 0 || c.PSkipEdge >= 1:
-		return fmt.Errorf("workload: PSkipEdge %v outside [0,1)", c.PSkipEdge)
-	case c.PModify < 0 || c.PModify > 1:
-		return fmt.Errorf("workload: PModify %v outside [0,1]", c.PModify)
-	case c.PReadLarge < 0 || c.PReadLarge > 1:
-		return fmt.Errorf("workload: PReadLarge %v outside [0,1]", c.PReadLarge)
-	case c.DeletionsPerTraversal < 0:
-		return fmt.Errorf("workload: DeletionsPerTraversal %v negative", c.DeletionsPerTraversal)
 	}
 	return nil
 }

@@ -19,6 +19,32 @@ const (
 	nodeFields      = 4
 )
 
+// The application's fixed shape (Section 5). The paper varies only the
+// partition selection policy and holds these values fixed, so they are
+// constants rather than Config fields.
+const (
+	// minObjectSize and maxObjectSize bound the uniform node size
+	// distribution (50–150 bytes, mean 100).
+	minObjectSize, maxObjectSize = 50, 150
+	// pNoTraversal and pDepthFirst select the traversal style of a visit
+	// action; the remainder is breadth-first (30% none, 20% depth-first,
+	// 50% breadth-first).
+	pNoTraversal, pDepthFirst = 0.30, 0.20
+	// pSkipEdge is the chance a traversal does not descend through a tree
+	// edge (5%).
+	pSkipEdge = 0.05
+	// pModify is the chance a visited node is modified (1%).
+	pModify = 0.01
+	// pReadLarge is the chance a visit to a node also reads its attached
+	// large leaf object.
+	pReadLarge = 0.05
+	// deletionsPerTraversal is the mean number of tree-edge deletions per
+	// churn iteration (one traversal action each): an iteration deletes
+	// one edge with this probability. It tunes the edge read/write ratio,
+	// which the paper keeps around 15–20.
+	deletionsPerTraversal = 0.7
+)
+
 // Stats summarizes a generated trace.
 type Stats struct {
 	// Events is the total number of events emitted.
@@ -155,24 +181,20 @@ func (g *Generator) Run(sink trace.Sink) (Stats, error) {
 		if err := g.traversalAction(); err != nil {
 			return g.stats, err
 		}
-		nDel := int(g.cfg.DeletionsPerTraversal)
-		if frac := g.cfg.DeletionsPerTraversal - float64(nDel); g.rng.Float64() < frac {
-			nDel++
-		}
-		deleted := false
-		for i := 0; i < nDel; i++ {
-			ok, err := g.deleteRandomEdge()
+		stuck := false
+		if g.rng.Float64() < deletionsPerTraversal {
+			deleted, err := g.deleteRandomEdge()
 			if err != nil {
 				return g.stats, err
 			}
-			deleted = deleted || ok
+			stuck = !deleted
 		}
 		for g.liveBytes < g.cfg.TargetLiveBytes {
 			if err := g.grow(); err != nil {
 				return g.stats, err
 			}
 		}
-		if !deleted && nDel > 0 {
+		if stuck {
 			// The forest has been chopped to childless stumps (possible
 			// when heavy large leaves keep the live estimate above the
 			// setpoint); grow fresh deletable trees so churn can proceed.
@@ -212,7 +234,7 @@ func (g *Generator) emit(e trace.Event) error {
 }
 
 func (g *Generator) nodeSize() int64 {
-	return g.cfg.MinObjectSize + g.rng.Int63n(g.cfg.MaxObjectSize-g.cfg.MinObjectSize+1)
+	return minObjectSize + g.rng.Int63n(maxObjectSize-minObjectSize+1)
 }
 
 // newOID issues the next OID, not an alive node until addNode registers
@@ -461,7 +483,7 @@ func (g *Generator) bitAppend() {
 // traversal, or a partial breadth-first traversal of a random tree.
 func (g *Generator) traversalAction() error {
 	roll := g.rng.Float64()
-	if roll < g.cfg.PNoTraversal {
+	if roll < pNoTraversal {
 		g.stats.TraversalsNone++
 		return nil
 	}
@@ -469,7 +491,7 @@ func (g *Generator) traversalAction() error {
 	if t == nil {
 		return nil
 	}
-	if roll < g.cfg.PNoTraversal+g.cfg.PDepthFirst {
+	if roll < pNoTraversal+pDepthFirst {
 		g.stats.TraversalsDFS++
 		return g.traverseDepthFirst(t, t.root)
 	}
@@ -483,12 +505,12 @@ func (g *Generator) visit(t *tree, oid heap.OID) error {
 	if err := g.emit(trace.Event{Kind: trace.KindRead, OID: oid}); err != nil {
 		return err
 	}
-	if large := g.nodeOf(oid).largeOID; large != heap.NilOID && g.rng.Float64() < g.cfg.PReadLarge {
+	if large := g.nodeOf(oid).largeOID; large != heap.NilOID && g.rng.Float64() < pReadLarge {
 		if err := g.emit(trace.Event{Kind: trace.KindRead, OID: large}); err != nil {
 			return err
 		}
 	}
-	if g.rng.Float64() < g.cfg.PModify {
+	if g.rng.Float64() < pModify {
 		if err := g.emit(trace.Event{Kind: trace.KindModify, OID: oid}); err != nil {
 			return err
 		}
@@ -504,7 +526,7 @@ func (g *Generator) traverseDepthFirst(t *tree, oid heap.OID) error {
 		if kid == heap.NilOID {
 			continue
 		}
-		if g.rng.Float64() < g.cfg.PSkipEdge {
+		if g.rng.Float64() < pSkipEdge {
 			continue
 		}
 		if err := g.traverseDepthFirst(t, kid); err != nil {
@@ -526,7 +548,7 @@ func (g *Generator) traverseBreadthFirst(t *tree) error {
 			if kid == heap.NilOID {
 				continue
 			}
-			if g.rng.Float64() < g.cfg.PSkipEdge {
+			if g.rng.Float64() < pSkipEdge {
 				continue
 			}
 			queue = append(queue, kid)

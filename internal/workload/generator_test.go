@@ -399,18 +399,11 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.TotalAllocBytes = c.TargetLiveBytes - 1 },
 		func(c *Config) { c.MinDeletions = -1 },
 		func(c *Config) { c.MaxEvents = 0 },
-		func(c *Config) { c.MinObjectSize = 0 },
-		func(c *Config) { c.MaxObjectSize = c.MinObjectSize - 1 },
 		func(c *Config) { c.LargeEvery = -1 },
 		func(c *Config) { c.LargeEvery = 10; c.LargeObjectSize = 0 },
 		func(c *Config) { c.MeanTreeNodes = 1 },
 		func(c *Config) { c.DenseEdgeFraction = -0.1 },
 		func(c *Config) { c.DenseEdgeFraction = 1.1 },
-		func(c *Config) { c.PNoTraversal = 0.9; c.PDepthFirst = 0.2 },
-		func(c *Config) { c.PSkipEdge = 1.0 },
-		func(c *Config) { c.PModify = -0.5 },
-		func(c *Config) { c.PReadLarge = 2 },
-		func(c *Config) { c.DeletionsPerTraversal = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := DefaultConfig()

@@ -30,59 +30,55 @@ type OO1Config struct {
 	// Parts is the initial part count (OO1's small configuration is
 	// 20000).
 	Parts int
-	// PartSize is each part's size in bytes (OO1 parts are ~50–100
-	// bytes; connections are stored in the part here).
-	PartSize int64
-	// IndexFanout is the pointer-slot count of index nodes.
-	IndexFanout int
-	// ConnectionLocality is the probability a connection targets one of
-	// the RefZone nearest part IDs (OO1: 0.9); the rest are uniform.
-	ConnectionLocality float64
 	// RefZone is the ID distance considered "near" (OO1: 1% of parts).
 	RefZone int
-
-	// Operation mix per churn iteration, as probabilities.
-	PLookup, PTraverse float64
 	// LookupBatch is how many parts one lookup operation reads (OO1 reads
 	// 1000 random parts per lookup measure; scaled down by default).
 	LookupBatch int
-	// TraverseDepth is the connection-following depth (OO1: 7 levels).
-	TraverseDepth int
 	// TraverseCap bounds visited parts per traversal.
 	TraverseCap int
-
-	// ChurnParts is how many parts each churn iteration deletes and
-	// re-inserts (keeping the database size stable).
-	ChurnParts int
 	// MinDeletions and TotalOps are the stop conditions.
 	MinDeletions int64
 	TotalOps     int64
-	// MaxEvents is a safety cap.
-	MaxEvents int64
 }
+
+// The OO1 workload's fixed shape. No experiment varies these, so they
+// are constants rather than OO1Config fields.
+const (
+	// oo1PartSize is each part's size in bytes (OO1 parts are ~50–100
+	// bytes; connections are stored in the part here).
+	oo1PartSize = 100
+	// oo1IndexFanout is the pointer-slot count of index nodes.
+	oo1IndexFanout = 32
+	// oo1ConnectionLocality is the probability a connection targets one
+	// of the RefZone nearest part IDs (OO1: 0.9); the rest are uniform.
+	oo1ConnectionLocality = 0.9
+	// oo1PLookup and oo1PTraverse are the operation mix per churn
+	// iteration; the remainder deletes and re-inserts parts.
+	oo1PLookup, oo1PTraverse = 0.45, 0.45
+	// oo1TraverseDepth is the connection-following depth (OO1: 7 levels).
+	oo1TraverseDepth = 7
+	// oo1ChurnParts is how many parts each churn iteration deletes and
+	// re-inserts (keeping the database size stable).
+	oo1ChurnParts = 12
+	// oo1MaxEvents is a safety cap on emitted events.
+	oo1MaxEvents = 80_000_000
+)
 
 // DefaultOO1Config returns an OO1 workload comparable in live size to the
 // paper's base tree workload (~20k parts ≈ 2 MB plus index).
 func DefaultOO1Config() OO1Config {
 	return OO1Config{
-		Seed:               1,
-		Parts:              20_000,
-		PartSize:           100,
-		IndexFanout:        32,
-		ConnectionLocality: 0.9,
-		RefZone:            200, // 1% of 20000
-		PLookup:            0.45,
-		PTraverse:          0.45,
-		LookupBatch:        30,
-		TraverseDepth:      7,
-		TraverseCap:        150,
-		ChurnParts:         12,
+		Seed:        1,
+		Parts:       20_000,
+		RefZone:     200, // 1% of 20000
+		LookupBatch: 30,
+		TraverseCap: 150,
 		// Part churn makes small, scattered garbage (one ~100-byte part
 		// per ~4 overwrites), so a meaningful evaluation needs an order
 		// of magnitude more overwrites than the tree workload.
 		MinDeletions: 60_000,
 		TotalOps:     3000,
-		MaxEvents:    80_000_000,
 	}
 }
 
@@ -91,21 +87,11 @@ func (c OO1Config) Validate() error {
 	switch {
 	case c.Parts < 10:
 		return fmt.Errorf("workload: OO1 Parts %d too small", c.Parts)
-	case c.PartSize <= 0:
-		return fmt.Errorf("workload: OO1 PartSize %d must be positive", c.PartSize)
-	case c.IndexFanout < 2:
-		return fmt.Errorf("workload: OO1 IndexFanout %d too small", c.IndexFanout)
-	case c.ConnectionLocality < 0 || c.ConnectionLocality > 1:
-		return fmt.Errorf("workload: OO1 ConnectionLocality %v outside [0,1]", c.ConnectionLocality)
 	case c.RefZone <= 0:
 		return fmt.Errorf("workload: OO1 RefZone %d must be positive", c.RefZone)
-	case c.PLookup < 0 || c.PTraverse < 0 || c.PLookup+c.PTraverse > 1:
-		return fmt.Errorf("workload: OO1 op mix invalid (%v, %v)", c.PLookup, c.PTraverse)
-	case c.LookupBatch <= 0 || c.TraverseDepth <= 0 || c.TraverseCap <= 0:
+	case c.LookupBatch <= 0 || c.TraverseCap <= 0:
 		return fmt.Errorf("workload: OO1 operation sizes must be positive")
-	case c.ChurnParts <= 0:
-		return fmt.Errorf("workload: OO1 ChurnParts %d must be positive", c.ChurnParts)
-	case c.MinDeletions < 0 || c.TotalOps <= 0 || c.MaxEvents <= 0:
+	case c.MinDeletions < 0 || c.TotalOps <= 0:
 		return fmt.Errorf("workload: OO1 stop conditions invalid")
 	}
 	return nil
@@ -179,22 +165,22 @@ func (g *OO1Generator) Run(sink trace.Sink) (Stats, error) {
 
 	var ops int64
 	for ops < g.cfg.TotalOps || g.stats.Deletions < g.cfg.MinDeletions {
-		if g.stats.Events >= g.cfg.MaxEvents {
+		if g.stats.Events >= oo1MaxEvents {
 			return g.stats, fmt.Errorf("workload: OO1 event cap hit (deletions %d/%d, ops %d/%d)",
 				g.stats.Deletions, g.cfg.MinDeletions, ops, g.cfg.TotalOps)
 		}
 		roll := g.rng.Float64()
 		switch {
-		case roll < g.cfg.PLookup:
+		case roll < oo1PLookup:
 			if err := g.lookup(); err != nil {
 				return g.stats, err
 			}
-		case roll < g.cfg.PLookup+g.cfg.PTraverse:
+		case roll < oo1PLookup+oo1PTraverse:
 			if err := g.traverse(); err != nil {
 				return g.stats, err
 			}
 		default:
-			for i := 0; i < g.cfg.ChurnParts; i++ {
+			for i := 0; i < oo1ChurnParts; i++ {
 				if err := g.deletePart(); err != nil {
 					return g.stats, err
 				}
@@ -206,7 +192,7 @@ func (g *OO1Generator) Run(sink trace.Sink) (Stats, error) {
 		ops++
 	}
 
-	g.stats.LiveBytesEstimate = int64(len(g.parts)) * g.cfg.PartSize
+	g.stats.LiveBytesEstimate = int64(len(g.parts)) * oo1PartSize
 	if w := g.stats.Writes + g.stats.Creates; w > 0 {
 		g.stats.EdgeReadWriteRatio = float64(g.stats.Reads) / float64(w)
 	}
@@ -238,7 +224,7 @@ func (g *OO1Generator) build() error {
 	// Index root: a single wide node whose slots point at leaves.
 	g.indexRoot = g.nextOID
 	g.nextOID++
-	rootSlots := (g.cfg.Parts+g.cfg.IndexFanout-1)/g.cfg.IndexFanout + g.cfg.Parts/g.cfg.IndexFanout/2 + 8
+	rootSlots := (g.cfg.Parts+oo1IndexFanout-1)/oo1IndexFanout + g.cfg.Parts/oo1IndexFanout/2 + 8
 	if err := g.emit(trace.Event{
 		Kind: trace.KindCreate, OID: g.indexRoot,
 		Size: int64(8 * rootSlots), NFields: rootSlots,
@@ -273,15 +259,15 @@ func (g *OO1Generator) newLeaf() (heap.OID, error) {
 	slot := len(g.leaves)
 	if err := g.emit(trace.Event{
 		Kind: trace.KindCreate, OID: leaf,
-		Size: int64(8 * g.cfg.IndexFanout), NFields: g.cfg.IndexFanout,
+		Size: int64(8 * oo1IndexFanout), NFields: oo1IndexFanout,
 		Parent: rootObj, ParentField: slot,
 	}); err != nil {
 		return heap.NilOID, err
 	}
 	g.leaves = append(g.leaves, leaf)
-	slots := make([]int, g.cfg.IndexFanout)
+	slots := make([]int, oo1IndexFanout)
 	for i := range slots {
-		slots[i] = g.cfg.IndexFanout - 1 - i // pop from the back = in order
+		slots[i] = oo1IndexFanout - 1 - i // pop from the back = in order
 	}
 	g.freeSlots[leaf] = slots
 	return leaf, nil
@@ -324,7 +310,7 @@ func (g *OO1Generator) createPart() (*oo1Part, error) {
 	oid := g.nextOID
 	g.nextOID++
 	if err := g.emit(trace.Event{
-		Kind: trace.KindCreate, OID: oid, Size: g.cfg.PartSize,
+		Kind: trace.KindCreate, OID: oid, Size: oo1PartSize,
 		NFields: oo1PartFields, Parent: leaf, ParentField: slot,
 	}); err != nil {
 		return nil, err
@@ -340,7 +326,7 @@ func (g *OO1Generator) createPart() (*oo1Part, error) {
 func (g *OO1Generator) pickTarget(p *oo1Part) heap.OID {
 	for tries := 0; tries < 40; tries++ {
 		var cand heap.OID
-		if g.rng.Float64() < g.cfg.ConnectionLocality {
+		if g.rng.Float64() < oo1ConnectionLocality {
 			// Near in creation order.
 			idx := g.indexOf(p.oid)
 			lo := idx - g.cfg.RefZone
@@ -452,7 +438,7 @@ func (g *OO1Generator) traverse() error {
 		}
 		return nil
 	}
-	return walk(start, g.cfg.TraverseDepth)
+	return walk(start, oo1TraverseDepth)
 }
 
 // randomPart picks a uniformly random alive part, compacting lazily.

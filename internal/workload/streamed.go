@@ -29,7 +29,7 @@ func RecordStreamed(cfg Config, path string, chunkBytes int) (*RecordedTrace, er
 	if err != nil {
 		return nil, err
 	}
-	aw := trace.NewAsyncWriter(f, 2)
+	aw := trace.NewAsyncWriter(f)
 	cw := trace.NewChunkWriter(aw, cfg.Fingerprint(), chunkBytes)
 	rt := &RecordedTrace{Config: cfg, BuildEvents: -1}
 	g.SetBuildCompleteHook(func() { rt.BuildEvents = cw.Count() })

@@ -62,20 +62,40 @@ func Record(cfg Config) (*RecordedTrace, error) {
 }
 
 // Replay streams the recorded events into sink. A non-nil buildDone runs
-// at the build/churn boundary — the point where a live generator would
-// have invoked its build-complete hook — so warm-start simulations reset
-// their measurement window at the identical event.
+// once at the build/churn boundary, after exactly BuildEvents events —
+// the point where a live generator would have invoked its
+// build-complete hook — so warm-start simulations reset their
+// measurement window at the identical event. With BuildEvents 0 it runs
+// before the first event, even for an empty trace; with no recorded
+// boundary (-1), or one past the end of the trace, it never runs.
 func (rt *RecordedTrace) Replay(sink trace.Sink, buildDone func()) error {
-	at := int64(-1)
-	if buildDone != nil && rt.BuildEvents >= 0 {
-		at = rt.BuildEvents
-	} else {
-		buildDone = nil
+	if buildDone != nil && rt.BuildEvents == 0 {
+		buildDone()
+	} else if buildDone != nil && rt.BuildEvents > 0 {
+		sink = &boundarySink{sink: sink, left: rt.BuildEvents, fire: buildDone}
 	}
 	if rt.Stream != nil {
-		return rt.Stream.ReplayHook(sink, at, buildDone)
+		return rt.Stream.Replay(sink)
 	}
-	return rt.Buffer.ReplayHook(sink, at, buildDone)
+	return rt.Buffer.Replay(sink)
+}
+
+// boundarySink passes every event on to sink and runs fire once, right
+// after the left-th event.
+type boundarySink struct {
+	sink trace.Sink
+	left int64
+	fire func()
+}
+
+func (b *boundarySink) Emit(e trace.Event) error {
+	if err := b.sink.Emit(e); err != nil {
+		return err
+	}
+	if b.left--; b.left == 0 {
+		b.fire()
+	}
+	return nil
 }
 
 // SizeBytes is the trace's memory footprint for cache accounting: the

@@ -83,18 +83,7 @@ type (
 	TraceEvent = trace.Event
 	// TraceSink consumes a stream of trace events.
 	TraceSink = trace.Sink
-	// DiskModel converts counted page I/Os into estimated disk time
-	// (seek + rotation + transfer), the detailed cost model Section 4.2
-	// of the paper sketches.
-	DiskModel = sim.DiskModel
 )
-
-// DefaultDiskModel returns early-90s disk parameters matching the paper's
-// hardware era; ModernDiskModel returns 7200 RPM SATA parameters.
-func DefaultDiskModel() DiskModel { return sim.DefaultDiskModel() }
-
-// ModernDiskModel returns parameters for a modern spinning disk.
-func ModernDiskModel() DiskModel { return sim.ModernDiskModel() }
 
 // Policies returns the names of all registered partition selection
 // policies, sorted.
