@@ -15,8 +15,8 @@ fi
 go vet ./...
 # Project-specific analyzers (determinism, zero-alloc hot paths, arena
 # discipline, exhaustive enum switches, and the interprocedural
-# hotcall/detflow/barrierproto suite) — see DESIGN.md "Static analysis
-# layer" and internal/analysis. Any finding fails the build, and so does
+# hotcall/detflow pair) — see DESIGN.md "Static analysis layer" and
+# internal/analysis. Any finding fails the build, and so does
 # any //odbgc:*-ok suppression that no longer suppresses anything.
 go build -o bin/odbgc-vet ./cmd/odbgc-vet
 go vet -vettool="$PWD/bin/odbgc-vet" ./...
@@ -28,7 +28,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # The benchmark's own tests: all three workloads, at tiny scale, traced
 # and untraced, through perfbench's correctness gate. No timing is gated.
 (cd perfbench && go test ./...)
+# The shard package's tests include the failure-containment ones: a
+# panicking shard policy and a corrupted foreign out-count must surface
+# as errors naming the shard, in both engine modes. The short self-check
+# then runs all seven policies through the parallel engine under the
+# race detector.
 go test -race ./internal/sim ./internal/gc ./internal/shard
+go test -race -run '^TestSelfCheckShort$' ./internal/check
 # Scheduler / trace-cache smoke under the race detector: the suite-wide
 # orchestration (worker pool + shared cache) and the cache's concurrent
 # generation paths.
@@ -81,11 +87,12 @@ rm "$stream_tmp/long.odbgcck"
 bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
 ceiling 120 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
 ceiling 64 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
-# Sharded smoke: the same streamed replay demultiplexed onto 4 shard
-# goroutines with cross-shard remset exchange — once under the race
-# detector on a cross-tree trace (the exchange protocol is the one place
-# goroutines share data), once under a memory ceiling to show the
-# sharded path inherits the streaming pipeline's constant-memory bound.
+# Sharded smoke: the same streamed replay demultiplexed onto 4 shards
+# whose epoch drains run on their own goroutines — once under the race
+# detector on a cross-tree trace (the drains run while the demuxer fills
+# the next epoch, and the exchange reads every shard once they join),
+# once under a memory ceiling to show the sharded path inherits the
+# streaming pipeline's constant-memory bound.
 bin/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
 ceiling 320 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
@@ -107,7 +114,8 @@ done
 # Record codec fuzz smoke: corrupt or truncated recordings must error
 # naming the bad segment, never panic.
 go test -run '^$' -fuzz '^FuzzRecordFile$' -fuzztime 5s ./internal/record
-# Sharded-recording race smoke: per-shard recorders under the parallel
-# engine, merged deterministically at the epoch barriers.
+# Sharded-recording race smoke: per-shard recorders written from the
+# parallel engine's drain goroutines, finished in shard order after the
+# run.
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 -record "$stream_tmp/sharded.odbgcrec"
 go run ./cmd/odbgc-query -table runs -csv "$stream_tmp/sharded.odbgcrec"

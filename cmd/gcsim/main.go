@@ -25,10 +25,11 @@
 // larger than RAM simulate fine.
 //
 // With -shards N the replay runs through the partition-sharded engine
-// (internal/shard): N goroutines, each owning a private heap, buffer,
-// remembered sets, and collector, exchanging cross-shard remembered-set
-// deltas at deterministic epoch barriers. Results are seed-stable
-// regardless of goroutine interleaving.
+// (internal/shard): N shards, each owning a private heap, buffer,
+// remembered sets, and collector, drain every epoch on their own
+// goroutines, and one exchange applies the cross-shard remembered-set
+// deltas between epochs. Results are seed-stable regardless of
+// goroutine interleaving.
 package main
 
 import (

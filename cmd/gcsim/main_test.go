@@ -352,7 +352,7 @@ func stripTimingLines(s string) string {
 
 // TestShardedReplayDeterministic replays one cross-tree trace through
 // the sharded engine twice and demands identical output (modulo the
-// wall-clock scaling line): the epoch-barrier protocol makes the result
+// wall-clock scaling line): the exchange between epochs makes the result
 // independent of goroutine interleaving.
 func TestShardedReplayDeterministic(t *testing.T) {
 	path := writeCrossTrace(t)

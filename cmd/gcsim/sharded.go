@@ -13,10 +13,11 @@ import (
 )
 
 // replaySharded replays a chunked trace file through the
-// partition-sharded engine: the stream is demultiplexed onto shards
-// goroutines, each running a private simulator, with cross-shard
-// references exchanged at epoch barriers. The file streams through the
-// prefetch pipeline.
+// partition-sharded engine in parallel mode: the stream is
+// demultiplexed onto shards, each running a private simulator and
+// draining every epoch on its own goroutine, with cross-shard references
+// exchanged between epochs. The file streams through the prefetch
+// pipeline.
 func replaySharded(stdout io.Writer, path string, cfg sim.Config, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
 	rt, err := workload.OpenStreamed(path)
 	if err != nil {

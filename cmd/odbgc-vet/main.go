@@ -1,7 +1,7 @@
 // odbgc-vet is the repository's custom vet tool: it drives the
 // internal/analysis suite (detmap, arenaindex, kindswitch, and the
-// interprocedural hotcall, detflow, barrierproto) through the
-// `go vet -vettool` protocol.
+// interprocedural hotcall and detflow) through the `go vet -vettool`
+// protocol.
 //
 // Build and run it locally with:
 //

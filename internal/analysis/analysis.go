@@ -1,5 +1,5 @@
 // Package analysis is the repository's static-analysis layer: a small
-// go/analysis-compatible framework plus six project-specific analyzers
+// go/analysis-compatible framework plus five project-specific analyzers
 // that turn the codebase's determinism and zero-allocation conventions
 // into compile-time errors.
 //
@@ -11,17 +11,14 @@
 // pointers into the arenas (arenaindex), and silently non-exhaustive
 // switches over the event-kind and policy enumerations (kindswitch).
 //
-// Four analyzers see across function and package boundaries through a
+// Three analyzers see across function and package boundaries through a
 // per-package call graph (callgraph.go) and serialized modular facts
 // (facts.go): arenaindex follows which functions can move an arena and
 // which return views into one; hotcall forbids allocation in
-// //odbgc:hotpath functions,
-// in their own bodies and through their callees; detflow forbids
-// ambient clocks, global randomness, and environment reads in the
-// result packages and tracks nondeterminism taint from those sources
-// and map order to result and recording sinks; and barrierproto
-// machine-checks the shard engine's epoch-barrier channel protocol
-// against its //odbgc:barrier annotations.
+// //odbgc:hotpath functions, in their own bodies and through their
+// callees; and detflow forbids ambient clocks, global randomness, and
+// environment reads in the result packages and tracks nondeterminism
+// taint from those sources and map order to result and recording sinks.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic carry the same meaning — but is built on
@@ -192,7 +189,6 @@ func All() []*Analyzer {
 		ArenaIndex,
 		HotCall,
 		DetFlow,
-		BarrierProto,
 	}
 }
 

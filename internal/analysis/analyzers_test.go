@@ -54,7 +54,3 @@ func TestHotCall(t *testing.T) {
 func TestDetFlow(t *testing.T) {
 	atest.RunMulti(t, "testdata/detflow", analysis.DetFlow, "timing", "record", "sim")
 }
-
-func TestBarrierProto(t *testing.T) {
-	atest.RunMulti(t, "testdata/barrierproto", analysis.BarrierProto, "shard", "relay", "eng")
-}

@@ -37,7 +37,7 @@ type CallGraph struct {
 // call graph. Function literals contribute their call sites to the
 // enclosing declared function: a closure runs on whatever path invokes
 // it, and for the reachability questions the analyzers ask (can this
-// allocate? does this touch a barrier channel?) attributing the
+// allocate? can this move an arena?) attributing the
 // literal's body to its declarer is the conservative answer.
 func BuildCallGraph(pass *Pass) *CallGraph {
 	g := &CallGraph{

@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// Modular facts: the interprocedural analyzers (hotcall, detflow,
-// barrierproto, and arenaindex's stale-pointer rule) summarize every
-// function of a package once and publish the summaries as facts, in the
-// spirit of go/analysis modular facts.
+// Modular facts: the interprocedural analyzers (hotcall, detflow, and
+// arenaindex's stale-pointer rule) summarize every function of a package
+// once and publish the summaries as facts, in the spirit of go/analysis
+// modular facts.
 // When a later package calls into an already-analyzed one, the analyzer
 // consults the callee's fact instead of its body — which it cannot see:
 // the vet protocol hands each invocation exactly one package's source.
@@ -29,7 +29,6 @@ import (
 type FuncFacts struct {
 	Hotcall *HotcallFact `json:"hotcall,omitempty"`
 	Detflow *DetflowFact `json:"detflow,omitempty"`
-	Barrier *BarrierFact `json:"barrierproto,omitempty"`
 	Arena   *ArenaFact   `json:"arenaindex,omitempty"`
 }
 
@@ -58,17 +57,6 @@ type HotcallFact struct {
 type DetflowFact struct {
 	Tainted bool     `json:"tainted,omitempty"`
 	Chain   []string `json:"chain,omitempty"`
-}
-
-// BarrierFact summarizes a function for barrier-protocol checking:
-// whether it is annotated //odbgc:barrier, whether it performs barrier
-// channel operations on its own state, and which of its parameters it
-// performs barrier channel operations on (a caller passing a barrier
-// channel at such an index is performing the operation itself).
-type BarrierFact struct {
-	Annotated bool  `json:"annotated,omitempty"`
-	Ops       bool  `json:"ops,omitempty"`
-	ParamOps  []int `json:"paramOps,omitempty"`
 }
 
 // PackageFacts maps FuncKey -> facts for one package.

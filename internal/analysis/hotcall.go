@@ -63,8 +63,8 @@ func IsHotPath(fn *ast.FuncDecl) bool {
 
 // hasMarker reports whether a comment group (a function's or a field's
 // doc, or a field's line comment) has a line carrying exactly the given
-// //odbgc:* marker word (so //odbgc:barrier never matches
-// //odbgc:barrier-ok).
+// //odbgc:* marker word (so //odbgc:arena never matches
+// //odbgc:arena-ok).
 func hasMarker(cg *ast.CommentGroup, marker string) bool {
 	if cg == nil {
 		return false

@@ -270,8 +270,8 @@ func DiffShardRuns(labelA, labelB string, a, b shard.Result) error {
 		if err := DiffResults(labelA, labelB, sa.Result, sb.Result); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		sa.BusyNs, sa.ExchangeNs, sa.Result = 0, 0, sim.Result{}
-		sb.BusyNs, sb.ExchangeNs, sb.Result = 0, 0, sim.Result{}
+		sa.BusyNs, sa.Result = 0, sim.Result{}
+		sb.BusyNs, sb.Result = 0, sim.Result{}
 		if !reflect.DeepEqual(sa, sb) {
 			return fmt.Errorf("shard %d counters diverge between %s and %s:\n  %+v\n  %+v", i, labelA, labelB, sa, sb)
 		}

@@ -1,9 +1,6 @@
 package pagebuf
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // CheckInvariants verifies the buffer's frame-arena structure — the
 // replacement list, the free chain, and the dense page index — and
@@ -97,20 +94,6 @@ func (b *Buffer) CheckInvariants() error {
 		}
 		if int(i) >= len(b.frames) || state[i] != stateListed || b.frames[i].page != PageID(p) {
 			return fmt.Errorf("pagebuf: index maps page %d to frame %d, which does not cache it", p, i)
-		}
-		indexed++
-	}
-	// Walk the sparse fallback in sorted page order so the first
-	// violation reported does not depend on map iteration order.
-	sparsePages := make([]PageID, 0, len(b.idx.sparse))
-	for p := range b.idx.sparse {
-		sparsePages = append(sparsePages, p)
-	}
-	slices.Sort(sparsePages)
-	for _, p := range sparsePages {
-		i := b.idx.sparse[p]
-		if int(i) >= len(b.frames) || state[i] != stateListed || b.frames[i].page != p {
-			return fmt.Errorf("pagebuf: sparse index maps page %d to frame %d, which does not cache it", p, i)
 		}
 		indexed++
 	}

@@ -8,9 +8,8 @@
 // Because the buffer sits on the per-event fast path of every simulation,
 // its structures are dense and allocation-free in steady state: page
 // frames live in one arena slice linked by int32 indices (an intrusive
-// LRU list), and the PageID lookup and on-disk set are dense slices for
-// the contiguous-from-zero page IDs the simulator produces, falling back
-// to maps only for sparse address spaces.
+// LRU list), and the PageID lookup and on-disk set are dense slices over
+// the contiguous-from-zero page IDs the heap produces.
 package pagebuf
 
 import "fmt"
@@ -301,18 +300,14 @@ func (b *Buffer) DirtyPages() int {
 	return n
 }
 
-// maxDensePages bounds the dense PageID-keyed slices at 4 MB of index
-// (2^20 pages = 8 GB of 8 KB pages), far beyond the paper's sweeps. IDs
-// outside [0, maxDensePages) fall back to the sparse maps.
-const maxDensePages = 1 << 20
-
 // pageIndex maps PageID -> frame arena index (nilFrame = absent). The
-// simulator's page IDs are contiguous from zero (heap address / page
-// size), so lookups are one dense slice access; exotic IDs — possible
-// only for library callers — go to a lazily allocated map.
+// heap is the only producer of page IDs, and its addresses run
+// contiguously from zero (page = address / page size), so the index is
+// one dense slice: lookups are one slice access, and it grows by
+// doubling as the database does (an 8 GiB database of 8 KiB pages needs
+// 4 MiB of index).
 type pageIndex struct {
-	dense  []int32
-	sparse map[PageID]int32
+	dense []int32
 }
 
 //odbgc:hotpath
@@ -320,70 +315,41 @@ func (x *pageIndex) get(p PageID) int32 {
 	if uint64(p) < uint64(len(x.dense)) {
 		return x.dense[p]
 	}
-	if x.sparse != nil {
-		if i, ok := x.sparse[p]; ok {
-			return i
-		}
-	}
 	return nilFrame
 }
 
 //odbgc:hotpath
 func (x *pageIndex) set(p PageID, i int32) {
-	if uint64(p) < maxDensePages {
-		if int(p) >= len(x.dense) {
-			x.dense = growDense(x.dense, int(p), nilFrame)
-		}
-		x.dense[p] = i
-		return
+	if int(p) >= len(x.dense) {
+		x.dense = growDense(x.dense, int(p), nilFrame)
 	}
-	if x.sparse == nil {
-		x.sparse = make(map[PageID]int32) //odbgc:alloc-ok one-time lazy fallback for page IDs beyond maxDensePages
-	}
-	x.sparse[p] = i
+	x.dense[p] = i
 }
 
 //odbgc:hotpath
 func (x *pageIndex) del(p PageID) {
 	if uint64(p) < uint64(len(x.dense)) {
 		x.dense[p] = nilFrame
-		return
 	}
-	delete(x.sparse, p)
 }
 
-// pageSet is a dense page membership set with the same sparse fallback
-// as pageIndex; the buffer uses it for the set of persisted pages.
+// pageSet is a dense page membership set indexed like pageIndex; the
+// buffer uses it for the set of persisted pages.
 type pageSet struct {
-	dense  []bool
-	sparse map[PageID]struct{}
+	dense []bool
 }
 
 //odbgc:hotpath
 func (s *pageSet) has(p PageID) bool {
-	if uint64(p) < uint64(len(s.dense)) {
-		return s.dense[p]
-	}
-	if s.sparse != nil {
-		_, ok := s.sparse[p]
-		return ok
-	}
-	return false
+	return uint64(p) < uint64(len(s.dense)) && s.dense[p]
 }
 
 //odbgc:hotpath
 func (s *pageSet) add(p PageID) {
-	if uint64(p) < maxDensePages {
-		if int(p) >= len(s.dense) {
-			s.dense = growDense(s.dense, int(p), false)
-		}
-		s.dense[p] = true
-		return
+	if int(p) >= len(s.dense) {
+		s.dense = growDense(s.dense, int(p), false)
 	}
-	if s.sparse == nil {
-		s.sparse = make(map[PageID]struct{}) //odbgc:alloc-ok one-time lazy fallback for page IDs beyond maxDensePages
-	}
-	s.sparse[p] = struct{}{}
+	s.dense[p] = true
 }
 
 // growDense extends a dense PageID-keyed slice to cover index p, doubling
@@ -397,10 +363,7 @@ func growDense[T any](dense []T, p int, empty T) []T {
 	if n <= p {
 		n = p + 1
 	}
-	if n > maxDensePages {
-		n = maxDensePages
-	}
-	grown := make([]T, n) //odbgc:alloc-ok amortized dense-array growth, bounded by maxDensePages
+	grown := make([]T, n) //odbgc:alloc-ok amortized dense-array growth, doubling with the database
 	copy(grown, dense)
 	for i := len(dense); i < n; i++ {
 		grown[i] = empty

@@ -66,9 +66,10 @@ func (r *refBuffer) touch(p PageID, write bool) {
 
 // TestBufferMatchesReferenceModel drives random access sequences through
 // the buffer and the reference model and requires identical cached-page
-// sets and identical I/O counts.
+// sets and identical I/O counts. With high set, the page IDs straddle
+// 2^20, so the dense index and on-disk set grow past a million pages.
 func TestBufferMatchesReferenceModel(t *testing.T) {
-	f := func(seed int64, capRaw uint8, nOps uint16) bool {
+	f := func(seed int64, capRaw uint8, nOps uint16, high bool) bool {
 		capacity := int(capRaw%16) + 1
 		rng := rand.New(rand.NewSource(seed))
 		b, err := New(capacity)
@@ -76,9 +77,13 @@ func TestBufferMatchesReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newRef(capacity)
+		base := PageID(0)
+		if high {
+			base = 1<<20 - PageID(capacity)
+		}
 
 		for i := 0; i < int(nOps%600)+1; i++ {
-			p := PageID(rng.Intn(3 * capacity)) // enough aliasing to force evictions
+			p := base + PageID(rng.Intn(3*capacity)) // enough aliasing to force evictions
 			write := rng.Intn(2) == 0
 			if write {
 				b.Write(p, ActorApp)
@@ -104,6 +109,10 @@ func TestBufferMatchesReferenceModel(t *testing.T) {
 				t.Errorf("recency order diverged at %d: buffer %v, model %v", i, b.pagesMRU(), ref.order)
 				return false
 			}
+		}
+		if err := b.CheckInvariants(); err != nil {
+			t.Error(err)
+			return false
 		}
 		return true
 	}

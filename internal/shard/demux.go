@@ -31,15 +31,21 @@ type Batch struct {
 	Events []trace.Event
 	// Foreign marks the events whose true target is on another shard.
 	Foreign []ForeignWrite
-	// Final is set on every shard's batch of the last epoch.
-	Final bool
 }
 
 func (b *Batch) reset(epoch int64) {
 	b.Epoch = epoch
 	b.Events = b.Events[:0]
 	b.Foreign = b.Foreign[:0]
-	b.Final = false
+}
+
+// newBatches returns one empty batch per shard.
+func newBatches(shards int) []*Batch {
+	batches := make([]*Batch, shards)
+	for i := range batches {
+		batches[i] = new(Batch)
+	}
+	return batches
 }
 
 // Demuxer splits a global event stream into per-shard, per-epoch
@@ -50,8 +56,8 @@ func (b *Batch) reset(epoch int64) {
 //
 // Every Config.EpochEvents global events, the current batches — one per
 // shard, empty ones included — are handed to the onEpoch callback, which
-// returns the batch set to fill next (recycled or fresh). Flush hands
-// off the final, partial epoch with Final set.
+// returns the batch set to fill next. Flush hands off the final, partial
+// epoch with final set.
 type Demuxer struct {
 	router      *Router
 	epochEvents int64
@@ -68,21 +74,17 @@ type Demuxer struct {
 // every epochEvents global events (0 selects DefaultEpochEvents).
 // onEpoch receives each completed epoch's batches — indexed by shard, in
 // shard order — and returns the batches to fill for the next epoch; it
-// may hand the same set back (serial engine) or swap in recycled ones
-// (parallel engine, whose shards still own the delivered set).
+// may hand the same set back (serial engine) or a second set (parallel
+// engine, whose shards are still draining the delivered one).
 func NewDemuxer(router *Router, epochEvents int64, onEpoch func(batches []*Batch, final bool) ([]*Batch, error)) *Demuxer {
 	if epochEvents <= 0 {
 		epochEvents = DefaultEpochEvents
-	}
-	batches := make([]*Batch, router.Shards())
-	for i := range batches {
-		batches[i] = new(Batch)
 	}
 	return &Demuxer{
 		router:      router,
 		epochEvents: epochEvents,
 		onEpoch:     onEpoch,
-		batches:     batches,
+		batches:     newBatches(router.Shards()),
 	}
 }
 
@@ -163,9 +165,8 @@ func (d *Demuxer) Emit(e trace.Event) error {
 	return nil
 }
 
-// Flush hands off the final partial epoch (possibly empty) with Final
-// set on every batch. It must be called exactly once, after the last
-// Emit.
+// Flush hands off the final partial epoch (possibly empty) with final
+// set. It must be called exactly once, after the last Emit.
 func (d *Demuxer) Flush() error {
 	if d.flushed {
 		return fmt.Errorf("shard: demux Flush called twice")
@@ -175,9 +176,6 @@ func (d *Demuxer) Flush() error {
 }
 
 func (d *Demuxer) cut(final bool) error {
-	for _, b := range d.batches {
-		b.Final = final
-	}
 	next, err := d.onEpoch(d.batches, final)
 	if err != nil {
 		return err

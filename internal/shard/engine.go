@@ -2,7 +2,9 @@ package shard
 
 import (
 	"fmt"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"time"
 
 	"odbgc/internal/heap"
@@ -28,21 +30,11 @@ type delta struct {
 	remove bool
 }
 
-// deltaMsg carries one sender's deltas for one epoch. Exactly one is
-// sent per (sender, receiver, epoch) — empty ones included, because
-// receiving N-1 of them is the epoch barrier.
-type deltaMsg struct {
-	epoch  int64
-	from   int
-	deltas []delta
-}
-
 // shardRunner is one shard's live state: a private simulator plus the
 // cross-shard reference bookkeeping on both sides (pointers held out of
 // this shard, references held into it).
 type shardRunner struct {
 	id  int
-	eng *Engine
 	sim *sim.Sim
 
 	// rec is this shard's run recorder (nil when recording is off);
@@ -62,28 +54,18 @@ type shardRunner struct {
 	xinScratch []heap.OID
 
 	// out accumulates the current epoch's outgoing deltas per target
-	// shard, in generation order.
+	// shard, in generation order; the exchange applies and clears them.
 	out [][]delta
+	// drift is the first foreign out-count mismatch onDiscard found; the
+	// collector's discard hook cannot return it, so drain does.
+	drift error
 
 	events        int64
 	busyNs        int64
-	exchangeNs    int64
 	foreignWrites int64
 	deltasSent    int64
 	deltasRecv    int64
 	msgsSent      int64
-
-	// Parallel-mode plumbing. batchCh delivers epoch batches, freeCh
-	// returns drained ones to the demuxer, inbox receives delta messages.
-	// stash holds messages that arrived one epoch early; perFrom gathers
-	// the current epoch's deltas by sender so they apply in sender order.
-	batchCh chan *Batch
-	freeCh  chan *Batch
-	inbox   chan deltaMsg
-	stash   []deltaMsg
-	perFrom [][]delta
-	done    chan struct{}
-	err     error
 }
 
 // Engine runs one sharded simulation. Build one with New, run it once
@@ -91,9 +73,15 @@ type shardRunner struct {
 type Engine struct {
 	cfg         Config
 	epochEvents int64
+	parallel    bool
 	router      *Router
 	runners     []*shardRunner
 	ran         bool
+
+	// errs holds each shard's drain error; any one fails the run. wg
+	// counts the drains running on their own goroutines.
+	errs []error
+	wg   sync.WaitGroup
 }
 
 // New builds an engine from cfg: a router over the configured shard
@@ -111,7 +99,13 @@ func New(cfg Config) (*Engine, error) {
 	if epochEvents <= 0 {
 		epochEvents = DefaultEpochEvents
 	}
-	e := &Engine{cfg: cfg, epochEvents: epochEvents, router: router}
+	e := &Engine{
+		cfg:         cfg,
+		epochEvents: epochEvents,
+		parallel:    cfg.Parallel && cfg.Shards > 1,
+		router:      router,
+		errs:        make([]error, cfg.Shards),
+	}
 	for i := 0; i < cfg.Shards; i++ {
 		sc := cfg.Sim
 		sc.Seed = cfg.Sim.Seed + int64(i)
@@ -132,7 +126,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 		r := &shardRunner{
 			id:        i,
-			eng:       e,
 			sim:       s,
 			rec:       rec,
 			setEpoch:  setEpoch,
@@ -140,7 +133,6 @@ func New(cfg Config) (*Engine, error) {
 			foutCount: make(map[uint32]int32),
 			xin:       make(map[uint32]int32),
 			out:       make([][]delta, cfg.Shards),
-			perFrom:   make([][]delta, cfg.Shards),
 		}
 		s.SetExternalRoots(r.externalRoots)
 		s.SetOnDiscard(r.onDiscard)
@@ -191,225 +183,125 @@ func (e *Engine) ForeignRefs(i int, fn func(src heap.OID, field int, shard int, 
 // method value, a Buffer replay closure, ...) and return. Run consumes
 // the engine; it may be called once.
 //
-//odbgc:barrier
+// Both modes run the same epoch loop. Each shard drains its batch of the
+// epoch — on its own goroutine when Config.Parallel is set, in shard
+// order on the caller's otherwise — and the caller waits for every
+// drain. Then one exchange on the caller's goroutine applies the
+// epoch's deltas in (receiver, sender) order, before the next epoch's
+// drains start. The modes differ only in where the drains run, so their
+// results are identical. In parallel mode the demuxer fills a second
+// batch set while the current epoch drains.
 func (e *Engine) Run(replay func(trace.Sink) error) (Result, error) {
 	if e.ran {
 		return Result{}, fmt.Errorf("shard: engine already ran")
 	}
 	e.ran = true
-	if e.cfg.Parallel && e.cfg.Shards > 1 {
-		return e.runParallel(replay)
+	var spare []*Batch
+	if e.parallel {
+		spare = newBatches(len(e.runners))
 	}
-	return e.runSerial(replay)
-}
-
-// runSerial drives every shard on the caller's goroutine: per epoch,
-// apply each shard's batch in shard order, then exchange deltas in
-// (receiver, sender) order — the same per-receiver application order the
-// parallel barrier enforces, which is what makes the two modes
-// bit-identical.
-//
-//odbgc:barrier
-func (e *Engine) runSerial(replay func(trace.Sink) error) (Result, error) {
 	d := NewDemuxer(e.router, e.epochEvents, func(batches []*Batch, final bool) ([]*Batch, error) {
-		for i, r := range e.runners {
-			t0 := time.Now() //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
-			err := r.drainBatch(batches[i])
-			r.busyNs += int64(time.Since(t0)) //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
+		// Finish the previous epoch, whose drains may still be running.
+		if err := e.join(); err != nil {
+			return nil, err
 		}
-		for _, recv := range e.runners {
-			for from, send := range e.runners {
-				if from == recv.id {
-					continue
-				}
-				if len(send.out[recv.id]) > 0 {
-					send.msgsSent++
-				}
-				if err := recv.applyDeltas(from, send.out[recv.id]); err != nil {
-					return nil, err
-				}
-			}
+		e.fork(batches)
+		if !e.parallel || final {
+			return batches, e.join()
 		}
-		for _, r := range e.runners {
-			for t := range r.out {
-				r.out[t] = r.out[t][:0]
-			}
-		}
+		spare, batches = batches, spare
 		return batches, nil
 	})
-	if err := replay(d); err != nil {
-		return Result{}, err
+	err := replay(d)
+	if err == nil {
+		err = d.Flush()
 	}
-	if err := d.Flush(); err != nil {
+	if err != nil {
+		e.wg.Wait() // no drain outlives Run
 		return Result{}, err
 	}
 	return e.finish(d), nil
 }
 
-// runParallel runs each shard on its own goroutine, the demux on the
-// caller's. Batches flow demux → shard and back through per-shard
-// channels (two spare batches per shard bound the demuxer's lead);
-// deltas flow shard → shard through bounded inboxes whose capacity 2N
-// suffices because a shard's own barrier keeps it within one epoch of
-// every peer.
-//
-//odbgc:barrier
-func (e *Engine) runParallel(replay func(trace.Sink) error) (Result, error) {
-	n := e.cfg.Shards
-	for _, r := range e.runners {
-		r.batchCh = make(chan *Batch, 1)
-		r.freeCh = make(chan *Batch, 2)
-		r.freeCh <- new(Batch)
-		r.freeCh <- new(Batch)
-		r.inbox = make(chan deltaMsg, 2*n)
-		r.done = make(chan struct{})
-		go r.loop()
-	}
-	next := make([]*Batch, n)
-	d := NewDemuxer(e.router, e.epochEvents, func(batches []*Batch, final bool) ([]*Batch, error) {
-		for i, r := range e.runners {
-			r.batchCh <- batches[i]
+// fork starts one epoch's drains: each shard's on its own goroutine in
+// parallel mode, all of them in shard order on the caller's goroutine
+// otherwise.
+func (e *Engine) fork(batches []*Batch) {
+	for i, r := range e.runners {
+		if !e.parallel {
+			e.errs[i] = r.drain(batches[i])
+			continue
 		}
-		if final {
-			return nil, nil
-		}
-		for i, r := range e.runners {
-			next[i] = <-r.freeCh
-		}
-		return next, nil
-	})
-	replayErr := replay(d)
-	if replayErr == nil {
-		replayErr = d.Flush()
-	}
-	if replayErr != nil {
-		// The trace itself failed to demux; release the shards (each one
-		// has applied the same number of complete epochs) and surface the
-		// replay error.
-		for _, r := range e.runners {
-			close(r.batchCh)
-		}
-	}
-	for _, r := range e.runners {
-		<-r.done
-	}
-	if replayErr != nil {
-		return Result{}, replayErr
-	}
-	for _, r := range e.runners {
-		if r.err != nil {
-			return Result{}, r.err
-		}
-	}
-	return e.finish(d), nil
-}
-
-// loop is one shard goroutine: apply the epoch batch, send exactly one
-// delta message to every peer, then wait for the peers' N-1 messages for
-// the same epoch (the barrier) and apply them in sender order. After an
-// error the shard keeps exchanging empty messages so its peers never
-// stall; the first error by shard order is reported by Run.
-//
-//odbgc:barrier
-func (r *shardRunner) loop() {
-	defer close(r.done)
-	for b := range r.batchCh {
-		if r.err == nil {
-			t0 := time.Now() //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
-			err := r.drainBatch(b)
-			r.busyNs += int64(time.Since(t0)) //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
-			if err != nil {
-				r.err = fmt.Errorf("shard %d: %w", r.id, err)
-			}
-		}
-		t0 := time.Now() //odbgc:nondet-ok wall-clock feeds only the exchange-time perf metric, never simulation results
-		r.sendDeltas(b.Epoch)
-		err := r.exchange(b.Epoch)
-		r.exchangeNs += int64(time.Since(t0)) //odbgc:nondet-ok wall-clock feeds only the exchange-time perf metric, never simulation results
-		if err != nil && r.err == nil {
-			r.err = err
-		}
-		if b.Final {
-			return
-		}
-		r.freeCh <- b
+		e.wg.Add(1)
+		go func(b *Batch) {
+			defer e.wg.Done()
+			e.errs[i] = r.drain(b)
+		}(batches[i])
 	}
 }
 
-// sendDeltas ships the epoch's accumulated deltas: one message per peer,
-// empty when the shard has nothing to say (the message itself is the
-// barrier token). Delta slices are cloned because the receiver reads
-// them after this shard has moved on.
-//
-//odbgc:barrier
-func (r *shardRunner) sendDeltas(epoch int64) {
-	for t, peer := range r.eng.runners {
-		if t == r.id {
-			continue
-		}
-		var ds []delta
-		if len(r.out[t]) > 0 {
-			ds = slices.Clone(r.out[t])
-			r.out[t] = r.out[t][:0]
-			r.msgsSent++
-		}
-		peer.inbox <- deltaMsg{epoch: epoch, from: r.id, deltas: ds}
-	}
-}
-
-// exchange waits for the N-1 peer messages of the given epoch, stashing
-// any that arrive one epoch early, and applies them in sender order —
-// the fixed order that makes the result independent of arrival order.
-// After a shard error the messages are still consumed (the barrier must
-// hold) but not applied.
-//
-//odbgc:barrier
-func (r *shardRunner) exchange(epoch int64) error {
-	n := len(r.eng.runners)
-	for i := range r.perFrom {
-		r.perFrom[i] = nil
-	}
-	got := 0
-	keep := r.stash[:0]
-	for _, m := range r.stash {
-		if m.epoch == epoch {
-			r.perFrom[m.from] = m.deltas
-			got++
-		} else {
-			keep = append(keep, m)
-		}
-	}
-	r.stash = keep
-	for got < n-1 {
-		m := <-r.inbox
-		if m.epoch != epoch {
-			r.stash = append(r.stash, m)
-			continue
-		}
-		r.perFrom[m.from] = m.deltas
-		got++
-	}
-	if r.err != nil {
-		return nil
-	}
-	for from := 0; from < n; from++ {
-		if from == r.id {
-			continue
-		}
-		if err := r.applyDeltas(from, r.perFrom[from]); err != nil {
+// join waits for the drains in flight, then exchanges their deltas. A
+// failed drain fails the run with the lowest-numbered shard's error.
+func (e *Engine) join() error {
+	e.wg.Wait()
+	for _, err := range e.errs {
+		if err != nil {
 			return err
 		}
+	}
+	return e.exchange()
+}
+
+// exchange applies the epoch's deltas in (receiver, sender) order — the
+// fixed order that makes the result independent of how the drains were
+// scheduled — and clears every outgoing buffer for the next epoch.
+func (e *Engine) exchange() error {
+	for _, recv := range e.runners {
+		for from, send := range e.runners {
+			ds := send.out[recv.id]
+			if from == recv.id || len(ds) == 0 {
+				continue
+			}
+			send.msgsSent++
+			if err := recv.applyDeltas(from, ds); err != nil {
+				return err
+			}
+		}
+	}
+	for _, r := range e.runners {
+		for t := range r.out {
+			r.out[t] = r.out[t][:0]
+		}
+	}
+	return nil
+}
+
+// drain applies one epoch batch and times it for the busy-time metric.
+// Every failure inside it — an error from the batch, a foreign out-count
+// drift onDiscard recorded, or a panic in the shard's simulator or
+// policy — comes back as an error that names the shard.
+func (r *shardRunner) drain(b *Batch) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("shard %d: panic: %v\n%s", r.id, p, debug.Stack())
+		}
+	}()
+	t0 := time.Now() //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
+	err = r.drainBatch(b)
+	r.busyNs += int64(time.Since(t0)) //odbgc:nondet-ok wall-clock feeds only the busy-time perf metric, never simulation results
+	if r.drift != nil {
+		err = r.drift
+	}
+	if err != nil {
+		return fmt.Errorf("shard %d: %w", r.id, err)
 	}
 	return nil
 }
 
 // drainBatch applies one epoch batch to the shard's simulator,
 // interposing the cross-shard half of the write barrier on writes. This
-// is the shard-local phase: the loop the busy counters time, and the
-// zero-alloc fast path the AllocsPerRun guard and hotcall pin — a
+// is the shard-local phase: the loop drain times for the busy counters,
+// and the zero-alloc fast path the AllocsPerRun guard and hotcall pin — a
 // shard with no cross-traffic (empty fout, no marks) pays one length
 // check per write over a plain replay.
 //
@@ -482,7 +374,7 @@ func (r *shardRunner) drainBatch(b *Batch) error {
 // location holds nil locally) and the caller must feed to the trigger.
 func (r *shardRunner) foreignBarrier(src heap.OID, field int, fw *ForeignWrite) (bool, error) {
 	if field < 0 || field >= 1<<16 {
-		return false, fmt.Errorf("shard %d: write field %d outside the packed location range", r.id, field) //odbgc:alloc-ok malformed-trace error path
+		return false, fmt.Errorf("write field %d outside the packed location range", field) //odbgc:alloc-ok malformed-trace error path
 	}
 	key := packLoc(uint32(src), field)
 	overwrote := false
@@ -514,9 +406,7 @@ func (r *shardRunner) enqueue(to int, d delta) {
 // applyDeltas folds one sender's deltas into the external reference
 // counts. Counts never go negative: every remove retracts a previously
 // delivered add, because a location's add precedes its remove at the
-// sender and sender order is preserved end to end.
-//
-//odbgc:barrier
+// sender and the exchange applies each sender's deltas in order.
 func (r *shardRunner) applyDeltas(from int, ds []delta) error {
 	for _, d := range ds {
 		r.deltasRecv++
@@ -555,7 +445,9 @@ func (r *shardRunner) externalRoots(_ heap.PartitionID, add func(heap.OID)) {
 
 // onDiscard retracts the cross-shard references of a dying object while
 // its fields are still intact (sim.SetOnDiscard), so the target shards
-// stop treating the referents as externally rooted.
+// stop treating the referents as externally rooted. A count that does
+// not match the object's fout entries is a bookkeeping bug; the first
+// one is kept for drain to return.
 func (r *shardRunner) onDiscard(oid heap.OID) {
 	n, ok := r.foutCount[uint32(oid)]
 	if !ok {
@@ -570,8 +462,8 @@ func (r *shardRunner) onDiscard(oid heap.OID) {
 			n--
 		}
 	}
-	if n != 0 {
-		panic(fmt.Sprintf("shard %d: foreign out-count drift for local OID %d (%d unmatched)", r.id, oid, n))
+	if n != 0 && r.drift == nil {
+		r.drift = fmt.Errorf("foreign out-count drift for local OID %d (%d unmatched)", oid, n)
 	}
 	delete(r.foutCount, uint32(oid))
 }
@@ -581,7 +473,7 @@ func (e *Engine) finish(d *Demuxer) Result {
 	res := Result{
 		Shards:      e.cfg.Shards,
 		Assignment:  e.cfg.Assignment,
-		Parallel:    e.cfg.Parallel && e.cfg.Shards > 1,
+		Parallel:    e.parallel,
 		EpochEvents: e.epochEvents,
 		Epochs:      d.Epoch() + 1,
 		Events:      d.Events(),
@@ -594,7 +486,6 @@ func (e *Engine) finish(d *Demuxer) Result {
 			Result:             r.sim.Finish(),
 			GarbageByPartition: slices.Clone(r.sim.Oracle().GarbageByPartition()),
 			BusyNs:             r.busyNs,
-			ExchangeNs:         r.exchangeNs,
 			ForeignWrites:      r.foreignWrites,
 			DeltasSent:         r.deltasSent,
 			DeltasReceived:     r.deltasRecv,
@@ -640,13 +531,12 @@ type ShardResult struct {
 	// bytes — part of what the selfcheck compares bit-for-bit across
 	// engine modes.
 	GarbageByPartition []int64
-	// BusyNs is wall time spent inside the shard-local apply loop;
-	// ExchangeNs is wall time sending, awaiting, and applying deltas
-	// (parallel mode only — the serial engine has no exchange wait).
-	BusyNs, ExchangeNs int64
+	// BusyNs is wall time spent inside the shard-local apply loop.
+	BusyNs int64
 	// ForeignWrites counts writes whose target lives on another shard;
-	// DeltasSent/DeltasReceived and MessagesSent count the exchange
-	// volume they generated.
+	// DeltasSent/DeltasReceived count the exchange volume they generated,
+	// and MessagesSent the epochs' non-empty (sender, receiver) delta
+	// batches.
 	ForeignWrites  int64
 	DeltasSent     int64
 	DeltasReceived int64

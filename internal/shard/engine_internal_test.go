@@ -163,3 +163,36 @@ func TestApplyDeltasUnderflow(t *testing.T) {
 		t.Fatalf("applyDeltas underflow error = %v", err)
 	}
 }
+
+// TestOnDiscardDriftIsNamedError corrupts one runner's foreign out-count
+// and lets a real collection discard the object: the drain that ran the
+// collection must return an error naming the shard and the local OID.
+func TestOnDiscardDriftIsNamedError(t *testing.T) {
+	eng, err := New(Config{
+		Shards: 2,
+		Sim: sim.Config{
+			Seed:              1,
+			Policy:            core.NameMutatedPartition,
+			Heap:              heap.Config{PageSize: 4096, PartitionPages: 8, ReserveEmpty: true},
+			TriggerOverwrites: 1,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := eng.runners[0], eng.runners[1]
+	drain(t, r1, &Batch{Events: []trace.Event{create(1), root(1)}})
+	child := create(2)
+	child.Parent = 1
+	drain(t, r0, &Batch{
+		Events:  []trace.Event{create(1), root(1), child, {Kind: trace.KindWrite, OID: 2, Field: 2}},
+		Foreign: []ForeignWrite{{Pos: 3, Shard: 1, Target: 1}},
+	})
+	r0.foutCount[2] = 2 // one fout entry, counted twice
+
+	// Overwriting 1.0 strands object 2 and fires the trigger.
+	err = r0.drain(&Batch{Events: []trace.Event{{Kind: trace.KindWrite, OID: 1, Field: 0}}})
+	if err == nil || !strings.Contains(err.Error(), "shard 0: foreign out-count drift for local OID 2") {
+		t.Fatalf("drain error = %v, want the named out-count drift", err)
+	}
+}

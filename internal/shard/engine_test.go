@@ -2,9 +2,11 @@ package shard_test
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"odbgc/internal/check"
 	"odbgc/internal/core"
@@ -74,8 +76,8 @@ func diffRuns(t *testing.T, labelA, labelB string, a, b shard.Result) {
 		if err := check.DiffResults(labelA, labelB, sa.Result, sb.Result); err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
-		sa.BusyNs, sa.ExchangeNs, sa.Result = 0, 0, sim.Result{}
-		sb.BusyNs, sb.ExchangeNs, sb.Result = 0, 0, sim.Result{}
+		sa.BusyNs, sa.Result = 0, sim.Result{}
+		sb.BusyNs, sb.Result = 0, sim.Result{}
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("shard %d counters diverge:\n%s: %+v\n%s: %+v", i, labelA, sa, labelB, sb)
 		}
@@ -242,6 +244,47 @@ func TestEngineSurfacesReplayError(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "before creation") {
 			t.Errorf("parallel=%v: error %v, want routing failure", parallel, err)
+		}
+	}
+}
+
+// panicSelect stands in for a policy bug: its Select panics.
+type panicSelect struct{ core.Policy }
+
+func (panicSelect) Select(*core.Env) (heap.PartitionID, bool) { panic("injected Select failure") }
+
+// TestShardPanicIsNamedError: a panic inside one shard's drain — here in
+// shard 2's policy — fails Run in both modes with an error naming the
+// shard, instead of killing the process, and no drain goroutine outlives
+// Run.
+func TestShardPanicIsNamedError(t *testing.T) {
+	rt := testTrace(t, 3)
+	for _, parallel := range []bool{false, true} {
+		cfg := shard.Config{Shards: 4, EpochEvents: 1 << 12, Parallel: parallel, Sim: testSimCfg("custom")}
+		built := 0
+		cfg.Sim.PolicyFactory = func() core.Policy {
+			built++
+			if built == 3 { // shard 2's simulator is built third
+				return panicSelect{core.NewUpdatedPointer()}
+			}
+			return core.NewUpdatedPointer()
+		}
+		eng, err := shard.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		_, err = eng.Run(replayOf(rt))
+		if err == nil || !strings.Contains(err.Error(), "shard 2: panic: injected Select failure") {
+			t.Fatalf("parallel=%v: Run error = %v, want shard 2's panic", parallel, err)
+		}
+		// Run has waited for every drain; their goroutines may still be
+		// returning from wg.Done.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+			if time.Now().After(deadline) {
+				t.Fatalf("parallel=%v: %d goroutines after Run, %d before", parallel, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 }

@@ -2,9 +2,9 @@
 // the object space is split across N shards, each owning a private heap,
 // page buffer, remembered sets, collection trigger, and collector, and
 // each consuming a per-shard sub-stream demultiplexed from one global
-// trace. It is the "parallel within a single simulation" substrate of
-// ROADMAP item 5 — the architecture a production object database with
-// per-zone collectors has, scaled down to the paper's simulator.
+// trace. It is the "parallel within a single simulation" substrate — the
+// architecture a production object database with per-zone collectors
+// has, scaled down to the paper's simulator.
 //
 // # Routing
 //
@@ -22,25 +22,24 @@
 // and so another shard. The owning shard cannot store a foreign OID in
 // its heap; the demuxer rewrites such a write's target to nil and
 // records the true target in a sidecar. The engine tracks the pointer in
-// a per-shard foreign-out table and sends a remembered-set delta (add or
-// remove of one external reference count) to the target's shard. Each
+// a per-shard foreign-out table and queues a remembered-set delta (add
+// or remove of one external reference count) for the target's shard. Each
 // shard's external-reference counts act as extra collection roots, the
 // cross-shard analogue of a remembered set.
 //
-// # Epoch barriers
+// # Epochs
 //
-// Deltas are exchanged at deterministic epoch barriers: the demuxer cuts
-// the global stream every Config.EpochEvents events, each shard applies
-// its epoch batch, sends exactly one delta message to every other shard
-// (empty if it has nothing to say), and then waits for the other N-1
-// shards' messages for that epoch before starting the next batch.
-// Receiving N-1 messages IS the barrier — no separate synchronization
-// exists — and deltas are applied in sender order, so the externally
-// visible state at every epoch boundary is a pure function of the trace
-// and the configuration, independent of goroutine interleaving. The
-// serial mode (Config.Parallel = false) drives the same shard states
-// through the same apply/exchange code on one goroutine; check.SelfCheck
-// proves the two modes bit-identical for every policy.
+// Deltas are exchanged between epochs: the demuxer cuts the global
+// stream every Config.EpochEvents events, and every shard drains its
+// batch of the epoch — on its own goroutine when Config.Parallel is set,
+// in shard order on the caller's goroutine otherwise. Once every drain
+// has finished, one exchange on the caller's goroutine applies the
+// epoch's deltas in (receiver, sender) order, before any shard starts
+// the next epoch. The state at every epoch boundary is therefore a pure
+// function of the trace and the configuration, and the two modes differ
+// only in where the drains run; check.SelfCheck confirms them
+// bit-identical for every policy. A drain that fails or panics fails
+// the run with an error naming its shard.
 package shard
 
 import (
@@ -113,9 +112,11 @@ type Config struct {
 	// EpochEvents is the epoch length in global trace events
 	// (0 selects DefaultEpochEvents).
 	EpochEvents int64
-	// Parallel runs each shard on its own goroutine; false drives the
-	// same shard states serially on the caller's goroutine. Results are
-	// identical (enforced by check.SelfCheck).
+	// Parallel drains each shard's epoch batch on its own goroutine, and
+	// demultiplexes the next epoch while they run; false drains the
+	// shards in order on the caller's goroutine. The epoch loop and the
+	// exchange are the same, so results are identical (checked by
+	// check.SelfCheck).
 	Parallel bool
 	// Sim is the per-shard simulator configuration. Each shard gets its
 	// own instance with Seed offset by its shard index (so shard 0 of a

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"odbgc/internal/trace"
@@ -132,18 +133,16 @@ type CacheStats struct {
 // byte budget with least-recently-used eviction; an evicted trace is
 // simply regenerated if requested again.
 //
-// The LRU list is the same intrusive index-linked structure as the page
-// buffer's frame arena: nodes live in one slice chained by int32
-// indices, with freed slots recycled through a free list.
+// Recency is one slice of entries, least recently used first. The cache
+// is touched once per simulation and holds at most a few hundred
+// traces, so its linear scans cost nothing next to one generation.
 type TraceCache struct {
-	mu         sync.Mutex
-	budget     int64
-	used       int64
-	entries    map[Config]int32 // -> index into nodes
-	nodes      []cacheNode
-	head, tail int32 // LRU order: head = most recent
-	free       int32 // free-slot chain (through cacheNode.next)
-	stats      CacheStats
+	mu      sync.Mutex
+	budget  int64
+	used    int64
+	entries map[Config]*cacheEntry
+	order   []*cacheEntry // least recently used first
+	stats   CacheStats
 
 	// Spill mode (EnableSpill): configurations whose TotalAllocBytes
 	// meets spillMin generate straight to chunked files in spillDir and
@@ -153,45 +152,26 @@ type TraceCache struct {
 	spillMin int64
 }
 
-// nilNode terminates node chains.
-const nilNode = int32(-1)
-
-// cacheNode is one slot of the cache's intrusive LRU list. res carries
-// the generation result: waiters capture it under the lock, so a hit
-// that caught the node just before an eviction still reads the right
-// trace even if the slot is later recycled for another configuration.
-type cacheNode struct {
-	key        Config
-	prev, next int32
-	res        *genResult
-	size       int64 // 0 until generation completes
-}
-
-// genResult is one generation's outcome; ready is closed once rt and err
-// are set.
-type genResult struct {
+// cacheEntry is one configuration's generation. size is guarded by the
+// cache's mutex; rt and err are set once, before ready is closed, so a
+// waiter that found the entry reads them after <-ready even if the entry
+// has since been evicted.
+type cacheEntry struct {
+	key   Config
+	size  int64 // 0 until generation completes
 	ready chan struct{}
 	rt    *RecordedTrace
 	err   error
 }
 
-// recordTrace and recordStreamedTrace are Record and RecordStreamed,
-// indirected so cache tests can inject failing or panicking generations.
-var (
-	recordTrace         = Record
-	recordStreamedTrace = RecordStreamed
-)
+// recordTrace is Record, indirected so cache tests can inject failing or
+// panicking generations.
+var recordTrace = Record
 
 // NewTraceCache returns a cache bounded to budget bytes of recorded
 // trace data; budget <= 0 disables eviction (unbounded).
 func NewTraceCache(budget int64) *TraceCache {
-	return &TraceCache{
-		budget:  budget,
-		entries: make(map[Config]int32),
-		head:    nilNode,
-		tail:    nilNode,
-		free:    nilNode,
-	}
+	return &TraceCache{budget: budget, entries: make(map[Config]*cacheEntry)}
 }
 
 // EnableSpill directs the cache to generate any configuration whose
@@ -217,7 +197,7 @@ func (c *TraceCache) generate(cfg Config) (*RecordedTrace, error) {
 	c.mu.Unlock()
 	if dir != "" && cfg.TotalAllocBytes >= min {
 		path := filepath.Join(dir, fmt.Sprintf("trace-%016x.odbgcck", cfg.Fingerprint()))
-		return recordStreamedTrace(cfg, path, 0)
+		return RecordStreamed(cfg, path, 0)
 	}
 	return recordTrace(cfg)
 }
@@ -227,25 +207,25 @@ func (c *TraceCache) generate(cfg Config) (*RecordedTrace, error) {
 // eviction only affects future Gets.
 func (c *TraceCache) Get(cfg Config) (*RecordedTrace, error) {
 	c.mu.Lock()
-	if i, ok := c.entries[cfg]; ok {
-		res := c.nodes[i].res
+	if ent, ok := c.entries[cfg]; ok {
 		c.stats.Hits++
-		c.moveToFront(i)
+		i := slices.Index(c.order, ent)
+		c.order = append(slices.Delete(c.order, i, i+1), ent) // now the most recent
 		c.mu.Unlock()
-		<-res.ready
-		return res.rt, res.err
+		<-ent.ready
+		return ent.rt, ent.err
 	}
-	res := &genResult{ready: make(chan struct{})}
-	i := c.allocNode(cfg, res)
-	c.entries[cfg] = i
+	ent := &cacheEntry{key: cfg, ready: make(chan struct{})}
+	c.entries[cfg] = ent
+	c.order = append(c.order, ent)
 	c.stats.Misses++
 	c.mu.Unlock()
 
 	// Generation runs outside the lock. A panicking generator must not
-	// poison the cache: without the cleanup below, the in-flight node
+	// poison the cache: without the cleanup below, the in-flight entry
 	// stays pinned under cfg forever and every later Get of the same
 	// configuration blocks on a ready channel nobody will close. The
-	// deferred recovery removes the node, releases all waiters with an
+	// deferred recovery removes the entry, releases all waiters with an
 	// error, and re-panics so the bug still surfaces in this goroutine.
 	completed := false
 	defer func() {
@@ -253,112 +233,59 @@ func (c *TraceCache) Get(cfg Config) (*RecordedTrace, error) {
 			return
 		}
 		r := recover()
-		res.err = fmt.Errorf("workload: trace generation for seed %d panicked: %v", cfg.Seed, r)
+		ent.err = fmt.Errorf("workload: trace generation for seed %d panicked: %v", cfg.Seed, r)
 		c.mu.Lock()
-		c.removeLocked(i)
+		c.removeLocked(ent)
 		c.mu.Unlock()
-		close(res.ready)
+		close(ent.ready)
 		panic(r)
 	}()
 	rt, err := c.generate(cfg)
 	completed = true
-	res.rt, res.err = rt, err
+	ent.rt, ent.err = rt, err
 
-	// Node i is still ours: in-flight nodes (size == 0) are never evicted,
-	// and only this goroutine completes or removes them, so the index
-	// could not have been recycled while the lock was released.
+	// The entry is still cached: in-flight entries (size == 0) are never
+	// evicted, and only this goroutine completes or removes them.
 	c.mu.Lock()
 	if err != nil {
 		// Do not cache failures; a later Get retries.
-		c.removeLocked(i)
+		c.removeLocked(ent)
 	} else {
-		size := rt.SizeBytes()
-		c.nodes[i].size = size
-		c.used += size
+		ent.size = rt.SizeBytes()
+		c.used += ent.size
 		if c.used > c.stats.PeakBytes {
 			c.stats.PeakBytes = c.used
 		}
-		c.evictLocked(i)
+		c.evictLocked(ent)
 	}
 	c.mu.Unlock()
-	close(res.ready)
+	close(ent.ready)
 	return rt, err
-}
-
-// allocNode takes a slot from the free chain (or extends the arena),
-// fills it, and links it at the front of the LRU list.
-func (c *TraceCache) allocNode(key Config, res *genResult) int32 {
-	i := c.free
-	if i != nilNode {
-		c.free = c.nodes[i].next
-		c.nodes[i] = cacheNode{key: key, prev: nilNode, next: nilNode, res: res}
-	} else {
-		i = int32(len(c.nodes))
-		c.nodes = append(c.nodes, cacheNode{key: key, prev: nilNode, next: nilNode, res: res})
-	}
-	c.pushFront(i)
-	return i
-}
-
-func (c *TraceCache) pushFront(i int32) {
-	n := &c.nodes[i]
-	n.prev, n.next = nilNode, c.head
-	if c.head != nilNode {
-		c.nodes[c.head].prev = i
-	} else {
-		c.tail = i
-	}
-	c.head = i
-}
-
-func (c *TraceCache) unlink(i int32) {
-	n := &c.nodes[i]
-	if n.prev != nilNode {
-		c.nodes[n.prev].next = n.next
-	} else {
-		c.head = n.next
-	}
-	if n.next != nilNode {
-		c.nodes[n.next].prev = n.prev
-	} else {
-		c.tail = n.prev
-	}
-	n.prev, n.next = nilNode, nilNode
-}
-
-func (c *TraceCache) moveToFront(i int32) {
-	if c.head == i {
-		return
-	}
-	c.unlink(i)
-	c.pushFront(i)
 }
 
 // evictLocked drops least-recently-used completed traces until the
 // budget is met, never evicting keep (the entry just inserted) or
 // entries still generating (size == 0).
-func (c *TraceCache) evictLocked(keep int32) {
+func (c *TraceCache) evictLocked(keep *cacheEntry) {
 	if c.budget <= 0 {
 		return
 	}
-	for i := c.tail; i != nilNode && c.used > c.budget; {
-		prev := c.nodes[i].prev
-		if i != keep && c.nodes[i].size != 0 {
-			c.removeLocked(i)
+	for i := 0; i < len(c.order) && c.used > c.budget; {
+		if ent := c.order[i]; ent != keep && ent.size != 0 {
+			c.removeLocked(ent)
 			c.stats.Evictions++
+			continue
 		}
-		i = prev
+		i++
 	}
 }
 
-// removeLocked unlinks node i, drops its map entry and budget charge,
-// and recycles the slot (clearing its result and key references).
-func (c *TraceCache) removeLocked(i int32) {
-	delete(c.entries, c.nodes[i].key)
-	c.used -= c.nodes[i].size
-	c.unlink(i)
-	c.nodes[i] = cacheNode{prev: nilNode, next: c.free}
-	c.free = i
+// removeLocked drops ent from the map, the recency order and the budget.
+func (c *TraceCache) removeLocked(ent *cacheEntry) {
+	delete(c.entries, ent.key)
+	i := slices.Index(c.order, ent)
+	c.order = slices.Delete(c.order, i, i+1)
+	c.used -= ent.size
 }
 
 // Stats returns a snapshot of the cache counters.

@@ -143,6 +143,42 @@ func TestTraceCacheEvictsLRU(t *testing.T) {
 	}
 }
 
+// TestTraceCacheHitRefreshesRecency: a hit makes its trace the most
+// recently used. With room for two traces, Get 1, 2, 1, 3 must evict
+// trace 2 and keep trace 1, though 1 was inserted first.
+func TestTraceCacheHitRefreshesRecency(t *testing.T) {
+	var size [4]int64
+	for seed := int64(1); seed <= 3; seed++ {
+		rt, err := Record(cacheTestConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		size[seed] = rt.SizeBytes()
+	}
+	c := NewTraceCache(max(size[1]+size[2], size[1]+size[3]))
+	for _, seed := range []int64{1, 2, 1, 3} {
+		if _, err := c.Get(cacheTestConfig(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Misses != 3 || st.Hits != 1 || st.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 3 misses, 1 hit, 1 eviction", st)
+	}
+	if _, err := c.Get(cacheTestConfig(1)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Misses != st.Misses {
+		t.Fatal("trace 1 was evicted although its hit made it more recent than trace 2")
+	}
+	if _, err := c.Get(cacheTestConfig(2)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Stats().Misses != st.Misses+1 {
+		t.Fatal("trace 2, the least recently used, was not evicted")
+	}
+}
+
 func TestTraceCacheDoesNotCacheErrors(t *testing.T) {
 	c := NewTraceCache(0)
 	bad := cacheTestConfig(1)
