@@ -13,11 +13,12 @@ if [ -n "$gofmt_dirty" ]; then
     exit 1
 fi
 go vet ./...
-# Project-specific analyzers (determinism, zero-alloc hot paths, arena
-# discipline, exhaustive enum switches, and the interprocedural
-# hotcall/detflow pair) — see DESIGN.md "Static analysis layer" and
-# internal/analysis. Any finding fails the build, and so does
-# any //odbgc:*-ok suppression that no longer suppresses anything.
+# Project-specific analyzers: kindswitch (exhaustive enum switches),
+# arenaindex (no pointer into an //odbgc:arena field held across a move
+# of it), hotcall (zero-alloc hot paths) and detflow (determinism) — see
+# DESIGN.md "Static analysis layer" and internal/analysis. Any finding
+# fails the build, and so does any //odbgc:*-ok suppression that no
+# longer suppresses anything.
 go build -o bin/odbgc-vet ./cmd/odbgc-vet
 go vet -vettool="$PWD/bin/odbgc-vet" ./...
 go build ./...
@@ -76,6 +77,13 @@ for ex in examples/*/; do
     go run "./$ex" > "$stream_tmp/example.txt"
     cmp "$stream_tmp/example.txt" "${ex}expected.txt"
 done
+# The paper's Tables 2-5 at full scale: stdout must match
+# results/experiments_output.txt byte for byte up to its "Figure 4
+# series" line, where the figure runs' output starts. Every I/O count in
+# them comes through the page buffer.
+sed '/^Figure 4 series/,$d' results/experiments_output.txt > "$stream_tmp/tables_want.txt"
+go run ./cmd/experiments -tables -table5 -q -record none > "$stream_tmp/tables.txt"
+cmp "$stream_tmp/tables.txt" "$stream_tmp/tables_want.txt"
 go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
 ceiling() { python3 scripts/rss_ceiling.py "$@"; }
 # The generator's state follows the alive nodes, not the run length, and

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -386,5 +387,21 @@ func TestShardedReplayRangeAssignment(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "(range)") {
 		t.Errorf("output does not echo the range assignment:\n%s", stdout.String())
+	}
+}
+
+// TestShardedScalingNeedsACPUPerShard runs two shards on one CPU. Each
+// parallel drain's busy time then includes waiting for the CPU, so the
+// scaling row would report a speedup that did not happen.
+func TestShardedScalingNeedsACPUPerShard(t *testing.T) {
+	path := writeCrossTrace(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var stdout, stderr bytes.Buffer
+	args := []string{"-trace", path, "-shards", "2", "-partition-pages", "8", "-trigger", "40"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("sharded replay: %v", err)
+	}
+	if strings.Contains(stdout.String(), "Shard-local scaling") {
+		t.Errorf("scaling row printed with one CPU for two shards:\n%s", stdout.String())
 	}
 }

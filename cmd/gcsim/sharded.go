@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"odbgc/internal/record"
 	"odbgc/internal/shard"
@@ -77,7 +78,10 @@ func printShardedResult(stdout io.Writer, res shard.Result) {
 	t.AddRow("Remset deltas exchanged", fmt.Sprint(res.DeltasExchanged))
 	t.AddRow("Exchange messages", fmt.Sprint(res.MessagesSent))
 	t.AddRow("Event imbalance", fmt.Sprintf("%.3f", res.Imbalance))
-	if res.BusyNsMax > 0 {
+	// A drain's busy time measures its work only when it had a CPU to
+	// itself: with fewer CPUs than shards, the parallel drains' timed
+	// spans also count the time they waited for one.
+	if res.BusyNsMax > 0 && runtime.GOMAXPROCS(0) >= res.Shards && runtime.NumCPU() >= res.Shards {
 		t.AddRow("Shard-local scaling", fmt.Sprintf("%.2fx (busy %.2fs total / %.2fs critical path)",
 			float64(res.BusyNsTotal)/float64(res.BusyNsMax),
 			float64(res.BusyNsTotal)/1e9, float64(res.BusyNsMax)/1e9))

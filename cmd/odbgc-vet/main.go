@@ -1,6 +1,6 @@
 // odbgc-vet is the repository's custom vet tool: it drives the
-// internal/analysis suite (detmap, arenaindex, kindswitch, and the
-// interprocedural hotcall and detflow) through the `go vet -vettool`
+// internal/analysis suite (kindswitch, and the interprocedural
+// arenaindex, hotcall and detflow) through the `go vet -vettool`
 // protocol.
 //
 // Build and run it locally with:

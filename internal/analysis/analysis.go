@@ -1,5 +1,5 @@
 // Package analysis is the repository's static-analysis layer: a small
-// go/analysis-compatible framework plus five project-specific analyzers
+// go/analysis-compatible framework plus four project-specific analyzers
 // that turn the codebase's determinism and zero-allocation conventions
 // into compile-time errors.
 //
@@ -7,18 +7,19 @@
 // bit-identical trace-driven event stream (Section 4); the runtime audit
 // layer (internal/check) verifies that property after the fact, while
 // this package prevents the classes of code that break it from being
-// written at all: map-iteration-ordered results (detmap), dangling
-// pointers into the arenas (arenaindex), and silently non-exhaustive
-// switches over the event-kind and policy enumerations (kindswitch).
+// written at all: silently non-exhaustive switches over the event-kind
+// and policy enumerations (kindswitch), and the three below.
 //
 // Three analyzers see across function and package boundaries through a
 // per-package call graph (callgraph.go) and serialized modular facts
-// (facts.go): arenaindex follows which functions can move an arena and
-// which return views into one; hotcall forbids allocation in
+// (facts.go): arenaindex follows which functions can move an
+// //odbgc:arena field and which return views into one, and flags
+// pointers held across such a move; hotcall forbids allocation in
 // //odbgc:hotpath functions, in their own bodies and through their
-// callees; and detflow forbids ambient clocks, global randomness, and
-// environment reads in the result packages and tracks nondeterminism
-// taint from those sources and map order to result and recording sinks.
+// callees; and detflow forbids ambient clocks, global randomness,
+// environment reads and order-dependent map iteration in the result
+// packages and tracks nondeterminism taint from those sources to result
+// and recording sinks.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Diagnostic carry the same meaning — but is built on
@@ -153,10 +154,10 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 }
 
 // resultPackages names the packages whose code can influence simulation
-// results or rendered output. detmap and detflow's direct-use rule scope
-// themselves to these; matching is by package name so analysistest
-// fixtures (package sim, package core, ...) exercise the same predicate
-// the real tree does.
+// results or rendered output. detflow's direct rule scopes itself to
+// these; matching is by package name so analysistest fixtures (package
+// sim, package core, ...) exercise the same predicate the real tree
+// does.
 var resultPackages = map[string]bool{
 	"core":        true,
 	"gc":          true,
@@ -184,21 +185,9 @@ func isResultPackage(pass *Pass) bool {
 // diagnostic before the cross-package ones.
 func All() []*Analyzer {
 	return []*Analyzer{
-		DetMap,
 		KindSwitch,
 		ArenaIndex,
 		HotCall,
 		DetFlow,
 	}
-}
-
-// pathEnclosingInterval is a minimal ast.Inspect-based helper returning
-// the FuncDecl whose body contains pos, if any.
-func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
-	for _, d := range file.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Body.Pos() <= pos && pos <= fd.Body.End() {
-			return fd
-		}
-	}
-	return nil
 }

@@ -11,13 +11,13 @@ import (
 // negative, and one suppressed line for its analyzer; atest.Run fails on
 // any unmatched or unexpected diagnostic.
 
-func TestDetMap(t *testing.T) {
-	atest.Run(t, "testdata/detmap/sim", analysis.DetMap)
-}
+// The direct rules of detflow and hotcall keep single-package fixtures
+// of their own (detflow's map-order rule keeps detmap's fixture); the
+// multi-package fixtures below cover the flows through calls.
 
-// The direct-use rules of detflow and hotcall keep single-package
-// fixtures of their own; the multi-package fixtures below cover the
-// flows through calls.
+func TestDetMap(t *testing.T) {
+	atest.Run(t, "testdata/detmap/sim", analysis.DetFlow)
+}
 
 func TestSimClock(t *testing.T) {
 	atest.Run(t, "testdata/simclock/sim", analysis.DetFlow)

@@ -8,31 +8,22 @@ import (
 	"strings"
 )
 
-// ArenaIndex guards the repository's arenas: the intrusive index-linked
-// arenas (the page buffer's []frame, the trace cache's []cacheNode),
-// slices of structs chained by int32 prev/next indices where -1 is the
-// nil sentinel because 0 is a valid slot, and the flat arenas a struct
-// field marks with //odbgc:arena (the heap's slot storage and field
-// arena), whose backing arrays grow or are compacted in place.
+// ArenaIndex guards the flat arenas a struct field marks with
+// //odbgc:arena (the page buffer's frames, the heap's slot storage and
+// field arena), whose backing arrays grow or are compacted in place.
 //
-// Two mistakes are easy to make and survive every test until the arena
-// happens to grow or slot 0 happens to be involved:
-//
-//   - holding a pointer into an arena (&arena[i]) or a view of it
-//     (arena[i:j], or the result of a function returning one) across a
-//     call that can move the arena's contents — a function that
-//     reassigns the arena field, directly or through its callees, in
-//     this package or, through facts, in another — or across a direct
-//     reassignment of the slice: the pointer then reads a stale array;
-//   - treating 0 as the "no frame" value: comparing a link field to 0,
-//     assigning 0 to one, or building an arena element literal that
-//     leaves the link fields to their zero value.
+// One mistake is easy to make and survives every test until the arena
+// happens to grow: holding a pointer into an arena (&arena[i]) or a view
+// of it (arena[i:j], or the result of a function returning one) across a
+// call that can move the arena's contents — a function that reassigns
+// the arena field, directly or through its callees, in this package or,
+// through facts, in another — or across a direct reassignment of the
+// slice: the pointer then reads a stale array.
 //
 // Intentional exceptions carry //odbgc:arena-ok <reason>.
 var ArenaIndex = &Analyzer{
-	Name: "arenaindex",
-	Doc: "flags stale pointers into arenas and 0-vs-(-1) " +
-		"sentinel confusion in intrusive arenas' link fields",
+	Name:  "arenaindex",
+	Doc:   "flags pointers into //odbgc:arena fields held across a move of the arena",
 	Run:   runArenaIndex,
 	Facts: true,
 }
@@ -42,40 +33,6 @@ const arenaDirective = "//odbgc:arena"
 
 const arenaMarker = "arena-ok"
 
-// arenaLinkFields are the int32 struct fields treated as intra-arena
-// links when they appear on an arena element type ("prev", "next") or
-// beside an arena slice field ("head", "tail", "free", "hand").
-var arenaElemLinks = map[string]bool{"prev": true, "next": true}
-var arenaOwnerLinks = map[string]bool{"head": true, "tail": true, "free": true, "hand": true}
-
-// isArenaElem reports whether t is a named struct type with int32 prev
-// and next fields — the shape of an intrusive arena element.
-func isArenaElem(t types.Type) bool {
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	links := 0
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if arenaElemLinks[f.Name()] && isInt32(f.Type()) {
-			links++
-		}
-	}
-	return links == 2
-}
-
-// isArenaSlice reports whether t is a slice of arena elements.
-func isArenaSlice(t types.Type) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	return ok && isArenaElem(sl.Elem())
-}
-
-func isInt32(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Int32
-}
-
 func runArenaIndex(pass *Pass) error {
 	ai := newArenaInfo(pass)
 	for _, file := range pass.Files {
@@ -84,127 +41,10 @@ func runArenaIndex(pass *Pass) error {
 			if !ok || fn.Body == nil || pass.InTestFile(fn.Pos()) {
 				continue
 			}
-			checkSentinels(pass, fn)
 			checkHeldPointers(pass, fn, ai)
 		}
 	}
 	return nil
-}
-
-// linkFieldSel reports whether sel selects an arena link field: prev or
-// next on an arena element, or head/tail/free/hand on a struct that
-// also holds an arena slice.
-func linkFieldSel(pass *Pass, sel *ast.SelectorExpr) bool {
-	selection, ok := pass.TypesInfo.Selections[sel]
-	if !ok || selection.Kind() != types.FieldVal {
-		return false
-	}
-	f, ok := selection.Obj().(*types.Var)
-	if !ok || !isInt32(f.Type()) {
-		return false
-	}
-	recv := selection.Recv()
-	if ptr, ok := recv.Underlying().(*types.Pointer); ok {
-		recv = ptr.Elem()
-	}
-	if arenaElemLinks[f.Name()] && isArenaElem(recv) {
-		return true
-	}
-	if !arenaOwnerLinks[f.Name()] {
-		return false
-	}
-	owner, ok := recv.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < owner.NumFields(); i++ {
-		if isArenaSlice(owner.Field(i).Type()) {
-			return true
-		}
-	}
-	return false
-}
-
-// isZeroLiteral reports whether e is the integer constant 0.
-func isZeroLiteral(pass *Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	// Only flag a literal 0 written in source, not a named constant
-	// that happens to be zero (a deliberately defined sentinel).
-	if _, isLit := e.(*ast.BasicLit); !isLit {
-		return false
-	}
-	return tv.Value.String() == "0"
-}
-
-// checkSentinels flags comparisons and assignments of link fields
-// against the literal 0, and arena element literals that leave the link
-// fields implicitly zero.
-func checkSentinels(pass *Pass, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			if n.Op != token.EQL && n.Op != token.NEQ {
-				return true
-			}
-			for _, pair := range [2][2]ast.Expr{{n.X, n.Y}, {n.Y, n.X}} {
-				if sel, ok := pair[0].(*ast.SelectorExpr); ok && linkFieldSel(pass, sel) && isZeroLiteral(pass, pair[1]) {
-					pass.Reportf(n.Pos(), arenaMarker,
-						"arena link field %s compared to 0, which is a valid slot; the nil sentinel is -1", sel.Sel.Name)
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if sel, ok := lhs.(*ast.SelectorExpr); ok && linkFieldSel(pass, sel) && isZeroLiteral(pass, n.Rhs[i]) {
-					pass.Reportf(n.Pos(), arenaMarker,
-						"arena link field %s assigned 0, which is a valid slot; the nil sentinel is -1", sel.Sel.Name)
-				}
-			}
-		case *ast.CompositeLit:
-			t := pass.TypesInfo.TypeOf(n)
-			if t == nil || !isArenaElem(t) {
-				return true
-			}
-			st := t.Underlying().(*types.Struct)
-			if len(n.Elts) > 0 && !isKeyed(n) {
-				return true // positional literal sets every field
-			}
-			set := map[string]bool{}
-			for _, elt := range n.Elts {
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						set[id.Name] = true
-						if arenaElemLinks[id.Name] && isZeroLiteral(pass, kv.Value) {
-							pass.Reportf(kv.Pos(), arenaMarker,
-								"arena link field %s set to 0, which is a valid slot; the nil sentinel is -1", id.Name)
-						}
-					}
-				}
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				name := st.Field(i).Name()
-				if arenaElemLinks[name] && !set[name] {
-					pass.Reportf(n.Pos(), arenaMarker,
-						"arena element literal leaves link field %s at 0, which is a valid slot; set it to the -1 sentinel", name)
-				}
-			}
-		}
-		return true
-	})
-}
-
-func isKeyed(lit *ast.CompositeLit) bool {
-	for _, e := range lit.Elts {
-		if _, ok := e.(*ast.KeyValueExpr); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // arenaInfo is one package's view of its arenas: the fields marked
@@ -304,9 +144,8 @@ func annotatedArenaFields(pass *Pass) map[*types.Var]bool {
 	return out
 }
 
-// fieldKey returns the identity of the arena field e selects — one of
-// an intrusive arena slice type, or one marked //odbgc:arena — as
-// pkgpath.Owner.field, or "" when e selects no arena field.
+// fieldKey returns the identity of the //odbgc:arena field e selects,
+// as pkgpath.Owner.field, or "" when e selects no arena field.
 func (ai *arenaInfo) fieldKey(e ast.Expr) string {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
 	if !ok {
@@ -317,7 +156,7 @@ func (ai *arenaInfo) fieldKey(e ast.Expr) string {
 		return ""
 	}
 	v, ok := selection.Obj().(*types.Var)
-	if !ok || (!ai.annotated[v] && !isArenaSlice(v.Type())) {
+	if !ok || !ai.annotated[v] {
 		return ""
 	}
 	recv := selection.Recv()
@@ -389,7 +228,7 @@ func (ai *arenaInfo) calleeView(fn *types.Func) string {
 // arena.
 type heldPointer struct {
 	obj   *types.Var // the pointer or view variable
-	key   string     // the arena's identity ("" for a plain slice variable)
+	key   string     // the arena's identity
 	slice string     // printed arena expression, for direct-reassignment matching
 	pos   token.Pos
 }
@@ -408,23 +247,7 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, ai *arenaInfo) {
 		}
 		for i, rhs := range as.Rhs {
 			key, slice := ai.derivedKey(rhs)
-			if key == "" && slice == "" {
-				// A pointer into an intrusive arena held in a plain
-				// variable: only direct reassignment can move it.
-				un, ok := rhs.(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				idx, ok := un.X.(*ast.IndexExpr)
-				if !ok {
-					continue
-				}
-				if t := pass.TypesInfo.TypeOf(idx.X); t == nil || !isArenaSlice(t) {
-					continue
-				}
-				slice = types.ExprString(idx.X)
-			}
-			if key == "" && slice == "" {
+			if key == "" {
 				continue
 			}
 			id, ok := as.Lhs[i].(*ast.Ident)
@@ -466,7 +289,7 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, ai *arenaInfo) {
 					}
 				}
 			case *ast.CallExpr:
-				if n.Pos() <= hp.pos || hp.key == "" {
+				if n.Pos() <= hp.pos {
 					return true
 				}
 				if callee := StaticCallee(pass.TypesInfo, n); callee != nil && ai.calleeMoves(callee)[hp.key] {

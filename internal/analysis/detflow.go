@@ -19,27 +19,33 @@ import (
 //
 // The analyzer enforces two rules. Inside the result packages, every
 // direct use of a clock, global-rand, or environment source is a
-// finding, wherever its value goes. Across functions and packages, a
-// value that flows from any source to a sink is a finding that names
-// the full chain back to the source. Sinks are the places results
-// become results: fields of the module's Result / ActivationRecord /
-// SampleRecord types and anything handed to internal/record. Such a flow
-// — possibly through calls into other packages, tracked by per-function
-// taint facts — would make the paper's paired-run tables differ between
-// executions.
+// finding, wherever its value goes, and so is every range over a map
+// whose body has order-dependent effects (Go randomizes map iteration
+// order). Two map-range shapes are order-independent and allowed: a
+// collect loop whose body only appends to a slice that the enclosing
+// function then sorts, and a loop whose body only performs commutative
+// updates (x++, x--, x += e, and friends). Across functions and
+// packages, a value that flows from any source to a sink is a finding
+// that names the full chain back to the source. Sinks are the places
+// results become results: fields of the module's Result /
+// ActivationRecord / SampleRecord types and anything handed to
+// internal/record. Such a flow — possibly through calls into other
+// packages, tracked by per-function taint facts — would make the
+// paper's paired-run tables differ between executions.
 //
 // The taint tracking is deliberately simple: function summaries are
 // all-or-nothing (a function that touches a source is tainted), local
 // variables pick up taint through assignments, and unresolvable calls
 // (interface methods, function values) are untainted. Deliberate
 // exceptions — wall-clock perf metrics that never feed simulation
-// results — carry //odbgc:nondet-ok <reason> at the source, which both
-// silences the direct-use rule and stops the taint from propagating.
+// results, a map range whose order does not matter — carry
+// //odbgc:nondet-ok <reason> at the source, which both silences the
+// direct rule and stops the taint from propagating.
 var DetFlow = &Analyzer{
 	Name: "detflow",
-	Doc: "forbids clock, global rand, and environment reads in result packages, " +
-		"and tracks nondeterminism taint (those and map order) through calls " +
-		"into result and recording sinks",
+	Doc: "forbids clock, global rand, and environment reads and order-dependent " +
+		"map iteration in result packages, and tracks nondeterminism taint " +
+		"(those and map order) through calls into result and recording sinks",
 	Run:   runDetFlow,
 	Facts: true,
 }
@@ -87,9 +93,9 @@ func runDetFlow(pass *Pass) error {
 			pass.Facts.Ensure(fn).Detflow = fact
 		}
 	}
-	// The direct-use rule, like detmap, covers only the packages whose
-	// values become results or rendered output; sink checking adds the
-	// recording package.
+	// The direct rule covers only the packages whose values become
+	// results or rendered output; sink checking adds the recording
+	// package.
 	if isResultPackage(pass) {
 		reportDirectSources(pass)
 	} else if pass.Pkg.Name() != "record" {
@@ -107,7 +113,8 @@ func runDetFlow(pass *Pass) error {
 
 // reportDirectSources reports every use of a clock, global-rand, or
 // environment source in the package's non-test files, package-level
-// declarations included.
+// declarations included, and every map range with order-dependent
+// effects.
 func reportDirectSources(pass *Pass) {
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
@@ -119,9 +126,153 @@ func reportDirectSources(pass *Pass) {
 					"use of %s is nondeterministic between runs; derive the value from the configuration (a seeded *rand.Rand for randomness) or annotate //odbgc:nondet-ok <reason>", desc)
 				return false
 			}
+			if rng, ok := n.(*ast.RangeStmt); ok && rangesOverMap(pass, rng) {
+				checkMapRange(pass, file, rng)
+			}
 			return true
 		})
 	}
+}
+
+// checkMapRange reports a map range unless its body is a collect loop
+// sorted afterwards or pure commutative accumulation.
+func checkMapRange(pass *Pass, file *ast.File, rng *ast.RangeStmt) {
+	var collectTargets []ast.Expr
+	for _, stmt := range rng.Body.List {
+		target, kind := classifyMapRangeStmt(pass, stmt)
+		if kind == stmtOther {
+			pass.Reportf(rng.Pos(), detflowMarker,
+				"map iteration with order-dependent effects; iterate sorted keys or annotate //odbgc:nondet-ok <reason>")
+			return
+		}
+		if kind == stmtAppend {
+			collectTargets = append(collectTargets, target)
+		}
+	}
+	// A collect loop is only deterministic if the collected slice is
+	// sorted before anyone iterates it.
+	fn := enclosingFuncDecl(file, rng.Pos())
+	for _, target := range collectTargets {
+		if fn == nil || !sortedAfter(pass, fn, target, rng.End()) {
+			pass.Reportf(rng.Pos(), detflowMarker,
+				"map keys collected into %s but never sorted in this function; sort before iterating or annotate //odbgc:nondet-ok <reason>",
+				types.ExprString(target))
+			return
+		}
+	}
+}
+
+// enclosingFuncDecl returns the FuncDecl whose body contains pos, if any.
+func enclosingFuncDecl(file *ast.File, pos token.Pos) *ast.FuncDecl {
+	for _, d := range file.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && fd.Body.Pos() <= pos && pos <= fd.Body.End() {
+			return fd
+		}
+	}
+	return nil
+}
+
+// stmtKind classifies one statement of a map-range body.
+type stmtKind int
+
+const (
+	stmtOther stmtKind = iota
+	stmtAppend
+	stmtAccumulate
+)
+
+// classifyMapRangeStmt recognizes the two order-independent statement
+// shapes: `s = append(s, ...)` (returning the collect target) and
+// commutative accumulation (x++, x--, x op= e for commutative op).
+func classifyMapRangeStmt(pass *Pass, stmt ast.Stmt) (ast.Expr, stmtKind) {
+	switch s := stmt.(type) {
+	case *ast.IncDecStmt:
+		return nil, stmtAccumulate
+	case *ast.AssignStmt:
+		switch s.Tok {
+		case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN,
+			token.OR_ASSIGN, token.AND_ASSIGN, token.XOR_ASSIGN:
+			return nil, stmtAccumulate
+		case token.ASSIGN, token.DEFINE:
+			if len(s.Lhs) != 1 || len(s.Rhs) != 1 {
+				return nil, stmtOther
+			}
+			call, ok := s.Rhs[0].(*ast.CallExpr)
+			if !ok || !isBuiltin(pass, call.Fun, "append") || len(call.Args) == 0 {
+				return nil, stmtOther
+			}
+			if types.ExprString(call.Args[0]) != types.ExprString(s.Lhs[0]) {
+				return nil, stmtOther
+			}
+			return s.Lhs[0], stmtAppend
+		}
+	}
+	return nil, stmtOther
+}
+
+// sortedAfter reports whether fn contains, after pos, a call that sorts
+// target: sort.<Fn>(target, ...), slices.Sort*(target, ...), or a
+// method call target.Sort(...).
+func sortedAfter(pass *Pass, fn *ast.FuncDecl, target ast.Expr, pos token.Pos) bool {
+	want := types.ExprString(target)
+	found := false
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || call.Pos() < pos {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && isPackageName(pass, pkg, "sort", "slices") {
+			for _, arg := range call.Args {
+				a := arg
+				if u, ok := a.(*ast.UnaryExpr); ok && u.Op == token.AND {
+					a = u.X
+				}
+				if types.ExprString(a) == want {
+					found = true
+					return false
+				}
+			}
+			return true
+		}
+		if sel.Sel.Name == "Sort" && types.ExprString(sel.X) == want {
+			found = true
+			return false
+		}
+		return true
+	})
+	return found
+}
+
+// isBuiltin reports whether fun denotes the named predeclared function.
+func isBuiltin(pass *Pass, fun ast.Expr, name string) bool {
+	id, ok := fun.(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, ok = pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok
+}
+
+// isPackageName reports whether id names an imported package among the
+// given import path base names.
+func isPackageName(pass *Pass, id *ast.Ident, names ...string) bool {
+	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
+	if !ok {
+		return false
+	}
+	for _, n := range names {
+		if pn.Imported().Path() == n {
+			return true
+		}
+	}
+	return false
 }
 
 type detflowComputer struct {
@@ -235,9 +386,9 @@ func (c *detflowComputer) summary(fn *types.Func) *DetflowFact {
 	return fact
 }
 
-// detflowMarker is shared with detmap: one suppression vocabulary for
-// all nondeterminism rules.
-const detflowMarker = detmapMarker
+// detflowMarker is the one suppression vocabulary for every
+// nondeterminism rule.
+const detflowMarker = "nondet-ok"
 
 // reportSinks flags tainted values flowing into result fields or record
 // calls within one function.
@@ -445,18 +596,22 @@ func typeDisplay(t types.Type) string {
 func mapRangeSpans(pass *Pass, fd *ast.FuncDecl) [][2]token.Pos {
 	var spans [][2]token.Pos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if tv, ok := pass.TypesInfo.Types[rng.X]; ok {
-			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-				spans = append(spans, [2]token.Pos{rng.Body.Pos(), rng.Body.End()})
-			}
+		if rng, ok := n.(*ast.RangeStmt); ok && rangesOverMap(pass, rng) {
+			spans = append(spans, [2]token.Pos{rng.Body.Pos(), rng.Body.End()})
 		}
 		return true
 	})
 	return spans
+}
+
+// rangesOverMap reports whether rng iterates a map.
+func rangesOverMap(pass *Pass, rng *ast.RangeStmt) bool {
+	tv, ok := pass.TypesInfo.Types[rng.X]
+	if !ok {
+		return false
+	}
+	_, isMap := tv.Type.Underlying().(*types.Map)
+	return isMap
 }
 
 func insideSpan(spans [][2]token.Pos, pos token.Pos) bool {

@@ -1,6 +1,6 @@
-// Package pagebuf is an arenaindex fixture: a miniature index-linked
-// arena with the same shape as the real frame arena (int32 prev/next
-// links, -1 nil sentinel, list heads beside the slice).
+// Package pagebuf is an arenaindex fixture: a miniature frame arena with
+// the same shape as the real one, a slice of linked frames marked
+// //odbgc:arena.
 package pagebuf
 
 type node struct {
@@ -10,19 +10,12 @@ type node struct {
 }
 
 type ring struct {
-	nodes []node
-	head  int32
+	nodes []node //odbgc:arena
 }
 
 // push may reallocate the arena's backing array.
 func (r *ring) push(v int) {
-	r.nodes = append(r.nodes, node{val: v, prev: -1, next: -1})
-}
-
-// EndOfList confuses the 0 slot with the nil sentinel.
-func (r *ring) EndOfList(i int32) bool {
-	n := &r.nodes[i]
-	return n.next == 0 // want `compared to 0, which is a valid slot`
+	r.nodes = append(r.nodes, node{val: v})
 }
 
 // Stale holds a pointer into the arena across a call that can grow it.
@@ -39,14 +32,17 @@ func (r *ring) Fresh(i int32, v int) int32 {
 	return n.next
 }
 
-// BadLiteral leaves the link fields at their zero value, silently
-// pointing the element at slot 0.
-func (r *ring) BadLiteral(v int) node {
-	return node{val: v} // want `leaves link field`
+// Reset reassigns the arena directly while holding a pointer into it.
+func (r *ring) Reset(i int32) int {
+	n := &r.nodes[i]
+	r.nodes = make([]node, 1)
+	return n.val // want `used after reassignment of r.nodes`
 }
 
-// ResetHead deliberately parks the head on slot 0 during rebuild; the
-// suppression records why.
-func (r *ring) ResetHead() {
-	r.head = 0 //odbgc:arena-ok rebuild fills the arena from slot 0 immediately after
+// Shrink reads the old element after truncating in place on purpose;
+// the suppression records why.
+func (r *ring) Shrink(i int32) int {
+	n := &r.nodes[i]
+	r.nodes = r.nodes[:i]
+	return n.val //odbgc:arena-ok truncation keeps the backing array, so n still reads the live element
 }

@@ -1,5 +1,6 @@
-// Package sim is a detmap fixture; the package name matters, because the
-// analyzer scopes itself to the result-affecting packages by name.
+// Package sim is the fixture for detflow's map-order rule; the package
+// name matters, because the rule scopes itself to the result-affecting
+// packages by name.
 package sim
 
 import "sort"

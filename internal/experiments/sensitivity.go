@@ -33,14 +33,16 @@ var PartitionSizes = []int{24, 48, 96}
 
 // SensitivityResult holds both sweeps.
 type SensitivityResult struct {
+	// Policies, Triggers and Partitions are what the sweeps ran: the
+	// policies, the trigger intervals (overwrites) and the partition
+	// sizes (8 KB pages).
+	Policies   []string
+	Triggers   []int64
+	Partitions []int
 	// TriggerFraction[policy][i] is the mean % of garbage reclaimed at
-	// TriggerIntervals[i]; TriggerIOs likewise for total I/Os.
-	TriggerFraction map[string][]float64
-	TriggerIOs      map[string][]float64
-	// PartitionFraction and PartitionIOs mirror the above over
-	// PartitionSizes.
+	// Triggers[i]; PartitionFraction likewise over Partitions.
+	TriggerFraction   map[string][]float64
 	PartitionFraction map[string][]float64
-	PartitionIOs      map[string][]float64
 }
 
 // sensitivityJob holds both sweeps' result slots, indexed
@@ -97,23 +99,22 @@ func submitSensitivity(s *sim.Scheduler, wl workload.Config, mkSim func(string) 
 // finish aggregates the completed sweeps.
 func (j *sensitivityJob) finish() *SensitivityResult {
 	res := &SensitivityResult{
+		Policies:          j.policies,
+		Triggers:          j.triggers,
+		Partitions:        j.partitions,
 		TriggerFraction:   make(map[string][]float64),
-		TriggerIOs:        make(map[string][]float64),
 		PartitionFraction: make(map[string][]float64),
-		PartitionIOs:      make(map[string][]float64),
 	}
 	for ti := range j.triggers {
 		for qi, policy := range j.policies {
 			agg := sim.Aggregates(j.trigger[ti][qi])
 			res.TriggerFraction[policy] = append(res.TriggerFraction[policy], agg.FractionReclaimed.Mean)
-			res.TriggerIOs[policy] = append(res.TriggerIOs[policy], agg.TotalIOs.Mean)
 		}
 	}
 	for pi := range j.partitions {
 		for qi, policy := range j.policies {
 			agg := sim.Aggregates(j.partition[pi][qi])
 			res.PartitionFraction[policy] = append(res.PartitionFraction[policy], agg.FractionReclaimed.Mean)
-			res.PartitionIOs[policy] = append(res.PartitionIOs[policy], agg.TotalIOs.Mean)
 		}
 	}
 	return res
@@ -122,11 +123,11 @@ func (j *sensitivityJob) finish() *SensitivityResult {
 // TriggerTable renders the trigger sweep.
 func (r *SensitivityResult) TriggerTable() *stats.Table {
 	headers := []string{"Selection Policy"}
-	for _, tr := range TriggerIntervals {
+	for _, tr := range r.Triggers {
 		headers = append(headers, fmt.Sprintf("every %d", tr))
 	}
 	t := stats.NewTable("Sensitivity: % garbage reclaimed vs collection trigger (overwrites)", headers...)
-	for _, policy := range SensitivityPolicies {
+	for _, policy := range r.Policies {
 		row := []string{policy}
 		for _, v := range r.TriggerFraction[policy] {
 			row = append(row, fmt.Sprintf("%.1f", v))
@@ -139,11 +140,11 @@ func (r *SensitivityResult) TriggerTable() *stats.Table {
 // PartitionTable renders the partition-size sweep.
 func (r *SensitivityResult) PartitionTable() *stats.Table {
 	headers := []string{"Selection Policy"}
-	for _, pages := range PartitionSizes {
+	for _, pages := range r.Partitions {
 		headers = append(headers, fmt.Sprintf("%d pages", pages))
 	}
 	t := stats.NewTable("Sensitivity: % garbage reclaimed vs partition size", headers...)
-	for _, policy := range SensitivityPolicies {
+	for _, policy := range r.Policies {
 		row := []string{policy}
 		for _, v := range r.PartitionFraction[policy] {
 			row = append(row, fmt.Sprintf("%.1f", v))

@@ -10,6 +10,9 @@ import (
 func TestSensitivityTables(t *testing.T) {
 	// Render from synthetic data; the full sweep runs via cmd/experiments.
 	res := &SensitivityResult{
+		Policies:   SensitivityPolicies,
+		Triggers:   TriggerIntervals,
+		Partitions: PartitionSizes,
 		TriggerFraction: map[string][]float64{
 			core.NameRandom:         {40, 41, 42, 43},
 			core.NameUpdatedPointer: {55, 56, 57, 58},
@@ -56,5 +59,12 @@ func TestRunSensitivityScaled(t *testing.T) {
 	}
 	if res.TriggerFraction[core.NameUpdatedPointer][0] <= 0 {
 		t.Fatal("degenerate sweep result")
+	}
+	// The tables label the values the sweep ran, not the defaults.
+	if trig := res.TriggerTable().String(); !strings.Contains(trig, "every 60") || strings.Contains(trig, "every 150") {
+		t.Errorf("trigger table does not label the 60-overwrite sweep:\n%s", trig)
+	}
+	if part := res.PartitionTable().String(); !strings.Contains(part, "24 pages") || strings.Contains(part, "48 pages") {
+		t.Errorf("partition table does not label the 24-page sweep:\n%s", part)
 	}
 }

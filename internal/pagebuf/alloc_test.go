@@ -12,7 +12,7 @@ import "testing"
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard pagebuf.Buffer.touch pagebuf.Buffer.evict
-//odbgc:allocguard pagebuf.Buffer.unlink pagebuf.Buffer.pushFront pagebuf.Buffer.release
+//odbgc:allocguard pagebuf.Buffer.unlink pagebuf.Buffer.pushFront
 //odbgc:allocguard pagebuf.pageIndex.get pagebuf.pageIndex.set pagebuf.pageIndex.del
 //odbgc:allocguard pagebuf.pageSet.has pagebuf.pageSet.add
 

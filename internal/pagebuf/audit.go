@@ -2,103 +2,59 @@ package pagebuf
 
 import "fmt"
 
-// CheckInvariants verifies the buffer's frame-arena structure — the
-// replacement list, the free chain, and the dense page index — and
-// returns the first violation found, or nil.
+// CheckInvariants verifies the buffer's frame-arena structure — the LRU
+// list and the dense page index — and returns the first violation
+// found, or nil.
 //
 // The invariants checked:
 //
-//   - the replacement list walked from head reaches tail with mutually
-//     consistent prev/next links, no cycle, and exactly Len() frames;
+//   - the LRU list walked from the sentinel (frame 0) returns to it with
+//     mutually consistent prev/next links and no cycle;
+//   - it holds exactly Len() frames, and they are frames 1..Len(), the
+//     ones in use;
 //   - every listed frame's page resolves back to that frame through the
-//     page index (dense-index agreement), and no two frames cache the
-//     same page;
-//   - the free chain holds exactly capacity−Len() slots, disjoint from
-//     the replacement list, so together they partition the arena;
+//     page index, so no two frames cache the same page;
 //   - the page index holds no entry for a page that is not cached.
 //
 // It is O(capacity + index) and intended for the audit layer
 // (internal/check) and tests.
 func (b *Buffer) CheckInvariants() error {
-	const (
-		stateUnseen = iota
-		stateListed
-		stateFree
-	)
-	state := make([]uint8, len(b.frames))
-
-	// Walk the replacement list.
-	listed := 0
-	prev := nilFrame
-	for i := b.head; i != nilFrame; i = b.frames[i].next {
+	listed := make([]bool, len(b.frames))
+	count := 0
+	prev := int32(0)
+	for i := b.frames[0].next; i != 0; i = b.frames[i].next {
 		if i < 0 || int(i) >= len(b.frames) {
-			return fmt.Errorf("pagebuf: replacement list links to frame %d outside the arena", i)
+			return fmt.Errorf("pagebuf: LRU list links to frame %d outside the arena", i)
 		}
-		f := &b.frames[i]
-		if state[i] != stateUnseen {
-			return fmt.Errorf("pagebuf: replacement list revisits frame %d (cycle)", i)
+		if listed[i] {
+			return fmt.Errorf("pagebuf: LRU list revisits frame %d (cycle)", i)
 		}
-		state[i] = stateListed
-		if f.prev != prev {
-			return fmt.Errorf("pagebuf: frame %d prev link %d, want %d", i, f.prev, prev)
+		if p := b.frames[i].prev; p != prev {
+			return fmt.Errorf("pagebuf: frame %d prev link %d, want %d", i, p, prev)
 		}
-		listed++
-		if listed > len(b.frames) {
-			return fmt.Errorf("pagebuf: replacement list longer than the arena (%d frames)", len(b.frames))
-		}
+		listed[i] = true
+		count++
 		prev = i
 	}
-	if b.tail != prev {
-		return fmt.Errorf("pagebuf: tail is frame %d, list ends at %d", b.tail, prev)
+	if last := b.frames[0].prev; last != prev {
+		return fmt.Errorf("pagebuf: sentinel's prev link %d, LRU list ends at frame %d", last, prev)
 	}
-	if listed != b.n {
-		return fmt.Errorf("pagebuf: cached-page count %d, replacement list holds %d", b.n, listed)
+	if count != b.n {
+		return fmt.Errorf("pagebuf: cached-page count %d, LRU list holds %d", b.n, count)
 	}
-
-	// Dense-index agreement for every cached page.
-	for i := range b.frames {
-		if state[i] != stateListed {
-			continue
+	for i := 1; i <= b.n; i++ {
+		if !listed[i] {
+			return fmt.Errorf("pagebuf: frame %d is in use but not on the LRU list", i)
 		}
 		page := b.frames[i].page
 		if got := b.idx.get(page); got != int32(i) {
 			return fmt.Errorf("pagebuf: frame %d caches page %d but the index resolves it to frame %d", i, page, got)
 		}
 	}
-
-	// Free chain: exactly the remaining slots, disjoint from the list.
-	freeCount := 0
-	for i := b.free; i != nilFrame; i = b.frames[i].next {
-		if i < 0 || int(i) >= len(b.frames) {
-			return fmt.Errorf("pagebuf: free chain links to frame %d outside the arena", i)
-		}
-		switch state[i] {
-		case stateListed:
-			return fmt.Errorf("pagebuf: frame %d is on both the replacement list and the free chain", i)
-		case stateFree:
-			return fmt.Errorf("pagebuf: free chain revisits frame %d (cycle)", i)
-		}
-		state[i] = stateFree
-		freeCount++
-	}
-	if listed+freeCount != len(b.frames) {
-		return fmt.Errorf("pagebuf: %d listed + %d free frames do not partition the %d-slot arena",
-			listed, freeCount, len(b.frames))
-	}
-
-	// No index entry may name an uncached page.
-	indexed := 0
 	for p, i := range b.idx.dense {
-		if i == nilFrame {
-			continue
-		}
-		if int(i) >= len(b.frames) || state[i] != stateListed || b.frames[i].page != PageID(p) {
+		if i != 0 && (i < 0 || int(i) > b.n || b.frames[i].page != PageID(p)) {
 			return fmt.Errorf("pagebuf: index maps page %d to frame %d, which does not cache it", p, i)
 		}
-		indexed++
-	}
-	if indexed != listed {
-		return fmt.Errorf("pagebuf: index holds %d pages, buffer caches %d", indexed, listed)
 	}
 	return nil
 }

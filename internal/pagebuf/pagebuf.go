@@ -7,9 +7,11 @@
 //
 // Because the buffer sits on the per-event fast path of every simulation,
 // its structures are dense and allocation-free in steady state: page
-// frames live in one arena slice linked by int32 indices (an intrusive
-// LRU list), and the PageID lookup and on-disk set are dense slices over
-// the contiguous-from-zero page IDs the heap produces.
+// frames live in one arena slice linked by int32 indices into a circular
+// LRU list, and the PageID lookup and on-disk set are dense slices over
+// the contiguous-from-zero page IDs the heap produces. Frame 0 is the
+// list's sentinel and caches no page, so 0 means "no frame" in every
+// link and index entry, as slot 0 does in internal/heap.
 package pagebuf
 
 import "fmt"
@@ -53,8 +55,8 @@ type ActorStats struct {
 	// exist on disk; a miss on a never-persisted page materializes the
 	// page without a disk read).
 	ReadIOs int64
-	// WriteIOs is the number of disk writes performed (dirty evictions and
-	// explicit flushes caused by this actor's activity).
+	// WriteIOs is the number of disk writes performed (dirty evictions
+	// caused by this actor's activity).
 	WriteIOs int64
 }
 
@@ -82,12 +84,9 @@ func (s Stats) TotalIOs() int64 {
 	return n
 }
 
-// nilFrame terminates frame chains (the arena analogue of a nil pointer).
-const nilFrame = int32(-1)
-
-// frame is one page slot in the buffer's frame arena. prev/next link the
-// frame into the most-recent-first LRU list. Unused slots are chained
-// into a free list through next.
+// frame is one slot of the buffer's frame arena. prev/next link the
+// frame into the circular LRU list that frames[0] closes; 0 means "no
+// frame", so a zero frame is unlinked.
 type frame struct {
 	page       PageID
 	prev, next int32
@@ -96,14 +95,16 @@ type frame struct {
 
 // Buffer is the simulated write-back LRU page buffer.
 type Buffer struct {
-	capacity   int
-	frames     []frame   // arena, one slot per frame, allocated once
-	head, tail int32     // head = most recently used
-	free       int32     // head of the free-slot chain (through frame.next)
-	n          int       // cached page count
-	idx        pageIndex // PageID -> arena index of its frame
-	onDisk     pageSet   // pages with a persistent copy
-	stats      Stats
+	// frames holds capacity+1 slots, allocated once. frames[0] caches no
+	// page: it is the LRU list's sentinel, whose next is the most
+	// recently used frame and prev the least. Frames 1..n hold the
+	// cached pages; they fill in order, and once the buffer is full a
+	// miss reuses the frame it evicts.
+	frames []frame   //odbgc:arena
+	n      int       // cached page count
+	idx    pageIndex // PageID -> frame caching it, 0 if none
+	onDisk pageSet   // pages with a persistent copy
+	stats  Stats
 
 	// Backing-store hooks, nil for a plain buffer. fetch runs when a miss
 	// pulls a persisted page back in (a "read I/O"); writeBack runs when
@@ -119,28 +120,14 @@ func New(capacity int) (*Buffer, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("pagebuf: capacity %d must be positive", capacity)
 	}
-	b := &Buffer{
-		capacity: capacity,
-		frames:   make([]frame, capacity),
-		head:     nilFrame,
-		tail:     nilFrame,
-		free:     nilFrame,
-	}
-	for i := capacity - 1; i >= 0; i-- {
-		b.frames[i].next = b.free
-		b.free = int32(i)
-	}
-	return b, nil
+	return &Buffer{frames: make([]frame, capacity+1)}, nil
 }
-
-// Capacity returns the buffer's size in pages.
-func (b *Buffer) Capacity() int { return b.capacity }
 
 // Len returns the number of pages currently cached.
 func (b *Buffer) Len() int { return b.n }
 
 // Contains reports whether the page is currently cached.
-func (b *Buffer) Contains(p PageID) bool { return b.idx.get(p) != nilFrame }
+func (b *Buffer) Contains(p PageID) bool { return b.idx.get(p) != 0 }
 
 // Stats returns a snapshot of the buffer's counters.
 func (b *Buffer) Stats() Stats { return b.stats }
@@ -170,45 +157,23 @@ func (b *Buffer) WriteRange(first, last PageID, actor Actor) {
 	}
 }
 
-// unlink removes frame i from the replacement list.
+// unlink removes frame i from the LRU list.
 //
 //odbgc:hotpath
 func (b *Buffer) unlink(i int32) {
 	f := &b.frames[i]
-	if f.prev != nilFrame {
-		b.frames[f.prev].next = f.next
-	} else {
-		b.head = f.next
-	}
-	if f.next != nilFrame {
-		b.frames[f.next].prev = f.prev
-	} else {
-		b.tail = f.prev
-	}
-	f.prev, f.next = nilFrame, nilFrame
+	b.frames[f.prev].next = f.next
+	b.frames[f.next].prev = f.prev
 }
 
-// pushFront links frame i at the head of the replacement list.
+// pushFront links frame i at the most recently used end of the list.
 //
 //odbgc:hotpath
 func (b *Buffer) pushFront(i int32) {
-	f := &b.frames[i]
-	f.prev, f.next = nilFrame, b.head
-	if b.head != nilFrame {
-		b.frames[b.head].prev = i
-	} else {
-		b.tail = i
-	}
-	b.head = i
-}
-
-// release returns frame i to the free chain after it has been unlinked.
-//
-//odbgc:hotpath
-func (b *Buffer) release(i int32) {
-	b.frames[i].next = b.free
-	b.free = i
-	b.n--
+	head := b.frames[0].next
+	b.frames[i].prev, b.frames[i].next = 0, head
+	b.frames[head].prev = i
+	b.frames[0].next = i
 }
 
 // touch is the buffer's hit/miss fast path: every simulated page access
@@ -220,9 +185,9 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	st := &b.stats.ByActor[actor]
 	st.Accesses++
 
-	if i := b.idx.get(p); i != nilFrame {
+	if i := b.idx.get(p); i != 0 {
 		st.Hits++
-		if b.head != i {
+		if b.frames[0].next != i {
 			b.unlink(i)
 			b.pushFront(i)
 		}
@@ -241,26 +206,26 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	}
 	// A miss on a never-persisted page materializes a fresh page in the
 	// buffer with no disk read (write-allocate of newly created data).
-	if b.n >= b.capacity {
-		b.evict(actor)
+	var i int32
+	if b.n < len(b.frames)-1 {
+		b.n++
+		i = int32(b.n)
+	} else {
+		i = b.evict(actor)
 	}
-	i := b.free
-	b.free = b.frames[i].next
-	b.frames[i] = frame{page: p, prev: nilFrame, next: nilFrame, dirty: write}
+	b.frames[i] = frame{page: p, dirty: write}
 	b.pushFront(i)
 	b.idx.set(p, i)
-	b.n++
 }
 
 // evict removes the least recently used page, charging a disk write to
-// actor if the page is dirty.
+// actor if the page is dirty, and returns its frame for reuse.
 //
 //odbgc:hotpath
-func (b *Buffer) evict(actor Actor) {
-	i := b.tail
-	f := &b.frames[i]
-	page := f.page
-	if f.dirty {
+func (b *Buffer) evict(actor Actor) int32 {
+	i := b.frames[0].prev
+	page := b.frames[i].page
+	if b.frames[i].dirty {
 		b.stats.ByActor[actor].WriteIOs++
 		b.onDisk.add(page)
 		if b.writeBack != nil {
@@ -269,38 +234,10 @@ func (b *Buffer) evict(actor Actor) {
 	}
 	b.unlink(i)
 	b.idx.del(page)
-	b.release(i)
+	return i
 }
 
-// Flush writes back every dirty cached page, charging the writes to actor.
-// Cached pages stay resident (and clean). Flush is not part of the paper's
-// measured runs; it exists for end-of-simulation consistency checks.
-func (b *Buffer) Flush(actor Actor) {
-	for i := b.head; i != nilFrame; i = b.frames[i].next {
-		f := &b.frames[i]
-		if f.dirty {
-			f.dirty = false
-			b.stats.ByActor[actor].WriteIOs++
-			b.onDisk.add(f.page)
-			if b.writeBack != nil {
-				b.writeBack(f.page, actor)
-			}
-		}
-	}
-}
-
-// DirtyPages returns the number of cached dirty pages.
-func (b *Buffer) DirtyPages() int {
-	n := 0
-	for i := b.head; i != nilFrame; i = b.frames[i].next {
-		if b.frames[i].dirty {
-			n++
-		}
-	}
-	return n
-}
-
-// pageIndex maps PageID -> frame arena index (nilFrame = absent). The
+// pageIndex maps PageID -> frame arena index (0 = absent). The
 // heap is the only producer of page IDs, and its addresses run
 // contiguously from zero (page = address / page size), so the index is
 // one dense slice: lookups are one slice access, and it grows by
@@ -315,13 +252,13 @@ func (x *pageIndex) get(p PageID) int32 {
 	if uint64(p) < uint64(len(x.dense)) {
 		return x.dense[p]
 	}
-	return nilFrame
+	return 0
 }
 
 //odbgc:hotpath
 func (x *pageIndex) set(p PageID, i int32) {
 	if int(p) >= len(x.dense) {
-		x.dense = growDense(x.dense, int(p), nilFrame)
+		x.dense = growDense(x.dense, int(p))
 	}
 	x.dense[p] = i
 }
@@ -329,7 +266,7 @@ func (x *pageIndex) set(p PageID, i int32) {
 //odbgc:hotpath
 func (x *pageIndex) del(p PageID) {
 	if uint64(p) < uint64(len(x.dense)) {
-		x.dense[p] = nilFrame
+		x.dense[p] = 0
 	}
 }
 
@@ -347,15 +284,15 @@ func (s *pageSet) has(p PageID) bool {
 //odbgc:hotpath
 func (s *pageSet) add(p PageID) {
 	if int(p) >= len(s.dense) {
-		s.dense = growDense(s.dense, int(p), false)
+		s.dense = growDense(s.dense, int(p))
 	}
 	s.dense[p] = true
 }
 
 // growDense extends a dense PageID-keyed slice to cover index p, doubling
-// so growth cost amortizes to O(1) per page, and fills new slots with
-// empty.
-func growDense[T any](dense []T, p int, empty T) []T {
+// so growth cost amortizes to O(1) per page. New entries are zero: no
+// frame, not persisted.
+func growDense[T any](dense []T, p int) []T {
 	n := 2 * len(dense)
 	if n < 64 {
 		n = 64
@@ -365,8 +302,5 @@ func growDense[T any](dense []T, p int, empty T) []T {
 	}
 	grown := make([]T, n) //odbgc:alloc-ok amortized dense-array growth, doubling with the database
 	copy(grown, dense)
-	for i := len(dense); i < n; i++ {
-		grown[i] = empty
-	}
 	return grown
 }

@@ -146,38 +146,6 @@ func TestRangeHelpers(t *testing.T) {
 	}
 }
 
-func TestFlushWritesDirtyPagesOnce(t *testing.T) {
-	b := mustNew(t, 4)
-	b.Write(1, ActorApp)
-	b.Write(2, ActorApp)
-	b.Read(1, ActorApp)
-	if got := b.DirtyPages(); got != 2 {
-		t.Fatalf("DirtyPages = %d, want 2", got)
-	}
-	b.Flush(ActorApp)
-	if got := b.Stats().App().WriteIOs; got != 2 {
-		t.Fatalf("WriteIOs = %d, want 2", got)
-	}
-	if got := b.DirtyPages(); got != 0 {
-		t.Fatalf("DirtyPages after flush = %d, want 0", got)
-	}
-	b.Flush(ActorApp) // idempotent
-	if got := b.Stats().App().WriteIOs; got != 2 {
-		t.Fatalf("second flush wrote %d extra IOs", got-2)
-	}
-	// Flushed pages are persisted: a later miss on them is a read.
-	b.Write(3, ActorApp)
-	b.Write(4, ActorApp)
-	b.Write(5, ActorApp) // evicts 2... order: LRU=2? order after flush: [1(MRU after read),2]; writes 3,4 then 5 evicts 2 (clean now!)
-	b.Write(6, ActorApp)
-	b.Write(7, ActorApp)
-	rBefore := b.Stats().App().ReadIOs
-	b.Read(1, ActorApp)
-	if got := b.Stats().App().ReadIOs - rBefore; got != 1 {
-		t.Fatalf("read of flushed page cost %d reads, want 1", got)
-	}
-}
-
 func TestStatsTotals(t *testing.T) {
 	b := mustNew(t, 1)
 	b.Write(1, ActorApp)

@@ -10,7 +10,7 @@ import (
 // it to audit the intrusive frame list against reference models.
 func (b *Buffer) pagesMRU() []PageID {
 	var out []PageID
-	for i := b.head; i != nilFrame; i = b.frames[i].next {
+	for i := b.frames[0].next; i != 0; i = b.frames[i].next {
 		out = append(out, b.frames[i].page)
 	}
 	return out

@@ -102,19 +102,6 @@ func TestTieredActorAttributionPropagates(t *testing.T) {
 	}
 }
 
-func TestTieredFlushPropagates(t *testing.T) {
-	tt := mustTiered(t, 4, 8)
-	tt.Client().Write(1, ActorApp)
-	tt.Client().Write(2, ActorApp)
-	tt.Client().Flush(ActorApp)
-	if got := tt.NetworkStats().App().WriteIOs; got != 2 {
-		t.Fatalf("network writes after flush = %d, want 2", got)
-	}
-	if !tt.Server().Contains(1) || !tt.Server().Contains(2) {
-		t.Fatal("server missing flushed pages")
-	}
-}
-
 // TestTieredInvariants drives random traffic and checks structural
 // invariants: a page on the client that has ever been evicted exists at
 // the server or on disk; network reads equal the server's accesses.

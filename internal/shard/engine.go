@@ -575,8 +575,10 @@ type Result struct {
 	Imbalance      float64
 	// BusyNsTotal and BusyNsMax decompose the shard-local phase:
 	// BusyNsMax is the critical path a perfectly parallel machine would
-	// pay, BusyNsTotal the serial work. Their ratio is the shard-local
-	// scaling the bench preset reports — on a single-CPU host the
-	// goroutines timeshare, so wall clock does not show it directly.
+	// pay, BusyNsTotal the serial work, and their ratio the shard-local
+	// scaling. Both sum wall time around drains, so they measure the
+	// work only when every drain has a CPU to itself: in parallel mode
+	// on fewer CPUs than shards, a drain's span also counts the time it
+	// waited for one.
 	BusyNsTotal, BusyNsMax int64
 }

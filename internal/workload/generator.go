@@ -69,8 +69,9 @@ type Stats struct {
 	// subset that landed in a different tree (CrossTreeFraction > 0).
 	DenseEdges     int64
 	CrossTreeEdges int64
-	// EdgeReadWriteRatio is Reads divided by Writes+Creates-with-parent —
-	// the paper keeps it around 15–20.
+	// EdgeReadWriteRatio is Reads divided by Writes+Creates, where
+	// Creates counts every create, with or without a parent — the paper
+	// keeps it around 15–20.
 	EdgeReadWriteRatio float64
 }
 
