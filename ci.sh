@@ -84,17 +84,21 @@ done
 sed '/^Figure 4 series/,$d' results/experiments_output.txt > "$stream_tmp/tables_want.txt"
 go run ./cmd/experiments -tables -table5 -q -record none > "$stream_tmp/tables.txt"
 cmp "$stream_tmp/tables.txt" "$stream_tmp/tables_want.txt"
+# The trigger and partition-size sensitivity sweeps: stdout must match
+# results/sensitivity_output.txt byte for byte.
+go run ./cmd/experiments -sensitivity -q -record none > "$stream_tmp/sensitivity.txt"
+cmp "$stream_tmp/sensitivity.txt" results/sensitivity_output.txt
 go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
 ceiling() { python3 scripts/rss_ceiling.py "$@"; }
 # The generator's state follows the alive nodes, not the run length, and
 # so does the replay's: the heap keeps 4 bytes per OID issued and the
 # rest per resident object.
 ceiling 96 bin/tracegen -o "$stream_tmp/long.odbgcck" -alloc 200000000
-ceiling 200 bin/gcsim -trace "$stream_tmp/long.odbgcck"
+ceiling 140 bin/gcsim -trace "$stream_tmp/long.odbgcck"
 rm "$stream_tmp/long.odbgcck"
 bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
-ceiling 120 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
-ceiling 64 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
+ceiling 75 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
+ceiling 32 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shards
 # whose epoch drains run on their own goroutines — once under the race
 # detector on a cross-tree trace (the drains run while the demuxer fills
@@ -103,7 +107,7 @@ ceiling 64 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # streaming pipeline's constant-memory bound.
 bin/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
-ceiling 320 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
+ceiling 240 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured
 # .odbgcrec recording; odbgc-query must answer an aggregate query over
 # it and regenerate the figure CSVs byte-identically to the direct emit.

@@ -41,11 +41,18 @@ func NewMutator(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core.P
 // creating pointer store parent.parentField = oid. The new object's pages
 // are written (its contents are initialized); a non-nil parent's page is
 // written too (the pointer store). overwrote reports whether the creating
-// store replaced a non-nil pointer.
+// store replaced a non-nil pointer. A non-resident parent or a
+// parentField outside the parent's fields fails before anything is
+// allocated.
 func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, parentField int) (overwrote bool, err error) {
 	ps := m.h.Lookup(parent)
-	if parent != heap.NilOID && ps == heap.NilSlot {
-		return false, fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
+	if parent != heap.NilOID {
+		if ps == heap.NilSlot {
+			return false, fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
+		}
+		if err := m.checkField(ps, parentField); err != nil {
+			return false, err
+		}
 	}
 	s, grew, err := m.h.Alloc(oid, size, nfields, ps)
 	if err != nil {
@@ -97,12 +104,21 @@ func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) (overwrote boo
 	return m.store(s, field, ts, false)
 }
 
+// checkField returns an error unless field is one of the fields of the
+// object in slot src.
+func (m *Mutator) checkField(src heap.Slot, field int) error {
+	if n := m.h.NumFields(src); field < 0 || field >= n {
+		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
+	}
+	return nil
+}
+
 // store is the write barrier shared by Write and the creating store of
 // Alloc: src.field = target, both slots. It reports whether the store
 // overwrote a non-nil pointer.
 func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation bool) (bool, error) {
-	if n := m.h.NumFields(src); field < 0 || field >= n {
-		return false, fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
+	if err := m.checkField(src, field); err != nil {
+		return false, err
 	}
 
 	// The store dirties the page holding the field; under write-back the

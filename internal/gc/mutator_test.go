@@ -63,8 +63,15 @@ func TestAllocErrors(t *testing.T) {
 		t.Error("missing parent accepted")
 	}
 	r.alloc(t, 1, 100, 1, heap.NilOID, 0)
-	if _, err := r.mut.Alloc(2, 100, 0, 1, 5); err == nil {
-		t.Error("out-of-range parent field accepted")
+	for _, f := range []int{5, -1} {
+		if _, err := r.mut.Alloc(2, 100, 0, 1, f); err == nil {
+			t.Errorf("out-of-range parent field %d accepted", f)
+		}
+	}
+	// A bad parent field fails before anything is allocated.
+	if r.h.Contains(2) || r.h.Len() != 1 || r.buf.Stats().App().Accesses != 1 {
+		t.Errorf("rejected creates changed the heap: OID 2 resident %v, %d objects, %d page accesses",
+			r.h.Contains(2), r.h.Len(), r.buf.Stats().App().Accesses)
 	}
 	if _, err := r.mut.Alloc(3, 0, 0, heap.NilOID, 0); err == nil {
 		t.Error("zero size accepted")

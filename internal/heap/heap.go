@@ -5,13 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"unsafe"
 )
 
 // Config fixes the geometry of the simulated database.
 type Config struct {
-	// PageSize is the size of one page in bytes (the paper uses 8 KB).
+	// PageSize is the size of one page in bytes (the paper uses 8 KB). It
+	// must be a power of two: page numbers are computed by shifting.
 	PageSize int64
 	// PartitionPages is the number of pages per partition (24–100 in the
 	// paper, depending on database size).
@@ -34,6 +36,9 @@ func (c Config) PartitionBytes() int64 { return c.PageSize * int64(c.PartitionPa
 func (c Config) validate() error {
 	if c.PageSize <= 0 {
 		return fmt.Errorf("heap: page size %d must be positive", c.PageSize)
+	}
+	if c.PageSize&(c.PageSize-1) != 0 {
+		return fmt.Errorf("heap: page size %d must be a power of two", c.PageSize)
 	}
 	if c.PartitionPages <= 0 {
 		return fmt.Errorf("heap: partition pages %d must be positive", c.PartitionPages)
@@ -99,8 +104,9 @@ var freeRec = slotRec{part: int32(NoPartition)}
 // placement consults an incrementally maintained max-free priority index
 // instead of scanning every partition.
 type Heap struct {
-	cfg   Config
-	parts []*Partition
+	cfg       Config
+	pageShift uint // log2(cfg.PageSize)
+	parts     []*Partition
 
 	// index maps each OID below len(index) to its slot, NilSlot when the
 	// OID is not resident. It is the only structure sized by the OIDs a
@@ -173,9 +179,10 @@ func New(cfg Config) (*Heap, error) {
 		return nil, err
 	}
 	h := &Heap{
-		cfg:   cfg,
-		empty: NoPartition,
-		slots: []slotRec{freeRec},
+		cfg:       cfg,
+		pageShift: uint(bits.TrailingZeros64(uint64(cfg.PageSize))),
+		empty:     NoPartition,
+		slots:     []slotRec{freeRec},
 	}
 	h.addPartition()
 	if cfg.ReserveEmpty {
@@ -713,8 +720,8 @@ func (h *Heap) ResetPartition(id PartitionID) {
 // PageRange returns the first and last page touched by the byte range
 // [addr, addr+size).
 func (h *Heap) PageRange(addr Addr, size int64) (first, last PageID) {
-	first = PageID(int64(addr) / h.cfg.PageSize)
-	last = PageID((int64(addr) + size - 1) / h.cfg.PageSize)
+	first = PageID(int64(addr) >> h.pageShift)
+	last = PageID((int64(addr) + size - 1) >> h.pageShift)
 	return first, last
 }
 

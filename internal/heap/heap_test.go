@@ -41,16 +41,21 @@ func field(h *Heap, src OID, f int) OID {
 }
 
 func TestNewValidatesConfig(t *testing.T) {
-	cases := []Config{
-		{PageSize: 0, PartitionPages: 4},
-		{PageSize: -1, PartitionPages: 4},
-		{PageSize: 8192, PartitionPages: 0},
-		{PageSize: 8192, PartitionPages: -3},
-		{PageSize: 1 << 20, PartitionPages: 1 << 13}, // 8 GiB partitions
+	cases := []struct {
+		cfg  Config
+		want string // in the error
+	}{
+		{Config{PageSize: 0, PartitionPages: 4}, "page size 0"},
+		{Config{PageSize: -1, PartitionPages: 4}, "page size -1"},
+		{Config{PageSize: 3000, PartitionPages: 4}, "page size 3000 must be a power of two"},
+		{Config{PageSize: 6144, PartitionPages: 4}, "page size 6144 must be a power of two"},
+		{Config{PageSize: 8192, PartitionPages: 0}, "partition pages 0"},
+		{Config{PageSize: 8192, PartitionPages: -3}, "partition pages -3"},
+		{Config{PageSize: 1 << 20, PartitionPages: 1 << 13}, "4 GiB"}, // 8 GiB partitions
 	}
-	for _, cfg := range cases {
-		if _, err := New(cfg); err == nil {
-			t.Errorf("New(%+v): want error, got nil", cfg)
+	for _, tc := range cases {
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("New(%+v): err = %v, want error containing %q", tc.cfg, err, tc.want)
 		}
 	}
 }

@@ -118,7 +118,7 @@ func TestGoldenCachedReplay(t *testing.T) {
 
 // TestGoldenStreamedReplay pins the streaming pipeline's bit-identity
 // claim: one fixed-seed trace replayed through both delivery paths — the
-// in-memory columns and the chunked on-disk stream (with small chunks,
+// in-memory Buffer and the chunked on-disk stream (with small chunks,
 // so the prefetch pipeline crosses many chunk boundaries) — produces
 // byte-identical Results under every paper policy. Combined with TestGoldenDeterminism, the streamed
 // path is thereby pinned to the same golden results as a live run.

@@ -308,13 +308,17 @@ func (s *Sim) MutatorStats() gc.MutatorStats { return s.mut.Stats() }
 // auditing and sampling off, the steady-state event loop must not
 // allocate (pinned by the Emit AllocsPerRun guard in internal/check).
 //
+// Emit does not run trace.Event.Validate: the trace's write paths
+// already did, and every malformed shape it rejects fails here by name
+// further down, before any state changes — a nil OID or a bad size or
+// field count in the heap's allocation check, a nil OID as the
+// mutator's not-resident error, and a negative field in the store's
+// range check.
+//
 //odbgc:hotpath
 func (s *Sim) Emit(e trace.Event) error {
 	if s.finished {
 		return fmt.Errorf("sim: Emit after Finish") //odbgc:alloc-ok cold error path
-	}
-	if err := e.Validate(); err != nil { //odbgc:alloc-ok error path formats its report
-		return err
 	}
 	switch e.Kind {
 	case trace.KindCreate:
@@ -349,6 +353,8 @@ func (s *Sim) Emit(e trace.Event) error {
 		if err := s.mut.Modify(e.OID); err != nil { //odbgc:alloc-ok error path formats its report
 			return err
 		}
+	default:
+		return fmt.Errorf("sim: event %d: unknown kind %d", s.events, e.Kind) //odbgc:alloc-ok malformed-trace error path
 	}
 	s.events++
 	if s.cfg.SampleEvery > 0 && s.events%s.cfg.SampleEvery == 0 {

@@ -56,8 +56,8 @@ func benchBuffer(tb testing.TB, events int) *Buffer {
 	return &b
 }
 
-// BenchmarkBufferReplay measures one replay step of the columnar form:
-// per-op cost is the column reads plus the sink call.
+// BenchmarkBufferReplay measures one replay step of the packed form:
+// per-op cost is one event's decode plus the sink call.
 func BenchmarkBufferReplay(b *testing.B) {
 	const events = 4096
 	buf := benchBuffer(b, events)

@@ -118,9 +118,12 @@ func TestBufferRejectsWideOperands(t *testing.T) {
 	}
 }
 
+// TestBufferSizeBytes bounds a packed buffer by its encoding: every
+// event is an opcode and at least one operand byte, and at most five
+// operands of at most five bytes each.
 func TestBufferSizeBytes(t *testing.T) {
 	b := benchBuffer(t, 200)
-	if got := b.SizeBytes(); got < b.Len() || got > b.Len()*(1+4*5) {
+	if got := b.SizeBytes(); got < 2*b.Len() || got > b.Len()*(1+5*5) {
 		t.Fatalf("SizeBytes = %d implausible for %d events", got, b.Len())
 	}
 }
@@ -131,7 +134,7 @@ func TestBufferSizeBytes(t *testing.T) {
 // TestHotpathAnnotationsMatchGuards in internal/analysis keeps the
 // annotation and this guard in sync via the declaration below.
 //
-//odbgc:allocguard trace.Buffer.Replay trace.replayColumns
+//odbgc:allocguard trace.Buffer.Replay trace.replayPacked
 func TestBufferReplayZeroAllocs(t *testing.T) {
 	b := benchBuffer(t, 256)
 	var sink benchSink
@@ -145,8 +148,8 @@ func TestBufferReplayZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestBufferSegmentBoundaries records a trace just past one column
-// segment and checks that replay crosses the boundary in order.
+// TestBufferSegmentBoundaries records a trace just past one segment
+// and checks that replay crosses the boundary in order.
 func TestBufferSegmentBoundaries(t *testing.T) {
 	const seed = 3
 	n := segmentEvents + 3

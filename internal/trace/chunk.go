@@ -13,10 +13,10 @@ import (
 // followed by any number of self-describing chunks, each a segment whose
 // count is the chunk's event count and whose tag is the generating
 // configuration's fingerprint. A payload is the packed opcode+uvarint
-// encoding (codec.go). A reader decodes each payload exactly once into
-// the columnar layout Buffer holds, so streamed replay drains the same
-// zero-alloc fast path as the in-memory cache while only ever holding a
-// bounded number of chunks.
+// encoding Buffer holds in memory (codec.go). A reader checks each
+// payload's CRC and walks its structure once, and streamed replay then
+// decodes it through the same zero-alloc loop as an in-memory replay,
+// while only ever holding a bounded number of chunks.
 
 // chunkMagic identifies chunked odbgc trace files; the trailing byte is
 // the format version.
@@ -49,7 +49,7 @@ const (
 // arbitrarily long trace through it at constant memory. Call Flush once
 // after the last event to write the final short chunk. Like Buffer.Emit,
 // Emit rejects an operand above 2^32-1 by name, so every file it writes
-// decodes into the 32-bit columns.
+// passes the reader's 32-bit operand bound.
 type ChunkWriter struct {
 	seg         *segfile.Writer
 	fingerprint uint64
@@ -127,11 +127,10 @@ func (w *ChunkWriter) Count() int64 { return w.total }
 // Chunks reports the number of complete chunks written so far.
 func (w *ChunkWriter) Chunks() int { return w.seg.Segments() }
 
-// Chunk is one decoded chunk: the columnar (Buffer-layout) form of its
-// events plus the packed payload it was decoded from. A Chunk is reused
-// across ChunkReader.Next calls — its buffers are recycled, so steady-
-// state streaming performs no per-chunk allocation once the buffers have
-// grown to the chunk size.
+// Chunk is one chunk read from a file: its packed payload, checked by
+// ChunkReader.Next. A Chunk is reused across Next calls — its payload
+// buffer is recycled, so steady-state streaming performs no per-chunk
+// allocation once the buffer has grown to the chunk size.
 type Chunk struct {
 	// Index is the chunk's position in the file, counted from 0.
 	Index int
@@ -140,58 +139,27 @@ type Chunk struct {
 	Fingerprint uint64
 
 	payload []byte
-	kinds   []Kind
-	args    []uint32
+	events  int
 }
 
 // Len reports the number of events in the chunk.
-func (c *Chunk) Len() int { return len(c.kinds) }
+func (c *Chunk) Len() int { return c.events }
 
 // PayloadBytes reports the packed payload size of the chunk.
 func (c *Chunk) PayloadBytes() int { return len(c.payload) }
 
-// SizeBytes reports the memory resident in the chunk's buffers (payload
-// plus decoded columns); stream accounting charges this against cache
-// budgets.
-func (c *Chunk) SizeBytes() int64 {
-	return int64(cap(c.payload)) + int64(cap(c.kinds)) + 4*int64(cap(c.args))
-}
-
-// decode rebuilds the chunk's columns from its payload, verifying that
-// the payload holds exactly the header's event count and that every
-// operand fits the 32-bit columns.
-func (c *Chunk) decode(events int) error {
-	c.kinds = c.kinds[:0]
-	c.args = c.args[:0]
-	data := c.payload
-	for pos := 0; pos < len(data); {
-		e, sz, err := decodeEvent(data[pos:])
-		if err != nil {
-			return fmt.Errorf("corrupt payload at event %d: %w", len(c.kinds), err)
-		}
-		pos += sz
-		if c.kinds, c.args, err = pushColumns(c.kinds, c.args, e); err != nil {
-			return fmt.Errorf("event %d: %w", len(c.kinds), err)
-		}
-	}
-	if len(c.kinds) != events {
-		return fmt.Errorf("header declares %d events, payload holds %d", events, len(c.kinds))
-	}
-	return nil
-}
-
-// Replay streams the chunk's events into sink in recording order. The
-// replay performs no decoding and no heap allocation (pinned by the
-// chunk-replay AllocsPerRun guard).
+// Replay streams the chunk's events into sink in recording order,
+// through the zero-alloc packed replay loop (pinned by the chunk-replay
+// AllocsPerRun guard).
 //
 //odbgc:hotpath
-func (c *Chunk) Replay(sink Sink) error { return replayColumns(c.kinds, c.args, sink) }
+func (c *Chunk) Replay(sink Sink) error { return replayPacked(c.payload, sink) }
 
-// ChunkReader decodes chunks from a stream produced by ChunkWriter. It
+// ChunkReader reads chunks from a stream produced by ChunkWriter. It
 // reads strictly sequentially and verifies, per chunk: the CRC of the
-// payload, the chunk index (catching missing or reordered chunks), and
-// fingerprint consistency across the file. Every error names the chunk
-// index it was detected in.
+// payload, the chunk index (catching missing or reordered chunks),
+// fingerprint consistency across the file, and the payload's structure.
+// Every error names the chunk index it was detected in.
 type ChunkReader struct {
 	seg         *segfile.Reader
 	chunks      int
@@ -224,19 +192,29 @@ func (r *ChunkReader) advance(h segfile.Header) {
 	r.events += int64(h.Count)
 }
 
-// Next reads, verifies, and decodes the next chunk into c, reusing c's
-// buffers. It returns io.EOF at a clean end of trace.
+// Next reads the next chunk into c, reusing c's payload buffer, and
+// checks it: the payload's CRC, then one walk of its structure
+// (opcodes, varint ends, the 32-bit operand bound, and the header's
+// event count), so c.Replay reads only checked bytes. On error c holds
+// no events. It returns io.EOF at a clean end of trace.
 func (r *ChunkReader) Next(c *Chunk) error {
+	c.payload, c.events = c.payload[:0], 0
 	h, err := r.header()
 	if err != nil {
 		return err
 	}
-	if c.payload, err = r.seg.Payload(c.payload); err != nil {
+	payload, err := r.seg.Payload(c.payload)
+	if err != nil {
 		return err
 	}
-	if err := c.decode(int(h.Count)); err != nil {
+	n, err := walkPayload(payload)
+	if err == nil && n != int(h.Count) {
+		err = fmt.Errorf("header declares %d events, payload holds %d", h.Count, n)
+	}
+	if err != nil {
 		return fmt.Errorf("trace: chunk %d: %w", r.chunks, err)
 	}
+	c.payload, c.events = payload, n
 	c.Index = r.chunks
 	c.Fingerprint = h.Tag
 	r.advance(h)
@@ -244,7 +222,7 @@ func (r *ChunkReader) Next(c *Chunk) error {
 }
 
 // SkipChunk advances past the next chunk without CRC-verifying or
-// decoding its payload, for drill-down tooling that wants chunk N
+// walking its payload, for drill-down tooling that wants chunk N
 // without paying for chunks 0..N-1. It returns io.EOF at a clean end of
 // trace.
 func (r *ChunkReader) SkipChunk() error {
@@ -259,10 +237,11 @@ func (r *ChunkReader) SkipChunk() error {
 	return nil
 }
 
-// Chunks reports the number of chunks decoded so far.
+// Chunks reports the number of chunks read or skipped so far.
 func (r *ChunkReader) Chunks() int { return r.chunks }
 
-// Count reports the number of events decoded so far.
+// Count reports the number of events in the chunks read or skipped so
+// far.
 func (r *ChunkReader) Count() int64 { return r.events }
 
 // Fingerprint reports the file's fingerprint; valid after the first

@@ -6,6 +6,8 @@ import (
 	"io"
 	"reflect"
 	"testing"
+
+	"odbgc/internal/segfile"
 )
 
 // fuzzSeeds returns packed encodings that cover every opcode and the
@@ -58,10 +60,14 @@ func FuzzDecodeEvent(f *testing.F) {
 // FuzzChunkCodec checks the chunked codec from both directions. Reading:
 // the chunk reader must never panic on arbitrary bytes — whether raw, or
 // prefixed with the chunked magic so header parsing and CRC verification
-// are reached — it must error or reach a clean EOF. Writing: any event
-// stream the packed decoder accepts must survive a chunked round trip
-// with tiny chunks (forcing many chunk boundaries), replayed from the
-// decoded columns, bit-identically.
+// are reached — it must error or reach a clean EOF. The trusted-bytes
+// boundary: the bytes framed as one CRC-valid chunk reach Next's
+// structural walk, which must either refuse them or leave a chunk whose
+// unchecked replay delivers exactly the events decodeEvent finds, with
+// the header declaring that count and that count plus one. Writing: any
+// event stream the packed decoder accepts must survive a chunked round
+// trip with tiny chunks (forcing many chunk boundaries),
+// bit-identically.
 func FuzzChunkCodec(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
@@ -81,15 +87,43 @@ func FuzzChunkCodec(f *testing.F) {
 			}
 		}
 
-		// Round trip of any stream the packed decoder accepts.
+		// The events decodeEvent finds, up to the first error.
 		var want collectSink
+		whole := true
 		for pos := 0; pos < len(data); {
 			e, n, err := decodeEvent(data[pos:])
 			if err != nil {
-				return
+				whole = false
+				break
 			}
 			pos += n
 			want.events = append(want.events, e)
+		}
+
+		// The trusted-bytes boundary.
+		for _, count := range []int{len(want.events), len(want.events) + 1} {
+			var framed bytes.Buffer
+			if _, err := segfile.NewWriter(&framed, &chunkFormat).Write(uint32(count), 1, data); err != nil {
+				t.Fatal(err)
+			}
+			cr := NewChunkReader(&framed)
+			var c Chunk
+			if err := cr.Next(&c); err != nil {
+				continue
+			}
+			var got collectSink
+			if err := c.Replay(&got); err != nil {
+				t.Fatalf("checked chunk failed to replay: %v", err)
+			}
+			if c.Len() != len(got.events) || !reflect.DeepEqual(got.events, want.events) {
+				t.Fatalf("header count %d: Next accepted a chunk of Len %d whose replay delivered %d events, want the %d decodeEvent finds:\n got %+v\nwant %+v",
+					count, c.Len(), len(got.events), len(want.events), got.events, want.events)
+			}
+		}
+
+		// Round trip of any stream the packed decoder accepts.
+		if !whole {
+			return
 		}
 		var out bytes.Buffer
 		cw := NewChunkWriter(&out, 0x5eed, 32)

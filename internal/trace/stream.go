@@ -12,9 +12,10 @@ import (
 // one scans only the chunk headers (seeking over payloads), so the
 // handle knows the trace's totals without reading the data; each Replay
 // then streams the file through a double-buffered prefetch pipeline — a
-// background goroutine reads and CRC-verifies and decodes chunk N+1
-// while the caller's sink drains chunk N through the zero-alloc columnar
-// replay loop. Memory is bounded by two chunks regardless of trace size.
+// background goroutine reads chunk N+1 and checks its CRC and structure
+// while the caller's sink drains chunk N through the zero-alloc packed
+// replay loop. Memory is bounded by two chunk payloads regardless of
+// trace size.
 //
 // A ChunkStream holds no open file descriptor; each Replay opens its
 // own, so one handle may be replayed from any number of goroutines
@@ -89,14 +90,14 @@ func (s *ChunkStream) Fingerprint() uint64 { return s.fingerprint }
 func (s *ChunkStream) SizeBytes() int64 { return s.sizeBytes }
 
 // ResidentBytes estimates the peak memory one replay of the stream
-// holds: two pipeline slots, each with the largest payload plus its
-// decoded columns (at most one Kind and four uint32 column bytes per
-// payload byte, in practice ~4x). This — not the trace size — is what
-// trace caches charge against their budget for a streamed trace.
-func (s *ChunkStream) ResidentBytes() int64 { return 2 * 5 * int64(s.maxPayload) }
+// holds: two pipeline slots of the largest payload each, since a chunk
+// is replayed from its payload with nothing decoded beside it. This —
+// not the trace size — is what trace caches charge against their budget
+// for a streamed trace.
+func (s *ChunkStream) ResidentBytes() int64 { return 2 * int64(s.maxPayload) }
 
 // Replay streams every event in the file into sink in recording order.
-// Reading, CRC verification, and columnar decoding of the next chunk
+// Reading, CRC verification, and the structural walk of the next chunk
 // proceed on a prefetch goroutine while the current chunk drains.
 func (s *ChunkStream) Replay(sink Sink) error {
 	f, err := os.Open(s.path)

@@ -120,10 +120,14 @@ func (c Config) Connectivity() float64 { return 1 + c.DenseEdgeFraction }
 // Fingerprint hashes the full configuration (seed included) to a 64-bit
 // value stamped into every chunk of a streamed trace file, so replay
 // tooling can tell which generation produced a file and reject chunks
-// from mixed files. FNV-1a over the configuration's printed form keeps
-// it deterministic across runs and platforms.
+// from mixed files. It is FNV-1a over every field as a name=value pair,
+// in a fixed order with the names spelled out, so it is deterministic
+// across runs and platforms and renaming a Go field does not move it.
 func (c Config) Fingerprint() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v", c)
+	fmt.Fprintf(h, "Seed=%d TargetLiveBytes=%d TotalAllocBytes=%d MinDeletions=%d MaxEvents=%d "+
+		"LargeObjectSize=%d LargeEvery=%d MeanTreeNodes=%d DenseEdgeFraction=%v CrossTreeFraction=%v",
+		c.Seed, c.TargetLiveBytes, c.TotalAllocBytes, c.MinDeletions, c.MaxEvents,
+		c.LargeObjectSize, c.LargeEvery, c.MeanTreeNodes, c.DenseEdgeFraction, c.CrossTreeFraction)
 	return h.Sum64()
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"odbgc/internal/heap"
@@ -414,6 +415,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+// TestFingerprintPinned pins the base workload's fingerprint: it is
+// stamped into every chunk a streamed trace of that workload writes, so
+// a change to the hashed form must be deliberate.
+func TestFingerprintPinned(t *testing.T) {
+	if got, want := DefaultConfig().Fingerprint(), uint64(0xe44c7daa127819bb); got != want {
+		t.Fatalf("DefaultConfig().Fingerprint() = %#016x, want %#016x", got, want)
+	}
+}
+
+// TestFingerprintCoversEveryField changes each field of Config in turn,
+// found by reflection so a field added later is covered too, and checks
+// that the fingerprint moves.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	base := DefaultConfig()
+	fields := reflect.TypeOf(base).NumField()
+	for i := 0; i < fields; i++ {
+		cfg := base
+		f := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Float64:
+			f.SetFloat(f.Float() + 0.125)
+		default:
+			t.Fatalf("field %s has kind %s; teach this test to change it", reflect.TypeOf(base).Field(i).Name, f.Kind())
+		}
+		if cfg.Fingerprint() == base.Fingerprint() {
+			t.Errorf("changing %s leaves the fingerprint at %#016x", reflect.TypeOf(base).Field(i).Name, base.Fingerprint())
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func TestRecordStreamedMatchesRecord(t *testing.T) {
 	if got, bound := streamed.SizeBytes(), streamed.Stream.ResidentBytes(); got != bound {
 		t.Fatalf("streamed SizeBytes %d, want pipeline ResidentBytes %d", got, bound)
 	}
-	if bound := int64(10 * (16<<10 + 64)); streamed.SizeBytes() > bound {
+	if bound := int64(2 * (16<<10 + 64)); streamed.SizeBytes() > bound {
 		t.Fatalf("streamed SizeBytes %d exceeds the %d chunk-size bound", streamed.SizeBytes(), bound)
 	}
 }

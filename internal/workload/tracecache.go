@@ -21,17 +21,18 @@ import (
 // are bit-identical to running the generator live: same events, same
 // order, same build-phase boundary.
 //
-// An in-memory trace (Record) holds the stream once, in Buffer's
-// columns, which every Replay reads with no decoding per (seed, policy)
-// pair. A streamed trace (RecordStreamed, OpenStreamed) has no Buffer:
-// Stream replays a chunked file through the prefetch pipeline at two
-// chunks of resident memory.
+// An in-memory trace (Record) holds the stream once, in Buffer's packed
+// bytes (the chunk file's payload encoding, about 4 bytes per event),
+// which every Replay decodes without allocating. A streamed trace
+// (RecordStreamed, OpenStreamed) has no Buffer: Stream replays a chunked
+// file through the prefetch pipeline at two chunk payloads of resident
+// memory.
 type RecordedTrace struct {
 	// Config is the generating configuration (including the seed).
 	Config Config
 	// Stats is the generator's trace summary.
 	Stats Stats
-	// Buffer holds the events in columns; nil for a streamed trace.
+	// Buffer holds the packed events; nil for a streamed trace.
 	Buffer *trace.Buffer
 	// Stream replays a chunked on-disk trace; nil for an in-memory
 	// trace. Exactly one of Buffer and Stream is non-nil.
@@ -43,9 +44,9 @@ type RecordedTrace struct {
 	BuildEvents int64
 }
 
-// Record generates cfg's full event stream into an in-memory columnar
-// buffer. An operand too large for the buffer's 32-bit columns fails
-// generation with an error naming the event and the operand.
+// Record generates cfg's full event stream into an in-memory packed
+// buffer. An operand above 2^32-1 fails generation with an error naming
+// the event and the operand.
 func Record(cfg Config) (*RecordedTrace, error) {
 	g, err := New(cfg)
 	if err != nil {
@@ -100,9 +101,9 @@ func (b *boundarySink) Emit(e trace.Event) error {
 }
 
 // SizeBytes is the trace's memory footprint for cache accounting: the
-// buffer's columns for an in-memory trace, or the replay pipeline's
-// resident bytes — not the on-disk size — for a
-// streamed one. That difference is the point of spilling: a 100-million-
+// buffer's packed bytes for an in-memory trace, or the replay
+// pipeline's resident bytes — not the on-disk size — for a streamed
+// one. That difference is the point of spilling: a 100-million-
 // event trace charges the cache two chunks, not gigabytes.
 func (rt *RecordedTrace) SizeBytes() int64 {
 	if rt.Stream != nil {
@@ -112,8 +113,11 @@ func (rt *RecordedTrace) SizeBytes() int64 {
 }
 
 // DefaultTraceCacheBytes is the suite harness's default cache budget. It
-// comfortably holds the base experiments' ten seed traces while forcing
-// eviction across the Figure 6 scalability sweep's larger ones.
+// holds the base experiments' ten seed traces (6.6 MB each, packed)
+// several times over, while the Figure 6 scalability sweep still evicts:
+// its five traces take 50 MB per seed (25 MB at the 40 MB point), and
+// `experiments -fig6` measured 50 traces generated, 250 replays from
+// the cache and 39 evictions.
 const DefaultTraceCacheBytes = 256 << 20
 
 // CacheStats counts TraceCache traffic.

@@ -74,6 +74,23 @@ func TestRecordMatchesLiveGeneration(t *testing.T) {
 	}
 }
 
+// TestRecordedTraceBytesPerEvent bounds the in-memory form of the
+// paper's base workload trace: the packed encoding measures about 4.1
+// bytes per event, and a kind column plus a 4-byte column per operand
+// about 6.
+func TestRecordedTraceBytesPerEvent(t *testing.T) {
+	const maxBytesPerEvent = 4.5
+	rt, err := Record(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perEvent := float64(rt.Buffer.SizeBytes()) / float64(rt.Buffer.Len())
+	t.Logf("%d events in %d bytes: %.2f bytes per event", rt.Buffer.Len(), rt.Buffer.SizeBytes(), perEvent)
+	if perEvent > maxBytesPerEvent {
+		t.Fatalf("recorded trace holds %.2f bytes per event, want at most %v", perEvent, maxBytesPerEvent)
+	}
+}
+
 func TestTraceCacheSharesGenerations(t *testing.T) {
 	c := NewTraceCache(0) // unbounded
 	cfg := cacheTestConfig(3)
