@@ -88,6 +88,11 @@ cmp "$stream_tmp/tables.txt" "$stream_tmp/tables_want.txt"
 # results/sensitivity_output.txt byte for byte.
 go run ./cmd/experiments -sensitivity -q -record none > "$stream_tmp/sensitivity.txt"
 cmp "$stream_tmp/sensitivity.txt" results/sensitivity_output.txt
+# The extension ablations at 5 seeds: stdout must match
+# results/ablations_output.txt byte for byte. The global-sweep row is
+# the only end-to-end output of gc.Collector.GlobalSweep.
+go run ./cmd/experiments -ablations -seeds 5 -q -record none > "$stream_tmp/ablations.txt"
+cmp "$stream_tmp/ablations.txt" results/ablations_output.txt
 go build -o bin/ ./cmd/tracegen ./cmd/gcsim ./cmd/traceinfo
 ceiling() { python3 scripts/rss_ceiling.py "$@"; }
 # The generator's state follows the alive nodes, not the run length, and

@@ -23,6 +23,7 @@ func BenchmarkPropagateStore(b *testing.B) {
 	for i := 1; i < n; i++ {
 		h.WriteField(h.Lookup(heap.OID(i)), 0, h.Lookup(heap.OID(i+1)))
 	}
+	var wt Weights
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Reset weights, then trigger a full-chain relaxation.
@@ -31,7 +32,7 @@ func BenchmarkPropagateStore(b *testing.B) {
 			h.SetWeight(h.Lookup(heap.OID(j)), heap.MaxWeight)
 		}
 		b.StartTimer()
-		PropagateRoot(h, h.Lookup(1))
+		wt.PropagateRoot(h, h.Lookup(1))
 	}
 }
 

@@ -14,11 +14,19 @@ import "odbgc/internal/heap"
 // the simulation's cost model. The simulator maintains weights under every
 // policy so that runs differ only in partition selection.
 
+// Weights maintains the weights of one heap at its write barrier. It keeps
+// the breadth-first relaxation queue from one store to the next, so a
+// store allocates only while the queue grows to a new high-water mark. The
+// zero value is ready to use.
+type Weights struct {
+	queue []heap.Slot
+}
+
 // PropagateStore updates weights after the pointer store src→target (both
 // slots): if reaching target through src gives it a smaller weight, the
 // improvement is applied and propagated breadth-first through target's
 // out-edges.
-func PropagateStore(h *heap.Heap, src, target heap.Slot) {
+func (wt *Weights) PropagateStore(h *heap.Heap, src, target heap.Slot) {
 	if target == heap.NilSlot || !h.Resident(src) || !h.Resident(target) {
 		return
 	}
@@ -26,27 +34,26 @@ func PropagateStore(h *heap.Heap, src, target heap.Slot) {
 	if w >= heap.MaxWeight {
 		return // cannot improve anything below the cap
 	}
-	relax(h, target, w+1)
+	wt.relax(h, target, w+1)
 }
 
 // PropagateRoot gives a newly rooted object weight 1 and propagates.
-func PropagateRoot(h *heap.Heap, s heap.Slot) {
+func (wt *Weights) PropagateRoot(h *heap.Heap, s heap.Slot) {
 	if h.Resident(s) {
-		relax(h, s, 1)
+		wt.relax(h, s, 1)
 	}
 }
 
 // relax lowers the weight of the object in slot s to at most w and
 // propagates the improvement.
-func relax(h *heap.Heap, s heap.Slot, w uint8) {
+func (wt *Weights) relax(h *heap.Heap, s heap.Slot, w uint8) {
 	if w >= h.Weight(s) {
 		return
 	}
 	h.SetWeight(s, w)
-	queue := []heap.Slot{s}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	queue := append(wt.queue[:0], s) //odbgc:alloc-ok amortized queue growth, the queue is reused across stores
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
 		next := h.Weight(cur) + 1
 		if next > heap.MaxWeight {
 			continue
@@ -56,7 +63,8 @@ func relax(h *heap.Heap, s heap.Slot, w uint8) {
 				continue
 			}
 			h.SetWeight(f, next)
-			queue = append(queue, f)
+			queue = append(queue, f) //odbgc:alloc-ok amortized queue growth, the queue is reused across stores
 		}
 	}
+	wt.queue = queue
 }

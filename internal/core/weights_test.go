@@ -27,7 +27,7 @@ func newWeightHeap(t *testing.T, n int) *heap.Heap {
 func link(h *heap.Heap, src heap.OID, f int, target heap.OID) {
 	s, ts := h.Lookup(src), h.Lookup(target)
 	h.WriteField(s, f, ts)
-	PropagateStore(h, s, ts)
+	new(Weights).PropagateStore(h, s, ts)
 }
 
 func TestPaperFigure3Weights(t *testing.T) {
@@ -45,7 +45,7 @@ func TestPaperFigure3Weights(t *testing.T) {
 		F heap.OID = 6
 	)
 	h.AddRoot(h.Lookup(A))
-	PropagateRoot(h, h.Lookup(A))
+	new(Weights).PropagateRoot(h, h.Lookup(A))
 	link(h, A, 0, B)
 	link(h, A, 1, E)
 	link(h, B, 0, C)
@@ -73,7 +73,7 @@ func TestWeightImprovementPropagatesTransitively(t *testing.T) {
 		}
 	}
 	h.AddRoot(h.Lookup(1))
-	PropagateRoot(h, h.Lookup(1))
+	new(Weights).PropagateRoot(h, h.Lookup(1))
 	for i, want := range []uint8{1, 2, 3, 4} {
 		if got := h.Weight(h.Lookup(heap.OID(i + 1))); got != want {
 			t.Errorf("weight(%d) = %d, want %d", i+1, got, want)
@@ -84,7 +84,7 @@ func TestWeightImprovementPropagatesTransitively(t *testing.T) {
 func TestWeightNeverIncreasesOnEdgeDeletion(t *testing.T) {
 	h := newWeightHeap(t, 3)
 	h.AddRoot(h.Lookup(1))
-	PropagateRoot(h, h.Lookup(1))
+	new(Weights).PropagateRoot(h, h.Lookup(1))
 	link(h, 1, 0, 2)
 	link(h, 2, 0, 3)
 	if h.Weight(h.Lookup(3)) != 3 {
@@ -92,7 +92,7 @@ func TestWeightNeverIncreasesOnEdgeDeletion(t *testing.T) {
 	}
 	// Deleting the only path to 3 leaves its weight untouched (heuristic).
 	h.WriteField(h.Lookup(2), 0, heap.NilSlot)
-	PropagateStore(h, h.Lookup(2), h.Lookup(heap.NilOID))
+	new(Weights).PropagateStore(h, h.Lookup(2), h.Lookup(heap.NilOID))
 	if got := h.Weight(h.Lookup(3)); got != 3 {
 		t.Errorf("weight(3) after deletion = %d, want 3 (weights never rise)", got)
 	}
@@ -102,7 +102,7 @@ func TestWeightCapsAtMaxWeight(t *testing.T) {
 	n := heap.MaxWeight + 5
 	h := newWeightHeap(t, n)
 	h.AddRoot(h.Lookup(1))
-	PropagateRoot(h, h.Lookup(1))
+	new(Weights).PropagateRoot(h, h.Lookup(1))
 	for i := 1; i < n; i++ {
 		link(h, heap.OID(i), 0, heap.OID(i+1))
 	}
@@ -124,7 +124,7 @@ func TestWeightCapsAtMaxWeight(t *testing.T) {
 func TestWeightCycleTerminates(t *testing.T) {
 	h := newWeightHeap(t, 3)
 	h.AddRoot(h.Lookup(1))
-	PropagateRoot(h, h.Lookup(1))
+	new(Weights).PropagateRoot(h, h.Lookup(1))
 	link(h, 1, 0, 2)
 	link(h, 2, 0, 3)
 	link(h, 3, 0, 1) // cycle back to the root
@@ -138,10 +138,10 @@ func TestWeightCycleTerminates(t *testing.T) {
 
 func TestPropagateStoreNilAndMissingTargets(t *testing.T) {
 	h := newWeightHeap(t, 1)
-	PropagateStore(h, h.Lookup(1), h.Lookup(heap.NilOID)) // must not panic
-	PropagateStore(h, h.Lookup(1), h.Lookup(99))          // missing target: ignored
-	PropagateStore(h, h.Lookup(99), h.Lookup(1))          // missing source: ignored
-	PropagateRoot(h, h.Lookup(99))                        // missing root: ignored
+	new(Weights).PropagateStore(h, h.Lookup(1), h.Lookup(heap.NilOID)) // must not panic
+	new(Weights).PropagateStore(h, h.Lookup(1), h.Lookup(99))          // missing target: ignored
+	new(Weights).PropagateStore(h, h.Lookup(99), h.Lookup(1))          // missing source: ignored
+	new(Weights).PropagateRoot(h, h.Lookup(99))                        // missing root: ignored
 }
 
 // TestWeightsEqualBFSDepthUnderMonotoneConstruction: when a graph is built
@@ -162,7 +162,7 @@ func TestWeightsEqualBFSDepthUnderMonotoneConstruction(t *testing.T) {
 			}
 		}
 		h.AddRoot(h.Lookup(1))
-		PropagateRoot(h, h.Lookup(1))
+		new(Weights).PropagateRoot(h, h.Lookup(1))
 		// Attach each object i (2..count) to a random already-attached
 		// object with a free field; also add extra random edges among
 		// attached objects (still monotone: sources are attached).

@@ -62,9 +62,7 @@ func submitAblations(s *sim.Scheduler, wl workload.Config, mkSim func(string) si
 	j := &ablationsJob{names: names, results: make([][]sim.Result, len(names))}
 	for vi, cfg := range cfgs {
 		j.results[vi] = make([]sim.Result, seeds)
-		for i := 0; i < seeds; i++ {
-			s.Submit(sim.SeedJob("ablation/"+names[vi], cfg, wl, i, &j.results[vi][i]))
-		}
+		s.SubmitSeeds("ablation/"+names[vi], cfg, wl, seeds, j.results[vi])
 	}
 	return j
 }

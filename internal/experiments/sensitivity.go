@@ -74,23 +74,18 @@ func submitSensitivity(s *sim.Scheduler, wl workload.Config, mkSim func(string) 
 	j.trigger = slots(len(triggers))
 	j.partition = slots(len(partitions))
 
-	submit := func(label string, cfg sim.Config, out []sim.Result) {
-		for i := 0; i < seeds; i++ {
-			s.Submit(sim.SeedJob(label, cfg, wl, i, &out[i]))
-		}
-	}
 	for ti, trigger := range triggers {
 		for qi, policy := range j.policies {
 			cfg := mkSim(policy)
 			cfg.TriggerOverwrites = trigger
-			submit(fmt.Sprintf("sens/trigger=%d/%s", trigger, policy), cfg, j.trigger[ti][qi])
+			s.SubmitSeeds(fmt.Sprintf("sens/trigger=%d/%s", trigger, policy), cfg, wl, seeds, j.trigger[ti][qi])
 		}
 	}
 	for pi, pages := range partitions {
 		for qi, policy := range j.policies {
 			cfg := mkSim(policy)
 			cfg.Heap.PartitionPages = pages
-			submit(fmt.Sprintf("sens/partition=%d/%s", pages, policy), cfg, j.partition[pi][qi])
+			s.SubmitSeeds(fmt.Sprintf("sens/partition=%d/%s", pages, policy), cfg, wl, seeds, j.partition[pi][qi])
 		}
 	}
 	return j

@@ -197,7 +197,6 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 			oldFirst, oldLast := h.Pages(s)
 			c.buf.ReadRange(pagebuf.PageID(oldFirst), pagebuf.PageID(oldLast), pagebuf.ActorGC)
 			h.Move(s, dest)
-			c.rem.Moved(s, victim, dest)
 			newFirst, newLast := h.Pages(s)
 			c.buf.WriteRange(pagebuf.PageID(newFirst), pagebuf.PageID(newLast), pagebuf.ActorGC)
 			res.CopiedBytes += h.Size(s)

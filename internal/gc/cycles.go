@@ -32,7 +32,9 @@ type GlobalSweepResult struct {
 }
 
 // GlobalSweep performs one global mark pass and remembered-set cleanup.
-// Page reads for the marking traversal are charged to the collector.
+// Page reads for the marking traversal are charged to the collector. The
+// dead sources it purges, in ascending OID order, are the residents with a
+// positive out-count (heap.Heap.OutCount) that the mark did not reach.
 func (c *Collector) GlobalSweep() GlobalSweepResult {
 	var res GlobalSweepResult
 
@@ -45,22 +47,23 @@ func (c *Collector) GlobalSweep() GlobalSweepResult {
 		res.LiveBytes += c.h.Size(s)
 	})
 
-	// Sweep the remembered sets: purge entries whose source is dead.
-	// Afterward every remaining entry has a live source, so every
+	// Sweep the remembered sets: purge entries whose source is dead. The
+	// residents with a positive out-count are the paper's out-of-partition
+	// sets. Afterward every remaining entry has a live source, so every
 	// remaining remembered-set target really is live — nepotism is
 	// eliminated until new garbage forms.
 	var dead []heap.Slot
 	for pid := 0; pid < c.h.NumPartitions(); pid++ {
-		c.rem.OutSet(heap.PartitionID(pid), func(s heap.Slot) {
-			if !live.ContainsSlot(s) {
+		for _, s := range c.h.Partition(heap.PartitionID(pid)).Slots() {
+			if c.h.OutCount(s) > 0 && !live.ContainsSlot(s) {
 				dead = append(dead, s)
 			}
-		})
+		}
 	}
 	c.h.SortByOID(dead)
 	for _, s := range dead {
 		res.DeadSources++
-		res.EntriesPurged += int64(c.rem.OutCount(s))
+		res.EntriesPurged += int64(c.h.OutCount(s))
 		c.rem.PurgeDead(s)
 		// Null the dead object's pointer fields so the heap and the
 		// remembered sets stay mutually consistent. The object is

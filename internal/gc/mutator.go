@@ -24,6 +24,7 @@ type Mutator struct {
 	buf *pagebuf.Buffer
 	rem *remset.Table
 	pol core.Policy
+	wts core.Weights
 
 	totalOverwrites int64
 	pointerStores   int64
@@ -48,7 +49,7 @@ func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, 
 	ps := m.h.Lookup(parent)
 	if parent != heap.NilOID {
 		if ps == heap.NilSlot {
-			return false, fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent)
+			return false, fmt.Errorf("gc: Alloc(%d): parent %d not resident", oid, parent) //odbgc:alloc-ok error path formats its report
 		}
 		if err := m.checkField(ps, parentField); err != nil {
 			return false, err
@@ -71,10 +72,10 @@ func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, 
 func (m *Mutator) Root(oid heap.OID) error {
 	s := m.h.Lookup(oid)
 	if s == heap.NilSlot {
-		return fmt.Errorf("gc: Root(%d): not resident", oid)
+		return fmt.Errorf("gc: Root(%d): not resident", oid) //odbgc:alloc-ok error path formats its report
 	}
 	m.h.AddRoot(s)
-	core.PropagateRoot(m.h, s)
+	m.wts.PropagateRoot(m.h, s)
 	return nil
 }
 
@@ -82,7 +83,7 @@ func (m *Mutator) Root(oid heap.OID) error {
 func (m *Mutator) Read(oid heap.OID) error {
 	s := m.h.Lookup(oid)
 	if s == heap.NilSlot {
-		return fmt.Errorf("gc: Read(%d): not resident", oid)
+		return fmt.Errorf("gc: Read(%d): not resident", oid) //odbgc:alloc-ok error path formats its report
 	}
 	first, last := m.h.Pages(s)
 	m.buf.ReadRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
@@ -95,11 +96,11 @@ func (m *Mutator) Read(oid heap.OID) error {
 func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) (overwrote bool, err error) {
 	s := m.h.Lookup(oid)
 	if s == heap.NilSlot {
-		return false, fmt.Errorf("gc: Write(%d): not resident", oid)
+		return false, fmt.Errorf("gc: Write(%d): not resident", oid) //odbgc:alloc-ok error path formats its report
 	}
 	ts := m.h.Lookup(target)
 	if target != heap.NilOID && ts == heap.NilSlot {
-		return false, fmt.Errorf("gc: Write(%d.%d): target %d not resident", oid, field, target)
+		return false, fmt.Errorf("gc: Write(%d.%d): target %d not resident", oid, field, target) //odbgc:alloc-ok error path formats its report
 	}
 	return m.store(s, field, ts, false)
 }
@@ -108,7 +109,7 @@ func (m *Mutator) Write(oid heap.OID, field int, target heap.OID) (overwrote boo
 // object in slot src.
 func (m *Mutator) checkField(src heap.Slot, field int) error {
 	if n := m.h.NumFields(src); field < 0 || field >= n {
-		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n)
+		return fmt.Errorf("gc: store %d.%d: field out of range [0,%d)", m.h.OID(src), field, n) //odbgc:alloc-ok error path formats its report
 	}
 	return nil
 }
@@ -143,7 +144,7 @@ func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation boo
 	}
 
 	m.rem.PointerWrite(src, field, old, target)
-	core.PropagateStore(m.h, src, target)
+	m.wts.PropagateStore(m.h, src, target)
 	m.pol.PointerStore(ctx)
 
 	m.pointerStores++
@@ -159,7 +160,7 @@ func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation boo
 func (m *Mutator) Modify(oid heap.OID) error {
 	s := m.h.Lookup(oid)
 	if s == heap.NilSlot {
-		return fmt.Errorf("gc: Modify(%d): not resident", oid)
+		return fmt.Errorf("gc: Modify(%d): not resident", oid) //odbgc:alloc-ok error path formats its report
 	}
 	first, last := m.h.Pages(s)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)

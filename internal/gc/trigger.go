@@ -1,75 +1,43 @@
 package gc
 
-import "fmt"
-
 // Trigger decides when to activate the collector. The paper triggers a
 // collection after a fixed number of pointer overwrites (150–300 in its
 // runs), because overwrites correlate with garbage creation and because an
 // overwrite count is independent of the partition selection policy, so
-// every policy performs the same number of collections.
-type Trigger interface {
-	// RecordOverwrite notes one pointer overwrite and reports whether the
-	// collector should run now.
-	RecordOverwrite() bool
-	// RecordAllocation notes bytes allocated and reports whether the
-	// collector should run now.
-	RecordAllocation(bytes int64) bool
-	// Reset clears progress toward the next activation; the simulator
-	// calls it after each collection.
-	Reset()
+// every policy performs the same number of collections. The alternative
+// "when to collect" policy from the paper's Table 1 ("when more space is
+// needed") counts allocated bytes instead, for ablation studies.
+type Trigger struct {
+	// Overwrites fires the trigger every N pointer overwrites.
+	Overwrites int64
+	// AllocationBytes, when positive, replaces Overwrites: the trigger
+	// fires every N allocated bytes, and overwrites do not advance it.
+	AllocationBytes int64
+
+	// progress counts toward the next activation, in overwrites or bytes.
+	progress int64
 }
 
-// OverwriteTrigger activates every N pointer overwrites — the paper's
-// "when to perform collection" choice.
-type OverwriteTrigger struct {
-	every int64
-	count int64
-}
-
-// NewOverwriteTrigger returns a trigger firing every n overwrites.
-func NewOverwriteTrigger(n int64) (*OverwriteTrigger, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gc: overwrite trigger interval %d must be positive", n)
+// RecordOverwrite notes one pointer overwrite and reports whether the
+// collector should run now.
+func (t *Trigger) RecordOverwrite() bool {
+	if t.AllocationBytes > 0 {
+		return false
 	}
-	return &OverwriteTrigger{every: n}, nil
+	t.progress++
+	return t.progress >= t.Overwrites
 }
 
-// RecordOverwrite implements Trigger.
-func (t *OverwriteTrigger) RecordOverwrite() bool {
-	t.count++
-	return t.count >= t.every
-}
-
-// RecordAllocation implements Trigger; allocation does not advance it.
-func (t *OverwriteTrigger) RecordAllocation(int64) bool { return false }
-
-// Reset implements Trigger.
-func (t *OverwriteTrigger) Reset() { t.count = 0 }
-
-// AllocationTrigger activates after a fixed number of bytes has been
-// allocated — an alternative "when to collect" policy from the paper's
-// Table 1 ("when more space is needed"), provided for ablation studies.
-type AllocationTrigger struct {
-	everyBytes int64
-	bytes      int64
-}
-
-// NewAllocationTrigger returns a trigger firing every n allocated bytes.
-func NewAllocationTrigger(n int64) (*AllocationTrigger, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("gc: allocation trigger interval %d must be positive", n)
+// RecordAllocation notes bytes allocated and reports whether the collector
+// should run now.
+func (t *Trigger) RecordAllocation(bytes int64) bool {
+	if t.AllocationBytes <= 0 {
+		return false
 	}
-	return &AllocationTrigger{everyBytes: n}, nil
+	t.progress += bytes
+	return t.progress >= t.AllocationBytes
 }
 
-// RecordOverwrite implements Trigger; overwrites do not advance it.
-func (t *AllocationTrigger) RecordOverwrite() bool { return false }
-
-// RecordAllocation implements Trigger.
-func (t *AllocationTrigger) RecordAllocation(bytes int64) bool {
-	t.bytes += bytes
-	return t.bytes >= t.everyBytes
-}
-
-// Reset implements Trigger.
-func (t *AllocationTrigger) Reset() { t.bytes = 0 }
+// Reset clears progress toward the next activation; the simulator calls it
+// after each collection.
+func (t *Trigger) Reset() { t.progress = 0 }

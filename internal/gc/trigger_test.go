@@ -3,10 +3,7 @@ package gc
 import "testing"
 
 func TestOverwriteTriggerFiresEveryN(t *testing.T) {
-	tr, err := NewOverwriteTrigger(3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := Trigger{Overwrites: 3}
 	fired := 0
 	for i := 0; i < 9; i++ {
 		if tr.RecordOverwrite() {
@@ -20,28 +17,15 @@ func TestOverwriteTriggerFiresEveryN(t *testing.T) {
 }
 
 func TestOverwriteTriggerIgnoresAllocation(t *testing.T) {
-	tr, err := NewOverwriteTrigger(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := Trigger{Overwrites: 1}
 	if tr.RecordAllocation(1 << 20) {
 		t.Fatal("allocation advanced an overwrite trigger")
 	}
 }
 
-func TestOverwriteTriggerValidation(t *testing.T) {
-	for _, n := range []int64{0, -5} {
-		if _, err := NewOverwriteTrigger(n); err == nil {
-			t.Errorf("NewOverwriteTrigger(%d): want error", n)
-		}
-	}
-}
-
 func TestAllocationTriggerFiresOnBytes(t *testing.T) {
-	tr, err := NewAllocationTrigger(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Overwrites is set too: a positive AllocationBytes replaces it.
+	tr := Trigger{Overwrites: 1, AllocationBytes: 1000}
 	if tr.RecordAllocation(999) {
 		t.Fatal("fired early")
 	}
@@ -54,13 +38,5 @@ func TestAllocationTriggerFiresOnBytes(t *testing.T) {
 	}
 	if tr.RecordOverwrite() {
 		t.Fatal("overwrite advanced an allocation trigger")
-	}
-}
-
-func TestAllocationTriggerValidation(t *testing.T) {
-	for _, n := range []int64{0, -1} {
-		if _, err := NewAllocationTrigger(n); err == nil {
-			t.Errorf("NewAllocationTrigger(%d): want error", n)
-		}
 	}
 }

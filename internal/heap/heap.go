@@ -342,14 +342,14 @@ func (h *Heap) FootprintBytes() int64 {
 // Root objects and everything reachable from them are live.
 func (h *Heap) AddRoot(s Slot) {
 	if !h.Resident(s) {
-		panic(fmt.Sprintf("heap: AddRoot(slot %d): no such object", s))
+		panic(fmt.Sprintf("heap: AddRoot(slot %d): no such object", s)) //odbgc:alloc-ok cold panic path
 	}
 	r := &h.slots[s]
 	if r.root {
 		return
 	}
 	r.root = true
-	h.rootList = append(h.rootList, s)
+	h.rootList = append(h.rootList, s) //odbgc:alloc-ok amortized growth, once per root added
 }
 
 // IsRoot reports whether the object in slot s is in the root set.

@@ -14,15 +14,15 @@ import (
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard remset.Table.PointerWrite remset.Table.add remset.Table.remove
-//odbgc:allocguard remset.Table.inAt remset.Table.outAt
-//odbgc:allocguard remset.inSet.add remset.inSet.remove remset.outSet.add remset.outSet.remove
+//odbgc:allocguard remset.Table.inAt
+//odbgc:allocguard remset.inSet.add remset.inSet.remove
 func TestPointerWriteZeroAllocs(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	src, target := h.Lookup(a), h.Lookup(b)
 
-	// Warm up: populate the entry and out-set stores once so their maps
-	// and slices have capacity.
+	// Warm up: populate the entry store once so its map and slice have
+	// capacity.
 	tab.PointerWrite(src, 0, heap.NilSlot, target)
 	tab.PointerWrite(src, 0, target, heap.NilSlot)
 

@@ -15,19 +15,16 @@ import (
 //   - every inter-partition pointer src.f → target is found through the
 //     position map of target's partition, and its entry records target;
 //   - every resident object's out-count equals its number of
-//     out-of-partition fields, and it is in its partition's out-set
-//     exactly when that number is positive;
-//   - each partition's position maps index its entry and out-set slices
-//     one to one, and the partition holds exactly as many entries and
-//     out-set members as the scan found, so no entry or member is stale
-//     or duplicated.
+//     out-of-partition fields;
+//   - each partition's position map indexes its entry slice one to one,
+//     and the partition holds exactly as many entries as the scan found,
+//     so no entry is stale or duplicated.
 //
 // It is O(heap + table) and intended for the audit layer
 // (internal/check) and tests.
 func (t *Table) CheckInvariants() error {
 	h := t.h
 	wantIn := make([]int, max(h.NumPartitions(), len(t.in)))
-	wantOut := make([]int, max(h.NumPartitions(), len(t.out)))
 	for pid := 0; pid < h.NumPartitions(); pid++ {
 		srcPart := heap.PartitionID(pid)
 		for _, src := range h.Partition(srcPart).Slots() {
@@ -55,20 +52,8 @@ func (t *Table) CheckInvariants() error {
 					return fmt.Errorf("remset: entry %d.%d into partition %d records target %d, heap field holds %d", oid, f, p, got, h.OID(target))
 				}
 			}
-			if got := t.OutCount(src); got != out {
+			if got := int(h.OutCount(src)); got != out {
 				return fmt.Errorf("remset: object %d out-count %d, heap has %d out-of-partition fields", oid, got, out)
-			}
-			member := false
-			if pid < len(t.out) {
-				_, member = t.out[pid].pos[src]
-			}
-			switch {
-			case out > 0 && !member:
-				return fmt.Errorf("remset: object %d missing from the out-set of partition %d", oid, pid)
-			case out == 0 && member:
-				return fmt.Errorf("remset: out-set of partition %d lists object %d, which has no out-of-partition pointer", pid, oid)
-			case out > 0:
-				wantOut[pid]++
 			}
 		}
 	}
@@ -83,17 +68,6 @@ func (t *Table) CheckInvariants() error {
 		}
 		if len(s.pos) != len(s.entries) || len(s.entries) != wantIn[pid] {
 			return fmt.Errorf("remset: partition %d remembers %d pointers (%d indexed), heap has %d inter-partition pointers into it", pid, len(s.entries), len(s.pos), wantIn[pid])
-		}
-	}
-	for pid := range t.out {
-		s := &t.out[pid]
-		for i, x := range s.slots {
-			if j, ok := s.pos[x]; !ok || int(j) != i {
-				return fmt.Errorf("remset: out-set position map of partition %d does not index object %d at %d", pid, h.OID(x), i)
-			}
-		}
-		if len(s.pos) != len(s.slots) || len(s.slots) != wantOut[pid] {
-			return fmt.Errorf("remset: out-set of partition %d lists %d objects (%d indexed), heap has %d with out-pointers", pid, len(s.slots), len(s.pos), wantOut[pid])
 		}
 	}
 	return nil

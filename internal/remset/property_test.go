@@ -96,7 +96,6 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 		residents := append([]heap.Slot(nil), h.Partition(victim).Slots()...)
 		for _, s := range residents {
 			h.Move(s, dest)
-			tab.Moved(s, victim, dest)
 		}
 		// Moving objects between partitions can turn inter-partition
 		// pointers among them into intra-partition ones and vice versa:

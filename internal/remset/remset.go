@@ -4,11 +4,14 @@
 //   - the remembered set of each partition P — the locations of all
 //     pointers into P from objects outside P, which serve as additional
 //     roots when P is collected; and
-//   - the out-of-partition set of each partition P — the P-resident
-//     objects holding pointers out of P, so that when such an object dies
-//     its entries can be removed from the remembered sets of the
-//     partitions it pointed into (otherwise later collections would
-//     unnecessarily preserve objects pointed to only by garbage).
+//   - each object's out-count — how many of its fields point out of its
+//     partition, a column of the heap's slot storage
+//     (heap.Heap.OutCount). The paper's out-of-partition set of P is P's
+//     residents with a positive out-count: when such an object dies its
+//     entries are removed from the remembered sets of the partitions it
+//     pointed into (otherwise later collections would unnecessarily
+//     preserve objects pointed to only by garbage), and an object whose
+//     out-count is zero has none to remove.
 //
 // Like the paper's implementation, these are auxiliary in-memory
 // structures and contribute no page I/O.
@@ -16,8 +19,8 @@
 // The write barrier is the hottest path in the simulator, so the stores are
 // flat: each partition keeps its entries in a slice keyed by the packed
 // location Src<<16|Field (one map lookup per mutation, no struct hashing),
-// out-counts live in a column of the heap's slot storage, and the sorted
-// enumerations reuse scratch buffers instead of allocating per collection.
+// the out-count moves in place in the slot record, and the sorted
+// enumeration reuses a scratch buffer instead of allocating per collection.
 package remset
 
 import (
@@ -99,51 +102,17 @@ func (s *inSet) remove(k uint64) bool {
 	return true
 }
 
-// outSet is one partition's out-of-partition set: the resident slots
-// holding inter-partition out-pointers, slice plus membership index.
-type outSet struct {
-	slots []heap.Slot
-	pos   map[heap.Slot]int32
-}
-
-//odbgc:hotpath
-func (s *outSet) add(x heap.Slot) {
-	if s.pos == nil {
-		s.pos = make(map[heap.Slot]int32) //odbgc:alloc-ok one-time lazy index for a partition's first out-pointer
-	}
-	s.pos[x] = int32(len(s.slots))
-	s.slots = append(s.slots, x) //odbgc:alloc-ok amortized slice growth
-}
-
-//odbgc:hotpath
-func (s *outSet) remove(x heap.Slot) {
-	i, ok := s.pos[x]
-	if !ok {
-		return
-	}
-	last := int32(len(s.slots) - 1)
-	moved := s.slots[last]
-	s.slots[i] = moved
-	s.pos[moved] = i
-	s.slots = s.slots[:last]
-	delete(s.pos, x)
-}
-
-// Table holds the remembered sets and out-of-partition sets for a heap.
+// Table holds the remembered sets for a heap, and keeps the heap's
+// out-count column in step with them: an object's out-count is its number
+// of entries across all the remembered sets.
 type Table struct {
 	h *heap.Heap
 	// in[P] records each inter-partition pointer location whose value
 	// points into P, with the target OID it held when recorded.
 	in []inSet
-	// out[P] is the set of P-resident objects with at least one
-	// inter-partition out-pointer. Each object's count of such fields,
-	// which keeps out-set membership precise, is the heap's out-count
-	// column (heap.Heap.OutCount).
-	out []outSet
 
-	// scratch buffers for the sorted enumerations, reused per collection.
+	// entryScratch is RootsInto's sort buffer, reused per collection.
 	entryScratch []inEntry
-	slotScratch  []heap.Slot
 }
 
 // New returns an empty table over h.
@@ -161,16 +130,6 @@ func (t *Table) inAt(p heap.PartitionID) *inSet {
 	return &t.in[p]
 }
 
-// outAt returns the out-set of p, growing the store on demand.
-//
-//odbgc:hotpath
-func (t *Table) outAt(p heap.PartitionID) *outSet {
-	for int(p) >= len(t.out) {
-		t.out = append(t.out, outSet{}) //odbgc:alloc-ok grows once per new partition, not per write
-	}
-	return &t.out[p]
-}
-
 // PointerWrite records the effect of storing new into field f of the
 // object in slot src, whose previous value was old. It must be called at
 // the write barrier for every pointer store, after the heap mutation.
@@ -183,36 +142,31 @@ func (t *Table) PointerWrite(src heap.Slot, f int, old, new heap.Slot) {
 	srcPart := t.h.PartitionOf(src)
 	if old != heap.NilSlot {
 		if p := t.h.PartitionOf(old); p != heap.NoPartition && p != srcPart {
-			t.remove(p, src, f, srcPart)
+			t.remove(p, src, f)
 		}
 	}
 	if new != heap.NilSlot {
 		if p := t.h.PartitionOf(new); p != heap.NoPartition && p != srcPart {
-			t.add(p, src, f, t.h.OID(new), srcPart)
+			t.add(p, src, f, t.h.OID(new))
 		}
 	}
 }
 
 //odbgc:hotpath
-func (t *Table) add(target heap.PartitionID, src heap.Slot, f int, to heap.OID, srcPart heap.PartitionID) {
+func (t *Table) add(target heap.PartitionID, src heap.Slot, f int, to heap.OID) {
 	if !t.inAt(target).add(packKey(t.h.OID(src), f), to) {
 		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	if t.h.AddOutCount(src, 1) == 1 {
-		t.outAt(srcPart).add(src)
-	}
+	t.h.AddOutCount(src, 1)
 }
 
 //odbgc:hotpath
-func (t *Table) remove(target heap.PartitionID, src heap.Slot, f int, srcPart heap.PartitionID) {
+func (t *Table) remove(target heap.PartitionID, src heap.Slot, f int) {
 	if !t.inAt(target).remove(packKey(t.h.OID(src), f)) {
 		panic(fmt.Sprintf("remset: removing absent entry %+v from partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	switch n := t.h.AddOutCount(src, -1); {
-	case n < 0:
+	if t.h.AddOutCount(src, -1) < 0 {
 		panic(fmt.Sprintf("remset: negative out-count for %d", t.h.OID(src))) //odbgc:alloc-ok cold panic path
-	case n == 0:
-		t.outAt(srcPart).remove(src)
 	}
 }
 
@@ -246,24 +200,11 @@ func (t *Table) PurgeDeadEvacuating(s heap.Slot, dest heap.PartitionID) {
 		if dest != heap.NoPartition && p == dest {
 			continue // was intra-partition before the target moved
 		}
-		t.remove(p, s, f, srcPart)
+		t.remove(p, s, f)
 	}
 	if n := t.h.OutCount(s); n != 0 {
 		panic(fmt.Sprintf("remset: PurgeDead(%d) left out-count %d", t.h.OID(s), n))
 	}
-}
-
-// Moved records that a (surviving) object was relocated from partition
-// `from` to partition `to` during collection: its out-set membership
-// follows it. Its remembered-set entries are keyed by OID and need no
-// update here; Rekey handles the entries pointing *into* the collected
-// partition.
-func (t *Table) Moved(s heap.Slot, from, to heap.PartitionID) {
-	if t.h.OutCount(s) == 0 {
-		return
-	}
-	t.outAt(from).remove(s)
-	t.outAt(to).add(s)
 }
 
 // Rekey transfers the remembered set of an evacuated partition to the
@@ -280,9 +221,6 @@ func (t *Table) Rekey(victim, dest heap.PartitionID) {
 	v := &t.in[victim]
 	// Swap the sets so the victim keeps dest's (empty) buffers for reuse.
 	*d, *v = *v, *d
-	if int(victim) < len(t.out) && len(t.out[victim].slots) != 0 {
-		panic(fmt.Sprintf("remset: Rekey(%d): out-set not drained", victim))
-	}
 }
 
 // RootsInto calls fn for every remembered pointer into partition p, in a
@@ -334,40 +272,15 @@ func (t *Table) InCount(p heap.PartitionID) int {
 	return len(t.in[p].entries)
 }
 
-// OutSet calls fn for the slot of every object in partition p holding
-// inter-partition out-pointers, in ascending OID order.
-func (t *Table) OutSet(p heap.PartitionID, fn func(heap.Slot)) {
-	if int(p) >= len(t.out) {
-		return
-	}
-	s := &t.out[p]
-	if len(s.slots) == 0 {
-		return
-	}
-	t.slotScratch = append(t.slotScratch[:0], s.slots...)
-	t.h.SortByOID(t.slotScratch)
-	for _, x := range t.slotScratch {
-		fn(x)
-	}
-}
-
-// OutCount reports how many fields of the object in slot s hold
-// inter-partition pointers.
-func (t *Table) OutCount(s heap.Slot) int { return int(t.h.OutCount(s)) }
-
-// Footprint reports the memory the table holds: the entry and out-set
-// slices by capacity, their position maps by entry count.
+// Footprint reports the memory the table holds: the entry slices by
+// capacity, their position maps by entry count.
 func (t *Table) Footprint() heap.Footprint {
 	const entryBytes = int64(unsafe.Sizeof(inEntry{}))
 	f := heap.Footprint{
-		Bytes: 4*int64(cap(t.slotScratch)) + entryBytes*int64(cap(t.entryScratch)) +
-			int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)) + int64(unsafe.Sizeof(outSet{}))*int64(cap(t.out)),
+		Bytes: entryBytes*int64(cap(t.entryScratch)) + int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)),
 	}
 	for i := range t.in {
 		f.Bytes += entryBytes*int64(cap(t.in[i].entries)) + 12*int64(len(t.in[i].pos))
-	}
-	for i := range t.out {
-		f.Bytes += 4*int64(cap(t.out[i].slots)) + 8*int64(len(t.out[i].pos))
 	}
 	return f
 }

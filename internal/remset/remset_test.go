@@ -56,8 +56,8 @@ func TestInterPartitionStoreRecorded(t *testing.T) {
 	if len(entries) != 1 || entries[0] != (Entry{a, 0}) || targets[0] != b {
 		t.Fatalf("roots = %v -> %v", entries, targets)
 	}
-	if tab.OutCount(h.Lookup(a)) != 1 {
-		t.Fatalf("OutCount(a) = %d, want 1", tab.OutCount(h.Lookup(a)))
+	if h.OutCount(h.Lookup(a)) != 1 {
+		t.Fatalf("OutCount(a) = %d, want 1", h.OutCount(h.Lookup(a)))
 	}
 	if err := tab.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -79,7 +79,7 @@ func TestIntraPartitionStoreIgnored(t *testing.T) {
 	if got := tab.InCount(h.PartitionOf(h.Lookup(3))); got != 0 {
 		t.Fatalf("intra-partition store recorded: InCount = %d", got)
 	}
-	if tab.OutCount(h.Lookup(2)) != 0 {
+	if h.OutCount(h.Lookup(2)) != 0 {
 		t.Fatal("intra-partition store counted as out-pointer")
 	}
 	_ = a
@@ -96,7 +96,7 @@ func TestOverwriteRemovesOldEntry(t *testing.T) {
 	if got := tab.InCount(h.PartitionOf(h.Lookup(b))); got != 0 {
 		t.Fatalf("InCount after nil overwrite = %d, want 0", got)
 	}
-	if tab.OutCount(h.Lookup(a)) != 0 {
+	if h.OutCount(h.Lookup(a)) != 0 {
 		t.Fatal("out-count not decremented")
 	}
 	if err := tab.CheckInvariants(); err != nil {
@@ -136,8 +136,8 @@ func TestTwoFieldsTwoEntries(t *testing.T) {
 	if got := tab.InCount(pb); got != 2 {
 		t.Fatalf("InCount = %d, want 2", got)
 	}
-	if tab.OutCount(h.Lookup(a)) != 2 {
-		t.Fatalf("OutCount = %d, want 2", tab.OutCount(h.Lookup(a)))
+	if h.OutCount(h.Lookup(a)) != 2 {
+		t.Fatalf("OutCount = %d, want 2", h.OutCount(h.Lookup(a)))
 	}
 	var fields []int
 	tab.RootsInto(pb, func(e Entry, _ heap.OID) { fields = append(fields, e.Field) })
@@ -155,10 +155,8 @@ func TestPurgeDeadRemovesEntries(t *testing.T) {
 	if got := tab.InCount(h.PartitionOf(h.Lookup(b))); got != 0 {
 		t.Fatalf("InCount after purge = %d, want 0", got)
 	}
-	var outs []heap.OID
-	tab.OutSet(h.PartitionOf(h.Lookup(a)), func(s heap.Slot) { outs = append(outs, h.OID(s)) })
-	if len(outs) != 0 {
-		t.Fatalf("out-set still holds %v", outs)
+	if n := h.OutCount(h.Lookup(a)); n != 0 {
+		t.Fatalf("out-count after purge = %d, want 0", n)
 	}
 }
 
@@ -166,26 +164,6 @@ func TestPurgeDeadNoOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
 	tab.PurgeDead(h.Lookup(a)) // must not panic or mutate anything
-	if err := tab.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMovedFollowsOutSet(t *testing.T) {
-	h, a, b := buildHeap(t)
-	tab := New(h)
-	write(t, h, tab, a, 0, b)
-	from := h.PartitionOf(h.Lookup(a))
-	dest := h.EmptyPartition()
-	h.Move(h.Lookup(a), dest)
-	tab.Moved(h.Lookup(a), from, dest)
-
-	var fromOuts, destOuts []heap.OID
-	tab.OutSet(from, func(s heap.Slot) { fromOuts = append(fromOuts, h.OID(s)) })
-	tab.OutSet(dest, func(s heap.Slot) { destOuts = append(destOuts, h.OID(s)) })
-	if len(fromOuts) != 0 || len(destOuts) != 1 || destOuts[0] != a {
-		t.Fatalf("out-sets after move: from=%v dest=%v", fromOuts, destOuts)
-	}
 	if err := tab.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,23 +217,6 @@ func TestDuplicateAddPanics(t *testing.T) {
 	tab.PointerWrite(h.Lookup(a), 0, heap.NilSlot, h.Lookup(b))
 }
 
-func TestRekeyWithUndrainedOutSetPanics(t *testing.T) {
-	h, a, b := buildHeap(t)
-	tab := New(h)
-	write(t, h, tab, a, 0, b)
-	// a still has an out-pointer registered in its partition's out-set;
-	// rekeying that partition without draining must panic.
-	defer func() {
-		if recover() == nil {
-			t.Error("Rekey with undrained out-set did not panic")
-		}
-	}()
-	// Make the source partition's remset empty so we reach the out-set
-	// check: rekey a's partition (no in-entries) while a's out-set entry
-	// remains.
-	tab.Rekey(h.PartitionOf(h.Lookup(a)), h.EmptyPartition())
-}
-
 func TestPurgeDeadMissingObjectPanics(t *testing.T) {
 	h, _, _ := buildHeap(t)
 	tab := New(h)
@@ -265,34 +226,6 @@ func TestPurgeDeadMissingObjectPanics(t *testing.T) {
 		}
 	}()
 	tab.PurgeDead(h.Lookup(404))
-}
-
-func TestMovedWithoutOutPointersIsNoop(t *testing.T) {
-	h, a, _ := buildHeap(t)
-	tab := New(h)
-	tab.Moved(h.Lookup(a), h.PartitionOf(h.Lookup(a)), h.EmptyPartition()) // no out-pointers
-	if err := tab.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOutSetEnumerationSorted(t *testing.T) {
-	h, a, b := buildHeap(t)
-	// A second source in a's partition pointing into b's.
-	if _, _, err := h.Alloc(3, 50, 4, h.Lookup(a)); err != nil {
-		t.Fatal(err)
-	}
-	if h.PartitionOf(h.Lookup(3)) != h.PartitionOf(h.Lookup(a)) {
-		t.Skip("setup: could not co-locate third object")
-	}
-	tab := New(h)
-	write(t, h, tab, 3, 0, b)
-	write(t, h, tab, a, 0, b)
-	var got []heap.OID
-	tab.OutSet(h.PartitionOf(h.Lookup(a)), func(s heap.Slot) { got = append(got, h.OID(s)) })
-	if len(got) != 2 || got[0] != a || got[1] != 3 {
-		t.Fatalf("OutSet order = %v, want [1 3]", got)
-	}
 }
 
 func TestAuditDetectsMissingEntry(t *testing.T) {
@@ -317,9 +250,9 @@ func TestAuditDetectsStaleEntry(t *testing.T) {
 }
 
 // TestAuditDetectsCorruption corrupts one structure of an exact table at
-// a time. A duplicated entry or out-set member leaves every heap pointer
-// findable through the position maps, so only the counts and the maps'
-// indexing of their slices expose it.
+// a time. A duplicated entry leaves every heap pointer findable through
+// the position maps, so only the counts and the maps' indexing of their
+// slices expose it.
 func TestAuditDetectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -328,10 +261,6 @@ func TestAuditDetectsCorruption(t *testing.T) {
 		{"duplicate entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
 			s := &tab.in[h.PartitionOf(h.Lookup(b))]
 			s.entries = append(s.entries, s.entries[0])
-		}},
-		{"duplicate out-set member", func(h *heap.Heap, tab *Table, a, b heap.OID) {
-			s := &tab.out[h.PartitionOf(h.Lookup(a))]
-			s.slots = append(s.slots, s.slots[0])
 		}},
 		{"recorded target", func(h *heap.Heap, tab *Table, a, b heap.OID) {
 			tab.CorruptFirstEntryForTesting(h.PartitionOf(h.Lookup(b)))

@@ -215,15 +215,6 @@ func New(cfg Config) (*Sim, error) {
 	rem := remset.New(h)
 	oracle := heap.NewOracle(h)
 	env := &core.Env{Heap: h, Oracle: oracle, Rand: rand.New(rand.NewSource(cfg.Seed + 1))}
-	var trig gc.Trigger
-	if cfg.TriggerAllocationBytes > 0 {
-		trig, err = gc.NewAllocationTrigger(cfg.TriggerAllocationBytes)
-	} else {
-		trig, err = gc.NewOverwriteTrigger(cfg.TriggerOverwrites)
-	}
-	if err != nil {
-		return nil, err
-	}
 	s := &Sim{
 		cfg:    cfg,
 		h:      h,
@@ -233,7 +224,7 @@ func New(cfg Config) (*Sim, error) {
 		pol:    pol,
 		mut:    gc.NewMutator(h, buf, rem, pol),
 		col:    gc.NewCollector(h, buf, rem, pol, env),
-		trig:   trig,
+		trig:   gc.Trigger{Overwrites: cfg.TriggerOverwrites, AllocationBytes: cfg.TriggerAllocationBytes},
 		oracle: oracle,
 	}
 	return s, nil
@@ -322,7 +313,7 @@ func (s *Sim) Emit(e trace.Event) error {
 	}
 	switch e.Kind {
 	case trace.KindCreate:
-		overwrote, err := s.mut.Alloc(e.OID, e.Size, e.NFields, e.Parent, e.ParentField) //odbgc:alloc-ok error path formats its report
+		overwrote, err := s.mut.Alloc(e.OID, e.Size, e.NFields, e.Parent, e.ParentField)
 		if err != nil {
 			return err
 		}
@@ -334,15 +325,15 @@ func (s *Sim) Emit(e trace.Event) error {
 			s.collect(CauseAllocation) //odbgc:alloc-ok collection allocates amortized collector state, off the per-event fast path
 		}
 	case trace.KindRoot:
-		if err := s.mut.Root(e.OID); err != nil { //odbgc:alloc-ok error path formats its report
+		if err := s.mut.Root(e.OID); err != nil {
 			return err
 		}
 	case trace.KindRead:
-		if err := s.mut.Read(e.OID); err != nil { //odbgc:alloc-ok error path formats its report
+		if err := s.mut.Read(e.OID); err != nil {
 			return err
 		}
 	case trace.KindWrite:
-		overwrote, err := s.mut.Write(e.OID, e.Field, e.Target) //odbgc:alloc-ok error path formats its report
+		overwrote, err := s.mut.Write(e.OID, e.Field, e.Target)
 		if err != nil {
 			return err
 		}
@@ -350,7 +341,7 @@ func (s *Sim) Emit(e trace.Event) error {
 			s.overwrote()
 		}
 	case trace.KindModify:
-		if err := s.mut.Modify(e.OID); err != nil { //odbgc:alloc-ok error path formats its report
+		if err := s.mut.Modify(e.OID); err != nil {
 			return err
 		}
 	default:
