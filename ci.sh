@@ -102,7 +102,12 @@ ceiling 96 bin/tracegen -o "$stream_tmp/long.odbgcck" -alloc 200000000
 ceiling 140 bin/gcsim -trace "$stream_tmp/long.odbgcck"
 rm "$stream_tmp/long.odbgcck"
 bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
-ceiling 75 bin/gcsim -trace "$stream_tmp/stream.odbgcck"
+ceiling 75 bin/gcsim -trace "$stream_tmp/stream.odbgcck" > "$stream_tmp/stream.txt"
+# The same replay with the full invariant audit after every activation
+# (the heap's per-partition field arenas among it) must print the same
+# bytes: the audit observes and never changes a result.
+bin/gcsim -trace "$stream_tmp/stream.odbgcck" -audit > "$stream_tmp/stream_audit.txt"
+cmp "$stream_tmp/stream.txt" "$stream_tmp/stream_audit.txt"
 ceiling 32 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shards
 # whose epoch drains run on their own goroutines — once under the race

@@ -10,7 +10,9 @@ import (
 
 // ArenaIndex guards the flat arenas a struct field marks with
 // //odbgc:arena (the page buffer's frames, the heap's slot storage and
-// field arena), whose backing arrays grow or are compacted in place.
+// per-partition field arenas), whose backing arrays grow or are
+// truncated in place. A field of slices marked //odbgc:arena holds one
+// arena per element: h.fields[p] is partition p's field arena.
 //
 // One mistake is easy to make and survives every test until the arena
 // happens to grow: holding a pointer into an arena (&arena[i]) or a view
@@ -18,7 +20,9 @@ import (
 // call that can move the arena's contents — a function that reassigns
 // the arena field, directly or through its callees, in this package or,
 // through facts, in another — or across a direct reassignment of the
-// slice: the pointer then reads a stale array.
+// slice: the pointer then reads a stale array. Arenas that are elements
+// of one field are not told apart: a move of h.fields[q] counts as a
+// move of the arena h.fields[p] a pointer was taken from.
 //
 // Intentional exceptions carry //odbgc:arena-ok <reason>.
 var ArenaIndex = &Analyzer{
@@ -73,7 +77,7 @@ func newArenaInfo(pass *Pass) *arenaInfo {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if key := ai.fieldKey(lhs); key != "" {
+					if key, _ := ai.arenaExpr(lhs); key != "" {
 						moved[key] = true
 					}
 				}
@@ -174,22 +178,44 @@ func (ai *arenaInfo) fieldKey(e ast.Expr) string {
 	return pkg + "." + owner + "." + v.Name()
 }
 
+// arenaExpr resolves e to the arena field it selects: the field itself,
+// or an element of it that is a slice (h.fields[p] of a field fields
+// [][]Slot). It returns the field's key and printed selector, or "" when
+// e selects no arena; an element that is not a slice (h.slots[s]) is
+// not an arena.
+func (ai *arenaInfo) arenaExpr(e ast.Expr) (key, sel string) {
+	e = ast.Unparen(e)
+	for {
+		idx, ok := e.(*ast.IndexExpr)
+		if !ok {
+			break
+		}
+		if _, ok := ai.pass.TypesInfo.TypeOf(idx).Underlying().(*types.Slice); !ok {
+			return "", ""
+		}
+		e = ast.Unparen(idx.X)
+	}
+	if key = ai.fieldKey(e); key == "" {
+		return "", ""
+	}
+	return key, types.ExprString(e)
+}
+
 // derivedKey reports whether e points into or views an arena: &a[i] or
-// a[i:j] for an arena field a, or a call to a function whose result is a
-// view of one. It returns the arena's key and, for the first two forms,
-// the printed arena expression, which a direct reassignment must match.
+// a[i:j] for an arena a, an arena that is an element of an arena field
+// (h.fields[p]), or a call to a function whose result is a view of one.
+// It returns the arena's key and, for all but calls, the printed arena
+// field, which a direct reassignment must match.
 func (ai *arenaInfo) derivedKey(e ast.Expr) (key, slice string) {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.UnaryExpr:
 		if idx, ok := e.X.(*ast.IndexExpr); ok && e.Op == token.AND {
-			if key := ai.fieldKey(idx.X); key != "" {
-				return key, types.ExprString(idx.X)
-			}
+			return ai.arenaExpr(idx.X)
 		}
 	case *ast.SliceExpr:
-		if key := ai.fieldKey(e.X); key != "" {
-			return key, types.ExprString(e.X)
-		}
+		return ai.arenaExpr(e.X)
+	case *ast.IndexExpr:
+		return ai.arenaExpr(e)
 	case *ast.CallExpr:
 		if callee := StaticCallee(ai.pass.TypesInfo, e); callee != nil {
 			return ai.calleeView(callee), ""
@@ -284,7 +310,7 @@ func checkHeldPointers(pass *Pass, fn *ast.FuncDecl, ai *arenaInfo) {
 					return true
 				}
 				for _, lhs := range n.Lhs {
-					if types.ExprString(lhs) == hp.slice {
+					if _, sel := ai.arenaExpr(lhs); sel == hp.slice {
 						growPos, growDesc = n.End(), "reassignment of "+hp.slice
 					}
 				}

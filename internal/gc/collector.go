@@ -93,9 +93,11 @@ func (c *Collector) SetExternalRoots(fn func(victim heap.PartitionID, add func(h
 }
 
 // SetOnDiscard registers fn to run for each object an evacuation is
-// about to discard, in ascending OID order, while the object's fields
-// are still readable. The sharded engine uses this to retract the
-// remset deltas a dying object's cross-shard pointers once sent.
+// about to discard, while the object's fields are still readable. The
+// objects come in the victim's resident-list order, which is
+// deterministic but not sorted. The sharded engine uses this to retract
+// the remset deltas a dying object's cross-shard pointers once sent; the
+// receivers only count those deltas, so their order does not matter.
 func (c *Collector) SetOnDiscard(fn func(oid heap.OID)) { c.onDiscard = fn }
 
 // Stats returns a snapshot of collector counters.
@@ -215,9 +217,12 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	// inter-partition pointers are removed from the remembered sets they
 	// appear in, so later collections do not preserve objects reachable
 	// only from this garbage. Discarding performs no I/O: a copying
-	// collector never touches dead objects.
+	// collector never touches dead objects. The dead are discarded in
+	// resident-list order, unsorted; no result depends on it. RootsInto
+	// sorts the remembered sets the purges change, the order of the freed
+	// slots only renumbers later objects, and onDiscard's deltas are
+	// counts.
 	dead := append(c.dead[:0], h.Partition(victim).Slots()...)
-	h.SortByOID(dead)
 	c.dead = dead
 	for _, s := range dead {
 		res.ReclaimedBytes += h.Size(s)

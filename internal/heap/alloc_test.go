@@ -12,29 +12,78 @@ import "testing"
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard heap.Heap.Alloc heap.Heap.newSlot heap.Heap.growIndex heap.Heap.placeFor
-//odbgc:allocguard heap.Heap.allocFields heap.Heap.compactArena
 //odbgc:allocguard heap.Heap.residentAdd heap.Heap.residentRemove heap.Heap.Discard
 //odbgc:allocguard heap.Heap.WriteField heap.Heap.Move heap.Oracle.Live
 
-func TestAllocSteadyStateZeroAllocs(t *testing.T) {
-	h := mustNew(t, testConfig())
-	// Warm up: create the object once so the index, the slot storage,
-	// the partition's resident list, and the field arena all have
-	// capacity. The loop then recycles the slot, alternating field
-	// counts, and each round appends a new run to the arena, compacting
-	// it in place every few rounds.
-	h.Discard(mustAlloc(t, h, 1, 100, 4, NilOID))
-	n := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		n++
-		s, _, err := h.Alloc(1, 100, 3+n%3/2, NilSlot)
+// cycleObjects is how many 100-byte objects evacuationCycle allocates:
+// most of a testConfig partition.
+const cycleObjects = 300
+
+// evacuationCycle is the heap's side of one collection. It fills the
+// allocatable partition with objects of alternating field counts, moves
+// every other one into the empty partition, discards the rest, resets
+// the victim and makes it the empty partition. The survivors then die
+// and their partition is reset too, so each cycle starts as the last
+// one did with the two partitions' roles swapped. OIDs 1..cycleObjects
+// are reused every cycle; live holds the cycle's slots.
+func evacuationCycle(t *testing.T, h *Heap, live []Slot) {
+	live = live[:0]
+	for oid := OID(1); oid <= cycleObjects; oid++ {
+		s, _, err := h.Alloc(oid, 100, 3+int(oid%2), NilSlot)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Discard(s)
-	})
+		live = append(live, s)
+	}
+	victim, dst := h.PartitionOf(live[0]), h.EmptyPartition()
+	for i, s := range live {
+		if i%2 == 0 {
+			h.Move(s, dst)
+		} else {
+			h.Discard(s)
+		}
+	}
+	h.ResetPartition(victim)
+	h.SetEmptyPartition(victim)
+	for i := 0; i < len(live); i += 2 {
+		h.Discard(live[i])
+	}
+	h.ResetPartition(dst)
+}
+
+// TestAllocSteadyStateZeroAllocs pins the allocation, copy and reclaim
+// paths together: once both partitions have been filled and have
+// received survivors, their field arenas, the slot storage, the index
+// and the resident lists all have capacity, and a whole cycle allocates
+// nothing.
+func TestAllocSteadyStateZeroAllocs(t *testing.T) {
+	h := mustNew(t, testConfig())
+	live := make([]Slot, 0, cycleObjects)
+	evacuationCycle(t, h, live)
+	evacuationCycle(t, h, live)
+	allocs := testing.AllocsPerRun(100, func() { evacuationCycle(t, h, live) })
 	if allocs != 0 {
-		t.Fatalf("Alloc+Discard steady state: %v allocs/op, want 0", allocs)
+		t.Fatalf("Alloc+Move+Discard+ResetPartition cycle: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFieldArenasStopGrowing runs many evacuation cycles: ResetPartition
+// must hand the victim's field words back for reuse, so the arenas'
+// capacity stops growing once each partition has been filled.
+func TestFieldArenasStopGrowing(t *testing.T) {
+	h := mustNew(t, testConfig())
+	live := make([]Slot, 0, cycleObjects)
+	evacuationCycle(t, h, live)
+	evacuationCycle(t, h, live)
+	warm := h.Footprint().ArenaWords
+	for range 200 {
+		evacuationCycle(t, h, live)
+		if err := h.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Footprint().ArenaWords; got != warm {
+		t.Fatalf("field arenas hold %d words after 200 more cycles, %d when warm", got, warm)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 
 // CheckInvariants verifies the heap's internal structural invariants —
 // the agreements between the OID index, the slot storage and its free
-// list, the field arena, the per-partition resident lists, the
+// list, the per-partition field arenas and resident lists, the
 // incremental byte accounting, and the max-free partition index — and
 // returns a description of the first violation found, or nil.
 //
@@ -22,13 +22,21 @@ func (h *Heap) CheckInvariants() error {
 		return fmt.Errorf("heap: slot 0 is not the free NilSlot sentinel")
 	}
 
-	// Partition-level accounting and resident-list back-indices.
+	// Partition-level accounting, resident-list back-indices and field
+	// arenas.
+	if len(h.fields) != len(h.parts) {
+		return fmt.Errorf("heap: %d field arenas for %d partitions", len(h.fields), len(h.parts))
+	}
 	var sumUsed int64
-	resident := 0
+	resident, liveFields := 0, 0
 	addrScratch := make([]Slot, 0, 64)
 	for _, p := range h.parts {
 		if p.used < 0 || p.used > partBytes {
 			return fmt.Errorf("heap: partition %d used %d outside [0,%d]", p.ID, p.used, partBytes)
+		}
+		fs := h.fields[p.ID]
+		if p.used == 0 && len(fs) != 0 {
+			return fmt.Errorf("heap: empty partition %d holds %d field words", p.ID, len(fs))
 		}
 		sumUsed += p.used
 		var sumSizes int64
@@ -48,22 +56,39 @@ func (h *Heap) CheckInvariants() error {
 				return fmt.Errorf("heap: object %d spans [%d,%d) outside partition %d's allocated range [%d,%d)",
 					r.oid, r.addr, end, p.ID, p.Base, p.Base+Addr(p.used))
 			}
+			if end := int(r.fieldOff) + int(r.nfields); end > len(fs) {
+				return fmt.Errorf("heap: object %d's fields end at %d, past partition %d's field arena (%d words)", r.oid, end, p.ID, len(fs))
+			}
+			for f, t := range h.Fields(s) {
+				if t != NilSlot && (int(t) >= len(h.slots) || !h.Resident(t)) {
+					return fmt.Errorf("heap: object %d field %d names slot %d, which holds no object", r.oid, f, t)
+				}
+			}
 			sumSizes += int64(r.size)
 			addrScratch = append(addrScratch, s)
 			resident++
+			liveFields += int(r.nfields)
 		}
 		if sumSizes > p.used {
 			return fmt.Errorf("heap: partition %d resident sizes %d exceed used %d", p.ID, sumSizes, p.used)
 		}
 		// Bump allocation never overlaps objects; Discard leaves holes but
-		// cannot create overlaps either.
+		// cannot create overlaps either. Alloc and Move append an object's
+		// fields as they bump its bytes, so in address order each object's
+		// fields also end before the next object's begin.
 		sort.Slice(addrScratch, func(i, j int) bool { return h.slots[addrScratch[i]].addr < h.slots[addrScratch[j]].addr })
 		for i := 1; i < len(addrScratch); i++ {
 			a, b := &h.slots[addrScratch[i-1]], &h.slots[addrScratch[i]]
 			if a.addr+Addr(a.size) > b.addr {
 				return fmt.Errorf("heap: objects %d and %d overlap in partition %d", a.oid, b.oid, p.ID)
 			}
+			if a.fieldOff+a.nfields > b.fieldOff {
+				return fmt.Errorf("heap: objects %d and %d overlap in partition %d's field arena", a.oid, b.oid, p.ID)
+			}
 		}
+	}
+	if liveFields != h.liveFields {
+		return fmt.Errorf("heap: resident objects have %d fields, counter says %d", liveFields, h.liveFields)
 	}
 	if sumUsed != h.occupied {
 		return fmt.Errorf("heap: occupied counter %d, partitions sum to %d", h.occupied, sumUsed)
@@ -72,9 +97,6 @@ func (h *Heap) CheckInvariants() error {
 		return fmt.Errorf("heap: occupied %d exceeds total allocated %d", h.occupied, h.totalAllocated)
 	}
 	if err := h.checkSlots(resident); err != nil {
-		return err
-	}
-	if err := h.checkArena(); err != nil {
 		return err
 	}
 
@@ -192,63 +214,6 @@ func (h *Heap) checkSlots(resident int) error {
 	if rootFlags != len(h.rootList) {
 		return fmt.Errorf("heap: %d objects carry the root flag, root list has %d (duplicate or stale entry)",
 			rootFlags, len(h.rootList))
-	}
-	return nil
-}
-
-// checkArena walks the field arena run by run: every live run is owned
-// by the resident slot its header names, that slot's fields lie inside
-// the run, the dead runs sum to the dead-word counter, and every non-nil
-// field names a resident slot.
-func (h *Heap) checkArena() error {
-	owned, dead := 0, 0
-	for pos := 0; pos < len(h.arena); {
-		owner := h.arena[pos]
-		if owner == NilSlot {
-			if pos+1 >= len(h.arena) || h.arena[pos+1] == 0 {
-				return fmt.Errorf("heap: dead arena run at %d has no length", pos)
-			}
-			n := 1 + int(h.arena[pos+1])
-			dead += n
-			pos += n
-			continue
-		}
-		if int(owner) >= len(h.slots) || !h.Resident(owner) {
-			return fmt.Errorf("heap: arena run at %d is owned by free slot %d", pos, owner)
-		}
-		r := &h.slots[owner]
-		if r.nfields == 0 || int(r.fieldOff) != pos+1 {
-			return fmt.Errorf("heap: arena run at %d names object %d, whose %d fields start at %d", pos, r.oid, r.nfields, r.fieldOff)
-		}
-		owned++
-		pos += 1 + int(r.nfields)
-		if pos > len(h.arena) {
-			return fmt.Errorf("heap: object %d's fields end at %d, past the arena (%d words)", r.oid, pos, len(h.arena))
-		}
-	}
-	if dead != h.arenaDead {
-		return fmt.Errorf("heap: arena holds %d dead words, counter says %d", dead, h.arenaDead)
-	}
-	withFields := 0
-	for i := 1; i < len(h.slots); i++ {
-		if h.Resident(Slot(i)) && h.slots[i].nfields > 0 {
-			withFields++
-		}
-	}
-	if owned != withFields {
-		return fmt.Errorf("heap: arena owns %d runs, %d objects have fields", owned, withFields)
-	}
-	// Every object's run was matched above, so its fields are in bounds.
-	for i := 1; i < len(h.slots); i++ {
-		s := Slot(i)
-		if !h.Resident(s) {
-			continue
-		}
-		for f, t := range h.Fields(s) {
-			if t != NilSlot && (int(t) >= len(h.slots) || !h.Resident(t)) {
-				return fmt.Errorf("heap: object %d field %d names slot %d, which holds no object", h.slots[s].oid, f, t)
-			}
-		}
 	}
 	return nil
 }

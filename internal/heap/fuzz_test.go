@@ -27,9 +27,10 @@ func (m *slotModel) remove(oid OID) {
 // FuzzHeapSlots drives random sequences of Alloc, WriteField, Move,
 // Discard and ResetPartition against a map-based model. After every
 // operation the heap's invariants must hold — including the OID index
-// round-trip, the free list, and the field arena — and every field must
-// read back the OID last written to it. Small partitions make moves,
-// discards, slot reuse and arena compaction frequent.
+// round-trip, the free list, and the per-partition field arenas — and
+// every field must read back the OID last written to it. Small
+// partitions make moves, discards, slot reuse and partition resets, which
+// truncate a field arena, frequent.
 func FuzzHeapSlots(f *testing.F) {
 	f.Add([]byte{0, 3, 4, 0, 5, 2, 1, 0, 1, 3, 0, 0, 2, 1, 0, 4, 0, 0})
 	f.Add([]byte{0, 200, 131, 0, 17, 4, 0, 90, 5, 1, 1, 2, 1, 0, 7, 3, 1, 0, 2, 0, 0, 2, 1, 0, 4, 0, 0, 0, 9, 3})

@@ -87,9 +87,6 @@ const maxDenseOID = OID(1) << 40
 // 32-bit, and slot 0 is NilSlot. Tests lower it to reach the limit.
 var slotLimit = 1<<32 - 1
 
-// minArena is the field arena's smallest capacity, in words.
-const minArena = 64
-
 // freeRec is the record of a slot that holds no object: NilSlot's, and
 // every slot on the free list.
 var freeRec = slotRec{part: int32(NoPartition)}
@@ -99,10 +96,10 @@ var freeRec = slotRec{part: int32(NoPartition)}
 //
 // The hot paths are map-free and pointer-free: an OID index resolves trace
 // OIDs to dense slots, per-slot records hold every object's metadata, one
-// flat arena holds every object's fields (as slots), partition residency
-// is a swap-remove slice with per-slot back-indices, and allocation
-// placement consults an incrementally maintained max-free priority index
-// instead of scanning every partition.
+// field arena per partition holds its objects' fields (as slots),
+// partition residency is a swap-remove slice with per-slot back-indices,
+// and allocation placement consults an incrementally maintained max-free
+// priority index instead of scanning every partition.
 type Heap struct {
 	cfg       Config
 	pageShift uint // log2(cfg.PageSize)
@@ -119,12 +116,13 @@ type Heap struct {
 	free       []Slot
 	numObjects int
 
-	// arena holds, for each resident object with fields, one owner
-	// header word (its slot) followed by its fields. Discard turns a
-	// range into a dead run (header NilSlot, length in the next word);
-	// arenaDead counts the dead words, which compactArena reclaims.
-	arena     []Slot //odbgc:arena
-	arenaDead int
+	// fields[p] is partition p's field arena, run like its bytes: Alloc
+	// and Move append an object's fields at its record's fieldOff,
+	// Discard leaves them in place, and ResetPartition truncates the
+	// arena, keeping its capacity for when p next receives survivors.
+	// liveFields counts the resident objects' fields.
+	fields     [][]Slot //odbgc:arena
+	liveFields int
 
 	// markEpoch stamps the current marking pass (see BeginMark). The
 	// oracle and the collector share it, so one pass never mistakes
@@ -203,7 +201,8 @@ func (h *Heap) addPartition() *Partition {
 		ID:   id,
 		Base: Addr(int64(id) * h.cfg.PartitionBytes()),
 	}
-	h.parts = append(h.parts, p) //odbgc:alloc-ok amortized partition-table growth
+	h.parts = append(h.parts, p)     //odbgc:alloc-ok amortized partition-table growth
+	h.fields = append(h.fields, nil) //odbgc:alloc-ok amortized partition-table growth
 	h.freePos = append(h.freePos, -1)
 	h.freeInsert(id)
 	return p
@@ -293,12 +292,13 @@ func (h *Heap) AddOutCount(s Slot, d int32) int32 {
 func (h *Heap) NumFields(s Slot) int { return int(h.slots[s].nfields) }
 
 // Fields returns the pointer fields of the object in slot s, as slots;
-// NilSlot marks an empty field. The slice is a view into the heap's field
-// arena: writes through it bypass WriteField's checks, and the next Alloc
-// may move the arena, after which the view is stale.
+// NilSlot marks an empty field. The slice is a view into the field arena
+// of the object's partition: writes through it bypass WriteField's
+// checks, and it goes stale on an Alloc or Move into that partition, which
+// may move the arena, or on the partition's ResetPartition.
 func (h *Heap) Fields(s Slot) []Slot {
 	r := &h.slots[s]
-	return h.arena[r.fieldOff : r.fieldOff+r.nfields : r.fieldOff+r.nfields]
+	return h.fields[r.part][r.fieldOff : r.fieldOff+r.nfields : r.fieldOff+r.nfields]
 }
 
 // ClearFields sets every field of the object in slot s to NilSlot.
@@ -450,19 +450,24 @@ func (h *Heap) Alloc(oid OID, size int64, nfields int, parent Slot) (Slot, Grew,
 	}
 
 	s := h.newSlot()
-	var off uint32
-	if nfields > 0 {
-		off = h.allocFields(s, nfields)
-	}
+	// The partition's field arena grows amortized. Not append(fs,
+	// make(...)...): under -race the compiler allocates that make, and
+	// the steady state must not allocate there either.
+	fs := slices.Grow(h.fields[target.ID], nfields)
+	off := len(fs)
+	fs = fs[:off+nfields]
+	clear(fs[off:])
+	h.fields[target.ID] = fs
 	h.slots[s] = slotRec{
 		oid:      oid,
 		addr:     target.Base + Addr(target.used),
 		size:     uint32(size),
 		part:     int32(target.ID),
-		fieldOff: off,
+		fieldOff: uint32(off),
 		nfields:  uint32(nfields),
 		weight:   MaxWeight,
 	}
+	h.liveFields += nfields
 	target.used += size
 	h.freeFix(target.ID)
 	h.residentAdd(target, s)
@@ -530,55 +535,6 @@ func (h *Heap) growIndex(oid OID) {
 	h.index = append(h.index, make([]Slot, int(oid)+1-len(h.index))...) //odbgc:alloc-ok amortized growth of the OID index
 }
 
-// allocFields reserves an owner header and nfields zeroed fields for slot
-// s at the end of the arena, compacting or growing the arena first when
-// it is full, and returns the index of the first field.
-//
-//odbgc:hotpath
-func (h *Heap) allocFields(s Slot, nfields int) uint32 {
-	need := 1 + nfields
-	if len(h.arena)+need > cap(h.arena) {
-		h.compactArena(need)
-	}
-	off := len(h.arena)
-	h.arena = h.arena[:off+need]
-	h.arena[off] = s
-	clear(h.arena[off+1:])
-	return uint32(off + 1)
-}
-
-// compactArena squeezes the dead runs out of the arena, making room for
-// need more words. It compacts in place while that leaves a quarter of
-// the capacity free, so each in-place pass is paid for by at least a
-// quarter-capacity of appends; otherwise it moves the live ranges to a
-// new arena of twice the live words plus need. Either way the capacity
-// stays within twice the largest live size plus minArena, and every live
-// object's fieldOff is rewritten.
-//
-//odbgc:hotpath
-func (h *Heap) compactArena(need int) {
-	live := len(h.arena) - h.arenaDead + need
-	dst := h.arena[:cap(h.arena)]
-	if 4*live > 3*cap(h.arena) {
-		dst = make([]Slot, max(2*live, minArena)) //odbgc:alloc-ok amortized arena growth, bounded by twice the live fields
-	}
-	n := 0
-	for pos := 0; pos < len(h.arena); {
-		owner := h.arena[pos]
-		if owner == NilSlot { // dead run: its length is in the next word
-			pos += 1 + int(h.arena[pos+1])
-			continue
-		}
-		k := 1 + int(h.slots[owner].nfields)
-		copy(dst[n:n+k], h.arena[pos:pos+k])
-		h.slots[owner].fieldOff = uint32(n + 1)
-		n += k
-		pos += k
-	}
-	h.arena = dst[:n]
-	h.arenaDead = 0
-}
-
 // residentAdd appends slot s to p's resident list, recording its position.
 //
 //odbgc:hotpath
@@ -643,17 +599,19 @@ func (h *Heap) WriteField(src Slot, f int, target Slot) Slot {
 	if target != NilSlot && !h.Resident(target) {
 		panic(fmt.Sprintf("heap: WriteField(%d): target slot %d holds no object", r.oid, target)) //odbgc:alloc-ok cold panic path
 	}
+	fs := h.fields[r.part]
 	i := r.fieldOff + uint32(f)
-	old := h.arena[i]
-	h.arena[i] = target
+	old := fs[i]
+	fs[i] = target
 	return old
 }
 
 // Move relocates the object in slot s into partition dst by bump
-// allocation, updating its partition and address. The collector uses Move
-// to evacuate live objects into the empty partition. It panics if dst
-// lacks room, which would mean the collector copied more than one
-// partition's worth of data into one partition.
+// allocation, updating its partition and address, and appends its fields
+// to dst's field arena. The collector uses Move to evacuate live objects
+// into the empty partition. It panics if dst lacks room, which would mean
+// the collector copied more than one partition's worth of data into one
+// partition.
 //
 //odbgc:hotpath
 func (h *Heap) Move(s Slot, dst PartitionID) {
@@ -668,8 +626,12 @@ func (h *Heap) Move(s Slot, dst PartitionID) {
 			r.oid, dst, h.cfg.PartitionBytes()-to.used, size))
 	}
 	h.residentRemove(h.parts[r.part], s)
-	// The source partition's bump offset is not decremented: evacuation
-	// frees space only when the whole partition is reset afterwards.
+	// The source partition's bump offsets are not decremented: evacuation
+	// frees its bytes and fields only when the whole partition is reset
+	// afterwards.
+	off := len(h.fields[dst])
+	h.fields[dst] = append(h.fields[dst], h.Fields(s)...) //odbgc:alloc-ok amortized growth of dst's field arena, which keeps its capacity across resets
+	r.fieldOff = uint32(off)
 	r.part = int32(dst)
 	r.addr = to.Base + Addr(to.used)
 	to.used += size
@@ -679,10 +641,11 @@ func (h *Heap) Move(s Slot, dst PartitionID) {
 }
 
 // Discard removes the dead object in slot s from the heap and frees the
-// slot; the next Alloc reuses it. Like Move, it does not give space back
-// to the source partition; ResetPartition does. The caller guarantees no
-// resident object still points to s: fields hold slots, so a pointer to a
-// discarded object would name whatever object reuses the slot.
+// slot; the next Alloc reuses it. Like Move, it gives neither bytes nor
+// fields back to the source partition; ResetPartition does. The caller
+// guarantees no resident object still points to s: fields hold slots, so
+// a pointer to a discarded object would name whatever object reuses the
+// slot.
 //
 //odbgc:hotpath
 func (h *Heap) Discard(s Slot) {
@@ -694,19 +657,16 @@ func (h *Heap) Discard(s Slot) {
 		panic(fmt.Sprintf("heap: Discard(%d): object is a root", r.oid)) //odbgc:alloc-ok cold panic path
 	}
 	h.residentRemove(h.parts[r.part], s)
-	if r.nfields > 0 {
-		h.arena[r.fieldOff-1] = NilSlot
-		h.arena[r.fieldOff] = Slot(r.nfields)
-		h.arenaDead += 1 + int(r.nfields)
-	}
+	h.liveFields -= int(r.nfields)
 	h.index[r.oid] = NilSlot
 	*r = freeRec
 	h.free = append(h.free, s) //odbgc:alloc-ok amortized free-stack growth, bounded by the slot storage
 	h.numObjects--
 }
 
-// ResetPartition marks a fully evacuated partition as empty again. It
-// panics if any object is still resident there.
+// ResetPartition marks a fully evacuated partition as empty again,
+// reclaiming its bytes and its field arena. It panics if any object is
+// still resident there.
 func (h *Heap) ResetPartition(id PartitionID) {
 	p := h.parts[id]
 	if len(p.resident) != 0 {
@@ -714,6 +674,7 @@ func (h *Heap) ResetPartition(id PartitionID) {
 	}
 	h.occupied -= p.used
 	p.used = 0
+	h.fields[id] = h.fields[id][:0]
 	h.freeFix(id)
 }
 
@@ -836,8 +797,9 @@ type Footprint struct {
 	// Slots is the capacity of the largest per-object table or scratch
 	// list, in entries.
 	Slots int
-	// ArenaWords is the field arena's capacity in words, and
-	// LiveArenaWords the words resident objects hold in it.
+	// ArenaWords is the field arenas' capacity in words, summed over
+	// partitions, and LiveArenaWords the words resident objects' fields
+	// take in them.
 	ArenaWords, LiveArenaWords int
 }
 
@@ -845,14 +807,14 @@ type Footprint struct {
 func (h *Heap) Footprint() Footprint {
 	const slotBytes, keyBytes = int64(unsafe.Sizeof(slotRec{})), int64(unsafe.Sizeof(oidSlot{}))
 	f := Footprint{
-		Bytes: 4*int64(cap(h.index)) + slotBytes*int64(cap(h.slots)) + 4*int64(cap(h.arena)) + keyBytes*int64(cap(h.sortKeys)) +
-			4*int64(cap(h.free)+cap(h.rootList)) + 8*int64(cap(h.parts)) + 8*int64(cap(h.byFree)) + 4*int64(cap(h.freePos)),
+		Bytes: 4*int64(cap(h.index)) + slotBytes*int64(cap(h.slots)) + keyBytes*int64(cap(h.sortKeys)) +
+			4*int64(cap(h.free)+cap(h.rootList)) + 8*int64(cap(h.parts)) + 24*int64(cap(h.fields)) + 8*int64(cap(h.byFree)) + 4*int64(cap(h.freePos)),
 		Slots:          max(cap(h.slots), cap(h.sortKeys)),
-		ArenaWords:     cap(h.arena),
-		LiveArenaWords: len(h.arena) - h.arenaDead,
+		LiveArenaWords: h.liveFields,
 	}
-	for _, p := range h.parts {
-		f.Bytes += int64(unsafe.Sizeof(*p)) + 4*int64(cap(p.resident))
+	for i, p := range h.parts {
+		f.Bytes += int64(unsafe.Sizeof(*p)) + 4*int64(cap(p.resident)) + 4*int64(cap(h.fields[i]))
+		f.ArenaWords += cap(h.fields[i])
 	}
 	return f
 }

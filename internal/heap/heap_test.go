@@ -369,6 +369,37 @@ func TestSetEmptyPartitionRequiresEmpty(t *testing.T) {
 	h.SetEmptyPartition(h.PartitionOf(obj))
 }
 
+// TestCheckInvariantsNamesFieldArenaDamage plants one fault at a time in
+// the per-partition field arenas and checks that CheckInvariants names
+// it.
+func TestCheckInvariantsNamesFieldArenaDamage(t *testing.T) {
+	cases := []struct {
+		name  string
+		plant func(h *Heap, a, b Slot)
+		want  string
+	}{
+		{"reset without truncation", func(h *Heap, a, b Slot) { h.fields[h.EmptyPartition()] = make([]Slot, 3) }, "holds 3 field words"},
+		{"fields past the arena", func(h *Heap, a, b Slot) { h.slots[b].fieldOff += 2 }, "past partition 0's field arena"},
+		{"overlapping fields", func(h *Heap, a, b Slot) { h.slots[b].fieldOff-- }, "overlap in partition 0's field arena"},
+		{"field names a free slot", func(h *Heap, a, b Slot) { h.Fields(a)[0] = Slot(len(h.slots)) }, "which holds no object"},
+		{"live-field counter drift", func(h *Heap, a, b Slot) { h.liveFields++ }, "counter says 5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := mustNew(t, testConfig())
+			a := mustAlloc(t, h, 1, 100, 2, NilOID)
+			b := mustAlloc(t, h, 2, 100, 2, NilOID)
+			if err := h.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			tc.plant(h, a, b)
+			if err := h.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants = %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestPageRange(t *testing.T) {
 	h := mustNew(t, testConfig()) // page size 8192
 	for _, tc := range []struct {

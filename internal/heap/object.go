@@ -71,8 +71,8 @@ type slotRec struct {
 	// resIdx is the object's position in its partition's resident list,
 	// so removal is a swap-remove.
 	resIdx int32
-	// fieldOff is the arena index of the object's first field; its
-	// owner header sits at fieldOff-1. Unused when nfields is 0.
+	// fieldOff is the index of the object's first field in its
+	// partition's field arena.
 	fieldOff uint32
 	nfields  uint32
 	// outCount is how many fields hold inter-partition pointers; package
