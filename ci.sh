@@ -108,6 +108,12 @@ ceiling 75 bin/gcsim -trace "$stream_tmp/stream.odbgcck" > "$stream_tmp/stream.t
 # bytes: the audit observes and never changes a result.
 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -audit > "$stream_tmp/stream_audit.txt"
 cmp "$stream_tmp/stream.txt" "$stream_tmp/stream_audit.txt"
+# NoCollection never collects, so the same replay grows to 128
+# partitions, and each allocation that misses its parent's partition
+# scans them all for the one with the most room: its stdout must match
+# results/stream_nocollection_output.txt byte for byte.
+bin/gcsim -trace "$stream_tmp/stream.odbgcck" -policy NoCollection > "$stream_tmp/stream_nocollection.txt"
+cmp "$stream_tmp/stream_nocollection.txt" results/stream_nocollection_output.txt
 ceiling 32 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shards
 # whose epoch drains run on their own goroutines — once under the race
@@ -139,5 +145,9 @@ go test -run '^$' -fuzz '^FuzzRecordFile$' -fuzztime 5s ./internal/record
 # Sharded-recording race smoke: per-shard recorders written from the
 # parallel engine's drain goroutines, finished in shard order after the
 # run.
+# Each shard's row of the recording must match
+# results/sharded_cross_runs.csv byte for byte.
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 -record "$stream_tmp/sharded.odbgcrec"
-go run ./cmd/odbgc-query -table runs -csv "$stream_tmp/sharded.odbgcrec"
+go run ./cmd/odbgc-query -table runs -csv "$stream_tmp/sharded.odbgcrec" > "$stream_tmp/sharded_runs.csv"
+cat "$stream_tmp/sharded_runs.csv"
+cmp "$stream_tmp/sharded_runs.csv" results/sharded_cross_runs.csv

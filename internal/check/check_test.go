@@ -66,9 +66,10 @@ func TestCatalogPassesOnCleanRuns(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionDetected corrupts one remembered-set entry and
-// demands the audit name the specific invariant that broke, through both
-// the direct catalog call and the simulator's Audit wrapper.
+// TestFaultInjectionDetected moves one remembered-set entry into another
+// partition's set and demands the audit name the specific invariant that
+// broke, through both the direct catalog call and the simulator's Audit
+// wrapper.
 func TestFaultInjectionDetected(t *testing.T) {
 	cfg := testSim(core.NameMutatedPartition)
 	cfg.Audit = check.Audited(0)
@@ -92,7 +93,7 @@ func TestFaultInjectionDetected(t *testing.T) {
 	if err == nil {
 		t.Fatal("audit passed over a corrupted remembered-set entry")
 	}
-	if !strings.Contains(err.Error(), "records target") {
+	if !strings.Contains(err.Error(), "missing entry") {
 		t.Errorf("audit error does not name the corrupted-entry invariant: %v", err)
 	}
 	if !strings.Contains(err.Error(), "sim: audit after") {

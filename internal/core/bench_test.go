@@ -53,7 +53,7 @@ func BenchmarkPolicySelect(b *testing.B) {
 	for i := 2; i <= 2000; i++ {
 		h.WriteField(h.Lookup(heap.OID(rng.Intn(i-1)+1)), rng.Intn(4), h.Lookup(heap.OID(i)))
 	}
-	env := &Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(2))}
+	env := &Env{Heap: h, Oracle: heap.NewOracle(h)}
 
 	for _, name := range Names() {
 		pol, err := New(name, rand.New(rand.NewSource(3)))

@@ -124,7 +124,8 @@ type Random struct {
 	rng *rand.Rand
 }
 
-// NewRandom returns a Random policy drawing from rng.
+// NewRandom returns a Random policy drawing from rng, which must not be
+// nil.
 func NewRandom(rng *rand.Rand) *Random { return &Random{rng: rng} }
 
 // Name implements Policy.
@@ -142,11 +143,7 @@ func (r *Random) Select(env *Env) (heap.PartitionID, bool) {
 	if len(cands) == 0 {
 		return heap.NoPartition, false
 	}
-	rng := r.rng
-	if rng == nil {
-		rng = env.Rand
-	}
-	return cands[rng.Intn(len(cands))], true
+	return cands[r.rng.Intn(len(cands))], true
 }
 
 // Collected implements Policy.

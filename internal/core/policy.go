@@ -45,11 +45,10 @@ type StoreContext struct {
 func (c StoreContext) Overwrite() bool { return c.Old != heap.NilOID }
 
 // Env gives Select access to the simulated database. Only MostGarbage uses
-// the oracle; only Random uses the random source.
+// the oracle.
 type Env struct {
 	Heap   *heap.Heap
 	Oracle *heap.Oracle
-	Rand   *rand.Rand
 
 	cands []heap.PartitionID // Candidates scratch, reused per call
 }
@@ -147,9 +146,10 @@ func (c *counterPolicy) DataStore(heap.PartitionID) {}
 // Score exposes a partition's accumulator for tests and diagnostics.
 func (c *counterPolicy) Score(p heap.PartitionID) float64 { return c.at(p) }
 
-// New constructs a policy by registry name. rng seeds the Random policy
-// and is ignored by the others; it must not be shared with the workload
-// generator so policy choice cannot perturb the trace.
+// New constructs a policy by registry name. rng seeds the Random policy,
+// which rejects a nil source, and is ignored by the others; it must not
+// be shared with the workload generator so policy choice cannot perturb
+// the trace.
 func New(name string, rng *rand.Rand) (Policy, error) {
 	switch name {
 	case NameMutatedPartition:
@@ -161,6 +161,9 @@ func New(name string, rng *rand.Rand) (Policy, error) {
 	case NameWeightedPointer:
 		return NewWeightedPointer(), nil
 	case NameRandom:
+		if rng == nil {
+			return nil, fmt.Errorf("core: policy %s needs a random source, got nil", NameRandom)
+		}
 		return NewRandom(rng), nil
 	case NameMostGarbage:
 		return NewMostGarbage(), nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"odbgc/internal/heap"
@@ -28,7 +29,7 @@ func testEnv(t *testing.T, nParts int) (*Env, []heap.OID) {
 		}
 		oids = append(oids, oid)
 	}
-	env := &Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(1))}
+	env := &Env{Heap: h, Oracle: heap.NewOracle(h)}
 	return env, oids
 }
 
@@ -63,6 +64,9 @@ func TestNewByName(t *testing.T) {
 	}
 	if _, err := New("Bogus", rng); err == nil {
 		t.Error("New(Bogus): want error")
+	}
+	if _, err := New(NameRandom, nil); err == nil || !strings.Contains(err.Error(), NameRandom) {
+		t.Errorf("New(%s, nil) = %v, want an error naming the policy", NameRandom, err)
 	}
 }
 
@@ -245,7 +249,7 @@ func TestSelectOnEmptyDatabaseDeclines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(1))}
+	env := &Env{Heap: h, Oracle: heap.NewOracle(h)}
 	rng := rand.New(rand.NewSource(1))
 	for _, name := range Names() {
 		p, err := New(name, rng)

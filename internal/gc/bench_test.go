@@ -23,7 +23,7 @@ func benchRig(b *testing.B, pol core.Policy) *rig {
 		b.Fatal(err)
 	}
 	rem := remset.New(h)
-	env := &core.Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(1))}
+	env := &core.Env{Heap: h, Oracle: heap.NewOracle(h)}
 	return &rig{
 		h: h, buf: buf, rem: rem, pol: pol, env: env,
 		mut: NewMutator(h, buf, rem, pol),
@@ -31,62 +31,120 @@ func benchRig(b *testing.B, pol core.Policy) *rig {
 	}
 }
 
-// BenchmarkEvacuatePartition measures one full-partition evacuation with
-// a ~50% survival rate — the collector's hot path.
+// Evacuation benchmark geometry: benchVictimObjects objects of
+// benchObjectBytes fill most of a 48-page victim partition, about half of
+// them reachable, and benchHolders objects in a separate, full partition
+// hold the pointers into it that its remembered set records.
+const (
+	benchObjectBytes   = 100
+	benchVictimObjects = 3500
+	benchHolders       = 100
+	benchFirstVictim   = heap.OID(benchHolders + 3) // after the root, holders and ballast
+)
+
+// BenchmarkEvacuatePartition measures one full-partition evacuation: a
+// partition about half garbage, whose survivors are reached through its
+// remembered set and copied breadth-first, and whose dead are purged from
+// the remembered sets they point into and discarded. Each iteration
+// rebuilds the same victim with the timer stopped, so every timed
+// collection does the same work; reclaimed/op shows that it reclaimed.
 func BenchmarkEvacuatePartition(b *testing.B) {
 	pol := &forcedBenchPolicy{}
 	r := benchRig(b, pol)
-	rng := rand.New(rand.NewSource(7))
 
-	// Build a rooted chainy graph filling partition 0, half reachable.
-	var oid heap.OID = 1
-	if _, err := r.mut.Alloc(oid, 100, 4, heap.NilOID, 0); err != nil {
-		b.Fatal(err)
-	}
-	if err := r.mut.Root(oid); err != nil {
-		b.Fatal(err)
-	}
-	prev := oid
-	for i := 0; i < 3500; i++ {
-		oid++
-		parent := heap.NilOID
-		field := 0
-		if rng.Intn(2) == 0 { // half the objects are reachable
-			parent, field = prev, rng.Intn(4)
-			if r.field(prev, field) != heap.NilOID {
-				field = -1
-			}
-		}
-		if field == -1 {
-			parent = heap.NilOID
-			field = 0
-		}
-		if _, err := r.mut.Alloc(oid, 100, 4, parent, field); err != nil {
+	// The root chains the holders through field 0; their fields 1-3 will
+	// point into the victim. A ballast object fills the rest of the
+	// holders' partition, so every victim object is placed elsewhere.
+	must := func(_ bool, err error) {
+		if err != nil {
 			b.Fatal(err)
 		}
-		if parent != heap.NilOID {
-			prev = oid
-		}
 	}
+	must(r.mut.Alloc(1, benchObjectBytes, 4, heap.NilOID, 0))
+	if err := r.mut.Root(1); err != nil {
+		b.Fatal(err)
+	}
+	for oid := heap.OID(2); oid < benchHolders+2; oid++ {
+		must(r.mut.Alloc(oid, benchObjectBytes, 4, oid-1, 0))
+	}
+	home := r.h.PartitionOf(r.h.Lookup(1))
+	ballast := r.h.Config().PartitionBytes() - r.h.Partition(home).Used()
+	must(r.mut.Alloc(benchFirstVictim-1, ballast, 0, 1, 1))
 
-	pol.victim = 0
+	var reclaimed int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		victim := buildBenchVictim(b, r)
+		pol.victim = victim
+		b.StartTimer()
 		res := r.col.Collect()
-		if !res.Collected {
-			b.Fatal("collection declined")
+		b.StopTimer()
+		if !res.Collected || res.Victim != victim {
+			b.Fatalf("collected %+v, want partition %d", res, victim)
 		}
-		// Collect back and forth between the two partitions holding the
-		// survivors; pick whichever is non-empty.
-		if r.h.Partition(pol.victim).Used() == 0 {
-			for p := 0; p < r.h.NumPartitions(); p++ {
-				if heap.PartitionID(p) != r.h.EmptyPartition() && r.h.Partition(heap.PartitionID(p)).Used() > 0 {
-					pol.victim = heap.PartitionID(p)
-					break
-				}
+		reclaimed += res.ReclaimedObjects
+
+		// Cut the holders' pointers to the survivors, and collect them as
+		// garbage too: the victim's OIDs are free for the next rebuild.
+		for h := heap.OID(2); h < benchHolders+2; h++ {
+			for f := 1; f < 4; f++ {
+				must(r.mut.Write(h, f, heap.NilOID))
+			}
+		}
+		pol.victim = res.Dest
+		if res := r.col.Collect(); res.CopiedObjects != 0 {
+			b.Fatalf("survivors' partition kept %d objects", res.CopiedObjects)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(reclaimed)/float64(b.N), "reclaimed/op")
+}
+
+// buildBenchVictim allocates the victim objects and returns their
+// partition. A fixed seed makes about half of them reachable: from a
+// holder's field, which puts an entry in the victim's remembered set, or
+// as the next child of a reachable victim object. The rest are garbage
+// trees, some of whose objects point back at a holder, which gives their
+// purge entries to remove.
+func buildBenchVictim(b *testing.B, r *rig) heap.PartitionID {
+	rng := rand.New(rand.NewSource(7))
+	var live, dead []heap.OID
+	holderFields, liveChildren, deadChildren := 0, 0, 0
+	for i := 0; i < benchVictimObjects; i++ {
+		oid := benchFirstVictim + heap.OID(i)
+		parent, field, backPointer := heap.NilOID, 0, false
+		if rng.Intn(2) == 0 {
+			if len(live) == 0 || (rng.Intn(8) == 0 && holderFields < 3*benchHolders) {
+				parent, field = heap.OID(2+holderFields/3), 1+holderFields%3
+				holderFields++
+			} else {
+				parent, field = live[liveChildren/4], liveChildren%4
+				liveChildren++
+			}
+			live = append(live, oid)
+		} else {
+			if len(dead) > 0 && rng.Intn(8) != 0 {
+				parent, field = dead[deadChildren/3], deadChildren%3
+				deadChildren++
+			}
+			dead = append(dead, oid)
+			backPointer = rng.Intn(4) == 0
+		}
+		if _, err := r.mut.Alloc(oid, benchObjectBytes, 4, parent, field); err != nil {
+			b.Fatal(err)
+		}
+		if backPointer {
+			if _, err := r.mut.Write(oid, 3, heap.OID(2+rng.Intn(benchHolders))); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
+	victim := r.h.PartitionOf(r.h.Lookup(benchFirstVictim))
+	if r.rem.InCount(victim) == 0 {
+		b.Fatal("no remembered-set entries into the victim")
+	}
+	return victim
 }
 
 // forcedBenchPolicy mirrors the test helper without importing test files.

@@ -168,9 +168,9 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 		}
 	}
 	h.SortByOID(roots)
-	c.rem.RootsInto(victim, func(_ remset.Entry, target heap.OID) {
-		if s := h.Lookup(target); h.PartitionOf(s) == victim && h.Mark(s) {
-			roots = append(roots, s)
+	c.rem.RootsInto(victim, func(_ remset.Entry, target heap.Slot) {
+		if h.PartitionOf(target) == victim && h.Mark(target) {
+			roots = append(roots, target)
 		}
 	})
 	if c.externalRoots != nil {

@@ -1,7 +1,6 @@
 package gc
 
 import (
-	"math/rand"
 	"testing"
 
 	"odbgc/internal/core"
@@ -63,7 +62,7 @@ func newRig(t *testing.T, pol core.Policy) *rig {
 		t.Fatal(err)
 	}
 	rem := remset.New(h)
-	env := &core.Env{Heap: h, Oracle: heap.NewOracle(h), Rand: rand.New(rand.NewSource(1))}
+	env := &core.Env{Heap: h, Oracle: heap.NewOracle(h)}
 	return &rig{
 		h: h, buf: buf, rem: rem, pol: pol, env: env,
 		mut: NewMutator(h, buf, rem, pol),

@@ -7,9 +7,9 @@ import (
 
 // CheckInvariants verifies the heap's internal structural invariants —
 // the agreements between the OID index, the slot storage and its free
-// list, the per-partition field arenas and resident lists, the
-// incremental byte accounting, and the max-free partition index — and
-// returns a description of the first violation found, or nil.
+// list, the per-partition field arenas and resident lists, and the
+// incremental byte accounting — and returns a description of the first
+// violation found, or nil.
 //
 // The hot paths maintain all of these incrementally (no structure is ever
 // rebuilt), so this brute-force reconciliation is the only check that the
@@ -28,7 +28,7 @@ func (h *Heap) CheckInvariants() error {
 		return fmt.Errorf("heap: %d field arenas for %d partitions", len(h.fields), len(h.parts))
 	}
 	var sumUsed int64
-	resident, liveFields := 0, 0
+	resident := 0
 	addrScratch := make([]Slot, 0, 64)
 	for _, p := range h.parts {
 		if p.used < 0 || p.used > partBytes {
@@ -67,7 +67,6 @@ func (h *Heap) CheckInvariants() error {
 			sumSizes += int64(r.size)
 			addrScratch = append(addrScratch, s)
 			resident++
-			liveFields += int(r.nfields)
 		}
 		if sumSizes > p.used {
 			return fmt.Errorf("heap: partition %d resident sizes %d exceed used %d", p.ID, sumSizes, p.used)
@@ -87,9 +86,6 @@ func (h *Heap) CheckInvariants() error {
 			}
 		}
 	}
-	if liveFields != h.liveFields {
-		return fmt.Errorf("heap: resident objects have %d fields, counter says %d", liveFields, h.liveFields)
-	}
 	if sumUsed != h.occupied {
 		return fmt.Errorf("heap: occupied counter %d, partitions sum to %d", h.occupied, sumUsed)
 	}
@@ -107,41 +103,6 @@ func (h *Heap) CheckInvariants() error {
 		}
 		if used := h.parts[h.empty].used; used != 0 {
 			return fmt.Errorf("heap: reserved empty partition %d has %d used bytes", h.empty, used)
-		}
-	}
-
-	// Max-free index: byFree/freePos must be a bijection over exactly the
-	// allocatable partitions (everything but the reserved empty one), and
-	// the array must satisfy the binary-heap order freeBefore imposes.
-	if len(h.freePos) != len(h.parts) {
-		return fmt.Errorf("heap: freePos covers %d partitions, heap has %d", len(h.freePos), len(h.parts))
-	}
-	inIndex := 0
-	for pid := range h.parts {
-		p := PartitionID(pid)
-		pos := int(h.freePos[p])
-		if p == h.empty {
-			if pos >= 0 {
-				return fmt.Errorf("heap: reserved empty partition %d present in the free index", p)
-			}
-			continue
-		}
-		if pos < 0 || pos >= len(h.byFree) {
-			return fmt.Errorf("heap: partition %d missing from the free index (pos %d)", p, pos)
-		}
-		if h.byFree[pos] != p {
-			return fmt.Errorf("heap: free index slot %d holds partition %d, freePos says %d", pos, h.byFree[pos], p)
-		}
-		inIndex++
-	}
-	if inIndex != len(h.byFree) {
-		return fmt.Errorf("heap: free index has %d entries, %d partitions are allocatable", len(h.byFree), inIndex)
-	}
-	for i := 1; i < len(h.byFree); i++ {
-		parent := (i - 1) / 2
-		if h.freeBefore(h.byFree[i], h.byFree[parent]) {
-			return fmt.Errorf("heap: free index heap order violated at slot %d (partition %d outranks parent %d)",
-				i, h.byFree[i], h.byFree[parent])
 		}
 	}
 	return nil
@@ -177,8 +138,8 @@ func (h *Heap) checkSlots(resident int) error {
 			return fmt.Errorf("heap: index maps OID %d to slot %d, which does not hold it", oid, s)
 		}
 	}
-	if slotCount != h.numObjects || indexCount != h.numObjects {
-		return fmt.Errorf("heap: object count %d, slots hold %d, index maps %d", h.numObjects, slotCount, indexCount)
+	if indexCount != slotCount {
+		return fmt.Errorf("heap: slots hold %d objects, index maps %d", slotCount, indexCount)
 	}
 	if slotCount != resident {
 		return fmt.Errorf("heap: slots hold %d objects but partitions list %d", slotCount, resident)

@@ -241,6 +241,33 @@ func TestAllocPrefersMostFreePartition(t *testing.T) {
 	if h.PartitionOf(obj3) != h.PartitionOf(obj2) {
 		t.Fatalf("obj3 in partition %d, want most-free partition %d", h.PartitionOf(obj3), h.PartitionOf(obj2))
 	}
+
+	// Evacuate obj2's partition: once it is the reserved empty partition
+	// it is never a target, however free, and the partition that was
+	// empty before is one.
+	oldEmpty, victim := h.EmptyPartition(), h.PartitionOf(obj2)
+	h.Move(obj2, oldEmpty)
+	h.Move(obj3, oldEmpty)
+	h.ResetPartition(victim)
+	h.SetEmptyPartition(victim)
+	obj4 := mustAlloc(t, h, 4, 50, 0, NilOID)
+	if h.PartitionOf(obj4) != oldEmpty {
+		t.Fatalf("obj4 in partition %d after SetEmptyPartition(%d), want the old empty partition %d",
+			h.PartitionOf(obj4), victim, oldEmpty)
+	}
+
+	// Of two partitions with equal free space, the lower ID wins.
+	h = mustNew(t, cfg)
+	half := part/2 + 1
+	a := mustAlloc(t, h, 1, half, 0, NilOID)
+	b := mustAlloc(t, h, 2, half, 0, NilOID)
+	if h.PartitionOf(a) == h.PartitionOf(b) {
+		t.Fatal("setup: two objects of more than half a partition share one")
+	}
+	c := mustAlloc(t, h, 3, 10, 0, NilOID)
+	if want := min(h.PartitionOf(a), h.PartitionOf(b)); h.PartitionOf(c) != want {
+		t.Fatalf("obj3 in partition %d, want %d, the lower of two equally free partitions", h.PartitionOf(c), want)
+	}
 }
 
 func TestWriteFieldReturnsOldValue(t *testing.T) {
@@ -382,7 +409,6 @@ func TestCheckInvariantsNamesFieldArenaDamage(t *testing.T) {
 		{"fields past the arena", func(h *Heap, a, b Slot) { h.slots[b].fieldOff += 2 }, "past partition 0's field arena"},
 		{"overlapping fields", func(h *Heap, a, b Slot) { h.slots[b].fieldOff-- }, "overlap in partition 0's field arena"},
 		{"field names a free slot", func(h *Heap, a, b Slot) { h.Fields(a)[0] = Slot(len(h.slots)) }, "which holds no object"},
-		{"live-field counter drift", func(h *Heap, a, b Slot) { h.liveFields++ }, "counter says 5"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -479,16 +505,4 @@ func TestAddRootMissingObjectPanics(t *testing.T) {
 		}
 	}()
 	h.AddRoot(h.Lookup(42))
-}
-
-func TestPointerCount(t *testing.T) {
-	h := mustNew(t, testConfig())
-	o := mustAlloc(t, h, 1, 100, 4, NilOID)
-	mustAlloc(t, h, 3, 100, 0, NilOID)
-	mustAlloc(t, h, 7, 100, 0, NilOID)
-	write(h, 1, 1, 3)
-	write(h, 1, 3, 7)
-	if got := h.PointerCount(o); got != 2 {
-		t.Fatalf("PointerCount = %d, want 2", got)
-	}
 }

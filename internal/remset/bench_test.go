@@ -57,6 +57,6 @@ func BenchmarkRootsInto(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.RootsInto(heap.PartitionID(i%h.NumPartitions()), func(Entry, heap.OID) {})
+		tab.RootsInto(heap.PartitionID(i%h.NumPartitions()), func(Entry, heap.Slot) {})
 	}
 }

@@ -16,11 +16,13 @@
 // Like the paper's implementation, these are auxiliary in-memory
 // structures and contribute no page I/O.
 //
+// An entry is only a location, never a copy of the pointer: the source
+// object's field holds the target, and RootsInto reads it from there.
 // The write barrier is the hottest path in the simulator, so the stores are
-// flat: each partition keeps its entries in a slice keyed by the packed
-// location Src<<16|Field (one map lookup per mutation, no struct hashing),
-// the out-count moves in place in the slot record, and the sorted
-// enumeration reuses a scratch buffer instead of allocating per collection.
+// flat: each partition keeps its entries in a slice of packed locations
+// Src<<16|Field (one map lookup per mutation, no struct hashing), the
+// out-count moves in place in the slot record, and the sorted enumeration
+// reuses a scratch buffer instead of allocating per collection.
 package remset
 
 import (
@@ -60,22 +62,16 @@ func unpackKey(k uint64) Entry {
 	return Entry{Src: heap.OID(k >> fieldBits), Field: int(k & (1<<fieldBits - 1))}
 }
 
-// inEntry is one remembered pointer: a packed location and the target OID
-// its pointer held when recorded.
-type inEntry struct {
-	key    uint64
-	target heap.OID
-}
-
-// inSet is one partition's remembered set: an unordered slice of entries
-// plus a location→slot index. Removal is a swap with the last entry.
+// inSet is one partition's remembered set: an unordered slice of packed
+// locations plus a location→position index. Removal is a swap with the
+// last entry.
 type inSet struct {
-	entries []inEntry
+	entries []uint64
 	pos     map[uint64]int32
 }
 
 //odbgc:hotpath
-func (s *inSet) add(k uint64, target heap.OID) bool {
+func (s *inSet) add(k uint64) bool {
 	if s.pos == nil {
 		s.pos = make(map[uint64]int32) //odbgc:alloc-ok one-time lazy index for a partition's first entry
 	}
@@ -83,7 +79,7 @@ func (s *inSet) add(k uint64, target heap.OID) bool {
 		return false
 	}
 	s.pos[k] = int32(len(s.entries))
-	s.entries = append(s.entries, inEntry{key: k, target: target}) //odbgc:alloc-ok amortized slice growth
+	s.entries = append(s.entries, k) //odbgc:alloc-ok amortized slice growth
 	return true
 }
 
@@ -96,7 +92,7 @@ func (s *inSet) remove(k uint64) bool {
 	last := int32(len(s.entries) - 1)
 	moved := s.entries[last]
 	s.entries[i] = moved
-	s.pos[moved.key] = i
+	s.pos[moved] = i
 	s.entries = s.entries[:last]
 	delete(s.pos, k)
 	return true
@@ -108,11 +104,11 @@ func (s *inSet) remove(k uint64) bool {
 type Table struct {
 	h *heap.Heap
 	// in[P] records each inter-partition pointer location whose value
-	// points into P, with the target OID it held when recorded.
+	// points into P.
 	in []inSet
 
-	// entryScratch is RootsInto's sort buffer, reused per collection.
-	entryScratch []inEntry
+	// keyScratch is RootsInto's sort buffer, reused per collection.
+	keyScratch []uint64
 }
 
 // New returns an empty table over h.
@@ -147,14 +143,14 @@ func (t *Table) PointerWrite(src heap.Slot, f int, old, new heap.Slot) {
 	}
 	if new != heap.NilSlot {
 		if p := t.h.PartitionOf(new); p != heap.NoPartition && p != srcPart {
-			t.add(p, src, f, t.h.OID(new))
+			t.add(p, src, f)
 		}
 	}
 }
 
 //odbgc:hotpath
-func (t *Table) add(target heap.PartitionID, src heap.Slot, f int, to heap.OID) {
-	if !t.inAt(target).add(packKey(t.h.OID(src), f), to) {
+func (t *Table) add(target heap.PartitionID, src heap.Slot, f int) {
+	if !t.inAt(target).add(packKey(t.h.OID(src), f)) {
 		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
 	t.h.AddOutCount(src, 1)
@@ -224,9 +220,9 @@ func (t *Table) Rekey(victim, dest heap.PartitionID) {
 }
 
 // RootsInto calls fn for every remembered pointer into partition p, in a
-// deterministic order (sorted by source OID, then field). The target OID
-// passed to fn is the pointer's recorded value.
-func (t *Table) RootsInto(p heap.PartitionID, fn func(e Entry, target heap.OID)) {
+// deterministic order (sorted by source OID, then field), with the slot
+// the source's field holds.
+func (t *Table) RootsInto(p heap.PartitionID, fn func(e Entry, target heap.Slot)) {
 	if int(p) >= len(t.in) {
 		return
 	}
@@ -234,19 +230,11 @@ func (t *Table) RootsInto(p heap.PartitionID, fn func(e Entry, target heap.OID))
 	if len(s.entries) == 0 {
 		return
 	}
-	t.entryScratch = append(t.entryScratch[:0], s.entries...)
-	slices.SortFunc(t.entryScratch, func(a, b inEntry) int {
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		default:
-			return 0
-		}
-	})
-	for _, e := range t.entryScratch {
-		fn(unpackKey(e.key), e.target)
+	t.keyScratch = append(t.keyScratch[:0], s.entries...)
+	slices.Sort(t.keyScratch)
+	for _, k := range t.keyScratch {
+		e := unpackKey(k)
+		fn(e, t.h.Fields(t.h.Lookup(e.Src))[e.Field])
 	}
 }
 
@@ -255,10 +243,10 @@ func (t *Table) RootsInto(p heap.PartitionID, fn func(e Entry, target heap.OID))
 // enumeration for differential tests (the sharded engine's union-of-
 // remsets property check compares per-shard tables against a global one
 // with it).
-func (t *Table) Entries(fn func(p heap.PartitionID, e Entry, target heap.OID)) {
+func (t *Table) Entries(fn func(p heap.PartitionID, e Entry, target heap.Slot)) {
 	for pid := range t.in {
 		p := heap.PartitionID(pid)
-		t.RootsInto(p, func(e Entry, target heap.OID) {
+		t.RootsInto(p, func(e Entry, target heap.Slot) {
 			fn(p, e, target)
 		})
 	}
@@ -275,25 +263,28 @@ func (t *Table) InCount(p heap.PartitionID) int {
 // Footprint reports the memory the table holds: the entry slices by
 // capacity, their position maps by entry count.
 func (t *Table) Footprint() heap.Footprint {
-	const entryBytes = int64(unsafe.Sizeof(inEntry{}))
 	f := heap.Footprint{
-		Bytes: entryBytes*int64(cap(t.entryScratch)) + int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)),
+		Bytes: 8*int64(cap(t.keyScratch)) + int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)),
 	}
 	for i := range t.in {
-		f.Bytes += entryBytes*int64(cap(t.in[i].entries)) + 12*int64(len(t.in[i].pos))
+		f.Bytes += 8*int64(cap(t.in[i].entries)) + 12*int64(len(t.in[i].pos))
 	}
 	return f
 }
 
-// CorruptFirstEntryForTesting flips the recorded target OID of one
-// remembered entry of partition p, returning false when p has no entries.
-// It exists ONLY for fault-injection tests of the audit layer
-// (internal/check), which must prove that a single flipped entry is
-// detected and named; production code must never call it.
+// CorruptFirstEntryForTesting moves the first remembered entry of
+// partition p into the remembered set of partition p+1, as a write
+// barrier that filed a pointer under the wrong target partition would,
+// and returns false when p has no entries. It exists ONLY for
+// fault-injection tests of the audit layer (internal/check), which must
+// prove that a single moved entry is detected and named; production code
+// must never call it.
 func (t *Table) CorruptFirstEntryForTesting(p heap.PartitionID) bool {
 	if int(p) >= len(t.in) || len(t.in[p].entries) == 0 {
 		return false
 	}
-	t.in[p].entries[0].target++
+	k := t.in[p].entries[0]
+	t.in[p].remove(k)
+	t.inAt(p + 1).add(k)
 	return true
 }

@@ -49,9 +49,9 @@ func TestInterPartitionStoreRecorded(t *testing.T) {
 	}
 	var entries []Entry
 	var targets []heap.OID
-	tab.RootsInto(pb, func(e Entry, target heap.OID) {
+	tab.RootsInto(pb, func(e Entry, target heap.Slot) {
 		entries = append(entries, e)
-		targets = append(targets, target)
+		targets = append(targets, h.OID(target))
 	})
 	if len(entries) != 1 || entries[0] != (Entry{a, 0}) || targets[0] != b {
 		t.Fatalf("roots = %v -> %v", entries, targets)
@@ -117,9 +117,9 @@ func TestOverwriteRetargetsEntry(t *testing.T) {
 	if got := tab.InCount(pb); got != 1 {
 		t.Fatalf("InCount = %d, want 1", got)
 	}
-	tab.RootsInto(pb, func(e Entry, target heap.OID) {
-		if target != 3 {
-			t.Fatalf("target = %d, want 3", target)
+	tab.RootsInto(pb, func(e Entry, target heap.Slot) {
+		if h.OID(target) != 3 {
+			t.Fatalf("target = %d, want 3", h.OID(target))
 		}
 	})
 	if err := tab.CheckInvariants(); err != nil {
@@ -140,7 +140,7 @@ func TestTwoFieldsTwoEntries(t *testing.T) {
 		t.Fatalf("OutCount = %d, want 2", h.OutCount(h.Lookup(a)))
 	}
 	var fields []int
-	tab.RootsInto(pb, func(e Entry, _ heap.OID) { fields = append(fields, e.Field) })
+	tab.RootsInto(pb, func(e Entry, _ heap.Slot) { fields = append(fields, e.Field) })
 	if len(fields) != 2 || fields[0] != 0 || fields[1] != 1 {
 		t.Fatalf("fields enumerated %v, want sorted [0 1]", fields)
 	}
@@ -252,7 +252,9 @@ func TestAuditDetectsStaleEntry(t *testing.T) {
 // TestAuditDetectsCorruption corrupts one structure of an exact table at
 // a time. A duplicated entry leaves every heap pointer findable through
 // the position maps, so only the counts and the maps' indexing of their
-// slices expose it.
+// slices expose it; an entry moved to another partition's set leaves
+// every map and count consistent with its slice, so only the scan of the
+// heap's fields exposes it.
 func TestAuditDetectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -262,7 +264,7 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			s := &tab.in[h.PartitionOf(h.Lookup(b))]
 			s.entries = append(s.entries, s.entries[0])
 		}},
-		{"recorded target", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+		{"moved entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
 			tab.CorruptFirstEntryForTesting(h.PartitionOf(h.Lookup(b)))
 		}},
 		{"out-count", func(h *heap.Heap, tab *Table, a, b heap.OID) {

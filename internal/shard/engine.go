@@ -427,11 +427,15 @@ func (r *shardRunner) applyDeltas(from int, ds []delta) error {
 }
 
 // externalRoots feeds the collector the objects other shards reference,
-// in ascending OID order (sim.SetExternalRoots). References to objects
-// already collected locally are filtered by the collector's residency
-// check — an add can race a local collection within an epoch, and OIDs
-// are never reused, so a stale count is harmless until its remove
-// arrives.
+// in ascending OID order (sim.SetExternalRoots). A reference roots its
+// target only from the exchange that ends the epoch it was stored in, so
+// a target whose last local path dies before that exchange can be
+// reclaimed while another shard still references it. Its count then
+// names an object no longer resident, which the collector's residency
+// check skips (OIDs are never reused) until the remove arrives. At
+// perfbench sharded-cross's shape 3,936 of 149,316 add deltas arrived
+// after their target was reclaimed, and 265 such counts were left at the
+// end of the run (DESIGN.md, "What sharding deliberately changes").
 func (r *shardRunner) externalRoots(_ heap.PartitionID, add func(heap.OID)) {
 	r.xinScratch = r.xinScratch[:0]
 	for local := range r.xin {

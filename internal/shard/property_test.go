@@ -75,18 +75,18 @@ func TestForeignUnionMatchesExternalRefs(t *testing.T) {
 	}
 }
 
-// remsetEntries flattens a remembered-set table into its deterministic
-// enumeration order.
+// remsetEntries flattens a simulator's remembered sets into their
+// deterministic enumeration order, each target named by its OID.
 type remsetEntry struct {
 	p      heap.PartitionID
 	e      remset.Entry
 	target heap.OID
 }
 
-func remsetEntries(rs *remset.Table) []remsetEntry {
+func remsetEntries(s *sim.Sim) []remsetEntry {
 	var out []remsetEntry
-	rs.Entries(func(p heap.PartitionID, e remset.Entry, target heap.OID) {
-		out = append(out, remsetEntry{p, e, target})
+	s.Remset().Entries(func(p heap.PartitionID, e remset.Entry, target heap.Slot) {
+		out = append(out, remsetEntry{p, e, s.Heap().OID(target)})
 	})
 	return out
 }
@@ -111,7 +111,7 @@ func TestSingleShardRemsetUnion(t *testing.T) {
 	if err := rt.Replay(plain, nil); err != nil {
 		t.Fatal(err)
 	}
-	a, b := remsetEntries(eng.Sim(0).Remset()), remsetEntries(plain.Remset())
+	a, b := remsetEntries(eng.Sim(0)), remsetEntries(plain)
 	if len(a) == 0 {
 		t.Fatal("empty remembered sets; property vacuous")
 	}

@@ -52,10 +52,18 @@ func TestHeapMemoryTracksResidentObjects(t *testing.T) {
 				t.Fatalf("alloc %d: %s capacity %d exceeds twice the peak %d plus %d", alloc, what, got, peak, slack)
 			}
 		}
+		// The words resident objects' fields take grow by each create's
+		// field count and shrink only when a collection discards objects.
+		// LiveFieldWords walks every resident, so the test asks it once
+		// per collection rather than once per event.
+		liveWords, collections := 0, int64(0)
 		check := func() {
+			if n := s.col.Lifetime().Collections; n != collections {
+				collections, liveWords = n, s.h.LiveFieldWords()
+			}
 			hf := s.h.Footprint()
 			peak = max(peak, s.h.Len())
-			peakWords = max(peakWords, hf.LiveArenaWords)
+			peakWords = max(peakWords, liveWords)
 			bound("slot storage", hf.Slots, peak, scratchSlack)
 			bound("field arena", hf.ArenaWords, peakWords, scratchSlack)
 			bound("collector scratch", s.col.Footprint().Slots, peak, scratchSlack)
@@ -64,6 +72,9 @@ func TestHeapMemoryTracksResidentObjects(t *testing.T) {
 		if _, err := g.Run(sinkFunc(func(e trace.Event) error {
 			if err := s.Emit(e); err != nil {
 				return err
+			}
+			if e.Kind == trace.KindCreate {
+				liveWords += e.NFields
 			}
 			check()
 			return nil

@@ -105,10 +105,6 @@ func (s *Scheduler) SetNotify(fn func(done, total int64, label string)) { s.noti
 // factory leaves that job unrecorded. Set it before the first Submit.
 func (s *Scheduler) SetRecordFactory(fn func(Job) RunRecorder) { s.recordf = fn }
 
-// Submitted and Completed report queue counters.
-func (s *Scheduler) Submitted() int64 { return s.submitted.Load() }
-func (s *Scheduler) Completed() int64 { return s.completed.Load() }
-
 // Submit enqueues one job for the pool. Every job builds its own
 // simulator, and with it its own policy instance (Config.PolicyFactory
 // included), so jobs share no policy state. Submit may block when the

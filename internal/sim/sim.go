@@ -152,7 +152,6 @@ type Sim struct {
 
 	events                int64
 	maxOccupied           int64
-	maxFootprint          int64
 	collectionsSinceSweep int
 	globalSweeps          int64
 	samples               []SampleRecord
@@ -214,7 +213,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	rem := remset.New(h)
 	oracle := heap.NewOracle(h)
-	env := &core.Env{Heap: h, Oracle: oracle, Rand: rand.New(rand.NewSource(cfg.Seed + 1))}
+	env := &core.Env{Heap: h, Oracle: oracle}
 	s := &Sim{
 		cfg:    cfg,
 		h:      h,
@@ -432,20 +431,18 @@ func (s *Sim) ResetMeasurement() {
 	s.mut.ResetStats()
 	s.events = 0
 	s.maxOccupied = s.h.OccupiedBytes()
-	s.maxFootprint = s.h.FootprintBytes()
 	s.occupiedAtReset = s.h.OccupiedBytes()
 	s.allocAtReset = s.h.TotalAllocatedBytes()
 	s.samples = nil
 }
 
-// trackStorage updates the storage high-water marks; occupied bytes only
-// grow at allocations, so Emit calls it on creates.
+// trackStorage updates the occupied-bytes high-water mark; occupied bytes
+// only grow at allocations, so Emit calls it on creates. The footprint
+// needs no mark: partitions are never removed, so its high-water mark is
+// its current value.
 func (s *Sim) trackStorage() {
 	if occ := s.h.OccupiedBytes(); occ > s.maxOccupied {
 		s.maxOccupied = occ
-	}
-	if fp := s.h.FootprintBytes(); fp > s.maxFootprint {
-		s.maxFootprint = fp
 	}
 }
 
@@ -555,7 +552,7 @@ func (s *Sim) Finish() Result {
 		GCIOs:               bufStats.GC().IOs(),
 		TotalIOs:            bufStats.TotalIOs(),
 		MaxOccupiedBytes:    s.maxOccupied,
-		MaxFootprintBytes:   s.maxFootprint,
+		MaxFootprintBytes:   s.h.FootprintBytes(),
 		NumPartitions:       s.h.NumPartitions(),
 		Collections:         colStats.Collections,
 		Declined:            colStats.Declined,

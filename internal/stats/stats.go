@@ -46,15 +46,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts is Summarize over integer observations.
-func SummarizeInts(xs []int64) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Ratio returns s.Mean divided by base, the paper's "Relative" columns
 // (normalized to MostGarbage = 1). It returns NaN for a zero base.
 func (s Summary) Ratio(base float64) float64 {

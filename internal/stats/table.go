@@ -28,23 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddRowf appends a row, applying fmt.Sprint to each value. Float64 values
-// render with one decimal; use explicit strings for other formats.
-func (t *Table) AddRowf(cells ...any) {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			out[i] = fmt.Sprintf("%.1f", v)
-		case string:
-			out[i] = v
-		default:
-			out[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(out...)
-}
-
 // WriteTo renders the table. The first column is left-aligned, the rest
 // right-aligned.
 func (t *Table) WriteTo(w io.Writer) (int64, error) {
