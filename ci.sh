@@ -114,6 +114,11 @@ cmp "$stream_tmp/stream.txt" "$stream_tmp/stream_audit.txt"
 # results/stream_nocollection_output.txt byte for byte.
 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -policy NoCollection > "$stream_tmp/stream_nocollection.txt"
 cmp "$stream_tmp/stream_nocollection.txt" results/stream_nocollection_output.txt
+# The per-partition report of the same replay: each row's live and
+# garbage split (the oracle's per-partition garbage) and remembered-set
+# count must match results/stream_inspect_output.txt byte for byte.
+bin/gcsim -trace "$stream_tmp/stream.odbgcck" -inspect > "$stream_tmp/stream_inspect.txt"
+cmp "$stream_tmp/stream_inspect.txt" results/stream_inspect_output.txt
 ceiling 32 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shards
 # whose epoch drains run on their own goroutines — once under the race

@@ -129,6 +129,27 @@ func TestClientServerExtension(t *testing.T) {
 	if res.Collections == 0 || res.ReclaimedBytes == 0 {
 		t.Fatal("collection did not function in client/server mode")
 	}
+	// The exact network and disk counts, pinned so that a change to how
+	// the client reaches its server shows up as a moved count.
+	type ioCounts struct{ app, gc, diskApp, diskGC, diskTotal int64 }
+	counts := func(r Result) ioCounts {
+		return ioCounts{r.AppIOs, r.GCIOs, r.DiskAppIOs, r.DiskGCIOs, r.DiskTotalIOs}
+	}
+	if got, want := counts(res), (ioCounts{5331, 3367, 1926, 140, 2066}); got != want {
+		t.Errorf("cold client/server counts %+v, want %+v", got, want)
+	}
+	// A warm start restarts the server's counters with the client's: the
+	// build phase's disk traffic leaves the window with its network
+	// traffic.
+	warm := cfg
+	warm.WarmStart = true
+	resWarm, _, err := RunWorkload(warm, smallWorkload())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := counts(resWarm), (ioCounts{4389, 3367, 1913, 140, 2053}); got != want {
+		t.Errorf("warm client/server counts %+v, want %+v", got, want)
+	}
 
 	// Single-tier mode reports no disk split.
 	plain, _, err := RunWorkload(smallSim(core.NameUpdatedPointer), smallWorkload())
