@@ -5,12 +5,12 @@
 // into a single chunk without reading the rest of the file, and -chunk
 // LO-HI drills into a contiguous range. -shards N previews how the
 // sharded engine would split the trace: a per-chunk histogram of events
-// by shard under the chosen -shard-assign policy. Optionally it replays
-// the trace through one simulation.
+// by shard under the chosen -shard-assign policy. To replay the trace
+// through a simulation, use gcsim -trace.
 //
 // Usage:
 //
-//	traceinfo [-replay POLICY] [-chunk N|LO-HI] [-shards N]
+//	traceinfo [-chunk N|LO-HI] [-shards N]
 //	          [-shard-assign roundrobin|range] trace.odbgcck
 package main
 
@@ -26,7 +26,6 @@ import (
 
 	"odbgc/internal/heap"
 	"odbgc/internal/shard"
-	"odbgc/internal/sim"
 	"odbgc/internal/stats"
 	"odbgc/internal/trace"
 )
@@ -43,7 +42,6 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("traceinfo", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	replay := fs.String("replay", "", "also replay the trace under this selection policy")
 	chunkSpec := fs.String("chunk", "", "show chunk N, or chunks LO-HI (skips the others)")
 	shards := fs.Int("shards", 0, "print a per-chunk histogram of events by shard for N shards")
 	shAssign := fs.String("shard-assign", "", "tree-to-shard assignment for -shards: roundrobin or range")
@@ -51,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("usage: traceinfo [-replay POLICY] [-chunk N|LO-HI] [-shards N] trace.odbgcck")
+		return errors.New("usage: traceinfo [-chunk N|LO-HI] [-shards N] trace.odbgcck")
 	}
 	path := fs.Arg(0)
 
@@ -81,8 +79,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Opening the stream checks the magic and every chunk header, with
 	// errors naming the path.
-	stream, err := trace.OpenChunkStream(path)
-	if err != nil {
+	if _, err := trace.OpenChunkStream(path); err != nil {
 		return err
 	}
 	f, err := os.Open(path)
@@ -148,24 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Sprint(s.kinds[trace.KindModify]), "ok")
 	}
 	fmt.Fprintln(stdout, ct)
-
-	if *replay != "" {
-		s, err := sim.New(sim.DefaultConfig(*replay))
-		if err != nil {
-			return err
-		}
-		if err := stream.Replay(s); err != nil {
-			return err
-		}
-		res := s.Finish()
-		rt := stats.NewTable("Replay under "+res.Policy, "Metric", "Value")
-		rt.AddRow("Total I/Os", fmt.Sprint(res.TotalIOs))
-		rt.AddRow("Collections", fmt.Sprint(res.Collections))
-		rt.AddRow("Reclaimed KB", fmt.Sprint(res.ReclaimedBytes/1024))
-		rt.AddRow("Fraction reclaimed %", fmt.Sprintf("%.1f", 100*res.FractionReclaimed()))
-		rt.AddRow("Max storage KB", fmt.Sprint(res.MaxOccupiedBytes/1024))
-		fmt.Fprintln(stdout, rt)
-	}
 	return nil
 }
 

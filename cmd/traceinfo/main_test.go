@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"odbgc/internal/core"
 	"odbgc/internal/trace"
 	"odbgc/internal/workload"
 )
@@ -84,20 +83,11 @@ func TestInspectAndReplay(t *testing.T) {
 	if !strings.Contains(stdout.String(), "Creates") {
 		t.Errorf("inspect output missing stats table:\n%s", stdout.String())
 	}
-
-	stdout.Reset()
-	if err := run([]string{"-replay", core.NameUpdatedPointer, path}, &stdout, &stderr); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "Replay under") {
-		t.Errorf("replay output missing replay table:\n%s", stdout.String())
-	}
 }
 
 // TestInspectChunked checks a many-chunk trace gets the global summary,
-// the per-chunk table, the -chunk drill-down, and a streamed -replay,
-// and that the event totals agree with the single-chunk inspection of
-// the same workload.
+// the per-chunk table and the -chunk drill-down, and that the event
+// totals agree with the single-chunk inspection of the same workload.
 func TestInspectChunked(t *testing.T) {
 	path := writeTinyChunkedTrace(t)
 
@@ -134,14 +124,6 @@ func TestInspectChunked(t *testing.T) {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-chunk output missing %q:\n%s", want, stdout.String())
 		}
-	}
-
-	stdout.Reset()
-	if err := run([]string{"-replay", core.NameUpdatedPointer, path}, &stdout, &stderr); err != nil {
-		t.Fatalf("chunked replay: %v", err)
-	}
-	if !strings.Contains(stdout.String(), "Replay under") {
-		t.Errorf("chunked replay output missing replay table:\n%s", stdout.String())
 	}
 }
 

@@ -26,11 +26,7 @@ func Run(s *sim.Sim) error {
 	if err := s.Heap().CheckInvariants(); err != nil {
 		return err
 	}
-	if t := s.Tiered(); t != nil {
-		if err := t.CheckInvariants(); err != nil {
-			return err
-		}
-	} else if err := s.Buffer().CheckInvariants(); err != nil {
+	if err := s.Buffer().CheckInvariants(); err != nil {
 		return err
 	}
 	if err := s.Remset().CheckInvariants(); err != nil {

@@ -155,13 +155,13 @@ func TestCollectChargesIOToGC(t *testing.T) {
 	r := newRig(t, pol)
 	pa, _ := buildTwoPartitionGraph(t, r)
 	gcBefore := r.buf.Stats().GC()
-	if gcBefore.Accesses != 0 {
+	if gcBefore.Accesses() != 0 {
 		t.Fatal("GC accesses before any collection")
 	}
 	pol.victim = pa
 	r.col.Collect()
 	gcAfter := r.buf.Stats().GC()
-	if gcAfter.Accesses == 0 {
+	if gcAfter.Accesses() == 0 {
 		t.Fatal("collection performed no page accesses")
 	}
 }

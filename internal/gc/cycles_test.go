@@ -83,13 +83,13 @@ func TestGlobalSweepChargesGCReads(t *testing.T) {
 	r := newRig(t, core.NewNoCollection())
 	r.alloc(t, 1, 1500, 0, heap.NilOID, 0) // multi-page object
 	r.root(t, 1)
-	before := r.buf.Stats().GC().Accesses
+	before := r.buf.Stats().GC().Accesses()
 	r.col.GlobalSweep()
-	if got := r.buf.Stats().GC().Accesses - before; got < 3 {
+	if got := r.buf.Stats().GC().Accesses() - before; got < 3 {
 		t.Fatalf("mark phase touched %d pages, want >= 3", got)
 	}
 	app := r.buf.Stats().App()
-	if app.Accesses != 1 { // only the original allocation write... 1500B = 3 pages
+	if app.Accesses() != 1 { // only the original allocation write... 1500B = 3 pages
 		_ = app
 	}
 }

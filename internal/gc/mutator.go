@@ -27,10 +27,6 @@ type Mutator struct {
 	wts core.Weights
 
 	totalOverwrites int64
-	pointerStores   int64
-	dataStores      int64
-	reads           int64
-	growths         int64
 }
 
 // NewMutator wires a mutator over the given substrates.
@@ -55,11 +51,10 @@ func (m *Mutator) Alloc(oid heap.OID, size int64, nfields int, parent heap.OID, 
 			return false, err
 		}
 	}
-	s, grew, err := m.h.Alloc(oid, size, nfields, ps)
+	s, _, err := m.h.Alloc(oid, size, nfields, ps)
 	if err != nil {
 		return false, err
 	}
-	m.growths += int64(grew.Added)
 	first, last := m.h.Pages(s)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
 	if parent != heap.NilOID {
@@ -87,7 +82,6 @@ func (m *Mutator) Read(oid heap.OID) error {
 	}
 	first, last := m.h.Pages(s)
 	m.buf.ReadRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
-	m.reads++
 	return nil
 }
 
@@ -147,7 +141,6 @@ func (m *Mutator) store(src heap.Slot, field int, target heap.Slot, creation boo
 	m.wts.PropagateStore(m.h, src, target)
 	m.pol.PointerStore(ctx)
 
-	m.pointerStores++
 	if !ctx.Overwrite() {
 		return false, nil
 	}
@@ -165,7 +158,6 @@ func (m *Mutator) Modify(oid heap.OID) error {
 	first, last := m.h.Pages(s)
 	m.buf.WriteRange(pagebuf.PageID(first), pagebuf.PageID(last), pagebuf.ActorApp)
 	m.pol.DataStore(m.h.PartitionOf(s))
-	m.dataStores++
 	return nil
 }
 
@@ -179,10 +171,6 @@ func (m *Mutator) NoteForeignOverwrite() { m.totalOverwrites++ }
 // MutatorStats summarizes application activity.
 type MutatorStats struct {
 	TotalOverwrites int64
-	PointerStores   int64
-	DataStores      int64
-	Reads           int64
-	Growths         int64
 }
 
 // ResetStats zeroes the mutator's activity counters (warm-start
@@ -190,19 +178,9 @@ type MutatorStats struct {
 // cadence is unaffected.
 func (m *Mutator) ResetStats() {
 	m.totalOverwrites = 0
-	m.pointerStores = 0
-	m.dataStores = 0
-	m.reads = 0
-	m.growths = 0
 }
 
 // Stats returns a snapshot of mutator counters.
 func (m *Mutator) Stats() MutatorStats {
-	return MutatorStats{
-		TotalOverwrites: m.totalOverwrites,
-		PointerStores:   m.pointerStores,
-		DataStores:      m.dataStores,
-		Reads:           m.reads,
-		Growths:         m.growths,
-	}
+	return MutatorStats{TotalOverwrites: m.totalOverwrites}
 }

@@ -663,16 +663,6 @@ func (h *Heap) Pages(s Slot) (first, last PageID) {
 	return h.PageRange(r.addr, int64(r.size))
 }
 
-// PartitionOfAddr returns the partition owning the given address, or
-// NoPartition if the address is beyond the current database extent.
-func (h *Heap) PartitionOfAddr(addr Addr) PartitionID {
-	id := PartitionID(int64(addr) / h.cfg.PartitionBytes())
-	if id < 0 || int(id) >= len(h.parts) {
-		return NoPartition
-	}
-	return id
-}
-
 // Footprint counts the memory a table or a scratch space holds, from
 // slice capacities (maps by their entry counts). Tests use it to bound the
 // simulator's memory by the resident objects rather than by every OID a

@@ -448,24 +448,6 @@ func TestPageRange(t *testing.T) {
 	}
 }
 
-func TestPartitionOfAddr(t *testing.T) {
-	cfg := testConfig()
-	h := mustNew(t, cfg)
-	pb := Addr(cfg.PartitionBytes())
-	if got := h.PartitionOfAddr(0); got != 0 {
-		t.Errorf("PartitionOfAddr(0) = %d", got)
-	}
-	if got := h.PartitionOfAddr(pb - 1); got != 0 {
-		t.Errorf("PartitionOfAddr(partBytes-1) = %d", got)
-	}
-	if got := h.PartitionOfAddr(pb); got != 1 {
-		t.Errorf("PartitionOfAddr(partBytes) = %d", got)
-	}
-	if got := h.PartitionOfAddr(10 * pb); got != NoPartition {
-		t.Errorf("PartitionOfAddr(beyond extent) = %d, want NoPartition", got)
-	}
-}
-
 func TestOccupiedAndFootprintBytes(t *testing.T) {
 	cfg := testConfig()
 	h := mustNew(t, cfg)

@@ -4,7 +4,7 @@ import "testing"
 
 // The page buffer is on the per-event fast path: every simulated page
 // access of the paper's cost model goes through touch. In steady state —
-// once the frame arena is in use and the dense page index has grown to
+// once the frame arena is in use and the page table has grown to
 // cover the address space — neither hits nor misses may allocate.
 //
 // The functions these guards exercise carry //odbgc:hotpath annotations
@@ -13,8 +13,7 @@ import "testing"
 //
 //odbgc:allocguard pagebuf.Buffer.touch pagebuf.Buffer.evict
 //odbgc:allocguard pagebuf.Buffer.unlink pagebuf.Buffer.pushFront
-//odbgc:allocguard pagebuf.pageIndex.get pagebuf.pageIndex.set pagebuf.pageIndex.del
-//odbgc:allocguard pagebuf.pageSet.has pagebuf.pageSet.add
+//odbgc:allocguard pagebuf.Buffer.pageAt
 
 func TestPageBufHitZeroAllocs(t *testing.T) {
 	b, err := New(8)

@@ -3,8 +3,8 @@ package pagebuf
 import "fmt"
 
 // CheckInvariants verifies the buffer's frame-arena structure — the LRU
-// list and the dense page index — and returns the first violation
-// found, or nil.
+// list and the page table — and then its server's, and returns the
+// first violation found, or nil.
 //
 // The invariants checked:
 //
@@ -13,11 +13,12 @@ import "fmt"
 //   - it holds exactly Len() frames, and they are frames 1..Len(), the
 //     ones in use;
 //   - every listed frame's page resolves back to that frame through the
-//     page index, so no two frames cache the same page;
-//   - the page index holds no entry for a page that is not cached.
+//     page table, so no two frames cache the same page;
+//   - the page table names a frame only for a page that frame caches.
 //
-// It is O(capacity + index) and intended for the audit layer
-// (internal/check) and tests.
+// A violation in the server's structure is reported with the prefix
+// "server tier: ". It is O(capacity + pages) and intended for the audit
+// layer (internal/check) and tests.
 func (b *Buffer) CheckInvariants() error {
 	listed := make([]bool, len(b.frames))
 	count := 0
@@ -47,25 +48,19 @@ func (b *Buffer) CheckInvariants() error {
 			return fmt.Errorf("pagebuf: frame %d is in use but not on the LRU list", i)
 		}
 		page := b.frames[i].page
-		if got := b.idx.get(page); got != int32(i) {
-			return fmt.Errorf("pagebuf: frame %d caches page %d but the index resolves it to frame %d", i, page, got)
+		if got := b.frameOf(page); got != int32(i) {
+			return fmt.Errorf("pagebuf: frame %d caches page %d but the page table resolves it to frame %d", i, page, got)
 		}
 	}
-	for p, i := range b.idx.dense {
-		if i != 0 && (i < 0 || int(i) > b.n || b.frames[i].page != PageID(p)) {
-			return fmt.Errorf("pagebuf: index maps page %d to frame %d, which does not cache it", p, i)
+	for p, pg := range b.pages {
+		if i := pg.frame; i != 0 && (i < 0 || int(i) > b.n || b.frames[i].page != PageID(p)) {
+			return fmt.Errorf("pagebuf: page table maps page %d to frame %d, which does not cache it", p, i)
 		}
 	}
-	return nil
-}
-
-// CheckInvariants verifies both tiers of a client/server buffer.
-func (t *Tiered) CheckInvariants() error {
-	if err := t.client.CheckInvariants(); err != nil {
-		return fmt.Errorf("client tier: %w", err)
-	}
-	if err := t.server.CheckInvariants(); err != nil {
-		return fmt.Errorf("server tier: %w", err)
+	if b.server != nil {
+		if err := b.server.CheckInvariants(); err != nil {
+			return fmt.Errorf("server tier: %w", err)
+		}
 	}
 	return nil
 }

@@ -14,8 +14,8 @@ func TestCheckInvariantsNamesCorruption(t *testing.T) {
 		want    string
 	}{
 		{"prev link", func(b *Buffer) { b.frames[b.frames[0].next].prev = 3 }, "prev link"},
-		{"index entry", func(b *Buffer) { b.idx.dense[1] = 2 }, "index resolves it to frame 2"},
-		{"uncached index entry", func(b *Buffer) { b.idx.dense[9] = 1 }, "index maps page 9 to frame 1"},
+		{"index entry", func(b *Buffer) { b.pages[1].frame = 2 }, "page table resolves it to frame 2"},
+		{"uncached index entry", func(b *Buffer) { b.pages[9].frame = 1 }, "page table maps page 9 to frame 1"},
 		{"cached-page count", func(b *Buffer) { b.n++ }, "cached-page count 4"},
 	}
 	for _, tc := range cases {
@@ -34,5 +34,25 @@ func TestCheckInvariantsNamesCorruption(t *testing.T) {
 				t.Fatalf("CheckInvariants() = %v, want an error naming %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestCheckInvariantsCoversServer corrupts the server behind a client
+// buffer: the client's audit must reach it and name the tier.
+func TestCheckInvariantsCoversServer(t *testing.T) {
+	b, err := NewTiered(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := PageID(1); p <= 3; p++ {
+		b.Write(p, ActorApp) // each miss ships the previous page to the server
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("healthy buffers: %v", err)
+	}
+	b.Server().pages[1].frame = 2
+	err = b.CheckInvariants()
+	if want := "server tier: pagebuf: frame 1 caches page 1 but the page table resolves it to frame 2"; err == nil || err.Error() != want {
+		t.Fatalf("CheckInvariants() = %v, want %q", err, want)
 	}
 }

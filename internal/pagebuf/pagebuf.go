@@ -8,10 +8,11 @@
 // Because the buffer sits on the per-event fast path of every simulation,
 // its structures are dense and allocation-free in steady state: page
 // frames live in one arena slice linked by int32 indices into a circular
-// LRU list, and the PageID lookup and on-disk set are dense slices over
-// the contiguous-from-zero page IDs the heap produces. Frame 0 is the
-// list's sentinel and caches no page, so 0 means "no frame" in every
-// link and index entry, as slot 0 does in internal/heap.
+// LRU list, and one page table, a dense slice over the
+// contiguous-from-zero page IDs the heap produces, holds each page's
+// frame and whether it is on disk. Frame 0 is the list's sentinel and
+// caches no page, so 0 means "no frame" in every link and page-table
+// entry, as slot 0 does in internal/heap.
 package pagebuf
 
 import "fmt"
@@ -45,8 +46,6 @@ func (a Actor) String() string {
 
 // ActorStats counts one actor's buffer activity and resulting disk I/Os.
 type ActorStats struct {
-	// Accesses is the number of page accesses (reads + writes) issued.
-	Accesses int64
 	// Hits is the number of accesses satisfied from the buffer.
 	Hits int64
 	// Misses is the number of accesses that did not find the page cached.
@@ -59,6 +58,10 @@ type ActorStats struct {
 	// caused by this actor's activity).
 	WriteIOs int64
 }
+
+// Accesses returns the number of page accesses (reads + writes) issued:
+// each one is a hit or a miss.
+func (s ActorStats) Accesses() int64 { return s.Hits + s.Misses }
 
 // IOs returns the actor's total disk operations.
 func (s ActorStats) IOs() int64 { return s.ReadIOs + s.WriteIOs }
@@ -93,26 +96,38 @@ type frame struct {
 	dirty      bool
 }
 
+// pageState is one page's entry in the buffer's page table.
+type pageState struct {
+	frame  int32 // frame caching the page, 0 if none
+	onDisk bool  // the page has a persistent copy
+}
+
 // Buffer is the simulated write-back LRU page buffer.
+//
+// In the client/server architecture a client buffer has a server: the
+// client's ReadIOs and WriteIOs count network page transfers, each of
+// which is an access to the server buffer, and the server's count disk
+// operations. Both are split by actor as usual. The paper's
+// single-process cost model is a buffer with no server.
 type Buffer struct {
 	// frames holds capacity+1 slots, allocated once. frames[0] caches no
 	// page: it is the LRU list's sentinel, whose next is the most
 	// recently used frame and prev the least. Frames 1..n hold the
 	// cached pages; they fill in order, and once the buffer is full a
 	// miss reuses the frame it evicts.
-	frames []frame   //odbgc:arena
-	n      int       // cached page count
-	idx    pageIndex // PageID -> frame caching it, 0 if none
-	onDisk pageSet   // pages with a persistent copy
-	stats  Stats
+	frames []frame //odbgc:arena
+	n      int     // cached page count
+	// pages is the page table, indexed by PageID. The heap's addresses
+	// run contiguously from zero (page = address / page size), so it is
+	// one dense slice that grows by doubling as the database does (an
+	// 8 GiB database of 8 KiB pages needs 8 MiB of table).
+	pages []pageState
+	stats Stats
 
-	// Backing-store hooks, nil for a plain buffer. fetch runs when a miss
-	// pulls a persisted page back in (a "read I/O"); writeBack runs when
-	// a dirty page is written out (a "write I/O"). The tiered
-	// client/server composition uses them to forward the client cache's
-	// traffic to the server buffer.
-	fetch     func(PageID, Actor)
-	writeBack func(PageID, Actor)
+	// server is the buffer behind this one, nil for a plain buffer. A
+	// miss on a persisted page reads it from the server, and a dirty
+	// eviction writes it there.
+	server *Buffer
 }
 
 // New returns a buffer with room for capacity pages.
@@ -123,18 +138,52 @@ func New(capacity int) (*Buffer, error) {
 	return &Buffer{frames: make([]frame, capacity+1)}, nil
 }
 
+// NewTiered returns a client cache of clientPages pages in front of a
+// server buffer of serverPages pages: the client/server architecture of
+// the paper's related work. Simulated page accesses go to the returned
+// client; Server returns the server, whose counters are the disk I/Os.
+func NewTiered(clientPages, serverPages int) (*Buffer, error) {
+	server, err := New(serverPages)
+	if err != nil {
+		return nil, fmt.Errorf("pagebuf: server tier: %w", err)
+	}
+	client, err := New(clientPages)
+	if err != nil {
+		return nil, fmt.Errorf("pagebuf: client tier: %w", err)
+	}
+	client.server = server
+	return client, nil
+}
+
+// Server returns the buffer behind this one, nil for a plain buffer.
+func (b *Buffer) Server() *Buffer { return b.server }
+
 // Len returns the number of pages currently cached.
 func (b *Buffer) Len() int { return b.n }
 
 // Contains reports whether the page is currently cached.
-func (b *Buffer) Contains(p PageID) bool { return b.idx.get(p) != 0 }
+func (b *Buffer) Contains(p PageID) bool { return b.frameOf(p) != 0 }
+
+// frameOf returns the frame caching page p, 0 if none.
+func (b *Buffer) frameOf(p PageID) int32 {
+	if uint64(p) < uint64(len(b.pages)) {
+		return b.pages[p].frame
+	}
+	return 0
+}
 
 // Stats returns a snapshot of the buffer's counters.
 func (b *Buffer) Stats() Stats { return b.stats }
 
-// ResetStats zeroes the I/O counters without touching cached pages. Warm-
-// start measurement uses it to discard the build phase's I/O.
-func (b *Buffer) ResetStats() { b.stats = Stats{} }
+// ResetStats zeroes the I/O counters, and the server's, without touching
+// cached pages. Warm-start measurement uses it to discard the build
+// phase's I/O.
+func (b *Buffer) ResetStats() {
+	b.stats = Stats{}
+	if b.server != nil {
+		b.server.ResetStats()
+	}
+}
 
 // Read accesses page p for reading on behalf of actor.
 func (b *Buffer) Read(p PageID, actor Actor) { b.touch(p, false, actor) }
@@ -183,9 +232,8 @@ func (b *Buffer) pushFront(i int32) {
 //odbgc:hotpath
 func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	st := &b.stats.ByActor[actor]
-	st.Accesses++
-
-	if i := b.idx.get(p); i != 0 {
+	pg := b.pageAt(p)
+	if i := pg.frame; i != 0 {
 		st.Hits++
 		if b.frames[0].next != i {
 			b.unlink(i)
@@ -198,10 +246,10 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	}
 
 	st.Misses++
-	if b.onDisk.has(p) {
+	if pg.onDisk {
 		st.ReadIOs++
-		if b.fetch != nil {
-			b.fetch(p, actor)
+		if b.server != nil {
+			b.server.Read(p, actor)
 		}
 	}
 	// A miss on a never-persisted page materializes a fresh page in the
@@ -215,7 +263,7 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 	}
 	b.frames[i] = frame{page: p, dirty: write}
 	b.pushFront(i)
-	b.idx.set(p, i)
+	pg.frame = i
 }
 
 // evict removes the least recently used page, charging a disk write to
@@ -225,82 +273,29 @@ func (b *Buffer) touch(p PageID, write bool, actor Actor) {
 func (b *Buffer) evict(actor Actor) int32 {
 	i := b.frames[0].prev
 	page := b.frames[i].page
+	pg := &b.pages[page]
+	pg.frame = 0
 	if b.frames[i].dirty {
 		b.stats.ByActor[actor].WriteIOs++
-		b.onDisk.add(page)
-		if b.writeBack != nil {
-			b.writeBack(page, actor)
+		pg.onDisk = true
+		if b.server != nil {
+			b.server.Write(page, actor)
 		}
 	}
 	b.unlink(i)
-	b.idx.del(page)
 	return i
 }
 
-// pageIndex maps PageID -> frame arena index (0 = absent). The
-// heap is the only producer of page IDs, and its addresses run
-// contiguously from zero (page = address / page size), so the index is
-// one dense slice: lookups are one slice access, and it grows by
-// doubling as the database does (an 8 GiB database of 8 KiB pages needs
-// 4 MiB of index).
-type pageIndex struct {
-	dense []int32
-}
-
+// pageAt returns page p's entry in the page table, growing the table to
+// cover p. It doubles, so growth cost amortizes to O(1) per page; new
+// entries are zero: no frame, not persisted.
+//
 //odbgc:hotpath
-func (x *pageIndex) get(p PageID) int32 {
-	if uint64(p) < uint64(len(x.dense)) {
-		return x.dense[p]
+func (b *Buffer) pageAt(p PageID) *pageState {
+	if int(p) >= len(b.pages) {
+		grown := make([]pageState, max(2*len(b.pages), 64, int(p)+1)) //odbgc:alloc-ok amortized page-table growth, doubling with the database
+		copy(grown, b.pages)
+		b.pages = grown
 	}
-	return 0
-}
-
-//odbgc:hotpath
-func (x *pageIndex) set(p PageID, i int32) {
-	if int(p) >= len(x.dense) {
-		x.dense = growDense(x.dense, int(p))
-	}
-	x.dense[p] = i
-}
-
-//odbgc:hotpath
-func (x *pageIndex) del(p PageID) {
-	if uint64(p) < uint64(len(x.dense)) {
-		x.dense[p] = 0
-	}
-}
-
-// pageSet is a dense page membership set indexed like pageIndex; the
-// buffer uses it for the set of persisted pages.
-type pageSet struct {
-	dense []bool
-}
-
-//odbgc:hotpath
-func (s *pageSet) has(p PageID) bool {
-	return uint64(p) < uint64(len(s.dense)) && s.dense[p]
-}
-
-//odbgc:hotpath
-func (s *pageSet) add(p PageID) {
-	if int(p) >= len(s.dense) {
-		s.dense = growDense(s.dense, int(p))
-	}
-	s.dense[p] = true
-}
-
-// growDense extends a dense PageID-keyed slice to cover index p, doubling
-// so growth cost amortizes to O(1) per page. New entries are zero: no
-// frame, not persisted.
-func growDense[T any](dense []T, p int) []T {
-	n := 2 * len(dense)
-	if n < 64 {
-		n = 64
-	}
-	if n <= p {
-		n = p + 1
-	}
-	grown := make([]T, n) //odbgc:alloc-ok amortized dense-array growth, doubling with the database
-	copy(grown, dense)
-	return grown
+	return &b.pages[p]
 }

@@ -128,8 +128,8 @@ func TestActorAttribution(t *testing.T) {
 	if app.WriteIOs != 0 || gc.WriteIOs != 1 {
 		t.Fatalf("app.WriteIOs=%d gc.WriteIOs=%d, want 0,1", app.WriteIOs, gc.WriteIOs)
 	}
-	if app.Accesses != 1 || gc.Accesses != 1 {
-		t.Fatalf("accesses app=%d gc=%d", app.Accesses, gc.Accesses)
+	if app.Accesses() != 1 || gc.Accesses() != 1 {
+		t.Fatalf("accesses app=%d gc=%d", app.Accesses(), gc.Accesses())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestRangeHelpers(t *testing.T) {
 	}
 	b.ReadRange(3, 5, ActorApp)
 	st := b.Stats().App()
-	if st.Accesses != 6 || st.Hits != 3 || st.Misses != 3 {
+	if st.Accesses() != 6 || st.Hits != 3 || st.Misses != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

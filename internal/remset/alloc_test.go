@@ -15,14 +15,12 @@ import (
 //
 //odbgc:allocguard remset.Table.PointerWrite remset.Table.add remset.Table.remove
 //odbgc:allocguard remset.Table.inAt
-//odbgc:allocguard remset.inSet.add remset.inSet.remove
 func TestPointerWriteZeroAllocs(t *testing.T) {
 	h, a, b := buildHeap(t)
 	tab := New(h)
 	src, target := h.Lookup(a), h.Lookup(b)
 
-	// Warm up: populate the entry store once so its map and slice have
-	// capacity.
+	// Warm up: populate the entry store once so its map has capacity.
 	tab.PointerWrite(src, 0, heap.NilSlot, target)
 	tab.PointerWrite(src, 0, target, heap.NilSlot)
 

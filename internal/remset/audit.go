@@ -12,13 +12,12 @@ import (
 //
 // The invariants checked:
 //
-//   - every inter-partition pointer src.f → target is found through the
-//     position map of target's partition;
+//   - every inter-partition pointer src.f → target is in the remembered
+//     set of target's partition;
 //   - every resident object's out-count equals its number of
 //     out-of-partition fields;
-//   - each partition's position map indexes its entry slice one to one,
-//     and the partition holds exactly as many entries as the scan found,
-//     so no entry is stale or duplicated.
+//   - each partition's remembered set holds exactly as many entries as
+//     the scan found, so no entry is stale.
 //
 // It is O(heap + table) and intended for the audit layer
 // (internal/check) and tests.
@@ -42,7 +41,7 @@ func (t *Table) CheckInvariants() error {
 				wantIn[p]++
 				ok := false
 				if int(p) < len(t.in) {
-					_, ok = t.in[p].pos[packKey(oid, f)]
+					_, ok = t.in[p][packKey(oid, f)]
 				}
 				if !ok {
 					return fmt.Errorf("remset: missing entry %d.%d into partition %d", oid, f, p)
@@ -54,16 +53,9 @@ func (t *Table) CheckInvariants() error {
 		}
 	}
 
-	for pid := range t.in {
-		s := &t.in[pid]
-		for i, k := range s.entries {
-			if j, ok := s.pos[k]; !ok || int(j) != i {
-				en := unpackKey(k)
-				return fmt.Errorf("remset: position map of partition %d does not index entry %d.%d at %d", pid, en.Src, en.Field, i)
-			}
-		}
-		if len(s.pos) != len(s.entries) || len(s.entries) != wantIn[pid] {
-			return fmt.Errorf("remset: partition %d remembers %d pointers (%d indexed), heap has %d inter-partition pointers into it", pid, len(s.entries), len(s.pos), wantIn[pid])
+	for pid, in := range t.in {
+		if len(in) != wantIn[pid] {
+			return fmt.Errorf("remset: partition %d remembers %d pointers, heap has %d inter-partition pointers into it", pid, len(in), wantIn[pid])
 		}
 	}
 	return nil

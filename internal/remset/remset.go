@@ -19,8 +19,8 @@
 // An entry is only a location, never a copy of the pointer: the source
 // object's field holds the target, and RootsInto reads it from there.
 // The write barrier is the hottest path in the simulator, so the stores are
-// flat: each partition keeps its entries in a slice of packed locations
-// Src<<16|Field (one map lookup per mutation, no struct hashing), the
+// flat: each partition's remembered set is a set of packed locations
+// Src<<16|Field (one map operation per mutation, no struct hashing), the
 // out-count moves in place in the slot record, and the sorted enumeration
 // reuses a scratch buffer instead of allocating per collection.
 package remset
@@ -62,41 +62,9 @@ func unpackKey(k uint64) Entry {
 	return Entry{Src: heap.OID(k >> fieldBits), Field: int(k & (1<<fieldBits - 1))}
 }
 
-// inSet is one partition's remembered set: an unordered slice of packed
-// locations plus a location→position index. Removal is a swap with the
-// last entry.
-type inSet struct {
-	entries []uint64
-	pos     map[uint64]int32
-}
-
-//odbgc:hotpath
-func (s *inSet) add(k uint64) bool {
-	if s.pos == nil {
-		s.pos = make(map[uint64]int32) //odbgc:alloc-ok one-time lazy index for a partition's first entry
-	}
-	if _, dup := s.pos[k]; dup {
-		return false
-	}
-	s.pos[k] = int32(len(s.entries))
-	s.entries = append(s.entries, k) //odbgc:alloc-ok amortized slice growth
-	return true
-}
-
-//odbgc:hotpath
-func (s *inSet) remove(k uint64) bool {
-	i, ok := s.pos[k]
-	if !ok {
-		return false
-	}
-	last := int32(len(s.entries) - 1)
-	moved := s.entries[last]
-	s.entries[i] = moved
-	s.pos[moved] = i
-	s.entries = s.entries[:last]
-	delete(s.pos, k)
-	return true
-}
+// inSet is one partition's remembered set: the packed locations of the
+// pointers into it.
+type inSet map[uint64]struct{}
 
 // Table holds the remembered sets for a heap, and keeps the heap's
 // out-count column in step with them: an object's out-count is its number
@@ -119,11 +87,11 @@ func New(h *heap.Heap) *Table {
 // inAt returns the remembered set of p, growing the store on demand.
 //
 //odbgc:hotpath
-func (t *Table) inAt(p heap.PartitionID) *inSet {
+func (t *Table) inAt(p heap.PartitionID) inSet {
 	for int(p) >= len(t.in) {
 		t.in = append(t.in, inSet{}) //odbgc:alloc-ok grows once per new partition, not per write
 	}
-	return &t.in[p]
+	return t.in[p]
 }
 
 // PointerWrite records the effect of storing new into field f of the
@@ -148,9 +116,15 @@ func (t *Table) PointerWrite(src heap.Slot, f int, old, new heap.Slot) {
 	}
 }
 
+// add and remove each make one map operation and tell a duplicate or an
+// absent entry by the set's size, which that operation left unchanged.
+//
 //odbgc:hotpath
 func (t *Table) add(target heap.PartitionID, src heap.Slot, f int) {
-	if !t.inAt(target).add(packKey(t.h.OID(src), f)) {
+	in := t.inAt(target)
+	n := len(in)
+	in[packKey(t.h.OID(src), f)] = struct{}{}
+	if len(in) == n {
 		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
 	t.h.AddOutCount(src, 1)
@@ -158,7 +132,10 @@ func (t *Table) add(target heap.PartitionID, src heap.Slot, f int) {
 
 //odbgc:hotpath
 func (t *Table) remove(target heap.PartitionID, src heap.Slot, f int) {
-	if !t.inAt(target).remove(packKey(t.h.OID(src), f)) {
+	in := t.inAt(target)
+	n := len(in)
+	delete(in, packKey(t.h.OID(src), f))
+	if len(in) == n {
 		panic(fmt.Sprintf("remset: removing absent entry %+v from partition %d", Entry{t.h.OID(src), f}, target)) //odbgc:alloc-ok cold panic path
 	}
 	if t.h.AddOutCount(src, -1) < 0 {
@@ -210,29 +187,32 @@ func (t *Table) PurgeDeadEvacuating(s heap.Slot, dest heap.PartitionID) {
 // which would mean dest was not empty.
 func (t *Table) Rekey(victim, dest heap.PartitionID) {
 	t.inAt(victim) // ensure both stores exist
-	d := t.inAt(dest)
-	if len(d.entries) != 0 {
+	if len(t.inAt(dest)) != 0 {
 		panic(fmt.Sprintf("remset: Rekey into non-empty partition %d", dest))
 	}
-	v := &t.in[victim]
-	// Swap the sets so the victim keeps dest's (empty) buffers for reuse.
-	*d, *v = *v, *d
+	// Swap the sets so the victim keeps dest's (empty) map for reuse.
+	t.in[victim], t.in[dest] = t.in[dest], t.in[victim]
+}
+
+// sortedKeys returns the keys of p's remembered set sorted ascending, by
+// source OID, then field. The slice is keyScratch, valid until the next
+// call.
+func (t *Table) sortedKeys(p heap.PartitionID) []uint64 {
+	t.keyScratch = t.keyScratch[:0]
+	if int(p) < len(t.in) {
+		for k := range t.in[p] {
+			t.keyScratch = append(t.keyScratch, k)
+		}
+	}
+	slices.Sort(t.keyScratch)
+	return t.keyScratch
 }
 
 // RootsInto calls fn for every remembered pointer into partition p, in a
 // deterministic order (sorted by source OID, then field), with the slot
 // the source's field holds.
 func (t *Table) RootsInto(p heap.PartitionID, fn func(e Entry, target heap.Slot)) {
-	if int(p) >= len(t.in) {
-		return
-	}
-	s := &t.in[p]
-	if len(s.entries) == 0 {
-		return
-	}
-	t.keyScratch = append(t.keyScratch[:0], s.entries...)
-	slices.Sort(t.keyScratch)
-	for _, k := range t.keyScratch {
+	for _, k := range t.sortedKeys(p) {
 		e := unpackKey(k)
 		fn(e, t.h.Fields(t.h.Lookup(e.Src))[e.Field])
 	}
@@ -257,22 +237,23 @@ func (t *Table) InCount(p heap.PartitionID) int {
 	if int(p) >= len(t.in) {
 		return 0
 	}
-	return len(t.in[p].entries)
+	return len(t.in[p])
 }
 
-// Footprint reports the memory the table holds: the entry slices by
-// capacity, their position maps by entry count.
+// Footprint reports the memory the table holds: the sort scratch by
+// capacity, and each set at about 16 bytes per entry (its 8-byte key, a
+// control byte, and the map's load-factor slack).
 func (t *Table) Footprint() heap.Footprint {
 	f := heap.Footprint{
 		Bytes: 8*int64(cap(t.keyScratch)) + int64(unsafe.Sizeof(inSet{}))*int64(cap(t.in)),
 	}
-	for i := range t.in {
-		f.Bytes += 8*int64(cap(t.in[i].entries)) + 12*int64(len(t.in[i].pos))
+	for _, in := range t.in {
+		f.Bytes += 16 * int64(len(in))
 	}
 	return f
 }
 
-// CorruptFirstEntryForTesting moves the first remembered entry of
+// CorruptFirstEntryForTesting moves the smallest remembered entry of
 // partition p into the remembered set of partition p+1, as a write
 // barrier that filed a pointer under the wrong target partition would,
 // and returns false when p has no entries. It exists ONLY for
@@ -280,11 +261,12 @@ func (t *Table) Footprint() heap.Footprint {
 // prove that a single moved entry is detected and named; production code
 // must never call it.
 func (t *Table) CorruptFirstEntryForTesting(p heap.PartitionID) bool {
-	if int(p) >= len(t.in) || len(t.in[p].entries) == 0 {
+	keys := t.sortedKeys(p)
+	if len(keys) == 0 {
 		return false
 	}
-	k := t.in[p].entries[0]
-	t.in[p].remove(k)
-	t.inAt(p + 1).add(k)
+	k := keys[0]
+	delete(t.in[p], k)
+	t.inAt(p + 1)[k] = struct{}{}
 	return true
 }

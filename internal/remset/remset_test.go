@@ -1,6 +1,7 @@
 package remset
 
 import (
+	"strings"
 	"testing"
 
 	"odbgc/internal/heap"
@@ -250,26 +251,25 @@ func TestAuditDetectsStaleEntry(t *testing.T) {
 }
 
 // TestAuditDetectsCorruption corrupts one structure of an exact table at
-// a time. A duplicated entry leaves every heap pointer findable through
-// the position maps, so only the counts and the maps' indexing of their
-// slices expose it; an entry moved to another partition's set leaves
-// every map and count consistent with its slice, so only the scan of the
-// heap's fields exposes it.
+// a time. An extra entry, for a location that holds no pointer, leaves
+// every heap pointer findable, so only the per-partition count exposes
+// it; an entry moved to another partition's set is exposed by the scan
+// of the heap's fields.
 func TestAuditDetectsCorruption(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		corrupt func(h *heap.Heap, tab *Table, a, b heap.OID)
+		want    string
 	}{
-		{"duplicate entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
-			s := &tab.in[h.PartitionOf(h.Lookup(b))]
-			s.entries = append(s.entries, s.entries[0])
-		}},
+		{"extra entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
+			tab.in[h.PartitionOf(h.Lookup(b))][packKey(a, 1)] = struct{}{}
+		}, "remembers 2 pointers, heap has 1"},
 		{"moved entry", func(h *heap.Heap, tab *Table, a, b heap.OID) {
 			tab.CorruptFirstEntryForTesting(h.PartitionOf(h.Lookup(b)))
-		}},
+		}, "missing entry"},
 		{"out-count", func(h *heap.Heap, tab *Table, a, b heap.OID) {
 			h.AddOutCount(h.Lookup(b), 1)
-		}},
+		}, "out-count 1"},
 	} {
 		h, a, b := buildHeap(t)
 		tab := New(h)
@@ -278,8 +278,8 @@ func TestAuditDetectsCorruption(t *testing.T) {
 			t.Fatalf("%s: exact table rejected: %v", tc.name, err)
 		}
 		tc.corrupt(h, tab, a, b)
-		if err := tab.CheckInvariants(); err == nil {
-			t.Errorf("%s: CheckInvariants missed the corruption", tc.name)
+		if err := tab.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants() = %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -60,7 +60,6 @@ type shardRunner struct {
 	// collector's discard hook cannot return it, so drain does.
 	drift error
 
-	events        int64
 	busyNs        int64
 	foreignWrites int64
 	deltasSent    int64
@@ -357,7 +356,6 @@ func (r *shardRunner) drainBatch(b *Batch) error {
 			return err
 		}
 	}
-	r.events += int64(len(b.Events))
 	return nil
 }
 
@@ -486,7 +484,7 @@ func (e *Engine) finish(d *Demuxer) Result {
 	for _, r := range e.runners {
 		sr := ShardResult{
 			Shard:              r.id,
-			Events:             r.events,
+			Events:             r.sim.Events(),
 			Result:             r.sim.Finish(),
 			GarbageByPartition: slices.Clone(r.sim.Oracle().GarbageByPartition()),
 			BusyNs:             r.busyNs,

@@ -21,21 +21,17 @@ type PartitionInfo struct {
 // InspectPartitions returns a per-partition occupancy report, ordered by
 // partition ID. It consults the oracle and so reflects exact liveness.
 func (s *Sim) InspectPartitions() []PartitionInfo {
-	live := s.oracle.Live()
-	liveBytes := make([]int64, s.h.NumPartitions())
-	live.ForEach(func(x heap.Slot) {
-		liveBytes[s.h.PartitionOf(x)] += s.h.Size(x)
-	})
-	out := make([]PartitionInfo, s.h.NumPartitions())
-	for i := range out {
+	garbage := s.oracle.GarbageByPartition()
+	out := make([]PartitionInfo, len(garbage))
+	for i, g := range garbage {
 		pid := heap.PartitionID(i)
 		p := s.h.Partition(pid)
 		out[i] = PartitionInfo{
 			ID:            pid,
 			Empty:         pid == s.h.EmptyPartition(),
 			UsedBytes:     p.Used(),
-			LiveBytes:     liveBytes[i],
-			GarbageBytes:  p.Used() - liveBytes[i],
+			LiveBytes:     p.Used() - g,
+			GarbageBytes:  g,
 			Objects:       p.Len(),
 			RemsetEntries: s.rem.InCount(pid),
 		}

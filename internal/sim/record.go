@@ -108,13 +108,13 @@ type SampleRecord struct {
 // snapshot taken just before the activation.
 func (s *Sim) recordActivation(cause TriggerCause, res gc.CollectionResult, before pagebuf.Stats) {
 	after := s.buf.Stats()
-	s.activationSeq++
+	lifetime := s.col.Lifetime()
 	victim, dest := int64(res.Victim), int64(res.Dest)
 	if !res.Collected {
 		victim, dest = -1, -1
 	}
 	s.cfg.Record.Activation(ActivationRecord{
-		Seq:            s.activationSeq,
+		Seq:            lifetime.Collections + lifetime.Declined,
 		Events:         s.events,
 		Cause:          cause,
 		Collected:      res.Collected,

@@ -141,8 +141,7 @@ type Sim struct {
 	cfg Config
 
 	h      *heap.Heap
-	buf    *pagebuf.Buffer
-	tiered *pagebuf.Tiered // non-nil in client/server mode
+	buf    *pagebuf.Buffer // the client cache in client/server mode
 	rem    *remset.Table
 	pol    core.Policy
 	mut    *gc.Mutator
@@ -160,9 +159,6 @@ type Sim struct {
 	// auditDue is set by a collector activation and cleared by the audit
 	// after its event; untouched when cfg.Audit.Check is nil.
 	auditDue bool
-
-	// Activation sequence counter; untouched when cfg.Record is zero.
-	activationSeq int64
 
 	// Measurement window baselines, nonzero after ResetMeasurement.
 	occupiedAtReset int64
@@ -184,21 +180,14 @@ func New(cfg Config) (*Sim, error) {
 	if bufPages == 0 {
 		bufPages = hCfg.PartitionPages
 	}
-	var (
-		buf    *pagebuf.Buffer
-		tiered *pagebuf.Tiered
-	)
+	var buf *pagebuf.Buffer
 	if cfg.ClientCachePages > 0 {
-		tiered, err = pagebuf.NewTiered(cfg.ClientCachePages, bufPages)
-		if err != nil {
-			return nil, err
-		}
-		buf = tiered.Client()
+		buf, err = pagebuf.NewTiered(cfg.ClientCachePages, bufPages)
 	} else {
 		buf, err = pagebuf.New(bufPages)
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	var pol core.Policy
 	if cfg.PolicyFactory != nil {
@@ -218,7 +207,6 @@ func New(cfg Config) (*Sim, error) {
 		cfg:    cfg,
 		h:      h,
 		buf:    buf,
-		tiered: tiered,
 		rem:    rem,
 		pol:    pol,
 		mut:    gc.NewMutator(h, buf, rem, pol),
@@ -239,11 +227,9 @@ func (s *Sim) Events() int64 { return s.events }
 // layer reconciles them against the heap).
 func (s *Sim) Remset() *remset.Table { return s.rem }
 
-// Buffer exposes the page buffer — the client tier in client/server mode.
+// Buffer exposes the page buffer — the client cache in client/server
+// mode, whose Server is the server's buffer.
 func (s *Sim) Buffer() *pagebuf.Buffer { return s.buf }
-
-// Tiered exposes the client/server buffer pair, nil in single-process mode.
-func (s *Sim) Tiered() *pagebuf.Tiered { return s.tiered }
 
 // Oracle exposes the reachability oracle over the simulated heap.
 func (s *Sim) Oracle() *heap.Oracle { return s.oracle }
@@ -422,11 +408,7 @@ func (s *Sim) collect(cause TriggerCause) {
 // count, high-water marks, and samples are cleared; the heap,
 // buffer contents, remembered sets, and policy state are untouched.
 func (s *Sim) ResetMeasurement() {
-	if s.tiered != nil {
-		s.tiered.ResetStats()
-	} else {
-		s.buf.ResetStats()
-	}
+	s.buf.ResetStats()
 	s.col.ResetStats()
 	s.mut.ResetStats()
 	s.events = 0
@@ -568,8 +550,8 @@ func (s *Sim) Finish() Result {
 		GlobalSweeps:        s.globalSweeps,
 		Samples:             s.samples,
 	}
-	if s.tiered != nil {
-		disk := s.tiered.DiskStats()
+	if server := s.buf.Server(); server != nil {
+		disk := server.Stats()
 		res.DiskAppIOs = disk.App().IOs()
 		res.DiskGCIOs = disk.GC().IOs()
 		res.DiskTotalIOs = disk.TotalIOs()
