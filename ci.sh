@@ -103,6 +103,14 @@ ceiling 140 bin/gcsim -trace "$stream_tmp/long.odbgcck"
 rm "$stream_tmp/long.odbgcck"
 bin/tracegen -o "$stream_tmp/stream.odbgcck" -alloc 50000000
 ceiling 75 bin/gcsim -trace "$stream_tmp/stream.odbgcck" > "$stream_tmp/stream.txt"
+# The same trace with its end segment stripped ends at a chunk boundary,
+# where every remaining chunk passes its CRC check: gcsim must refuse it
+# naming the missing end segment instead of replaying a complete,
+# shorter trace.
+head -c -24 "$stream_tmp/stream.odbgcck" > "$stream_tmp/cut.odbgcck"
+if bin/gcsim -trace "$stream_tmp/cut.odbgcck" 2> "$stream_tmp/cut.err"; then exit 1; fi
+grep 'missing end segment' "$stream_tmp/cut.err"
+rm "$stream_tmp/cut.odbgcck"
 # The same replay with the full invariant audit after every activation
 # (the heap's per-partition field arenas among it) must print the same
 # bytes: the audit observes and never changes a result.
@@ -128,6 +136,13 @@ ceiling 32 bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # streaming pipeline's constant-memory bound.
 bin/tracegen -o "$stream_tmp/cross.odbgcck" -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
+# With -audit every shard audits its heap after each of its collections,
+# and the audit observes and never changes a result: the audited replay
+# must print what the plain one prints. One CPU keeps the wall-clock
+# scaling row out of both.
+GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 > "$stream_tmp/cross.txt"
+GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 -audit > "$stream_tmp/cross_audit.txt"
+cmp "$stream_tmp/cross.txt" "$stream_tmp/cross_audit.txt"
 ceiling 240 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured
 # .odbgcrec recording; odbgc-query must answer an aggregate query over

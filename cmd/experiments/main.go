@@ -164,10 +164,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if res.Figures != nil {
 		figs := res.Figures
-		if err := writeCSV(filepath.Join(*outdir, "figure4_unreclaimed_garbage.csv"), figs.Garbage); err != nil {
+		if err := figs.Garbage.WriteCSVFile(filepath.Join(*outdir, "figure4_unreclaimed_garbage.csv")); err != nil {
 			return err
 		}
-		if err := writeCSV(filepath.Join(*outdir, "figure5_database_size.csv"), figs.DBSize); err != nil {
+		if err := figs.DBSize.WriteCSVFile(filepath.Join(*outdir, "figure5_database_size.csv")); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "Figure 4 series -> %s (%d samples per policy)\n",
@@ -178,7 +178,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if res.Figure6 != nil {
 		fmt.Fprintln(stdout, experiments.Figure6Table(res.Figure6))
-		if err := writeCSV(filepath.Join(*outdir, "figure6_storage_required.csv"), res.Figure6); err != nil {
+		if err := res.Figure6.WriteCSVFile(filepath.Join(*outdir, "figure6_storage_required.csv")); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "Figure 6 series -> %s\n", filepath.Join(*outdir, "figure6_storage_required.csv"))
@@ -217,16 +217,4 @@ func endpointTable(figs *experiments.Figures45) *stats.Table {
 			fmt.Sprintf("%.0f", figs.DBSize.Y[i][n]))
 	}
 	return t
-}
-
-func writeCSV(path string, s *stats.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := s.WriteCSV(f); err != nil {
-		return err
-	}
-	return f.Close()
 }

@@ -14,7 +14,8 @@
 // one run, so either multi-run mode rejects them. -warm excludes the
 // generator's build phase from measurement in every mode. -audit runs
 // the full cross-structure invariant catalog (internal/check) after
-// every collection — orders of magnitude slower, for validation runs.
+// every collection, in every shard's simulator with -shards — orders of
+// magnitude slower, for validation runs.
 // -record writes a structured run recording (one row per GC activation
 // and time-series sample; sharded replays tag rows with their shard and
 // epoch) for offline analysis with odbgc-query.
@@ -173,10 +174,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		if *shards > 0 {
 			// Sharded replay: each shard is a private simulator, so the
-			// single-heap inspection and audit paths do not apply.
+			// single-heap inspection and time-series paths do not apply.
+			// -audit audits every shard's heap after each of its
+			// collections.
 			switch {
-			case *audit:
-				return fmt.Errorf("-audit does not apply to sharded replay (the invariant catalog audits one global heap; check.SelfCheck covers the sharded engine)")
 			case *series != "":
 				return fmt.Errorf("-series does not apply to sharded replay (no single time series exists across shards)")
 			case *inspect:
@@ -279,9 +280,10 @@ func singleRun(stdout io.Writer, cfg sim.Config, inspect bool, series, recPath s
 	res := s.Finish()
 	printResult(stdout, res, wlStats)
 	if series != "" {
-		if err := writeSeries(stdout, res, series); err != nil {
+		if err := record.TimeSeries(res.Samples).WriteCSVFile(series); err != nil {
 			return err
 		}
+		fmt.Fprintln(stdout, "series ->", series)
 	}
 	if rec != nil {
 		recRun.Finish(res)
@@ -298,23 +300,6 @@ func writeRecording(stdout io.Writer, rec *record.Recorder, path string) error {
 		return err
 	}
 	fmt.Fprintln(stdout, "recording ->", path)
-	return nil
-}
-
-// writeSeries writes a single run's time series CSV.
-func writeSeries(stdout io.Writer, res sim.Result, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := record.TimeSeries(res.Samples).WriteCSV(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "series ->", path)
 	return nil
 }
 
@@ -342,19 +327,18 @@ func compareAll(stdout io.Writer, wl workload.Config, seeds int, simConfig func(
 
 func printPartitions(stdout io.Writer, parts []sim.PartitionInfo) {
 	t := stats.NewTable("Final partition occupancy",
-		"Partition", "Used KB", "Live KB", "Garbage KB", "Objects", "Remset", "")
+		"Partition", "Used KB", "Live KB", "Garbage KB", "Objects", "Remset")
 	for _, p := range parts {
-		mark := ""
+		id := fmt.Sprint(p.ID)
 		if p.Empty {
-			mark = "(empty)"
+			id += " (empty)"
 		}
-		t.AddRow(fmt.Sprint(p.ID),
+		t.AddRow(id,
 			fmt.Sprint(p.UsedBytes/1024),
 			fmt.Sprint(p.LiveBytes/1024),
 			fmt.Sprint(p.GarbageBytes/1024),
 			fmt.Sprint(p.Objects),
-			fmt.Sprint(p.RemsetEntries),
-			mark)
+			fmt.Sprint(p.RemsetEntries))
 	}
 	fmt.Fprintln(stdout, t)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -315,7 +316,6 @@ func TestShardFlagValidation(t *testing.T) {
 		{"epoch without shards", []string{"-trace", path, "-epoch-events", "100"}, "-epoch-events"},
 		{"negative epoch", []string{"-trace", path, "-shards", "2", "-epoch-events", "-1"}, "-epoch-events"},
 		{"bad assignment", []string{"-trace", path, "-shards", "2", "-shard-assign", "zebra"}, "zebra"},
-		{"audit conflict", []string{"-trace", path, "-shards", "2", "-audit"}, "-audit"},
 		{"series conflict", []string{"-trace", path, "-shards", "2", "-series", "x.csv"}, "-series"},
 		{"inspect conflict", []string{"-trace", path, "-shards", "2", "-inspect"}, "-inspect"},
 		{"cross in replay", []string{"-trace", path, "-cross", "0.5"}, "-cross"},
@@ -373,6 +373,30 @@ func TestShardedReplayDeterministic(t *testing.T) {
 		if !strings.Contains(outs[0], want) {
 			t.Errorf("sharded output missing %q:\n%s", want, outs[0])
 		}
+	}
+}
+
+// TestShardedAuditMatchesPlain replays a cross-tree trace through four
+// shards with and without -audit, which audits every shard's heap after
+// each of its collections: the audit observes and never changes a
+// result, so both print the same bytes (modulo the wall-clock scaling
+// line).
+func TestShardedAuditMatchesPlain(t *testing.T) {
+	path := writeCrossTrace(t)
+	outs := make([]string, 2)
+	for i, audit := range []string{"-audit=false", "-audit"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-trace", path, "-shards", "4", "-epoch-events", "2048", "-partition-pages", "8", "-trigger", "40", audit}
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatalf("sharded replay %s: %v", audit, err)
+		}
+		outs[i] = stripTimingLines(stdout.String())
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("audited sharded replay differs from the plain one:\n%s\nvs\n%s", outs[1], outs[0])
+	}
+	if m := regexp.MustCompile(`(?m)^Collections +(\d+)$`).FindStringSubmatch(outs[0]); m == nil || m[1] == "0" {
+		t.Errorf("no shard collected, so nothing was audited:\n%s", outs[0])
 	}
 }
 

@@ -86,8 +86,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cfg.MaxEvents = *maxEvents
 	}
 
-	// A failed generation removes the partial file: its chunks would pass
-	// every CRC check and replay as a complete, shorter trace.
+	// A failed generation removes the partial file, which no reader
+	// would accept: it lacks the end segment that Flush writes last.
 	rt, err := workload.RecordStreamed(cfg, *out, *chunkBytes)
 	if err != nil {
 		return err

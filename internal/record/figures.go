@@ -2,7 +2,6 @@ package record
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 
@@ -159,15 +158,7 @@ func (f *File) WriteFigureCSVs(dir string) ([]string, error) {
 	var written []string
 	writeCSV := func(name string, s *stats.Series) error {
 		path := filepath.Join(dir, name)
-		file, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := s.WriteCSV(file); err != nil {
-			file.Close()
-			return err
-		}
-		if err := file.Close(); err != nil {
+		if err := s.WriteCSVFile(path); err != nil {
 			return err
 		}
 		written = append(written, path)

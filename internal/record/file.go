@@ -99,10 +99,10 @@ func newTable(kind segKind) Table {
 }
 
 // Read decodes a recording. Every structural defect — bad magic, a CRC
-// mismatch, a truncated segment, an index that disagrees with the file
-// layout, a dictionary ID out of range — returns an error naming the
-// offending segment; hostile inputs can never panic or allocate beyond
-// the claimed (and capped) segment sizes.
+// mismatch, a truncated segment, a missing end segment, a dictionary ID
+// out of range — returns an error naming the offending segment; hostile
+// inputs can never panic or allocate beyond the claimed (and capped)
+// segment sizes.
 func Read(data []byte) (*File, error) {
 	f := &File{
 		Runs:        newTable(kindRuns),
@@ -115,17 +115,22 @@ func Read(data []byte) (*File, error) {
 		kindSamples:     &f.Samples,
 	}
 	sr := segfile.NewReader(bytes.NewReader(data), &fileFormat)
-	var observed []indexEntry
 	var payload []byte
 	for seg := 0; ; seg++ {
 		h, err := sr.Next()
 		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("record: segment %d: missing index segment", seg)
+			// The end segment: the file is complete, so resolve its
+			// dictionary references.
+			for _, t := range []*Table{&f.Runs, &f.Activations, &f.Samples} {
+				if err := resolveStrings(t, f.Strings); err != nil {
+					return nil, err
+				}
+			}
+			return f, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		segOff := sr.Offset() - segfile.HeaderSize
 		if payload, err = sr.Payload(payload); err != nil {
 			return nil, err
 		}
@@ -133,33 +138,10 @@ func Read(data []byte) (*File, error) {
 			return nil, fmt.Errorf("record: segment %d: nonzero reserved field %#x", seg, reserved)
 		}
 		kind, rows := segKind(h.Tag), int(h.Count)
-		if kind != kindIndex && rows > maxSegRows {
+		if rows > maxSegRows {
 			return nil, fmt.Errorf("record: segment %d: row count %d exceeds %d", seg, rows, maxSegRows)
 		}
 		switch kind {
-		case kindIndex:
-			// The index is the final segment: verify it against the
-			// observed layout and the trailer, resolve dictionary
-			// references, and the file is complete.
-			if err := verifyIndex(payload, rows, observed, seg); err != nil {
-				return nil, err
-			}
-			trailer := data[sr.Offset():]
-			if len(trailer) != trailerSize {
-				return nil, fmt.Errorf("record: segment %d: %d trailing bytes after index (want a %d-byte trailer)", seg, len(trailer), trailerSize)
-			}
-			if got := int64(binary.LittleEndian.Uint64(trailer[0:8])); got != segOff {
-				return nil, fmt.Errorf("record: trailer index offset %d disagrees with index segment at %d", got, segOff)
-			}
-			if string(trailer[8:]) != string(trailerMagic[:]) {
-				return nil, fmt.Errorf("record: bad trailer magic")
-			}
-			for _, t := range []*Table{&f.Runs, &f.Activations, &f.Samples} {
-				if err := resolveStrings(t, f.Strings); err != nil {
-					return nil, err
-				}
-			}
-			return f, nil
 		case kindDict:
 			if err := decodeDictSegment(f, payload, rows, seg); err != nil {
 				return nil, err
@@ -171,7 +153,6 @@ func Read(data []byte) (*File, error) {
 		default:
 			return nil, fmt.Errorf("record: segment %d: unknown kind %d", seg, kind)
 		}
-		observed = append(observed, indexEntry{kind: kind, offset: segOff, rows: rows})
 	}
 }
 
@@ -210,40 +191,6 @@ func decodeTableSegment(t *Table, payload []byte, rows, seg int) error {
 	}
 	if len(p) != 0 {
 		return fmt.Errorf("record: segment %d: %d leftover bytes after %d %s rows", seg, len(p), rows, t.Name)
-	}
-	return nil
-}
-
-// verifyIndex checks the index segment against the segments actually
-// read, so a file whose index lies about layout is rejected even though
-// every individual segment is self-consistent.
-func verifyIndex(payload []byte, rows int, observed []indexEntry, seg int) error {
-	p := payload
-	count, n := binary.Uvarint(p)
-	if n <= 0 {
-		return fmt.Errorf("record: segment %d: truncated index count", seg)
-	}
-	p = p[n:]
-	if count != uint64(rows) || count != uint64(len(observed)) {
-		return fmt.Errorf("record: segment %d: index lists %d segments, file has %d", seg, count, len(observed))
-	}
-	for i, want := range observed {
-		var vals [3]uint64
-		for j := range vals {
-			v, n := binary.Uvarint(p)
-			if n <= 0 {
-				return fmt.Errorf("record: segment %d: truncated index entry %d", seg, i)
-			}
-			vals[j], p = v, p[n:]
-		}
-		got := indexEntry{kind: segKind(vals[0]), offset: int64(vals[1]), rows: int(vals[2])}
-		if got != want {
-			return fmt.Errorf("record: segment %d: index entry %d (kind %d, offset %d, rows %d) disagrees with file layout (kind %d, offset %d, rows %d)",
-				seg, i, got.kind, got.offset, got.rows, want.kind, want.offset, want.rows)
-		}
-	}
-	if len(p) != 0 {
-		return fmt.Errorf("record: segment %d: %d leftover bytes after index", seg, len(p))
 	}
 	return nil
 }

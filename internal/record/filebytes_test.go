@@ -9,12 +9,12 @@ import (
 // TestRecordFileBytes pins the .odbgcrec format byte for byte: the
 // hand-built testRecorder recording must hash to the recorded digest.
 // Any change to the magic, the segment header layout, the CRC, the
-// column encoding, the index, or the trailer changes the digest; such a
-// change is a format version bump, not a refactor.
+// column encoding, or the end segment changes the digest; such a change
+// is a format version bump, not a refactor.
 func TestRecordFileBytes(t *testing.T) {
 	const (
-		wantLen    = 385
-		wantSHA256 = "26d9a31f6f158a306879b0517e151dafcc90ee18e9d0ba602a4806270ca4fca7"
+		wantLen    = 353
+		wantSHA256 = "b3ffa708df3463d5aa61a4a9eab735676e373773a2c4c7c1cd6816407512b173"
 	)
 	data := encode(t, testRecorder())
 	sum := sha256.Sum256(data)

@@ -1,19 +1,18 @@
 // Package record captures structured run recordings — one row per
 // collector activation, per time-series sample, and per finished run —
-// and persists them in an indexed columnar file that odbgc-query can
+// and persists them in a segmented columnar file that odbgc-query can
 // filter, aggregate, and turn back into the paper's Figure 4–6 series
 // bit-identically.
 //
 // # File format
 //
 // A recording is an internal/segfile container: CRC-guarded segments
-// after an 8-byte magic, with errors that name the bad segment. After
-// the last segment comes a trailer:
+// after an 8-byte magic, closed by segfile's end segment, with errors
+// that name the bad segment:
 //
 //	[8-byte magic "odbgcrc"+version]
 //	[segment]... (dictionary first, then runs/activations/samples)
-//	[index segment]
-//	[16-byte trailer: index offset (u64 LE) + "odbgcix"+version]
+//	[end segment]
 //
 // A segment's count is its row count. The low 32 bits of its tag hold
 // its kind; the high 32 bits are reserved and zero.
@@ -22,10 +21,7 @@
 // holds up to maxSegRows rows of its fixed schema, each column's values
 // contiguous. Strings (labels, policies, causes) are interned into one
 // file-wide dictionary — dictionary segments carry length-prefixed
-// bytes and precede every table segment that references them. The index
-// segment lists (kind, offset, rows) for every prior segment so a
-// reader can verify the file's structure end to end; the trailer pins
-// the index's own offset.
+// bytes and precede every table segment that references them.
 package record
 
 import (
@@ -35,28 +31,20 @@ import (
 	"odbgc/internal/segfile"
 )
 
-var (
-	fileMagic    = [8]byte{'o', 'd', 'b', 'g', 'c', 'r', 'c', 1}
-	trailerMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'i', 'x', 1}
+var fileFormat = segfile.Format{
+	// The version byte is 2: the file ends with segfile's end segment.
+	Magic:    [8]byte{'o', 'd', 'b', 'g', 'c', 'r', 'c', 2},
+	BadMagic: errors.New("record: bad magic (not a record file)"),
+	Segment:  "record: segment",
+}
 
-	fileFormat = segfile.Format{
-		Magic:    fileMagic,
-		BadMagic: errors.New("record: bad magic (not a record file)"),
-		Segment:  "record: segment",
-	}
-)
-
-const (
-	trailerSize = 16
-
-	// maxSegRows is the flush granularity: tables are split into
-	// fixed-size segments of at most this many rows.
-	maxSegRows = 8192
-)
+// maxSegRows is the flush granularity: tables are split into fixed-size
+// segments of at most this many rows.
+const maxSegRows = 8192
 
 // A segKind identifies a segment's payload format. Typing the kinds
 // (rather than passing bare uint32s) puts every switch over them under
-// the kindswitch analyzer: adding a sixth segment kind breaks the build
+// the kindswitch analyzer: adding a fifth segment kind breaks the build
 // at each consumer instead of silently falling through.
 type segKind uint32
 
@@ -66,16 +54,7 @@ const (
 	kindRuns
 	kindActivations
 	kindSamples
-	kindIndex
 )
-
-// indexEntry describes one segment for the index: its kind, byte offset
-// from the start of the file, and row count.
-type indexEntry struct {
-	kind   segKind
-	offset int64
-	rows   int
-}
 
 // appendZigzag appends v in zigzag-varint form.
 func appendZigzag(b []byte, v int64) []byte {

@@ -27,7 +27,7 @@ func TestSegmentTagAndRowsChecked(t *testing.T) {
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
-		if _, err := segfile.NewWriter(&buf, &fileFormat).Write(c.rows, c.tag, []byte{0}); err != nil {
+		if err := segfile.NewWriter(&buf, &fileFormat).Write(c.rows, c.tag, []byte{0}); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Read(buf.Bytes())

@@ -24,12 +24,12 @@ func FuzzRecordFile(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-trailerSize])
+	f.Add(valid[:len(valid)-segHeaderSize])
 	f.Add(valid[:9])
 	f.Add([]byte{})
-	f.Add(fileMagic[:])
+	f.Add(fileFormat.Magic[:])
 	corrupt := bytes.Clone(valid)
-	corrupt[len(fileMagic)+segHeaderSize] ^= 0x40
+	corrupt[len(fileFormat.Magic)+segHeaderSize] ^= 0x40
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

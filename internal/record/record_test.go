@@ -139,7 +139,7 @@ func TestCorruptCRCNamesSegment(t *testing.T) {
 
 func TestTruncatedFileNamesSegment(t *testing.T) {
 	data := encode(t, testRecorder())
-	for _, cut := range []int{len(data) - 1, len(data) - trailerSize - 1, 12, 30} {
+	for _, cut := range []int{len(data) - 1, len(data) - segHeaderSize, len(data) - segHeaderSize - 1, 12, 30} {
 		_, err := Read(data[:cut])
 		if err == nil {
 			t.Fatalf("Read accepted a file truncated to %d bytes", cut)
@@ -156,13 +156,15 @@ func TestBadMagic(t *testing.T) {
 	}
 }
 
-func TestTamperedIndexRejected(t *testing.T) {
+// TestCutBeforeEndSegmentRejected cuts a recording at the end of its
+// last table segment, where every remaining segment still passes its
+// CRC check: Read must fail naming the missing end segment instead of
+// returning the runs it holds.
+func TestCutBeforeEndSegmentRejected(t *testing.T) {
 	data := encode(t, testRecorder())
-	// The trailer pins the index offset; rewrite it to point elsewhere.
-	off := len(data) - trailerSize
-	data[off]++
-	if _, err := Read(data); err == nil {
-		t.Fatal("Read accepted a trailer whose index offset disagrees with the file")
+	const want = "record: segment 4: missing end segment" // dictionary, runs, activations, samples
+	if _, err := Read(data[:len(data)-segHeaderSize]); err == nil || err.Error() != want {
+		t.Fatalf("Read of a recording cut before its end segment: err = %v, want %q", err, want)
 	}
 }
 

@@ -168,7 +168,7 @@ func (b *tableBuilder) rows() int {
 
 // writeSegments splits the table into maxSegRows segments. A table
 // with zero rows writes nothing.
-func (b *tableBuilder) writeSegments(write func(segKind, int, []byte) error) error {
+func (b *tableBuilder) writeSegments(sw *segfile.Writer) error {
 	for lo := 0; lo < b.rows(); lo += maxSegRows {
 		hi := min(lo+maxSegRows, b.rows())
 		var payload []byte
@@ -177,7 +177,7 @@ func (b *tableBuilder) writeSegments(write func(segKind, int, []byte) error) err
 				payload = appendZigzag(payload, v)
 			}
 		}
-		if err := write(b.kind, hi-lo, payload); err != nil {
+		if err := sw.Write(uint32(hi-lo), uint64(b.kind), payload); err != nil {
 			return err
 		}
 	}
@@ -241,12 +241,6 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	sw := segfile.NewWriter(w, &fileFormat)
-	var index []indexEntry
-	write := func(kind segKind, rows int, payload []byte) error {
-		off, err := sw.Write(uint32(rows), uint64(kind), payload)
-		index = append(index, indexEntry{kind: kind, offset: off, rows: rows})
-		return err
-	}
 	for lo := 0; lo < len(in.strs); lo += maxSegRows {
 		hi := min(lo+maxSegRows, len(in.strs))
 		var payload []byte
@@ -254,33 +248,17 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 			payload = binary.AppendUvarint(payload, uint64(len(s)))
 			payload = append(payload, s...)
 		}
-		if err := write(kindDict, hi-lo, payload); err != nil {
+		if err := sw.Write(uint32(hi-lo), uint64(kindDict), payload); err != nil {
 			return sw.Offset(), err
 		}
 	}
 	for _, tb := range []*tableBuilder{runs, acts, samps} {
-		if err := tb.writeSegments(write); err != nil {
+		if err := tb.writeSegments(sw); err != nil {
 			return sw.Offset(), err
 		}
 	}
-
-	// The index lists every segment before it; the trailer pins the
-	// index's own offset.
-	payload := binary.AppendUvarint(nil, uint64(len(index)))
-	for _, e := range index {
-		payload = binary.AppendUvarint(payload, uint64(e.kind))
-		payload = binary.AppendUvarint(payload, uint64(e.offset))
-		payload = binary.AppendUvarint(payload, uint64(e.rows))
-	}
-	indexOff, err := sw.Write(uint32(len(index)), uint64(kindIndex), payload)
-	if err != nil {
-		return sw.Offset(), err
-	}
-	var trailer [trailerSize]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(indexOff))
-	copy(trailer[8:], trailerMagic[:])
-	n, err := w.Write(trailer[:])
-	return sw.Offset() + int64(n), err
+	err := sw.End()
+	return sw.Offset(), err
 }
 
 // WriteFile persists the recording to path.

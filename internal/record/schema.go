@@ -55,8 +55,7 @@ var samplesSchema = []colSpec{
 }
 
 // schemaFor maps a segment kind to its schema and table name. The
-// structural kinds (dictionary, index) carry no column schema and are
-// never wrapped in a Table.
+// dictionary carries no column schema and is never wrapped in a Table.
 func schemaFor(kind segKind) ([]colSpec, string) {
 	switch kind {
 	case kindRuns:
@@ -65,7 +64,7 @@ func schemaFor(kind segKind) ([]colSpec, string) {
 		return activationsSchema, "activations"
 	case kindSamples:
 		return samplesSchema, "samples"
-	case kindDict, kindIndex:
+	case kindDict:
 		return nil, ""
 	}
 	return nil, ""

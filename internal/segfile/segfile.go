@@ -1,8 +1,8 @@
 // Package segfile is the CRC-guarded segment container that chunked
 // trace files (internal/trace) and run recordings (internal/record) are
 // built on. A file is an 8-byte magic, chosen per format, followed by
-// segments. Each segment is a 24-byte little-endian header followed by
-// its payload:
+// segments and closed by an end segment. Each segment is a 24-byte
+// little-endian header followed by its payload:
 //
 //	[0:4]   count (u32): what the payload holds, in the format's units
 //	[4:8]   payload length (u32), at most MaxPayload
@@ -10,7 +10,12 @@
 //	[12:16] CRC-32 (IEEE) of the payload (u32)
 //	[16:24] tag (u64), opaque to this package
 //
-// The Reader checks the magic, index continuity (catching a missing or
+// The end segment is a bare header at the next index whose payload
+// length is endLen, a length no data segment can carry, and whose other
+// fields are zero; nothing follows it. This package alone decides where
+// a file ends: the Reader returns io.EOF only after the end segment, so
+// a file cut anywhere, even at a segment boundary, fails by name. It
+// also checks the magic, index continuity (catching a missing or
 // reordered segment), the payload cap, and every payload's CRC. The
 // payload codec and the meaning of count and tag belong to the format.
 package segfile
@@ -32,6 +37,10 @@ const (
 	// corrupt or hostile length field cannot demand an absurd
 	// allocation.
 	MaxPayload = 1 << 28
+
+	// endLen is the payload length that marks the end segment: above
+	// MaxPayload, so no data segment can carry it.
+	endLen = 1<<32 - 1
 
 	// readStep is the growth step for a payload that does not fit the
 	// caller's buffer: a corrupt length is detected by truncation before
@@ -63,8 +72,9 @@ type Header struct {
 	Tag   uint64
 }
 
-// Writer writes one file: the magic, lazily before the first segment
-// (or on Start), then segments with consecutive indexes.
+// Writer writes one file: the magic, lazily before the first segment,
+// then segments with consecutive indexes, then, on End, the end
+// segment.
 type Writer struct {
 	w        io.Writer
 	f        *Format
@@ -83,47 +93,46 @@ func (w *Writer) write(p []byte) error {
 	return err
 }
 
-// Start writes the magic unless it is already written, so a file with
-// no segments is still a valid file of its format.
-func (w *Writer) Start() error {
-	if w.started {
-		return nil
+// header writes the magic unless it is already written, then one
+// segment header at the next index. The header buffer is reused, so it
+// allocates nothing.
+func (w *Writer) header(count, length, crc uint32, tag uint64) error {
+	if !w.started {
+		w.started = true
+		if err := w.write(w.f.Magic[:]); err != nil {
+			return err
+		}
 	}
-	w.started = true
-	return w.write(w.f.Magic[:])
+	binary.LittleEndian.PutUint32(w.hdr[0:4], count)
+	binary.LittleEndian.PutUint32(w.hdr[4:8], length)
+	binary.LittleEndian.PutUint32(w.hdr[8:12], uint32(w.segments))
+	binary.LittleEndian.PutUint32(w.hdr[12:16], crc)
+	binary.LittleEndian.PutUint64(w.hdr[16:24], tag)
+	return w.write(w.hdr[:])
 }
 
-// Write appends one segment and returns its offset from the start of the
-// file. Writing reuses the Writer's header buffer, so it allocates
-// nothing.
-func (w *Writer) Write(count uint32, tag uint64, payload []byte) (int64, error) {
-	if err := w.Start(); err != nil {
-		return w.off, err
-	}
+// Write appends one segment. It allocates nothing.
+func (w *Writer) Write(count uint32, tag uint64, payload []byte) error {
 	if len(payload) > MaxPayload {
-		return w.off, w.f.errorf(w.segments, "payload %d bytes exceeds %d", len(payload), MaxPayload) //odbgc:alloc-ok error path formats its report
+		return w.f.errorf(w.segments, "payload %d bytes exceeds %d", len(payload), MaxPayload) //odbgc:alloc-ok error path formats its report
 	}
-	off := w.off
-	binary.LittleEndian.PutUint32(w.hdr[0:4], count)
-	binary.LittleEndian.PutUint32(w.hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.hdr[8:12], uint32(w.segments))
-	binary.LittleEndian.PutUint32(w.hdr[12:16], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint64(w.hdr[16:24], tag)
-	if err := w.write(w.hdr[:]); err != nil {
-		return off, err
+	if err := w.header(count, uint32(len(payload)), crc32.ChecksumIEEE(payload), tag); err != nil {
+		return err
 	}
 	if err := w.write(payload); err != nil {
-		return off, err
+		return err
 	}
 	w.segments++
-	return off, nil
+	return nil
 }
+
+// End closes the file with the end segment, after the magic when no
+// segment was written. Nothing may be written after it: a reader
+// rejects bytes after the end segment.
+func (w *Writer) End() error { return w.header(0, endLen, 0, 0) }
 
 // Offset reports the number of bytes written so far.
 func (w *Writer) Offset() int64 { return w.off }
-
-// Segments reports the number of segments written so far.
-func (w *Writer) Segments() int { return w.segments }
 
 // Reader reads one file strictly in order: Next reads a segment's
 // header, then Payload or Skip consumes its payload. Framing errors name
@@ -132,8 +141,8 @@ type Reader struct {
 	r        io.Reader
 	f        *Format
 	started  bool
-	segments int   // headers accepted so far: the index the next must carry
-	off      int64 // bytes consumed so far
+	ended    bool
+	segments int // headers accepted so far: the index the next must carry
 	crc      uint32
 	left     int64 // payload bytes of the current segment not yet consumed
 	hdr      [HeaderSize]byte
@@ -149,8 +158,7 @@ func (r *Reader) start() error {
 	}
 	r.started = true
 	magic := r.hdr[:len(r.f.Magic)]
-	n, err := io.ReadFull(r.r, magic)
-	r.off += int64(n)
+	_, err := io.ReadFull(r.r, magic)
 	switch {
 	case errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
 		return fmt.Errorf("%w: truncated header", r.f.BadMagic)
@@ -164,16 +172,19 @@ func (r *Reader) start() error {
 
 // Next reads and checks the next segment header; the caller consumes
 // the previous segment's payload with Payload or Skip first. It returns
-// io.EOF at a clean end of file.
+// io.EOF once the end segment has been read with nothing after it, and
+// an error naming the missing end segment at a bare end of file.
 func (r *Reader) Next() (Header, error) {
+	if r.ended {
+		return Header{}, io.EOF
+	}
 	if err := r.start(); err != nil {
 		return Header{}, err
 	}
-	n, err := io.ReadFull(r.r, r.hdr[:])
-	r.off += int64(n)
+	_, err := io.ReadFull(r.r, r.hdr[:])
 	switch {
 	case errors.Is(err, io.EOF):
-		return Header{}, io.EOF // clean end: no partial header
+		return Header{}, r.f.errorf(r.segments, "missing end segment")
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return Header{}, r.f.errorf(r.segments, "truncated header: %w", err)
 	case err != nil:
@@ -184,16 +195,31 @@ func (r *Reader) Next() (Header, error) {
 		Len:   binary.LittleEndian.Uint32(r.hdr[4:8]),
 		Tag:   binary.LittleEndian.Uint64(r.hdr[16:24]),
 	}
+	r.crc = binary.LittleEndian.Uint32(r.hdr[12:16])
 	switch index := binary.LittleEndian.Uint32(r.hdr[8:12]); {
 	case index != uint32(r.segments):
 		return h, r.f.errorf(r.segments, "header names segment %d (missing or reordered segment)", index)
+	case h.Len == endLen && h.Count == 0 && h.Tag == 0 && r.crc == 0:
+		return Header{}, r.end()
 	case h.Len > MaxPayload:
 		return h, r.f.errorf(r.segments, "implausible payload length %d (cap %d)", h.Len, MaxPayload)
 	}
-	r.crc = binary.LittleEndian.Uint32(r.hdr[12:16])
 	r.left = int64(h.Len)
 	r.segments++
 	return h, nil
+}
+
+// end accepts the end segment just read if nothing follows it.
+func (r *Reader) end() error {
+	r.ended = true
+	switch _, err := io.ReadFull(r.r, r.hdr[:1]); {
+	case err == nil:
+		return r.f.errorf(r.segments, "data after end segment")
+	case errors.Is(err, io.EOF):
+		return io.EOF
+	default:
+		return err
+	}
 }
 
 // Payload reads the current segment's payload into buf's storage,
@@ -213,7 +239,6 @@ func (r *Reader) Payload(buf []byte) ([]byte, error) {
 			_, err = io.ReadFull(r.r, buf[start:])
 		}
 	}
-	r.off += int64(n)
 	if err != nil {
 		return buf, r.f.errorf(r.segments-1, "truncated payload: %w", noEOF(err))
 	}
@@ -233,7 +258,6 @@ func (r *Reader) Skip() error {
 	if n == 0 {
 		return nil
 	}
-	r.off += n
 	if s, ok := r.r.(io.Seeker); ok {
 		if _, err := s.Seek(n-1, io.SeekCurrent); err == nil {
 			n = 1
@@ -244,11 +268,6 @@ func (r *Reader) Skip() error {
 	}
 	return nil
 }
-
-// Offset reports the number of bytes consumed so far: after Next, the
-// offset of the current payload; after Payload or Skip, of the next
-// header.
-func (r *Reader) Offset() int64 { return r.off }
 
 // noEOF reports an end of file inside a payload as the truncation it is.
 func noEOF(err error) error {

@@ -18,22 +18,26 @@ var testFormat = Format{
 	Segment:  "test: seg",
 }
 
-// testFile writes three segments whose payloads differ in length, and
-// returns the file and each segment's offset.
-func testFile(t *testing.T) ([]byte, []int64) {
+// testFile writes three segments whose payloads differ in length and
+// ends the file, and returns the file and each segment's offset, the end
+// segment's last.
+func testFile(t *testing.T) ([]byte, []int) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf, &testFormat)
-	var offs []int64
+	var offs []int
 	for i, p := range []string{"alpha", "", "gamma-gamma"} {
-		off, err := w.Write(uint32(10+i), uint64(i)<<40|7, []byte(p))
-		if err != nil {
+		if err := w.Write(uint32(10+i), uint64(i)<<40|7, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
-		offs = append(offs, off)
+		offs = append(offs, buf.Len()-HeaderSize-len(p))
 	}
-	if w.Segments() != 3 || w.Offset() != int64(buf.Len()) {
-		t.Fatalf("Segments %d, Offset %d; want 3, %d", w.Segments(), w.Offset(), buf.Len())
+	offs = append(offs, buf.Len())
+	if err := w.End(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Offset() != int64(buf.Len()) {
+		t.Fatalf("Offset %d, want %d", w.Offset(), buf.Len())
 	}
 	return buf.Bytes(), offs
 }
@@ -66,8 +70,9 @@ func readAll(r *Reader, skip bool) ([]Header, []string, error) {
 
 func TestRoundTrip(t *testing.T) {
 	data, offs := testFile(t)
-	if !bytes.Equal(data[:8], testFormat.Magic[:]) || offs[0] != 8 || offs[1] != 8+HeaderSize+5 || offs[2] != offs[1]+HeaderSize {
-		t.Fatalf("layout: magic %q, offsets %v", data[:8], offs)
+	if !bytes.Equal(data[:8], testFormat.Magic[:]) || offs[0] != 8 || offs[1] != 8+HeaderSize+5 || offs[2] != offs[1]+HeaderSize ||
+		offs[3] != offs[2]+HeaderSize+11 || len(data) != offs[3]+HeaderSize {
+		t.Fatalf("layout: magic %q, offsets %v, %d bytes", data[:8], offs, len(data))
 	}
 	// A Seeker (bytes.Reader) takes the seeking skip; a plain reader
 	// takes the discarding one.
@@ -88,8 +93,8 @@ func TestRoundTrip(t *testing.T) {
 			if !skip && strings.Join(ps, "|") != "alpha||gamma-gamma" {
 				t.Fatalf("payloads %q", ps)
 			}
-			if r.Offset() != int64(len(data)) {
-				t.Fatalf("skip=%v: Offset %d after the last segment, want %d", skip, r.Offset(), len(data))
+			if _, err := r.Next(); err != io.EOF {
+				t.Fatalf("skip=%v: Next after the end segment = %v, want io.EOF again", skip, err)
 			}
 		}
 	}
@@ -98,14 +103,46 @@ func TestRoundTrip(t *testing.T) {
 func TestEmptyFile(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, &testFormat)
-	if err := w.Start(); err != nil {
+	if err := w.End(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Start(); err != nil || buf.Len() != 8 {
-		t.Fatalf("second Start: err %v, %d bytes, want the magic once", err, buf.Len())
+	if buf.Len() != 8+HeaderSize {
+		t.Fatalf("empty file is %d bytes, want the magic and the end segment", buf.Len())
 	}
-	if _, err := NewReader(&buf, &testFormat).Next(); err != io.EOF {
-		t.Fatalf("Next on a magic-only file = %v, want io.EOF", err)
+	if _, err := NewReader(bytes.NewReader(buf.Bytes()), &testFormat).Next(); err != io.EOF {
+		t.Fatalf("Next on an empty file = %v, want io.EOF", err)
+	}
+}
+
+// TestEndSegment checks that a file ends at its end segment and nowhere
+// else: a file cut at any segment boundary, one with bytes after the end
+// segment, and one whose end segment carries the wrong index or a
+// nonzero field each fail naming the segment.
+func TestEndSegment(t *testing.T) {
+	data, offs := testFile(t)
+	cases := []struct {
+		name string
+		edit func(d []byte) []byte
+		want string
+	}{
+		{"magic only", func(d []byte) []byte { return d[:8] }, "test: seg 0: missing end segment"},
+		{"cut after segment 0", func(d []byte) []byte { return d[:offs[1]] }, "test: seg 1: missing end segment"},
+		{"cut after segment 1", func(d []byte) []byte { return d[:offs[2]] }, "test: seg 2: missing end segment"},
+		{"cut after segment 2", func(d []byte) []byte { return d[:offs[3]] }, "test: seg 3: missing end segment"},
+		{"bytes after the end", func(d []byte) []byte { return append(d, 0) }, "test: seg 3: data after end segment"},
+		{"end at the wrong index", func(d []byte) []byte {
+			return append(d[:offs[2]], d[offs[3]:]...)
+		}, "test: seg 2: header names segment 3 (missing or reordered segment)"},
+		{"end with a count", func(d []byte) []byte { d[offs[3]]++; return d }, "test: seg 3: implausible payload length 4294967295 (cap 268435456)"},
+	}
+	for _, c := range cases {
+		for _, skip := range []bool{false, true} {
+			d := c.edit(bytes.Clone(data))
+			_, _, err := readAll(NewReader(bytes.NewReader(d), &testFormat), skip)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s (skip=%v): err = %v, want %q", c.name, skip, err, c.want)
+			}
+		}
 	}
 }
 
@@ -134,7 +171,8 @@ func TestFramingErrors(t *testing.T) {
 		}, "test: seg 2: implausible payload length 268435457", false},
 		{"crc mismatch", func(d []byte) []byte { d[offs[0]+HeaderSize+2] ^= 1; return d }, "test: seg 0: crc mismatch", false},
 		{"truncated header", func(d []byte) []byte { return d[:offs[2]+10] }, "test: seg 2: truncated header: unexpected EOF", false},
-		{"truncated payload", func(d []byte) []byte { return d[:len(d)-1] }, "test: seg 2: truncated payload: unexpected EOF", false},
+		{"truncated payload", func(d []byte) []byte { return d[:offs[3]-1] }, "test: seg 2: truncated payload: unexpected EOF", false},
+		{"truncated end segment", func(d []byte) []byte { return d[:len(d)-1] }, "test: seg 3: truncated header: unexpected EOF", false},
 		{"missing payload", func(d []byte) []byte { return d[:offs[2]+HeaderSize] }, "test: seg 2: truncated payload: unexpected EOF", false},
 	}
 	for _, c := range cases {

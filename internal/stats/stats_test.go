@@ -3,6 +3,8 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,6 +134,13 @@ func TestSeries(t *testing.T) {
 	want := "events,a,b\n0,1.00,2.00\n100,3.50,4.25\n"
 	if b.String() != want {
 		t.Fatalf("CSV = %q, want %q", b.String(), want)
+	}
+	path := filepath.Join(t.TempDir(), "series.csv")
+	if err := s.WriteCSVFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("CSV file = %q (err %v), want %q", got, err, want)
 	}
 }
 

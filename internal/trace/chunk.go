@@ -12,15 +12,17 @@ import (
 // memory. The file is an internal/segfile container: the chunk magic
 // followed by any number of self-describing chunks, each a segment whose
 // count is the chunk's event count and whose tag is the generating
-// configuration's fingerprint. A payload is the packed opcode+uvarint
+// configuration's fingerprint, and then segfile's end segment, so a file
+// cut at a chunk boundary fails by name instead of replaying as a
+// complete, shorter trace. A payload is the packed opcode+uvarint
 // encoding Buffer holds in memory (codec.go). A reader checks each
 // payload's CRC and walks its structure once, and streamed replay then
 // decodes it through the same zero-alloc loop as an in-memory replay,
 // while only ever holding a bounded number of chunks.
 
 // chunkMagic identifies chunked odbgc trace files; the trailing byte is
-// the format version.
-var chunkMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'c', 'k', 1}
+// the format version (2: the file ends with an end segment).
+var chunkMagic = [8]byte{'o', 'd', 'b', 'g', 'c', 'c', 'k', 2}
 
 // ErrBadChunkMagic is returned when a stream is not a chunked odbgc
 // trace.
@@ -47,7 +49,8 @@ const (
 // ChunkWriter encodes events into fixed-size chunks on an underlying
 // stream. It implements Sink, so a workload generator can stream an
 // arbitrarily long trace through it at constant memory. Call Flush once
-// after the last event to write the final short chunk. Like Buffer.Emit,
+// after the last event to write the final short chunk and end the file;
+// a reader rejects events emitted after it. Like Buffer.Emit,
 // Emit rejects an operand above 2^32-1 by name, so every file it writes
 // passes the reader's 32-bit operand bound.
 type ChunkWriter struct {
@@ -103,7 +106,7 @@ func (w *ChunkWriter) Emit(e Event) error {
 // flushChunk writes the open chunk and resets the payload buffer for
 // the next chunk.
 func (w *ChunkWriter) flushChunk() error {
-	if _, err := w.seg.Write(uint32(w.events), w.fingerprint, w.payload); err != nil {
+	if err := w.seg.Write(uint32(w.events), w.fingerprint, w.payload); err != nil {
 		return err
 	}
 	w.events = 0
@@ -111,21 +114,21 @@ func (w *ChunkWriter) flushChunk() error {
 	return nil
 }
 
-// Flush writes the final short chunk (and the magic, for an empty
-// trace). The underlying stream is not flushed or closed; callers owning
-// a bufio.Writer or file still flush/close it themselves.
+// Flush writes the final short chunk and the end segment (after the
+// magic, for an empty trace). The underlying stream is not flushed or
+// closed; callers owning a bufio.Writer or file still flush/close it
+// themselves.
 func (w *ChunkWriter) Flush() error {
 	if w.events > 0 {
-		return w.flushChunk()
+		if err := w.flushChunk(); err != nil {
+			return err
+		}
 	}
-	return w.seg.Start()
+	return w.seg.End()
 }
 
 // Count reports the number of events emitted so far.
 func (w *ChunkWriter) Count() int64 { return w.total }
-
-// Chunks reports the number of complete chunks written so far.
-func (w *ChunkWriter) Chunks() int { return w.seg.Segments() }
 
 // Chunk is one chunk read from a file: its packed payload, checked by
 // ChunkReader.Next. A Chunk is reused across Next calls — its payload
@@ -174,7 +177,7 @@ func NewChunkReader(r io.Reader) *ChunkReader {
 }
 
 // header reads the next chunk header, refusing a fingerprint that
-// differs from chunk 0's. It returns io.EOF at a clean end of trace.
+// differs from chunk 0's. It returns io.EOF after the end segment.
 func (r *ChunkReader) header() (segfile.Header, error) {
 	h, err := r.seg.Next()
 	if err == nil && r.chunks > 0 && h.Tag != r.fingerprint {
@@ -196,7 +199,8 @@ func (r *ChunkReader) advance(h segfile.Header) {
 // checks it: the payload's CRC, then one walk of its structure
 // (opcodes, varint ends, the 32-bit operand bound, and the header's
 // event count), so c.Replay reads only checked bytes. On error c holds
-// no events. It returns io.EOF at a clean end of trace.
+// no events. It returns io.EOF after the end segment, and fails naming
+// the missing end segment at a bare end of file.
 func (r *ChunkReader) Next(c *Chunk) error {
 	c.payload, c.events = c.payload[:0], 0
 	h, err := r.header()
@@ -223,8 +227,8 @@ func (r *ChunkReader) Next(c *Chunk) error {
 
 // SkipChunk advances past the next chunk without CRC-verifying or
 // walking its payload, for drill-down tooling that wants chunk N
-// without paying for chunks 0..N-1. It returns io.EOF at a clean end of
-// trace.
+// without paying for chunks 0..N-1. It returns io.EOF after the end
+// segment.
 func (r *ChunkReader) SkipChunk() error {
 	h, err := r.header()
 	if err != nil {

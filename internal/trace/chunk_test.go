@@ -79,8 +79,8 @@ func TestChunkRoundTrip(t *testing.T) {
 func TestChunkEmptyTrace(t *testing.T) {
 	var b Buffer
 	data := writeChunked(t, &b, 7, 0)
-	if len(data) != len(chunkMagic) {
-		t.Fatalf("empty chunked trace is %d bytes, want %d (magic only)", len(data), len(chunkMagic))
+	if len(data) != len(chunkMagic)+chunkHeaderSize {
+		t.Fatalf("empty chunked trace is %d bytes, want %d (the magic and the end segment)", len(data), len(chunkMagic)+chunkHeaderSize)
 	}
 	events, cr := readAllChunks(t, data)
 	if len(events) != 0 || cr.Chunks() != 0 {
@@ -94,22 +94,16 @@ func TestChunkEmptyTrace(t *testing.T) {
 func TestChunkCorruptionNamesChunkIndex(t *testing.T) {
 	b := benchBuffer(t, 600)
 	data := writeChunked(t, b, 1, 512)
-	// Locate each chunk's payload by re-walking the headers.
-	type span struct{ start, end int }
-	var payloads []span
-	pos := len(chunkMagic)
-	for pos < len(data) {
-		plen := int(uint32(data[pos+4]) | uint32(data[pos+5])<<8 | uint32(data[pos+6])<<16 | uint32(data[pos+7])<<24)
-		start := pos + chunkHeaderSize
-		payloads = append(payloads, span{start, start + plen})
-		pos = start + plen
+	// Each chunk's payload runs from the end of its header to the next
+	// chunk (or the end segment).
+	offs := chunkOffsets(data)
+	if len(offs) < 3 {
+		t.Fatalf("want multiple chunks, got %d", len(offs)-1)
 	}
-	if len(payloads) < 2 {
-		t.Fatalf("want multiple chunks, got %d", len(payloads))
-	}
-	for i, p := range payloads {
+	for i := range offs[:len(offs)-1] {
+		start := offs[i] + chunkHeaderSize
 		corrupt := append([]byte(nil), data...)
-		corrupt[p.start+(p.end-p.start)/2] ^= 0x40
+		corrupt[start+(offs[i+1]-start)/2] ^= 0x40
 		cr := NewChunkReader(bytes.NewReader(corrupt))
 		var c Chunk
 		var err error
@@ -139,8 +133,9 @@ func TestChunkTruncationRejected(t *testing.T) {
 			t.Errorf("truncation at %d of %d bytes not detected", cut, len(data))
 		}
 	}
-	// Another version of the magic.
-	cr := NewChunkReader(bytes.NewReader([]byte("odbgcck\x02junk")))
+	// Another version of the magic: a version-1 file, which has no end
+	// segment, fails by name at the magic.
+	cr := NewChunkReader(bytes.NewReader([]byte("odbgcck\x01junk")))
 	if err := cr.Next(new(Chunk)); !errors.Is(err, ErrBadChunkMagic) {
 		t.Errorf("foreign magic accepted by chunk reader: %v", err)
 	}
@@ -394,17 +389,9 @@ func TestChunkReplayZeroAllocs(t *testing.T) {
 
 	// Writer steady state: the payload buffer and header are reused, so
 	// emitting a full chunk cycle (including the flush) allocates
-	// nothing once the CRC table exists.
+	// nothing once AllocsPerRun's warm-up call has built the CRC table.
 	events := bufferTestEvents()
 	cw := NewChunkWriter(io.Discard, 1, 1024)
-	for _, e := range events { // warm up: first flush builds the CRC table
-		if err := cw.Emit(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cw.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	allocs = testing.AllocsPerRun(50, func() {
 		for i := 0; i < 40; i++ {
 			for _, e := range events {

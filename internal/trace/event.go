@@ -2,9 +2,9 @@
 // simulation ("trace-driven simulation", Section 4.2) and its one
 // encoding: a kind byte followed by uvarint operands (codec.go). Buffer
 // holds that encoding in memory for cached replay, and the chunked file
-// (ChunkWriter, ChunkReader, ChunkStream) holds it on disk, CRC-guarded,
-// for streamed replay; both replay through the same zero-alloc decode
-// loop.
+// (ChunkWriter, ChunkReader, ChunkStream) holds it on disk, CRC-guarded
+// and closed by an end segment, for streamed replay; both replay through
+// the same zero-alloc decode loop.
 //
 // A trace records what the application did — object creations, visits,
 // data modifications, and pointer stores — and nothing about how the

@@ -9,12 +9,13 @@ import (
 // TestChunkFileBytes pins the chunked file format byte for byte: a fixed
 // synthetic trace written with a 512-byte chunk target (dozens of
 // chunks) must hash to the recorded digest. Any change to the magic, the
-// segment header layout, the CRC, or the packed event codec changes the
-// digest; such a change is a format version bump, not a refactor.
+// segment header layout, the CRC, the end segment, or the packed event
+// codec changes the digest; such a change is a format version bump, not
+// a refactor.
 func TestChunkFileBytes(t *testing.T) {
 	const (
-		wantLen    = 21798
-		wantSHA256 = "c7600658e0d3490ce4a4227831ee5df762c3211a155def4586ef6d0000b688d7"
+		wantLen    = 21822
+		wantSHA256 = "08f61ba538f94f31c7e3377cfee04f76da052d375a2970876180647a5d06a9a5"
 	)
 	data := writeChunked(t, benchBuffer(t, 5000), 0x0dbc0ffee, 512)
 	sum := sha256.Sum256(data)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -27,7 +28,7 @@ func TestChunkFingerprintMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	sw := segfile.NewWriter(&buf, &chunkFormat)
 	for _, fp := range []uint64{0xaaaa, 0xbbbb} {
-		if _, err := sw.Write(uint32(len(bufferTestEvents())), fp, payload); err != nil {
+		if err := sw.Write(uint32(len(bufferTestEvents())), fp, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +65,7 @@ func TestChunkStreamTruncatedPayload(t *testing.T) {
 	data := writeChunked(t, benchBuffer(t, 600), 1, 512)
 	_, cr := readAllChunks(t, data)
 	path := filepath.Join(t.TempDir(), "cut.odbgcck")
-	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+	if err := os.WriteFile(path, data[:len(data)-chunkHeaderSize-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("trace: chunk %d: truncated payload", cr.Chunks()-1)
@@ -87,5 +88,50 @@ func TestOpenChunkStreamReadError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), dir) {
 		t.Fatalf("error %q does not name the path", err)
+	}
+}
+
+// chunkOffsets walks a chunk file's headers and returns the offset of
+// each chunk and, last, of the end segment.
+func chunkOffsets(data []byte) []int {
+	var offs []int
+	pos := len(chunkMagic)
+	for pos < len(data)-chunkHeaderSize {
+		offs = append(offs, pos)
+		pos += chunkHeaderSize + int(binary.LittleEndian.Uint32(data[pos+4:]))
+	}
+	return append(offs, pos)
+}
+
+// TestChunkCutAtBoundaryRejected cuts a chunk file at each chunk
+// boundary, where every remaining chunk still passes its CRC check:
+// reading it chunk by chunk and opening it as a stream must each fail
+// naming the missing end segment instead of replaying a shorter trace.
+func TestChunkCutAtBoundaryRejected(t *testing.T) {
+	data := writeChunked(t, benchBuffer(t, 600), 1, 512)
+	offs := chunkOffsets(data)
+	if len(offs) < 3 || offs[len(offs)-1] != len(data)-chunkHeaderSize {
+		t.Fatalf("chunk offsets %v in %d bytes: want several chunks and the end segment last", offs, len(data))
+	}
+	dir := t.TempDir()
+	for i, off := range offs {
+		cut := data[:off]
+		want := fmt.Sprintf("trace: chunk %d: missing end segment", i)
+		cr := NewChunkReader(bytes.NewReader(cut))
+		var c Chunk
+		var err error
+		for err == nil {
+			err = cr.Next(&c)
+		}
+		if err.Error() != want {
+			t.Errorf("cut after %d chunks: Next err = %v, want %q", i, err, want)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.odbgcck", i))
+		if err := os.WriteFile(path, cut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenChunkStream(path); err == nil || err.Error() != path+": "+want {
+			t.Errorf("cut after %d chunks: OpenChunkStream err = %v, want %q", i, err, want)
+		}
 	}
 }

@@ -60,7 +60,7 @@ func FuzzDecodeEvent(f *testing.F) {
 // FuzzChunkCodec checks the chunked codec from both directions. Reading:
 // the chunk reader must never panic on arbitrary bytes — whether raw, or
 // prefixed with the chunked magic so header parsing and CRC verification
-// are reached — it must error or reach a clean EOF. The trusted-bytes
+// are reached — it must error or reach the end segment. The trusted-bytes
 // boundary: the bytes framed as one CRC-valid chunk reach Next's
 // structural walk, which must either refuse them or leave a chunk whose
 // unchecked replay delivers exactly the events decodeEvent finds, with
@@ -72,6 +72,20 @@ func FuzzChunkCodec(f *testing.F) {
 	for _, s := range fuzzSeeds() {
 		f.Add(s)
 	}
+	// Whole files: one closed by its end segment, and the same file cut
+	// before it.
+	var file bytes.Buffer
+	cw := NewChunkWriter(&file, 1, 32)
+	for _, e := range bufferTestEvents() {
+		if err := cw.Emit(e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := cw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file.Bytes())
+	f.Add(file.Bytes()[:file.Len()-chunkHeaderSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Reader robustness on hostile input.
 		for _, stream := range [][]byte{data, append(append([]byte{}, chunkMagic[:]...), data...)} {
@@ -103,7 +117,7 @@ func FuzzChunkCodec(f *testing.F) {
 		// The trusted-bytes boundary.
 		for _, count := range []int{len(want.events), len(want.events) + 1} {
 			var framed bytes.Buffer
-			if _, err := segfile.NewWriter(&framed, &chunkFormat).Write(uint32(count), 1, data); err != nil {
+			if err := segfile.NewWriter(&framed, &chunkFormat).Write(uint32(count), 1, data); err != nil {
 				t.Fatal(err)
 			}
 			cr := NewChunkReader(&framed)

@@ -29,9 +29,10 @@ type ChunkStream struct {
 	maxPayload  int
 }
 
-// OpenChunkStream opens path as a chunked trace, validating the magic
-// and every chunk header (index order, payload bounds, fingerprint
-// consistency, no truncation). Payload CRCs are verified during replay,
+// OpenChunkStream opens path as a chunked trace, validating the magic,
+// every chunk header (index order, payload bounds, fingerprint
+// consistency, no truncation) and the end segment, so a file cut at a
+// chunk boundary fails here. Payload CRCs are verified during replay,
 // when the data is read anyway. Errors name the path; a file that is not
 // a chunked trace fails with ErrBadChunkMagic.
 func OpenChunkStream(path string) (*ChunkStream, error) {

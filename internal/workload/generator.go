@@ -75,6 +75,31 @@ type Stats struct {
 	EdgeReadWriteRatio float64
 }
 
+// count records one emitted event in Events and its kind's counter.
+func (st *Stats) count(k trace.Kind) {
+	st.Events++
+	switch k {
+	case trace.KindCreate:
+		st.Creates++
+	case trace.KindRoot:
+		st.Roots++
+	case trace.KindRead:
+		st.Reads++
+	case trace.KindWrite:
+		st.Writes++
+	case trace.KindModify:
+		st.Modifies++
+	}
+}
+
+// setEdgeReadWriteRatio computes EdgeReadWriteRatio from the event
+// counts; it stays 0 for a trace with no writes or creates.
+func (st *Stats) setEdgeReadWriteRatio() {
+	if w := st.Writes + st.Creates; w > 0 {
+		st.EdgeReadWriteRatio = float64(st.Reads) / float64(w)
+	}
+}
+
 // node is the generator's private view of one tree node. It lives in
 // Generator.slab while the node is alive, and is dropped at the first
 // compaction after its subtree is deleted.
@@ -207,9 +232,7 @@ func (g *Generator) Run(sink trace.Sink) (Stats, error) {
 
 	g.stats.AllocatedBytes = g.allocBytes
 	g.stats.LiveBytesEstimate = g.liveBytes
-	if w := g.stats.Writes + g.stats.Creates; w > 0 {
-		g.stats.EdgeReadWriteRatio = float64(g.stats.Reads) / float64(w)
-	}
+	g.stats.setEdgeReadWriteRatio()
 	return g.stats, nil
 }
 
@@ -218,19 +241,7 @@ func (g *Generator) emit(e trace.Event) error {
 	if err := g.sink.Emit(e); err != nil {
 		return err
 	}
-	g.stats.Events++
-	switch e.Kind {
-	case trace.KindCreate:
-		g.stats.Creates++
-	case trace.KindRoot:
-		g.stats.Roots++
-	case trace.KindRead:
-		g.stats.Reads++
-	case trace.KindWrite:
-		g.stats.Writes++
-	case trace.KindModify:
-		g.stats.Modifies++
-	}
+	g.stats.count(e.Kind)
 	return nil
 }
 

@@ -193,29 +193,16 @@ func (g *OO1Generator) Run(sink trace.Sink) (Stats, error) {
 	}
 
 	g.stats.LiveBytesEstimate = int64(len(g.parts)) * oo1PartSize
-	if w := g.stats.Writes + g.stats.Creates; w > 0 {
-		g.stats.EdgeReadWriteRatio = float64(g.stats.Reads) / float64(w)
-	}
+	g.stats.setEdgeReadWriteRatio()
 	return g.stats, nil
 }
 
+// emit sends one event and updates the event counters.
 func (g *OO1Generator) emit(e trace.Event) error {
 	if err := g.sink.Emit(e); err != nil {
 		return err
 	}
-	g.stats.Events++
-	switch e.Kind {
-	case trace.KindCreate:
-		g.stats.Creates++
-	case trace.KindRoot:
-		g.stats.Roots++
-	case trace.KindRead:
-		g.stats.Reads++
-	case trace.KindWrite:
-		g.stats.Writes++
-	case trace.KindModify:
-		g.stats.Modifies++
-	}
+	g.stats.count(e.Kind)
 	return nil
 }
 

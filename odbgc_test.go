@@ -9,6 +9,7 @@ import (
 
 	"odbgc/internal/core"
 	"odbgc/internal/heap"
+	"odbgc/internal/segfile"
 	"odbgc/internal/trace"
 )
 
@@ -101,6 +102,21 @@ func TestTraceRoundTripFacade(t *testing.T) {
 	}
 	if _, err := ReplayTrace(strings.NewReader("not a trace"), fastSim(MostGarbage)); !errors.Is(err, trace.ErrBadChunkMagic) {
 		t.Fatalf("ReplayTrace of a non-trace: err = %v, want ErrBadChunkMagic", err)
+	}
+}
+
+// TestReplayTraceRejectsCutTrace cuts a stored trace before its end
+// segment, after its last chunk: ReplayTrace must fail naming the
+// missing end segment instead of reporting a complete, shorter run.
+func TestReplayTraceRejectsCutTrace(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := WriteTrace(&buf, fastWorkload()); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:buf.Len()-segfile.HeaderSize]
+	const want = "trace: chunk 1: missing end segment" // the workload fits one default-size chunk
+	if _, err := ReplayTrace(bytes.NewReader(cut), fastSim(MostGarbage)); err == nil || err.Error() != want {
+		t.Fatalf("ReplayTrace of a cut trace: err = %v, want %q", err, want)
 	}
 }
 
