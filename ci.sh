@@ -143,6 +143,16 @@ go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-eve
 GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 > "$stream_tmp/cross.txt"
 GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096 -audit > "$stream_tmp/cross_audit.txt"
 cmp "$stream_tmp/cross.txt" "$stream_tmp/cross_audit.txt"
+# A denser cross-tree trace, at the default epoch length, has exchanges
+# that deliver add deltas after their target was reclaimed (the shard
+# runner's late counts). Its plain and audited 4-shard replays must both
+# print results/sharded_late_output.txt byte for byte.
+bin/tracegen -o "$stream_tmp/late.odbgcck" -alloc 30000000 -dense 0.167 -cross 0.5
+GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/late.odbgcck" -shards 4 > "$stream_tmp/late.txt"
+cmp "$stream_tmp/late.txt" results/sharded_late_output.txt
+GOMAXPROCS=1 bin/gcsim -trace "$stream_tmp/late.odbgcck" -shards 4 -audit > "$stream_tmp/late_audit.txt"
+cmp "$stream_tmp/late_audit.txt" results/sharded_late_output.txt
+rm "$stream_tmp/late.odbgcck"
 ceiling 240 bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured
 # .odbgcrec recording; odbgc-query must answer an aggregate query over
