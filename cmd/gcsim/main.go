@@ -14,8 +14,10 @@
 // one run, so either multi-run mode rejects them. -warm excludes the
 // generator's build phase from measurement in every mode. -audit runs
 // the full cross-structure invariant catalog (internal/check) after
-// every collection, in every shard's simulator with -shards — orders of
-// magnitude slower, for validation runs.
+// every collection and once the run ends, in every shard's simulator
+// with -shards, where the engine then also checks each shard's external
+// reference counts against the other shards' foreign-out tables —
+// orders of magnitude slower, for validation runs.
 // -record writes a structured run recording (one row per GC activation
 // and time-series sample; sharded replays tag rows with their shard and
 // epoch) for offline analysis with odbgc-query.
@@ -176,7 +178,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// Sharded replay: each shard is a private simulator, so the
 			// single-heap inspection and time-series paths do not apply.
 			// -audit audits every shard's heap after each of its
-			// collections.
+			// collections and at the end, then the shards against each
+			// other.
 			switch {
 			case *series != "":
 				return fmt.Errorf("-series does not apply to sharded replay (no single time series exists across shards)")

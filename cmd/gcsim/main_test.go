@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"odbgc/internal/core"
+	"odbgc/internal/shard"
 	"odbgc/internal/sim"
 	"odbgc/internal/trace"
 	"odbgc/internal/workload"
@@ -397,6 +398,28 @@ func TestShardedAuditMatchesPlain(t *testing.T) {
 	}
 	if m := regexp.MustCompile(`(?m)^Collections +(\d+)$`).FindStringSubmatch(outs[0]); m == nil || m[1] == "0" {
 		t.Errorf("no shard collected, so nothing was audited:\n%s", outs[0])
+	}
+}
+
+// TestShardedReplayAuditsEveryShardAtTheEnd: the sharded replay audits
+// every shard once the trace is drained, as a single run does, so a
+// shard whose trigger never fires is audited too. The planted check
+// always fails, and a trigger the trace never reaches leaves the final
+// audit as the only one; its error must name a shard.
+func TestShardedReplayAuditsEveryShardAtTheEnd(t *testing.T) {
+	path := writeCrossTrace(t)
+	planted := errors.New("planted audit failure")
+	cfg := sim.DefaultConfig(core.NameUpdatedPointer)
+	cfg.Heap.PartitionPages = 8
+	cfg.TriggerOverwrites = 1 << 40
+	cfg.Audit.Check = func(*sim.Sim) error { return planted }
+	var stdout bytes.Buffer
+	err := replaySharded(&stdout, path, cfg, 4, shard.RoundRobin, 2048, "")
+	if !errors.Is(err, planted) || !strings.HasPrefix(err.Error(), "shard 0: ") {
+		t.Fatalf("replaySharded error = %v, want the planted failure naming shard 0", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a failed audit still printed the result:\n%s", stdout.String())
 	}
 }
 

@@ -18,7 +18,10 @@ import (
 // demultiplexed onto shards, each running a private simulator and
 // draining every epoch on its own goroutine, with cross-shard references
 // exchanged between epochs. The file streams through the prefetch
-// pipeline.
+// pipeline. With an audit configured, every shard is audited once more
+// at the end of the replay, as singleRun audits its simulator, and the
+// engine checks the shards' external reference counts against each
+// other.
 func replaySharded(stdout io.Writer, path string, cfg sim.Config, shards int, assign shard.Assignment, epochEvents int64, recPath string) error {
 	rt, err := workload.OpenStreamed(path)
 	if err != nil {
@@ -51,6 +54,16 @@ func replaySharded(stdout io.Writer, path string, cfg sim.Config, shards int, as
 	res, err := eng.Run(func(s trace.Sink) error { return rt.Replay(s, nil) })
 	if err != nil {
 		return err
+	}
+	for i := range shards {
+		if err := eng.Sim(i).Audit(); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	if cfg.Audit.Check != nil {
+		if err := eng.CheckExternalRefs(); err != nil {
+			return err
+		}
 	}
 	printShardedResult(stdout, res)
 	if rec != nil {

@@ -25,8 +25,8 @@ type Collector struct {
 
 	// externalRoots and onDiscard are the sharded engine's hooks; see
 	// SetExternalRoots and SetOnDiscard.
-	externalRoots func(victim heap.PartitionID, add func(heap.OID))
-	onDiscard     func(oid heap.OID)
+	externalRoots func(victim heap.PartitionID, add func(heap.Slot))
+	onDiscard     func(s heap.Slot)
 
 	// Per-evacuation scratch, reused across collections. The visited
 	// marks are the heap's own mark stamps (heap.Heap.Mark), so the
@@ -81,24 +81,25 @@ func NewCollector(h *heap.Heap, buf *pagebuf.Buffer, rem *remset.Table, pol core
 }
 
 // SetExternalRoots registers an additional root source consulted by every
-// evacuation: fn receives the victim partition and must pass each
-// externally referenced OID to add, in a deterministic order. OIDs that
-// are not resident in the victim (including ones already discarded) are
-// ignored, exactly as remembered-set targets are. The sharded engine
+// evacuation: fn receives the victim partition and must pass the slot of
+// each externally referenced object resident in it to add, in a
+// deterministic order. Slots not resident in the victim are ignored,
+// exactly as remembered-set targets are. The sharded engine
 // (internal/shard) uses this to keep objects referenced from other
 // shards alive — the cross-shard analogue of a remembered set keeping a
 // cross-partition referent alive.
-func (c *Collector) SetExternalRoots(fn func(victim heap.PartitionID, add func(heap.OID))) {
+func (c *Collector) SetExternalRoots(fn func(victim heap.PartitionID, add func(heap.Slot))) {
 	c.externalRoots = fn
 }
 
-// SetOnDiscard registers fn to run for each object an evacuation is
-// about to discard, while the object's fields are still readable. The
+// SetOnDiscard registers fn to run for the slot of each object an
+// evacuation is about to discard, while the object's fields are still
+// readable; the slot is freed, and may be reused, once fn returns. The
 // objects come in the victim's resident-list order, which is
 // deterministic but not sorted. The sharded engine uses this to retract
 // the remset deltas a dying object's cross-shard pointers once sent; the
 // receivers only count those deltas, so their order does not matter.
-func (c *Collector) SetOnDiscard(fn func(oid heap.OID)) { c.onDiscard = fn }
+func (c *Collector) SetOnDiscard(fn func(s heap.Slot)) { c.onDiscard = fn }
 
 // Stats returns a snapshot of collector counters.
 func (c *Collector) Stats() CollectorStats { return c.stats }
@@ -174,8 +175,8 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 		}
 	})
 	if c.externalRoots != nil {
-		c.externalRoots(victim, func(target heap.OID) {
-			if s := h.Lookup(target); h.PartitionOf(s) == victim && h.Mark(s) {
+		c.externalRoots(victim, func(s heap.Slot) {
+			if h.PartitionOf(s) == victim && h.Mark(s) {
 				roots = append(roots, s)
 			}
 		})
@@ -228,7 +229,7 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 		res.ReclaimedBytes += h.Size(s)
 		res.ReclaimedObjects++
 		if c.onDiscard != nil {
-			c.onDiscard(h.OID(s))
+			c.onDiscard(s)
 		}
 		c.rem.PurgeDeadEvacuating(s, dest)
 		h.Discard(s)

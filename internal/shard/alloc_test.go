@@ -9,9 +9,11 @@ import (
 	"odbgc/internal/trace"
 )
 
-// TestDrainBatchZeroAllocs pins the shard-local fast path: with no
-// cross-shard traffic (empty fout, no foreign marks), replaying a
-// steady-state batch of reads, modifies, and writes must not allocate.
+// TestDrainBatchZeroAllocs pins the shard-local fast path: replaying a
+// steady-state batch of reads, modifies, and writes with no foreign
+// marks must not allocate, with no cross-shard traffic at all and again
+// once another source holds a foreign reference (a non-empty fout) while
+// the batch's writes come from a source holding none.
 // drainBatch carries the //odbgc:hotpath annotation checked by the
 // hotcall analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the annotation and this guard in sync via the
@@ -49,12 +51,31 @@ func TestDrainBatchZeroAllocs(t *testing.T) {
 	if err := r.drainBatch(steady); err != nil {
 		t.Fatal(err) // warm the remset entry the write repeatedly replaces
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := r.drainBatch(steady); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
+	steadyAllocs := func() float64 {
+		return testing.AllocsPerRun(200, func() {
+			if err := r.drainBatch(steady); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs := steadyAllocs(); allocs != 0 {
 		t.Errorf("drainBatch with no cross-shard traffic allocates %v times per batch, want 0", allocs)
+	}
+
+	foreign := &Batch{
+		Events: []trace.Event{
+			{Kind: trace.KindCreate, OID: 3, Size: 256, NFields: 4, Parent: 1, ParentField: 1},
+			{Kind: trace.KindWrite, OID: 3, Field: 2},
+		},
+		Foreign: []ForeignWrite{{Pos: 1, Shard: 1, Target: 1}},
+	}
+	if err := r.drainBatch(foreign); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.fout) != 1 || count(r.foutCount, r.h.Lookup(1)) != 0 {
+		t.Fatalf("fout %v, source 1's count %d: want one entry, none from source 1", r.fout, count(r.foutCount, r.h.Lookup(1)))
+	}
+	if allocs := steadyAllocs(); allocs != 0 {
+		t.Errorf("drainBatch with a non-empty fout allocates %v times per batch from a source holding no foreign reference, want 0", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"runtime/debug"
 	"slices"
@@ -32,10 +33,16 @@ type delta struct {
 
 // shardRunner is one shard's live state: a private simulator plus the
 // cross-shard reference bookkeeping on both sides (pointers held out of
-// this shard, references held into it).
+// this shard, references held into it). Both sides' counts are columns
+// indexed by the shard heap's slots, as the heap keeps its own per-object
+// records: slots are stable across evacuations, and a discarded object's
+// entries are zero when its slot is reused. A column grows only when
+// cross-shard traffic first reaches a slot past its end, and reads as 0
+// there.
 type shardRunner struct {
 	id  int
 	sim *sim.Sim
+	h   *heap.Heap // sim's heap
 
 	// rec is this shard's run recorder (nil when recording is off);
 	// setEpoch is its epoch-stamping hook, bound once at construction so
@@ -43,15 +50,23 @@ type shardRunner struct {
 	rec      sim.RunRecorder
 	setEpoch func(int64)
 
-	// fout maps a packed local pointer location to the cross-shard
-	// reference it holds; foutCount[src] counts how many of src's fields
-	// appear in fout, so discards skip the probe when zero.
+	// fout maps a packed local pointer location (source OID, field) to
+	// the cross-shard reference it holds; foutCount[s] counts the entries
+	// of the resident source in slot s, so writes and discards probe fout
+	// only for a source holding one.
 	fout      map[uint64]foreignRef
-	foutCount map[uint32]int32
-	// xin[local] counts live cross-shard references to the local object.
-	// Its keys are extra collection roots (sim.SetExternalRoots).
-	xin        map[uint32]int32
-	xinScratch []heap.OID
+	foutCount []int32
+	// xin[s] counts the live cross-shard references to the resident
+	// object in slot s; a positive count makes it an extra collection
+	// root (externalRoots). late counts, by local OID, the references
+	// whose add delta arrived after the exchange found its target already
+	// reclaimed: OIDs are never reused, so the matching remove finds the
+	// entry there.
+	xin  []int32
+	late map[heap.OID]int32
+	// roots is externalRoots' scratch: the victim's externally
+	// referenced residents.
+	roots []heap.Slot
 
 	// out accumulates the current epoch's outgoing deltas per target
 	// shard, in generation order; the exchange applies and clears them.
@@ -65,6 +80,22 @@ type shardRunner struct {
 	deltasSent    int64
 	deltasRecv    int64
 	msgsSent      int64
+}
+
+// count returns col's entry for slot s, 0 past the column's end.
+func count(col []int32, s heap.Slot) int32 {
+	if int(s) < len(col) {
+		return col[s]
+	}
+	return 0
+}
+
+// cover returns col extended with zeros to cover slot s.
+func cover(col []int32, s heap.Slot) []int32 {
+	if int(s) < len(col) {
+		return col
+	}
+	return append(col, make([]int32, int(s)+1-len(col))...) //odbgc:alloc-ok amortized column growth, only when cross-shard traffic first reaches a slot
 }
 
 // Engine runs one sharded simulation. Build one with New, run it once
@@ -124,14 +155,14 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		r := &shardRunner{
-			id:        i,
-			sim:       s,
-			rec:       rec,
-			setEpoch:  setEpoch,
-			fout:      make(map[uint64]foreignRef),
-			foutCount: make(map[uint32]int32),
-			xin:       make(map[uint32]int32),
-			out:       make([][]delta, cfg.Shards),
+			id:       i,
+			sim:      s,
+			h:        s.Heap(),
+			rec:      rec,
+			setEpoch: setEpoch,
+			fout:     make(map[uint64]foreignRef),
+			late:     make(map[heap.OID]int32),
+			out:      make([][]delta, cfg.Shards),
 		}
 		s.SetExternalRoots(r.externalRoots)
 		s.SetOnDiscard(r.onDiscard)
@@ -148,17 +179,67 @@ func (e *Engine) Router() *Router { return e.router }
 func (e *Engine) Sim(i int) *sim.Sim { return e.runners[i].sim }
 
 // ExternalRefs calls fn for each of shard i's externally referenced
-// local objects with its reference count, in ascending OID order.
+// local objects with its reference count, in ascending OID order: the
+// resident objects with a positive count, and the reclaimed ones whose
+// late add deltas no remove has retracted yet.
 func (e *Engine) ExternalRefs(i int, fn func(local heap.OID, refs int)) {
 	r := e.runners[i]
-	r.xinScratch = r.xinScratch[:0]
-	for local := range r.xin {
-		r.xinScratch = append(r.xinScratch, heap.OID(local))
+	type ref struct {
+		oid heap.OID
+		n   int32
 	}
-	slices.Sort(r.xinScratch)
-	for _, oid := range r.xinScratch {
-		fn(oid, int(r.xin[uint32(oid)]))
+	refs := make([]ref, 0, len(r.late))
+	for s, n := range r.xin {
+		if n > 0 {
+			refs = append(refs, ref{r.h.OID(heap.Slot(s)), n})
+		}
 	}
+	for oid, n := range r.late {
+		refs = append(refs, ref{oid, n})
+	}
+	slices.SortFunc(refs, func(a, b ref) int { return cmp.Compare(a.oid, b.oid) })
+	for _, x := range refs {
+		fn(x.oid, int(x.n))
+	}
+}
+
+// CheckExternalRefs checks the cross-shard invariant between epochs:
+// each shard's external reference counts (ExternalRefs) equal, object by
+// object, the references the other shards' foreign-out tables hold into
+// it. The error names the receiving shard and local OID of the first
+// mismatch, in shard then OID order. Run leaves the engine after its
+// final exchange, where the invariant must hold.
+func (e *Engine) CheckExternalRefs() error {
+	want := make([]map[heap.OID]int, len(e.runners))
+	for i := range want {
+		want[i] = make(map[heap.OID]int)
+	}
+	for _, r := range e.runners {
+		for _, ref := range r.fout {
+			want[ref.shard][heap.OID(ref.target)]++
+		}
+	}
+	for i := range e.runners {
+		oids := make([]heap.OID, 0, len(want[i]))
+		for oid := range want[i] {
+			oids = append(oids, oid)
+		}
+		got := make(map[heap.OID]int)
+		e.ExternalRefs(i, func(local heap.OID, refs int) {
+			got[local] = refs
+			if _, ok := want[i][local]; !ok {
+				oids = append(oids, local)
+			}
+		})
+		slices.Sort(oids)
+		for _, oid := range oids {
+			if got[oid] != want[i][oid] {
+				return fmt.Errorf("shard %d: local OID %d has %d external references, the other shards' foreign-out tables hold %d",
+					i, oid, got[oid], want[i][oid])
+			}
+		}
+	}
+	return nil
 }
 
 // ForeignRefs calls fn for each cross-shard pointer shard i holds:
@@ -298,11 +379,13 @@ func (r *shardRunner) drain(b *Batch) (err error) {
 }
 
 // drainBatch applies one epoch batch to the shard's simulator,
-// interposing the cross-shard half of the write barrier on writes. This
-// is the shard-local phase: the loop drain times for the busy counters,
-// and the zero-alloc fast path the AllocsPerRun guard and hotcall pin — a
-// shard with no cross-traffic (empty fout, no marks) pays one length
-// check per write over a plain replay.
+// interposing the cross-shard half of the write barrier on the pointer
+// stores that need it: a write carrying a foreign mark, and a write or
+// creating store whose source holds a foreign reference (a positive
+// foutCount). This is the shard-local phase: the loop drain times for
+// the busy counters, and the zero-alloc fast path the AllocsPerRun guard
+// and hotcall pin — a store from a source holding no foreign reference
+// pays one OID lookup and one column read over a plain replay.
 //
 //odbgc:hotpath
 func (r *shardRunner) drainBatch(b *Batch) error {
@@ -319,8 +402,8 @@ func (r *shardRunner) drainBatch(b *Batch) error {
 				fw = &b.Foreign[fi]
 				fi++
 			}
-			if fw != nil || len(r.fout) > 0 {
-				overwrote, err := r.foreignBarrier(e.OID, e.Field, fw)
+			if src := r.h.Lookup(e.OID); fw != nil || count(r.foutCount, src) > 0 {
+				overwrote, err := r.foreignBarrier(e.OID, src, e.Field, fw)
 				if err != nil {
 					return err
 				}
@@ -335,8 +418,8 @@ func (r *shardRunner) drainBatch(b *Batch) error {
 		case trace.KindCreate:
 			// The creating store parent.ParentField = child can overwrite a
 			// foreign reference just like an explicit write.
-			if e.Parent != heap.NilOID && len(r.fout) > 0 {
-				overwrote, err := r.foreignBarrier(e.Parent, e.ParentField, nil)
+			if src := r.h.Lookup(e.Parent); count(r.foutCount, src) > 0 {
+				overwrote, err := r.foreignBarrier(e.Parent, src, e.ParentField, nil)
 				if err != nil {
 					return err
 				}
@@ -360,35 +443,39 @@ func (r *shardRunner) drainBatch(b *Batch) error {
 }
 
 // foreignBarrier is the cross-shard half of the write barrier for the
-// store src.field = <new value>: it retracts the reference the
-// stored-into location previously held (enqueueing a remove delta for
-// the old target's shard) and records the new one (an add delta; fw nil
-// means the new value is local or nil). It runs before the store reaches
-// the simulator, so a collection the store triggers observes current
-// foreign bookkeeping — if the source dies in that collection, the
-// discard hook below retracts the entry just made, and the target shard
-// sees add then remove in order. The returned flag reports an overwrite
-// of a foreign reference, which the local barrier cannot see (the
-// location holds nil locally) and the caller must feed to the trigger.
-func (r *shardRunner) foreignBarrier(src heap.OID, field int, fw *ForeignWrite) (bool, error) {
+// store src.field = <new value>, src resident in slot s: it retracts the
+// reference the stored-into location previously held (enqueueing a
+// remove delta for the old target's shard) and records the new one (an
+// add delta; fw nil means the new value is local or nil). It runs before
+// the store reaches the simulator, so a collection the store triggers
+// observes current foreign bookkeeping — if the source dies in that
+// collection, the discard hook below retracts the entry just made, and
+// the target shard sees add then remove in order. A source that is not
+// resident records nothing: the simulator rejects its store by name. The
+// returned flag reports an overwrite of a foreign reference, which the
+// local barrier cannot see (the location holds nil locally) and the
+// caller must feed to the trigger.
+func (r *shardRunner) foreignBarrier(src heap.OID, s heap.Slot, field int, fw *ForeignWrite) (bool, error) {
 	if field < 0 || field >= 1<<16 {
 		return false, fmt.Errorf("write field %d outside the packed location range", field) //odbgc:alloc-ok malformed-trace error path
 	}
+	if s == heap.NilSlot {
+		return false, nil
+	}
 	key := packLoc(uint32(src), field)
 	overwrote := false
-	if old, ok := r.fout[key]; ok {
-		delete(r.fout, key)
-		if n := r.foutCount[uint32(src)] - 1; n == 0 {
-			delete(r.foutCount, uint32(src))
-		} else {
-			r.foutCount[uint32(src)] = n
+	if count(r.foutCount, s) > 0 {
+		if old, ok := r.fout[key]; ok {
+			delete(r.fout, key)
+			r.foutCount[s]--
+			r.enqueue(int(old.shard), delta{target: old.target, remove: true})
+			overwrote = true
 		}
-		r.enqueue(int(old.shard), delta{target: old.target, remove: true})
-		overwrote = true
 	}
 	if fw != nil {
 		r.fout[key] = foreignRef{shard: fw.Shard, target: fw.Target}
-		r.foutCount[uint32(src)]++
+		r.foutCount = cover(r.foutCount, s)
+		r.foutCount[s]++
 		r.enqueue(int(fw.Shard), delta{target: fw.Target})
 		r.foreignWrites++
 	}
@@ -402,62 +489,93 @@ func (r *shardRunner) enqueue(to int, d delta) {
 }
 
 // applyDeltas folds one sender's deltas into the external reference
-// counts. Counts never go negative: every remove retracts a previously
-// delivered add, because a location's add precedes its remove at the
-// sender and the exchange applies each sender's deltas in order.
+// counts: a resident target's count is its xin entry, and a target
+// reclaimed before its add delta arrived is counted in late (see
+// externalRoots). Counts never go negative: every remove retracts a
+// previously delivered add, because a location's add precedes its remove
+// at the sender and the exchange applies each sender's deltas in order;
+// a target counted in xin stays resident until its count is 0, and one
+// counted in late never becomes resident again.
 func (r *shardRunner) applyDeltas(from int, ds []delta) error {
 	for _, d := range ds {
 		r.deltasRecv++
-		if d.remove {
-			switch n := r.xin[d.target] - 1; {
+		s := r.h.Lookup(heap.OID(d.target))
+		switch {
+		case s == heap.NilSlot && d.remove:
+			switch n := r.late[heap.OID(d.target)] - 1; {
 			case n < 0:
-				return fmt.Errorf("shard %d: external refcount underflow on local OID %d (remove from shard %d)", r.id, d.target, from)
+				return r.underflow(from, d)
 			case n == 0:
-				delete(r.xin, d.target)
+				delete(r.late, heap.OID(d.target))
 			default:
-				r.xin[d.target] = n
+				r.late[heap.OID(d.target)] = n
 			}
-		} else {
-			r.xin[d.target]++
+		case s == heap.NilSlot:
+			r.late[heap.OID(d.target)]++
+		case d.remove:
+			if count(r.xin, s) == 0 {
+				return r.underflow(from, d)
+			}
+			r.xin[s]--
+		default:
+			r.xin = cover(r.xin, s)
+			r.xin[s]++
 		}
 	}
 	return nil
 }
 
-// externalRoots feeds the collector the objects other shards reference,
-// in ascending OID order (sim.SetExternalRoots). A reference roots its
-// target only from the exchange that ends the epoch it was stored in, so
-// a target whose last local path dies before that exchange can be
-// reclaimed while another shard still references it. Its count then
-// names an object no longer resident, which the collector's residency
-// check skips (OIDs are never reused) until the remove arrives. At
-// perfbench sharded-cross's shape 3,936 of 149,316 add deltas arrived
-// after their target was reclaimed, and 265 such counts were left at the
-// end of the run (DESIGN.md, "What sharding deliberately changes").
-func (r *shardRunner) externalRoots(_ heap.PartitionID, add func(heap.OID)) {
-	r.xinScratch = r.xinScratch[:0]
-	for local := range r.xin {
-		r.xinScratch = append(r.xinScratch, heap.OID(local))
-	}
-	slices.Sort(r.xinScratch)
-	for _, oid := range r.xinScratch {
-		add(oid)
-	}
+// underflow names a remove delta that retracts no delivered add.
+func (r *shardRunner) underflow(from int, d delta) error {
+	return fmt.Errorf("shard %d: external refcount underflow on local OID %d (remove from shard %d)", r.id, d.target, from)
 }
 
-// onDiscard retracts the cross-shard references of a dying object while
-// its fields are still intact (sim.SetOnDiscard), so the target shards
-// stop treating the referents as externally rooted. A count that does
-// not match the object's fout entries is a bookkeeping bug; the first
-// one is kept for drain to return.
-func (r *shardRunner) onDiscard(oid heap.OID) {
-	n, ok := r.foutCount[uint32(oid)]
-	if !ok {
+// externalRoots feeds the collector the victim's residents that other
+// shards reference, in ascending OID order (sim.SetExternalRoots): it
+// scans the victim's resident list for a positive xin count, so its cost
+// is bounded by the victim, not by the shard's external references. A
+// reference roots its target only from the exchange that ends the epoch
+// it was stored in, so a target whose last local path dies before that
+// exchange can be reclaimed while another shard still references it;
+// applyDeltas then counts the reference in late, where no collection
+// looks. At perfbench sharded-cross's shape 3,936 of 149,316 add deltas
+// arrived after their target was reclaimed, and 265 such counts were
+// left at the end of the run (DESIGN.md, "What sharding deliberately
+// changes").
+func (r *shardRunner) externalRoots(victim heap.PartitionID, add func(heap.Slot)) {
+	if len(r.xin) == 0 {
 		return
 	}
-	h := r.sim.Heap()
-	for f := range h.NumFields(h.Lookup(oid)) {
-		key := packLoc(uint32(oid), f)
+	roots := r.roots[:0]
+	for _, s := range r.h.Partition(victim).Slots() {
+		if count(r.xin, s) > 0 {
+			roots = append(roots, s)
+		}
+	}
+	r.h.SortByOID(roots)
+	for _, s := range roots {
+		add(s)
+	}
+	r.roots = roots
+}
+
+// onDiscard retracts the cross-shard references of the dying object in
+// slot s while its fields are still intact (sim.SetOnDiscard), so the
+// target shards stop treating the referents as externally rooted. It
+// probes fout only when the object's foutCount is positive, and zeroes
+// that count, so the slot's next object starts with none; its xin count
+// is already 0, since externalRoots keeps every externally referenced
+// object alive. A count that does not match the object's fout entries is
+// a bookkeeping bug; the first one is kept for drain to return.
+func (r *shardRunner) onDiscard(s heap.Slot) {
+	n := count(r.foutCount, s)
+	if n == 0 {
+		return
+	}
+	r.foutCount[s] = 0
+	src := uint32(r.h.OID(s))
+	for f := range r.h.NumFields(s) {
+		key := packLoc(src, f)
 		if ref, ok := r.fout[key]; ok {
 			delete(r.fout, key)
 			r.enqueue(int(ref.shard), delta{target: ref.target, remove: true})
@@ -465,9 +583,19 @@ func (r *shardRunner) onDiscard(oid heap.OID) {
 		}
 	}
 	if n != 0 && r.drift == nil {
-		r.drift = fmt.Errorf("foreign out-count drift for local OID %d (%d unmatched)", oid, n)
+		r.drift = fmt.Errorf("foreign out-count drift for local OID %d (%d unmatched)", src, n)
 	}
-	delete(r.foutCount, uint32(oid))
+}
+
+// externalRefs counts the local objects other shards reference.
+func (r *shardRunner) externalRefs() int {
+	n := len(r.late)
+	for _, c := range r.xin {
+		if c > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // finish assembles the run's Result, finishing every shard simulator.
@@ -492,7 +620,7 @@ func (e *Engine) finish(d *Demuxer) Result {
 			DeltasSent:         r.deltasSent,
 			DeltasReceived:     r.deltasRecv,
 			MessagesSent:       r.msgsSent,
-			ExternalRefs:       len(r.xin),
+			ExternalRefs:       r.externalRefs(),
 		}
 		if r.rec != nil {
 			r.rec.Finish(sr.Result)

@@ -14,21 +14,6 @@ import (
 	"odbgc/internal/trace"
 )
 
-// foreignUnion collects, from every shard's foreign-out table, the
-// external reference counts each target shard should be holding.
-func foreignUnion(eng *shard.Engine, shards int) []map[heap.OID]int {
-	want := make([]map[heap.OID]int, shards)
-	for s := range want {
-		want[s] = map[heap.OID]int{}
-	}
-	for s := 0; s < shards; s++ {
-		eng.ForeignRefs(s, func(_ heap.OID, _ int, tshard int, target heap.OID) {
-			want[tshard][target]++
-		})
-	}
-	return want
-}
-
 // externalRefs reads one shard's external reference counts into a map.
 func externalRefs(eng *shard.Engine, s int) map[heap.OID]int {
 	got := map[heap.OID]int{}
@@ -40,8 +25,9 @@ func externalRefs(eng *shard.Engine, s int) map[heap.OID]int {
 // property on a generated workload with deletions: after the final
 // exchange, each shard's external reference counts must equal the union
 // of what every other shard's foreign-out table says it sent — through
-// overwrites, subtree deletions, and collector discards. Each shard's
-// local remembered sets must also pass their own audit.
+// overwrites, subtree deletions, and collector discards
+// (Engine.CheckExternalRefs). Each shard's local remembered sets must
+// also pass their own audit.
 func TestForeignUnionMatchesExternalRefs(t *testing.T) {
 	rt := testTrace(t, 21)
 	const shards = 4
@@ -64,11 +50,17 @@ func TestForeignUnionMatchesExternalRefs(t *testing.T) {
 		t.Fatal("no collections ran; the discard path is untested")
 	}
 
-	want := foreignUnion(eng, shards)
+	refs := 0
 	for s := 0; s < shards; s++ {
-		if got := externalRefs(eng, s); !reflect.DeepEqual(got, want[s]) {
-			t.Errorf("shard %d external refs diverge from the foreign-out union:\ngot  %v\nwant %v", s, got, want[s])
-		}
+		refs += len(externalRefs(eng, s))
+	}
+	if refs == 0 {
+		t.Fatal("no shard holds an external reference at the end; property vacuous")
+	}
+	if err := eng.CheckExternalRefs(); err != nil {
+		t.Error(err)
+	}
+	for s := 0; s < shards; s++ {
 		if err := eng.Sim(s).Remset().CheckInvariants(); err != nil {
 			t.Errorf("shard %d remembered-set audit: %v", s, err)
 		}

@@ -240,14 +240,14 @@ func (s *Sim) Config() Config { return s.cfg }
 // SetExternalRoots forwards an additional evacuation root source to the
 // collector (gc.Collector.SetExternalRoots). The sharded engine uses it
 // to keep objects referenced from other shards alive.
-func (s *Sim) SetExternalRoots(fn func(victim heap.PartitionID, add func(heap.OID))) {
+func (s *Sim) SetExternalRoots(fn func(victim heap.PartitionID, add func(heap.Slot))) {
 	s.col.SetExternalRoots(fn)
 }
 
 // SetOnDiscard forwards a discard observer to the collector
 // (gc.Collector.SetOnDiscard). The sharded engine uses it to retract
 // remset deltas for a dying object's cross-shard pointers.
-func (s *Sim) SetOnDiscard(fn func(oid heap.OID)) { s.col.SetOnDiscard(fn) }
+func (s *Sim) SetOnDiscard(fn func(heap.Slot)) { s.col.SetOnDiscard(fn) }
 
 // NoteForeignOverwrite records a pointer overwrite whose previous value
 // was a reference outside this simulator's heap — the sharded engine's
