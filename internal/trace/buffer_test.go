@@ -68,24 +68,29 @@ func TestBufferRejectsInvalidEvent(t *testing.T) {
 
 func TestBufferMatchesWriterEncoding(t *testing.T) {
 	// Every event a Buffer accepts must survive the ChunkWriter's packed
-	// payload encoding: its packed form decodes back to itself.
-	for _, e := range bufferTestEvents() {
-		enc := appendEvent(nil, e)
-		got, n, err := decodeEvent(enc)
+	// payload encoding: its packed form, delta-coded from the event
+	// before it, decodes back to itself.
+	events := bufferTestEvents()
+	enc := encodeEvents(t, events...)
+	prev := heap.NilOID
+	for pos, i := 0, 0; i < len(events); i++ {
+		got, n, err := decodeEvent(enc[pos:], prev)
 		if err != nil {
-			t.Fatalf("%+v: %v", e, err)
+			t.Fatalf("%+v: %v", events[i], err)
 		}
-		if n != len(enc) {
-			t.Errorf("%+v: consumed %d of %d bytes", e, n, len(enc))
+		if !reflect.DeepEqual(got, events[i]) {
+			t.Errorf("decode(%+v) = %+v", events[i], got)
 		}
-		if !reflect.DeepEqual(got, e) {
-			t.Errorf("decode(%+v) = %+v", e, got)
+		pos += n
+		prev = got.OID
+		if i == len(events)-1 && pos != len(enc) {
+			t.Errorf("decoded %d of %d bytes", pos, len(enc))
 		}
 	}
-	if _, _, err := decodeEvent([]byte{0xFF}); err == nil {
-		t.Error("unknown opcode accepted")
+	if _, _, err := decodeEvent([]byte{0xFF}, heap.NilOID); err == nil {
+		t.Error("unterminated head accepted")
 	}
-	if _, _, err := decodeEvent(appendEvent(nil, Event{Kind: KindWrite, OID: 7, Field: 1, Target: 9})[:2]); err == nil {
+	if _, _, err := decodeEvent(encodeEvents(t, Event{Kind: KindWrite, OID: 7, Field: 1, Target: 9})[:2], heap.NilOID); err == nil {
 		t.Error("truncated event accepted")
 	}
 }
@@ -118,12 +123,12 @@ func TestBufferRejectsWideOperands(t *testing.T) {
 	}
 }
 
-// TestBufferSizeBytes bounds a packed buffer by its encoding: every
-// event is an opcode and at least one operand byte, and at most five
-// operands of at most five bytes each.
+// TestBufferSizeBytes bounds a compacted packed buffer by its
+// encoding: every event takes at least its one-byte head (all a read of
+// the previous event's OID needs), and at most 26 bytes.
 func TestBufferSizeBytes(t *testing.T) {
 	b := benchBuffer(t, 200)
-	if got := b.SizeBytes(); got < 2*b.Len() || got > b.Len()*(1+5*5) {
+	if got := b.SizeBytes(); got < b.Len() || got > b.Len()*(1+5*5) {
 		t.Fatalf("SizeBytes = %d implausible for %d events", got, b.Len())
 	}
 }
@@ -149,21 +154,27 @@ func TestBufferReplayZeroAllocs(t *testing.T) {
 }
 
 // TestBufferSegmentBoundaries records a trace just past one segment
-// and checks that replay crosses the boundary in order.
+// and checks that replay crosses the boundary in order, the second
+// segment's deltas starting again from 0, and that Compact trims only
+// the open segment.
 func TestBufferSegmentBoundaries(t *testing.T) {
 	const seed = 3
-	n := segmentEvents + 3
 	var b Buffer
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < n; i++ {
+	for extra := 3; extra > 0; {
 		if err := b.Emit(randomEvent(rng)); err != nil {
 			t.Fatal(err)
 		}
+		if len(b.segs) == 2 {
+			extra--
+		}
 	}
 	b.Compact()
-	if b.Len() != int64(n) || len(b.segs) != 2 {
-		t.Fatalf("Len %d in %d segments, want %d in 2", b.Len(), len(b.segs), n)
+	if len(b.segs) != 2 || cap(b.segs[0]) != segmentBytes || cap(b.segs[0])-len(b.segs[0]) >= maxEventBytes || cap(b.segs[1]) != len(b.segs[1]) {
+		t.Fatalf("segments of %d and %d bytes (capacity %d and %d), want a full first segment and a trimmed second",
+			len(b.segs[0]), len(b.segs[1]), cap(b.segs[0]), cap(b.segs[1]))
 	}
+	n := int(b.Len())
 	rng = rand.New(rand.NewSource(seed))
 	var got int
 	err := b.Replay(sinkFunc(func(e Event) error {
@@ -175,6 +186,35 @@ func TestBufferSegmentBoundaries(t *testing.T) {
 	}))
 	if err != nil || got != n {
 		t.Fatalf("replayed %d of %d events: %v", got, n, err)
+	}
+}
+
+// TestBufferCompactEmptyAndReopen checks Compact's edge cases: an empty
+// buffer stays empty, an open segment holding no event (its first event
+// was refused) is released, and an Emit after Compact starts a new
+// segment rather than writing past the trimmed one.
+func TestBufferCompactEmptyAndReopen(t *testing.T) {
+	var b Buffer
+	b.Compact()
+	if err := b.Emit(Event{Kind: KindRead}); err == nil {
+		t.Fatal("read of the nil OID accepted")
+	}
+	b.Compact()
+	if b.SizeBytes() != 0 || b.Len() != 0 {
+		t.Fatalf("refused event left %d events in %d bytes", b.Len(), b.SizeBytes())
+	}
+	want := bufferTestEvents()
+	for i, e := range want {
+		if err := b.Emit(e); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 {
+			b.Compact()
+		}
+	}
+	var got collectSink
+	if err := b.Replay(&got); err != nil || !reflect.DeepEqual(got.events, want) || len(b.segs) != 3 {
+		t.Fatalf("replay across a compacted segment (%d segments, err %v):\n got %+v\nwant %+v", len(b.segs), err, got.events, want)
 	}
 }
 

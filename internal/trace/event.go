@@ -1,10 +1,11 @@
 // Package trace defines the application event stream that drives the
 // simulation ("trace-driven simulation", Section 4.2) and its one
-// encoding: a kind byte followed by uvarint operands (codec.go). Buffer
-// holds that encoding in memory for cached replay, and the chunked file
-// (ChunkWriter, ChunkReader, ChunkStream) holds it on disk, CRC-guarded
-// and closed by an end segment, for streamed replay; both replay through
-// the same zero-alloc decode loop.
+// encoding: per event, a uvarint carrying the kind and the delta of the
+// event's OID from the previous event's, then uvarint operands
+// (codec.go). Buffer holds that encoding in memory for cached replay,
+// and the chunked file (ChunkWriter, ChunkReader, ChunkStream) holds it
+// on disk, CRC-guarded and closed by an end segment, for streamed
+// replay; both replay through the same zero-alloc decode loop.
 //
 // A trace records what the application did — object creations, visits,
 // data modifications, and pointer stores — and nothing about how the

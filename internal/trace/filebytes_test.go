@@ -14,8 +14,8 @@ import (
 // a refactor.
 func TestChunkFileBytes(t *testing.T) {
 	const (
-		wantLen    = 21822
-		wantSHA256 = "08f61ba538f94f31c7e3377cfee04f76da052d375a2970876180647a5d06a9a5"
+		wantLen    = 17997
+		wantSHA256 = "7f72c8e775cc3a7776c3205c567b9e70ff8b7b4e76938cf38b0cd7334038dd98"
 	)
 	data := writeChunked(t, benchBuffer(t, 5000), 0x0dbc0ffee, 512)
 	sum := sha256.Sum256(data)

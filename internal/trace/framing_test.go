@@ -21,10 +21,7 @@ const chunkHeaderSize = segfile.HeaderSize
 // fingerprint after chunk 0: reading, skipping, and opening the file as
 // a stream must each refuse it, naming chunk 1.
 func TestChunkFingerprintMismatch(t *testing.T) {
-	var payload []byte
-	for _, e := range bufferTestEvents() {
-		payload = appendEvent(payload, e)
-	}
+	payload := encodeEvents(t, bufferTestEvents()...)
 	var buf bytes.Buffer
 	sw := segfile.NewWriter(&buf, &chunkFormat)
 	for _, fp := range []uint64{0xaaaa, 0xbbbb} {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math/rand"
@@ -108,7 +109,7 @@ func TestTruncatedHeader(t *testing.T) {
 // TestTruncatedEvent checks that a payload whose last event is cut short
 // fails decode even when the CRC matches, naming the chunk.
 func TestTruncatedEvent(t *testing.T) {
-	enc := appendEvent(nil, Event{Kind: KindCreate, OID: 300, Size: 100, NFields: 2})
+	enc := encodeEvents(t, Event{Kind: KindCreate, OID: 300, Size: 100, NFields: 2})
 	r := NewChunkReader(bytes.NewReader(hdrChunk(1, enc[:len(enc)-1])))
 	err := r.Next(new(Chunk))
 	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "chunk 0") {
@@ -116,10 +117,17 @@ func TestTruncatedEvent(t *testing.T) {
 	}
 }
 
+// TestUnknownOpcode checks that an event whose head carries a kind
+// outside 1-5 in its low three bits fails decode naming the kind, even
+// after a valid event and with a small OID delta above the kind.
 func TestUnknownOpcode(t *testing.T) {
-	r := NewChunkReader(bytes.NewReader(hdrChunk(1, []byte{99})))
-	if err := r.Next(new(Chunk)); err == nil || !strings.Contains(err.Error(), "opcode 99") {
-		t.Fatalf("err = %v, want unknown-opcode error", err)
+	for _, kind := range []byte{0, 6, 7} {
+		payload := append(encodeEvents(t, Event{Kind: KindRead, OID: 4}), 2<<kindBits|kind)
+		r := NewChunkReader(bytes.NewReader(hdrChunk(2, payload)))
+		want := fmt.Sprintf("event 1: unknown event kind %d", kind)
+		if err := r.Next(new(Chunk)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("err = %v, want an error containing %q", err, want)
+		}
 	}
 }
 

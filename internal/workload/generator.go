@@ -158,6 +158,11 @@ type Generator struct {
 	// deletion turns the whole run quadratic.
 	treeBIT []int
 
+	// work is traversal scratch, reused by every call: the FIFO of
+	// buildTreeSized and traverseBreadthFirst, and killSubtree's stack.
+	// None of the three runs inside another.
+	work []heap.OID
+
 	liveBytes  int64
 	allocBytes int64
 	stats      Stats
@@ -389,13 +394,11 @@ func (g *Generator) buildTreeSized(target int) error {
 	g.stats.Trees++
 
 	// Breadth-first fill: attach children left-to-right, level by level.
-	queue := []heap.OID{root}
+	queue := append(g.work[:0], root)
 	count := 1
-	for count < target && len(queue) > 0 {
-		parent := queue[0]
-		queue = queue[1:]
+	for head := 0; count < target && head < len(queue); head++ {
 		for f := 0; f < 2 && count < target; f++ {
-			child, err := g.createNode(t, parent, f)
+			child, err := g.createNode(t, queue[head], f)
 			if err != nil {
 				return err
 			}
@@ -403,6 +406,7 @@ func (g *Generator) buildTreeSized(target int) error {
 			count++
 		}
 	}
+	g.work = queue
 	return nil
 }
 
@@ -549,10 +553,9 @@ func (g *Generator) traverseDepthFirst(t *tree, oid heap.OID) error {
 }
 
 func (g *Generator) traverseBreadthFirst(t *tree) error {
-	queue := []heap.OID{t.root}
-	for len(queue) > 0 {
-		oid := queue[0]
-		queue = queue[1:]
+	queue := append(g.work[:0], t.root)
+	for head := 0; head < len(queue); head++ {
+		oid := queue[head]
 		if err := g.visit(t, oid); err != nil {
 			return err
 		}
@@ -566,6 +569,7 @@ func (g *Generator) traverseBreadthFirst(t *tree) error {
 			queue = append(queue, kid)
 		}
 	}
+	g.work = queue
 	return nil
 }
 
@@ -609,7 +613,7 @@ func (g *Generator) deleteRandomEdge() (bool, error) {
 // model and subtracts its bytes from the live estimate.
 func (g *Generator) killSubtree(t *tree, oid heap.OID) {
 	killed := 0
-	stack := []heap.OID{oid}
+	stack := append(g.work[:0], oid)
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -629,6 +633,7 @@ func (g *Generator) killSubtree(t *tree, oid heap.OID) {
 			}
 		}
 	}
+	g.work = stack
 	if killed > 0 {
 		g.bitAdd(t.idx, -killed)
 	}

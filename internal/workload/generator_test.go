@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"odbgc/internal/heap"
@@ -415,6 +416,56 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+}
+
+// TestConfigRejectsOIDBound checks that a config whose run could issue
+// OIDs past the 32-bit operand bound fails Validate naming its bound,
+// before any event is generated, while the defaults and the benchmark's
+// three workload shapes (paper-tables' base workload, stream-large's
+// 500 MB and sharded-cross's cross-tree 300 MB) still validate.
+func TestConfigRejectsOIDBound(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		bound  string // the bound the error names; "" for a valid config
+	}{
+		{"default", func(*Config) {}, ""},
+		{"stream-large", func(c *Config) { c.TotalAllocBytes = 500_000_000 }, ""},
+		{"sharded-cross", func(c *Config) {
+			c.DenseEdgeFraction, c.CrossTreeFraction, c.TotalAllocBytes = 0.167, 0.5, 300_000_000
+		}, ""},
+		{"four billion events", func(c *Config) { c.MaxEvents = 4_000_000_000 }, ""},
+		// 2^32-1 events before the last iteration, which can regrow
+		// 786,918 OIDs (a deleted tree of 599 nodes of 150 + 65,536
+		// bytes, over 50) and two more trees of up to 1,198 OIDs.
+		{"2^32 events", func(c *Config) { c.MaxEvents = 1 << 32 }, "4295756609"},
+		{"unbounded events", func(c *Config) { c.MaxEvents = math.MaxInt64 }, "9223372036855564288"},
+		// A live setpoint of 2^32 minimal objects outgrows the bound in
+		// the build phase alone, plus its last tree.
+		{"huge live set", func(c *Config) {
+			c.TargetLiveBytes, c.TotalAllocBytes, c.LargeEvery = 50<<32, 50<<32, 0
+		}, "4294968494"},
+		// One-byte large leaves are the smallest object.
+		{"large leaves smaller than nodes", func(c *Config) {
+			c.TargetLiveBytes, c.TotalAllocBytes, c.LargeObjectSize = 5_000_000_000, 5_000_000_000, 1
+		}, "5000001198"},
+	} {
+		cfg := DefaultConfig()
+		tc.mutate(&cfg)
+		err := cfg.Validate()
+		if tc.bound == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "up to "+tc.bound+" OIDs") || !strings.Contains(err.Error(), "32-bit") {
+			t.Errorf("%s: err = %v, want the bound %s past the 32-bit operand bound", tc.name, err, tc.bound)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted the config", tc.name)
+		}
 	}
 }
 

@@ -8,11 +8,12 @@ import (
 )
 
 // ownedBytes is the generator's own state, counted from slice
-// capacities: the slot index, the node slab, and the trees with their
-// sampling pools and Fenwick index.
+// capacities: the slot index, the node slab, the traversal scratch, and
+// the trees with their sampling pools and Fenwick index.
 func ownedBytes(g *Generator) int64 {
 	b := int64(unsafe.Sizeof(g.slot[0]))*int64(cap(g.slot)) +
 		int64(unsafe.Sizeof(node{}))*int64(cap(g.slab)) +
+		int64(unsafe.Sizeof(g.work[0]))*int64(cap(g.work)) +
 		int64(unsafe.Sizeof(g.trees[0]))*int64(cap(g.trees)) +
 		int64(unsafe.Sizeof(g.treeBIT[0]))*int64(cap(g.treeBIT))
 	for _, t := range g.trees {
@@ -57,5 +58,36 @@ func TestGeneratorMemoryTracksAliveNodes(t *testing.T) {
 		shortOIDs, shortBytes, longOIDs, longBytes, perOID)
 	if perOID > maxBytesPerOID {
 		t.Fatalf("generator state grew %.2f bytes per additional OID, want at most %d", perOID, maxBytesPerOID)
+	}
+}
+
+// TestTraversalsReuseScratch checks that a warmed generator's
+// traversals allocate nothing: breadth-first ones advance through the
+// generator's reused FIFO instead of a fresh, re-sliced queue per
+// call, and depth-first ones recurse.
+func TestTraversalsReuseScratch(t *testing.T) {
+	g, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.sink = discardSink{}
+	for g.liveBytes < g.cfg.TargetLiveBytes {
+		if err := g.buildTree(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trees := g.trees[:min(len(g.trees), 20)]
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, tr := range trees {
+			if err := g.traverseBreadthFirst(tr); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.traverseDepthFirst(tr, tr.root); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("traversals of %d trees: %v allocs per run, want 0", len(trees), allocs)
 	}
 }

@@ -22,7 +22,8 @@ import (
 // order, same build-phase boundary.
 //
 // An in-memory trace (Record) holds the stream once, in Buffer's packed
-// bytes (the chunk file's payload encoding, about 4 bytes per event),
+// bytes (the chunk file's delta-coded payload encoding, about 1.6 bytes
+// per event),
 // which every Replay decodes without allocating. A streamed trace
 // (RecordStreamed, OpenStreamed) has no Buffer: Stream replays a chunked
 // file through the prefetch pipeline at two chunk payloads of resident
@@ -113,11 +114,11 @@ func (rt *RecordedTrace) SizeBytes() int64 {
 }
 
 // DefaultTraceCacheBytes is the suite harness's default cache budget. It
-// holds the base experiments' ten seed traces (6.6 MB each, packed)
-// several times over, while the Figure 6 scalability sweep still evicts:
-// its five traces take 50 MB per seed (25 MB at the 40 MB point), and
-// `experiments -fig6` measured 50 traces generated, 250 replays from
-// the cache and 39 evictions.
+// holds the base experiments' ten seed traces (2.5 MB each, packed)
+// many times over, and the Figure 6 scalability sweep's too: its five
+// traces take about 18 MB per seed, and `experiments -fig6` measured 50
+// traces generated, 250 replays from the cache, no evictions and a
+// 179 MB peak.
 const DefaultTraceCacheBytes = 256 << 20
 
 // CacheStats counts TraceCache traffic.

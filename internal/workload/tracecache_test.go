@@ -75,11 +75,10 @@ func TestRecordMatchesLiveGeneration(t *testing.T) {
 }
 
 // TestRecordedTraceBytesPerEvent bounds the in-memory form of the
-// paper's base workload trace: the packed encoding measures about 4.1
-// bytes per event, and a kind column plus a 4-byte column per operand
-// about 6.
+// paper's base workload trace just above what the delta code measures,
+// 1.56 bytes per event, so a codec change that grows traces fails here.
 func TestRecordedTraceBytesPerEvent(t *testing.T) {
-	const maxBytesPerEvent = 4.5
+	const maxBytesPerEvent = 1.6
 	rt, err := Record(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
