@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		dense      = fs.Float64("dense", -1, "dense edge fraction; negative = default")
 		cross      = fs.Float64("cross", 0, "fraction of dense edges that target another tree (cross-shard traffic for sharded replay)")
 		trees      = fs.Int("trees", 0, "mean nodes per tree (0 = default)")
-		maxEvents  = fs.Int64("max-events", 0, "safety cap on emitted events (0 = default 80M); raise for 100M+ event traces")
+		maxEvents  = fs.Int64("max-events", 0, "safety cap on emitted events (0 = default 80M); raise for 100M+ event traces, up to about 4.29e9 (every event may be a create, and OIDs are 32-bit)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
